@@ -1,101 +1,122 @@
-"""The group catalog: named p-group families built from consistent normal forms.
+"""The group catalog: named p-group families built from pc presentations.
 
-Each family is described by generators in a fixed collection order with
-relative orders, power words and conjugation words; the multiplication
-table is produced by collection from the left.  No general coset
-enumeration is performed: every family here has a known normal form, and
-the table validation (Latin square + associativity) rejects inconsistent
-data.
+Every family is a power-commutator (pc) presentation on generators x_0 ..
+x_{k-1} with relative orders e_i: a power word for x_i^{e_i} and, for
+i < j, a conjugation word for x_i^{-1} x_j x_i, both over x_{i+1} ..
+x_{k-1}.  Elements are the normal forms x_0^{a_0} ... x_{k-1}^{a_{k-1}}
+with 0 <= a_i < e_i, numbered in mixed radix with a_0 most significant.
+
+One builder makes every table, one level at a time (Holt, Eick & O'Brien,
+Handbook of Computational Group Theory, 2005, ch. 8): G_i = <x_i> G_{i+1}
+is a cyclic extension of G_{i+1}, and its table is a few numpy gathers
+from the table of G_{i+1}.  Each level checks Hoelder's three conditions
+for such an extension, so an inconsistent presentation raises
+RelationInconsistent instead of giving a table; Group still validates
+the result.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
+from math import prod
 
 import numpy as np
 
+from .arith import is_prime
 from .errors import OrderTooLarge, RelationInconsistent, UnknownFamily
 from .groups import MAX_ORDER, Group, direct_product
 
 
-class _PcPresentation:
-    """Collection-from-the-left engine for a consistent pc presentation.
-
-    Generators are listed in collection order; the normal form is
-    x_0^{a_0} ... x_{k-1}^{a_{k-1}} with 0 <= a_i < rel_orders[i].
-    `powers[i]` expands x_i^{e_i} as {pos: exp} over positions > i, and
-    `conj[(i, j)]` (i < j) expands x_i^{-1} x_j x_i the same way over
-    positions > i.
-    """
-
-    def __init__(self, rel_orders, powers=None, conj=None):
-        self.e = list(rel_orders)
-        self.k = len(self.e)
-        self.powers = {i: sorted((powers or {}).get(i, {}).items()) for i in range(self.k)}
-        self.conj = {}
-        for (i, j), word in (conj or {}).items():
-            self.conj[(i, j)] = sorted(word.items())
-
-    def _conj_word(self, i: int, j: int):
-        return self.conj.get((i, j), [(j, 1)])
-
-    def right_mul_gen(self, nf: tuple, i: int) -> tuple:
-        tail = [(j, nf[j]) for j in range(i + 1, self.k) if nf[j]]
-        if not tail:
-            a = nf[i] + 1
-            out = list(nf)
-            if a < self.e[i]:
-                out[i] = a
-                return tuple(out)
-            out[i] = 0
-            res = tuple(out)
-            for pos, exp in self.powers[i]:
-                for _ in range(exp):
-                    res = self.right_mul_gen(res, pos)
-            return res
-        prefix = list(nf)
-        for j, _ in tail:
-            prefix[j] = 0
-        res = self.right_mul_gen(tuple(prefix), i)
-        for j, a in tail:
-            word = self._conj_word(i, j)
-            for _ in range(a):
-                for pos, exp in word:
-                    for _ in range(exp):
-                        res = self.right_mul_gen(res, pos)
-        return res
-
-    def build_table(self) -> tuple[np.ndarray, dict]:
-        forms = list(itertools.product(*[range(m) for m in self.e]))
-        index = {f: i for i, f in enumerate(forms)}
-        n = len(forms)
-        T = np.zeros((n, n), dtype=np.int64)
-        # incremental fill: b = b' * x_j with j the last nonzero position
-        for bi, b in enumerate(forms):
-            if bi == 0:
-                T[:, 0] = np.arange(n)
-                continue
-            j = max(pos for pos in range(self.k) if b[pos])
-            prev = list(b)
-            prev[j] -= 1
-            pi = index[tuple(prev)]
-            for ai, a in enumerate(forms):
-                T[ai, bi] = index[self.right_mul_gen(forms[int(T[ai, pi])], j)]
-        return T, index
-
-
 def _pc_group(rel_orders, powers, conj, display, name) -> Group:
-    pres = _PcPresentation(rel_orders, powers, conj)
-    T, index = pres.build_table()
-    gens = []
-    for gname, pos in display:
-        unit = tuple(1 if t == pos else 0 for t in range(pres.k))
-        gens.append((gname, index[unit]))
+    """The group of a pc presentation, its generators named by position.
+
+    `powers[i]` is {pos: exp} for x_i^{e_i} and `conj[(i, j)]` (i < j) the
+    same for x_i^{-1} x_j x_i, both over positions > i; a missing power
+    word is the identity, a missing conjugate x_j itself.
+
+    The table is built from the last level up.  At level i write x = x_i,
+    e = e_i, H = G_{i+1}, phi for conjugation h -> x^{-1} h x (the words
+    `conj[(i, j)]`, extended over normal forms) and w = x^e in H.  Then for
+    h, h' in H
+
+        (x^a h)(x^b h') = x^((a+b) mod e) * w^[a+b >= e] * phi^b(h) * h'.
+
+    That is a group exactly when Hoelder's conditions hold, and each level
+    checks all three on H's full table: phi is a bijective homomorphism of
+    H, phi(w) = w, and phi^e is conjugation by w.  The order cap is checked
+    before any table is allocated.
+    """
+    order = prod(rel_orders)
+    if order > MAX_ORDER:
+        raise OrderTooLarge(f"order {order} exceeds cap {MAX_ORDER}")
+    gens = [(gname, prod(rel_orders[pos + 1:])) for gname, pos in display]
     try:
-        return Group(T, gens, name=name)
+        return Group(_pc_table(rel_orders, powers, conj), gens, name=name)
     except RelationInconsistent as exc:
         raise RelationInconsistent(f"presentation for {name} fails to close: {exc.detail}") from exc
+
+
+def _pc_table(rel_orders, powers, conj) -> np.ndarray:
+    """The multiplication table of a pc presentation (see _pc_group)."""
+    k = len(rel_orders)
+    # index of x_j (the identity when e_j = 1)
+    gen = [prod(rel_orders[j + 1:]) if rel_orders[j] > 1 else 0 for j in range(k)]
+    T = np.zeros((1, 1), dtype=np.int64)
+    for i in reversed(range(k)):
+        e, m = rel_orders[i], T.shape[0]
+
+        def word(letters):
+            r = 0
+            for pos, exp in sorted(letters.items()):
+                for _ in range(exp):
+                    r = T[r, gen[pos]]
+            return r
+
+        w = word(powers.get(i, {}))
+        phi = np.zeros(1, dtype=np.int64)  # phi on G_{j+1}, grown to G_{i+1}
+        for j in reversed(range(i + 1, k)):
+            g = word(conj.get((i, j), {j: 1}))
+            pw = [0]  # phi(x_j)^a for a < e_j
+            for _ in range(rel_orders[j] - 1):
+                pw.append(T[pw[-1], g])
+            phi = T[np.array(pw)[:, None], phi[None, :]].ravel()
+        _check_hoelder(T, phi, w, e, i)
+
+        P = np.empty((e, m), dtype=np.int64)  # P[t] = phi^t
+        P[0] = np.arange(m)
+        for t in range(1, e):
+            P[t] = phi[P[t - 1]]
+        # fill the level in at most 16 blocks of a, so that no index array
+        # approaches the size of the new table; mode="clip" lets take write
+        # straight into it
+        out = np.empty((e, m, e, m), dtype=np.int64)
+        b = np.arange(e)
+        step = -(-e // 16)
+        for a0 in range(0, e, step):
+            s = np.arange(a0, min(a0 + step, e))[:, None] + b  # a + b
+            R = T[np.where(s >= e, w, 0)[:, None, :], P.T[None]]
+            blk = out[a0:a0 + len(s)]
+            np.take(T, R, axis=0, out=blk, mode="clip")
+            blk += (s % e * m)[:, None, :, None]
+        T = out.reshape(e * m, e * m)
+    return T
+
+
+def _check_hoelder(T, phi, w, e, i) -> None:
+    m = T.shape[0]
+    if not (np.array_equal(np.sort(phi), np.arange(m))
+            and np.array_equal(phi[T], T[phi[:, None], phi[None, :]])):
+        raise RelationInconsistent(f"conjugation by x{i} is not an automorphism")
+    if phi[w] != w:
+        raise RelationInconsistent(f"conjugation by x{i} does not fix x{i}^{e}")
+    phi_e, base, n = np.arange(m), phi, e
+    while n:
+        if n & 1:
+            phi_e = base[phi_e]
+        base, n = base[base], n >> 1
+    w_inv = int(np.flatnonzero(T[w] == 0)[0])
+    if not np.array_equal(phi_e, T[T[w_inv], w]):
+        raise RelationInconsistent(f"conjugation by x{i}, {e} times, is not conjugation by x{i}^{e}")
 
 
 # -- individual families ------------------------------------------------------
@@ -104,31 +125,17 @@ def _pc_group(rel_orders, powers, conj, display, name) -> Group:
 def cyclic(n: int) -> Group:
     if n < 1:
         raise UnknownFamily("cyclic group needs order >= 1")
-    if n > MAX_ORDER:
-        raise OrderTooLarge(f"order {n} exceeds cap {MAX_ORDER}")
-    T = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    gens = [("sigma", 1)] if n > 1 else []
-    return Group(T, gens, name=f"C{n}")
+    return _pc_group([n], {}, {}, [("sigma", 0)] if n > 1 else [], f"C{n}")
 
 
 def elem_abelian(p: int, r: int) -> Group:
-    if p ** r > MAX_ORDER:
-        raise OrderTooLarge(f"order {p ** r} exceeds cap {MAX_ORDER}")
-    G = cyclic(p)
-    out = G
-    for _ in range(r - 1):
-        out = direct_product(out, cyclic(p))
-    if r == 0:
-        return cyclic(1)
-    gens = []
-    n = p ** r
-    for i in range(r):
-        gens.append((f"e{i + 1}", p ** (r - 1 - i)))
-    return Group(out.np_table, gens, name=f"EA({p},{r})")
+    if r < 0:
+        raise UnknownFamily("elementary abelian group needs r >= 0")
+    return _pc_group([p] * r, {}, {}, [(f"e{i + 1}", i) for i in range(r)], f"EA({p},{r})")
 
 
 def dihedral(order: int) -> Group:
-    n = _two_power_log(order, minimum=8)
+    _check_two_power(order, minimum=8)
     m = order // 2
     return _pc_group(
         [2, m],
@@ -140,7 +147,7 @@ def dihedral(order: int) -> Group:
 
 
 def semidihedral(order: int) -> Group:
-    n = _two_power_log(order, minimum=16)
+    _check_two_power(order, minimum=16)
     m = order // 2
     return _pc_group(
         [2, m],
@@ -152,7 +159,7 @@ def semidihedral(order: int) -> Group:
 
 
 def quaternion(order: int) -> Group:
-    n = _two_power_log(order, minimum=8)
+    _check_two_power(order, minimum=8)
     m = order // 2
     return _pc_group(
         [2, m],
@@ -169,7 +176,7 @@ def modular_max_cyclic(order: int) -> Group:
     Same presentation as M(2^n), but carrying the sigma/tau generator names
     used for the index-2 families.
     """
-    _two_power_log(order, minimum=16)
+    _check_two_power(order, minimum=16)
     m = order // 2
     return _pc_group(
         [2, m],
@@ -184,8 +191,6 @@ def modular_pgroup(p: int, n: int) -> Group:
     """M(p^n), n >= 3: alpha of order p^(n-1), beta of order p, beta alpha = alpha^(1+p^(n-2)) beta."""
     if n < 3:
         raise UnknownFamily("modular group needs n >= 3")
-    if p ** n > MAX_ORDER:
-        raise OrderTooLarge(f"order {p ** n} exceeds cap {MAX_ORDER}")
     m = p ** (n - 1)
     q = p ** (n - 2)
     return _pc_group(
@@ -271,46 +276,26 @@ def g7_group(p: int) -> Group:
 
 
 def mss_semidirect(p: int, n: int, j: int) -> Group:
-    """M_j x| C_{p^n}: the cyclic group ring quotient F_p[C_{p^n}]/(s-1)^j acted on by s."""
+    """M_j x| C_{p^n}: the cyclic group ring quotient F_p[C_{p^n}]/(s-1)^j acted on by s.
+
+    Module basis b_i = (s-1)^i, i < j, with s b_i s^{-1} = b_i + b_{i+1};
+    as a pc presentation on b_0 .. b_{j-1}, s that is b_i^{-1} s b_i =
+    b_{i+1} s (just s for i = j-1).
+    """
     if not 1 <= j <= p ** n:
         raise UnknownFamily(f"need 1 <= j <= p^n, got j={j}")
-    order = p ** (j + n)
-    if order > MAX_ORDER:
-        raise OrderTooLarge(f"order {order} exceeds cap {MAX_ORDER}")
-    pn = p ** n
-    # module basis (s-1)^0 .. (s-1)^(j-1); s acts by b_i -> b_i + b_{i+1}
-    A = [[1 if (r == c or r == c + 1) else 0 for c in range(j)] for r in range(j)]
-    mats = []
-    cur = [[1 if r == c else 0 for c in range(j)] for r in range(j)]
-    for _ in range(pn):
-        mats.append(cur)
-        cur = [[sum(A[r][x] * cur[x][c] for x in range(j)) % p for c in range(j)] for r in range(j)]
-    vecs = list(itertools.product(*[range(p)] * j))
-    vindex = {v: i for i, v in enumerate(vecs)}
-    npow = len(vecs)
-    elems = [(v, t) for v in range(npow) for t in range(pn)]
-    n_total = len(elems)
-    T = np.zeros((n_total, n_total), dtype=np.int64)
-    for i1, (v1, t1) in enumerate(elems):
-        M = mats[t1]
-        w1 = vecs[v1]
-        for i2, (v2, t2) in enumerate(elems):
-            w2 = vecs[v2]
-            moved = tuple(sum(M[r][c] * w2[c] for c in range(j)) % p for r in range(j))
-            total = tuple((w1[r] + moved[r]) % p for r in range(j))
-            T[i1, i2] = vindex[total] * pn + (t1 + t2) % pn
-    m_unit = vindex[tuple(1 if r == 0 else 0 for r in range(j))] * pn
-    gens = [("s", 1), ("m", m_unit)]
-    return Group(T, gens, name=f"MSS({p},{n},{j})")
+    return _pc_group(
+        [p] * j + [p ** n],
+        {},
+        {(i, j): {i + 1: 1, j: 1} for i in range(j - 1)},
+        [("s", j), ("m", 0)],
+        f"MSS({p},{n},{j})",
+    )
 
 
-def _two_power_log(order: int, minimum: int) -> int:
-    n = order.bit_length() - 1
-    if order < minimum or order != 1 << n:
+def _check_two_power(order: int, minimum: int) -> None:
+    if order < minimum or order != 1 << (order.bit_length() - 1):
         raise UnknownFamily(f"order {order} not in this 2-power family (min {minimum})")
-    if order > MAX_ORDER:
-        raise OrderTooLarge(f"order {order} exceeds cap {MAX_ORDER}")
-    return n
 
 
 # -- spec-string front end ----------------------------------------------------
@@ -394,6 +379,8 @@ def build_group(spec: str) -> Group:
     missing = _required_params(fam) - set(params)
     if missing:
         raise UnknownFamily(f"{fam} needs parameters {sorted(missing)}")
+    if "p" in params and not is_prime(params["p"]):
+        raise UnknownFamily(f"{fam} needs a prime p, got p={params['p']}")
     return _FAMILIES[fam](params)
 
 

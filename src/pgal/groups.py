@@ -88,9 +88,7 @@ class Group:
 
     def inv(self, a: int) -> int:
         if self._inv is None:
-            self._inv = np.zeros(self.order, dtype=np.int64)
-            for i in range(self.order):
-                self._inv[i] = int(np.flatnonzero(self._np[i] == 0)[0])
+            self._inv = np.nonzero(self._np == 0)[1]  # one 0 per row, rows in order
         return int(self._inv[a])
 
     def conj(self, g: int, x: int) -> int:
@@ -307,34 +305,29 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
     """Quotient G/N with the projection; cosets are ordered by least element."""
     if N.parent is not G:
         raise TargetMismatch("subgroup does not live in the given group")
-    els = set(N.elements)
-    for g in range(G.order):
-        for x in N.elements:
-            if G.conj(g, x) not in els:
-                raise NotNormal("subgroup is not normal")
-    coset_of = [-1] * G.order
+    if not N.is_normal():
+        raise NotNormal("subgroup is not normal")
+    T = G.np_table
+    els = np.array(N.elements, dtype=np.int64)
+    coset_of = np.full(G.order, -1, dtype=np.int64)
     reps: list[int] = []
     for x in range(G.order):
-        if coset_of[x] >= 0:
-            continue
-        rep_id = len(reps)
-        members = sorted(G.mul(x, h) for h in N.elements)
-        for m in members:
-            coset_of[m] = rep_id
-        reps.append(members[0])
+        if coset_of[x] < 0:  # x is the least element of its coset xN
+            coset_of[T[x, els]] = len(reps)
+            reps.append(x)
     m = len(reps)
-    table = [[coset_of[G.mul(reps[i], reps[j])] for j in range(m)] for i in range(m)]
+    table = coset_of[T[np.ix_(reps, reps)]]
     gens = []
     seen = set()
     for name, idx in G.generators:
-        img = coset_of[idx]
+        img = int(coset_of[idx])
         if img != 0 and img not in seen:
             gens.append((name, img))
             seen.add(img)
     if m > 1 and not gens:
-        gens = [(f"g{i}", i) for i in _generating_set(np.asarray(table))]
+        gens = [(f"g{i}", i) for i in _generating_set(table)]
     Q = Group(table, gens, name=f"{G.name or G.order}/N{N.order}")
-    proj = GroupHom(G, Q, tuple(coset_of))
+    proj = GroupHom(G, Q, tuple(coset_of.tolist()))
     return Q, proj
 
 
