@@ -46,9 +46,7 @@ def _pc_group(rel_orders, powers, conj, display, name) -> Group:
     H, phi(w) = w, and phi^e is conjugation by w.  The order cap is checked
     before any table is allocated.
     """
-    order = prod(rel_orders)
-    if order > MAX_ORDER:
-        raise OrderTooLarge(f"order {order} exceeds cap {MAX_ORDER}")
+    _check_order(prod(rel_orders))
     gens = [(gname, prod(rel_orders[pos + 1:])) for gname, pos in display]
     try:
         return Group(_pc_table(rel_orders, powers, conj), gens, name=name)
@@ -102,6 +100,18 @@ def _pc_table(rel_orders, powers, conj) -> np.ndarray:
     return T
 
 
+def _check_order(p: int, e: int = 1) -> None:
+    """Raise OrderTooLarge unless the order p^e is at most MAX_ORDER.
+
+    A huge p^e is never formed: the detail shows the order in decimal, or
+    as p^e when that has more than 4096 bits.
+    """
+    if p < 2 or e < MAX_ORDER.bit_length() and p ** e <= MAX_ORDER:
+        return
+    order = f"{p}^{e}" if e > 1 and e * p.bit_length() > 4096 else p ** e
+    raise OrderTooLarge(f"order {order} exceeds cap {MAX_ORDER}")
+
+
 def _check_hoelder(T, phi, w, e, i) -> None:
     m = T.shape[0]
     if not (np.array_equal(np.sort(phi), np.arange(m))
@@ -131,6 +141,7 @@ def cyclic(n: int) -> Group:
 def elem_abelian(p: int, r: int) -> Group:
     if r < 0:
         raise UnknownFamily("elementary abelian group needs r >= 0")
+    _check_order(p, r)
     return _pc_group([p] * r, {}, {}, [(f"e{i + 1}", i) for i in range(r)], f"EA({p},{r})")
 
 
@@ -191,6 +202,7 @@ def modular_pgroup(p: int, n: int) -> Group:
     """M(p^n), n >= 3: alpha of order p^(n-1), beta of order p, beta alpha = alpha^(1+p^(n-2)) beta."""
     if n < 3:
         raise UnknownFamily("modular group needs n >= 3")
+    _check_order(p, n)
     m = p ** (n - 1)
     q = p ** (n - 2)
     return _pc_group(
@@ -282,8 +294,10 @@ def mss_semidirect(p: int, n: int, j: int) -> Group:
     as a pc presentation on b_0 .. b_{j-1}, s that is b_i^{-1} s b_i =
     b_{i+1} s (just s for i = j-1).
     """
-    if not 1 <= j <= p ** n:
+    # p^n > j once n >= bit_length(j), so the power stays small
+    if not 1 <= j <= p ** min(n, j.bit_length()):
         raise UnknownFamily(f"need 1 <= j <= p^n, got j={j}")
+    _check_order(p, j + n)
     return _pc_group(
         [p] * j + [p ** n],
         {},
@@ -300,7 +314,8 @@ def _check_two_power(order: int, minimum: int) -> None:
 
 # -- spec-string front end ----------------------------------------------------
 
-_PARAM_RE = re.compile(r"^([a-zA-Z][a-zA-Z0-9]*)=(-?\d+)$")
+# at most 4000 digits, below Python's limit for converting a string to int
+_PARAM_RE = re.compile(r"^([a-zA-Z][a-zA-Z0-9]*)=(-?\d{1,4000})$")
 
 
 def _params(text: str) -> dict:

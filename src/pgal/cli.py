@@ -19,17 +19,28 @@ from . import fpmodules as fpm
 from . import kummer, obstructions, symbols
 from .catalog import build_group, canonical_spec
 from .cohomology import Cocycle2, corestrict_tate, h2_enumerate
-from .errors import PgalError, UnknownFamily, ZeroEntry
+from .errors import BadParams, PgalError, UnknownFamily, ZeroEntry
 from .groups import Group, Subgroup
 from .symbols import FieldElem, SymbolProduct
+
+
+def _load_json(path: str, what: str, build) -> tuple:
+    """(build(doc), doc) for the JSON file at path; a bad file is BadParams naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise BadParams(f"{what} file {path!r} is not readable JSON: {exc}")
+    try:
+        return build(doc), doc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise BadParams(f"{what} file {path!r} is not a {what} document: {exc!r}")
 
 
 def _load_group(ref: str) -> tuple[Group, object]:
     """Spec string, or a path to a group JSON file."""
     if os.path.exists(ref):
-        with open(ref, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return Group.from_json(doc), doc
+        return _load_json(ref, "group", Group.from_json)
     try:
         return build_group(ref), canonical_spec(ref)
     except UnknownFamily:
@@ -45,7 +56,10 @@ def _parse_elem(tok: str, p: int) -> FieldElem:
         raise ZeroEntry(f"cannot parse field element {tok!r}")
     t = m.group(1)
     if re.match(r"^-?\d", t):
-        return symbols.rat(Fraction(t))
+        try:
+            return symbols.rat(Fraction(t))
+        except ZeroDivisionError:
+            raise ZeroEntry(f"field element {tok!r} has a zero denominator")
     if t == "zeta":
         return symbols.zeta(p)
     if t.startswith("zeta") and t[4:].isdigit():
@@ -133,9 +147,8 @@ def _cmd_cor(args) -> int:
     G, ref = _load_group(args.group)
     ids = [int(t) for t in args.subgroup.split(",") if t.strip()]
     H = Subgroup(G, ids)
-    with open(args.cocycle, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    fbar = Cocycle2(H.as_group(), doc["p"], doc["values"])
+    fbar, _ = _load_json(args.cocycle, "cocycle",
+                         lambda doc: Cocycle2(H.as_group(), doc["p"], doc["values"]))
     f = corestrict_tate(fbar, H, args.g)
     payload = f.to_json(group_ref=ref if isinstance(ref, str) else None)
     lines = [f"corestricted cocycle on group of order {G.order}:"]

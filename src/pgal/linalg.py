@@ -1,19 +1,24 @@
 """Dense GF(p) linear algebra on numpy arrays, sized for desk-scale cohomology.
 
-Matrices are kept in reduced row echelon form (RREF) so that reducing a
-block of incoming rows is a single exact float64 matmul (all intermediate
-values stay far below 2**53).
+Matrices are kept in reduced row echelon form (RREF; each pivot column is
+a unit vector, rows in the order their pivots were found) so that reducing
+a block of incoming rows is a single exact float64 matmul (all
+intermediate values stay far below 2**53).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import TooLarge
+
 
 class GFMatrix:
     """Incrementally built RREF over GF(p) with a fixed number of columns."""
 
     def __init__(self, ncols: int, p: int):
+        if (p - 1) ** 2 * max(ncols, 1) >= 2 ** 53:
+            raise TooLarge(f"GF({p}) elimination on {ncols} columns would not be exact in float64")
         self.p = p
         self.ncols = ncols
         self.rows = np.zeros((0, ncols), dtype=np.int64)
@@ -34,57 +39,50 @@ class GFMatrix:
         red = block - (coeff.astype(np.float64) @ self.rows.astype(np.float64)).astype(np.int64)
         return red % self.p
 
-    def _inv(self, a: int) -> int:
-        return pow(int(a), self.p - 2, self.p)
-
     def add_rows(self, block: np.ndarray) -> int:
         """Reduce a block against the RREF and absorb any new pivot rows.
 
+        The block is taken a few rows at a time, so that each piece is
+        reduced against every pivot found before it by one matmul, and the
+        elimination inside a piece loops over its new pivots, not its rows.
         Returns the number of pivots added.
         """
-        red = self.reduce(block)
-        if not red.size:
-            return 0
-        nz = np.flatnonzero(red.any(axis=1))
+        block = np.asarray(block, dtype=np.int64)
+        step = max(16, self.ncols // 8)
+        return sum(self._absorb(self.reduce(block[r0:r0 + step]))
+                   for r0 in range(0, len(block), step))
+
+    def _absorb(self, red: np.ndarray) -> int:
+        """Add the row space of `red`, already reduced against the RREF."""
+        p = self.p
+        red = red[red.any(axis=1)]
         new_rows: list[np.ndarray] = []
         new_piv: list[int] = []
-        for i in nz:
-            v = red[i].copy()
-            for r, c in zip(new_rows, new_piv):
-                f = v[c]
-                if f:
-                    v = (v - f * r) % self.p
-            j = int(np.flatnonzero(v)[0]) if v.any() else -1
-            if j < 0:
-                continue
-            v = v * self._inv(v[j]) % self.p
-            for r in new_rows:
-                f = r[j]
-                if f:
-                    r -= f * v
-                    r %= self.p
+        while len(red):
+            j = int(np.flatnonzero(red[0])[0])
+            v = red[0] * pow(int(red[0, j]), p - 2, p) % p
+            red = (red[1:] - np.outer(red[1:, j], v)) % p
+            red = red[red.any(axis=1)]
             new_rows.append(v)
             new_piv.append(j)
         if not new_rows:
             return 0
         npmat = np.stack(new_rows)
+        # each new row is zero at the pivots found before it; clear the later ones
+        for i in reversed(range(1, len(new_piv))):
+            npmat[:i] = (npmat[:i] - np.outer(npmat[:i, new_piv[i]], npmat[i])) % p
         if self.pivots:
             coeff = self.rows[:, new_piv]
             if coeff.any():
-                self.rows = (self.rows - coeff.astype(np.float64) @ npmat.astype(np.float64)).astype(np.int64) % self.p
+                self.rows = (self.rows - coeff.astype(np.float64) @ npmat.astype(np.float64)).astype(np.int64) % p
         self.rows = np.vstack([self.rows, npmat])
         self.pivots.extend(new_piv)
-        order = np.argsort(self.pivots)
-        self.rows = self.rows[order]
-        self.pivots = [self.pivots[k] for k in order]
         return len(new_piv)
 
     def nullspace(self) -> np.ndarray:
         """Basis of {v : R v = 0} for the row space R, one vector per row."""
-        free = [j for j in range(self.ncols) if j not in set(self.pivots)]
+        free = np.setdiff1d(np.arange(self.ncols), self.pivots)
         basis = np.zeros((len(free), self.ncols), dtype=np.int64)
-        for k, j in enumerate(free):
-            basis[k, j] = 1
-            for r, c in zip(self.rows, self.pivots):
-                basis[k, c] = (-r[j]) % self.p
+        basis[np.arange(len(free)), free] = 1
+        basis[:, self.pivots] = (-self.rows[:, free].T) % self.p
         return basis

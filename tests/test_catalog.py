@@ -10,6 +10,7 @@ at order 128; the benchmark's recorded digests cover orders 256-4096.
 
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -279,3 +280,24 @@ def test_quotient_matches_reference(spec, seed):
     assert Q.table == table
     assert list(proj.images) == coset_of
 
+
+
+@pytest.mark.parametrize("spec,shown", [("EA:p=2,r=20000", "2^20000"),
+                                        ("MSS:p=2,n=20,j=1000000", "2^1000020"),
+                                        ("Mmod:p=3,n=1000000", "3^1000000")])
+def test_huge_exponent_parameters_are_refused_at_once(capsys, spec, shown):
+    start = time.perf_counter()
+    code = main(["groups", "build", "--spec", spec, "--json"])
+    elapsed = time.perf_counter() - start
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc == {"error": "OrderTooLarge", "detail": f"order {shown} exceeds cap 4096"}
+    assert elapsed < 1.0
+
+
+def test_a_parameter_too_long_to_read_is_a_bad_parameter(capsys):
+    code = main(["groups", "build", "--spec", "EA:p=2,r=" + "1" * 5000, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["error"] == "UnknownFamily"
+    assert doc["detail"].startswith("'EA:p=2,r=111")

@@ -155,3 +155,26 @@ def test_human_output_default(capsys):
     code, out = run(capsys, "obstruct", "c4", "--a", "5")
     assert code == 0
     assert "splits over Q: True" in out
+
+
+@pytest.mark.parametrize("argv,files,code,named", [
+    (["h2", "--group", "D:8", "--p", "0"], {}, "BadParams", "p=0"),
+    (["h2", "--group", "D:8", "--p", "1"], {}, "BadParams", "p=1"),
+    (["h2", "--group", "D:8", "--p", "4"], {}, "BadParams", "p=4"),
+    (["obstruct", "c4", "--a", "1/0"], {}, "ZeroEntry", "'1/0'"),
+    (["cor", "--group", "D:8", "--subgroup", "0,2,4,6", "--cocycle", "{dir}/c.json"],
+     {"c.json": '{"p": 2, "group": "C:4"}'}, "BadParams", "'values'"),
+    (["h2", "--group", "{dir}/g.json", "--p", "2"], {"g.json": "not json"}, "BadParams",
+     "g.json"),
+    (["groups", "build", "--spec", "{dir}/g.json"], {"g.json": '{"order": 2}'}, "BadParams",
+     "'table'"),
+])
+def test_bad_input_gives_the_error_document(tmp_path, capsys, argv, files, code, named):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    args = [a.replace("{dir}", str(tmp_path)) for a in argv] + ["--json"]
+    status, doc = run_json(capsys, *args)
+    assert status == 1
+    assert set(doc) == {"error", "detail"}
+    assert doc["error"] == code
+    assert named in doc["detail"]
