@@ -3,6 +3,8 @@
 Factorization is trial division up to a configurable bound followed by
 Brent's variant of Pollard rho.  A failure to split a composite within the
 budget raises FactorizationFailed; we never return a wrong factorization.
+Primality is Miller-Rabin, deterministic below MILLER_RABIN_BOUND; above it
+a number that passes every base raises FactorizationFailed as well.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ from .errors import FactorizationFailed
 
 DEFAULT_TRIAL_BOUND = 10 ** 6
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+# psi_13, the least strong pseudoprime to every prime base up to 41
+# (Sorenson & Webster, Math. Comp. 86, 2017)
+MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def factor_bound() -> int:
@@ -31,7 +36,9 @@ def factor_bound() -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic for n < 3.3e24 via the standard base set."""
+    """Miller-Rabin with the prime bases up to 41, deterministic below
+    MILLER_RABIN_BOUND.  A composite is always reported composite; an n at or
+    above the bound that passes every base raises FactorizationFailed."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -52,6 +59,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= MILLER_RABIN_BOUND:
+        raise FactorizationFailed(
+            f"cannot certify {n} prime: Miller-Rabin with the prime bases up to 41 "
+            f"is proven only below {MILLER_RABIN_BOUND}")
     return True
 
 

@@ -12,7 +12,7 @@ is a cyclic extension of G_{i+1}, and its table is a few numpy gathers
 from the table of G_{i+1}.  Each level checks Hoelder's three conditions
 for such an extension, so an inconsistent presentation raises
 RelationInconsistent instead of giving a table; Group still validates
-the result.
+the result with its exact table laws.
 """
 
 from __future__ import annotations
@@ -277,7 +277,10 @@ def g6_group(p: int) -> Group:
 
 
 def g7_group(p: int) -> Group:
-    """G7 = (C_p)^3 x| C_p with [mu,tau]=sigma, [mu,lambda]=tau, sigma central."""
+    """G7 = (C_p)^3 x| C_p with [mu,tau]=sigma, [mu,lambda]=tau, sigma central.
+
+    p odd: at p = 2 the presentation does not close (RelationInconsistent).
+    """
     return _pc_group(
         [p, p, p, p],
         {},

@@ -24,6 +24,7 @@ from .errors import (
     PreimageOrderMismatch,
     PrimeMismatch,
     QuotientConditionFails,
+    TargetMismatch,
     TooLarge,
 )
 from .groups import (
@@ -31,7 +32,9 @@ from .groups import (
     Group,
     GroupHom,
     Subgroup,
+    cayley_tree,
     quotient,
+    row_blocks,
     subgroup_generated,
     subgroups_of_index2,
 )
@@ -42,13 +45,6 @@ from .arith import is_prime
 def _check_prime(p) -> None:
     if not is_prime(p):
         raise BadParams(f"p must be prime, got p={p}")
-
-
-def _row_blocks(n: int):
-    """Row slices of an n x n table, about 2^20 entries each."""
-    step = max(1, (1 << 20) // n)
-    for r0 in range(0, n, step):
-        yield slice(r0, min(n, r0 + step))
 
 
 def is_cocycle_table(group: Group, p: int, values) -> bool:
@@ -65,7 +61,7 @@ def is_cocycle_table(group: Group, p: int, values) -> bool:
         return False
     T = group.np_table
     for s in sorted({i for _, i in group.generators}):
-        for rows in _row_blocks(n):
+        for rows in row_blocks(n):
             Fx = F[rows]
             if ((Fx + F[T[rows], s] - F[:, s] - Fx[:, T[:, s]]) % p).any():
                 return False
@@ -127,7 +123,8 @@ def cocycle_of_extension(E: Group, proj: GroupHom, kernel_gen: int) -> Cocycle2:
     """Factor set of a central extension via the least-index-preimage section."""
     if proj.source is not E:
         raise KernelNotPrime("projection must start at the extension group")
-    ker = [x for x in range(E.order) if proj(x) == 0]
+    images = np.asarray(proj.images, dtype=np.int64)
+    ker = np.flatnonzero(images == 0)
     p = len(ker)
     if not is_prime(p):
         raise KernelNotPrime(f"kernel has order {p}")
@@ -136,25 +133,20 @@ def cocycle_of_extension(E: Group, proj: GroupHom, kernel_gen: int) -> Cocycle2:
     for _ in range(p):
         powers.append(x)
         x = E.mul(x, kernel_gen)
-    if x != 0 or sorted(powers) != sorted(ker):
+    if x != 0 or sorted(powers) != ker.tolist():
         raise KernelNotPrime("kernel_gen does not generate the kernel")
-    for y in range(E.order):
-        if E.mul(kernel_gen, y) != E.mul(y, kernel_gen):
-            raise KernelNotCentral(f"kernel generator fails to commute with element {y}")
-    kpow = {e: j for j, e in enumerate(powers)}
-    F = proj.target
-    section = [-1] * F.order
-    for x in range(E.order):
-        z = proj(x)
-        if section[z] < 0:
-            section[z] = x
-    vals = np.zeros((F.order, F.order), dtype=np.int64)
-    for a in range(F.order):
-        sa = section[a]
-        for b in range(F.order):
-            t = E.mul(sa, section[b])
-            c = section[F.mul(a, b)]
-            vals[a, b] = kpow[E.mul(t, E.inv(c))]
+    T, F = E.np_table, proj.target
+    moved = np.flatnonzero(T[kernel_gen] != T[:, kernel_gen])
+    if moved.size:
+        raise KernelNotCentral(f"kernel generator fails to commute with element {moved[0]}")
+    kpow = np.zeros(E.order, dtype=np.int64)
+    kpow[powers] = np.arange(p)
+    _, sec = np.unique(images, return_index=True)  # the least preimage of each element
+    if len(sec) != F.order:
+        raise TargetMismatch("projection is not surjective")
+    sec_inv = np.nonzero(T[sec] == 0)[1]
+    # f(a, b) = s(a) s(b) s(ab)^-1, a power of the kernel generator
+    vals = kpow[T[T[np.ix_(sec, sec)], sec_inv[F.np_table]]]
     return Cocycle2(F, p, vals)
 
 
@@ -182,41 +174,10 @@ def extension_of_cocycle(f: Cocycle2) -> ExtensionClass:
 # -- the spanning-tree engine ---------------------------------------------------
 
 
-def _spanning_tree(T: np.ndarray, named) -> tuple:
-    """A spanning tree of the right Cayley graph, rooted at the identity.
-
-    Keeps each named generator that is not in the subgroup reached so far;
-    a breadth-first search with the kept generators then restarts from every
-    reached element, the identity first, so a kept s hangs off the edge
-    (1, s).  Returns the kept generators, the levels (elements by depth), and
-    each element's parent u and generator slot i, with y = u * gens[i].
-    """
-    n = T.shape[0]
-    parent, slot, depth = [-1] * n, [-1] * n, [0] * n
-    parent[0] = 0
-    reached, gens, cols = [0], [], []
-    for g in named:
-        if parent[g] >= 0:
-            continue
-        gens.append(g)
-        cols.append(T[:, g].tolist())
-        for u in reached:  # grows while it is walked
-            for i, col in enumerate(cols):
-                y = col[u]
-                if parent[y] < 0:
-                    parent[y], slot[y], depth[y] = u, i, depth[u] + 1
-                    reached.append(y)
-    levels: list = [[] for _ in range(max(depth) + 1)]
-    for y in reached:
-        levels[depth[y]].append(y)
-    return (gens, [np.array(lv, dtype=np.int64) for lv in levels],
-            np.array(parent, dtype=np.int64), np.array(slot, dtype=np.int64))
-
-
 class CoboundarySpace:
     """Cocycles and coboundaries on (group, p) through a spanning tree of the Cayley graph.
 
-    The non-tree edges (y, s_i) of _spanning_tree, N = n(k-1)+1 of them, are
+    The non-tree edges (y, s_i) of groups.cayley_tree, N = n(k-1)+1 of them, are
     the coordinates of a cocycle that vanishes on the tree edges.  Every
     normalized cocycle is cohomologous to one that does, and two such differ
     by a coboundary exactly when they differ by a combination of the k
@@ -228,7 +189,7 @@ class CoboundarySpace:
     def __init__(self, group: Group, p: int):
         self.group, self.p = group, p
         T = group.np_table
-        gens, self.levels, self.parent, self.slot = _spanning_tree(
+        gens, _, self.levels, self.parent, self.slot = cayley_tree(
             T, [g for _, g in group.generators])
         self.gens = np.array(gens, dtype=np.int64)
         on_tree = np.zeros((group.order, len(gens)), dtype=bool)
@@ -289,7 +250,7 @@ class CoboundarySpace:
                 return None
             w = w - phi @ red[N:]
         w %= p
-        for rows in _row_blocks(self.group.order):
+        for rows in row_blocks(self.group.order):
             if ((w[rows, None] + w[None, :] - w[T[rows]] - F[rows]) % p).any():
                 return None
         return [int(c) for c in w]

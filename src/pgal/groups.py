@@ -1,14 +1,14 @@
 """Finite groups as explicit multiplication tables.
 
 Elements are indices 0..order-1 with 0 the identity.  Tables are validated
-on construction: Latin square, identity laws, associativity (fully up to
-order 64, on 10^4 random triples above), and generation by the named
-generators.
+exactly on construction, on one walk of the right Cayley graph (cayley_tree)
+and one law with a generator in the middle slot: identity, generation by the
+named generators, (xs)y = x(sy) for each kept generator s, and a right
+inverse for every element (Group._validate).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -24,8 +24,54 @@ from .errors import (
 )
 
 MAX_ORDER = 4096
-FULL_CHECK_ORDER = 64
-ASSOC_SAMPLES = 10_000
+BLOCK_ENTRIES = 1 << 18
+
+
+def row_blocks(n: int):
+    """Row slices of an n x n table, about BLOCK_ENTRIES entries each."""
+    step = max(1, BLOCK_ENTRIES // n)
+    for r0 in range(0, n, step):
+        yield slice(r0, min(n, r0 + step))
+
+
+def cayley_tree(T: np.ndarray, named) -> tuple:
+    """A spanning tree of the right Cayley graph, rooted at the identity.
+
+    Keeps each named generator that is not in the subgroup reached so far;
+    a breadth-first search with the kept generators then restarts from every
+    reached element, the identity first, so a kept s hangs off the edge
+    (1, s).  Returns the kept generators, the reached elements in the order
+    they were found, the levels (elements by depth), and each element's
+    parent u and generator slot i, with y = u * gens[i].
+    """
+    n = T.shape[0]
+    parent, slot, depth = [-1] * n, [-1] * n, [0] * n
+    parent[0] = 0
+    reached, gens, cols = [0], [], []
+    for g in named:
+        if parent[g] >= 0:
+            continue
+        gens.append(g)
+        cols.append(T[:, g].tolist())
+        for u in reached:  # grows while it is walked
+            for i, col in enumerate(cols):
+                y = col[u]
+                if parent[y] < 0:
+                    parent[y], slot[y], depth[y] = u, i, depth[u] + 1
+                    reached.append(y)
+    levels: list = [[] for _ in range(max(depth) + 1)]
+    for y in reached:
+        levels[depth[y]].append(y)
+    return (gens, reached, [np.array(lv, dtype=np.int64) for lv in levels],
+            np.array(parent, dtype=np.int64), np.array(slot, dtype=np.int64))
+
+
+def _is_multiplicative(phi: np.ndarray, S: np.ndarray, T: np.ndarray, gens) -> bool:
+    """phi(xs) = phi(x) phi(s) for all x and each s in gens, gens generating
+    the source table S: then phi(xy) = phi(x) phi(y) for all x, y, since the
+    y for which that holds contain the identity and are closed under right
+    multiplication by each s (phi(x.ys) = phi(xy) phi(s) = phi(x) phi(ys))."""
+    return all(np.array_equal(phi[S[:, s]], T[phi, phi[s]]) for s in gens)
 
 
 class Group:
@@ -50,28 +96,38 @@ class Group:
     # -- validation ------------------------------------------------------
 
     def _validate(self) -> None:
+        """Exact group test in n^2 k entries, k the kept generators.
+
+        With 0 a two-sided identity and every element reached from 0 by
+        right multiplication with the kept generators s, checking
+        (xs)y = x(sy) for all x, y settles associativity (Light's test,
+        Clifford & Preston, Algebraic Theory of Semigroups I, 1.2): the a
+        with (xa)y = x(ay) for all x, y contain 0, and with a they contain
+        as, since (x.as)y = ((xa)s)y = (xa)(sy) = x(a.sy) = x((as)y).  A
+        finite monoid in which every element x has a right inverse r is a
+        group (r has one too, r' say, and x = x(rr') = r', so rx = 1), so
+        the table is a Latin square by consequence.
+        """
         n = self.order
         T = self._np
         if T.min() < 0 or T.max() >= n:
             raise RelationInconsistent("table entries out of range")
+        if any(not 0 <= i < n for _, i in self.generators):
+            raise RelationInconsistent(f"generator indices must lie in 0..{n - 1}")
         ar = np.arange(n)
-        if not (np.array_equal(np.sort(T, axis=1), np.tile(ar, (n, 1)))
-                and np.array_equal(np.sort(T, axis=0), np.tile(ar[:, None], (1, n)))):
-            raise RelationInconsistent("table is not a Latin square")
         if not (np.array_equal(T[0], ar) and np.array_equal(T[:, 0], ar)):
             raise RelationInconsistent("index 0 is not a two-sided identity")
-        if n <= FULL_CHECK_ORDER:
-            if not np.array_equal(T[T, :], T[:, T]):
-                raise RelationInconsistent("associativity fails")
-        else:
-            rng = random.Random(0x5EED ^ n)
-            for _ in range(ASSOC_SAMPLES):
-                x, y, z = (rng.randrange(n) for _ in range(3))
-                if T[T[x, y], z] != T[x, T[y, z]]:
-                    raise RelationInconsistent("associativity fails (sampled)")
-        gen_idx = [i for _, i in self.generators]
-        if sorted(self.closure(gen_idx)) != list(range(n)):
+        gens, reached = cayley_tree(T, [i for _, i in self.generators])[:2]
+        if len(reached) != n:
             raise RelationInconsistent("generators do not generate the group")
+        for s in gens:
+            for rows in row_blocks(n):
+                if not np.array_equal(T[T[rows, s]], np.take(T[rows], T[s], axis=1)):
+                    raise RelationInconsistent("associativity fails")
+        has_inverse = (T == 0).any(axis=1)
+        if not has_inverse.all():
+            x = int(np.argmin(has_inverse))
+            raise RelationInconsistent(f"element {x} has no inverse")
 
     # -- basic operations --------------------------------------------------
 
@@ -135,22 +191,12 @@ class Group:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
     def closure(self, seed) -> list[int]:
-        """Subgroup generated by seed, as a sorted index list."""
-        seen = {0}
-        frontier = [0]
-        gens = sorted(set(int(s) for s in seed))
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        # seeds need not be closed under inverses a priori, but finite
-        # closure under right multiplication already yields a subgroup
-        return sorted(seen)
+        """Subgroup generated by seed, as a sorted index list.
+
+        The elements reached from the identity by right multiplication with
+        the seeds: in a finite group that already is a subgroup.
+        """
+        return sorted(cayley_tree(self._np, sorted({int(s) for s in seed}))[1])
 
     def center(self) -> "Subgroup":
         T = self._np
@@ -178,7 +224,8 @@ class Group:
 
 @dataclass(frozen=True)
 class GroupHom:
-    """Homomorphism given by the image of every element; checked fully."""
+    """Homomorphism given by the image of every element; checked exactly on
+    the source generators (n k entries)."""
 
     source: Group
     target: Group
@@ -190,9 +237,10 @@ class GroupHom:
             raise RelationInconsistent("image list has wrong length")
         if phi[0] != 0:
             raise RelationInconsistent("identity must map to identity")
-        lhs = phi[self.source.np_table]
-        rhs = self.target.np_table[phi[:, None], phi[None, :]]
-        if not np.array_equal(lhs, rhs):
+        if phi.min() < 0 or phi.max() >= self.target.order:
+            raise RelationInconsistent("images out of range")
+        if not _is_multiplicative(phi, self.source.np_table, self.target.np_table,
+                                  [s for _, s in self.source.generators]):
             raise RelationInconsistent("map is not multiplicative")
         object.__setattr__(self, "images", tuple(int(x) for x in phi))
 
@@ -212,13 +260,15 @@ class Subgroup:
     def __init__(self, parent: Group, elements):
         self.parent = parent
         self.elements = tuple(sorted(set(int(e) for e in elements)))
+        if self.elements and (self.elements[0] < 0 or self.elements[-1] >= parent.order):
+            raise RelationInconsistent(f"subgroup elements must lie in 0..{parent.order - 1}")
         if not self.elements or self.elements[0] != 0:
             raise RelationInconsistent("subgroup must contain the identity")
-        els = set(self.elements)
-        for a in self.elements:
-            for b in self.elements:
-                if parent.mul(a, b) not in els:
-                    raise RelationInconsistent("subgroup not closed under multiplication")
+        els = np.array(self.elements, dtype=np.int64)
+        inside = np.zeros(parent.order, dtype=bool)
+        inside[els] = True
+        if not inside[parent.np_table[np.ix_(els, els)]].all():
+            raise RelationInconsistent("subgroup not closed under multiplication")
         self._local = {e: i for i, e in enumerate(self.elements)}
         self._group: Group | None = None
 
@@ -254,40 +304,13 @@ class Subgroup:
             back = -np.ones(self.parent.order, dtype=np.int64)
             back[els] = np.arange(len(els))
             table = back[sub]
-            gens = _generating_set(table)
+            gens = cayley_tree(table, range(1, len(els)))[0]
             self._group = Group(
                 table,
                 [(f"g{self.elements[i]}", i) for i in gens],
                 name=f"sub{self.order}of{self.parent.name or self.parent.order}",
             )
         return self._group
-
-
-def _generating_set(table: np.ndarray) -> list[int]:
-    """Greedy deterministic generating set for a table (indices)."""
-    n = table.shape[0]
-    if n == 1:
-        return []
-    chosen: list[int] = []
-    reach = {0}
-    for x in range(1, n):
-        if x in reach:
-            continue
-        chosen.append(x)
-        reach = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in chosen:
-                    y = int(table[e, g])
-                    if y not in reach:
-                        reach.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if len(reach) == n:
-            break
-    return chosen
 
 
 def subgroup_generated(G: Group, seed) -> Subgroup:
@@ -325,7 +348,7 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
             gens.append((name, img))
             seen.add(img)
     if m > 1 and not gens:
-        gens = [(f"g{i}", i) for i in _generating_set(table)]
+        gens = [(f"g{i}", i) for i in cayley_tree(table, range(1, m))[0]]
     Q = Group(table, gens, name=f"{G.name or G.order}/N{N.order}")
     proj = GroupHom(G, Q, tuple(coset_of.tolist()))
     return Q, proj
@@ -371,7 +394,7 @@ def pullback(G1: Group, G2: Group, f1: GroupHom, f2: GroupHom) -> tuple[Group, G
         lookup[x, y] = i
     T = lookup[px, py]
     gens = [(f"g{x}.{y}", code[(x, y)])
-            for (x, y) in (pairs[i] for i in _generating_set(T))]
+            for (x, y) in (pairs[i] for i in cayley_tree(T, range(1, len(pairs)))[0])]
     P = Group(T, gens, name=f"pullback{len(pairs)}")
     p1 = GroupHom(P, G1, tuple(int(x) for x in xs))
     p2 = GroupHom(P, G2, tuple(int(y) for y in ys))
@@ -546,11 +569,12 @@ def _order_profile(G: Group) -> tuple:
 def find_isomorphism(G: Group, H: Group) -> list[int] | None:
     """Explicit isomorphism G -> H as an image list, or None.
 
-    Brute-force generator-image search, restricted to order <= 64.
+    Brute-force generator-image search, restricted to order <= 64.  The
+    images of the generators fix the map along the Cayley tree of G.
     """
     if G.order != H.order:
         return None
-    if G.order > FULL_CHECK_ORDER:
+    if G.order > 64:
         raise TooLarge("isomorphism search limited to order 64")
     if _order_profile(G) != _order_profile(H):
         return None
@@ -558,28 +582,25 @@ def find_isomorphism(G: Group, H: Group) -> list[int] | None:
         return None
     if G.center().order != H.center().order:
         return None
-    gens = _generating_set(G.np_table)
+    gens, reached, _, parent, slot = cayley_tree(G.np_table, range(1, G.order))
     if not gens:
         return [0]
     # elements of H bucketed by order
     by_order: dict[int, list[int]] = {}
     for x in range(H.order):
         by_order.setdefault(H.element_order(x), []).append(x)
-    word_parent, word_letter, bfs_order = _word_tree(G, gens)
     g_orders = [G.element_order(g) for g in gens]
+    rows, parent, slot = H.table, parent.tolist(), slot.tolist()
 
     def extend(k: int, images: list[int]) -> list[int] | None:
         if k == len(gens):
             phi = [0] * G.order
-            for x in bfs_order:
-                p, l = word_parent[x], word_letter[x]
-                phi[x] = H.mul(phi[p], images[l])
-            if len(set(phi)) != G.order:
+            for y in reached[1:]:  # parents come first
+                phi[y] = rows[phi[parent[y]]][images[slot[y]]]
+            if len(set(phi)) != G.order or not _is_multiplicative(
+                    np.array(phi), G.np_table, H.np_table, gens):
                 return None
-            ph = np.array(phi)
-            if np.array_equal(ph[G.np_table], H.np_table[ph[:, None], ph[None, :]]):
-                return phi
-            return None
+            return phi
         for cand in by_order.get(g_orders[k], []):
             res = extend(k + 1, images + [cand])
             if res is not None:
@@ -591,30 +612,6 @@ def find_isomorphism(G: Group, H: Group) -> list[int] | None:
 
 def is_isomorphic(G: Group, H: Group) -> bool:
     return find_isomorphism(G, H) is not None
-
-
-def _word_tree(G: Group, gens: list[int]):
-    """BFS spanning words: element x = parent[x] * gens[letter[x]],
-    plus the discovery order (parents always precede children in it)."""
-    parent = [-1] * G.order
-    letter = [-1] * G.order
-    parent[0] = 0
-    frontier = [0]
-    seen = {0}
-    order = []
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for li, g in enumerate(gens):
-                y = G.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    parent[y] = x
-                    letter[y] = li
-                    nxt.append(y)
-                    order.append(y)
-        frontier = nxt
-    return parent, letter, order
 
 
 # -- dual-module action predicates ------------------------------------------

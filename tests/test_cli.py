@@ -168,6 +168,12 @@ def test_human_output_default(capsys):
      "g.json"),
     (["groups", "build", "--spec", "{dir}/g.json"], {"g.json": '{"order": 2}'}, "BadParams",
      "'table'"),
+    (["cor", "--group", "D:8", "--subgroup", "0,1,2,99", "--cocycle", "{dir}/c.json"],
+     {"c.json": '{"p": 2, "group": "C:4", "values": [[0, 0], [0, 0]]}'}, "RelationInconsistent",
+     "0..7"),
+    (["h2", "--group", "{dir}/g.json", "--p", "2"],
+     {"g.json": '{"order": 2, "table": [[0, 1], [1, 0]], "generators": [{"name": "a", "index": 5}]}'},
+     "RelationInconsistent", "0..1"),
 ])
 def test_bad_input_gives_the_error_document(tmp_path, capsys, argv, files, code, named):
     for name, text in files.items():

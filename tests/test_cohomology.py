@@ -572,3 +572,47 @@ def test_cor_image_search_finds_c4_class():
     if hit is not None:
         H, fbar = hit
         assert class_equal(corestrict_tate(fbar, H), f)
+
+
+def _loop_factor_set(E, proj, k):
+    """The element-by-element factor set cocycle_of_extension used to compute."""
+    F = proj.target
+    powers, x = [], 0
+    for _ in range(E.order // F.order):
+        powers.append(x)
+        x = E.mul(x, k)
+    kpow = {e: j for j, e in enumerate(powers)}
+    section = [min(x for x in range(E.order) if proj(x) == z) for z in range(F.order)]
+    return [[kpow[E.mul(E.mul(section[a], section[b]), E.inv(section[F.mul(a, b)]))]
+             for b in range(F.order)] for a in range(F.order)]
+
+
+@pytest.mark.parametrize("spec,p", [("D:32", 2), ("Q:16*C:2", 2), ("C:27", 3),
+                                    ("Mmod:p=3,n=3", 3), ("G1:p=3", 3)])
+def test_factor_sets_match_the_element_loop(spec, p):
+    res = h2_enumerate(build_group(spec), p)
+    for rep in res.representatives[:4]:
+        ext = extension_of_cocycle(rep)
+        f = cocycle_of_extension(ext.extension, ext.proj, ext.kernel_gen)
+        assert f.values.tolist() == _loop_factor_set(ext.extension, ext.proj, ext.kernel_gen)
+        assert class_equal(f, rep)
+    E, Q, proj, k, f = _central_quotient_cocycle("D:64", ("sigma", 16))
+    assert f.values.tolist() == _loop_factor_set(E, proj, k)
+
+
+def test_factor_set_errors_name_the_failure():
+    from pgal.errors import KernelNotCentral, TargetMismatch
+    from pgal.groups import Group
+
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
+    idx = {p: i for i, p in enumerate(perms)}
+    S3 = Group([[idx[tuple(q[p[k]] for k in range(3))] for q in perms] for p in perms],
+               [("r", 1), ("s", 3)])
+    _, proj = quotient(S3, subgroup_generated(S3, [1]))
+    with pytest.raises(KernelNotCentral) as exc:
+        cocycle_of_extension(S3, proj, 1)
+    assert exc.value.detail == "kernel generator fails to commute with element 3"
+    C4 = build_group("C:4")
+    doubling = GroupHom(C4, C4, (0, 2, 0, 2))
+    with pytest.raises(TargetMismatch):
+        cocycle_of_extension(C4, doubling, 2)

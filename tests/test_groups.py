@@ -1,6 +1,11 @@
 """Catalog construction, quotients, pullbacks and structure invariants."""
 
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pgal.catalog import build_group, canonical_spec
 from pgal.errors import (
@@ -17,6 +22,7 @@ from pgal.groups import (
     Group,
     GroupHom,
     Subgroup,
+    cayley_tree,
     direct_product,
     dual_action_predicate,
     find_isomorphism,
@@ -30,6 +36,7 @@ from pgal.groups import (
     subgroups_of_index2,
     trivial_subgroup,
 )
+from pgal.linalg import GFMatrix
 
 
 def test_trivial_group_table():
@@ -401,3 +408,296 @@ def test_dual_action_non_power_map():
     flags = dual_action_predicate(data, 1)
     assert not flags["uniform_power"]
     assert not flags["thm24"]
+
+
+# -- exact table laws ---------------------------------------------------------------
+#
+# The breadth-first searches below are the ones the library ran before every
+# walk of a Cayley graph went through cayley_tree; they stay as oracles.
+
+
+def _bfs_closure(T, seed):
+    """Elements reached from 0 by right multiplication with the seeds."""
+    seen, frontier = {0}, [0]
+    gens = sorted(set(int(s) for s in seed))
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = int(T[x, g])
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(seen)
+
+
+def _bfs_generating_set(T):
+    """Greedy generating set: keep each element not yet reached, redo the search."""
+    n = T.shape[0]
+    chosen, reach = [], {0}
+    for x in range(1, n):
+        if x in reach:
+            continue
+        chosen.append(x)
+        reach = set(_bfs_closure(T, chosen))
+        if len(reach) == n:
+            break
+    return chosen
+
+
+def _bfs_word_tree(T, gens):
+    """x = parent[x] * gens[letter[x]], and the order the search found them in."""
+    n = T.shape[0]
+    parent, letter, order, seen, frontier = [-1] * n, [-1] * n, [], {0}, [0]
+    parent[0] = 0
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for li, g in enumerate(gens):
+                y = int(T[x, g])
+                if y not in seen:
+                    seen.add(y)
+                    parent[y], letter[y] = x, li
+                    nxt.append(y)
+                    order.append(y)
+        frontier = nxt
+    return parent, letter, order
+
+
+def _catalog_specs(limit):
+    """Every catalog family spec of order at most `limit`, and a few products."""
+    primes = (2, 3, 5, 7, 11, 13)
+    specs = [f"C:{n}" for n in (1, 6, 12) + tuple(
+        p ** r for p in primes for r in range(1, 9) if p ** r <= limit)]
+    for fam, smallest in (("D", 8), ("Q", 8), ("SD", 16), ("M", 16)):
+        specs += [f"{fam}:{2 ** e}" for e in range(3, 9) if smallest <= 2 ** e <= limit]
+    for p in primes:
+        specs += [f"EA:p={p},r={r}" for r in range(9) if p ** r <= limit]
+        specs += [f"G{i}:p={p}" for i in (1, 2) if p ** 3 <= limit]
+        specs += [f"G{i}:p={p}" for i in range(3, 8) if p ** 4 <= limit and (i, p) != (7, 2)]
+        specs += [f"Mmod:p={p},n={n}" for n in range(3, 9) if p ** n <= limit]
+        specs += [f"MSS:p={p},n={n},j={j}" for n in range(4) for j in range(1, p ** n + 1)
+                  if p ** (n + j) <= limit]
+    products = ["D:8*C:2", "Q:8*C:4", "C:4*C:4*C:2", "G1:p=3*C:3", "D:16*C:16", "C:6*C:2"]
+    return specs + [s for s in products if build_group(s).order <= limit]
+
+
+def _tables_from(G):
+    """G's table, the tables of its center and index-2 subgroups, and of G/Z(G)."""
+    subs = [G.center()] + (subgroups_of_index2(G) if G.order <= 64 else [])
+    tables = [G.np_table] + [H.as_group().np_table for H in subs]
+    return tables + [quotient(G, G.center())[0].np_table]
+
+
+def _along(parent, slot, order, T, images):
+    """The map that sends gens[i] to images[i], evaluated along a word tree."""
+    phi = np.zeros(len(parent), dtype=np.int64)
+    for x in order:
+        phi[x] = T[phi[parent[x]], images[slot[x]]]
+    return phi
+
+
+def test_the_cayley_walk_agrees_with_the_breadth_first_searches():
+    """Generating sets, closures and word trees on every catalog spec up to
+    order 256 and on the subgroup and quotient tables built from them."""
+    rng = np.random.default_rng(4)
+    for spec in _catalog_specs(256):
+        G = build_group(spec)
+        for T in _tables_from(G):
+            n = T.shape[0]
+            gens, reached, levels, parent, slot = cayley_tree(T, range(1, n))
+            assert gens == _bfs_generating_set(T), spec
+            assert sorted(reached) == list(range(n)), spec
+            order = [int(y) for lv in levels[1:] for y in lv]
+            assert sorted(order) == list(range(1, n)), spec
+            assert np.array_equal(_along(parent, slot, order, T, gens), np.arange(n)), spec
+            H = Group(T, [(f"g{g}", g) for g in gens])
+            seeds = [[g] for g in range(min(n, 12))] + [rng.integers(0, n, 3) for _ in range(4)]
+            for seed in seeds:
+                assert H.closure(seed) == _bfs_closure(T, seed), (spec, seed)
+        # both word trees give the projection onto G/Z(G) from the images of the generators
+        Q, proj = quotient(G, G.center())
+        gens, _, levels, parent, slot = cayley_tree(G.np_table, range(1, G.order))
+        images = [proj(g) for g in gens]
+        old_parent, old_letter, old_order = _bfs_word_tree(G.np_table, gens)
+        old = _along(old_parent, old_letter, old_order, Q.np_table, images)
+        new = _along(parent, slot, [int(y) for lv in levels[1:] for y in lv], Q.np_table, images)
+        assert old.tolist() == new.tolist() == list(proj.images), spec
+
+
+def _rejected(table, generators) -> bool:
+    try:
+        Group(table, generators)
+    except RelationInconsistent:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("spec,lines", [("D:256", 2), ("MSS:p=5,n=1,j=3", 1)])
+def test_every_one_entry_corruption_of_seeded_lines_is_rejected(spec, lines):
+    """No Latin-square test runs any more, so the exact laws alone must catch
+    a table that differs from a group in one entry."""
+    G = build_group(spec)
+    n, bad = G.order, G.np_table.copy()
+    rng = np.random.default_rng(n)
+    rows = rng.choice(np.arange(1, n), lines, replace=False)
+    cols = rng.choice(np.arange(1, n), lines, replace=False)
+    cells = [(int(x), y) for x in rows for y in range(n)] + [(x, int(y)) for y in cols for x in range(n)]
+    for x, y in cells:
+        good = bad[x, y]
+        bad[x, y] = (good + rng.integers(1, n)) % n
+        assert _rejected(bad, G.generators), (x, y)
+        bad[x, y] = good
+
+
+def _latin_swap(T, rng):
+    """T with an intercalate swapped: four cells (a, c), (a, d), (b, c), (b, d)
+    with b = ag, d = gc for an involution g, off row and column 0.  The result
+    is still a Latin square with identity 0."""
+    n = T.shape[0]
+    g = rng.choice([x for x in range(1, n) if T[x, x] == 0])
+    a, c = (rng.choice([x for x in range(1, n) if x != g]) for _ in range(2))
+    b, d = T[a, g], T[g, c]
+    out = T.copy()
+    out[a, c], out[a, d], out[b, c], out[b, d] = T[a, d], T[a, c], T[b, d], T[b, c]
+    return out
+
+
+def test_latin_swaps_in_an_order_1024_table_are_rejected():
+    """Associativity used to be sampled on 10^4 triples above order 64; at
+    order 1024 that let most of these Latin squares through."""
+    G = build_group("D:1024")
+    rng = np.random.default_rng(1024)
+    for _ in range(24):
+        assert _rejected(_latin_swap(G.np_table, rng), G.generators)
+
+
+@pytest.mark.parametrize("middle", ["sigma", "tau"])
+def test_every_kept_generator_is_checked(middle):
+    """Loops on Z/2 x D:8, (a, x)(b, y) = (a + b + f(x, y), xy), for a basis of
+    the normalized f with f(x, s) + f(xs, y) = f(s, y) + f(x, sy), s = middle:
+    then (us)v = u(sv) for s = (0, middle) and for zeta = (1, 0), whatever f,
+    and the table is accepted exactly when it is associative."""
+    G = build_group("D:8")
+    n, T, s = G.order, G.np_table, G.gen(middle)
+    cell = np.arange(n * n).reshape(n, n)
+    eqs = np.zeros((n * n, n * n), dtype=np.int64)
+    for x, y in itertools.product(range(n), repeat=2):
+        for (a, b), sign in (((x, s), 1), ((T[x, s], y), 1), ((s, y), -1), ((x, T[s, y]), -1)):
+            eqs[x * n + y, cell[a, b]] += sign
+    eqs[:, cell[0]] = eqs[:, cell[:, 0]] = 0  # normalized: those values are 0
+    Z = GFMatrix(n * n, 2)
+    Z.add_rows(eqs % 2)
+    I, gens = np.arange(2), [("zeta", n), ("sigma", G.gen("sigma")), ("tau", G.gen("tau"))]
+    verdicts = set()
+    for v in Z.nullspace():
+        F = v.reshape(n, n) * (np.arange(n)[:, None] > 0) * (np.arange(n) > 0)
+        a_part = (I[:, None, None, None] + I[None, None, :, None] + F[None, :, None, :]) % 2
+        L = (a_part * n + T[None, :, None, :]).reshape(2 * n, 2 * n)
+        associative = np.array_equal(L[L, :], L[:, L])
+        assert _rejected(L, gens) != associative
+        verdicts.add(associative)
+    assert verdicts == {True, False}
+
+
+def test_a_homomorphism_corrupted_at_one_element_is_rejected():
+    for spec in ("D:16", "G1:p=3", "D:8*C:2"):
+        G = build_group(spec)
+        Q, proj = quotient(G, G.center())
+        S, T = G.np_table, Q.np_table
+        for x in range(1, G.order):
+            for v in range(-1, Q.order + 1):
+                phi = np.array(proj.images)
+                if v == phi[x]:
+                    continue
+                phi[x] = v
+                ok = 0 <= v < Q.order and np.array_equal(phi[S], T[phi[:, None], phi[None, :]])
+                if ok:
+                    GroupHom(G, Q, tuple(phi))
+                else:
+                    with pytest.raises(RelationInconsistent):
+                        GroupHom(G, Q, tuple(phi))
+
+
+@pytest.mark.parametrize("middle", ["sigma", "tau"])
+def test_every_source_generator_is_checked(middle):
+    """Every map D:8 -> D:8 with phi(xs) = phi(x) phi(s) for s = middle (one
+    image per coset x<s> and phi(s) of order dividing that of s) is accepted
+    exactly when it is multiplicative."""
+    G = build_group("D:8")
+    T, s = G.np_table, G.gen(middle)
+    powers = [G.power(s, i) for i in range(G.element_order(s))]
+    reps = sorted({int(min(T[x, powers])) for x in range(1, G.order)} - {0})
+    verdicts = set()
+    for a in range(G.order):
+        if G.power(a, len(powers)):
+            continue
+        a_powers = [G.power(a, i) for i in range(len(powers))]
+        for imgs in itertools.product(range(G.order), repeat=len(reps)):
+            phi = np.zeros(G.order, dtype=np.int64)
+            for r, im in zip([0] + reps, (0,) + imgs):
+                phi[T[r, powers]] = T[im, a_powers]
+            full = np.array_equal(phi[T], T[phi[:, None], phi[None, :]])
+            try:
+                GroupHom(G, G, tuple(phi))
+                accepted = True
+            except RelationInconsistent:
+                accepted = False
+            assert accepted == full
+            verdicts.add(full)
+    assert verdicts == {True, False}
+
+
+def test_tables_that_are_not_groups_name_the_failed_law():
+    D8 = build_group("D:8")
+    cases = [
+        ([[0, 1], [1, 1]], [("a", 1)], "element 1 has no inverse"),
+        (np.maximum.outer(np.arange(5), np.arange(5)), [(f"g{i}", i) for i in range(1, 5)],
+         "element 1 has no inverse"),
+        (D8.table, [("sigma", D8.gen("sigma"))], "generators do not generate the group"),
+        ([[0, 1, 2], [1, 0, 1], [2, 2, 0]], [("a", 1), ("b", 2)], "associativity fails"),
+        ([[0, 1], [0, 1]], [("a", 1)], "index 0 is not a two-sided identity"),
+        ([[0, 1], [1, 2]], [("a", 1)], "table entries out of range"),
+        (D8.table, [("sigma", -1), ("tau", 1)], "generator indices must lie in 0..7"),
+    ]
+    for table, gens, detail in cases:
+        with pytest.raises(RelationInconsistent) as exc:
+            Group(table, gens)
+        assert exc.value.detail == detail
+    for elements in ([-1, 0], [0, 8]):
+        with pytest.raises(RelationInconsistent) as exc:
+            Subgroup(D8, elements)
+        assert exc.value.detail == "subgroup elements must lie in 0..7"
+
+
+SMALL_SPECS = [s for s in _catalog_specs(64) if s != "C:1"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_SPECS), st.data())
+def test_row_permuted_tables_are_rejected(spec, data):
+    G = build_group(spec)
+    perm = data.draw(st.permutations(range(G.order)))
+    assume(perm != list(range(G.order)))
+    assert _rejected(G.np_table[perm], G.generators)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([s for s in SMALL_SPECS if (o := build_group(s).order) > 2 and o % 2 == 0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_latin_squares_are_accepted_exactly_when_they_are_groups(spec, seed):
+    G = build_group(spec)
+    L = _latin_swap(G.np_table, np.random.default_rng(seed))
+    group = (np.array_equal(L[L, :], L[:, L])
+             and _bfs_closure(L, [g for _, g in G.generators]) == list(range(G.order)))
+    assert _rejected(L, G.generators) != group
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_catalog_specs(1024)))
+def test_every_catalog_table_is_accepted(spec):
+    G = build_group(spec)
+    assert Group(G.table, G.generators).generators == G.generators
+    bare = Group.from_json({"order": G.order, "table": G.table})
+    assert bare.closure(range(1, G.order)) == list(range(G.order))

@@ -260,3 +260,33 @@ def test_symbol_json_roundtrip():
     assert t == s
     u = symbol(ind("a1"), zeta(3), 3)
     assert SymbolProduct.from_json(u.to_json()) == u
+
+
+# -- primality ------------------------------------------------------------------
+
+PSI_12 = 318665857834031151167461  # strong pseudoprime to every prime base up to 37
+PSI_13 = 3317044064679887385961981  # ... and to base 41 as well
+
+
+def test_primality_is_exact_below_psi13():
+    from pgal.arith import factor, is_prime
+
+    a, b = 399165290221, 798330580441
+    assert a * b == PSI_12
+    assert not is_prime(PSI_12)
+    assert factor(PSI_12) == {a: 1, b: 1}
+    assert is_prime(b) and is_prime(PSI_13 - 168)  # the largest prime below PSI_13
+    # (a^2 b, 2) = (b, 2), which splits since b = 1 mod 8
+    assert b % 8 == 1
+    assert splits_over_Q(symbol(rat(a * a * b), rat(2), 2))
+
+
+def test_a_number_past_psi13_that_passes_every_base_is_an_error():
+    from pgal.arith import is_prime
+    from pgal.errors import FactorizationFailed
+
+    for n in (PSI_13, 2 ** 89 - 1):
+        with pytest.raises(FactorizationFailed):
+            is_prime(n)
+    for n in (PSI_13 + 2, (2 ** 89 - 1) * (2 ** 61 - 1), 2 ** 100):
+        assert not is_prime(n)
