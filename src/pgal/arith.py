@@ -13,6 +13,7 @@ import math
 import os
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import FactorizationFailed
 
@@ -106,13 +107,19 @@ def factor(n: int) -> dict[int, int]:
     """Factor |n| into primes, returned as {prime: exponent}.
 
     Raises FactorizationFailed if a cofactor survives trial division to the
-    configured bound and the rho budget.
+    configured bound and the rho budget.  Results are memoised in a bounded
+    cache keyed on |n| and the bound; every call gets a fresh dict.
     """
-    n = abs(n)
+    return dict(_factor_cached(abs(n), factor_bound()))
+
+
+@lru_cache(maxsize=1024)
+def _factor_cached(n: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """The factorisation of n >= 0 as (prime, exponent) pairs, in the order
+    found; a tuple, so no caller can change a cached result."""
     if n == 0:
         raise FactorizationFailed("cannot factor 0")
     out: dict[int, int] = {}
-    bound = factor_bound()
     for p in (2, 3, 5):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
@@ -140,7 +147,7 @@ def factor(n: int) -> dict[int, int]:
             raise FactorizationFailed(f"could not split composite {m}")
         stack.append(g)
         stack.append(m // g)
-    return out
+    return tuple(out.items())
 
 
 def legendre(a: int, p: int) -> int:

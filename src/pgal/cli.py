@@ -13,15 +13,18 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import autoreal as ar
+# Only modules that do not import numpy are loaded here; the handlers that
+# build tables import catalog, groups, cohomology and autoreal themselves, so
+# a symbol command starts without them.
 from . import fpmodules as fpm
 from . import kummer, obstructions, symbols
-from .catalog import build_group, canonical_spec
-from .cohomology import Cocycle2, corestrict_tate, h2_enumerate
 from .errors import BadParams, PgalError, UnknownFamily, ZeroEntry
-from .groups import Group, Subgroup
 from .symbols import FieldElem, SymbolProduct
+
+if TYPE_CHECKING:
+    from .groups import Group
 
 
 def _load_json(path: str, what: str, build) -> tuple:
@@ -39,6 +42,9 @@ def _load_json(path: str, what: str, build) -> tuple:
 
 def _load_group(ref: str) -> tuple[Group, object]:
     """Spec string, or a path to a group JSON file."""
+    from .catalog import build_group, canonical_spec
+    from .groups import Group
+
     if os.path.exists(ref):
         return _load_json(ref, "group", Group.from_json)
     try:
@@ -130,6 +136,8 @@ def _cmd_groups(args) -> int:
 
 
 def _cmd_h2(args) -> int:
+    from .cohomology import h2_enumerate
+
     G, ref = _load_group(args.group)
     res = h2_enumerate(G, args.p)
     payload = {
@@ -144,6 +152,9 @@ def _cmd_h2(args) -> int:
 
 
 def _cmd_cor(args) -> int:
+    from .cohomology import Cocycle2, corestrict_tate
+    from .groups import Subgroup
+
     G, ref = _load_group(args.group)
     ids = [int(t) for t in args.subgroup.split(",") if t.strip()]
     H = Subgroup(G, ids)
@@ -276,6 +287,9 @@ def _cmd_schultz(args) -> int:
 
 
 def _cmd_autoreal(args) -> int:
+    from . import autoreal as ar
+    from .catalog import canonical_spec
+
     if args.action == "query":
         res = ar.implies(args.src, args.dst)
         payload = {"from": canonical_spec(args.src), "to": canonical_spec(args.dst),

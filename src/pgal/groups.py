@@ -34,6 +34,17 @@ def row_blocks(n: int):
         yield slice(r0, min(n, r0 + step))
 
 
+def _prime_divisors(n: int) -> list[int]:
+    out, q = [], 2
+    while n > 1:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out
+
+
 def cayley_tree(T: np.ndarray, named) -> tuple:
     """A spanning tree of the right Cayley graph, rooted at the identity.
 
@@ -163,16 +174,39 @@ class Group:
         return r
 
     def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        if self._orders is None:
+            self.element_orders()
+        return self._orders[a]
 
     def element_orders(self) -> list[int]:
+        """The order of every element, in O(n log^2 n) table gathers.
+
+        Each order divides n, so it is found from m = n by dividing out each
+        prime q of n while q | m and a^(m/q) = 1, for all elements at once.
+        """
         if self._orders is None:
-            self._orders = [self.element_order(a) for a in range(self.order)]
+            n = self.order
+            m = np.full(n, n, dtype=np.int64)
+            for q in _prime_divisors(n):
+                active = np.arange(n)
+                while active.size:
+                    active = active[m[active] % q == 0]
+                    active = active[self._powers(active, m[active] // q) == 0]
+                    m[active] //= q
+            self._orders = m.tolist()
         return list(self._orders)
+
+    def _powers(self, a: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """a[i] ** k[i] for every i, k >= 0, by repeated squaring."""
+        T = self._np
+        out = np.zeros_like(a)
+        base, k = a.copy(), k.copy()
+        while k.any():
+            odd = (k & 1).astype(bool)
+            out[odd] = T[out[odd], base[odd]]
+            base = T[base, base]
+            k >>= 1
+        return out
 
     def exponent(self) -> int:
         return lcm(*self.element_orders()) if self.order > 1 else 1
@@ -199,9 +233,14 @@ class Group:
         return sorted(cayley_tree(self._np, sorted({int(s) for s in seed}))[1])
 
     def center(self) -> "Subgroup":
+        """The elements that commute with each named generator: the named
+        generators generate the group (checked in _validate), so those are
+        central."""
         T = self._np
-        mask = (T == T.T).all(axis=1)
-        return Subgroup(self, [int(i) for i in np.flatnonzero(mask)])
+        mask = np.ones(self.order, dtype=bool)
+        for _, s in self.generators:
+            mask &= T[:, s] == T[s]
+        return Subgroup(self, np.flatnonzero(mask).tolist())
 
     def to_json(self) -> dict:
         return {
@@ -522,24 +561,28 @@ def max_elem_abelian_quotient(G: Group, p: int) -> tuple[Group, GroupHom]:
 
 
 def normal_subgroups(G: Group, cap: int = 4096) -> list[Subgroup] | None:
-    """All normal subgroups, or None when the join closure exceeds cap."""
+    """All normal subgroups, or None when the join closure exceeds cap.
+
+    The normal closure of each element is grown under conjugation by the
+    named generators only: a subgroup of a finite group closed under
+    x -> s x s^-1 for each generator s is closed under conjugation by every
+    product of them, which is every element.
+    """
+    T = G.np_table
+    conjs = np.array([T[T[s], G.inv(s)] for _, s in G.generators],
+                     dtype=np.int64).reshape(-1, G.order)
     closures = set()
     for x in range(G.order):
-        seed = {x}
-        grown = True
-        current = set(G.closure(seed))
-        while grown:
-            grown = False
-            extra = set()
-            for g in range(G.order):
-                for y in current:
-                    z = G.conj(g, y)
-                    if z not in current:
-                        extra.add(z)
-            if extra:
-                current = set(G.closure(current | extra))
-                grown = True
-        closures.add(tuple(sorted(current)))
+        current = G.closure({x})
+        while True:
+            inside = np.zeros(G.order, dtype=bool)
+            inside[current] = True
+            moved = conjs[:, current].ravel()
+            extra = moved[~inside[moved]]
+            if not extra.size:
+                break
+            current = G.closure(set(current) | set(extra.tolist()))
+        closures.add(tuple(current))
     normals = set(closures)
     normals.add((0,))
     frontier = list(normals)

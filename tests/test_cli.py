@@ -1,9 +1,14 @@
 """Command line behavior: payload shapes, determinism, exit codes."""
 
+import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pgal
 from pgal.cli import main
 
 
@@ -184,3 +189,60 @@ def test_bad_input_gives_the_error_document(tmp_path, capsys, argv, files, code,
     assert set(doc) == {"error", "detail"}
     assert doc["error"] == code
     assert named in doc["detail"]
+
+
+# -- what a request loads -----------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(pgal.__file__)))
+
+
+def _fresh_run(argv):
+    """`python -m pgal argv` in a fresh interpreter: exit code, stdout and the
+    modules it imported (from -X importtime, which logs every import)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "pgal", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    return proc.returncode, proc.stdout, loaded
+
+
+@pytest.mark.parametrize("argv,numpy_free", [
+    (["obstruct", "c4", "--a", "2", "--json"], True),
+    (["obstruct", "massy", "--p", "2", "--a", "2,3", "--d", "d12=1", "--json"], True),
+    (["symbol", "eval", "--p", "2", "--expr", "(2,-1)(3,-1)", "--json"], True),
+    (["solve", "--theorem", "4.2", "--p", "3", "--json"], True),
+    (["schultz", "solve", "--p", "3", "--n", "1", "--summands", "3", "--dims", "2,2,2",
+      "--ikk", "0", "--json"], True),
+    (["--help"], True),
+    (["groups", "build", "--spec", "Q:8", "--json"], False),
+    (["h2", "--group", "D:8", "--p", "2", "--json"], False),
+])
+def test_a_request_loads_only_what_its_command_uses(capsys, argv, numpy_free):
+    """Symbol, solve and schultz commands never import numpy; every command
+    answers in a fresh process exactly as in this one."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    expected = (code, capsys.readouterr().out)
+    status, out, loaded = _fresh_run(argv)
+    assert (status, out) == expected
+    assert "pgal.cli" in loaded
+    if numpy_free:
+        assert not {m for m in loaded if m == "numpy" or m.startswith("numpy.")}
+
+
+def test_package_reexports_are_lazy():
+    from pgal import Group
+
+    exports = {"Group": "groups", "GroupHom": "groups", "Subgroup": "groups",
+               "build_group": "catalog", "Cocycle2": "cohomology",
+               "ExtensionClass": "cohomology", "FieldElem": "symbols",
+               "SymbolProduct": "symbols"}
+    for name, module in exports.items():
+        assert getattr(pgal, name) is getattr(importlib.import_module(f"pgal.{module}"), name)
+    assert Group is pgal.groups.Group
+    assert sorted(pgal.__all__) == sorted(exports)
+    with pytest.raises(AttributeError):
+        pgal.no_such_name

@@ -29,6 +29,7 @@ from pgal.groups import (
     is_isomorphic,
     max_elem_abelian_quotient,
     min_generators,
+    normal_subgroups,
     pullback,
     quotient,
     structure_invariants,
@@ -701,3 +702,87 @@ def test_every_catalog_table_is_accepted(spec):
     assert Group(G.table, G.generators).generators == G.generators
     bare = Group.from_json({"order": G.order, "table": G.table})
     assert bare.closure(range(1, G.order)) == list(range(G.order))
+
+
+# -- center, element orders and normal subgroups against the old loops -------------
+#
+# The loops below are the ones the library ran before center, element_orders
+# and normal_subgroups used the named generators and table gathers; they stay
+# as oracles.
+
+
+def _loop_center(G):
+    """Elements whose row equals their column: commute with every element."""
+    T = G.np_table
+    return [int(i) for i in np.flatnonzero((T == T.T).all(axis=1))]
+
+
+def _loop_element_orders(G):
+    """One multiplication per power of each element, until it reaches 0."""
+    out = []
+    for a in range(G.order):
+        k, x = 1, a
+        while x != 0:
+            x = G.mul(x, a)
+            k += 1
+        out.append(k)
+    return out
+
+
+def _loop_normal_subgroups(G):
+    """Normal closures under conjugation by every element, then all joins."""
+    closures = set()
+    for x in range(G.order):
+        current = set(G.closure({x}))
+        grown = True
+        while grown:
+            grown = False
+            extra = {G.conj(g, y) for g in range(G.order) for y in current} - current
+            if extra:
+                current = set(G.closure(current | extra))
+                grown = True
+        closures.add(tuple(sorted(current)))
+    normals = closures | {(0,)}
+    frontier = list(normals)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(normals):
+                j = tuple(G.closure(set(a) | set(b)))
+                if j not in normals:
+                    normals.add(j)
+                    fresh.append(j)
+        frontier = fresh
+    return sorted(normals, key=lambda t: (len(t), t))
+
+
+def _s3():
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
+    idx = {q: i for i, q in enumerate(perms)}
+    table = [[idx[tuple(b[a[k]] for k in range(3))] for b in perms] for a in perms]
+    return Group(table, [("r", 1), ("s", 3)])
+
+
+def _oracle_groups(limit):
+    """Every catalog spec up to `limit`, S3, and two group files without
+    generators (every element is then named)."""
+    groups = [(spec, build_group(spec)) for spec in _catalog_specs(limit)]
+    groups.append(("S3", _s3()))
+    for name, G in (("S3 file", _s3()), ("D:16*C:2 file", build_group("D:16*C:2"))):
+        groups.append((name, Group.from_json({"order": G.order, "table": G.table})))
+    return groups
+
+
+def test_center_and_element_orders_agree_with_the_old_loops():
+    for name, G in _oracle_groups(256):
+        assert list(G.center().elements) == _loop_center(G), name
+        assert G.element_orders() == _loop_element_orders(G), name
+
+
+def test_normal_subgroups_agree_with_the_old_loop():
+    # every subgroup of EA(2,5) and EA(2,6) is normal, 374 and 2825 of them,
+    # and both versions join every pair: too many closures for a test
+    for name, G in _oracle_groups(64):
+        if name in ("EA:p=2,r=5", "EA:p=2,r=6"):
+            continue
+        assert [H.elements for H in normal_subgroups(G)] == _loop_normal_subgroups(G), name

@@ -290,3 +290,27 @@ def test_a_number_past_psi13_that_passes_every_base_is_an_error():
             is_prime(n)
     for n in (PSI_13 + 2, (2 ** 89 - 1) * (2 ** 61 - 1), 2 ** 100):
         assert not is_prime(n)
+
+
+def test_factor_results_are_memoised_in_a_bounded_cache(monkeypatch):
+    from pgal.arith import _factor_cached, factor
+    from pgal.errors import FactorizationFailed
+
+    monkeypatch.delenv("PGAL_FACTOR_BOUND", raising=False)
+    n = 2 ** 4 * 3 * 1000003
+    first = factor(n)
+    first[2] = 99
+    del first[3]
+    before = _factor_cached.cache_info()
+    assert before.maxsize is not None and before.maxsize <= 1024
+    assert factor(-n) == {2: 4, 3: 1, 1000003: 1}
+    after = _factor_cached.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    monkeypatch.setenv("PGAL_FACTOR_BOUND", "1000")
+    assert factor(n) == {2: 4, 3: 1, 1000003: 1}
+    assert _factor_cached.cache_info().misses == after.misses + 1
+    size = _factor_cached.cache_info().currsize
+    for bad in (0, PSI_13, PSI_13):
+        with pytest.raises(FactorizationFailed):
+            factor(bad)
+    assert _factor_cached.cache_info().currsize == size
