@@ -138,10 +138,9 @@ def _factor_cached(n: int, bound: int) -> tuple[tuple[int, int], ...]:
         m = stack.pop()
         if m == 1:
             continue
-        if m <= bound * bound or is_prime(m):
-            if is_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
         g = _brent_rho(m, max_steps=4 * bound)
         if not g or g in (1, m):
             raise FactorizationFailed(f"could not split composite {m}")

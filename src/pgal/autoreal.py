@@ -11,11 +11,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from .catalog import build_group, canonical_spec, parse_spec
 from .errors import BadParams, TooLarge, UnknownFamily, UnknownSpec
 from .fpmodules import FpGModule
-from .groups import Group, is_isomorphic, min_generators, normal_subgroups, quotient
+
+if TYPE_CHECKING:
+    from .groups import Group
+
+# catalog and groups (and numpy with them) are imported by the functions that
+# parse specs or build groups, so that multiplicity_bound runs without them
 
 QUOTIENT_EDGE_MAX_ORDER = 64
 
@@ -60,12 +65,16 @@ class RealizationGraph:
         return RealizationGraph(self.edges + list(extra))
 
     def _resolve(self, spec: str) -> str:
+        from .catalog import canonical_spec
+
         try:
             return canonical_spec(spec)
         except UnknownFamily as exc:
             raise UnknownSpec(f"cannot resolve {spec!r}: {exc.detail}") from exc
 
     def _group(self, spec: str) -> Group:
+        from .catalog import build_group
+
         spec = self._resolve(spec)
         if spec not in self._groups:
             try:
@@ -124,6 +133,8 @@ class RealizationGraph:
         return {"holds": True, "path": [e.to_json() for e in reversed(path)]}
 
     def _quotient_edges(self, node: str, universe) -> list[Edge]:
+        from .groups import is_isomorphic, normal_subgroups, quotient
+
         try:
             G = self._group(node)
         except UnknownSpec:
@@ -186,6 +197,8 @@ _REVERSE_FALSE = (("G2", "G1"), ("G4", "G3"))
 
 def reverse_known_false(src: str, dst: str) -> bool:
     """True exactly for the recorded invalid reverse implications."""
+    from .catalog import parse_spec
+
     try:
         f1, p1 = parse_spec(src)
         f2, p2 = parse_spec(dst)
@@ -199,6 +212,8 @@ def reverse_known_false(src: str, dst: str) -> bool:
 
 def gen_count_necessary(src: str, dst: str, graph: RealizationGraph | None = None) -> bool:
     """Necessary condition for src => dst: d(dst-group) <= d(src-group)."""
+    from .groups import min_generators
+
     g = graph or default_graph()
     return min_generators(g._group(dst)) <= min_generators(g._group(src))
 

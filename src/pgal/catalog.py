@@ -11,8 +11,9 @@ Handbook of Computational Group Theory, 2005, ch. 8): G_i = <x_i> G_{i+1}
 is a cyclic extension of G_{i+1}, and its table is a few numpy gathers
 from the table of G_{i+1}.  Each level checks Hoelder's three conditions
 for such an extension, so an inconsistent presentation raises
-RelationInconsistent instead of giving a table; Group still validates
-the result with its exact table laws.
+RelationInconsistent instead of giving a table, and a consistent one gives
+a group: the table is built once, in int16, and Group does not validate it
+again.
 """
 
 from __future__ import annotations
@@ -44,22 +45,23 @@ def _pc_group(rel_orders, powers, conj, display, name) -> Group:
     That is a group exactly when Hoelder's conditions hold, and each level
     checks all three on H's full table: phi is a bijective homomorphism of
     H, phi(w) = w, and phi^e is conjugation by w.  The order cap is checked
-    before any table is allocated.
+    before any table is allocated.  A group by construction, since Hoelder's
+    conditions held at every level.
     """
     _check_order(prod(rel_orders))
     gens = [(gname, prod(rel_orders[pos + 1:])) for gname, pos in display]
     try:
-        return Group(_pc_table(rel_orders, powers, conj), gens, name=name)
+        return Group(_pc_table(rel_orders, powers, conj), gens, name=name, check=False)
     except RelationInconsistent as exc:
         raise RelationInconsistent(f"presentation for {name} fails to close: {exc.detail}") from exc
 
 
 def _pc_table(rel_orders, powers, conj) -> np.ndarray:
-    """The multiplication table of a pc presentation (see _pc_group)."""
+    """The int16 multiplication table of a pc presentation (see _pc_group)."""
     k = len(rel_orders)
     # index of x_j (the identity when e_j = 1)
     gen = [prod(rel_orders[j + 1:]) if rel_orders[j] > 1 else 0 for j in range(k)]
-    T = np.zeros((1, 1), dtype=np.int64)
+    T = np.zeros((1, 1), dtype=np.int16)
     for i in reversed(range(k)):
         e, m = rel_orders[i], T.shape[0]
 
@@ -71,7 +73,7 @@ def _pc_table(rel_orders, powers, conj) -> np.ndarray:
             return r
 
         w = word(powers.get(i, {}))
-        phi = np.zeros(1, dtype=np.int64)  # phi on G_{j+1}, grown to G_{i+1}
+        phi = np.zeros(1, dtype=np.int16)  # phi on G_{j+1}, grown to G_{i+1}
         for j in reversed(range(i + 1, k)):
             g = word(conj.get((i, j), {j: 1}))
             pw = [0]  # phi(x_j)^a for a < e_j
@@ -80,14 +82,14 @@ def _pc_table(rel_orders, powers, conj) -> np.ndarray:
             phi = T[np.array(pw)[:, None], phi[None, :]].ravel()
         _check_hoelder(T, phi, w, e, i)
 
-        P = np.empty((e, m), dtype=np.int64)  # P[t] = phi^t
+        P = np.empty((e, m), dtype=np.int16)  # P[t] = phi^t
         P[0] = np.arange(m)
         for t in range(1, e):
             P[t] = phi[P[t - 1]]
         # fill the level in at most 16 blocks of a, so that no index array
         # approaches the size of the new table; mode="clip" lets take write
         # straight into it
-        out = np.empty((e, m, e, m), dtype=np.int64)
+        out = np.empty((e, m, e, m), dtype=np.int16)
         b = np.arange(e)
         step = -(-e // 16)
         for a0 in range(0, e, step):
@@ -95,7 +97,7 @@ def _pc_table(rel_orders, powers, conj) -> np.ndarray:
             R = T[np.where(s >= e, w, 0)[:, None, :], P.T[None]]
             blk = out[a0:a0 + len(s)]
             np.take(T, R, axis=0, out=blk, mode="clip")
-            blk += (s % e * m)[:, None, :, None]
+            blk += (s % e * m).astype(np.int16)[:, None, :, None]
         T = out.reshape(e * m, e * m)
     return T
 

@@ -288,9 +288,10 @@ def _cmd_schultz(args) -> int:
 
 def _cmd_autoreal(args) -> int:
     from . import autoreal as ar
-    from .catalog import canonical_spec
 
     if args.action == "query":
+        from .catalog import canonical_spec
+
         res = ar.implies(args.src, args.dst)
         payload = {"from": canonical_spec(args.src), "to": canonical_spec(args.dst),
                    "holds": res["holds"], "path": res["path"]}

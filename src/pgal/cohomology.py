@@ -158,9 +158,13 @@ def extension_of_cocycle(f: Cocycle2) -> ExtensionClass:
         raise TooLarge(f"extension order {p * n} exceeds cap {MAX_ORDER}")
     if not is_cocycle_table(G, p, f.values):
         raise NotACocycle("input fails the cocycle identity")
-    I = np.arange(p)
-    zeta_part = (I[:, None, None, None] + I[None, None, :, None] + f.values[None, :, None, :]) % p
-    T = (zeta_part * n + G.np_table[None, :, None, :]).reshape(p * n, p * n)
+    # (i, x)(j, y) = (i + j + f(x, y), xy), numbered i n + x; built in int16
+    I = np.arange(p, dtype=np.int16)
+    T = I[:, None, None, None] + I[None, None, :, None] + f.values.astype(np.int16)[None, :, None, :]
+    T %= p
+    T *= n
+    T += G.np_table[None, :, None, :]
+    T = T.reshape(p * n, p * n)
     gens = [("zeta", n)]
     for name, idx in G.generators:
         nm = name if name != "zeta" else "zeta'"

@@ -1,10 +1,14 @@
 """Finite groups as explicit multiplication tables.
 
-Elements are indices 0..order-1 with 0 the identity.  Tables are validated
-exactly on construction, on one walk of the right Cayley graph (cayley_tree)
-and one law with a generator in the middle slot: identity, generation by the
-named generators, (xs)y = x(sy) for each kept generator s, and a right
-inverse for every element (Group._validate).
+Elements are indices 0..order-1 with 0 the identity, and every table is a
+read-only int16 array (MAX_ORDER < 2^15).  A table from outside the library
+is validated exactly on construction, on one walk of the right Cayley graph
+(cayley_tree) and one law with a generator in the middle slot: identity,
+generation by the named generators, (xs)y = x(sy) for each kept generator s,
+and a right inverse for every element (Group._validate).  The tables the
+library derives itself, from a consistent pc presentation or from groups
+that are already groups, are built once in int16 and skip that check
+(check=False); each builder says why its output is a group.
 """
 
 from __future__ import annotations
@@ -89,11 +93,20 @@ class Group:
     """Immutable finite group given by its full multiplication table."""
 
     def __init__(self, table, generators, name: str = "", check: bool = True):
-        arr = np.array(table, dtype=np.int64)
+        # a table from outside is read wide and range-checked before the cast,
+        # so that 65536 cannot wrap to 0; a trusted int16 table is not copied
+        try:
+            arr = np.array(table, dtype=np.int64) if check else np.asarray(table, dtype=np.int16)
+        except OverflowError:
+            raise RelationInconsistent("table entries out of range") from None
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise RelationInconsistent("table must be square")
         if arr.shape[0] > MAX_ORDER:
             raise RelationInconsistent(f"order {arr.shape[0]} exceeds cap {MAX_ORDER}")
+        if check:
+            if arr.size and (arr.min() < 0 or arr.max() >= arr.shape[0]):
+                raise RelationInconsistent("table entries out of range")
+            arr = arr.astype(np.int16)
         arr.setflags(write=False)
         self._np = arr
         self.order = int(arr.shape[0])
@@ -328,26 +341,33 @@ class Subgroup:
         return self.elements[local_idx]
 
     def is_normal(self) -> bool:
-        P = self.parent
-        els = set(self.elements)
-        for _, g in P.generators:
-            for x in self.elements:
-                if P.conj(g, x) not in els:
-                    return False
+        """g N g^-1 lies in N for each named generator g, one gather each:
+        conjugation by g is then a bijection of the finite N, so N is closed
+        under conjugation by every product of the generators."""
+        T = self.parent.np_table
+        els = np.array(self.elements, dtype=np.int64)
+        inside = np.zeros(self.parent.order, dtype=bool)
+        inside[els] = True
+        for _, g in self.parent.generators:
+            g_inv = int(np.flatnonzero(T[g] == 0)[0])
+            if not inside[T[T[g, els], g_inv]].all():
+                return False
         return True
 
     def as_group(self) -> Group:
+        """The subgroup with its own numbering; a group by construction,
+        since Subgroup checked closure."""
         if self._group is None:
             els = np.array(self.elements, dtype=np.int64)
-            sub = self.parent.np_table[np.ix_(els, els)]
-            back = -np.ones(self.parent.order, dtype=np.int64)
+            back = np.full(self.parent.order, -1, dtype=np.int16)
             back[els] = np.arange(len(els))
-            table = back[sub]
+            table = back[self.parent.np_table[np.ix_(els, els)]]
             gens = cayley_tree(table, range(1, len(els)))[0]
             self._group = Group(
                 table,
                 [(f"g{self.elements[i]}", i) for i in gens],
                 name=f"sub{self.order}of{self.parent.name or self.parent.order}",
+                check=False,
             )
         return self._group
 
@@ -364,19 +384,18 @@ def trivial_subgroup(G: Group) -> Subgroup:
 
 
 def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
-    """Quotient G/N with the projection; cosets are ordered by least element."""
+    """Quotient G/N with the projection; cosets are ordered by least element.
+
+    A group by construction, since N was checked normal.
+    """
     if N.parent is not G:
         raise TargetMismatch("subgroup does not live in the given group")
     if not N.is_normal():
         raise NotNormal("subgroup is not normal")
     T = G.np_table
-    els = np.array(N.elements, dtype=np.int64)
-    coset_of = np.full(G.order, -1, dtype=np.int64)
-    reps: list[int] = []
-    for x in range(G.order):
-        if coset_of[x] < 0:  # x is the least element of its coset xN
-            coset_of[T[x, els]] = len(reps)
-            reps.append(x)
+    least = T[:, np.array(N.elements, dtype=np.int64)].min(axis=1)  # of each coset xN
+    reps, coset_of = np.unique(least, return_inverse=True)
+    coset_of = coset_of.astype(np.int16)
     m = len(reps)
     table = coset_of[T[np.ix_(reps, reps)]]
     gens = []
@@ -388,12 +407,14 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
             seen.add(img)
     if m > 1 and not gens:
         gens = [(f"g{i}", i) for i in cayley_tree(table, range(1, m))[0]]
-    Q = Group(table, gens, name=f"{G.name or G.order}/N{N.order}")
+    Q = Group(table, gens, name=f"{G.name or G.order}/N{N.order}", check=False)
     proj = GroupHom(G, Q, tuple(coset_of.tolist()))
     return Q, proj
 
 
 def direct_product(G1: Group, G2: Group, name: str = "") -> Group:
+    """G1 x G2 on the pairs (x, y) numbered x n2 + y; a group by construction,
+    as the product of two groups."""
     n1, n2 = G1.order, G2.order
     if n1 * n2 > MAX_ORDER:
         raise TooLarge(f"product order {n1 * n2} exceeds cap {MAX_ORDER}")
@@ -404,11 +425,16 @@ def direct_product(G1: Group, G2: Group, name: str = "") -> Group:
         nm = n if n not in used else n + "'"
         used.add(nm)
         gens.append((nm, i))
-    return Group(T, gens, name=name or f"{G1.name or G1.order}x{G2.name or G2.order}")
+    return Group(T, gens, name=name or f"{G1.name or G1.order}x{G2.name or G2.order}",
+                 check=False)
 
 
 def pullback(G1: Group, G2: Group, f1: GroupHom, f2: GroupHom) -> tuple[Group, GroupHom, GroupHom]:
-    """Fibered product over a common quotient, with the two projections."""
+    """Fibered product over a common quotient, with the two projections.
+
+    A group by construction: the pairs (x, y) with f1(x) = f2(y) are closed
+    in G1 x G2 because f1 and f2 are homomorphisms.
+    """
     if f1.source is not G1 or f2.source is not G2:
         raise TargetMismatch("homomorphism sources do not match the given groups")
     same = f1.target is f2.target or (
@@ -428,13 +454,13 @@ def pullback(G1: Group, G2: Group, f1: GroupHom, f2: GroupHom) -> tuple[Group, G
     ys = np.array([y for _, y in pairs])
     px = G1.np_table[xs[:, None], xs[None, :]]
     py = G2.np_table[ys[:, None], ys[None, :]]
-    lookup = -np.ones((G1.order, G2.order), dtype=np.int64)
+    lookup = np.full((G1.order, G2.order), -1, dtype=np.int16)
     for (x, y), i in code.items():
         lookup[x, y] = i
     T = lookup[px, py]
     gens = [(f"g{x}.{y}", code[(x, y)])
             for (x, y) in (pairs[i] for i in cayley_tree(T, range(1, len(pairs)))[0])]
-    P = Group(T, gens, name=f"pullback{len(pairs)}")
+    P = Group(T, gens, name=f"pullback{len(pairs)}", check=False)
     p1 = GroupHom(P, G1, tuple(int(x) for x in xs))
     p2 = GroupHom(P, G2, tuple(int(y) for y in ys))
     return P, p1, p2
@@ -566,38 +592,51 @@ def normal_subgroups(G: Group, cap: int = 4096) -> list[Subgroup] | None:
     The normal closure of each element is grown under conjugation by the
     named generators only: a subgroup of a finite group closed under
     x -> s x s^-1 for each generator s is closed under conjugation by every
-    product of them, which is every element.
+    product of them, which is every element.  Every normal subgroup is the
+    join of the normal closures of its elements (the atoms), so joining each
+    new subgroup with each atom finds them all; the join of normal A and B
+    is the product set AB, one gather.
     """
     T = G.np_table
     conjs = np.array([T[T[s], G.inv(s)] for _, s in G.generators],
                      dtype=np.int64).reshape(-1, G.order)
-    closures = set()
+
+    def mask(els) -> np.ndarray:
+        inside = np.zeros(G.order, dtype=bool)
+        inside[els] = True
+        return inside
+
+    atoms: dict = {}  # normal closure -> an element it is the closure of
     for x in range(G.order):
         current = G.closure({x})
         while True:
-            inside = np.zeros(G.order, dtype=bool)
-            inside[current] = True
             moved = conjs[:, current].ravel()
-            extra = moved[~inside[moved]]
+            extra = moved[~mask(current)[moved]]
             if not extra.size:
                 break
             current = G.closure(set(current) | set(extra.tolist()))
-        closures.add(tuple(current))
-    normals = set(closures)
-    normals.add((0,))
-    frontier = list(normals)
+        atoms.setdefault(tuple(current), x)
+    reps = np.array(list(atoms.values()), dtype=np.int64)
+    cols = [np.array(b, dtype=np.int64) for b in atoms]
+    # membership mask as bytes -> elements
+    normals = {mask(list(els)).tobytes(): np.array(els, dtype=np.int64) for els in [(0,), *atoms]}
+    frontier = list(normals.values())
     while frontier:
         fresh = []
         for a in frontier:
-            for b in list(normals):
-                j = tuple(G.closure(set(a) | set(b)))
-                if j not in normals:
-                    normals.add(j)
-                    fresh.append(j)
+            rows = T[a]
+            # b is the normal closure of its rep, so b lies in a iff rep does
+            for i in np.flatnonzero(~mask(a)[reps]):
+                j = mask(rows[:, cols[i]])
+                key = j.tobytes()
+                if key not in normals:
+                    normals[key] = np.flatnonzero(j)
+                    fresh.append(normals[key])
                     if len(normals) > cap:
                         return None
         frontier = fresh
-    return [Subgroup(G, list(els)) for els in sorted(normals, key=lambda t: (len(t), t))]
+    found = sorted((tuple(els.tolist()) for els in normals.values()), key=lambda t: (len(t), t))
+    return [Subgroup(G, list(els)) for els in found]
 
 
 # -- isomorphism testing (brute force, for tests and small lookups) ---------

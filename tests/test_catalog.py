@@ -204,7 +204,7 @@ def test_every_catalog_family_spec_matches_its_reference():
                 build_group(spec)
             continue
         G = build_group(spec)
-        assert G.np_table.dtype == np.int64, spec
+        assert G.np_table.dtype == np.int16, spec
         assert np.array_equal(G.np_table, T), spec
         assert G.generators == gens, spec
 

@@ -179,6 +179,16 @@ def test_human_output_default(capsys):
     (["h2", "--group", "{dir}/g.json", "--p", "2"],
      {"g.json": '{"order": 2, "table": [[0, 1], [1, 0]], "generators": [{"name": "a", "index": 5}]}'},
      "RelationInconsistent", "0..1"),
+    # 65536 would wrap to 0 in an int16 table, giving the table of C2
+    (["h2", "--group", "{dir}/g.json", "--p", "2"],
+     {"g.json": '{"order": 2, "table": [[0, 1], [1, 65536]]}'},
+     "RelationInconsistent", "out of range"),
+    (["groups", "build", "--spec", "{dir}/g.json"],
+     {"g.json": '{"order": 2, "table": [[0, 1], [1, -1]]}'},
+     "RelationInconsistent", "out of range"),
+    (["h2", "--group", "{dir}/g.json", "--p", "2"],
+     {"g.json": '{"order": 2, "table": [[0, 1], [1, 1180591620717411303424]]}'},
+     "RelationInconsistent", "out of range"),
 ])
 def test_bad_input_gives_the_error_document(tmp_path, capsys, argv, files, code, named):
     for name, text in files.items():
@@ -217,6 +227,8 @@ def _fresh_run(argv):
     (["--help"], True),
     (["groups", "build", "--spec", "Q:8", "--json"], False),
     (["h2", "--group", "D:8", "--p", "2", "--json"], False),
+    (["autoreal", "bound", "--p", "3", "--n", "2", "--k", "4", "--json"], True),
+    (["autoreal", "query", "--from", "Q:8", "--to", "D:8", "--json"], False),
 ])
 def test_a_request_loads_only_what_its_command_uses(capsys, argv, numpy_free):
     """Symbol, solve and schultz commands never import numpy; every command

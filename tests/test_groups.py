@@ -779,10 +779,128 @@ def test_center_and_element_orders_agree_with_the_old_loops():
         assert G.element_orders() == _loop_element_orders(G), name
 
 
+def test_is_normal_agrees_with_conjugation_by_every_element():
+    for name, G in _oracle_groups(32):
+        for H in {tuple(G.closure([x])) for x in range(G.order)}:
+            want = all(G.conj(g, y) in H for g in range(G.order) for y in H)
+            assert Subgroup(G, H).is_normal() == want, (name, H)
+
+
+def _subgroup_count_of_elementary_abelian(p, r):
+    """The number of subspaces of F_p^r: the sum of the Gaussian binomials."""
+    total = 0
+    for k in range(r + 1):
+        num = den = 1
+        for i in range(k):
+            num *= p ** (r - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
 def test_normal_subgroups_agree_with_the_old_loop():
-    # every subgroup of EA(2,5) and EA(2,6) is normal, 374 and 2825 of them,
-    # and both versions join every pair: too many closures for a test
+    # every subgroup of EA(2,5) and EA(2,6) is normal, 374 and 2825 of them;
+    # the old loop joins every pair, too many closures for a test, so these
+    # two are counted against the Gaussian binomials instead
     for name, G in _oracle_groups(64):
         if name in ("EA:p=2,r=5", "EA:p=2,r=6"):
             continue
         assert [H.elements for H in normal_subgroups(G)] == _loop_normal_subgroups(G), name
+
+
+@pytest.mark.parametrize("r,count", [(5, 374), (6, 2825)])
+def test_normal_subgroups_of_elementary_abelian_groups_are_all_subgroups(r, count):
+    assert _subgroup_count_of_elementary_abelian(2, r) == count
+    G = build_group(f"EA:p=2,r={r}")
+    normals = normal_subgroups(G)
+    # Subgroup checked each one closed; the list holds no repeats
+    assert len({H.elements for H in normals}) == len(normals) == count
+    assert sorted(H.order for H in normals) == [H.order for H in normals]
+    assert normal_subgroups(G, cap=count - 1) is None
+    assert len(normal_subgroups(G, cap=count)) == count
+
+
+# -- tables the library builds itself -------------------------------------------------
+#
+# Catalog groups, products, quotients, subgroups as groups, pullbacks and
+# extensions are groups by construction and skip Group's exact check; the
+# check still passes on each of them here.
+
+
+def _assert_built(G, what):
+    assert G.np_table.dtype == np.int16, what
+    assert not G.np_table.flags.writeable, what
+    G._validate()
+
+
+def _central_subgroups_of_prime_order(G):
+    orders = G.element_orders()
+    seen, out = set(), []
+    for z in G.center().elements:
+        if z and all(orders[z] % q for q in range(2, orders[z])):
+            H = subgroup_generated(G, [z])
+            if H.elements not in seen:
+                seen.add(H.elements)
+                out.append(H)
+    return out
+
+
+def test_catalog_groups_quotients_and_index2_subgroups_pass_the_exact_check():
+    for spec in _catalog_specs(256):
+        G = build_group(spec)
+        _assert_built(G, spec)
+        for N in _central_subgroups_of_prime_order(G):
+            Q, proj = quotient(G, N)
+            _assert_built(Q, (spec, N.elements))
+            assert proj.kernel().elements == N.elements
+        for H in subgroups_of_index2(G):
+            _assert_built(H.as_group(), (spec, "index 2"))
+
+
+def test_pullbacks_pass_the_exact_check():
+    for spec in _catalog_specs(32):
+        G = build_group(spec)
+        _, proj = quotient(G, G.center())
+        P, p1, p2 = pullback(G, G, proj, proj)
+        _assert_built(P, spec)
+        assert P.order == G.order * G.center().order
+
+
+@pytest.mark.parametrize("spec", ["D:64*C:64", "Q:64*C:64", "SD:64*C:64", "M:64*C:64"])
+def test_order_4096_products_pass_the_exact_check(spec):
+    G = build_group(spec)
+    _assert_built(G, spec)
+    assert G.np_table.max() == 4095
+
+
+def test_the_split_extension_of_d2048_is_the_direct_product():
+    from pgal.cohomology import Cocycle2, extension_of_cocycle
+
+    D = build_group("D:2048")
+    E = extension_of_cocycle(Cocycle2(D, 2, np.zeros((D.order, D.order), dtype=np.int64))).extension
+    _assert_built(E, "extension")
+    P = direct_product(build_group("C:2"), D)
+    assert np.array_equal(E.np_table, P.np_table)
+    assert E.np_table[4095, 0] == 4095 and E.np_table.max() == 4095
+
+
+def test_tables_from_outside_are_stored_as_int16_too():
+    G = build_group("D:8")
+    for H in (Group(G.table, G.generators), Group(G.np_table.astype(np.int64), G.generators),
+              Group.from_json(G.to_json())):
+        assert H.np_table.dtype == np.int16 and not H.np_table.flags.writeable
+        assert H.table == G.table
+
+
+@pytest.mark.parametrize("bad", [-1, 4096, 32768, 65536, 65537, 2 ** 70])
+def test_out_of_range_entries_are_refused_before_the_cast(bad):
+    # 65536 and 65537 would wrap to 0 and 1 in int16, giving the table of C2;
+    # 2^70 does not fit int64 either
+    table = [[0, 1], [1, bad]]
+    makers = [lambda: Group(table, [("a", 1)]),
+              lambda: Group.from_json({"order": 2, "table": table})]
+    if bad < 2 ** 63:
+        makers.append(lambda: Group(np.array(table, dtype=np.int64), [("a", 1)]))
+    for make in makers:
+        with pytest.raises(RelationInconsistent, match="table entries out of range"):
+            make()

@@ -314,3 +314,21 @@ def test_factor_results_are_memoised_in_a_bounded_cache(monkeypatch):
         with pytest.raises(FactorizationFailed):
             factor(bad)
     assert _factor_cached.cache_info().currsize == size
+
+
+def test_factor_tests_each_cofactor_for_primality_once(monkeypatch):
+    from pgal import arith
+
+    calls, real = [], arith.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    monkeypatch.delenv("PGAL_FACTOR_BOUND", raising=False)
+    big, small = 2 ** 61 - 1, 10 ** 9 + 7
+    # the uncached function, so that an earlier factor() cannot hide the calls
+    assert dict(arith._factor_cached.__wrapped__(big * small, arith.factor_bound())) == {
+        big: 1, small: 1}
+    assert sorted(calls) == sorted([big * small, big, small])
