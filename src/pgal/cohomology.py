@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from .groups import (
     GroupHom,
     Subgroup,
     cayley_tree,
+    integer_array,
+    path_counts,
     quotient,
     row_blocks,
     subgroup_generated,
@@ -53,9 +56,13 @@ def is_cocycle_table(group: Group, p: int, values) -> bool:
     The identity f(x,y) + f(xy,z) = f(y,z) + f(x,yz) is checked for all x, y
     and z a generator, n^2 k entries.  That covers every z: the z for which
     it holds for all x, y contain 1 and are closed under products (the
-    closure argument of Light's associativity test).
+    closure argument of Light's associativity test).  Values that are not
+    integers (groups.integer_array) make no cocycle.
     """
-    F = np.asarray(values, dtype=np.int64) % p
+    try:
+        F = integer_array(values) % p
+    except TypeError:
+        return False
     n = group.order
     if F.shape != (n, n) or F[0].any() or F[:, 0].any():
         return False
@@ -73,12 +80,12 @@ class Cocycle2:
 
     def __init__(self, group: Group, p: int, values, check: bool = True):
         _check_prime(p)
+        if check and not is_cocycle_table(group, p, values):
+            raise NotACocycle("table violates normalization or the cocycle identity")
         self.group = group
         self.p = int(p)
         self.values = np.asarray(values, dtype=np.int64) % self.p
         self.values.setflags(write=False)
-        if check and not is_cocycle_table(group, self.p, self.values):
-            raise NotACocycle("table violates normalization or the cocycle identity")
 
     def __call__(self, x: int, y: int) -> int:
         return int(self.values[x, y])
@@ -119,10 +126,18 @@ class ExtensionClass:
 # -- factor sets <-> extensions ----------------------------------------------
 
 
+def _section(proj: GroupHom) -> np.ndarray:
+    """The least preimage of each element of proj's target."""
+    images, sec = np.unique(np.asarray(proj.images), return_index=True)
+    if len(images) != proj.target.order:
+        raise TargetMismatch("projection is not surjective")
+    return sec
+
+
 def cocycle_of_extension(E: Group, proj: GroupHom, kernel_gen: int) -> Cocycle2:
     """Factor set of a central extension via the least-index-preimage section."""
     if proj.source is not E:
-        raise KernelNotPrime("projection must start at the extension group")
+        raise TargetMismatch("projection must start at the extension group")
     images = np.asarray(proj.images, dtype=np.int64)
     ker = np.flatnonzero(images == 0)
     p = len(ker)
@@ -141,9 +156,7 @@ def cocycle_of_extension(E: Group, proj: GroupHom, kernel_gen: int) -> Cocycle2:
         raise KernelNotCentral(f"kernel generator fails to commute with element {moved[0]}")
     kpow = np.zeros(E.order, dtype=np.int64)
     kpow[powers] = np.arange(p)
-    _, sec = np.unique(images, return_index=True)  # the least preimage of each element
-    if len(sec) != F.order:
-        raise TargetMismatch("projection is not surjective")
+    sec = _section(proj)
     sec_inv = np.nonzero(T[sec] == 0)[1]
     # f(a, b) = s(a) s(b) s(ab)^-1, a power of the kernel generator
     vals = kpow[T[T[np.ix_(sec, sec)], sec_inv[F.np_table]]]
@@ -193,8 +206,8 @@ class CoboundarySpace:
     def __init__(self, group: Group, p: int):
         self.group, self.p = group, p
         T = group.np_table
-        gens, _, self.levels, self.parent, self.slot = cayley_tree(
-            T, [g for _, g in group.generators])
+        self.tree = cayley_tree(T, [g for _, g in group.generators])
+        gens, _, self.levels, self.parent, self.slot = self.tree
         self.gens = np.array(gens, dtype=np.int64)
         on_tree = np.zeros((group.order, len(gens)), dtype=bool)
         on_tree[self.parent[1:], self.slot[1:]] = True
@@ -206,10 +219,7 @@ class CoboundarySpace:
 
     def tree_additive(self) -> tuple[np.ndarray, np.ndarray]:
         """phi[y, i] = phi_i(y), and dphi[i] = delta(phi_i) on the non-tree edges."""
-        phi = np.zeros((self.group.order, len(self.gens)), dtype=np.int64)
-        for lv in self.levels[1:]:
-            phi[lv] = phi[self.parent[lv]]
-            phi[lv, self.slot[lv]] += 1
+        phi = path_counts(self.tree)
         own = np.eye(len(self.gens), dtype=np.int64)[self.edge_slot]
         return phi, ((phi[self.edge_y] + own - phi[self.edge_z]) % self.p).T
 
@@ -263,10 +273,9 @@ class CoboundarySpace:
 def verify(group: Group, p: int, values) -> dict:
     """Check the cocycle conditions and test for being a coboundary."""
     _check_prime(p)
-    vals = np.asarray(values, dtype=np.int64)
-    if not is_cocycle_table(group, p, vals):
+    if not is_cocycle_table(group, p, values):
         return {"is_cocycle": False, "is_coboundary": False, "witness": None}
-    g = CoboundarySpace(group, p).witness(vals)
+    g = CoboundarySpace(group, p).witness(values)
     return {"is_cocycle": True, "is_coboundary": g is not None, "witness": g}
 
 
@@ -340,7 +349,7 @@ def h2_enumerate(group: Group, p: int, max_reps: int = 4096) -> H2Result:
 def restrict(f: Cocycle2, H: Subgroup) -> Cocycle2:
     """Restriction to a subgroup, indexed by H.as_group() element order."""
     if H.parent is not f.group:
-        raise KernelNotPrime("subgroup does not live in the cocycle's group")
+        raise TargetMismatch("subgroup does not live in the cocycle's group")
     els = np.array(H.elements, dtype=np.int64)
     vals = f.values[np.ix_(els, els)]
     return Cocycle2(H.as_group(), f.p, vals, check=False)
@@ -349,7 +358,7 @@ def restrict(f: Cocycle2, H: Subgroup) -> Cocycle2:
 def inflate(f: Cocycle2, proj: GroupHom) -> Cocycle2:
     """Pullback along a projection G -> G/N."""
     if proj.target is not f.group:
-        raise KernelNotPrime("projection target does not carry the cocycle")
+        raise TargetMismatch("projection target does not carry the cocycle")
     phi = np.asarray(proj.images, dtype=np.int64)
     vals = f.values[phi[:, None], phi[None, :]]
     return Cocycle2(proj.source, f.p, vals, check=False)
@@ -368,8 +377,10 @@ def corestrict_tate(fbar: Cocycle2, H: Subgroup, g: int | None = None) -> Cocycl
         and np.array_equal(fbar.group.np_table, Hgrp.np_table)
     ):
         raise BadIndexSubgroup("cocycle is not indexed by this subgroup")
+    loc = H.pos
+    inH = loc >= 0
     if g is None:
-        g = min(x for x in range(G.order) if x not in H)
+        g = int(np.argmin(inH))
     if g in H:
         raise GInH(f"element {g} lies in the subgroup")
     n = G.order
@@ -379,10 +390,6 @@ def corestrict_tate(fbar: Cocycle2, H: Subgroup, g: int | None = None) -> Cocycl
     A = T[xs, inv_g]          # x g^-1
     B = T[g, xs]              # g x
     Cc = T[B, inv_g]          # g x g^-1
-    loc = -np.ones(n, dtype=np.int64)
-    for e in H.elements:
-        loc[e] = H.local(e)
-    inH = loc >= 0
     fb = fbar.values
     lx, lAx, lBx, lCx = loc[xs], loc[A], loc[B], loc[Cc]
     right_in = np.where(inH, lx, lAx)      # l[y] / l[A y]
@@ -441,7 +448,7 @@ def raise_lower(E: ExtensionClass, sigma1, n_exp: int, direction: str) -> Extens
     for i in range(1, m):
         if G.power(s1, i) in H:
             raise QuotientConditionFails("sigma1 powers meet the complement subgroup")
-    pre = min(x for x in range(E.extension.order) if E.proj(x) == s1)
+    pre = int(_section(E.proj)[s1])
     pre_order = E.extension.element_order(pre)
     want = m if direction == "raise" else p * m
     if pre_order != want:
@@ -489,23 +496,14 @@ def prop54_report(G: Group, H: Subgroup, g: int, fbar: Cocycle2) -> dict:
     ext1 = extension_of_cocycle(f)
     E1 = ext1.extension
     n = G.order
-    h1_elems = [i * n + x for i in range(2) for x in H.elements]
-    exp_h1 = 1
-    for e in h1_elems:
-        o = E1.element_order(e)
-        exp_h1 = exp_h1 if exp_h1 % o == 0 else _lcm(exp_h1, o)
+    orders = E1.element_orders()
+    exp_h1 = lcm(*(orders[i * n + x] for i in range(2) for x in H.elements))
     exp_h = H.as_group().exponent()
     applicable = exp_h % 2 == 0
     for x in H.elements:
         if not applicable or G.element_order(x) != exp_h:
             continue
-        cyc = set()
-        t = x
-        while t != 0:
-            cyc.add(t)
-            t = G.mul(t, x)
-        cyc.add(0)
-        if G.conj(g, x) not in cyc:
+        if G.conj(g, x) not in G.closure([x]):
             applicable = False
             break
     return {
@@ -515,11 +513,6 @@ def prop54_report(G: Group, H: Subgroup, g: int, fbar: Cocycle2) -> dict:
         "part2_applicable": applicable,
         "part2_holds": (exp_h1 == exp_h) if applicable else None,
     }
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a * b // gcd(a, b)
 
 
 def cor_image_search(G: Group, target: Cocycle2):
@@ -550,24 +543,13 @@ def power_commutator_data(E: ExtensionClass, gens: list) -> tuple[list, dict]:
     kernel (the convention-dependent data only exists when it does).
     """
     ext, proj, p = E.extension, E.proj, E.cocycle.p
-    kp = {}
-    x = 0
-    for j in range(p):
-        kp[x] = j
-        x = ext.mul(x, E.kernel_gen)
-    idxs = [_resolve_element(E.proj.target, g) for g in gens]
-    pre = []
-    for s in idxs:
-        pre.append(min(x for x in range(ext.order) if proj(x) == s))
-    diag = []
-    for s in pre:
-        t = ext.power(s, p)
-        diag.append(kp.get(t))
+    kp = {ext.power(E.kernel_gen, j): j for j in range(p)}
+    sec = _section(proj)
+    pre = [int(sec[_resolve_element(proj.target, g)]) for g in gens]
+    diag = [kp.get(ext.power(s, p)) for s in pre]
     offdiag = {}
     for i in range(len(pre)):
         for j in range(i + 1, len(pre)):
-            lhs = ext.mul(pre[i], pre[j])
-            rhs = ext.mul(pre[j], pre[i])
-            c = ext.mul(lhs, ext.inv(rhs))
-            offdiag[(i, j)] = kp.get(c)
+            lhs, rhs = ext.mul(pre[i], pre[j]), ext.mul(pre[j], pre[i])
+            offdiag[(i, j)] = kp.get(ext.mul(lhs, ext.inv(rhs)))
     return diag, offdiag

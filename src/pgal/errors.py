@@ -60,7 +60,7 @@ class TooLarge(PgalError):
 
 
 class BadIndexSubgroup(PgalError):
-    code = "BadIndex"
+    code = "BadIndexSubgroup"
 
 
 class GInH(PgalError):

@@ -49,6 +49,21 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
+def integer_array(data) -> np.ndarray:
+    """Outside data as int64: TypeError for an entry that is not an integer
+    (a cast would truncate 0.5 and read false as 0), OverflowError for one
+    beyond 64 bits.  numpy reads bools among ints as int64 and ints past
+    2^63 as float64, so a list is judged by the types of its entries."""
+    if isinstance(data, np.ndarray):
+        if data.dtype.kind not in "iu":
+            raise TypeError("entries must be integers")
+        return data.astype(np.int64, copy=False)
+    arr = np.array(data, dtype=object)
+    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, arr.flat))):
+        raise TypeError("entries must be integers")
+    return arr.astype(np.int64)
+
+
 def cayley_tree(T: np.ndarray, named) -> tuple:
     """A spanning tree of the right Cayley graph, rooted at the identity.
 
@@ -81,6 +96,17 @@ def cayley_tree(T: np.ndarray, named) -> tuple:
             np.array(parent, dtype=np.int64), np.array(slot, dtype=np.int64))
 
 
+def path_counts(tree) -> np.ndarray:
+    """counts[y, i]: how often the kept generator gens[i] of a cayley_tree
+    result is used on the tree path from the identity to y."""
+    gens, _, levels, parent, slot = tree
+    counts = np.zeros((len(parent), len(gens)), dtype=np.int64)
+    for lv in levels[1:]:
+        counts[lv] = counts[parent[lv]]
+        counts[lv, slot[lv]] += 1
+    return counts
+
+
 def _is_multiplicative(phi: np.ndarray, S: np.ndarray, T: np.ndarray, gens) -> bool:
     """phi(xs) = phi(x) phi(s) for all x and each s in gens, gens generating
     the source table S: then phi(xy) = phi(x) phi(y) for all x, y, since the
@@ -96,9 +122,11 @@ class Group:
         # a table from outside is read wide and range-checked before the cast,
         # so that 65536 cannot wrap to 0; a trusted int16 table is not copied
         try:
-            arr = np.array(table, dtype=np.int64) if check else np.asarray(table, dtype=np.int16)
+            arr = integer_array(table) if check else np.asarray(table, dtype=np.int16)
         except OverflowError:
             raise RelationInconsistent("table entries out of range") from None
+        except TypeError:
+            raise RelationInconsistent("table entries must be integers") from None
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise RelationInconsistent("table must be square")
         if arr.shape[0] > MAX_ORDER:
@@ -167,9 +195,13 @@ class Group:
         return int(self._np[a, b])
 
     def inv(self, a: int) -> int:
+        return int(self.inverses()[a])
+
+    def inverses(self) -> np.ndarray:
+        """The inverse of every element, computed once."""
         if self._inv is None:
             self._inv = np.nonzero(self._np == 0)[1]  # one 0 per row, rows in order
-        return int(self._inv[a])
+        return self._inv
 
     def conj(self, g: int, x: int) -> int:
         """g x g^{-1}"""
@@ -307,7 +339,11 @@ class GroupHom:
 
 
 class Subgroup:
-    """Subset of a parent group, validated closed and containing identity."""
+    """Subset of a parent group, validated closed and containing identity.
+
+    `pos` is its membership array, int16 like the tables: pos[x] = i for the
+    i-th element x (in increasing order) and -1 outside the subgroup.
+    """
 
     def __init__(self, parent: Group, elements):
         self.parent = parent
@@ -317,11 +353,12 @@ class Subgroup:
         if not self.elements or self.elements[0] != 0:
             raise RelationInconsistent("subgroup must contain the identity")
         els = np.array(self.elements, dtype=np.int64)
-        inside = np.zeros(parent.order, dtype=bool)
-        inside[els] = True
+        self.pos = np.full(parent.order, -1, dtype=np.int16)
+        self.pos[els] = np.arange(len(els))
+        self.pos.setflags(write=False)
+        inside = self.pos >= 0  # bool: the gather of the |H|^2 products takes a byte each
         if not inside[parent.np_table[np.ix_(els, els)]].all():
             raise RelationInconsistent("subgroup not closed under multiplication")
-        self._local = {e: i for i, e in enumerate(self.elements)}
         self._group: Group | None = None
 
     @property
@@ -332,10 +369,12 @@ class Subgroup:
         return self.parent.order // self.order
 
     def __contains__(self, x: int) -> bool:
-        return int(x) in self._local
+        return 0 <= int(x) < self.parent.order and self.pos[int(x)] >= 0
 
     def local(self, parent_idx: int) -> int:
-        return self._local[int(parent_idx)]
+        if parent_idx not in self:
+            raise KeyError(parent_idx)
+        return int(self.pos[int(parent_idx)])
 
     def global_(self, local_idx: int) -> int:
         return self.elements[local_idx]
@@ -346,11 +385,9 @@ class Subgroup:
         under conjugation by every product of the generators."""
         T = self.parent.np_table
         els = np.array(self.elements, dtype=np.int64)
-        inside = np.zeros(self.parent.order, dtype=bool)
-        inside[els] = True
         for _, g in self.parent.generators:
             g_inv = int(np.flatnonzero(T[g] == 0)[0])
-            if not inside[T[T[g, els], g_inv]].all():
+            if (self.pos[T[T[g, els], g_inv]] < 0).any():
                 return False
         return True
 
@@ -359,9 +396,7 @@ class Subgroup:
         since Subgroup checked closure."""
         if self._group is None:
             els = np.array(self.elements, dtype=np.int64)
-            back = np.full(self.parent.order, -1, dtype=np.int16)
-            back[els] = np.arange(len(els))
-            table = back[self.parent.np_table[np.ix_(els, els)]]
+            table = self.pos[self.parent.np_table[np.ix_(els, els)]]
             gens = cayley_tree(table, range(1, len(els)))[0]
             self._group = Group(
                 table,
@@ -443,26 +478,19 @@ def pullback(G1: Group, G2: Group, f1: GroupHom, f2: GroupHom) -> tuple[Group, G
     )
     if not same or not (f1.is_surjective() and f2.is_surjective()):
         raise TargetMismatch("maps must surject onto the same quotient")
-    pairs = [(x, y) for x in range(G1.order) for y in range(G2.order)
-             if f1(x) == f2(y)]
-    if len(pairs) * f1.target.order != G1.order * G2.order:
+    xs, ys = np.nonzero(np.asarray(f1.images)[:, None] == np.asarray(f2.images)[None, :])
+    m = len(xs)
+    if m * f1.target.order != G1.order * G2.order:
         raise RelationInconsistent("pullback order law |G1||G2|/|F| violated")
-    if len(pairs) > MAX_ORDER:
-        raise TooLarge(f"pullback order {len(pairs)} exceeds cap {MAX_ORDER}")
-    code = {(x, y): i for i, (x, y) in enumerate(pairs)}
-    xs = np.array([x for x, _ in pairs])
-    ys = np.array([y for _, y in pairs])
-    px = G1.np_table[xs[:, None], xs[None, :]]
-    py = G2.np_table[ys[:, None], ys[None, :]]
+    if m > MAX_ORDER:
+        raise TooLarge(f"pullback order {m} exceeds cap {MAX_ORDER}")
     lookup = np.full((G1.order, G2.order), -1, dtype=np.int16)
-    for (x, y), i in code.items():
-        lookup[x, y] = i
-    T = lookup[px, py]
-    gens = [(f"g{x}.{y}", code[(x, y)])
-            for (x, y) in (pairs[i] for i in cayley_tree(T, range(1, len(pairs)))[0])]
-    P = Group(T, gens, name=f"pullback{len(pairs)}", check=False)
-    p1 = GroupHom(P, G1, tuple(int(x) for x in xs))
-    p2 = GroupHom(P, G2, tuple(int(y) for y in ys))
+    lookup[xs, ys] = np.arange(m)
+    T = lookup[G1.np_table[np.ix_(xs, xs)], G2.np_table[np.ix_(ys, ys)]]
+    gens = [(f"g{xs[i]}.{ys[i]}", i) for i in cayley_tree(T, range(1, m))[0]]
+    P = Group(T, gens, name=f"pullback{m}", check=False)
+    p1 = GroupHom(P, G1, tuple(xs.tolist()))
+    p2 = GroupHom(P, G2, tuple(ys.tolist()))
     return P, p1, p2
 
 
@@ -479,31 +507,26 @@ class StructureInvariants:
 
 def is_p_group(G: Group) -> int | None:
     """The prime p if |G| is a nontrivial p-power, 1 for the trivial group, else None."""
-    n = G.order
-    if n == 1:
+    if G.order == 1:
         return 1
-    p = min(k for k in range(2, n + 1) if n % k == 0)
-    m = n
-    while m % p == 0:
-        m //= p
-    return p if m == 1 else None
+    primes = _prime_divisors(G.order)
+    return primes[0] if len(primes) == 1 else None
 
 
 def frattini_style_subgroup(G: Group, p: int) -> Subgroup:
-    """[G,G] G^p, the kernel of the maximal exponent-p abelian quotient."""
-    seeds = set()
-    gens = [b for _, b in G.generators]
-    for a in range(G.order):
-        seeds.add(G.power(a, p))
-        for b in gens:
-            seeds.add(G.commutator(a, b))
-    current = set(G.closure(seeds))
-    while True:
-        extra = {G.conj(g, x) for g in gens for x in current} - current
-        if not extra:
-            break
-        current = set(G.closure(current | extra))
-    return Subgroup(G, current)
+    """[G,G] G^p, the kernel of the maximal exponent-p abelian quotient.
+
+    It is generated by the x^p and the [x, s], for all x and each named
+    generator s, and that subgroup N is already normal: conjugates of x^p
+    are p-th powers, and y^-1 [x,s] y = [xy,s] [y,s]^-1.  In G/N each s then
+    commutes with everything, so G/N is abelian, of exponent p.
+    """
+    T, inv = G.np_table, G.inverses()
+    xs = np.arange(G.order)
+    seeds = [G._powers(xs, np.full(G.order, p))]
+    for _, s in G.generators:
+        seeds.append(T[T[inv, inv[s]], T[:, s]])  # x^-1 s^-1 . x s
+    return subgroup_generated(G, np.unique(np.concatenate(seeds)).tolist())
 
 
 def min_generators(G: Group) -> int:
@@ -543,36 +566,19 @@ def subgroups_of_index2(G: Group) -> list[Subgroup]:
     """All index-2 subgroups, i.e. kernels of the surjections onto C2."""
     if G.order % 2:
         return []
-    N = frattini_style_subgroup(G, 2)
-    Q, proj = quotient(G, N)
-    r = 0
-    q = Q.order
-    while q > 1:
-        q //= 2
-        r += 1
-    if r == 0:
-        return []
-    basis: list[int] = []
-    span = {0}
-    for x in range(Q.order):
-        if x in span:
-            continue
-        basis.append(x)
-        span = set(Q.closure(basis))
-        if len(span) == Q.order:
-            break
-    coords = {}
-    for bits in range(2 ** r):
-        e = 0
-        for k in range(r):
-            if bits >> k & 1:
-                e = Q.mul(e, basis[k])
-        coords[e] = bits
+    Q, proj = quotient(G, frattini_style_subgroup(G, 2))
+    tree = cayley_tree(Q.np_table, range(1, Q.order))
+    # Q is elementary abelian; the tree keeps the first element outside the
+    # span of those kept before it, and the path counts mod 2 are each
+    # element's coordinates in that basis: x is in the kernel of phi when
+    # the counts of the basis elements phi selects have an even sum
+    counts = path_counts(tree)
+    images = np.asarray(proj.images)
+    bits = np.arange(len(tree[0]))
     out = []
-    for phi in range(1, 2 ** r):
-        members = [x for x in range(G.order)
-                   if bin(coords[proj(x)] & phi).count("1") % 2 == 0]
-        out.append(Subgroup(G, members))
+    for phi in range(1, 2 ** len(bits)):
+        even = counts @ (phi >> bits & 1) % 2 == 0
+        out.append(Subgroup(G, np.flatnonzero(even[images]).tolist()))
     return out
 
 
@@ -589,13 +595,13 @@ def max_elem_abelian_quotient(G: Group, p: int) -> tuple[Group, GroupHom]:
 def normal_subgroups(G: Group, cap: int = 4096) -> list[Subgroup] | None:
     """All normal subgroups, or None when the join closure exceeds cap.
 
-    The normal closure of each element is grown under conjugation by the
-    named generators only: a subgroup of a finite group closed under
-    x -> s x s^-1 for each generator s is closed under conjugation by every
-    product of them, which is every element.  Every normal subgroup is the
-    join of the normal closures of its elements (the atoms), so joining each
-    new subgroup with each atom finds them all; the join of normal A and B
-    is the product set AB, one gather.
+    Every normal subgroup is the join of the normal closures of its elements
+    (the atoms).  The atom of x is generated by the conjugacy class of x,
+    found by conjugating with the named generators only (they generate the
+    group), and x's unit powers and their conjugates have the same atom, so
+    one class of cyclic subgroups needs one closure walk.  Joining each new
+    subgroup with each atom then finds every normal subgroup; the join of
+    normal A and B is the product set AB, one gather.
     """
     T = G.np_table
     conjs = np.array([T[T[s], G.inv(s)] for _, s in G.generators],
@@ -606,16 +612,22 @@ def normal_subgroups(G: Group, cap: int = 4096) -> list[Subgroup] | None:
         inside[els] = True
         return inside
 
-    atoms: dict = {}  # normal closure -> an element it is the closure of
+    orders = G.element_orders()
+    covered = np.zeros(G.order, dtype=bool)
+    atoms: dict = {}  # normal closure -> the least element it is the closure of
     for x in range(G.order):
-        current = G.closure({x})
-        while True:
-            moved = conjs[:, current].ravel()
-            extra = moved[~mask(current)[moved]]
-            if not extra.size:
-                break
-            current = G.closure(set(current) | set(extra.tolist()))
-        atoms.setdefault(tuple(current), x)
+        if covered[x]:
+            continue
+        units = np.arange(orders[x])
+        units = units[np.gcd(units, orders[x]) == 1]
+        orbit = mask(G._powers(np.full(len(units), x), units))
+        new = np.flatnonzero(orbit)
+        while new.size:
+            moved = conjs[:, new].ravel()
+            new = np.unique(moved[~orbit[moved]])
+            orbit[new] = True
+        covered |= orbit
+        atoms.setdefault(tuple(G.closure(np.flatnonzero(orbit).tolist())), x)
     reps = np.array(list(atoms.values()), dtype=np.int64)
     cols = [np.array(b, dtype=np.int64) for b in atoms]
     # membership mask as bytes -> elements

@@ -189,6 +189,29 @@ def test_human_output_default(capsys):
     (["h2", "--group", "{dir}/g.json", "--p", "2"],
      {"g.json": '{"order": 2, "table": [[0, 1], [1, 1180591620717411303424]]}'},
      "RelationInconsistent", "out of range"),
+    (["h2", "--group", "{dir}/g.json", "--p", "2"],
+     {"g.json": '{"order": 2, "table": [[0, 1], [1, 9223372036854775808]]}'},
+     "RelationInconsistent", "out of range"),
+    # a cast would read each of these as the table of C2
+    (["h2", "--group", "{dir}/g.json", "--p", "2"],
+     {"g.json": '{"order": 2, "table": [[0, 1], [1, 0.5]]}'},
+     "RelationInconsistent", "must be integers"),
+    (["h2", "--group", "{dir}/g.json", "--p", "2"],
+     {"g.json": '{"order": 2, "table": [[0, 1], [1, 0.0]]}'},
+     "RelationInconsistent", "must be integers"),
+    (["h2", "--group", "{dir}/g.json", "--p", "2"],
+     {"g.json": '{"order": 2, "table": [[0, 1], [1, false]]}'},
+     "RelationInconsistent", "must be integers"),
+    (["groups", "build", "--spec", "{dir}/g.json"],
+     {"g.json": '{"order": 2, "table": [[false, true], [true, false]]}'},
+     "RelationInconsistent", "must be integers"),
+    (["groups", "build", "--spec", "{dir}/g.json"],
+     {"g.json": '{"order": 2, "table": [[0, 1], [1, "0"]]}'},
+     "RelationInconsistent", "must be integers"),
+    (["cor", "--group", "D:8", "--subgroup", "0,2,4,6", "--cocycle", "{dir}/c.json"],
+     {"c.json": '{"p": 2, "group": "C:4", "values": [[0, 0, 0, 0], [0, 0.5, 0, 0], '
+                '[0, 0, 0, 0], [0, 0, 0, 0]]}'},
+     "NotACocycle", "cocycle identity"),
 ])
 def test_bad_input_gives_the_error_document(tmp_path, capsys, argv, files, code, named):
     for name, text in files.items():

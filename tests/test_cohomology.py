@@ -484,6 +484,7 @@ def test_error_paths():
         NotACocycle,
         PrimeMismatch,
         QuotientConditionFails,
+        TargetMismatch,
         TooLarge,
     )
 
@@ -512,6 +513,13 @@ def test_error_paths():
     proj4 = GroupHom(E4, build_group("C:2"), (0, 1, 0, 1))
     with pytest.raises(KernelNotPrime):
         cocycle_of_extension(E4, proj4, 1)  # kernel has order 2 but gen wrong
+    # maps and subgroups that belong to another group
+    with pytest.raises(TargetMismatch, match="must start at the extension group"):
+        cocycle_of_extension(Q8, proj, G.gen("tau"))
+    with pytest.raises(TargetMismatch, match="does not live in the cocycle's group"):
+        restrict(Cocycle2(Q8, 2, np.zeros((8, 8), dtype=int)), H)
+    with pytest.raises(TargetMismatch, match="does not carry the cocycle"):
+        inflate(z, projq)
     # raise/lower misuse
     f = Cocycle2(build_group("C:2"), 2, np.zeros((2, 2), dtype=int))
     E = extension_of_cocycle(f)
@@ -526,6 +534,22 @@ def test_error_paths():
             build_group("D:32"), 2, np.zeros((32, 32), dtype=int)))
     with pytest.raises(TooLarge):
         h2_enumerate(build_group("C:128"), 2)
+
+
+def test_values_that_are_not_integers_make_no_cocycle():
+    from pgal.errors import NotACocycle
+
+    # a cast would read each of these as the cocycle [[0, 0], [0, 1]] of C2
+    C2 = build_group("C:2")
+    for values in ([[0, 0], [0, 1.7]], [[0, 0], [0, True]], np.array([[0, 0], [0, 1.5]]),
+                   [[0, 0], [0, "1"]]):
+        with pytest.raises(NotACocycle):
+            Cocycle2(C2, 2, values)
+        assert verify(C2, 2, values) == {"is_cocycle": False, "is_coboundary": False,
+                                         "witness": None}
+    assert verify(C2, 2, [[0, 0], [0, np.int64(1)]])["is_cocycle"]
+    assert Cocycle2(C2, 2, np.array([[0, 0], [0, 1]], dtype=np.uint8)).values.tolist() == [
+        [0, 0], [0, 1]]
 
 
 def test_noncentral_kernel_rejected():

@@ -892,10 +892,23 @@ def test_tables_from_outside_are_stored_as_int16_too():
         assert H.table == G.table
 
 
-@pytest.mark.parametrize("bad", [-1, 4096, 32768, 65536, 65537, 2 ** 70])
+@pytest.mark.parametrize("bad", [0.5, 0.0, 1.0, False, True, "0", None, [1]])
+def test_entries_that_are_not_integers_are_refused(bad):
+    # a cast would truncate 0.5 and read false as 0, giving the table of C2
+    for table in ([[0, 1], [1, bad]], [[0, bad], [bad, 0]]):
+        with pytest.raises(RelationInconsistent, match="table entries must be integers"):
+            Group(table, [("a", 1)])
+    for arr in (np.array([[0, 1], [1, 0]], dtype=float), np.array([[0, 1], [1, 0]], dtype=bool)):
+        with pytest.raises(RelationInconsistent, match="table entries must be integers"):
+            Group(arr, [("a", 1)])
+    for ok in (np.array([[0, 1], [1, 0]], dtype=np.uint8), [[0, 1], [1, np.int64(0)]]):
+        assert Group(ok, [("a", 1)]).table == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("bad", [-1, 4096, 32768, 65536, 65537, 2 ** 63, 2 ** 70])
 def test_out_of_range_entries_are_refused_before_the_cast(bad):
     # 65536 and 65537 would wrap to 0 and 1 in int16, giving the table of C2;
-    # 2^70 does not fit int64 either
+    # 2^63 and 2^70 do not fit int64 either
     table = [[0, 1], [1, bad]]
     makers = [lambda: Group(table, [("a", 1)]),
               lambda: Group.from_json({"order": 2, "table": table})]
