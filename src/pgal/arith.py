@@ -113,6 +113,10 @@ def factor(n: int) -> dict[int, int]:
     return dict(_factor_cached(abs(n), factor_bound()))
 
 
+_WHEEL = (0, 4, 6, 10, 12, 16, 22, 24)  # 7 + these are the residues prime to 30
+_CHUNK = 30 * 2048
+
+
 @lru_cache(maxsize=1024)
 def _factor_cached(n: int, bound: int) -> tuple[tuple[int, int], ...]:
     """The factorisation of n >= 0 as (prime, exponent) pairs, in the order
@@ -124,16 +128,37 @@ def _factor_cached(n: int, bound: int) -> tuple[tuple[int, int], ...]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    w = 0
-    while d * d <= n and d <= bound:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += wheel[w]
-        w = (w + 1) % 8
-    stack = [n] if n > 1 else []
+    # trial division by the d >= 7 prime to 30 with d^2 <= n and d <= bound,
+    # n the cofactor so far: one comprehension per residue class and chunk,
+    # then the chunk's divisors in increasing order (a composite one finds
+    # its primes divided out already).  The limit is read again after each
+    # chunk; a divisor d past the current root can only be n itself, a
+    # prime, which leaves the same factorisation as a cofactor would
+    lo, limit = 7, min(bound, math.isqrt(n))
+    while lo <= limit:
+        end = min(lo + _CHUNK, limit + 1)
+        hits = []
+        for r in _WHEEL:
+            hits += [d for d in range(lo + r, end, 30) if not n % d]
+        for d in sorted(hits):
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+        lo += _CHUNK
+        limit = min(bound, math.isqrt(n))
+    if n > 1:
+        # every prime of the cofactor exceeds every prime found above
+        out.update(_split(n, bound))
+    return tuple(out.items())
+
+
+@lru_cache(maxsize=256)
+def _split(m: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """The factorisation of a cofactor m > 1 that survived trial division,
+    by is_prime and Brent rho.  Memoised on its own, since the numbers one
+    request factors often share it (df, df/2 and their twists)."""
+    out: dict[int, int] = {}
+    stack = [m]
     while stack:
         m = stack.pop()
         if m == 1:

@@ -17,9 +17,9 @@ from typing import TYPE_CHECKING
 
 # Only modules that do not import numpy are loaded here; the handlers that
 # build tables import catalog, groups, cohomology and autoreal themselves, so
-# a symbol command starts without them.
-from . import fpmodules as fpm
-from . import kummer, obstructions, symbols
+# a symbol command starts without them; solve and schultz import kummer and
+# fpmodules themselves, so that obstruct and symbol start without those too.
+from . import obstructions, symbols
 from .errors import BadParams, PgalError, UnknownFamily, ZeroEntry
 from .symbols import FieldElem, SymbolProduct
 
@@ -251,6 +251,8 @@ def _parse_d_pairs(text: str) -> dict:
 
 
 def _cmd_solve(args) -> int:
+    from . import kummer
+
     th = args.theorem
     if th in ("4.12", "4_12", "T4_12"):
         expr = kummer.minac_swallow_solution(args.p, args.i or 2, args.witness or "omega")
@@ -263,6 +265,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_schultz(args) -> int:
+    from . import fpmodules as fpm
+
     lengths = [int(t) for t in args.summands.split(",") if t.strip()]
     d: dict[int, int] = {}
     for l in lengths:

@@ -57,10 +57,11 @@ def is_cocycle_table(group: Group, p: int, values) -> bool:
     and z a generator, n^2 k entries.  That covers every z: the z for which
     it holds for all x, y contain 1 and are closed under products (the
     closure argument of Light's associativity test).  Values that are not
-    integers (groups.integer_array) make no cocycle.
+    integers (groups.integer_array) make no cocycle; values are exponents of
+    zeta, so one of any size is read mod p.
     """
     try:
-        F = integer_array(values) % p
+        F = integer_array(values, p)
     except TypeError:
         return False
     n = group.order
@@ -84,7 +85,7 @@ class Cocycle2:
             raise NotACocycle("table violates normalization or the cocycle identity")
         self.group = group
         self.p = int(p)
-        self.values = np.asarray(values, dtype=np.int64) % self.p
+        self.values = integer_array(values, self.p)
         self.values.setflags(write=False)
 
     def __call__(self, x: int, y: int) -> int:
@@ -247,7 +248,7 @@ class CoboundarySpace:
         full table before it is returned.
         """
         p, N, T = self.p, self.N, self.group.np_table
-        F = np.asarray(values, dtype=np.int64) % p
+        F = integer_array(values, p)
         w = np.zeros(self.group.order, dtype=np.int64)
         for lv in self.levels[1:]:
             u, s = self.parent[lv], self.gens[self.slot[lv]]

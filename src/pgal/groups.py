@@ -49,19 +49,27 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def integer_array(data) -> np.ndarray:
+def integer_array(data, modulus: int | None = None) -> np.ndarray:
     """Outside data as int64: TypeError for an entry that is not an integer
     (a cast would truncate 0.5 and read false as 0), OverflowError for one
     beyond 64 bits.  numpy reads bools among ints as int64 and ints past
-    2^63 as float64, so a list is judged by the types of its entries."""
+    2^63 as float64, so a list is judged by the types of its entries.  With
+    a modulus the entries are reduced mod it before the cast (a list's on
+    its exact Python ints), so no entry is then too wide."""
     if isinstance(data, np.ndarray):
         if data.dtype.kind not in "iu":
             raise TypeError("entries must be integers")
-        return data.astype(np.int64, copy=False)
-    arr = np.array(data, dtype=object)
-    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, arr.flat))):
-        raise TypeError("entries must be integers")
-    return arr.astype(np.int64)
+        if modulus is not None and data.dtype == np.uint64:
+            data = data % np.uint64(modulus)  # the cast would wrap entries past 2^63
+        arr = data.astype(np.int64, copy=False)
+    else:
+        arr = np.array(data, dtype=object)
+        if not all(issubclass(t, (int, np.integer)) and t is not bool
+                   for t in set(map(type, arr.flat))):
+            raise TypeError("entries must be integers")
+    if modulus is not None:
+        arr = arr % modulus
+    return arr.astype(np.int64, copy=False)
 
 
 def cayley_tree(T: np.ndarray, named) -> tuple:
@@ -285,7 +293,7 @@ class Group:
         mask = np.ones(self.order, dtype=bool)
         for _, s in self.generators:
             mask &= T[:, s] == T[s]
-        return Subgroup(self, np.flatnonzero(mask).tolist())
+        return Subgroup(self, np.flatnonzero(mask).tolist(), check=False)
 
     def to_json(self) -> dict:
         return {
@@ -335,19 +343,24 @@ class GroupHom:
         return len(set(self.images)) == self.target.order
 
     def kernel(self) -> "Subgroup":
-        return Subgroup(self.source, [i for i, v in enumerate(self.images) if v == 0])
+        return Subgroup(self.source, [i for i, v in enumerate(self.images) if v == 0],
+                        check=False)
 
 
 class Subgroup:
     """Subset of a parent group, validated closed and containing identity.
 
     `pos` is its membership array, int16 like the tables: pos[x] = i for the
-    i-th element x (in increasing order) and -1 outside the subgroup.
+    i-th element x (in increasing order) and -1 outside the subgroup.  The
+    subgroups the library finds itself (centers, kernels, closures, the
+    index-2 kernels and the normal subgroups) are closed by construction and
+    come as increasing indices, so they skip the sort and the |H|^2 closure
+    gather (check=False); a subset from outside is checked exactly.
     """
 
-    def __init__(self, parent: Group, elements):
+    def __init__(self, parent: Group, elements, check: bool = True):
         self.parent = parent
-        self.elements = tuple(sorted(set(int(e) for e in elements)))
+        self.elements = tuple(sorted(set(int(e) for e in elements))) if check else tuple(elements)
         if self.elements and (self.elements[0] < 0 or self.elements[-1] >= parent.order):
             raise RelationInconsistent(f"subgroup elements must lie in 0..{parent.order - 1}")
         if not self.elements or self.elements[0] != 0:
@@ -356,9 +369,10 @@ class Subgroup:
         self.pos = np.full(parent.order, -1, dtype=np.int16)
         self.pos[els] = np.arange(len(els))
         self.pos.setflags(write=False)
-        inside = self.pos >= 0  # bool: the gather of the |H|^2 products takes a byte each
-        if not inside[parent.np_table[np.ix_(els, els)]].all():
-            raise RelationInconsistent("subgroup not closed under multiplication")
+        if check:
+            inside = self.pos >= 0  # bool: the gather of the |H|^2 products takes a byte each
+            if not inside[parent.np_table[np.ix_(els, els)]].all():
+                raise RelationInconsistent("subgroup not closed under multiplication")
         self._group: Group | None = None
 
     @property
@@ -393,7 +407,7 @@ class Subgroup:
 
     def as_group(self) -> Group:
         """The subgroup with its own numbering; a group by construction,
-        since Subgroup checked closure."""
+        since a Subgroup is closed (checked, or closed by construction)."""
         if self._group is None:
             els = np.array(self.elements, dtype=np.int64)
             table = self.pos[self.parent.np_table[np.ix_(els, els)]]
@@ -408,11 +422,11 @@ class Subgroup:
 
 
 def subgroup_generated(G: Group, seed) -> Subgroup:
-    return Subgroup(G, G.closure(seed))
+    return Subgroup(G, G.closure(seed), check=False)
 
 
 def trivial_subgroup(G: Group) -> Subgroup:
-    return Subgroup(G, [0])
+    return Subgroup(G, [0], check=False)
 
 
 # -- quotients, products, pullbacks ---------------------------------------
@@ -526,7 +540,9 @@ def frattini_style_subgroup(G: Group, p: int) -> Subgroup:
     seeds = [G._powers(xs, np.full(G.order, p))]
     for _, s in G.generators:
         seeds.append(T[T[inv, inv[s]], T[:, s]])  # x^-1 s^-1 . x s
-    return subgroup_generated(G, np.unique(np.concatenate(seeds)).tolist())
+    # each seed once, in increasing order, without np.unique (which imports numpy.ma)
+    return subgroup_generated(
+        G, np.flatnonzero(np.bincount(np.concatenate(seeds), minlength=G.order)).tolist())
 
 
 def min_generators(G: Group) -> int:
@@ -578,7 +594,7 @@ def subgroups_of_index2(G: Group) -> list[Subgroup]:
     out = []
     for phi in range(1, 2 ** len(bits)):
         even = counts @ (phi >> bits & 1) % 2 == 0
-        out.append(Subgroup(G, np.flatnonzero(even[images]).tolist()))
+        out.append(Subgroup(G, np.flatnonzero(even[images]).tolist(), check=False))
     return out
 
 
@@ -624,7 +640,9 @@ def normal_subgroups(G: Group, cap: int = 4096) -> list[Subgroup] | None:
         new = np.flatnonzero(orbit)
         while new.size:
             moved = conjs[:, new].ravel()
-            new = np.unique(moved[~orbit[moved]])
+            # repeats in new are harmless, since orbit[new] is set before the next
+            # gather (np.unique would import numpy.ma)
+            new = moved[~orbit[moved]]
             orbit[new] = True
         covered |= orbit
         atoms.setdefault(tuple(G.closure(np.flatnonzero(orbit).tolist())), x)
@@ -648,7 +666,7 @@ def normal_subgroups(G: Group, cap: int = 4096) -> list[Subgroup] | None:
                         return None
         frontier = fresh
     found = sorted((tuple(els.tolist()) for els in normals.values()), key=lambda t: (len(t), t))
-    return [Subgroup(G, list(els)) for els in found]
+    return [Subgroup(G, els, check=False) for els in found]
 
 
 # -- isomorphism testing (brute force, for tests and small lookups) ---------

@@ -81,7 +81,9 @@ class GFMatrix:
 
     def nullspace(self) -> np.ndarray:
         """Basis of {v : R v = 0} for the row space R, one vector per row."""
-        free = np.setdiff1d(np.arange(self.ncols), self.pivots)
+        is_pivot = np.zeros(self.ncols, dtype=bool)  # np.setdiff1d would import numpy.ma
+        is_pivot[self.pivots] = True
+        free = np.flatnonzero(~is_pivot)
         basis = np.zeros((len(free), self.ncols), dtype=np.int64)
         basis[np.arange(len(free)), free] = 1
         basis[:, self.pivots] = (-self.rows[:, free].T) % self.p

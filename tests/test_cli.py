@@ -137,6 +137,21 @@ def test_cor_pipeline(tmp_path, capsys):
     assert len(doc["values"]) == 8
 
 
+def test_cocycle_values_beyond_64_bits_answer_as_the_reduced_file(tmp_path, capsys):
+    # values are exponents of zeta, so 2^70 + v is v mod 2; <sigma> = {0, 1, 2, 3}
+    # is C4 numbered by powers, carrying the cocycle of C8 over C4
+    small = [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1]]
+    big = [[v + (-1) ** (x + y) * 2 ** 70 * (x * y > 0) for y, v in enumerate(row)]
+           for x, row in enumerate(small)]
+    answers = []
+    for name, values in (("small.json", small), ("big.json", big)):
+        f = tmp_path / name
+        f.write_text(json.dumps({"p": 2, "group": "C:4", "values": values}))
+        answers.append(run(capsys, "cor", "--group", "D:8", "--subgroup", "0,1,2,3",
+                           "--cocycle", str(f), "--json"))
+    assert answers[0][0] == 0 and answers[0] == answers[1]
+
+
 def test_determinism(capsys):
     a = run(capsys, "h2", "--group", "D:8", "--p", "2", "--json")
     b = run(capsys, "h2", "--group", "D:8", "--p", "2", "--json")
@@ -212,6 +227,10 @@ def test_human_output_default(capsys):
      {"c.json": '{"p": 2, "group": "C:4", "values": [[0, 0, 0, 0], [0, 0.5, 0, 0], '
                 '[0, 0, 0, 0], [0, 0, 0, 0]]}'},
      "NotACocycle", "cocycle identity"),
+    # a subgroup from outside is still checked closed
+    (["cor", "--group", "D:8", "--subgroup", "0,1,2", "--cocycle", "{dir}/c.json"],
+     {"c.json": '{"p": 2, "group": "C:4", "values": [[0, 0], [0, 0]]}'}, "RelationInconsistent",
+     "not closed"),
 ])
 def test_bad_input_gives_the_error_document(tmp_path, capsys, argv, files, code, named):
     for name, text in files.items():
@@ -254,8 +273,10 @@ def _fresh_run(argv):
     (["autoreal", "query", "--from", "Q:8", "--to", "D:8", "--json"], False),
 ])
 def test_a_request_loads_only_what_its_command_uses(capsys, argv, numpy_free):
-    """Symbol, solve and schultz commands never import numpy; every command
-    answers in a fresh process exactly as in this one."""
+    """Symbol, solve and schultz commands never import numpy; only solve and
+    schultz (and autoreal, for fpmodules) load kummer and fpmodules; no
+    command loads numpy.ma; every command answers in a fresh process exactly
+    as in this one."""
     try:
         code = main(list(argv))
     except SystemExit as exc:
@@ -264,6 +285,9 @@ def test_a_request_loads_only_what_its_command_uses(capsys, argv, numpy_free):
     status, out, loaded = _fresh_run(argv)
     assert (status, out) == expected
     assert "pgal.cli" in loaded
+    assert "numpy.ma" not in loaded
+    if argv[0] in ("obstruct", "symbol", "groups", "h2", "--help"):
+        assert not loaded & {"pgal.kummer", "pgal.fpmodules"}
     if numpy_free:
         assert not {m for m in loaded if m == "numpy" or m.startswith("numpy.")}
 

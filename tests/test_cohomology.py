@@ -552,6 +552,28 @@ def test_values_that_are_not_integers_make_no_cocycle():
         [0, 0], [0, 1]]
 
 
+def test_values_beyond_64_bits_are_read_mod_p():
+    # values are exponents of zeta: 2^70 + 1 is 1 mod 2, and 3^50 k + v is v mod 3
+    rng = np.random.default_rng(11)
+    for spec, p, lift in (("D:8", 2, lambda v, k: v * k * (2 ** 70 + 1)),
+                          ("C:9", 3, lambda v, k: v + k * 3 ** 50)):
+        G = build_group(spec)
+        for f in h2_enumerate(G, p).representatives:
+            signs = rng.choice([-1, 1], size=(G.order, G.order))
+            small = (f.values * signs if p == 2 else f.values).tolist()
+            big = [[lift(v, int(k)) for v, k in zip(row, krow)]
+                   for row, krow in zip(small, signs.tolist())]
+            assert max(abs(v) for row in big for v in row) > 2 ** 64 or not f.values.any()
+            assert verify(G, p, big) == verify(G, p, small), spec
+            assert np.array_equal(Cocycle2(G, p, big).values, f.values), spec
+    # an unsigned array is reduced before the cast too, which would read 3^40 as 3^40 - 2^64
+    C3 = build_group("C:3")
+    wide = np.zeros((3, 3), dtype=np.uint64)
+    wide[1, 1] = 3 ** 40
+    assert not Cocycle2(C3, 3, wide).values.any()
+    assert verify(C3, 3, wide) == verify(C3, 3, np.zeros((3, 3), dtype=np.int64))
+
+
 def test_noncentral_kernel_rejected():
     """S3 over C2 has a prime kernel that is normal but not central."""
     from itertools import permutations

@@ -23,7 +23,9 @@ from pgal.groups import (
     normal_subgroups,
     pullback,
     quotient,
+    subgroup_generated,
     subgroups_of_index2,
+    trivial_subgroup,
 )
 
 from test_groups import _oracle_groups
@@ -270,8 +272,73 @@ def test_subgroup_membership_agrees_with_the_old_dict():
 def test_a_set_that_is_not_closed_is_refused():
     from pgal.errors import RelationInconsistent
 
-    with pytest.raises(RelationInconsistent, match="not closed"):
-        Subgroup(build_group("D:8"), [0, 1])
+    for spec, els in (("D:8", [0, 1]), ("C:4", [0, 1])):
+        with pytest.raises(RelationInconsistent, match="not closed"):
+            Subgroup(build_group(spec), els)
+
+
+def _library_subgroups(G):
+    """The subgroups the library builds without Subgroup's closure check."""
+    _, proj = quotient(G, G.center())
+    subs = [G.center(), proj.kernel(), trivial_subgroup(G)]
+    subs += [subgroup_generated(G, [x]) for x in range(min(G.order, 8))]
+    subs += [frattini_style_subgroup(G, p) for p in _prime_divisors(G.order)]
+    subs += subgroups_of_index2(G)
+    if G.order <= 64:
+        subs += normal_subgroups(G)
+    return subs
+
+
+def test_library_built_subgroups_pass_the_exact_constructor():
+    # the constructor's exact check (sort, identity, |H|^2 closure gather) is
+    # the oracle for the subgroups that skip it
+    for name, G in GROUPS:
+        for H in _library_subgroups(G):
+            assert all(type(e) is int for e in H.elements), name
+            checked = Subgroup(G, H.elements)
+            assert checked.elements == H.elements, name
+            assert np.array_equal(checked.pos, H.pos) and not H.pos.flags.writeable, name
+
+
+_NUMPY_MA_GUARD = """
+import sys
+from pgal import catalog, cohomology, groups
+
+def step(what):
+    print(what, "numpy.ma" in sys.modules, flush=True)
+
+G = catalog.build_group("D:16*C:2")
+Z = G.center()
+groups.quotient(G, groups.subgroup_generated(G, [Z.elements[1]]))
+groups.subgroups_of_index2(G)
+step("catalog job")
+f = cohomology.h2_enumerate(G, 2).representatives[-1]
+ext = cohomology.extension_of_cocycle(f)
+back = cohomology.cocycle_of_extension(ext.extension, ext.proj, ext.kernel_gen)
+assert cohomology.class_equal(f, back)
+H = groups.subgroups_of_index2(G)[0]
+cohomology.verify(G, 2, cohomology.corestrict_tate(cohomology.restrict(f, H), H).values)
+step("h2 job")
+groups.normal_subgroups(G)
+step("normal subgroups")
+"""
+
+
+def test_table_jobs_do_not_import_numpy_ma():
+    # np.unique without index outputs and np.setdiff1d import numpy.ma, some
+    # 20-40 ms, inside the first timed call of a process
+    import os
+    import subprocess
+    import sys
+
+    import pgal
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pgal.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_MA_GUARD], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "catalog job False", "h2 job False", "normal subgroups False"]
 
 
 @pytest.mark.parametrize("spec", ["D:16", "Q:32", "G1:p=3", "D:8*C:2", "EA:p=2,r=4", "M:64",

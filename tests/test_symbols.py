@@ -328,7 +328,74 @@ def test_factor_tests_each_cofactor_for_primality_once(monkeypatch):
     monkeypatch.setattr(arith, "is_prime", counting)
     monkeypatch.delenv("PGAL_FACTOR_BOUND", raising=False)
     big, small = 2 ** 61 - 1, 10 ** 9 + 7
-    # the uncached function, so that an earlier factor() cannot hide the calls
+    # the uncached function and an empty cofactor memo, so that an earlier
+    # factor() cannot hide the calls
+    arith._split.cache_clear()
     assert dict(arith._factor_cached.__wrapped__(big * small, arith.factor_bound())) == {
         big: 1, small: 1}
     assert sorted(calls) == sorted([big * small, big, small])
+
+
+def _wheel_factor(n, bound):
+    """The one-candidate-at-a-time wheel loop and rho stack that
+    arith._factor_cached ran before its chunked scan and cofactor memo."""
+    from pgal import arith
+    from pgal.errors import FactorizationFailed
+
+    if n == 0:
+        raise FactorizationFailed("cannot factor 0")
+    out = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    d, w, wheel = 7, 0, (4, 2, 4, 2, 4, 6, 2, 6)
+    while d * d <= n and d <= bound:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += wheel[w]
+        w = (w + 1) % 8
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if arith.is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        g = arith._brent_rho(m, max_steps=4 * bound)
+        if not g or g in (1, m):
+            raise FactorizationFailed(f"could not split composite {m}")
+        stack.append(g)
+        stack.append(m // g)
+    return tuple(out.items())
+
+
+def test_chunked_trial_division_agrees_with_the_wheel_loop():
+    import itertools
+
+    from pgal import arith
+    from pgal.errors import FactorizationFailed
+
+    def outcome(f, n, bound):
+        try:
+            return f(n, bound)
+        except FactorizationFailed:
+            return "failed"
+
+    rng = random.Random(3)
+    # primes at the edges of the 30 * 2048 chunks, and cofactors past the bound
+    primes = [7, 11, 61417, 61441, 61463, 122887, 999983, 1000003, 3543999409]
+    pairs = [(n, bound) for n in range(3000) for bound in (2, 10, 1000)]
+    pairs += [(a * b * c, bound) for a, b in itertools.combinations_with_replacement(primes, 2)
+              for c in (1, 61441) for bound in (1000, 61441)]
+    pairs += [(641166890476304368486, 10 ** 6), (2767596882740967806569819, 10 ** 6)]
+    pairs += [(rng.getrandbits(rng.randrange(30, 74)), rng.choice([10 ** 5, 10 ** 6]))
+              for _ in range(12)]
+    pairs += [(PSI_13, 10 ** 6), (0, 10 ** 6)]
+    for n, bound in pairs:
+        arith._split.cache_clear()
+        want = outcome(_wheel_factor, n, bound)
+        assert outcome(arith._factor_cached.__wrapped__, n, bound) == want, (n, bound)
+    assert arith._split.cache_info().maxsize == 256
