@@ -14,9 +14,9 @@ from importlib import resources
 from typing import TYPE_CHECKING
 
 from .errors import BadParams, TooLarge, UnknownFamily, UnknownSpec
-from .fpmodules import FpGModule
 
 if TYPE_CHECKING:
+    from .fpmodules import FpGModule
     from .groups import Group
 
 # catalog and groups (and numpy with them) are imported by the functions that

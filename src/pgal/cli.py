@@ -318,81 +318,88 @@ def _cmd_symbol(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="pgal",
-                                  description="central embedding problems of p-groups")
-    sub = top.add_subparsers(dest="command", required=True)
+def _with_json(p):
+    p.add_argument("--json", action="store_true", help="emit the JSON payload only")
+    return p
 
-    def with_json(p):
-        p.add_argument("--json", action="store_true", help="emit the JSON payload only")
-        return p
 
+def _groups_parser(sub) -> None:
     g = sub.add_parser("groups", help="catalog groups")
     gsub = g.add_subparsers(dest="action", required=True)
-    gb = with_json(gsub.add_parser("build", help="build a catalog group"))
+    gb = _with_json(gsub.add_parser("build", help="build a catalog group"))
     gb.add_argument("--spec", required=True, help="catalog spec, e.g. D:16, or a JSON file")
     gb.set_defaults(func=_cmd_groups)
 
-    h2 = with_json(sub.add_parser("h2", help="second cohomology with mu_p coefficients"))
+
+def _h2_parser(sub) -> None:
+    h2 = _with_json(sub.add_parser("h2", help="second cohomology with mu_p coefficients"))
     h2.add_argument("--group", required=True)
     h2.add_argument("--p", type=int, required=True)
     h2.set_defaults(func=_cmd_h2)
 
-    cor = with_json(sub.add_parser("cor", help="quadratic corestriction of a cocycle"))
+
+def _cor_parser(sub) -> None:
+    cor = _with_json(sub.add_parser("cor", help="quadratic corestriction of a cocycle"))
     cor.add_argument("--group", required=True)
     cor.add_argument("--subgroup", required=True, help="comma-separated element ids")
     cor.add_argument("--cocycle", required=True, help="cocycle JSON file on the subgroup")
     cor.add_argument("--g", type=int, default=None, help="coset representative outside H")
     cor.set_defaults(func=_cmd_cor)
 
+
+def _obstruct_parser(sub) -> None:
     ob = sub.add_parser("obstruct", help="obstruction symbol engines")
     osub = ob.add_subparsers(dest="engine", required=True)
-    oc4 = with_json(osub.add_parser("c4"))
+    oc4 = _with_json(osub.add_parser("c4"))
     oc4.add_argument("--a", required=True)
-    ocp2 = with_json(osub.add_parser("cp2"))
+    ocp2 = _with_json(osub.add_parser("cp2"))
     ocp2.add_argument("--a", required=True)
     ocp2.add_argument("--p", type=int, default=2)
-    om = with_json(osub.add_parser("massy"))
+    om = _with_json(osub.add_parser("massy"))
     om.add_argument("--p", type=int, required=True)
     om.add_argument("--a", required=True, help="comma-separated entries")
     om.add_argument("--d", default="", help="e.g. d11=1,d12=1 (single-digit indices)")
-    od = with_json(osub.add_parser("direct"))
+    od = _with_json(osub.add_parser("direct"))
     od.add_argument("--p", type=int, required=True)
     od.add_argument("--b", required=True)
     od.add_argument("--j", type=int, default=0)
     od.add_argument("--a", default="")
     od.add_argument("--d", default="", help="comma-separated exponents d_i")
     od.add_argument("--res", default=None, help="opaque restricted-class name")
-    omod = with_json(osub.add_parser("modular"))
+    omod = _with_json(osub.add_parser("modular"))
     omod.add_argument("--variant", required=True, help="m | 1zeta | zeta1 | zetazeta")
     omod.add_argument("--p", type=int, required=True)
     omod.add_argument("--n", type=int, required=True)
     omod.add_argument("--a1", required=True)
     omod.add_argument("--a2", required=True)
-    ogf = with_json(osub.add_parser("gfamily"))
+    ogf = _with_json(osub.add_parser("gfamily"))
     ogf.add_argument("--family", required=True, choices=["G3", "G4", "G5"])
     ogf.add_argument("--p", type=int, required=True)
     ogf.add_argument("--a1", required=True)
     ogf.add_argument("--a2", required=True)
     ogf.add_argument("--zeta-p2", dest="zeta_p2", action="store_true")
-    ohw = with_json(osub.add_parser("hw"))
+    ohw = _with_json(osub.add_parser("hw"))
     ohw.add_argument("--q", required=True, help="diagonal entries, comma separated")
-    otw = with_json(osub.add_parser("twist"))
+    otw = _with_json(osub.add_parser("twist"))
     otw.add_argument("--df", required=True)
     otw.add_argument("--plus", default="", help="existing class, e.g. (2,-1)(3,-1)")
     for parser in (oc4, ocp2, om, od, omod, ogf, ohw, otw):
         parser.set_defaults(func=_cmd_obstruct)
 
-    so = with_json(sub.add_parser("solve", help="symbolic solution expressions"))
+
+def _solve_parser(sub) -> None:
+    so = _with_json(sub.add_parser("solve", help="symbolic solution expressions"))
     so.add_argument("--theorem", required=True, help="4.1 | 4.2 | 4.3 | 4.4 | 4.5 | 4.12")
     so.add_argument("--p", type=int, required=True)
     so.add_argument("--i", type=int, default=None, help="tower index for 4.12")
     so.add_argument("--witness", default=None)
     so.set_defaults(func=_cmd_solve)
 
+
+def _schultz_parser(sub) -> None:
     sc = sub.add_parser("schultz", help="module solvability and counting")
     scsub = sc.add_subparsers(dest="action", required=True)
-    scs = with_json(scsub.add_parser("solve"))
+    scs = _with_json(scsub.add_parser("solve"))
     scs.add_argument("--p", type=int, required=True)
     scs.add_argument("--n", type=int, required=True)
     scs.add_argument("--summands", required=True, help="summand lengths, e.g. 3 or 1,1,2")
@@ -401,31 +408,68 @@ def _build_parser() -> argparse.ArgumentParser:
     scs.add_argument("--finite", choices=["true", "false"], default="true")
     scs.set_defaults(func=_cmd_schultz)
 
+
+def _autoreal_parser(sub) -> None:
     au = sub.add_parser("autoreal", help="automatic realization database")
     ausub = au.add_subparsers(dest="action", required=True)
-    auq = with_json(ausub.add_parser("query"))
+    auq = _with_json(ausub.add_parser("query"))
     auq.add_argument("--from", dest="src", required=True)
     auq.add_argument("--to", dest="dst", required=True)
     auq.set_defaults(func=_cmd_autoreal)
-    aub = with_json(ausub.add_parser("bound"))
+    aub = _with_json(ausub.add_parser("bound"))
     aub.add_argument("--p", type=int, required=True)
     aub.add_argument("--n", type=int, required=True)
     aub.add_argument("--k", type=int, required=True)
     aub.set_defaults(func=_cmd_autoreal)
 
+
+def _symbol_parser(sub) -> None:
     sy = sub.add_parser("symbol", help="symbol product evaluation")
     sysub = sy.add_subparsers(dest="action", required=True)
-    sye = with_json(sysub.add_parser("eval"))
+    sye = _with_json(sysub.add_parser("eval"))
     sye.add_argument("--p", type=int, required=True)
     sye.add_argument("--expr", required=True)
     sye.set_defaults(func=_cmd_symbol)
 
+
+# each command's subtree, in the order `pgal --help` lists them
+_COMMANDS = {
+    "groups": _groups_parser,
+    "h2": _h2_parser,
+    "cor": _cor_parser,
+    "obstruct": _obstruct_parser,
+    "solve": _solve_parser,
+    "schultz": _schultz_parser,
+    "autoreal": _autoreal_parser,
+    "symbol": _symbol_parser,
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for a request whose first argument is command.
+
+    A command's request gets only that command's subtree.  Its metavar lists
+    every command, so a top-level usage line (printed for an extra argument)
+    has the same bytes as the full parser's.  Anything else (no arguments,
+    --help, an unknown command) gets every subtree and no metavar, since a
+    metavar would change argparse's "required" and "invalid choice" messages.
+    """
+    top = argparse.ArgumentParser(prog="pgal",
+                                  description="central embedding problems of p-groups")
+    if command in _COMMANDS:
+        sub = top.add_subparsers(dest="command", required=True,
+                                 metavar="{" + ",".join(_COMMANDS) + "}")
+        _COMMANDS[command](sub)
+    else:
+        sub = top.add_subparsers(dest="command", required=True)
+        for build in _COMMANDS.values():
+            build(sub)
     return top
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except PgalError as exc:
@@ -434,4 +478,23 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    """`pgal` and `python -m pgal`: run main, flush, and end the process.
+
+    os._exit skips interpreter teardown, which finalises every imported
+    module (numpy included) after the answer is written; pgal registers no
+    atexit callback for it to skip.  A reader that closes the pipe early ends
+    the request with exit 1 and no traceback; stdout is not flushed again.
+    """
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:
+            if not isinstance(exc.code, int):
+                raise
+            code = exc.code
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except BrokenPipeError:
+        os._exit(1)
+    os._exit(code)

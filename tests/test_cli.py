@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import pgal
-from pgal.cli import main
+from pgal.cli import _COMMANDS, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -243,20 +243,115 @@ def test_bad_input_gives_the_error_document(tmp_path, capsys, argv, files, code,
     assert named in doc["detail"]
 
 
+# -- one command's parser -------------------------------------------------------------
+
+# per command: a subcommand's --help, an unknown engine or action, a missing
+# required option, a bad int, an extra argument, and one request that parses
+_PARITY_ROWS = {
+    "groups": [["groups", "build", "--help"], ["groups", "build"],
+               ["groups", "build", "--spec", "D:8", "extra"],
+               ["groups", "build", "--spec", "D:8", "--json"]],
+    "h2": [["h2", "--group", "D:8"], ["h2", "--group", "D:8", "--p", "two"],
+           ["h2", "--group", "D:8", "--p", "2", "extra"], ["h2", "--group", "D:8", "--p", "2"]],
+    "cor": [["cor", "--group", "D:8", "--subgroup", "0,1"],
+            ["cor", "--group", "D:8", "--subgroup", "0,1", "--cocycle", "c.json", "--g", "x"],
+            ["cor", "--group", "D:8", "--subgroup", "0,1", "--cocycle", "c.json", "extra"],
+            ["cor", "--group", "D:8", "--subgroup", "0,1", "--cocycle", "c.json", "--g", "1"]],
+    "obstruct": [["obstruct", e, "--help"] for e in
+                 ("c4", "cp2", "massy", "direct", "modular", "gfamily", "hw", "twist")] + [
+                 ["obstruct", "massy", "--a", "2"], ["obstruct", "massy", "--p", "x", "--a", "2"],
+                 ["obstruct", "gfamily", "--family", "G9", "--p", "3", "--a1", "2", "--a2", "3"],
+                 ["obstruct", "c4", "--a", "3", "--json", "extra"],
+                 ["obstruct", "c4", "--a", "3", "--json"]],
+    "solve": [["solve", "--p", "3"], ["solve", "--theorem", "4.2", "--p", "3", "--i", "x"],
+              ["solve", "--theorem", "4.2", "--p", "3", "extra"],
+              ["solve", "--theorem", "4.2", "--p", "3"]],
+    "schultz": [["schultz", "solve", "--help"], ["schultz", "solve", "--p", "3"],
+                ["schultz", "solve", "--p", "3", "--n", "x", "--summands", "3", "--dims", "2"],
+                ["schultz", "solve", "--p", "3", "--n", "1", "--summands", "3", "--dims", "2,2,2",
+                 "--finite", "maybe"],
+                ["schultz", "solve", "--p", "3", "--n", "1", "--summands", "3", "--dims", "2,2,2",
+                 "extra"],
+                ["schultz", "solve", "--p", "3", "--n", "1", "--summands", "3", "--dims", "2,2,2"]],
+    "autoreal": [["autoreal", "query", "--help"], ["autoreal", "bound", "--help"],
+                 ["autoreal", "query", "--from", "Q:8"],
+                 ["autoreal", "bound", "--p", "3", "--n", "1", "--k", "x"],
+                 ["autoreal", "bound", "--p", "3", "--n", "1", "--k", "2", "extra"],
+                 ["autoreal", "query", "--from", "Q:8", "--to", "D:8"]],
+    "symbol": [["symbol", "eval", "--help"], ["symbol", "eval", "--p", "2"],
+               ["symbol", "eval", "--p", "x", "--expr", "(2,3)"],
+               ["symbol", "eval", "--p", "2", "--expr", "(2,3)", "extra"],
+               ["symbol", "eval", "--p", "2", "--expr", "(2,3)"]],
+}
+
+
+def _parse(parser, argv, capsys):
+    """(exit code or parsed namespace, stdout, stderr) of parser on argv."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+def test_every_command_has_parity_rows():
+    assert list(_PARITY_ROWS) == list(_COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_a_command_parser_answers_as_the_full_parser(capsys, command):
+    one = _build_parser(command)
+    other = next(c for c in _COMMANDS if c != command)
+    assert _parse(one, [other], capsys)[0] == 2
+    rows = [[command, "--help"], [command], [command, "nope"]] + _PARITY_ROWS[command]
+    for argv in rows:
+        assert argv[0] == command
+        assert _parse(one, argv, capsys) == _parse(_build_parser(), argv, capsys), argv
+
+
+def test_requests_without_a_command_get_the_full_parser(capsys):
+    """No arguments, --help, an unknown command and a leading option; argparse
+    names the command positional by its dest here, not by a metavar."""
+    usage = "usage: pgal [-h] {groups,h2,cor,obstruct,solve,schultz,autoreal,symbol} ...\n"
+    choices = ", ".join(f"'{c}'" for c in _COMMANDS)
+    expected = {
+        (): usage + "pgal: error: the following arguments are required: command\n",
+        ("nope",): usage + "pgal: error: argument command: invalid choice: 'nope' "
+                           f"(choose from {choices})\n",
+        ("--json",): usage + "pgal: error: the following arguments are required: command\n",
+    }
+    for argv, err in expected.items():
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", err)
+    for argv in (["--help"], ["-h", "h2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(usage) and all(f"    {c}" in out for c in _COMMANDS)
+        assert _parse(_build_parser(), argv, capsys) == (0, out, "")
+
+
 # -- what a request loads -----------------------------------------------------------
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(pgal.__file__)))
+ENV = dict(os.environ, PYTHONPATH=SRC)
 
 
 def _fresh_run(argv):
-    """`python -m pgal argv` in a fresh interpreter: exit code, stdout and the
-    modules it imported (from -X importtime, which logs every import)."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+    """`python -m pgal argv` in a fresh interpreter: exit code, stdout, stderr
+    and the modules it imported (from -X importtime, which logs every import
+    to stderr; those lines are left out of the stderr returned)."""
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "pgal", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
-    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                          capture_output=True, text=True, env=ENV, timeout=120)
+    lines = proc.stderr.splitlines(keepends=True)
+    loaded = {line.rsplit("|", 1)[1].strip() for line in lines
               if line.startswith("import time:")}
-    return proc.returncode, proc.stdout, loaded
+    err = "".join(line for line in lines if not line.startswith("import time:"))
+    return proc.returncode, proc.stdout, err, loaded
 
 
 @pytest.mark.parametrize("argv,numpy_free", [
@@ -271,25 +366,62 @@ def _fresh_run(argv):
     (["h2", "--group", "D:8", "--p", "2", "--json"], False),
     (["autoreal", "bound", "--p", "3", "--n", "2", "--k", "4", "--json"], True),
     (["autoreal", "query", "--from", "Q:8", "--to", "D:8", "--json"], False),
+    (["h2", "--group", "D:8"], True),
+    (["groups", "build", "--spec", "D:12", "--json"], False),
+    (["groups", "build", "--spec", "D:256", "--json"], False),
 ])
 def test_a_request_loads_only_what_its_command_uses(capsys, argv, numpy_free):
     """Symbol, solve and schultz commands never import numpy; only solve and
-    schultz (and autoreal, for fpmodules) load kummer and fpmodules; no
-    command loads numpy.ma; every command answers in a fresh process exactly
-    as in this one."""
+    schultz load kummer and fpmodules; no command loads numpy.ma; every
+    command answers in a fresh process exactly as in this one, with the same
+    exit code, stdout and stderr, and its output arrives complete."""
     try:
         code = main(list(argv))
     except SystemExit as exc:
         code = exc.code
-    expected = (code, capsys.readouterr().out)
-    status, out, loaded = _fresh_run(argv)
-    assert (status, out) == expected
+    expected = (code, *capsys.readouterr())
+    status, out, err, loaded = _fresh_run(argv)
+    assert (status, out, err) == expected
     assert "pgal.cli" in loaded
     assert "numpy.ma" not in loaded
-    if argv[0] in ("obstruct", "symbol", "groups", "h2", "--help"):
+    if argv[0] in ("obstruct", "symbol", "groups", "h2", "autoreal", "--help"):
         assert not loaded & {"pgal.kummer", "pgal.fpmodules"}
     if numpy_free:
         assert not {m for m in loaded if m == "numpy" or m.startswith("numpy.")}
+
+
+def test_a_reader_that_closes_the_pipe_gets_no_traceback():
+    proc = subprocess.Popen([sys.executable, "-m", "pgal", "groups", "build", "--spec", "D:256",
+                             "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV)
+    # the 300,153-byte answer overfills the pipe, so the write after close fails
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert head == b'{"generato'
+    assert err == b""
+
+
+def test_a_closed_stdout_still_exits_0():
+    proc = subprocess.run(["sh", "-c", '"$0" -m pgal obstruct c4 --a 2 --json >&-',
+                           sys.executable], capture_output=True, env=ENV, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_importing_every_module_registers_no_atexit_callback():
+    """main_entry ends the process with os._exit, which runs no atexit callback."""
+    code = ("import atexit, importlib, pkgutil, pgal\n"
+            "before = atexit._ncallbacks()\n"
+            "names = [m.name for m in pkgutil.iter_modules(pgal.__path__)\n"
+            "         if m.name != '__main__']\n"
+            "for name in names:\n"
+            "    importlib.import_module('pgal.' + name)\n"
+            "print(len(names), before, atexit._ncallbacks())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=ENV, timeout=120)
+    count, before, after = map(int, proc.stdout.split())
+    assert count >= 12 and after == before
 
 
 def test_package_reexports_are_lazy():

@@ -857,6 +857,24 @@ def test_catalog_groups_quotients_and_index2_subgroups_pass_the_exact_check():
             _assert_built(H.as_group(), (spec, "index 2"))
 
 
+def _single_gather_quotient_table(G, proj):
+    """The quotient table as one fancy gather over the coset representatives,
+    the expression the row-block gather replaced."""
+    coset_of = np.asarray(proj.images, dtype=np.int16)
+    reps = np.unique(coset_of, return_index=True)[1]  # least element of each coset
+    return coset_of[G.np_table[np.ix_(reps, reps)]]
+
+
+def test_quotient_tables_gathered_by_row_blocks_equal_the_single_gather():
+    # the order-4096 products by their trivial subgroup span 64 row blocks
+    for spec in _catalog_specs(256) + ["D:64*C:64", "Q:64*C:64", "SD:64*C:64", "M:64*C:64"]:
+        G = build_group(spec)
+        for N in [trivial_subgroup(G), G.center()] + _central_subgroups_of_prime_order(G):
+            Q, proj = quotient(G, N)
+            assert np.array_equal(Q.np_table, _single_gather_quotient_table(G, proj)), \
+                (spec, N.elements[:4])
+
+
 def test_pullbacks_pass_the_exact_check():
     for spec in _catalog_specs(32):
         G = build_group(spec)
