@@ -183,24 +183,6 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def p_free_part(q: Fraction | int, p: int) -> Fraction:
-    """Representative of q modulo p-th powers of rationals.
-
-    All prime exponents are reduced mod p.  For p = 2 the sign is kept;
-    for odd p the sign is dropped (-1 is a p-th power).
-    """
-    q = Fraction(q)
-    if q == 0:
-        raise ZeroDivisionError("zero has no p-free part")
-    n = q.numerator * q.denominator ** (p - 1)
-    sign = -1 if (n < 0 and p == 2) else 1
-    facs = factor(n)
-    out = 1
-    for prime, e in sorted(facs.items()):
-        out *= prime ** (e % p)
-    return Fraction(sign * out)
-
-
 def is_square(q: Fraction | int) -> bool:
     q = Fraction(q)
     if q <= 0:

@@ -45,24 +45,27 @@ class MultiplicityBound:
 class RealizationGraph:
     """Directed implications over catalog specs, with provenance on every edge."""
 
-    def __init__(self, edges: list[Edge], validate: bool = True):
+    def __init__(self, edges: list[Edge]):
+        """Checks each edge's citation and generator counts, and keeps the
+        edges out of each node with both ends resolved to canonical specs."""
         self.edges = list(edges)
-        self._groups: dict[str, Group] = {}
-        if validate:
-            self._validate()
+        self._nodes: set[str] = set()
+        self._groups: dict[str, Group] = {}  # of the nodes only
+        self._out: dict[str, list[Edge]] = {}
+        for e in self.edges:
+            if not e.cite:
+                raise UnknownSpec(f"edge {e.src} => {e.dst} lacks a citation")
+            dst, src = self._resolve(e.dst), self._resolve(e.src)
+            self._nodes.update((src, dst))
+            if not gen_count_necessary(src, dst, graph=self):
+                raise UnknownSpec(
+                    f"edge {e.src} => {e.dst} violates the generator-count condition")
+            self._out.setdefault(src, []).append(Edge(src, dst, e.cite))
 
     @classmethod
-    def load_default(cls, validate: bool = True) -> "RealizationGraph":
+    def load_default(cls) -> "RealizationGraph":
         text = resources.files("pgal.data").joinpath("autoreal.jsonl").read_text()
-        return cls(_parse_edges(text), validate=validate)
-
-    @classmethod
-    def from_file(cls, path: str, validate: bool = True) -> "RealizationGraph":
-        with open(path, encoding="utf-8") as fh:
-            return cls(_parse_edges(fh.read()), validate=validate)
-
-    def extended(self, extra: list[Edge]) -> "RealizationGraph":
-        return RealizationGraph(self.edges + list(extra))
+        return cls(_parse_edges(text))
 
     def _resolve(self, spec: str) -> str:
         from .catalog import canonical_spec
@@ -72,24 +75,19 @@ class RealizationGraph:
         except UnknownFamily as exc:
             raise UnknownSpec(f"cannot resolve {spec!r}: {exc.detail}") from exc
 
-    def _group(self, spec: str) -> Group:
+    def _group(self, spec: str, query: dict | None = None) -> Group:
+        """The group of spec, kept for the graph's lifetime when spec is a
+        node and otherwise only in `query`, the cache of one query."""
         from .catalog import build_group
 
         spec = self._resolve(spec)
-        if spec not in self._groups:
+        cache = self._groups if spec in self._nodes else {} if query is None else query
+        if spec not in cache:
             try:
-                self._groups[spec] = build_group(spec)
+                cache[spec] = build_group(spec)
             except UnknownFamily as exc:
                 raise UnknownSpec(f"cannot build {spec!r}: {exc.detail}") from exc
-        return self._groups[spec]
-
-    def _validate(self) -> None:
-        for e in self.edges:
-            if not e.cite:
-                raise UnknownSpec(f"edge {e.src} => {e.dst} lacks a citation")
-            if not gen_count_necessary(e.src, e.dst, graph=self):
-                raise UnknownSpec(
-                    f"edge {e.src} => {e.dst} violates the generator-count condition")
+        return cache[spec]
 
     # -- closure query ---------------------------------------------------
 
@@ -102,20 +100,14 @@ class RealizationGraph:
         dst = self._resolve(dst)
         if src == dst:
             return {"holds": True, "path": []}
-        universe = {src, dst}
-        universe.update(e.src for e in self.edges)
-        universe.update(e.dst for e in self.edges)
-        adj: dict[str, list[Edge]] = {}
-        for e in self.edges:
-            adj.setdefault(self._resolve(e.src), []).append(
-                Edge(self._resolve(e.src), self._resolve(e.dst), e.cite))
+        universe = sorted(self._nodes | {src, dst})
+        query: dict[str, Group] = {}
         frontier = [src]
         seen = {src: None}
         while frontier:
             nxt = []
             for node in frontier:
-                outs = list(adj.get(node, []))
-                outs.extend(self._quotient_edges(node, universe))
+                outs = self._out.get(node, []) + self._quotient_edges(node, universe, query)
                 for e in outs:
                     if e.dst not in seen:
                         seen[e.dst] = e
@@ -132,11 +124,11 @@ class RealizationGraph:
             node = seen[node].src
         return {"holds": True, "path": [e.to_json() for e in reversed(path)]}
 
-    def _quotient_edges(self, node: str, universe) -> list[Edge]:
+    def _quotient_edges(self, node: str, universe: list, query: dict) -> list[Edge]:
         from .groups import is_isomorphic, normal_subgroups, quotient
 
         try:
-            G = self._group(node)
+            G = self._group(node, query)
         except UnknownSpec:
             return []
         if G.order > QUOTIENT_EDGE_MAX_ORDER:
@@ -145,11 +137,11 @@ class RealizationGraph:
         if normals is None:
             return []
         out = []
-        for target in sorted(universe):
+        for target in universe:
             if target == node:
                 continue
             try:
-                H = self._group(target)
+                H = self._group(target, query)
             except UnknownSpec:
                 continue
             if G.order % H.order or H.order > QUOTIENT_EDGE_MAX_ORDER:

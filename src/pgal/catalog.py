@@ -10,10 +10,11 @@ One builder makes every table, one level at a time (Holt, Eick & O'Brien,
 Handbook of Computational Group Theory, 2005, ch. 8): G_i = <x_i> G_{i+1}
 is a cyclic extension of G_{i+1}, and its table is a few numpy gathers
 from the table of G_{i+1}.  Each level checks Hoelder's three conditions
-for such an extension, so an inconsistent presentation raises
-RelationInconsistent instead of giving a table, and a consistent one gives
-a group: the table is built once, in int16, and Group does not validate it
-again.
+for such an extension on the pc generators of G_{i+1}, in n_i k entries as
+for homomorphisms (groups._is_multiplicative), so an inconsistent
+presentation raises RelationInconsistent instead of giving a table, and a
+consistent one gives a group: the table is built once, in int16, and Group
+does not validate it again.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .arith import is_prime
 from .errors import OrderTooLarge, RelationInconsistent, UnknownFamily
-from .groups import MAX_ORDER, Group, direct_product
+from .groups import MAX_ORDER, Group, _is_multiplicative, direct_product
 
 
 def _pc_group(rel_orders, powers, conj, display, name) -> Group:
@@ -43,10 +44,11 @@ def _pc_group(rel_orders, powers, conj, display, name) -> Group:
         (x^a h)(x^b h') = x^((a+b) mod e) * w^[a+b >= e] * phi^b(h) * h'.
 
     That is a group exactly when Hoelder's conditions hold, and each level
-    checks all three on H's full table: phi is a bijective homomorphism of
-    H, phi(w) = w, and phi^e is conjugation by w.  The order cap is checked
-    before any table is allocated.  A group by construction, since Hoelder's
-    conditions held at every level.
+    checks all three: phi is a bijective homomorphism of H (the law on H's
+    pc generators, not on H's full table), phi(w) = w, and phi^e is
+    conjugation by w.  The order cap is checked before any table is
+    allocated.  A group by construction, since Hoelder's conditions held at
+    every level.
     """
     _check_order(prod(rel_orders))
     gens = [(gname, prod(rel_orders[pos + 1:])) for gname, pos in display]
@@ -80,7 +82,7 @@ def _pc_table(rel_orders, powers, conj) -> np.ndarray:
             for _ in range(rel_orders[j] - 1):
                 pw.append(T[pw[-1], g])
             phi = T[np.array(pw)[:, None], phi[None, :]].ravel()
-        _check_hoelder(T, phi, w, e, i)
+        _check_hoelder(T, phi, w, e, i, gen[i + 1:])
 
         P = np.empty((e, m), dtype=np.int16)  # P[t] = phi^t
         P[0] = np.arange(m)
@@ -114,20 +116,20 @@ def _check_order(p: int, e: int = 1) -> None:
     raise OrderTooLarge(f"order {order} exceeds cap {MAX_ORDER}")
 
 
-def _check_hoelder(T, phi, w, e, i) -> None:
-    m = T.shape[0]
-    if not (np.array_equal(np.sort(phi), np.arange(m))
-            and np.array_equal(phi[T], T[phi[:, None], phi[None, :]])):
+def _check_hoelder(T, phi, w, e, i, gens) -> None:
+    """Hoelder's conditions for G_i = <x_i> H, H the group of table T
+    generated by gens.  A homomorphism of H with trivial kernel is bijective,
+    and phi^e is conjugation by w when w phi^e(h) = h w for every h."""
+    if not (np.count_nonzero(phi == 0) == 1 and _is_multiplicative(phi, T, T, gens)):
         raise RelationInconsistent(f"conjugation by x{i} is not an automorphism")
     if phi[w] != w:
         raise RelationInconsistent(f"conjugation by x{i} does not fix x{i}^{e}")
-    phi_e, base, n = np.arange(m), phi, e
+    phi_e, base, n = np.arange(T.shape[0]), phi, e
     while n:
         if n & 1:
             phi_e = base[phi_e]
         base, n = base[base], n >> 1
-    w_inv = int(np.flatnonzero(T[w] == 0)[0])
-    if not np.array_equal(phi_e, T[T[w_inv], w]):
+    if not np.array_equal(T[w, phi_e], T[:, w]):
         raise RelationInconsistent(f"conjugation by x{i}, {e} times, is not conjugation by x{i}^{e}")
 
 

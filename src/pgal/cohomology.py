@@ -418,12 +418,15 @@ def _resolve_element(G: Group, gen) -> int:
 
 
 def cyclic_step_cocycle(p: int, n_exp: int) -> Cocycle2:
-    """Class of 1 -> mu_p -> C_{p^n} -> C_{p^(n-1)} -> 1 (the carry cocycle)."""
+    """Class of 1 -> mu_p -> C_{p^n} -> C_{p^(n-1)} -> 1 (the carry cocycle).
+
+    With t a generator of C_{p^n}, m = p^(n-1) and the kernel generated by
+    t^m, it is the factor set of the section i -> t^i of C_m:
+    t^i t^j t^-((i+j) mod m) = (t^m)^[i+j >= m].
+    """
     m = p ** (n_exp - 1)
-    Cbig = cyclic(p ** n_exp)
-    N = subgroup_generated(Cbig, [Cbig.power(1, m)])
-    Q, proj = quotient(Cbig, N)
-    return cocycle_of_extension(Cbig, proj, Cbig.power(1, m))
+    i = np.arange(m)
+    return Cocycle2(cyclic(m), p, (i[:, None] + i >= m).astype(np.int64), check=False)
 
 
 def raise_lower(E: ExtensionClass, sigma1, n_exp: int, direction: str) -> ExtensionClass:
@@ -446,9 +449,8 @@ def raise_lower(E: ExtensionClass, sigma1, n_exp: int, direction: str) -> Extens
         raise QuotientConditionFails("quotient by the other generators is not cyclic of order p^(n-1)")
     if not H.is_normal():
         raise QuotientConditionFails("the subgroup of the other generators is not normal")
-    for i in range(1, m):
-        if G.power(s1, i) in H:
-            raise QuotientConditionFails("sigma1 powers meet the complement subgroup")
+    # no power s1^i with 0 < i < m lies in H: H is normal and holds every
+    # named generator but s1, so G = <s1> H and |<s1> n H| = m |H| / |G| = 1
     pre = int(_section(E.proj)[s1])
     pre_order = E.extension.element_order(pre)
     want = m if direction == "raise" else p * m
@@ -456,15 +458,11 @@ def raise_lower(E: ExtensionClass, sigma1, n_exp: int, direction: str) -> Extens
         raise PreimageOrderMismatch(
             f"preimage of sigma1 has order {pre_order}, need {want} to {direction}")
     Q, projH = quotient(G, H)
-    dlog = {}
-    e = 0
-    for i in range(m):
-        dlog[e] = i
-        e = Q.mul(e, projH(s1))
-    fc = cyclic_step_cocycle(p, n_exp)
-    # quotient of C_{p^n} by <t^m> orders cosets by least element: coset of t^i is i
-    expo = np.array([dlog[projH(x)] for x in range(G.order)], dtype=np.int64)
-    inf_vals = fc.values[expo[:, None], expo[None, :]]
+    # dlog[(s1 H)^i] = i, the exponent that indexes the carry cocycle on C_m
+    dlog = np.empty(m, dtype=np.int64)
+    dlog[Q._powers(np.full(m, projH(s1)), np.arange(m))] = np.arange(m)
+    expo = dlog[np.asarray(projH.images)]
+    inf_vals = cyclic_step_cocycle(p, n_exp).values[expo[:, None], expo[None, :]]
     sign = 1 if direction == "raise" else -1
     new_vals = (E.cocycle.values + sign * inf_vals) % p
     out = extension_of_cocycle(Cocycle2(G, p, new_vals))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import FactorizationFailed, factor, is_square, legendre, p_free_part
+from .arith import FactorizationFailed, factor, is_square, legendre
 from .errors import (
     NonRationalEntry,
     OpaqueFactorPresent,
@@ -193,24 +193,6 @@ def elem_neg(x: FieldElem) -> FieldElem:
     return elem_mul(rat(-1), x)
 
 
-def _p_reduce(x: FieldElem, p: int) -> FieldElem:
-    """Reduce modulo p-th powers; rational factorization is best effort."""
-    x = elem_canon(x)
-    if x.kind == "rat":
-        try:
-            return FieldElem("rat", p_free_part(x.payload, p))
-        except FactorizationFailed:
-            return x
-    if x.kind in ("ind", "zeta"):
-        return x
-    factors = []
-    for b, e in x.payload:
-        e %= p
-        if e:
-            factors.append((_p_reduce(b, p), e))
-    return elem_canon(FieldElem("prod", tuple(factors)))
-
-
 # -- symbol products -----------------------------------------------------------
 
 
@@ -290,15 +272,14 @@ def _atoms(x: FieldElem, p: int):
         q = x.payload
         if q < 0 and p == 2:
             out.append((rat(-1), 1))
+            q = -q
         try:
             n = abs(q.numerator * q.denominator ** (p - 1))
             for prime, e in sorted(factor(n).items()):
                 if e % p:
                     out.append((rat(prime), e % p))
         except FactorizationFailed:
-            red = _p_reduce(x, p)
-            if not red.is_one():
-                out.append((red, 1))
+            out.append((rat(q), 1))  # one atom, unreduced
         return out
     if x.kind == "ind":
         return [(x, 1)]
@@ -378,17 +359,11 @@ def normalize(P: SymbolProduct) -> SymbolProduct:
 # -- Hilbert symbols and splitting over Q ---------------------------------------
 
 
-def _two_adic(q: Fraction) -> tuple[int, Fraction]:
-    n = q.numerator * q.denominator
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v, n
+def _split_off(q: Fraction, l: int) -> tuple[int, int]:
+    """(v, u) with q = l^v a/b, l prime to a and b, and u = ab.
 
-
-def _l_adic(q: Fraction, l: int) -> tuple[int, int]:
-    """(valuation, unit part as an integer mod l)."""
+    u stands for the unit a/b: the two differ by the square b^2, so no
+    Hilbert symbol tells them apart."""
     num, den = q.numerator, q.denominator
     v = 0
     while num % l == 0:
@@ -397,8 +372,7 @@ def _l_adic(q: Fraction, l: int) -> tuple[int, int]:
     while den % l == 0:
         den //= l
         v -= 1
-    u = num * pow(den, l - 2, l) % l
-    return v, u
+    return v, num * den
 
 
 def hilbert_local(a, b, place) -> int:
@@ -410,15 +384,15 @@ def hilbert_local(a, b, place) -> int:
         return -1 if (a < 0 and b < 0) else 1
     l = int(place)
     if l == 2:
-        va, ua = _two_adic(a)
-        vb, ub = _two_adic(b)
+        va, ua = _split_off(a, 2)
+        vb, ub = _split_off(b, 2)
         eps = ((ua - 1) // 2) * ((ub - 1) // 2)
         omega_a = (ua * ua - 1) // 8
         omega_b = (ub * ub - 1) // 8
         s = eps + va * omega_b + vb * omega_a
         return -1 if s % 2 else 1
-    va, ua = _l_adic(a, l)
-    vb, ub = _l_adic(b, l)
+    va, ua = _split_off(a, l)
+    vb, ub = _split_off(b, l)
     s = va * vb * ((l - 1) // 2)
     sym = (-1) ** (s % 2)
     if vb % 2:

@@ -67,6 +67,13 @@ def test_gen_count_examples():
     assert gen_count_necessary("G1:p=3", "C:1")
 
 
+def test_the_default_graph_caches_only_its_own_nodes():
+    g = default_graph()
+    assert implies("C:81", "C:3") == {"holds": "unknown", "path": []}
+    assert "C:81" not in g._groups and "D:8" in g._groups
+    assert set(g._groups) == {spec for e in g.edges for spec in (e.src, e.dst)}
+
+
 def test_database_edges_respect_gen_count():
     g = default_graph()
     for e in g.edges:

@@ -437,3 +437,27 @@ def test_package_reexports_are_lazy():
     assert sorted(pgal.__all__) == sorted(exports)
     with pytest.raises(AttributeError):
         pgal.no_such_name
+
+
+UNFACTORED = 13268176258719549543847943  # factor raises on it
+
+
+def _symbol_doc(canonical, shown, factors):
+    """The --json output for a p = 2 symbol with integer entries."""
+    return json.dumps({
+        "canonical": canonical, "class": shown, "splits_over_Q": None,
+        "symbol": {"factors": [{"exp": 1, "left": {"rat": str(a)}, "right": {"rat": str(b)}}
+                               for a, b in factors], "opaque": [], "p": 2}}, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["symbol", "eval", "--p", "2", "--expr", f"(-{UNFACTORED},3)", "--json"],
+     _symbol_doc(f"(-1,3)(3,{UNFACTORED})", f"(-1,3)(3,{UNFACTORED})",
+                 [(-1, 3), (3, UNFACTORED)])),
+    (["obstruct", "c4", f"--a=-{UNFACTORED}", "--json"],
+     _symbol_doc(f"(-1,-{UNFACTORED})", f"(-{UNFACTORED},-1)", [(-1, -UNFACTORED)])),
+], ids=["symbol eval", "obstruct c4"])
+def test_a_negative_entry_that_cannot_be_factored_keeps_its_sign_once(capsys, argv, out):
+    # the sign is split off as (-1, b), so the entry's atom is |entry|; it
+    # was counted twice, giving the class of (|entry|, b)
+    assert run(capsys, *argv) == (0, out)

@@ -1,19 +1,33 @@
 """Subgroup membership, Frattini coordinates, least preimages, pullback pairs
 and normal subgroups against the loops the library ran before each became
-one array computation; the loops stay here as oracles."""
+one array computation; the loops stay here as oracles.  So do the second
+copies of laws the library now computes once: Hoelder's conditions on the
+full table, the carry cocycle built from C_{p^n}, raise_lower's walk over
+the quotient, and the two valuation splits of the Hilbert symbol."""
+
+import random
+from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pgal.catalog import build_group
+from pgal import catalog
+from pgal.arith import factor, legendre
+from pgal.catalog import build_group, cyclic
 from pgal.cohomology import (
     Cocycle2,
     _section,
+    cocycle_of_extension,
+    cyclic_step_cocycle,
     extension_of_cocycle,
     h2_enumerate,
     power_commutator_data,
+    raise_lower,
 )
-from pgal.errors import TargetMismatch, TooLarge
+from pgal.errors import RelationInconsistent, TargetMismatch, TooLarge
 from pgal.groups import (
     Group,
     GroupHom,
@@ -27,7 +41,9 @@ from pgal.groups import (
     subgroups_of_index2,
     trivial_subgroup,
 )
+from pgal.symbols import hilbert_local
 
+from test_catalog import _oracle_cases
 from test_groups import _oracle_groups
 
 
@@ -361,3 +377,231 @@ def test_normal_subgroups_at_order_4096(spec, count):
     normals = normal_subgroups(build_group(spec))
     assert len(normals) == count
     assert normals[-1].order == 4096 and normals[0].elements == (0,)
+
+
+# -- Hoelder's conditions on H's full table ------------------------------------------
+
+
+def _full_table_hoelder(T, phi, w, e, i, gens):
+    """phi an automorphism of H by a sort and an m^2 compare, w^-1 by a row scan."""
+    m = T.shape[0]
+    if not (np.array_equal(np.sort(phi), np.arange(m))
+            and np.array_equal(phi[T], T[phi[:, None], phi[None, :]])):
+        raise RelationInconsistent(f"conjugation by x{i} is not an automorphism")
+    if phi[w] != w:
+        raise RelationInconsistent(f"conjugation by x{i} does not fix x{i}^{e}")
+    phi_e, base, n = np.arange(m), phi, e
+    while n:
+        if n & 1:
+            phi_e = base[phi_e]
+        base, n = base[base], n >> 1
+    w_inv = int(np.flatnonzero(T[w] == 0)[0])
+    if not np.array_equal(phi_e, T[T[w_inv], w]):
+        raise RelationInconsistent(f"conjugation by x{i}, {e} times, is not conjugation by x{i}^{e}")
+
+
+def _verdict(build):
+    """build()'s table, or the detail of the RelationInconsistent it raised."""
+    try:
+        return np.asarray(build())
+    except RelationInconsistent as exc:
+        return exc.detail
+
+
+def _verdicts(monkeypatch, build):
+    """build()'s verdict with the generator check and with the full-table one
+    (np.array_equal compares two tables, two details, or neither)."""
+    new = _verdict(build)
+    with monkeypatch.context() as m:
+        m.setattr(catalog, "_check_hoelder", _full_table_hoelder)
+        return new, _verdict(build)
+
+
+def test_hoelder_on_generators_agrees_with_the_full_table_on_the_catalog(monkeypatch):
+    specs = [spec for spec, _ in _oracle_cases()]
+    assert "G7:p=2" in specs
+    for spec in specs:
+        new, old = _verdicts(monkeypatch, lambda: build_group(spec).np_table)
+        assert np.array_equal(new, old), spec
+
+
+def test_hoelder_tells_conjugation_by_w_from_conjugation_by_w_inverse(monkeypatch):
+    # H = C27 x| C9, b = x1 acting on a = x2 as a -> a^4, of order 9; x0 acts
+    # as conjugation by b, so x0^3 must act as conjugation by b^3, not b^-3
+    conj = {(0, 1): {1: 1}, (0, 2): {2: 4}, (1, 2): {2: 4}}
+    verdicts = []
+    for power in (3, 6):
+        new, old = _verdicts(monkeypatch, lambda: catalog._pc_table([3, 9, 27], {0: {1: power}}, conj))
+        assert np.array_equal(new, old), power
+        verdicts.append(new)
+    assert verdicts[0].shape == (729, 729)
+    assert verdicts[1] == "conjugation by x0, 3 times, is not conjugation by x0^3"
+
+
+def _random_presentation(rng):
+    """Relative orders p or p^2 on 2-5 levels, order at most 1024, and random
+    power and conjugate words (a conjugate of x_j starts with a power of x_j)."""
+    p = rng.choice([2, 3, 5])
+    rel = [p]
+    while len(rel) < 2 or prod(rel) > 1024:
+        rel = [rng.choice([p, p * p]) for _ in range(rng.randint(2, 5))]
+    k = len(rel)
+
+    def tail(start):
+        return {pos: rng.randrange(1, rel[pos]) for pos in range(start, k) if rng.random() < 0.3}
+
+    powers = {i: tail(i + 1) for i in range(k - 1) if rng.random() < 0.5}
+    conj = {(i, j): {j: rng.randrange(1, rel[j]), **tail(j + 1)}
+            for i in range(k) for j in range(i + 1, k) if rng.random() < 0.5}
+    return rel, powers, conj
+
+
+def test_hoelder_on_generators_agrees_with_the_full_table_on_random_presentations(monkeypatch):
+    rng = random.Random(20240611)
+    kinds = []
+    for _ in range(2000):
+        rel, powers, conj = _random_presentation(rng)
+        new, old = _verdicts(monkeypatch, lambda: catalog._pc_table(rel, powers, conj))
+        assert np.array_equal(new, old), (rel, powers, conj)
+        kinds.append("table" if isinstance(new, np.ndarray) else
+                     next(k for k in ("automorphism", "does not fix", "times") if k in new))
+    # about half are groups, and each of the three conditions fails often
+    counts = {k: kinds.count(k) for k in set(kinds)}
+    assert counts.keys() == {"table", "automorphism", "does not fix", "times"}
+    assert min(counts.values()) >= 100, counts
+
+
+# -- the carry cocycle and raise_lower -------------------------------------------------
+
+
+def _four_step_carry(p, n_exp):
+    """The factor set of C_{p^n} -> C_{p^n}/<t^m>, m = p^(n-1), read off the
+    quotient and its least-preimage section."""
+    m = p ** (n_exp - 1)
+    Cbig = cyclic(p ** n_exp)
+    N = subgroup_generated(Cbig, [Cbig.power(1, m)])
+    Q, proj = quotient(Cbig, N)
+    return cocycle_of_extension(Cbig, proj, Cbig.power(1, m))
+
+
+def test_carry_cocycle_is_the_factor_set_of_the_cyclic_quotient():
+    for p, top in ((2, 12), (3, 7), (5, 5), (7, 4)):  # every p^n <= 4096
+        for n in range(1, top + 1):
+            old, new = _four_step_carry(p, n), cyclic_step_cocycle(p, n)
+            assert np.array_equal(new.values, old.values), (p, n)
+            assert np.array_equal(new.group.np_table, old.group.np_table), (p, n)
+            assert new.group.generators == old.group.generators, (p, n)
+
+
+def _walk_raise_lower(E, sigma1, n_exp, direction):
+    """raise_lower's cocycle by the s1^i-in-H loop, a dict walk over G/H and
+    the four-step carry cocycle (the order checks are the library's)."""
+    G, p = E.proj.target, E.cocycle.p
+    s1 = G.gen(sigma1) if isinstance(sigma1, str) else int(sigma1)
+    m = p ** (n_exp - 1)
+    H = subgroup_generated(G, [i for _, i in G.generators if i != s1])
+    assert all(G.power(s1, i) not in H for i in range(1, m))
+    Q, projH = quotient(G, H)
+    dlog, e = {}, 0
+    for i in range(m):
+        dlog[e] = i
+        e = Q.mul(e, projH(s1))
+    expo = np.array([dlog[projH(x)] for x in range(G.order)], dtype=np.int64)
+    carry = _four_step_carry(p, n_exp).values[expo[:, None], expo[None, :]]
+    sign = 1 if direction == "raise" else -1
+    return extension_of_cocycle(Cocycle2(G, p, (E.cocycle.values + sign * carry) % p))
+
+
+def _central_quotient(spec, name, k):
+    """The extension E -> E/<name^k> and its factor set."""
+    E = build_group(spec)
+    z = E.power(E.gen(name), k)
+    Q, proj = quotient(E, subgroup_generated(E, [z]))
+    return E, proj, cocycle_of_extension(E, proj, z)
+
+
+def _raise_lower_cases():
+    """The raise and lower cases of the cohomology and acceptance tests,
+    cyclic towers at p = 3, and cyclic groups with another named generator."""
+    for spec, k in (("D:8", 2), ("D:16", 4), ("D:32", 8)):
+        E, proj, f = _central_quotient(spec, "sigma", k)
+        yield extension_of_cocycle(f), proj(E.gen("tau")), 2, "raise"
+    for p, spec, m, n_exp in ((2, "C:4", 2, 2), (2, "C:8", 4, 3), (2, "C:16", 8, 4),
+                              (2, "C:32", 16, 5), (3, "C:9", 3, 2), (3, "C:27", 9, 3)):
+        E, proj, _ = _central_quotient(spec, "sigma", m)
+        split = Cocycle2(proj.target, p, np.zeros((m, m), dtype=int))
+        yield extension_of_cocycle(split), proj(E.gen("sigma")), n_exp, "raise"
+    # a cyclic group named by a generator that is not element 1, so that the
+    # powers of s1 H run through G/H out of index order
+    for p, n, k, n_exp in ((2, 4, 3, 3), (3, 9, 2, 3)):
+        G = Group(build_group(f"C:{n}").np_table, [("s", k)])
+        yield extension_of_cocycle(Cocycle2(G, p, np.zeros((n, n), dtype=int))), "s", n_exp, "raise"
+    E = extension_of_cocycle(Cocycle2(build_group("C:2"), 2, np.zeros((2, 2), dtype=int)))
+    yield E, "sigma", 2, "raise"
+    yield raise_lower(E, "sigma", 2, "raise"), "sigma", 2, "lower"
+    E, proj, f = _central_quotient("D:16", "sigma", 4)
+    ext = extension_of_cocycle(f)
+    yield raise_lower(ext, proj(E.gen("tau")), 2, "raise"), proj(E.gen("tau")), 2, "lower"
+
+
+def test_raise_lower_agrees_with_the_walk_over_the_quotient():
+    cases = list(_raise_lower_cases())
+    assert len(cases) == 14
+    for E, sigma1, n_exp, direction in cases:
+        new = raise_lower(E, sigma1, n_exp, direction)
+        old = _walk_raise_lower(E, sigma1, n_exp, direction)
+        assert np.array_equal(new.cocycle.values, old.cocycle.values)
+        assert np.array_equal(new.extension.np_table, old.extension.np_table)
+
+
+# -- the Hilbert symbol's two valuation splits ------------------------------------------
+
+
+def _two_adic(q):
+    n = q.numerator * q.denominator
+    v = 0
+    while n % 2 == 0:
+        n //= 2
+        v += 1
+    return v, n
+
+
+def _l_adic(q, l):
+    num, den = q.numerator, q.denominator
+    v = 0
+    while num % l == 0:
+        num //= l
+        v += 1
+    while den % l == 0:
+        den //= l
+        v -= 1
+    return v, num * pow(den, l - 2, l) % l
+
+
+def _split_hilbert(a, b, place):
+    """hilbert_local with the 2-adic split of a b and the l-adic unit mod l."""
+    if place == "inf":
+        return -1 if (a < 0 and b < 0) else 1
+    if place == 2:
+        (va, ua), (vb, ub) = _two_adic(a), _two_adic(b)
+        s = ((ua - 1) // 2) * ((ub - 1) // 2) + va * ((ub * ub - 1) // 8) + vb * ((ua * ua - 1) // 8)
+        return -1 if s % 2 else 1
+    (va, ua), (vb, ub) = _l_adic(a, place), _l_adic(b, place)
+    sym = (-1) ** (va * vb * ((place - 1) // 2) % 2)
+    if vb % 2:
+        sym *= legendre(ua, place)
+    if va % 2:
+        sym *= legendre(ub, place)
+    return sym
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                       st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONALS, _RATIONALS)
+def test_one_valuation_split_gives_the_hilbert_symbols_of_two(a, b):
+    places = {2, 3, 5, 7} | set(factor(a.numerator * a.denominator * b.numerator * b.denominator))
+    for place in ["inf", *sorted(places)]:
+        assert hilbert_local(a, b, place) == _split_hilbert(a, b, place), place

@@ -292,6 +292,26 @@ def test_a_number_past_psi13_that_passes_every_base_is_an_error():
         assert not is_prime(n)
 
 
+# above PSI_13 and passes every base, so factor raises on it
+UNFACTORED = 13268176258719549543847943
+
+
+def test_an_entry_that_cannot_be_factored_is_one_atom_that_keeps_its_class():
+    from pgal.arith import factor
+    from pgal.errors import FactorizationFailed
+
+    P = UNFACTORED
+    with pytest.raises(FactorizationFailed):
+        factor(P)
+    for b in (rat(3), rat(-1), rat(Fraction(5, 7))):
+        minus = symbol(rat(-P), b, 2)
+        assert minus == symbol(rat(-1), b, 2).mul(symbol(rat(P), b, 2))
+        assert minus != symbol(rat(P), b, 2)
+        assert normalize(minus) == minus
+    assert str(symbol(rat(-P), rat(3), 2)) == f"(-1,3)(3,{P})"
+    assert str(symbol(rat(-P), rat(3), 3)) == f"({-P},3;z3)"
+
+
 def test_factor_results_are_memoised_in_a_bounded_cache(monkeypatch):
     from pgal.arith import _factor_cached, factor
     from pgal.errors import FactorizationFailed
