@@ -108,9 +108,26 @@ def factor(n: int) -> dict[int, int]:
 
     Raises FactorizationFailed if a cofactor survives trial division to the
     configured bound and the rho budget.  Results are memoised in a bounded
-    cache keyed on |n| and the bound; every call gets a fresh dict.
+    cache keyed on |n| and the bound; every call gets a fresh dict.  A
+    failure is memoised apart from them, under the same key, and raised
+    again from the memo, so an entry that cannot be factored costs one rho
+    attempt per process.
     """
-    return dict(_factor_cached(abs(n), factor_bound()))
+    key = (abs(n), factor_bound())
+    if key in _FAILED:
+        raise FactorizationFailed(_FAILED[key])
+    try:
+        return dict(_factor_cached(*key))
+    except FactorizationFailed as exc:
+        if len(_FAILED) >= _FAILED_MAX:
+            del _FAILED[next(iter(_FAILED))]  # the oldest
+        _FAILED[key] = exc.detail
+        raise
+
+
+# (|n|, bound) -> the detail of its FactorizationFailed, at most _FAILED_MAX
+_FAILED: dict[tuple[int, int], str] = {}
+_FAILED_MAX = 256
 
 
 _WHEEL = (0, 4, 6, 10, 12, 16, 22, 24)  # 7 + these are the residues prime to 30

@@ -26,7 +26,7 @@ import numpy as np
 
 from .arith import is_prime
 from .errors import OrderTooLarge, RelationInconsistent, UnknownFamily
-from .groups import MAX_ORDER, Group, _is_multiplicative, direct_product
+from .groups import MAX_ORDER, Group, PcPresentation, _is_multiplicative, direct_product
 
 
 def _pc_group(rel_orders, powers, conj, display, name) -> Group:
@@ -48,21 +48,29 @@ def _pc_group(rel_orders, powers, conj, display, name) -> Group:
     pc generators, not on H's full table), phi(w) = w, and phi^e is
     conjugation by w.  The order cap is checked before any table is
     allocated.  A group by construction, since Hoelder's conditions held at
-    every level.
+    every level.  The group keeps its presentation (Group.pc).
     """
     _check_order(prod(rel_orders))
-    gens = [(gname, prod(rel_orders[pos + 1:])) for gname, pos in display]
+    gen = generator_indices(rel_orders)
+    gens = [(gname, gen[pos]) for gname, pos in display]
     try:
-        return Group(_pc_table(rel_orders, powers, conj), gens, name=name, check=False)
+        table = _pc_table(rel_orders, powers, conj)
     except RelationInconsistent as exc:
         raise RelationInconsistent(f"presentation for {name} fails to close: {exc.detail}") from exc
+    return Group(table, gens, name=name, check=False,
+                 pc=PcPresentation.of(rel_orders, powers, conj))
+
+
+def generator_indices(rel_orders) -> list[int]:
+    """The element index of each x_j in the mixed-radix numbering (the
+    identity when e_j = 1)."""
+    return [prod(rel_orders[j + 1:]) if e > 1 else 0 for j, e in enumerate(rel_orders)]
 
 
 def _pc_table(rel_orders, powers, conj) -> np.ndarray:
     """The int16 multiplication table of a pc presentation (see _pc_group)."""
     k = len(rel_orders)
-    # index of x_j (the identity when e_j = 1)
-    gen = [prod(rel_orders[j + 1:]) if rel_orders[j] > 1 else 0 for j in range(k)]
+    gen = generator_indices(rel_orders)
     T = np.zeros((1, 1), dtype=np.int16)
     for i in reversed(range(k)):
         e, m = rel_orders[i], T.shape[0]
@@ -139,7 +147,9 @@ def _check_hoelder(T, phi, w, e, i, gens) -> None:
 def cyclic(n: int) -> Group:
     if n < 1:
         raise UnknownFamily("cyclic group needs order >= 1")
-    return _pc_group([n], {}, {}, [("sigma", 0)] if n > 1 else [], f"C{n}")
+    if n == 1:
+        return _pc_group([], {}, {}, [], "C1")
+    return _pc_group([n], {}, {}, [("sigma", 0)], f"C{n}")
 
 
 def elem_abelian(p: int, r: int) -> Group:
@@ -299,8 +309,10 @@ def mss_semidirect(p: int, n: int, j: int) -> Group:
 
     Module basis b_i = (s-1)^i, i < j, with s b_i s^{-1} = b_i + b_{i+1};
     as a pc presentation on b_0 .. b_{j-1}, s that is b_i^{-1} s b_i =
-    b_{i+1} s (just s for i = j-1).
+    b_{i+1} s (just s for i = j-1).  n >= 1: C:p names the group at n = 0.
     """
+    if n < 1:
+        raise UnknownFamily(f"MSS needs n >= 1, got n={n}")
     # p^n > j once n >= bit_length(j), so the power stays small
     if not 1 <= j <= p ** min(n, j.bit_length()):
         raise UnknownFamily(f"need 1 <= j <= p^n, got j={j}")

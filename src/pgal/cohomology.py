@@ -7,13 +7,14 @@ extracted with the section that picks the least-index preimage.
 
 from __future__ import annotations
 
-import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import lcm
 
 import numpy as np
 
-from .catalog import cyclic
+from .catalog import cyclic, generator_indices
 from .errors import (
     BadIndexSubgroup,
     BadParams,
@@ -291,57 +292,245 @@ def class_equal(f1: Cocycle2, f2: Cocycle2) -> bool:
     return CoboundarySpace(f1.group, f1.p).witness(f1.values - f2.values) is not None
 
 
+# -- the pc-tails engine ----------------------------------------------------------
+
+# entries of one row block of the z-forms a level is built in
+_TAIL_BLOCK = 1 << 21
+
+
+class PcTails:
+    """H^2(G, mu_p) from the tails of G's pc presentation (Group.pc).
+
+    Extend the presentation by a central z of order p, placed last, and give
+    each of the m = k + k(k-1)/2 relations a tail z^(t_r): the power word of
+    each x_i and the conjugate word of each pair i < j (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 2005, ch. 8 and 9.4).  The
+    extension E numbers x z^c as p x + c, so its table is catalog._pc_table's
+    on the extended presentation, and its z-parts are linear forms in t: the
+    G-parts are G's table whatever t is.  `_tail_level` builds them level by
+    level with _pc_table's formula, on G_i = <x_i, ..., x_{k-1}>, whose
+    elements are the first |G_i| indices of G.
+
+    Hoelder's conditions at each level become linear rows in t: phi is a
+    homomorphism on the pc generators, phi(w) = w, and w phi^e(s) = s w on
+    the pc generators (the G-parts hold, as G is consistent, and phi is
+    bijective with phi_G).  Their common nullspace V is the set of tails for
+    which E is a group, i.e. the cocycles of G's presentation.  Replacing x_l
+    by x_l z^(a_l) moves t by the rows of a k x m matrix delta, the
+    coboundaries: the power tail of x_i by e_i a_i, the conjugate tail of
+    (i, j) by a_j, each less the a_l of the letters of its word.  So
+    dim H^2 = dim V - rank delta.
+
+    The z-forms stop at G_1: level 0 only adds rows, and a class is built on
+    demand from the kept level-1 forms (`cocycle`), its values in G's own
+    numbering, as E's table would give them in T_E[::p, ::p] % p.
+    """
+
+    def __init__(self, group: Group, p: int):
+        rel, powers, conj = group.pc
+        k = len(rel)
+        self.p = p
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        self.m = m = k + len(pairs)
+        col = {pair: k + c for c, pair in enumerate(pairs)}
+        self.dtype = dtype = np.int8 if p <= 64 else np.int16  # holds 2p - 2
+        gen = generator_indices(rel)
+        delta = np.zeros((k, m), dtype=np.int64)
+        for i in range(k):
+            delta[i, i] += rel[i]
+            for pos, exp in powers.get(i, {}).items():
+                delta[pos, i] -= exp
+            for j in range(i + 1, k):
+                delta[j, col[i, j]] += 1
+                for pos, exp in conj.get((i, j), {j: 1}).items():
+                    delta[pos, col[i, j]] -= exp
+        self.eq = GFMatrix(m, p)
+        L = np.zeros((1, 1, m), dtype=dtype)  # the z-forms on G_k = 1
+        for i in reversed(range(k)):
+            nH = L.shape[0]
+            T = group.np_table[:nH, :nH]
+
+            def word(letters, tail):
+                """The G-part and the z-form of a word, times z^(t_tail), in E."""
+                r, z = 0, np.zeros(m, dtype=np.int64)
+                z[tail] = 1
+                for pos, exp in sorted(letters.items()):
+                    for _ in range(exp):
+                        z += L[r, gen[pos]]
+                        r = T[r, gen[pos]]
+                return r, z % p
+
+            w, omega = word(powers.get(i, {}), i)
+            phi, psi = np.zeros(1, dtype=np.int64), np.zeros((1, m), dtype=np.int64)
+            for j in reversed(range(i + 1, k)):  # phi, psi on G_j from G_(j+1)
+                g, gz = word(conj.get((i, j), {j: 1}), col[i, j])
+                pw, pwz = [0], [np.zeros(m, dtype=np.int64)]
+                for _ in range(rel[j] - 1):  # phi(x_j)^a
+                    pwz.append((pwz[-1] + gz + L[pw[-1], g]) % p)
+                    pw.append(T[pw[-1], g])
+                pw, pwz = np.array(pw), np.array(pwz)
+                psi = (pwz[:, None] + psi[None] + L[pw[:, None], phi[None]]).reshape(-1, m) % p
+                phi = T[pw[:, None], phi[None]].ravel()
+            e = rel[i]
+            P = np.empty((e + 1, nH), dtype=np.int64)  # P[b] = phi^b
+            PS = np.empty((e + 1, nH, m), dtype=np.int64)  # PS[b] = sum_{r<b} psi phi^r
+            P[0], PS[0] = np.arange(nH), 0
+            for b in range(1, e + 1):
+                P[b], PS[b] = phi[P[b - 1]], (PS[b - 1] + psi[P[b - 1]]) % p
+            for s in gen[i + 1:]:
+                self.eq.add_rows(L[:, s] + psi[T[:, s]] - psi - psi[s] - L[phi, phi[s]])
+                self.eq.add_rows((PS[e, s] + L[w, P[e, s]] - L[s, w])[None])
+            self.eq.add_rows(psi[w][None])
+            level = (T, L, e, w, omega, P[:e], PS[:e])
+            if i:
+                L = _tail_level(*level, p, dtype)
+        self.level0 = level if k else None
+        comp = GFMatrix(m, p)
+        comp.add_rows(delta % p)
+        kept = [v for v in self.eq.nullspace() if comp.add_rows(v[None])]
+        self.basis = np.array(kept, dtype=np.int64).reshape(len(kept), m)
+
+    def cocycle(self, t) -> np.ndarray:
+        """The factor set of E for tails t in V, on G's numbering: one
+        contraction of the level-1 z-forms with t (in int32, which holds
+        m (p-1)^2) and one level-0 build."""
+        p, t = self.p, np.asarray(t, dtype=np.int64) % self.p
+        if self.level0 is None:
+            return np.zeros((1, 1), dtype=np.int64)
+        T, L, e, w, omega, P, PS = self.level0
+        nH = L.shape[0]
+        Z = np.empty((nH, nH), dtype=np.int32)
+        step = max(1, _TAIL_BLOCK // (nH * self.m))
+        for r0 in range(0, nH, step):
+            np.einsum("xyr,r->xy", L[r0:r0 + step], t.astype(np.int32), out=Z[r0:r0 + step])
+        Z %= p
+        f = _tail_level(T, Z.astype(self.dtype)[..., None], e, w, (omega @ t % p)[None], P,
+                        (PS @ t % p)[..., None], p, self.dtype)
+        return f[:, :, 0]
+
+
+def _tail_level(T, L, e, w, omega, P, PS, p, dtype) -> np.ndarray:
+    """The z-forms on G_i = <x> H from those on H (PcTails), by _pc_table's
+    formula with w = x^e z^omega and x^-1 h x = phi(h) z^psi(h):
+
+        f(x^a h, x^b h') = u (omega + f(w, phi^b h)) + PS[b, h] + f(w^u phi^b h, h'),
+
+    u = [a+b >= e] and PS[b, h] = psi(h) + psi(phi h) + ... + psi(phi^(b-1) h).
+    Built in row blocks of at most _TAIL_BLOCK entries: the last term is
+    gathered straight into the output, and the rest, reduced mod p, added
+    to it, so one subtraction of p reduces the sum."""
+    nH, m = L.shape[0], L.shape[2]
+    n = e * nH
+    rest = (np.concatenate([PS, PS + omega + L[w][P]]) % p).astype(dtype).reshape(-1, m)
+    Tw = T[w]
+    out = np.empty((n, n, m), dtype=dtype)
+    b = np.arange(e)
+    step = max(1, _TAIL_BLOCK // (n * m))
+    for r0 in range(0, n, step):
+        a, h = np.divmod(np.arange(r0, min(n, r0 + step)), nH)
+        u = a[:, None] + b >= e
+        ph = P[:, h].T
+        blk = out[r0:r0 + len(a)].reshape(len(a), e, nH, m)
+        np.take(L, np.where(u, Tw[ph], ph), axis=0, out=blk, mode="clip")
+        blk += rest[(u * e + b) * nH + h[:, None]][:, :, None]
+        np.subtract(blk, p, out=blk, where=blk >= p)
+    return out
+
+
 # -- H^2 enumeration -----------------------------------------------------------
+
+
+class Classes(Sequence):
+    """The classes of an H2Result, each built only when it is read.
+
+    Index i is the combination of the basis whose coefficients are the
+    base-p digits of i, the first basis element's most significant (the
+    order of itertools.product); when not every class is listed, index i
+    is the i-th basis element.  Slices give lists.
+    """
+
+    def __init__(self, build, p: int, dim: int, complete: bool):
+        self._build, self._p, self._dim, self._complete = build, p, dim, complete
+
+    def __len__(self) -> int:
+        return self._p ** self._dim if self._complete else self._dim
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("class index out of range")
+        i %= n
+        if self._complete:
+            coeffs = [i // self._p ** (self._dim - 1 - d) % self._p for d in range(self._dim)]
+        else:
+            coeffs = [int(d == i) for d in range(self._dim)]
+        return self._build(np.array(coeffs, dtype=np.int64))
 
 
 @dataclass
 class H2Result:
     dimension: int
     class_count: int
-    representatives: list
+    representatives: Classes
     complete: bool
 
 
 def h2_enumerate(group: Group, p: int, max_reps: int = 4096) -> H2Result:
     """Dimension of H^2(G, mu_p) and class representatives.
 
-    The cocycles that vanish on the tree edges (CoboundarySpace) are the u
-    with f(x, y) + f(xy, s) - f(y, s) - f(x, ys) = 0 for each non-tree edge
+    A group with a pc presentation (catalog groups and their products) goes
+    through PcTails, for any p with p |G| <= MAX_ORDER.  Any other table
+    goes through the spanning tree, under the caps below: the cocycles that
+    vanish on the tree edges (CoboundarySpace) are the u with
+    f(x, y) + f(xy, s) - f(y, s) - f(x, ys) = 0 for each non-tree edge
     (y, s) and each generator x, f = along_tree(u).  In Schreier's terms u is
     a map on the relators y s (ys)^-1 that conjugation by x must fix, and
     the generators x suffice for that; the identity on the tree edges holds
     by construction, and the closure argument of Light's test covers every
     last argument.  Then dim H^2 = dim Z_tree - rank{delta(phi_i)}.
 
-    All p^dim classes are materialized when that count is at most max_reps;
-    otherwise only a basis of representatives is returned.
+    The representatives list all p^dim classes when that count is at most
+    max_reps, and otherwise a basis; either way a class is built when read.
     """
     _check_prime(p)
     n = group.order
     if p * n > MAX_ORDER:
         raise TooLarge("extension group would exceed the table cap")
-    if (p == 2 and n > 64) or (p == 3 and n > 81) or (p > 3 and (n - 1) ** 2 > 6400):
-        raise TooLarge(f"H^2 linear algebra not supported at order {n} for p={p}")
-    if n == 1:
-        zero = Cocycle2(group, p, np.zeros((1, 1), dtype=np.int64), check=False)
-        return H2Result(0, 1, [zero], True)
-    cob = CoboundarySpace(group, p)
-    N, T, xs, Y = cob.N, group.np_table, cob.gens, cob.edge_y
-    L = cob.along_tree(xs, np.eye(N, dtype=np.int64))
-    e = np.eye(N + 1, N, dtype=np.int64)[cob.edge[T[np.ix_(xs, Y)], cob.edge_slot]]
-    eq = GFMatrix(N, p)
-    eq.add_rows((L[:, Y] + e - L[:, cob.edge_z] - np.eye(N, dtype=np.int64)).reshape(-1, N) % p)
-    comp = GFMatrix(N, p)
-    comp.add_rows(cob.tree_additive()[1])
-    chosen = [v for v in eq.nullspace() if comp.add_rows(v[None])]
-    h = len(chosen)
+    if group.pc is not None:
+        tails = PcTails(group, p)
+        basis = tails.basis
+
+        def build(c):
+            return Cocycle2(group, p, tails.cocycle(c @ basis), check=False)
+    elif n == 1:  # a bare trivial table: no tree edges
+        basis = np.zeros((0, 0), dtype=np.int64)
+
+        def build(c):
+            return Cocycle2(group, p, np.zeros((1, 1), dtype=np.int64), check=False)
+    else:
+        if (p == 2 and n > 64) or (p == 3 and n > 81) or (p > 3 and (n - 1) ** 2 > 6400):
+            raise TooLarge(f"H^2 linear algebra not supported at order {n} for p={p}")
+        cob = CoboundarySpace(group, p)
+        N, T, xs, Y = cob.N, group.np_table, cob.gens, cob.edge_y
+        L = cob.along_tree(xs, np.eye(N, dtype=np.int64))
+        e = np.eye(N + 1, N, dtype=np.int64)[cob.edge[T[np.ix_(xs, Y)], cob.edge_slot]]
+        eq = GFMatrix(N, p)
+        eq.add_rows((L[:, Y] + e - L[:, cob.edge_z] - np.eye(N, dtype=np.int64)).reshape(-1, N) % p)
+        comp = GFMatrix(N, p)
+        comp.add_rows(cob.tree_additive()[1])
+        kept = [v for v in eq.nullspace() if comp.add_rows(v[None])]
+        basis = np.array(kept, dtype=np.int64).reshape(len(kept), N)
+        tables = cob.along_tree(np.arange(n), basis) % p
+
+        def build(c):
+            return Cocycle2(group, p, tables @ c % p, check=False)
+    h = len(basis)
     count = p ** h
-    basis = cob.along_tree(np.arange(n), np.reshape(chosen, (h, N))) % p
     complete = count <= max_reps
-    coeffs = itertools.product(range(p), repeat=h) if complete else np.eye(h, dtype=np.int64)
-    reps = [Cocycle2(group, p, basis @ np.array(c, dtype=np.int64) % p, check=False)
-            for c in coeffs]
-    return H2Result(h, count, reps, complete)
+    return H2Result(h, count, Classes(build, p, h, complete), complete)
 
 
 # -- restriction, inflation, corestriction -------------------------------------

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -123,10 +125,49 @@ def _is_multiplicative(phi: np.ndarray, S: np.ndarray, T: np.ndarray, gens) -> b
     return all(np.array_equal(phi[S[:, s]], T[phi, phi[s]]) for s in gens)
 
 
-class Group:
-    """Immutable finite group given by its full multiplication table."""
+class PcPresentation(NamedTuple):
+    """A consistent power-commutator presentation of a group's table.
 
-    def __init__(self, table, generators, name: str = "", check: bool = True):
+    `rel_orders[i]` is the relative order e_i of x_i, `powers[i]` the word
+    {position: exponent} for x_i^{e_i} and `conj[(i, j)]` (i < j) the word
+    for x_i^{-1} x_j x_i, both over positions > i; a missing power word is
+    the identity, a missing conjugate x_j itself.  The table numbers the
+    normal forms x_0^{a_0} ... x_{k-1}^{a_{k-1}} in mixed radix, a_0 most
+    significant (catalog._pc_table).  Read-only: build it with `of`.
+    """
+
+    rel_orders: tuple
+    powers: Mapping
+    conj: Mapping
+
+    @classmethod
+    def of(cls, rel_orders, powers, conj) -> "PcPresentation":
+        def frozen(words):
+            return MappingProxyType({r: MappingProxyType(dict(w)) for r, w in words.items()})
+        return cls(tuple(int(e) for e in rel_orders), frozen(powers), frozen(conj))
+
+    def join(self, other: "PcPresentation") -> "PcPresentation":
+        """The presentation of the direct product, numbered as direct_product
+        numbers it: other's generators follow, and commute with, self's."""
+        k = len(self.rel_orders)
+
+        def shift(word):
+            return {pos + k: exp for pos, exp in word.items()}
+        return PcPresentation.of(
+            self.rel_orders + other.rel_orders,
+            {**self.powers, **{i + k: shift(w) for i, w in other.powers.items()}},
+            {**self.conj, **{(i + k, j + k): shift(w) for (i, j), w in other.conj.items()}})
+
+
+class Group:
+    """Immutable finite group given by its full multiplication table.
+
+    `pc` is the group's pc presentation when the library built the table
+    from one (catalog groups and their direct products), else None.
+    """
+
+    def __init__(self, table, generators, name: str = "", check: bool = True,
+                 pc: PcPresentation | None = None):
         # a table from outside is read wide and range-checked before the cast,
         # so that 65536 cannot wrap to 0; a trusted int16 table is not copied
         try:
@@ -148,6 +189,7 @@ class Group:
         self.order = int(arr.shape[0])
         self.generators = [(str(n), int(i)) for n, i in generators]
         self.name = name
+        self.pc = pc
         self._inv: np.ndarray | None = None
         self._orders: list[int] | None = None
         if check:
@@ -466,7 +508,8 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
 
 def direct_product(G1: Group, G2: Group, name: str = "") -> Group:
     """G1 x G2 on the pairs (x, y) numbered x n2 + y; a group by construction,
-    as the product of two groups."""
+    as the product of two groups.  It has a pc presentation when both
+    factors have one."""
     n1, n2 = G1.order, G2.order
     if n1 * n2 > MAX_ORDER:
         raise TooLarge(f"product order {n1 * n2} exceeds cap {MAX_ORDER}")
@@ -477,8 +520,9 @@ def direct_product(G1: Group, G2: Group, name: str = "") -> Group:
         nm = n if n not in used else n + "'"
         used.add(nm)
         gens.append((nm, i))
+    pc = G1.pc.join(G2.pc) if G1.pc is not None and G2.pc is not None else None
     return Group(T, gens, name=name or f"{G1.name or G1.order}x{G2.name or G2.order}",
-                 check=False)
+                 check=False, pc=pc)
 
 
 def pullback(G1: Group, G2: Group, f1: GroupHom, f2: GroupHom) -> tuple[Group, GroupHom, GroupHom]:

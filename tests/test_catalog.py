@@ -18,7 +18,7 @@ import pytest
 from pgal import catalog
 from pgal.catalog import build_group
 from pgal.cli import main
-from pgal.errors import NotNormal, OrderTooLarge, RelationInconsistent
+from pgal.errors import NotNormal, OrderTooLarge, RelationInconsistent, UnknownFamily
 from pgal.groups import Group, direct_product, quotient, subgroup_generated
 
 ORACLE_MAX = 128
@@ -180,12 +180,20 @@ def _oracle_cases():
             [p] * 4, {}, {(0, 1): {1: 1, 2: p - 1}, (0, 2): {2: 1, 3: p - 1}},
             [("sigma", 3), ("tau", 2), ("lambda", 1), ("mu", 0)])))
     for p in primes:
-        for n in range(0, 7):
+        for n in range(1, 7):
             for j in range(1, p ** n + 1):
                 if p ** (n + j) > ORACLE_MAX:
                     break
                 cases.append((f"MSS:p={p},n={n},j={j}", lambda p=p, n=n, j=j: _mss_formula(p, n, j)))
     return cases
+
+
+@pytest.mark.parametrize("spec", ["MSS:p=3,n=0,j=1", "MSS:p=2,n=-1,j=1"])
+def test_mss_needs_a_nontrivial_cyclic_factor(spec):
+    """At n = 0 the generator s of C_(p^n) is the identity, yet the group was
+    built and named s by m's index; C:p names that group."""
+    with pytest.raises(UnknownFamily):
+        build_group(spec)
 
 
 # The G7 presentation does not close at p = 2: collection gives a table that

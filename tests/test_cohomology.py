@@ -26,6 +26,7 @@ from pgal.cohomology import (
 )
 from pgal.errors import PreimageOrderMismatch
 from pgal.groups import (
+    Group,
     GroupHom,
     Subgroup,
     is_isomorphic,
@@ -475,6 +476,20 @@ def test_prop54_zero_cocycle_matches_split_exponent():
     assert rep["expH1"] == split_exp
 
 
+def test_a5_from_a_bare_table_keeps_its_dimensions():
+    """A table without a presentation goes through the spanning tree:
+    H^2(A5, F_p) is F_2, 0, 0 at p = 2, 3, 5 (the Schur multiplier is C_2
+    and A5 is perfect)."""
+    def even(q):
+        return sum(q[i] > q[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0
+    perms = [q for q in itertools.permutations(range(5)) if even(q)]
+    idx = {q: i for i, q in enumerate(perms)}
+    table = [[idx[tuple(b[a[k]] for k in range(5))] for b in perms] for a in perms]
+    A5 = Group.from_json({"order": 60, "table": table})
+    assert A5.pc is None
+    assert [h2_enumerate(A5, p).dimension for p in (2, 3, 5)] == [1, 0, 0]
+
+
 def test_error_paths():
     from pgal.errors import (
         BadIndexSubgroup,
@@ -532,8 +547,14 @@ def test_error_paths():
     with pytest.raises(TooLarge):
         cor_image_search(build_group("D:32"), Cocycle2(
             build_group("D:32"), 2, np.zeros((32, 32), dtype=int)))
+    # a group with a pc presentation answers while p |G| <= 4096 (C:128 was
+    # refused before); a table without one keeps the spanning tree's caps
+    assert h2_enumerate(build_group("C:128"), 2).dimension == 1
     with pytest.raises(TooLarge):
-        h2_enumerate(build_group("C:128"), 2)
+        h2_enumerate(build_group("C:1024"), 5)
+    D128 = build_group("D:128")
+    with pytest.raises(TooLarge):
+        h2_enumerate(Group(D128.np_table, D128.generators), 2)
 
 
 def test_values_that_are_not_integers_make_no_cocycle():

@@ -89,7 +89,7 @@ ROWS = {
     "KernelNotCentral": _noncentral_kernel,
     "KernelNotPrime": _kernel_gen_outside_the_kernel,
     "NotACocycle": lambda: Cocycle2(build_group("C:2"), 2, [[0, 0], [0, 1.7]]),
-    "TooLarge": lambda: h2_enumerate(build_group("C:128"), 2),
+    "TooLarge": lambda: h2_enumerate(build_group("C:1024"), 5),
     "BadIndexSubgroup": _quarter_subgroup,
     "GInH": lambda: corestrict_tate(*_d8_index2(), g=0),
     "PreimageOrderMismatch": lambda: raise_lower(

@@ -478,7 +478,7 @@ def _catalog_specs(limit):
         specs += [f"G{i}:p={p}" for i in (1, 2) if p ** 3 <= limit]
         specs += [f"G{i}:p={p}" for i in range(3, 8) if p ** 4 <= limit and (i, p) != (7, 2)]
         specs += [f"Mmod:p={p},n={n}" for n in range(3, 9) if p ** n <= limit]
-        specs += [f"MSS:p={p},n={n},j={j}" for n in range(4) for j in range(1, p ** n + 1)
+        specs += [f"MSS:p={p},n={n},j={j}" for n in range(1, 4) for j in range(1, p ** n + 1)
                   if p ** (n + j) <= limit]
     products = ["D:8*C:2", "Q:8*C:4", "C:4*C:4*C:2", "G1:p=3*C:3", "D:16*C:16", "C:6*C:2"]
     return specs + [s for s in products if build_group(s).order <= limit]

@@ -73,7 +73,7 @@ def _family_specs(limit):
         specs += [f"G{i}:p={p}" for i in (1, 2) if p ** 3 <= limit]
         specs += [f"G{i}:p={p}" for i in range(3, 8) if p ** 4 <= limit and (i, p) != (7, 2)]
         specs += [f"Mmod:p={p},n={n}" for n in range(3, 6) if p ** n <= limit]
-        specs += [f"MSS:p={p},n={n},j={j}" for n in range(4) for j in range(1, p ** n + 1)
+        specs += [f"MSS:p={p},n={n},j={j}" for n in range(1, 4) for j in range(1, p ** n + 1)
                   if p ** (n + j) <= limit]
     return specs
 

@@ -1,0 +1,220 @@
+"""H^2 from the tails of a pc presentation (cohomology.PcTails).
+
+The engine is checked against the spanning-tree engine on every catalog spec
+up to order 81, against the builder's own verdict on every tail of small
+presentations, against the numeric build of the extension class by class,
+and on known dimensions beyond the old order caps.  The bar-complex oracle
+in test_h2_engine.py stays beside these.
+"""
+
+import itertools
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pgal import catalog, cohomology
+from pgal.catalog import build_group
+from pgal.cohomology import PcTails, h2_enumerate, is_cocycle_table
+from pgal.errors import RelationInconsistent, TooLarge
+from pgal.groups import Group
+
+from test_h2_engine import PRIMES, _family_specs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _bare(G):
+    """G's table without its presentation, so that h2_enumerate takes the tree."""
+    return Group(G.np_table, G.generators, check=False)
+
+
+def _extended(G, p, t):
+    """G's presentation with a central z of order p placed last and the tails
+    t: the power tails of x_0 .. x_(k-1), then the conjugate tails of the
+    pairs i < j in lexicographic order."""
+    rel, powers, conj = G.pc
+    k = len(rel)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    pw = {i: {**powers.get(i, {}), k: int(t[i])} for i in range(k)}
+    cj = {(i, j): {**conj.get((i, j), {j: 1}), k: int(t[k + c])} for c, (i, j) in enumerate(pairs)}
+    return list(rel) + [p], pw, cj
+
+
+MIXED_PRODUCTS = [("D:8*C:3", 2), ("D:8*C:3", 3), ("Q:8*C:3", 2), ("Q:8*C:3", 3),
+                  ("C:9*C:2", 2), ("C:9*C:2", 3), ("EA:p=2,r=2*C:5", 2), ("EA:p=2,r=2*C:5", 5)]
+
+
+def test_tails_and_tree_agree_up_to_order_81():
+    cases = [(spec, p) for spec in _family_specs(81) for p in PRIMES]
+    checked = 0
+    for spec, p in cases + MIXED_PRODUCTS:
+        G = build_group(spec)
+        if (spec, p) not in MIXED_PRODUCTS and p != 2 and G.order % p:
+            continue
+        assert G.pc is not None, spec
+        try:
+            tree = h2_enumerate(_bare(G), p).dimension
+        except TooLarge:  # the tree's caps: order 81 at p = 2
+            continue
+        assert h2_enumerate(G, p).dimension == tree, (spec, p)
+        checked += 1
+    assert checked == 225
+
+
+BRUTE = [("C:8", 2), ("D:8", 2), ("Q:8", 2), ("C:4*C:2", 2), ("EA:p=2,r=3", 2), ("D:8*C:2", 2),
+         ("EA:p=2,r=4", 2), ("G3:p=2", 2), ("MSS:p=2,n=1,j=2", 2), ("G1:p=3", 3),
+         ("EA:p=3,r=2", 3), ("C:9*C:2", 3), ("C:9*C:2", 2), ("D:8*C:3", 3), ("C:25", 5)]
+
+
+@pytest.mark.parametrize("spec,p", BRUTE)
+def test_a_tail_is_consistent_exactly_when_the_builder_accepts_it(spec, p):
+    G = build_group(spec)
+    tails = PcTails(G, p)
+    assert tails.m <= 10
+    consistent = 0
+    for t in itertools.product(range(p), repeat=tails.m):
+        in_v = not (tails.eq.rows @ np.array(t) % p).any()
+        try:
+            catalog._pc_table(*_extended(G, p, t))
+            accepted = True
+        except RelationInconsistent:
+            accepted = False
+        assert in_v == accepted, (spec, p, t)
+        consistent += in_v
+    assert consistent == p ** (tails.m - tails.eq.rank)
+
+
+PROPERTY = [("D:8", 2), ("Q:16", 2), ("M:16", 2), ("G1:p=3", 3), ("Mmod:p=3,n=3", 3),
+            ("EA:p=2,r=4", 2), ("D:8*C:3", 2), ("D:8*C:3", 3), ("Q:8*C:3", 2), ("C:9*C:2", 3),
+            ("MSS:p=2,n=2,j=3", 2), ("EA:p=5,r=2", 5), ("G7:p=3", 3), ("Q:8*C:4", 2),
+            ("G4:p=3", 3)]
+_CACHE = {}
+
+
+def _solved(spec, p):
+    if (spec, p) not in _CACHE:
+        G = build_group(spec)
+        _CACHE[spec, p] = (G, PcTails(G, p), h2_enumerate(G, p))
+    return _CACHE[spec, p]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PROPERTY), st.integers(0, 2 ** 32 - 1))
+def test_a_class_is_the_factor_set_of_the_checked_extension(case, seed):
+    spec, p = case
+    G, tails, res = _solved(spec, p)
+    V = tails.eq.nullspace()
+    rng = np.random.default_rng(seed)
+    t = rng.integers(0, p, len(V)) @ V % p
+    TE = catalog._pc_table(*_extended(G, p, t)).astype(np.int64)
+    assert np.array_equal(TE[::p, ::p] // p, G.np_table)
+    assert np.array_equal(tails.cocycle(t), TE[::p, ::p] % p)
+    # a listed class is the one of the tails its index names, in
+    # itertools.product order
+    i = seed % len(res.representatives)
+    coeffs = list(itertools.product(range(p), repeat=res.dimension))[i] if res.complete \
+        else np.eye(res.dimension, dtype=np.int64)[i]
+    TE = catalog._pc_table(*_extended(G, p, np.array(coeffs) @ tails.basis % p)).astype(np.int64)
+    assert np.array_equal(res.representatives[i].values, TE[::p, ::p] % p)
+
+
+# dim H^2(G, F_p) = d(G) + d(M(G)), and Kunneth for the product (see
+# test_h2_engine.py)
+@pytest.mark.parametrize("spec,p,dim", [("D:2048", 2, 3), ("Q:2048", 2, 2), ("EA:p=2,r=8", 2, 36),
+                                        ("D:64*C:32", 2, 6)])
+def test_known_dimensions_beyond_the_old_caps(spec, p, dim):
+    G = build_group(spec)
+    res = h2_enumerate(G, p)
+    assert (res.dimension, res.class_count) == (dim, p ** dim)
+    assert is_cocycle_table(G, p, res.representatives[-1].values)
+
+
+def test_ea_3_7_has_dimension_28_but_no_extension_table():
+    """|E| = 3 * 2187 exceeds the table cap, so h2_enumerate refuses it; the
+    engine alone still gives 7 + 21."""
+    G = build_group("EA:p=3,r=7")
+    assert len(PcTails(G, 3).basis) == 28
+    with pytest.raises(TooLarge):
+        h2_enumerate(G, 3)
+
+
+def test_presentations_join_in_products_and_stay_out_of_json():
+    G = build_group("D:8*C:3")
+    assert G.pc.rel_orders == (2, 4, 3)
+    assert dict(G.pc.conj) == {(0, 1): {1: 3}}
+    assert np.array_equal(catalog._pc_table(*G.pc), G.np_table)
+    with pytest.raises(TypeError):
+        G.pc.powers[0] = {1: 1}
+    assert set(G.to_json()) == {"order", "table", "generators"}
+    assert Group.from_json(G.to_json()).pc is None
+
+
+# -- the lazy class sequence --------------------------------------------------------
+
+
+def test_classes_are_built_only_when_read(monkeypatch):
+    built = []
+    real = PcTails.cocycle
+    monkeypatch.setattr(PcTails, "cocycle", lambda self, t: built.append(1) or real(self, t))
+    res = h2_enumerate(build_group("EA:p=2,r=3"), 2)
+    reps = res.representatives
+    assert (len(reps), built) == (64, [])
+    assert np.array_equal(reps[-1].values, reps[63].values) and len(built) == 2
+    assert [f.values.tolist() for f in reps[2:6:2]] == [reps[2].values.tolist(),
+                                                         reps[4].values.tolist()]
+    with pytest.raises(IndexError):
+        reps[64]
+    with pytest.raises(TypeError):
+        reps[0] = reps[1]
+    assert not list(reps)[0].values.any()
+
+
+def test_iteration_follows_product_order_for_both_engines():
+    G = build_group("Q:8*C:2")
+    for group in (G, _bare(G)):
+        res = h2_enumerate(group, 2)
+        assert res.complete and len(res.representatives) == 32
+        reps = list(res.representatives)
+        basis = [reps[2 ** (res.dimension - 1 - d)] for d in range(res.dimension)]
+        for coeffs, f in zip(itertools.product(range(2), repeat=res.dimension), reps):
+            want = sum(c * b.values for c, b in zip(coeffs, basis)) % 2
+            assert np.array_equal(f.values, want)
+
+
+def test_a_basis_is_listed_when_the_classes_are_too_many():
+    res = h2_enumerate(build_group("EA:p=2,r=11"), 2)
+    assert (res.dimension, res.class_count, res.complete) == (66, 2 ** 66, False)
+    assert len(res.representatives) == 66
+    f = res.representatives[65]
+    assert f.values.shape == (2048, 2048) and f.values.any()
+
+
+def test_h2_cli_at_ea_2_11_is_quick_and_small():
+    code = ("import resource, sys, time\n"
+            "from pgal.cli import main\n"
+            "t0 = time.perf_counter()\n"
+            "code = main(['h2', '--group', 'EA:p=2,r=11', '--p', '2', '--json'])\n"
+            "print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+            " file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(SRC)}, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["dimension"] == 66
+    seconds, rss_kb = out.stderr.split()
+    assert float(seconds) < 5 and int(rss_kb) < 400 * 1024
+
+
+def test_tables_the_catalog_did_not_build_carry_no_presentation():
+    G = build_group("D:16")
+    tables = [cohomology.subgroups_of_index2(G)[0].as_group(),
+              cohomology.quotient(G, G.center())[0],
+              Group.from_json(G.to_json()),
+              cohomology.extension_of_cocycle(h2_enumerate(G, 2).representatives[1]).extension]
+    assert all(T.pc is None for T in tables)

@@ -336,6 +336,33 @@ def test_factor_results_are_memoised_in_a_bounded_cache(monkeypatch):
     assert _factor_cached.cache_info().currsize == size
 
 
+def test_a_failed_factorisation_runs_rho_once_per_request(monkeypatch, capsys):
+    """N, a product of two 50-bit primes, defeats rho at bound 100.  The
+    request meets it in normalize and in relevant_places; failures are
+    memoised apart from the results cache, so rho runs on N once."""
+    from pgal import arith
+    from pgal.cli import main
+    from pgal.errors import FactorizationFailed
+
+    monkeypatch.setenv("PGAL_FACTOR_BOUND", "100")
+    monkeypatch.setattr(arith, "_FAILED", {})
+    calls, real = [], arith._brent_rho
+    monkeypatch.setattr(arith, "_brent_rho",
+                        lambda m, max_steps: calls.append(m) or real(m, max_steps))
+    N = 844424930132057 * 1266637395197957
+    assert main(["symbol", "eval", "--p", "2", "--expr", f"({N},3)", "--json"]) == 0
+    assert f"(3,{N})" in capsys.readouterr().out
+    assert calls == [N]
+    with pytest.raises(FactorizationFailed, match=f"could not split composite {N}"):
+        arith.factor(-N)
+    assert calls == [N]
+    for bound in range(2, 302):  # the memo is bounded
+        monkeypatch.setenv("PGAL_FACTOR_BOUND", str(bound))
+        with pytest.raises(FactorizationFailed):
+            arith.factor(0)
+    assert len(arith._FAILED) == arith._FAILED_MAX == 256
+
+
 def test_factor_tests_each_cofactor_for_primality_once(monkeypatch):
     from pgal import arith
 
