@@ -14,7 +14,7 @@ from math import lcm
 
 import numpy as np
 
-from .catalog import cyclic, generator_indices
+from .catalog import _pc_group, cyclic, generator_indices
 from .errors import (
     BadIndexSubgroup,
     BadParams,
@@ -36,11 +36,14 @@ from .groups import (
     Subgroup,
     cayley_tree,
     integer_array,
+    is_p_group,
     path_counts,
     quotient,
+    read_pc,
     row_blocks,
     subgroup_generated,
     subgroups_of_index2,
+    sylow_subgroup,
 )
 from .linalg import GFMatrix
 from .arith import is_prime
@@ -78,7 +81,13 @@ def is_cocycle_table(group: Group, p: int, values) -> bool:
 
 
 class Cocycle2:
-    """Normalized 2-cocycle on `group` with values in Z/p."""
+    """Normalized 2-cocycle on `group` with values in Z/p.
+
+    Values from outside are checked exactly and reduced mod p.  The library's
+    own constructions pass check=False with integer values already reduced
+    into [0, p); those are taken as int64 as they are, and an int64 array is
+    not copied but made read-only.
+    """
 
     def __init__(self, group: Group, p: int, values, check: bool = True):
         _check_prime(p)
@@ -86,7 +95,7 @@ class Cocycle2:
             raise NotACocycle("table violates normalization or the cocycle identity")
         self.group = group
         self.p = int(p)
-        self.values = integer_array(values, self.p)
+        self.values = integer_array(values, self.p) if check else np.asarray(values, dtype=np.int64)
         self.values.setflags(write=False)
 
     def __call__(self, x: int, y: int) -> int:
@@ -190,19 +199,22 @@ def extension_of_cocycle(f: Cocycle2) -> ExtensionClass:
     return ExtensionClass(f, E, proj, n)
 
 
-# -- the spanning-tree engine ---------------------------------------------------
+# -- coboundaries on a spanning tree ---------------------------------------------
 
 
 class CoboundarySpace:
-    """Cocycles and coboundaries on (group, p) through a spanning tree of the Cayley graph.
+    """Cocycles modulo coboundaries on (group, p) through a spanning tree of the Cayley graph.
 
     The non-tree edges (y, s_i) of groups.cayley_tree, N = n(k-1)+1 of them, are
     the coordinates of a cocycle that vanishes on the tree edges.  Every
-    normalized cocycle is cohomologous to one that does, and two such differ
-    by a coboundary exactly when they differ by a combination of the k
+    normalized cocycle f is cohomologous to one that does, f - delta(w) for
+    the w built along the tree (`normalise`), and two such differ by a
+    coboundary exactly when they differ by a combination of the k
     coboundaries delta(phi_i) that vanish on the tree; phi_i(y) counts the
     uses of s_i on the tree path to y (Handbook of Computational Group
-    Theory, 7.6).  delta(g)(x, y) = g(x) + g(y) - g(xy).
+    Theory, 7.6).  delta(g)(x, y) = g(x) + g(y) - g(xy).  That gives the
+    coboundary witness and the rank of classes in H^2 (h2_enumerate's
+    Sylow step).
     """
 
     def __init__(self, group: Group, p: int):
@@ -215,8 +227,6 @@ class CoboundarySpace:
         on_tree[self.parent[1:], self.slot[1:]] = True
         self.edge_y, self.edge_slot = np.nonzero(~on_tree)
         self.N = len(self.edge_y)
-        self.edge = np.full(on_tree.shape, -1, dtype=np.int64)  # -1 on tree edges
-        self.edge[self.edge_y, self.edge_slot] = np.arange(self.N)
         self.edge_z = T[self.edge_y, self.gens[self.edge_slot]]
 
     def tree_additive(self) -> tuple[np.ndarray, np.ndarray]:
@@ -225,37 +235,27 @@ class CoboundarySpace:
         own = np.eye(len(self.gens), dtype=np.int64)[self.edge_slot]
         return phi, ((phi[self.edge_y] + own - phi[self.edge_z]) % self.p).T
 
-    def along_tree(self, rows, U) -> np.ndarray:
-        """f(x, y) for x in `rows` and all y, for each row u of U giving f on the non-tree edges.
-
-        From f(x, 1) = 0 and, on the tree edge (u, s) to y = us, where
-        f(u, s) = 0: f(x, y) = f(x, u) + f(xu, s).  Shape (rows, n, len(U)).
-        """
-        U = np.asarray(U, dtype=np.int64)
-        V = np.vstack([U.T, np.zeros(len(U), dtype=np.int64)])[self.edge]
-        T = self.group.np_table
-        F = np.zeros((len(rows), self.group.order, len(U)), dtype=np.int64)
-        for lv in self.levels[1:]:
-            u = self.parent[lv]
-            F[:, lv] = F[:, u] + V[T[np.ix_(rows, u)], self.slot[lv]]
-        return F
-
-    def witness(self, values):
-        """A 1-cochain w with delta(w) = values, as a list, or None if there is none.
-
-        w is first built along the tree so that f - delta(w) vanishes on the
-        tree edges; its values v on the other edges must then be a
-        combination of the delta(phi_i).  The witness is checked against the
-        full table before it is returned.
-        """
-        p, N, T = self.p, self.N, self.group.np_table
-        F = integer_array(values, p)
+    def normalise(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(w, v) for a normalized cochain F (int64): the 1-cochain w built
+        along the tree so that F - delta(w) vanishes on the tree edges, and
+        the values v of F - delta(w) on the non-tree edges, mod p."""
         w = np.zeros(self.group.order, dtype=np.int64)
         for lv in self.levels[1:]:
             u, s = self.parent[lv], self.gens[self.slot[lv]]
             w[lv] = w[u] + w[s] - F[u, s]
         y, s = self.edge_y, self.gens[self.edge_slot]
-        v = (F[y, s] - w[y] - w[s] + w[T[y, s]]) % p
+        return w, (F[y, s] - w[y] - w[s] + w[self.edge_z]) % self.p
+
+    def witness(self, values):
+        """A 1-cochain w with delta(w) = values, as a list, or None if there is none.
+
+        After `normalise`, the values v on the non-tree edges must be a
+        combination of the delta(phi_i).  The witness is checked against the
+        full table before it is returned.
+        """
+        p, N, T = self.p, self.N, self.group.np_table
+        F = integer_array(values, p)
+        w, v = self.normalise(F)
         if v.any():
             phi, dphi = self.tree_additive()
             k = len(self.gens)
@@ -479,58 +479,64 @@ class H2Result:
 
 
 def h2_enumerate(group: Group, p: int, max_reps: int = 4096) -> H2Result:
-    """Dimension of H^2(G, mu_p) and class representatives.
+    """Dimension of H^2(G, mu_p) and class representatives, for p |G| <= MAX_ORDER.
 
-    A group with a pc presentation (catalog groups and their products) goes
-    through PcTails, for any p with p |G| <= MAX_ORDER.  Any other table
-    goes through the spanning tree, under the caps below: the cocycles that
-    vanish on the tree edges (CoboundarySpace) are the u with
-    f(x, y) + f(xy, s) - f(y, s) - f(x, ys) = 0 for each non-tree edge
-    (y, s) and each generator x, f = along_tree(u).  In Schreier's terms u is
-    a map on the relators y s (ys)^-1 that conjugation by x must fix, and
-    the generators x suffice for that; the identity on the tree edges holds
-    by construction, and the closure argument of Light's test covers every
-    last argument.  Then dim H^2 = dim Z_tree - rank{delta(phi_i)}.
+    One solve, PcTails, serves every table.  A group with a pc presentation
+    (catalog groups and their products) uses its own; any other q-group
+    table has one read off it (groups.read_pc), and its classes move back
+    to G's numbering through the bijection L.  Any other group goes through
+    a Sylow p-subgroup P: cor res = [G : P] is a unit mod p, so cor maps
+    H^2(P) onto H^2(G) (Brown, Cohomology of Groups, III.10), and the cor of
+    a basis of H^2(P) that raise the rank in the tree coordinates of
+    CoboundarySpace, against the k rows delta(phi_i), are a basis of H^2(G).
 
     The representatives list all p^dim classes when that count is at most
     max_reps, and otherwise a basis; either way a class is built when read.
     """
     _check_prime(p)
-    n = group.order
-    if p * n > MAX_ORDER:
+    if p * group.order > MAX_ORDER:
         raise TooLarge("extension group would exceed the table cap")
-    if group.pc is not None:
-        tails = PcTails(group, p)
-        basis = tails.basis
-
-        def build(c):
-            return Cocycle2(group, p, tails.cocycle(c @ basis), check=False)
-    elif n == 1:  # a bare trivial table: no tree edges
-        basis = np.zeros((0, 0), dtype=np.int64)
-
-        def build(c):
-            return Cocycle2(group, p, np.zeros((1, 1), dtype=np.int64), check=False)
+    if group.pc is not None or is_p_group(group) is not None:
+        h, build = _pc_classes(group, p)
     else:
-        if (p == 2 and n > 64) or (p == 3 and n > 81) or (p > 3 and (n - 1) ** 2 > 6400):
-            raise TooLarge(f"H^2 linear algebra not supported at order {n} for p={p}")
-        cob = CoboundarySpace(group, p)
-        N, T, xs, Y = cob.N, group.np_table, cob.gens, cob.edge_y
-        L = cob.along_tree(xs, np.eye(N, dtype=np.int64))
-        e = np.eye(N + 1, N, dtype=np.int64)[cob.edge[T[np.ix_(xs, Y)], cob.edge_slot]]
-        eq = GFMatrix(N, p)
-        eq.add_rows((L[:, Y] + e - L[:, cob.edge_z] - np.eye(N, dtype=np.int64)).reshape(-1, N) % p)
-        comp = GFMatrix(N, p)
-        comp.add_rows(cob.tree_additive()[1])
-        kept = [v for v in eq.nullspace() if comp.add_rows(v[None])]
-        basis = np.array(kept, dtype=np.int64).reshape(len(kept), N)
-        tables = cob.along_tree(np.arange(n), basis) % p
-
-        def build(c):
-            return Cocycle2(group, p, tables @ c % p, check=False)
-    h = len(basis)
+        h, build = _sylow_classes(group, p)
     count = p ** h
     complete = count <= max_reps
     return H2Result(h, count, Classes(build, p, h, complete), complete)
+
+
+def _pc_classes(group: Group, p: int):
+    """dim H^2 and the class of a coefficient vector, by PcTails on the
+    group's presentation or on one read off its table."""
+    if group.pc is not None:
+        tails, back = PcTails(group, p), None
+    else:
+        pc, L = read_pc(group)
+        tails = PcTails(_pc_group(*pc, [], f"pc({group.name or group.order})"), p)
+        back = np.argsort(L)  # L^-1
+    basis = tails.basis
+
+    def build(c):
+        f = tails.cocycle(c @ basis)
+        return Cocycle2(group, p, f if back is None else f[np.ix_(back, back)], check=False)
+    return len(basis), build
+
+
+def _sylow_classes(group: Group, p: int):
+    """dim H^2 and the class of a coefficient vector, by corestriction from
+    a Sylow p-subgroup (see h2_enumerate)."""
+    P = sylow_subgroup(group, p)
+    dim_p, build_p = _pc_classes(P.as_group(), p)
+    cob = CoboundarySpace(group, p)
+    rank = GFMatrix(cob.N, p)
+    rank.add_rows(cob.tree_additive()[1])
+    kept = [e for e in np.eye(dim_p, dtype=np.int64)
+            if rank.add_rows(cob.normalise(corestrict(build_p(e), P).values)[1][None])]
+    basis = np.array(kept, dtype=np.int64).reshape(len(kept), dim_p)
+
+    def build(c):
+        return corestrict(build_p(c @ basis % p), P)
+    return len(basis), build
 
 
 # -- restriction, inflation, corestriction -------------------------------------
@@ -554,47 +560,64 @@ def inflate(f: Cocycle2, proj: GroupHom) -> Cocycle2:
     return Cocycle2(proj.source, f.p, vals, check=False)
 
 
-def corestrict_tate(fbar: Cocycle2, H: Subgroup, g: int | None = None) -> Cocycle2:
-    """Quadratic corestriction by the four-case transfer formula (p = 2)."""
-    if fbar.p != 2:
-        raise PrimeMismatch("the transfer formula is implemented for p = 2 only")
-    if H.index() != 2:
-        raise BadIndexSubgroup(f"subgroup has index {H.index()}, need 2")
-    G = H.parent
+def corestrict(fbar: Cocycle2, H: Subgroup, transversal=None) -> Cocycle2:
+    """Corestriction from H to G = H.parent, by the transfer on inhomogeneous 2-cochains.
+
+    Take a right transversal R of H in G (by default the least element of
+    each right coset Hx) and write t g = h(t, g) bar(t g), with bar(t g) in R
+    and h(t, g) in H.  Then
+
+        cor(f)(g1, g2) = sum over t in R of f(h(t, g1), h(bar(t g1), g2))
+
+    (Brown, Cohomology of Groups, III.9).  Two |R| x n gathers give h and
+    bar on R, and then each t one gather of n^2 entries, in row blocks.  The
+    corestriction of a cocycle is a cocycle, so the output is not checked
+    again.
+    """
     Hgrp = H.as_group()
     if fbar.group is not Hgrp and not (
         fbar.group.order == Hgrp.order
         and np.array_equal(fbar.group.np_table, Hgrp.np_table)
     ):
         raise BadIndexSubgroup("cocycle is not indexed by this subgroup")
-    loc = H.pos
-    inH = loc >= 0
+    G, p = H.parent, fbar.p
+    n, T, inv = G.order, G.np_table, G.inverses()
+    els = np.array(H.elements, dtype=np.int64)
+    if transversal is None:
+        R = np.flatnonzero(T[els].min(axis=0) == np.arange(n))  # x = min Hx
+    else:
+        R = np.asarray(transversal, dtype=np.int64)
+        if R.size and (R.min() < 0 or R.max() >= n):
+            raise BadIndexSubgroup(f"transversal elements must lie in 0..{n - 1}")
+    cosets = T[np.ix_(els, R)]  # column i is H R[i]
+    if len(R) * H.order != n or (np.bincount(cosets.ravel(), minlength=n) != 1).any():
+        raise BadIndexSubgroup("not a right transversal of the subgroup")
+    bar = np.empty(n, dtype=np.int64)
+    bar[cosets] = np.arange(len(R))
+    tg = T[R]
+    nxt = bar[tg]  # bar(t g), by its place in R
+    h = H.pos[T[tg, inv[R[nxt]]]]  # h(t, g) = t g bar(t g)^-1, numbered in H
+    F = fbar.values
+    out = np.zeros((n, n), dtype=np.int64)
+    for rows in row_blocks(n):
+        for i in range(len(R)):
+            out[rows] += F[h[i, rows][:, None], h[nxt[i, rows]]]
+    out %= p
+    return Cocycle2(G, p, out, check=False)
+
+
+def corestrict_tate(fbar: Cocycle2, H: Subgroup, g: int | None = None) -> Cocycle2:
+    """Quadratic corestriction (p = 2, index 2): corestrict with the
+    transversal {1, g}, g the least element outside H by default."""
+    if fbar.p != 2:
+        raise PrimeMismatch("the transfer formula is implemented for p = 2 only")
+    if H.index() != 2:
+        raise BadIndexSubgroup(f"subgroup has index {H.index()}, need 2")
     if g is None:
-        g = int(np.argmin(inH))
+        g = int(np.argmin(H.pos >= 0))
     if g in H:
         raise GInH(f"element {g} lies in the subgroup")
-    n = G.order
-    T = G.np_table
-    inv_g = G.inv(g)
-    xs = np.arange(n)
-    A = T[xs, inv_g]          # x g^-1
-    B = T[g, xs]              # g x
-    Cc = T[B, inv_g]          # g x g^-1
-    fb = fbar.values
-    lx, lAx, lBx, lCx = loc[xs], loc[A], loc[B], loc[Cc]
-    right_in = np.where(inH, lx, lAx)      # l[y] / l[A y]
-    right_out = np.where(inH, lCx, lBx)    # l[C y] / l[B y]
-    t1 = np.where(
-        inH[:, None],
-        fb[lx[:, None], right_in[None, :]],
-        fb[lAx[:, None], right_out[None, :]],
-    )
-    t2 = np.where(
-        inH[:, None],
-        fb[lCx[:, None], right_out[None, :]],
-        fb[lBx[:, None], right_in[None, :]],
-    )
-    return Cocycle2(G, 2, (t1 + t2) % 2)
+    return corestrict(fbar, H, [0, g])
 
 
 # -- the raise/lower companion construction ------------------------------------

@@ -574,22 +574,104 @@ def is_p_group(G: Group) -> int | None:
     return primes[0] if len(primes) == 1 else None
 
 
-def frattini_style_subgroup(G: Group, p: int) -> Subgroup:
-    """[G,G] G^p, the kernel of the maximal exponent-p abelian quotient.
+def _central_step(G: Group, els: np.ndarray, gens, p: int) -> Subgroup:
+    """[P, G] P^p for the normal subgroup P with elements els, gens generating G.
 
-    It is generated by the x^p and the [x, s], for all x and each named
-    generator s, and that subgroup N is already normal: conjugates of x^p
-    are p-th powers, and y^-1 [x,s] y = [xy,s] [y,s]^-1.  In G/N each s then
-    commutes with everything, so G/N is abelian, of exponent p.
+    It is generated by the x^p and the [x, s] = x^-1 x^s, for x in P and
+    each s in gens, and that subgroup N is already normal: for y in N, which
+    lies in P, y^s = y [y, s] lies in N.  In G/N each s then centralises
+    PN/N, so [P, G] lies in N.
     """
     T, inv = G.np_table, G.inverses()
-    xs = np.arange(G.order)
-    seeds = [G._powers(xs, np.full(G.order, p))]
-    for _, s in G.generators:
-        seeds.append(T[T[inv, inv[s]], T[:, s]])  # x^-1 s^-1 . x s
+    seeds = [G._powers(els, np.full(len(els), p))]
+    for s in gens:
+        seeds.append(T[T[inv[els], inv[s]], T[els, s]])  # x^-1 s^-1 . x s
     # each seed once, in increasing order, without np.unique (which imports numpy.ma)
     return subgroup_generated(
         G, np.flatnonzero(np.bincount(np.concatenate(seeds), minlength=G.order)).tolist())
+
+
+def frattini_style_subgroup(G: Group, p: int) -> Subgroup:
+    """[G,G] G^p, the kernel of the maximal exponent-p abelian quotient:
+    G/N is abelian, of exponent p, for N = [G, G] G^p (_central_step)."""
+    return _central_step(G, np.arange(G.order), [s for _, s in G.generators], p)
+
+
+def read_pc(G: Group) -> tuple[PcPresentation, np.ndarray]:
+    """A pc presentation of the q-group G read off its table, and the
+    bijection L from its numbering to G's: L[i] is the element whose normal
+    form x_0^(a_0) ... x_(k-1)^(a_(k-1)) the mixed-radix digits of i give.
+
+    The layers of the q-central series P_0 = G, P_(i+1) = [P_i, G] P_i^q
+    (_central_step) are elementary abelian and central in G/P_(i+1).  Each
+    layer's generators are picked greedily: the least element of P_i outside
+    the span of P_(i+1) and the generators picked before it.  Taken layer by
+    layer they are x_0 .. x_(k-1), and each G_j = <x_j, ..., x_(k-1)> is
+    normal in G, of index q in G_(j-1) (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, 8.2-8.3), so every relative order is
+    q.  The power word of x_i and the conjugate word of x_j under x_i are
+    the digits of L^-1 at x_i^q and at x_i^-1 x_j x_i; the series is
+    central, so the latter lies in x_j G_(j+1), over positions >= j.
+    Checked exactly: catalog._pc_table rebuilds G's table under L.
+    """
+    from .catalog import _pc_table  # catalog imports this module
+
+    q = is_p_group(G)
+    if q is None:
+        raise NotPGroup(f"|G| = {G.order} is not a prime power")
+    n, T = G.order, G.np_table
+    gens = cayley_tree(T, [s for _, s in G.generators])[0]
+    layer = np.arange(q)
+    xs, P = [], np.arange(n)
+    while len(P) > 1:
+        below = _central_step(G, P, gens, q)
+        span = below.pos >= 0
+        for x in P.tolist():
+            if not span[x]:  # span <x> S = the x^a S, a < q, as x^q lies in S
+                xs.append(x)
+                span[T[np.ix_(G._powers(np.full(q, x), layer), np.flatnonzero(span))]] = True
+        P = np.array(below.elements, dtype=np.int64)
+    k = len(xs)
+    L = np.zeros(1, dtype=np.int64)
+    for x in reversed(xs):
+        L = T[G._powers(np.full(q, x), layer)[:, None], L[None, :]].ravel().astype(np.int64)
+    L_inv = np.empty(n, dtype=np.int64)
+    L_inv[L] = np.arange(n)
+    place = q ** np.arange(k - 1, -1, -1)
+
+    def word(y) -> dict:
+        return {pos: int(a) for pos, a in enumerate(L_inv[y] // place % q) if a}
+
+    inv = G.inverses()
+    pc = PcPresentation.of(
+        [q] * k, {i: word(G.power(x, q)) for i, x in enumerate(xs)},
+        {(i, j): word(T[T[inv[xs[i]], xs[j]], xs[i]]) for i in range(k) for j in range(i + 1, k)})
+    if not np.array_equal(_pc_table(*pc), L_inv[T[np.ix_(L, L)]]):
+        raise RelationInconsistent("the read presentation does not rebuild the table")
+    return pc, L
+
+
+def sylow_subgroup(G: Group, p: int) -> Subgroup:
+    """A Sylow p-subgroup, grown from the trivial one.
+
+    A p-subgroup H that is not Sylow has a p-element of N_G(H) outside H,
+    since p divides [N_G(H) : H] (Sylow's theorems), and then H<g> is again
+    a p-group: H is normal in it, with a cyclic quotient of p-power order.
+    The least such g is added each time; g normalises H when it conjugates
+    each added generator into H.
+    """
+    n, T, inv = G.order, G.np_table, G.inverses()
+    full = p ** next(e for e in range(n.bit_length(), -1, -1) if n % p ** e == 0)
+    p_element = full % np.array(G.element_orders()) == 0
+    H, hgens = trivial_subgroup(G), []
+    while H.order < full:
+        inside = H.pos >= 0
+        normalises = p_element & ~inside
+        for h in hgens:
+            normalises &= inside[T[T[:, h], inv]]  # g h g^-1
+        hgens.append(int(np.flatnonzero(normalises)[0]))
+        H = subgroup_generated(G, hgens)
+    return H
 
 
 def min_generators(G: Group) -> int:

@@ -1,0 +1,132 @@
+"""Reference implementations the library replaced, kept as test oracles.
+
+- `tree_h2_dim`: the spanning-tree H^2 solve that served tables without a
+  pc presentation, under its old order caps;
+- `corestrict_four_case`: the four-case transfer formula at index 2 and
+  p = 2;
+- `bar_complex_h2_dim`: the normalized bar complex, in (n-1)^2 unknowns;
+- `family_specs` and `PRIMES`: the catalog specs and primes the comparisons
+  run over.
+"""
+
+import numpy as np
+
+from pgal.cohomology import CoboundarySpace, Cocycle2
+from pgal.errors import TooLarge
+from pgal.groups import MAX_ORDER
+from pgal.linalg import GFMatrix
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def family_specs(limit):
+    """Catalog family specs of order at most `limit`: every family, with the
+    parameter ranges the comparisons were first written for (EA up to rank
+    4, Mmod up to n = 5, MSS up to n = 3, the 2-power families up to 64)."""
+    specs = [f"C:{n}" for n in range(1, limit + 1)]
+    for fam, smallest in (("D", 8), ("Q", 8), ("SD", 16), ("M", 16)):
+        specs += [f"{fam}:{o}" for o in (8, 16, 32, 64) if smallest <= o <= limit]
+    for p in PRIMES:
+        specs += [f"EA:p={p},r={r}" for r in range(5) if p ** r <= limit]
+        specs += [f"G{i}:p={p}" for i in (1, 2) if p ** 3 <= limit]
+        specs += [f"G{i}:p={p}" for i in range(3, 8) if p ** 4 <= limit and (i, p) != (7, 2)]
+        specs += [f"Mmod:p={p},n={n}" for n in range(3, 6) if p ** n <= limit]
+        specs += [f"MSS:p={p},n={n},j={j}" for n in range(1, 4) for j in range(1, p ** n + 1)
+                  if p ** (n + j) <= limit]
+    return specs
+
+
+def tree_h2_dim(G, p):
+    """dim H^2(G, F_p) by the spanning-tree solve, TooLarge beyond its caps.
+
+    The cocycles that vanish on the tree edges of CoboundarySpace are the u
+    on the N non-tree edges with f(x, y) + f(xy, s) - f(y, s) - f(x, ys) = 0
+    for each non-tree edge (y, s) and each kept generator x, f built from u
+    along the tree; then dim H^2 = dim Z_tree - rank{delta(phi_i)}.
+    """
+    n = G.order
+    if p * n > MAX_ORDER:
+        raise TooLarge("extension group would exceed the table cap")
+    if n == 1:
+        return 0
+    if (p == 2 and n > 64) or (p == 3 and n > 81) or (p > 3 and (n - 1) ** 2 > 6400):
+        raise TooLarge(f"H^2 linear algebra not supported at order {n} for p={p}")
+    cob = CoboundarySpace(G, p)
+    N, T, xs, Y = cob.N, G.np_table, cob.gens, cob.edge_y
+    edge = np.full((n, len(xs)), -1, dtype=np.int64)  # -1 on tree edges
+    edge[Y, cob.edge_slot] = np.arange(N)
+    # f(x, y) for each kept generator x, all y and each unit vector u: from
+    # f(x, 1) = 0 and, on the tree edge (u, s) to y = us, f(x, y) = f(x, u) + f(xu, s)
+    V = np.vstack([np.eye(N, dtype=np.int64), np.zeros(N, dtype=np.int64)])[edge]
+    L = np.zeros((len(xs), n, N), dtype=np.int64)
+    for lv in cob.levels[1:]:
+        u = cob.parent[lv]
+        L[:, lv] = L[:, u] + V[T[np.ix_(xs, u)], cob.slot[lv]]
+    e = np.eye(N + 1, N, dtype=np.int64)[edge[T[np.ix_(xs, Y)], cob.edge_slot]]
+    eq = GFMatrix(N, p)
+    eq.add_rows((L[:, Y] + e - L[:, cob.edge_z] - np.eye(N, dtype=np.int64)).reshape(-1, N) % p)
+    comp = GFMatrix(N, p)
+    comp.add_rows(cob.tree_additive()[1])
+    return sum(1 for v in eq.nullspace() if comp.add_rows(v[None]))
+
+
+def corestrict_four_case(fbar, H, g):
+    """Corestriction at index 2 and p = 2 by the four-case transfer formula,
+    for g outside H."""
+    G = H.parent
+    loc = H.pos
+    inH = loc >= 0
+    n = G.order
+    T = G.np_table
+    inv_g = G.inv(g)
+    xs = np.arange(n)
+    A = T[xs, inv_g]          # x g^-1
+    B = T[g, xs]              # g x
+    Cc = T[B, inv_g]          # g x g^-1
+    fb = fbar.values
+    lx, lAx, lBx, lCx = loc[xs], loc[A], loc[B], loc[Cc]
+    right_in = np.where(inH, lx, lAx)      # l[y] / l[A y]
+    right_out = np.where(inH, lCx, lBx)    # l[C y] / l[B y]
+    t1 = np.where(
+        inH[:, None],
+        fb[lx[:, None], right_in[None, :]],
+        fb[lAx[:, None], right_out[None, :]],
+    )
+    t2 = np.where(
+        inH[:, None],
+        fb[lCx[:, None], right_out[None, :]],
+        fb[lBx[:, None], right_in[None, :]],
+    )
+    return Cocycle2(G, 2, (t1 + t2) % 2)
+
+
+def bar_complex_h2_dim(G, p):
+    """dim Z^2 - dim B^2 over the normalized bar complex."""
+    n = G.order
+    if n == 1:
+        return 0
+    C = (n - 1) * (n - 1)
+    T = G.np_table
+    Z = GFMatrix(C, p)
+    ys = np.arange(1, n)
+    for x in range(1, n):
+        Y = np.repeat(ys, n - 1)
+        W = np.tile(ys, n - 1)
+        rows = np.arange(len(Y))
+        B = np.zeros((len(Y), C), dtype=np.int64)
+        np.add.at(B, (rows, (x - 1) * (n - 1) + Y - 1), 1)
+        xy, yw = T[x, Y], T[Y, W]
+        m = xy != 0
+        np.add.at(B, (rows[m], (xy[m] - 1) * (n - 1) + W[m] - 1), 1)
+        np.add.at(B, (rows, (Y - 1) * (n - 1) + W - 1), -1)
+        m = yw != 0
+        np.add.at(B, (rows[m], (x - 1) * (n - 1) + yw[m] - 1), -1)
+        Z.add_rows(B % p)
+    cob = GFMatrix(C, p)
+    for a in range(1, n):
+        d = np.zeros((n, n), dtype=np.int64)
+        d[a, :] += 1
+        d[:, a] += 1
+        d -= T == a
+        cob.add_rows(d[1:, 1:].reshape(1, C) % p)
+    return C - Z.rank - cob.rank

@@ -231,6 +231,10 @@ def test_human_output_default(capsys):
     (["cor", "--group", "D:8", "--subgroup", "0,1,2", "--cocycle", "{dir}/c.json"],
      {"c.json": '{"p": 2, "group": "C:4", "values": [[0, 0], [0, 0]]}'}, "RelationInconsistent",
      "not closed"),
+    # a coset representative out of range used to end in an IndexError traceback
+    (["cor", "--group", "D:8", "--subgroup", "0,2,4,6", "--cocycle", "{dir}/c.json", "--g", "99"],
+     {"c.json": '{"p": 2, "group": "C:4", "values": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],'
+                ' [0, 0, 0, 0]]}'}, "BadIndexSubgroup", "0..7"),
 ])
 def test_bad_input_gives_the_error_document(tmp_path, capsys, argv, files, code, named):
     for name, text in files.items():

@@ -477,7 +477,7 @@ def test_prop54_zero_cocycle_matches_split_exponent():
 
 
 def test_a5_from_a_bare_table_keeps_its_dimensions():
-    """A table without a presentation goes through the spanning tree:
+    """A table that is not a p-group goes through a Sylow subgroup:
     H^2(A5, F_p) is F_2, 0, 0 at p = 2, 3, 5 (the Schur multiplier is C_2
     and A5 is perfect)."""
     def even(q):
@@ -547,14 +547,17 @@ def test_error_paths():
     with pytest.raises(TooLarge):
         cor_image_search(build_group("D:32"), Cocycle2(
             build_group("D:32"), 2, np.zeros((32, 32), dtype=int)))
-    # a group with a pc presentation answers while p |G| <= 4096 (C:128 was
-    # refused before); a table without one keeps the spanning tree's caps
+    # every table answers while p |G| <= 4096: C:128 through its
+    # presentation, and a bare D:128 (refused by the spanning tree's caps
+    # before) through one read off its table
     assert h2_enumerate(build_group("C:128"), 2).dimension == 1
     with pytest.raises(TooLarge):
         h2_enumerate(build_group("C:1024"), 5)
     D128 = build_group("D:128")
+    assert h2_enumerate(Group(D128.np_table, D128.generators), 2).dimension == 3
+    C1024 = build_group("C:1024")
     with pytest.raises(TooLarge):
-        h2_enumerate(Group(D128.np_table, D128.generators), 2)
+        h2_enumerate(Group(C1024.np_table, C1024.generators), 5)
 
 
 def test_values_that_are_not_integers_make_no_cocycle():

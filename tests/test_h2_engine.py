@@ -1,11 +1,11 @@
-"""The spanning-tree H^2 engine against the bar complex, known dimensions and properties.
+"""h2_enumerate against the bar complex, known dimensions and properties.
 
-The reference oracle below is the solver the engine replaced: the cocycle
-identity on every triple of the bar complex, in (n-1)^2 unknowns, and the
-span of all n-1 coboundaries.  It costs seconds from order 27 up, so it is
-compared on every catalog group of order at most 16 and on the order-27
-groups; larger groups are checked against dim H^2(G, F_p) = d(G) + d(M(G))
-and the Kunneth formula.
+The reference oracle (oracles.bar_complex_h2_dim) is the first solver the
+engine replaced: the cocycle identity on every triple of the bar complex, in
+(n-1)^2 unknowns, and the span of all n-1 coboundaries.  It costs seconds
+from order 27 up, so it is compared on every catalog group of order at most
+16 and on the order-27 groups; larger groups are checked against
+dim H^2(G, F_p) = d(G) + d(M(G)) and the Kunneth formula.
 """
 
 import itertools
@@ -28,59 +28,12 @@ from pgal.errors import BadParams, NotACocycle, TooLarge
 from pgal.groups import Group
 from pgal.linalg import GFMatrix
 
-PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-def _bar_complex_h2_dim(G, p):
-    """dim Z^2 - dim B^2 over the normalized bar complex (the replaced solver)."""
-    n = G.order
-    if n == 1:
-        return 0
-    C = (n - 1) * (n - 1)
-    T = G.np_table
-    Z = GFMatrix(C, p)
-    ys = np.arange(1, n)
-    for x in range(1, n):
-        Y = np.repeat(ys, n - 1)
-        W = np.tile(ys, n - 1)
-        rows = np.arange(len(Y))
-        B = np.zeros((len(Y), C), dtype=np.int64)
-        np.add.at(B, (rows, (x - 1) * (n - 1) + Y - 1), 1)
-        xy, yw = T[x, Y], T[Y, W]
-        m = xy != 0
-        np.add.at(B, (rows[m], (xy[m] - 1) * (n - 1) + W[m] - 1), 1)
-        np.add.at(B, (rows, (Y - 1) * (n - 1) + W - 1), -1)
-        m = yw != 0
-        np.add.at(B, (rows[m], (x - 1) * (n - 1) + yw[m] - 1), -1)
-        Z.add_rows(B % p)
-    cob = GFMatrix(C, p)
-    for a in range(1, n):
-        d = np.zeros((n, n), dtype=np.int64)
-        d[a, :] += 1
-        d[:, a] += 1
-        d -= T == a
-        cob.add_rows(d[1:, 1:].reshape(1, C) % p)
-    return C - Z.rank - cob.rank
-
-
-def _family_specs(limit):
-    """Every catalog family spec of order at most `limit`."""
-    specs = [f"C:{n}" for n in range(1, limit + 1)]
-    for fam, smallest in (("D", 8), ("Q", 8), ("SD", 16), ("M", 16)):
-        specs += [f"{fam}:{o}" for o in (8, 16, 32, 64) if smallest <= o <= limit]
-    for p in PRIMES:
-        specs += [f"EA:p={p},r={r}" for r in range(5) if p ** r <= limit]
-        specs += [f"G{i}:p={p}" for i in (1, 2) if p ** 3 <= limit]
-        specs += [f"G{i}:p={p}" for i in range(3, 8) if p ** 4 <= limit and (i, p) != (7, 2)]
-        specs += [f"Mmod:p={p},n={n}" for n in range(3, 6) if p ** n <= limit]
-        specs += [f"MSS:p={p},n={n},j={j}" for n in range(1, 4) for j in range(1, p ** n + 1)
-                  if p ** (n + j) <= limit]
-    return specs
+from oracles import PRIMES, bar_complex_h2_dim, family_specs
 
 
 def _oracle_specs():
     """Family specs of order <= 16, and products of order <= 16 of C:2 .. C:8, D:8, Q:8."""
-    specs = _family_specs(16)
+    specs = family_specs(16)
     factors = [(f"C:{n}", n) for n in range(2, 9)] + [("D:8", 8), ("Q:8", 8)]
     for (a, na), (b, nb) in itertools.combinations_with_replacement(factors, 2):
         if na * nb <= 16:
@@ -99,14 +52,14 @@ def test_dimensions_match_the_bar_complex_up_to_order_16():
     for spec in _oracle_specs():
         G = build_group(spec)
         for p in {2} | {q for q in PRIMES if G.order % q == 0}:
-            assert h2_enumerate(G, p).dimension == _bar_complex_h2_dim(G, p), (spec, p)
+            assert h2_enumerate(G, p).dimension == bar_complex_h2_dim(G, p), (spec, p)
 
 
 @pytest.mark.parametrize("spec", ["C:27", "EA:p=3,r=3", "G1:p=3", "G2:p=3", "Mmod:p=3,n=3",
                                   "MSS:p=3,n=1,j=2"])
 def test_dimensions_match_the_bar_complex_at_order_27(spec):
     G = build_group(spec)
-    assert h2_enumerate(G, 3).dimension == _bar_complex_h2_dim(G, 3)
+    assert h2_enumerate(G, 3).dimension == bar_complex_h2_dim(G, 3)
 
 
 # dim H^2(G, F_p) = d(G) + d(M(G)): M(G) is trivial for Q, SD, M and the
@@ -126,8 +79,8 @@ def test_known_dimensions(spec, p, dim):
 
 
 def test_engine_accepts_any_generating_set():
-    """A group file without generators names every element; the tree keeps
-    an irredundant subset and the answer does not change."""
+    """A group file without generators names every element; the pc reader
+    keeps an irredundant subset and the answer does not change."""
     for spec, p in (("D:8", 2), ("G1:p=3", 3), ("C:4*C:2", 2)):
         G = build_group(spec)
         bare = Group.from_json({"order": G.order, "table": G.table})
@@ -136,14 +89,15 @@ def test_engine_accepts_any_generating_set():
 
 
 def test_engine_on_a_group_that_is_not_a_p_group():
-    """S3: H^2(S3, F_2) = F_2 and H^2(S3, F_3) = 0; the tree-additive
-    cochains are not all homomorphisms here."""
+    """S3: H^2(S3, F_2) = F_2 and H^2(S3, F_3) = 0, through a Sylow
+    subgroup; the tree-additive cochains of the coboundary witness are not
+    all homomorphisms here."""
     perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
     idx = {q: i for i, q in enumerate(perms)}
     table = [[idx[tuple(b[a[k]] for k in range(3))] for b in perms] for a in perms]
     S3 = Group(table, [("r", 1), ("s", 3)])
     for p in (2, 3):
-        assert h2_enumerate(S3, p).dimension == _bar_complex_h2_dim(S3, p)
+        assert h2_enumerate(S3, p).dimension == bar_complex_h2_dim(S3, p)
         g = [0, 1, 2, 0, 1, 1]
         cob = [[(g[x] + g[y] - g[S3.mul(x, y)]) % p for y in range(6)] for x in range(6)]
         w = verify(S3, p, cob)["witness"]

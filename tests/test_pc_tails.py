@@ -1,10 +1,11 @@
 """H^2 from the tails of a pc presentation (cohomology.PcTails).
 
-The engine is checked against the spanning-tree engine on every catalog spec
-up to order 81, against the builder's own verdict on every tail of small
-presentations, against the numeric build of the extension class by class,
-and on known dimensions beyond the old order caps.  The bar-complex oracle
-in test_h2_engine.py stays beside these.
+The engine is checked on the catalog's presentation and on one read off the
+bare table against the spanning-tree oracle (oracles.tree_h2_dim) on every
+catalog spec up to order 81, against the builder's own verdict on every
+tail of small presentations, against the numeric build of the extension
+class by class, and on known dimensions beyond the old order caps.  The
+bar-complex oracle in test_h2_engine.py stays beside these.
 """
 
 import itertools
@@ -24,13 +25,14 @@ from pgal.cohomology import PcTails, h2_enumerate, is_cocycle_table
 from pgal.errors import RelationInconsistent, TooLarge
 from pgal.groups import Group
 
-from test_h2_engine import PRIMES, _family_specs
+from oracles import PRIMES, family_specs, tree_h2_dim
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _bare(G):
-    """G's table without its presentation, so that h2_enumerate takes the tree."""
+    """G's table without its presentation, so that h2_enumerate reads one off
+    it (or, for a group that is not a p-group, goes through a Sylow subgroup)."""
     return Group(G.np_table, G.generators, check=False)
 
 
@@ -51,7 +53,9 @@ MIXED_PRODUCTS = [("D:8*C:3", 2), ("D:8*C:3", 3), ("Q:8*C:3", 2), ("Q:8*C:3", 3)
 
 
 def test_tails_and_tree_agree_up_to_order_81():
-    cases = [(spec, p) for spec in _family_specs(81) for p in PRIMES]
+    """The catalog's presentation, the one read off the bare table (a Sylow
+    subgroup's, for the mixed products) and the tree oracle agree."""
+    cases = [(spec, p) for spec in family_specs(81) for p in PRIMES]
     checked = 0
     for spec, p in cases + MIXED_PRODUCTS:
         G = build_group(spec)
@@ -59,10 +63,11 @@ def test_tails_and_tree_agree_up_to_order_81():
             continue
         assert G.pc is not None, spec
         try:
-            tree = h2_enumerate(_bare(G), p).dimension
+            tree = tree_h2_dim(_bare(G), p)
         except TooLarge:  # the tree's caps: order 81 at p = 2
             continue
         assert h2_enumerate(G, p).dimension == tree, (spec, p)
+        assert h2_enumerate(_bare(G), p).dimension == tree, (spec, p)
         checked += 1
     assert checked == 225
 
@@ -176,6 +181,7 @@ def test_classes_are_built_only_when_read(monkeypatch):
 
 
 def test_iteration_follows_product_order_for_both_engines():
+    """On the catalog's presentation and on one read off the bare table."""
     G = build_group("Q:8*C:2")
     for group in (G, _bare(G)):
         res = h2_enumerate(group, 2)
