@@ -189,10 +189,7 @@ def extension_of_cocycle(f: Cocycle2) -> ExtensionClass:
     T *= n
     T += G.np_table[None, :, None, :]
     T = T.reshape(p * n, p * n)
-    gens = [("zeta", n)]
-    for name, idx in G.generators:
-        nm = name if name != "zeta" else "zeta'"
-        gens.append((nm, idx))
+    gens = [("zeta", n)] + [(nm if nm != "zeta" else "zeta'", idx) for nm, idx in G.generators]
     # a group by construction, since f passed the exact cocycle check
     E = Group(T, gens, name=f"ext{p}x{G.name or n}", check=False)
     proj = GroupHom(E, G, tuple(int(x % n) for x in range(p * n)))
@@ -212,9 +209,10 @@ class CoboundarySpace:
     coboundary exactly when they differ by a combination of the k
     coboundaries delta(phi_i) that vanish on the tree; phi_i(y) counts the
     uses of s_i on the tree path to y (Handbook of Computational Group
-    Theory, 7.6).  delta(g)(x, y) = g(x) + g(y) - g(xy).  That gives the
-    coboundary witness and the rank of classes in H^2 (h2_enumerate's
-    Sylow step).
+    Theory, 7.6).  delta(g)(x, y) = g(x) + g(y) - g(xy).  One solve over
+    those rows and any further ones (`solve`) gives the coboundary witness
+    and the corestriction image (cor_image_search), and a rank test against
+    them the classes of h2_enumerate's Sylow step.
     """
 
     def __init__(self, group: Group, p: int):
@@ -235,36 +233,44 @@ class CoboundarySpace:
         own = np.eye(len(self.gens), dtype=np.int64)[self.edge_slot]
         return phi, ((phi[self.edge_y] + own - phi[self.edge_z]) % self.p).T
 
-    def normalise(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(w, v) for a normalized cochain F (int64): the 1-cochain w built
-        along the tree so that F - delta(w) vanishes on the tree edges, and
-        the values v of F - delta(w) on the non-tree edges, mod p."""
+    def normalise(self, Fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(w, v) for a normalized cochain F (int64), read only at its n x k
+        columns Fs = F[:, gens]: the 1-cochain w built along the tree so that
+        F - delta(w) vanishes on the tree edges, and the values v of
+        F - delta(w) on the non-tree edges, mod p."""
         w = np.zeros(self.group.order, dtype=np.int64)
         for lv in self.levels[1:]:
-            u, s = self.parent[lv], self.gens[self.slot[lv]]
-            w[lv] = w[u] + w[s] - F[u, s]
-        y, s = self.edge_y, self.gens[self.edge_slot]
-        return w, (F[y, s] - w[y] - w[s] + w[self.edge_z]) % self.p
+            u, i = self.parent[lv], self.slot[lv]
+            w[lv] = w[u] + w[self.gens[i]] - Fs[u, i]
+        y, i = self.edge_y, self.edge_slot
+        return w, (Fs[y, i] - w[y] - w[self.gens[i]] + w[self.edge_z]) % self.p
+
+    def solve(self, v: np.ndarray, extra=()) -> np.ndarray | None:
+        """Coefficients c with v = c [delta(phi); extra] mod p, or None, for
+        v and the rows of extra on the non-tree edges: with the rows augmented
+        by the identity, [v, 0] reduces to [0, -c] exactly when v is in their span."""
+        p, N = self.p, self.N
+        rows = np.vstack([self.tree_additive()[1], *extra])
+        mat = GFMatrix(N + len(rows), p)
+        mat.add_rows(np.hstack([rows, np.eye(len(rows), dtype=np.int64)]))
+        red = mat.reduce(np.concatenate([v, np.zeros(len(rows), dtype=np.int64)])[None])[0]
+        return None if red[:N].any() else -red[N:] % p
 
     def witness(self, values):
         """A 1-cochain w with delta(w) = values, as a list, or None if there is none.
 
         After `normalise`, the values v on the non-tree edges must be a
-        combination of the delta(phi_i).  The witness is checked against the
-        full table before it is returned.
+        combination c of the delta(phi_i), and then w + sum c_i phi_i is one.
+        The witness is checked against the full table before it is returned.
         """
-        p, N, T = self.p, self.N, self.group.np_table
+        p, T = self.p, self.group.np_table
         F = integer_array(values, p)
-        w, v = self.normalise(F)
+        w, v = self.normalise(F[:, self.gens])
         if v.any():
-            phi, dphi = self.tree_additive()
-            k = len(self.gens)
-            mat = GFMatrix(N + k, p)
-            mat.add_rows(np.hstack([dphi, np.eye(k, dtype=np.int64)]))
-            red = mat.reduce(np.concatenate([v, np.zeros(k, dtype=np.int64)])[None])[0]
-            if red[:N].any():
+            c = self.solve(v)
+            if c is None:
                 return None
-            w = w - phi @ red[N:]
+            w = w + path_counts(self.tree) @ c
         w %= p
         for rows in row_blocks(self.group.order):
             if ((w[rows, None] + w[None, :] - w[T[rows]] - F[rows]) % p).any():
@@ -496,18 +502,18 @@ def h2_enumerate(group: Group, p: int, max_reps: int = 4096) -> H2Result:
     _check_prime(p)
     if p * group.order > MAX_ORDER:
         raise TooLarge("extension group would exceed the table cap")
-    if group.pc is not None or is_p_group(group) is not None:
-        h, build = _pc_classes(group, p)
-    else:
-        h, build = _sylow_classes(group, p)
+    h, build = _classes(group, p)
     count = p ** h
     complete = count <= max_reps
     return H2Result(h, count, Classes(build, p, h, complete), complete)
 
 
-def _pc_classes(group: Group, p: int):
-    """dim H^2 and the class of a coefficient vector, by PcTails on the
-    group's presentation or on one read off its table."""
+def _classes(group: Group, p: int):
+    """dim H^2 and the class of a coefficient vector, linear in it: by
+    PcTails on the group's presentation or on one read off its table, and
+    for a group that is not a q-group by the Sylow step."""
+    if group.pc is None and is_p_group(group) is None:
+        return _sylow_classes(group, p)
     if group.pc is not None:
         tails, back = PcTails(group, p), None
     else:
@@ -524,19 +530,28 @@ def _pc_classes(group: Group, p: int):
 
 def _sylow_classes(group: Group, p: int):
     """dim H^2 and the class of a coefficient vector, by corestriction from
-    a Sylow p-subgroup (see h2_enumerate)."""
+    a Sylow p-subgroup P (see h2_enumerate): the basis classes of H^2(P)
+    whose corestrictions' tree coordinates (_cor_coords) raise the rank."""
     P = sylow_subgroup(group, p)
-    dim_p, build_p = _pc_classes(P.as_group(), p)
+    dim_p, build_p = _classes(P.as_group(), p)
     cob = CoboundarySpace(group, p)
     rank = GFMatrix(cob.N, p)
     rank.add_rows(cob.tree_additive()[1])
-    kept = [e for e in np.eye(dim_p, dtype=np.int64)
-            if rank.add_rows(cob.normalise(corestrict(build_p(e), P).values)[1][None])]
+    kept = [e for e, v in zip(np.eye(dim_p, dtype=np.int64), _cor_coords(cob, P, dim_p, build_p))
+            if rank.add_rows(v[None])]
     basis = np.array(kept, dtype=np.int64).reshape(len(kept), dim_p)
 
     def build(c):
         return corestrict(build_p(c @ basis % p), P)
     return len(basis), build
+
+
+def _cor_coords(cob: CoboundarySpace, H: Subgroup, dim: int, build) -> np.ndarray:
+    """The tree coordinates of the corestrictions to G of the basis classes
+    build(e_j) of H^2(H), one row each, gathered at the kept generators'
+    columns, the only ones cob.normalise reads."""
+    return np.array([cob.normalise(_transfer(build(e).values, H, cob.gens))[1]
+                     for e in np.eye(dim, dtype=np.int64)], dtype=np.int64).reshape(dim, cob.N)
 
 
 # -- restriction, inflation, corestriction -------------------------------------
@@ -581,6 +596,14 @@ def corestrict(fbar: Cocycle2, H: Subgroup, transversal=None) -> Cocycle2:
     ):
         raise BadIndexSubgroup("cocycle is not indexed by this subgroup")
     G, p = H.parent, fbar.p
+    return Cocycle2(G, p, _transfer(fbar.values, H, np.arange(G.order), transversal) % p,
+                    check=False)
+
+
+def _transfer(F: np.ndarray, H: Subgroup, cols: np.ndarray, transversal=None) -> np.ndarray:
+    """corestrict's sum for the values F of a cochain on H, not reduced mod
+    p, at the columns cols of G's table only."""
+    G = H.parent
     n, T, inv = G.order, G.np_table, G.inverses()
     els = np.array(H.elements, dtype=np.int64)
     if transversal is None:
@@ -597,13 +620,12 @@ def corestrict(fbar: Cocycle2, H: Subgroup, transversal=None) -> Cocycle2:
     tg = T[R]
     nxt = bar[tg]  # bar(t g), by its place in R
     h = H.pos[T[tg, inv[R[nxt]]]]  # h(t, g) = t g bar(t g)^-1, numbered in H
-    F = fbar.values
-    out = np.zeros((n, n), dtype=np.int64)
+    hc = h[:, cols]
+    out = np.zeros((n, len(cols)), dtype=np.int64)
     for rows in row_blocks(n):
         for i in range(len(R)):
-            out[rows] += F[h[i, rows][:, None], h[nxt[i, rows]]]
-    out %= p
-    return Cocycle2(G, p, out, check=False)
+            out[rows] += F[h[i, rows][:, None], hc[nxt[i, rows]]]
+    return out
 
 
 def corestrict_tate(fbar: Cocycle2, H: Subgroup, g: int | None = None) -> Cocycle2:
@@ -624,9 +646,7 @@ def corestrict_tate(fbar: Cocycle2, H: Subgroup, g: int | None = None) -> Cocycl
 
 
 def _resolve_element(G: Group, gen) -> int:
-    if isinstance(gen, str):
-        return G.gen(gen)
-    return int(gen)
+    return G.gen(gen) if isinstance(gen, str) else int(gen)
 
 
 def cyclic_step_cocycle(p: int, n_exp: int) -> Cocycle2:
@@ -677,8 +697,7 @@ def raise_lower(E: ExtensionClass, sigma1, n_exp: int, direction: str) -> Extens
     inf_vals = cyclic_step_cocycle(p, n_exp).values[expo[:, None], expo[None, :]]
     sign = 1 if direction == "raise" else -1
     new_vals = (E.cocycle.values + sign * inf_vals) % p
-    out = extension_of_cocycle(Cocycle2(G, p, new_vals))
-    return out
+    return extension_of_cocycle(Cocycle2(G, p, new_vals))
 
 
 def lift_order_diag(f: Cocycle2, z: int) -> dict:
@@ -702,10 +721,8 @@ def prop54_report(G: Group, H: Subgroup, g: int, fbar: Cocycle2) -> dict:
     maximal-order element), so the trivial subgroup is reported inapplicable.
     """
     f = corestrict_tate(fbar, H, g)
-    ext2 = extension_of_cocycle(fbar)
-    exp_h2 = ext2.extension.exponent()
-    ext1 = extension_of_cocycle(f)
-    E1 = ext1.extension
+    exp_h2 = extension_of_cocycle(fbar).extension.exponent()
+    E1 = extension_of_cocycle(f).extension
     n = G.order
     orders = E1.element_orders()
     exp_h1 = lcm(*(orders[i * n + x] for i in range(2) for x in H.elements))
@@ -727,20 +744,24 @@ def prop54_report(G: Group, H: Subgroup, g: int, fbar: Cocycle2) -> dict:
 
 
 def cor_image_search(G: Group, target: Cocycle2):
-    """Exhaustive search for (H, fbar) with cor(fbar) ~ target; None if none."""
+    """(H, fbar) with [G : H] = 2 and cor(fbar) ~ target at p = 2, or None.
+
+    cor is additive, so cor(H^2(H)) + B^2(G) is spanned by the cor of a
+    basis of H^2(H) and the coboundaries (Brown, Cohomology of Groups,
+    III.9): one CoboundarySpace.solve per H over the rows delta(phi_i) and
+    _cor_coords, whose coefficients on the latter give fbar.
+    """
     if target.p != 2:
         raise PrimeMismatch("search implemented for p = 2")
-    if G.order > 16:
-        raise TooLarge("corestriction image search limited to order 16")
+    if target.group is not G:
+        raise TargetMismatch("target cocycle does not live on the group searched")
+    cob = CoboundarySpace(G, 2)
+    v = cob.normalise(target.values[:, cob.gens])[1]
     for H in subgroups_of_index2(G):
-        Hgrp = H.as_group()
-        res = h2_enumerate(Hgrp, 2)
-        if not res.complete:
-            raise TooLarge("subgroup has too many classes to enumerate")
-        for rep in res.representatives:
-            f = corestrict_tate(rep, H)
-            if class_equal(f, target):
-                return H, rep
+        dim, build = _classes(H.as_group(), 2)
+        c = cob.solve(v, _cor_coords(cob, H, dim, build))
+        if c is not None:
+            return H, build(c[len(cob.gens):])
     return None
 
 

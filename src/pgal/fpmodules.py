@@ -47,10 +47,7 @@ class FpGModule:
         self.d = clean
 
     def lengths(self) -> list:
-        out = []
-        for i in sorted(self.d):
-            out.extend([i] * self.d[i])
-        return out
+        return [i for i in sorted(self.d) for _ in range(self.d[i])]
 
     def is_zero(self) -> bool:
         return not self.d

@@ -14,7 +14,8 @@ that are already groups, are built once in int16 and skip that check
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -720,11 +721,8 @@ def subgroups_of_index2(G: Group) -> list[Subgroup]:
     counts = path_counts(tree)
     images = np.asarray(proj.images)
     bits = np.arange(len(tree[0]))
-    out = []
-    for phi in range(1, 2 ** len(bits)):
-        even = counts @ (phi >> bits & 1) % 2 == 0
-        out.append(Subgroup(G, np.flatnonzero(even[images]).tolist(), check=False))
-    return out
+    return [Subgroup(G, np.flatnonzero((counts @ (phi >> bits & 1) % 2 == 0)[images]).tolist(),
+                     check=False) for phi in range(1, 2 ** len(bits))]
 
 
 def max_elem_abelian_quotient(G: Group, p: int) -> tuple[Group, GroupHom]:
@@ -803,8 +801,7 @@ def normal_subgroups(G: Group, cap: int = 4096) -> list[Subgroup] | None:
 
 def _order_profile(G: Group) -> tuple:
     from collections import Counter
-    c = Counter(G.element_orders())
-    return tuple(sorted(c.items()))
+    return tuple(sorted(Counter(G.element_orders()).items()))
 
 
 def find_isomorphism(G: Group, H: Group) -> list[int] | None:
@@ -817,11 +814,8 @@ def find_isomorphism(G: Group, H: Group) -> list[int] | None:
         return None
     if G.order > 64:
         raise TooLarge("isomorphism search limited to order 64")
-    if _order_profile(G) != _order_profile(H):
-        return None
-    if G.is_abelian() != H.is_abelian():
-        return None
-    if G.center().order != H.center().order:
+    if (_order_profile(G), G.is_abelian(), G.center().order) != (
+            _order_profile(H), H.is_abelian(), H.center().order):
         return None
     gens, reached, _, parent, slot = cayley_tree(G.np_table, range(1, G.order))
     if not gens:
@@ -895,14 +889,10 @@ class DualActionData:
             for i in range(r):
                 if (M[i][j] * self.orders[j]) % self.orders[i]:
                     raise RelationInconsistent(f"action matrix for {name} is not well defined")
-        total = 1
-        for m in self.orders:
-            total *= m
+        total = prod(self.orders)
         if total > MAX_ORDER:
             raise TooLarge("kernel too large for bijectivity check")
-        seen = set()
-        for v in _all_vectors(self.orders):
-            seen.add(self._apply(M, v))
+        seen = {self._apply(M, v) for v in product(*map(range, self.orders))}
         if len(seen) != total:
             raise RelationInconsistent(f"action matrix for {name} is not bijective")
 
@@ -914,11 +904,6 @@ class DualActionData:
                 if M[i][j] % self.orders[i] != want:
                     return False
         return True
-
-
-def _all_vectors(orders):
-    import itertools
-    return itertools.product(*[range(m) for m in orders])
 
 
 def dual_action_predicate(data: DualActionData, m: int) -> dict:

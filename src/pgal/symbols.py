@@ -57,11 +57,6 @@ class FieldElem:
     def is_rational(self) -> bool:
         return self.kind == "rat"
 
-    def as_fraction(self) -> Fraction:
-        if self.kind != "rat":
-            raise NonRationalEntry(f"{self} is not rational")
-        return self.payload
-
     def __str__(self):
         if self.kind == "rat":
             q = self.payload

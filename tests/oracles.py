@@ -5,15 +5,23 @@
 - `corestrict_four_case`: the four-case transfer formula at index 2 and
   p = 2;
 - `bar_complex_h2_dim`: the normalized bar complex, in (n-1)^2 unknowns;
+- `cor_image_search_exhaustive`: the corestriction-image search that tried
+  every class of every index-2 subgroup, under its old caps;
 - `family_specs` and `PRIMES`: the catalog specs and primes the comparisons
   run over.
 """
 
 import numpy as np
 
-from pgal.cohomology import CoboundarySpace, Cocycle2
-from pgal.errors import TooLarge
-from pgal.groups import MAX_ORDER
+from pgal.cohomology import (
+    CoboundarySpace,
+    Cocycle2,
+    class_equal,
+    corestrict_tate,
+    h2_enumerate,
+)
+from pgal.errors import PrimeMismatch, TooLarge
+from pgal.groups import MAX_ORDER, subgroups_of_index2
 from pgal.linalg import GFMatrix
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -130,3 +138,21 @@ def bar_complex_h2_dim(G, p):
         d -= T == a
         cob.add_rows(d[1:, 1:].reshape(1, C) % p)
     return C - Z.rank - cob.rank
+
+
+def cor_image_search_exhaustive(G, target):
+    """(H, fbar) with cor(fbar) ~ target, trying each class of each index-2
+    subgroup H in turn; None if none.  TooLarge beyond order 16 or when H
+    has more classes than h2_enumerate lists."""
+    if target.p != 2:
+        raise PrimeMismatch("search implemented for p = 2")
+    if G.order > 16:
+        raise TooLarge("corestriction image search limited to order 16")
+    for H in subgroups_of_index2(G):
+        res = h2_enumerate(H.as_group(), 2)
+        if not res.complete:
+            raise TooLarge("subgroup has too many classes to enumerate")
+        for rep in res.representatives:
+            if class_equal(corestrict_tate(rep, H), target):
+                return H, rep
+    return None

@@ -544,9 +544,18 @@ def test_error_paths():
         raise_lower(E, "sigma", 2, "sideways")
     with pytest.raises(IdentityElement):
         lift_order_diag(f, 0)
-    with pytest.raises(TooLarge):
-        cor_image_search(build_group("D:32"), Cocycle2(
-            build_group("D:32"), 2, np.zeros((32, 32), dtype=int)))
+    # the corestriction-image search is one solve per subgroup, with no
+    # order cap of its own: the zero class of D:32 is a hit
+    D32 = build_group("D:32")
+    H32, fbar = cor_image_search(D32, Cocycle2(D32, 2, np.zeros((32, 32), dtype=int)))
+    assert is_coboundary(corestrict_tate(fbar, H32))
+    with pytest.raises(PrimeMismatch):
+        cor_image_search(D32, Cocycle2(D32, 3, np.zeros((32, 32), dtype=int)))
+    # a target on another group is refused, not answered "not a corestriction"
+    V4 = build_group("EA:p=2,r=2")
+    for other in (build_group("EA:p=2,r=2"), build_group("C:4")):
+        with pytest.raises(TargetMismatch, match="does not live on the group searched"):
+            cor_image_search(V4, Cocycle2(other, 2, np.zeros((4, 4), dtype=int)))
     # every table answers while p |G| <= 4096: C:128 through its
     # presentation, and a bare D:128 (refused by the spanning tree's caps
     # before) through one read off its table

@@ -18,7 +18,10 @@ from hypothesis import strategies as st
 from pgal import catalog
 from pgal.catalog import build_group
 from pgal.cohomology import (
+    CoboundarySpace,
     Cocycle2,
+    _classes,
+    _cor_coords,
     class_equal,
     corestrict,
     corestrict_tate,
@@ -228,6 +231,22 @@ def test_s5_and_a6_beyond_the_tree_caps():
     S5, A6 = _permutations(5, False), _permutations(6, True)
     assert [h2_enumerate(S5, p).dimension for p in (2, 3, 5)] == [2, 0, 0]
     assert [h2_enumerate(A6, p).dimension for p in (2, 3, 5)] == [1, 1, 0]
+
+
+@pytest.mark.parametrize("degree,even", [(4, False), (6, True)])
+def test_the_corestriction_coordinates_read_only_the_generator_columns(degree, even):
+    """_cor_coords gathers the transfer at the kept generators' columns
+    alone; it gives what normalise reads off the full corestriction."""
+    G = _permutations(degree, even)
+    for p in (2, 3):
+        P = sylow_subgroup(G, p)
+        dim, build = _classes(P.as_group(), p)
+        cob = CoboundarySpace(G, p)
+        coords = _cor_coords(cob, P, dim, build)
+        assert coords.shape == (dim, cob.N) and dim
+        for e, row in zip(np.eye(dim, dtype=np.int64), coords):
+            full = corestrict(build(e), P).values
+            assert np.array_equal(row, cob.normalise(full[:, cob.gens])[1]), (degree, p)
 
 
 KUNNETH = [("D:8", 2), ("Q:8", 2), ("C:4*C:2", 2), ("G1:p=3", 3), ("C:9", 3), ("EA:p=5,r=2", 5),
