@@ -247,7 +247,7 @@ def excluded_shape_flags(A: FpGModule) -> dict:
     return {"literal": literal, "all_p_power": all_p_power}
 
 
-def schultz_bound_applicable(A: FpGModule, k: int = 0) -> bool:
+def schultz_bound_applicable(A: FpGModule) -> bool:
     """True when the p^k multiplicity bound applies: A avoids the excluded shape.
 
     Uses the literal reading (a p^j+1 summand with finite j); the

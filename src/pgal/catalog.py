@@ -1,115 +1,35 @@
-"""The group catalog: named p-group families built from pc presentations.
-
-Every family is a power-commutator (pc) presentation on generators x_0 ..
-x_{k-1} with relative orders e_i: a power word for x_i^{e_i} and, for
-i < j, a conjugation word for x_i^{-1} x_j x_i, both over x_{i+1} ..
-x_{k-1}.  Elements are the normal forms x_0^{a_0} ... x_{k-1}^{a_{k-1}}
-with 0 <= a_i < e_i, numbered in mixed radix with a_0 most significant.
-
-One builder makes every table, one level at a time (Holt, Eick & O'Brien,
-Handbook of Computational Group Theory, 2005, ch. 8): G_i = <x_i> G_{i+1}
-is a cyclic extension of G_{i+1}, and its table is a few numpy gathers
-from the table of G_{i+1}.  Each level checks Hoelder's three conditions
-for such an extension on the pc generators of G_{i+1}, in n_i k entries as
-for homomorphisms (groups._is_multiplicative), so an inconsistent
-presentation raises RelationInconsistent instead of giving a table, and a
-consistent one gives a group: the table is built once, in int16, and Group
-does not validate it again.
-"""
+"""The group catalog: named p-group families, each a pc presentation whose
+table pgal.presentation builds and checks, and the spec strings that name
+them."""
 
 from __future__ import annotations
 
 import re
 from math import prod
 
-import numpy as np
-
 from .arith import is_prime
 from .errors import OrderTooLarge, RelationInconsistent, UnknownFamily
-from .groups import MAX_ORDER, Group, PcPresentation, _is_multiplicative, direct_product
+from .groups import MAX_ORDER, Group, direct_product
+from .presentation import PcPresentation, generator_indices, pc_table
 
 
 def _pc_group(rel_orders, powers, conj, display, name) -> Group:
-    """The group of a pc presentation, its generators named by position.
+    """The group of a pc presentation (`powers` and `conj` as in
+    PcPresentation), its generators named by position.
 
-    `powers[i]` is {pos: exp} for x_i^{e_i} and `conj[(i, j)]` (i < j) the
-    same for x_i^{-1} x_j x_i, both over positions > i; a missing power
-    word is the identity, a missing conjugate x_j itself.
-
-    The table is built from the last level up.  At level i write x = x_i,
-    e = e_i, H = G_{i+1}, phi for conjugation h -> x^{-1} h x (the words
-    `conj[(i, j)]`, extended over normal forms) and w = x^e in H.  Then for
-    h, h' in H
-
-        (x^a h)(x^b h') = x^((a+b) mod e) * w^[a+b >= e] * phi^b(h) * h'.
-
-    That is a group exactly when Hoelder's conditions hold, and each level
-    checks all three: phi is a bijective homomorphism of H (the law on H's
-    pc generators, not on H's full table), phi(w) = w, and phi^e is
-    conjugation by w.  The order cap is checked before any table is
-    allocated.  A group by construction, since Hoelder's conditions held at
-    every level.  The group keeps its presentation (Group.pc).
+    The order cap is checked before any table is allocated.  A group by
+    construction, since pc_table checked Hoelder's conditions at every level,
+    so Group does not validate the table again.  It keeps its presentation.
     """
     _check_order(prod(rel_orders))
     gen = generator_indices(rel_orders)
     gens = [(gname, gen[pos]) for gname, pos in display]
     try:
-        table = _pc_table(rel_orders, powers, conj)
+        table = pc_table(rel_orders, powers, conj)
     except RelationInconsistent as exc:
         raise RelationInconsistent(f"presentation for {name} fails to close: {exc.detail}") from exc
     return Group(table, gens, name=name, check=False,
                  pc=PcPresentation.of(rel_orders, powers, conj))
-
-
-def generator_indices(rel_orders) -> list[int]:
-    """The element index of each x_j in the mixed-radix numbering (the
-    identity when e_j = 1)."""
-    return [prod(rel_orders[j + 1:]) if e > 1 else 0 for j, e in enumerate(rel_orders)]
-
-
-def _pc_table(rel_orders, powers, conj) -> np.ndarray:
-    """The int16 multiplication table of a pc presentation (see _pc_group)."""
-    k = len(rel_orders)
-    gen = generator_indices(rel_orders)
-    T = np.zeros((1, 1), dtype=np.int16)
-    for i in reversed(range(k)):
-        e, m = rel_orders[i], T.shape[0]
-
-        def word(letters):
-            r = 0
-            for pos, exp in sorted(letters.items()):
-                for _ in range(exp):
-                    r = T[r, gen[pos]]
-            return r
-
-        w = word(powers.get(i, {}))
-        phi = np.zeros(1, dtype=np.int16)  # phi on G_{j+1}, grown to G_{i+1}
-        for j in reversed(range(i + 1, k)):
-            g = word(conj.get((i, j), {j: 1}))
-            pw = [0]  # phi(x_j)^a for a < e_j
-            for _ in range(rel_orders[j] - 1):
-                pw.append(T[pw[-1], g])
-            phi = T[np.array(pw)[:, None], phi[None, :]].ravel()
-        _check_hoelder(T, phi, w, e, i, gen[i + 1:])
-
-        P = np.empty((e, m), dtype=np.int16)  # P[t] = phi^t
-        P[0] = np.arange(m)
-        for t in range(1, e):
-            P[t] = phi[P[t - 1]]
-        # fill the level in at most 16 blocks of a, so that no index array
-        # approaches the size of the new table; mode="clip" lets take write
-        # straight into it
-        out = np.empty((e, m, e, m), dtype=np.int16)
-        b = np.arange(e)
-        step = -(-e // 16)
-        for a0 in range(0, e, step):
-            s = np.arange(a0, min(a0 + step, e))[:, None] + b  # a + b
-            R = T[np.where(s >= e, w, 0)[:, None, :], P.T[None]]
-            blk = out[a0:a0 + len(s)]
-            np.take(T, R, axis=0, out=blk, mode="clip")
-            blk += (s % e * m).astype(np.int16)[:, None, :, None]
-        T = out.reshape(e * m, e * m)
-    return T
 
 
 def _check_order(p: int, e: int = 1) -> None:
@@ -122,23 +42,6 @@ def _check_order(p: int, e: int = 1) -> None:
         return
     order = f"{p}^{e}" if e > 1 and e * p.bit_length() > 4096 else p ** e
     raise OrderTooLarge(f"order {order} exceeds cap {MAX_ORDER}")
-
-
-def _check_hoelder(T, phi, w, e, i, gens) -> None:
-    """Hoelder's conditions for G_i = <x_i> H, H the group of table T
-    generated by gens.  A homomorphism of H with trivial kernel is bijective,
-    and phi^e is conjugation by w when w phi^e(h) = h w for every h."""
-    if not (np.count_nonzero(phi == 0) == 1 and _is_multiplicative(phi, T, T, gens)):
-        raise RelationInconsistent(f"conjugation by x{i} is not an automorphism")
-    if phi[w] != w:
-        raise RelationInconsistent(f"conjugation by x{i} does not fix x{i}^{e}")
-    phi_e, base, n = np.arange(T.shape[0]), phi, e
-    while n:
-        if n & 1:
-            phi_e = base[phi_e]
-        base, n = base[base], n >> 1
-    if not np.array_equal(T[w, phi_e], T[:, w]):
-        raise RelationInconsistent(f"conjugation by x{i}, {e} times, is not conjugation by x{i}^{e}")
 
 
 # -- individual families ------------------------------------------------------

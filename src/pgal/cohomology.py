@@ -14,7 +14,7 @@ from math import lcm
 
 import numpy as np
 
-from .catalog import _pc_group, cyclic, generator_indices
+from .catalog import cyclic
 from .errors import (
     BadIndexSubgroup,
     BadParams,
@@ -34,12 +34,10 @@ from .groups import (
     Group,
     GroupHom,
     Subgroup,
-    cayley_tree,
     integer_array,
     is_p_group,
     path_counts,
     quotient,
-    read_pc,
     row_blocks,
     subgroup_generated,
     subgroups_of_index2,
@@ -47,6 +45,9 @@ from .groups import (
 )
 from .linalg import GFMatrix
 from .arith import is_prime
+from .presentation import PcTails, read_pc
+
+MAX_REPS = 4096  # h2_enumerate lists every class up to this many
 
 
 def _check_prime(p) -> None:
@@ -58,11 +59,12 @@ def is_cocycle_table(group: Group, p: int, values) -> bool:
     """Exact test of normalization and the cocycle identity.
 
     The identity f(x,y) + f(xy,z) = f(y,z) + f(x,yz) is checked for all x, y
-    and z a generator, n^2 k entries.  That covers every z: the z for which
-    it holds for all x, y contain 1 and are closed under products (the
-    closure argument of Light's associativity test).  Values that are not
-    integers (groups.integer_array) make no cocycle; values are exponents of
-    zeta, so one of any size is read mod p.
+    and z a kept generator of the group's Cayley walk (Group.tree), n^2 k
+    entries.  That covers every z: the z for which it holds for all x, y
+    contain 1 and are closed under products (the closure argument of
+    Light's associativity test), and the kept generators generate.  Values
+    that are not integers (groups.integer_array) make no cocycle; values
+    are exponents of zeta, so one of any size is read mod p.
     """
     try:
         F = integer_array(values, p)
@@ -72,7 +74,7 @@ def is_cocycle_table(group: Group, p: int, values) -> bool:
     if F.shape != (n, n) or F[0].any() or F[:, 0].any():
         return False
     T = group.np_table
-    for s in sorted({i for _, i in group.generators}):
+    for s in group.tree()[0]:
         for rows in row_blocks(n):
             Fx = F[rows]
             if ((Fx + F[T[rows], s] - F[:, s] - Fx[:, T[:, s]]) % p).any():
@@ -202,13 +204,13 @@ def extension_of_cocycle(f: Cocycle2) -> ExtensionClass:
 class CoboundarySpace:
     """Cocycles modulo coboundaries on (group, p) through a spanning tree of the Cayley graph.
 
-    The non-tree edges (y, s_i) of groups.cayley_tree, N = n(k-1)+1 of them, are
-    the coordinates of a cocycle that vanishes on the tree edges.  Every
-    normalized cocycle f is cohomologous to one that does, f - delta(w) for
-    the w built along the tree (`normalise`), and two such differ by a
-    coboundary exactly when they differ by a combination of the k
-    coboundaries delta(phi_i) that vanish on the tree; phi_i(y) counts the
-    uses of s_i on the tree path to y (Handbook of Computational Group
+    The non-tree edges (y, s_i) of the group's Cayley walk (Group.tree),
+    N = n(k-1)+1 of them, are the coordinates of a cocycle that vanishes on
+    the tree edges.  Every normalized cocycle f is cohomologous to one that
+    does, f - delta(w) for the w built along the tree (`normalise`), and two
+    such differ by a coboundary exactly when they differ by a combination of
+    the k coboundaries delta(phi_i) that vanish on the tree; phi_i(y) counts
+    the uses of s_i on the tree path to y (Handbook of Computational Group
     Theory, 7.6).  delta(g)(x, y) = g(x) + g(y) - g(xy).  One solve over
     those rows and any further ones (`solve`) gives the coboundary witness
     and the corestriction image (cor_image_search), and a rank test against
@@ -217,15 +219,14 @@ class CoboundarySpace:
 
     def __init__(self, group: Group, p: int):
         self.group, self.p = group, p
-        T = group.np_table
-        self.tree = cayley_tree(T, [g for _, g in group.generators])
+        self.tree = group.tree()
         gens, _, self.levels, self.parent, self.slot = self.tree
         self.gens = np.array(gens, dtype=np.int64)
         on_tree = np.zeros((group.order, len(gens)), dtype=bool)
         on_tree[self.parent[1:], self.slot[1:]] = True
         self.edge_y, self.edge_slot = np.nonzero(~on_tree)
         self.N = len(self.edge_y)
-        self.edge_z = T[self.edge_y, self.gens[self.edge_slot]]
+        self.edge_z = group.np_table[self.edge_y, self.gens[self.edge_slot]]
 
     def tree_additive(self) -> tuple[np.ndarray, np.ndarray]:
         """phi[y, i] = phi_i(y), and dphi[i] = delta(phi_i) on the non-tree edges."""
@@ -298,151 +299,6 @@ def class_equal(f1: Cocycle2, f2: Cocycle2) -> bool:
     return CoboundarySpace(f1.group, f1.p).witness(f1.values - f2.values) is not None
 
 
-# -- the pc-tails engine ----------------------------------------------------------
-
-# entries of one row block of the z-forms a level is built in
-_TAIL_BLOCK = 1 << 21
-
-
-class PcTails:
-    """H^2(G, mu_p) from the tails of G's pc presentation (Group.pc).
-
-    Extend the presentation by a central z of order p, placed last, and give
-    each of the m = k + k(k-1)/2 relations a tail z^(t_r): the power word of
-    each x_i and the conjugate word of each pair i < j (Holt, Eick & O'Brien,
-    Handbook of Computational Group Theory, 2005, ch. 8 and 9.4).  The
-    extension E numbers x z^c as p x + c, so its table is catalog._pc_table's
-    on the extended presentation, and its z-parts are linear forms in t: the
-    G-parts are G's table whatever t is.  `_tail_level` builds them level by
-    level with _pc_table's formula, on G_i = <x_i, ..., x_{k-1}>, whose
-    elements are the first |G_i| indices of G.
-
-    Hoelder's conditions at each level become linear rows in t: phi is a
-    homomorphism on the pc generators, phi(w) = w, and w phi^e(s) = s w on
-    the pc generators (the G-parts hold, as G is consistent, and phi is
-    bijective with phi_G).  Their common nullspace V is the set of tails for
-    which E is a group, i.e. the cocycles of G's presentation.  Replacing x_l
-    by x_l z^(a_l) moves t by the rows of a k x m matrix delta, the
-    coboundaries: the power tail of x_i by e_i a_i, the conjugate tail of
-    (i, j) by a_j, each less the a_l of the letters of its word.  So
-    dim H^2 = dim V - rank delta.
-
-    The z-forms stop at G_1: level 0 only adds rows, and a class is built on
-    demand from the kept level-1 forms (`cocycle`), its values in G's own
-    numbering, as E's table would give them in T_E[::p, ::p] % p.
-    """
-
-    def __init__(self, group: Group, p: int):
-        rel, powers, conj = group.pc
-        k = len(rel)
-        self.p = p
-        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        self.m = m = k + len(pairs)
-        col = {pair: k + c for c, pair in enumerate(pairs)}
-        self.dtype = dtype = np.int8 if p <= 64 else np.int16  # holds 2p - 2
-        gen = generator_indices(rel)
-        delta = np.zeros((k, m), dtype=np.int64)
-        for i in range(k):
-            delta[i, i] += rel[i]
-            for pos, exp in powers.get(i, {}).items():
-                delta[pos, i] -= exp
-            for j in range(i + 1, k):
-                delta[j, col[i, j]] += 1
-                for pos, exp in conj.get((i, j), {j: 1}).items():
-                    delta[pos, col[i, j]] -= exp
-        self.eq = GFMatrix(m, p)
-        L = np.zeros((1, 1, m), dtype=dtype)  # the z-forms on G_k = 1
-        for i in reversed(range(k)):
-            nH = L.shape[0]
-            T = group.np_table[:nH, :nH]
-
-            def word(letters, tail):
-                """The G-part and the z-form of a word, times z^(t_tail), in E."""
-                r, z = 0, np.zeros(m, dtype=np.int64)
-                z[tail] = 1
-                for pos, exp in sorted(letters.items()):
-                    for _ in range(exp):
-                        z += L[r, gen[pos]]
-                        r = T[r, gen[pos]]
-                return r, z % p
-
-            w, omega = word(powers.get(i, {}), i)
-            phi, psi = np.zeros(1, dtype=np.int64), np.zeros((1, m), dtype=np.int64)
-            for j in reversed(range(i + 1, k)):  # phi, psi on G_j from G_(j+1)
-                g, gz = word(conj.get((i, j), {j: 1}), col[i, j])
-                pw, pwz = [0], [np.zeros(m, dtype=np.int64)]
-                for _ in range(rel[j] - 1):  # phi(x_j)^a
-                    pwz.append((pwz[-1] + gz + L[pw[-1], g]) % p)
-                    pw.append(T[pw[-1], g])
-                pw, pwz = np.array(pw), np.array(pwz)
-                psi = (pwz[:, None] + psi[None] + L[pw[:, None], phi[None]]).reshape(-1, m) % p
-                phi = T[pw[:, None], phi[None]].ravel()
-            e = rel[i]
-            P = np.empty((e + 1, nH), dtype=np.int64)  # P[b] = phi^b
-            PS = np.empty((e + 1, nH, m), dtype=np.int64)  # PS[b] = sum_{r<b} psi phi^r
-            P[0], PS[0] = np.arange(nH), 0
-            for b in range(1, e + 1):
-                P[b], PS[b] = phi[P[b - 1]], (PS[b - 1] + psi[P[b - 1]]) % p
-            for s in gen[i + 1:]:
-                self.eq.add_rows(L[:, s] + psi[T[:, s]] - psi - psi[s] - L[phi, phi[s]])
-                self.eq.add_rows((PS[e, s] + L[w, P[e, s]] - L[s, w])[None])
-            self.eq.add_rows(psi[w][None])
-            level = (T, L, e, w, omega, P[:e], PS[:e])
-            if i:
-                L = _tail_level(*level, p, dtype)
-        self.level0 = level if k else None
-        comp = GFMatrix(m, p)
-        comp.add_rows(delta % p)
-        kept = [v for v in self.eq.nullspace() if comp.add_rows(v[None])]
-        self.basis = np.array(kept, dtype=np.int64).reshape(len(kept), m)
-
-    def cocycle(self, t) -> np.ndarray:
-        """The factor set of E for tails t in V, on G's numbering: one
-        contraction of the level-1 z-forms with t (in int32, which holds
-        m (p-1)^2) and one level-0 build."""
-        p, t = self.p, np.asarray(t, dtype=np.int64) % self.p
-        if self.level0 is None:
-            return np.zeros((1, 1), dtype=np.int64)
-        T, L, e, w, omega, P, PS = self.level0
-        nH = L.shape[0]
-        Z = np.empty((nH, nH), dtype=np.int32)
-        step = max(1, _TAIL_BLOCK // (nH * self.m))
-        for r0 in range(0, nH, step):
-            np.einsum("xyr,r->xy", L[r0:r0 + step], t.astype(np.int32), out=Z[r0:r0 + step])
-        Z %= p
-        f = _tail_level(T, Z.astype(self.dtype)[..., None], e, w, (omega @ t % p)[None], P,
-                        (PS @ t % p)[..., None], p, self.dtype)
-        return f[:, :, 0]
-
-
-def _tail_level(T, L, e, w, omega, P, PS, p, dtype) -> np.ndarray:
-    """The z-forms on G_i = <x> H from those on H (PcTails), by _pc_table's
-    formula with w = x^e z^omega and x^-1 h x = phi(h) z^psi(h):
-
-        f(x^a h, x^b h') = u (omega + f(w, phi^b h)) + PS[b, h] + f(w^u phi^b h, h'),
-
-    u = [a+b >= e] and PS[b, h] = psi(h) + psi(phi h) + ... + psi(phi^(b-1) h).
-    Built in row blocks of at most _TAIL_BLOCK entries: the last term is
-    gathered straight into the output, and the rest, reduced mod p, added
-    to it, so one subtraction of p reduces the sum."""
-    nH, m = L.shape[0], L.shape[2]
-    n = e * nH
-    rest = (np.concatenate([PS, PS + omega + L[w][P]]) % p).astype(dtype).reshape(-1, m)
-    Tw = T[w]
-    out = np.empty((n, n, m), dtype=dtype)
-    b = np.arange(e)
-    step = max(1, _TAIL_BLOCK // (n * m))
-    for r0 in range(0, n, step):
-        a, h = np.divmod(np.arange(r0, min(n, r0 + step)), nH)
-        u = a[:, None] + b >= e
-        ph = P[:, h].T
-        blk = out[r0:r0 + len(a)].reshape(len(a), e, nH, m)
-        np.take(L, np.where(u, Tw[ph], ph), axis=0, out=blk, mode="clip")
-        blk += rest[(u * e + b) * nH + h[:, None]][:, :, None]
-        np.subtract(blk, p, out=blk, where=blk >= p)
-    return out
-
-
 # -- H^2 enumeration -----------------------------------------------------------
 
 
@@ -484,27 +340,27 @@ class H2Result:
     complete: bool
 
 
-def h2_enumerate(group: Group, p: int, max_reps: int = 4096) -> H2Result:
+def h2_enumerate(group: Group, p: int) -> H2Result:
     """Dimension of H^2(G, mu_p) and class representatives, for p |G| <= MAX_ORDER.
 
     One solve, PcTails, serves every table.  A group with a pc presentation
     (catalog groups and their products) uses its own; any other q-group
-    table has one read off it (groups.read_pc), and its classes move back
-    to G's numbering through the bijection L.  Any other group goes through
+    table has one read off it (read_pc), and its classes move back to G's
+    numbering through the bijection L.  Any other group goes through
     a Sylow p-subgroup P: cor res = [G : P] is a unit mod p, so cor maps
     H^2(P) onto H^2(G) (Brown, Cohomology of Groups, III.10), and the cor of
     a basis of H^2(P) that raise the rank in the tree coordinates of
     CoboundarySpace, against the k rows delta(phi_i), are a basis of H^2(G).
 
     The representatives list all p^dim classes when that count is at most
-    max_reps, and otherwise a basis; either way a class is built when read.
+    MAX_REPS, and otherwise a basis; either way a class is built when read.
     """
     _check_prime(p)
     if p * group.order > MAX_ORDER:
         raise TooLarge("extension group would exceed the table cap")
     h, build = _classes(group, p)
     count = p ** h
-    complete = count <= max_reps
+    complete = count <= MAX_REPS
     return H2Result(h, count, Classes(build, p, h, complete), complete)
 
 
@@ -515,11 +371,10 @@ def _classes(group: Group, p: int):
     if group.pc is None and is_p_group(group) is None:
         return _sylow_classes(group, p)
     if group.pc is not None:
-        tails, back = PcTails(group, p), None
+        tails, back = PcTails(group.pc, group.np_table, p), None
     else:
-        pc, L = read_pc(group)
-        tails = PcTails(_pc_group(*pc, [], f"pc({group.name or group.order})"), p)
-        back = np.argsort(L)  # L^-1
+        pc, L, table = read_pc(group)
+        tails, back = PcTails(pc, table, p), np.argsort(L)  # L^-1
     basis = tails.basis
 
     def build(c):

@@ -2,9 +2,12 @@
 
 
 class PgalError(Exception):
-    """Base class for all domain errors; `code` is stable across releases."""
+    """Base class for all domain errors; `code`, a subclass's name, is stable."""
 
     code = "Error"
+
+    def __init_subclass__(cls):
+        cls.code = cls.__name__
 
     def __init__(self, detail: str = ""):
         self.detail = detail
@@ -14,144 +17,144 @@ class PgalError(Exception):
 # group construction / inspection
 
 class UnknownFamily(PgalError):
-    code = "UnknownFamily"
+    pass
 
 
 class OrderTooLarge(PgalError):
-    code = "OrderTooLarge"
+    pass
 
 
 class RelationInconsistent(PgalError):
-    code = "RelationInconsistent"
+    pass
 
 
 class TargetMismatch(PgalError):
-    code = "TargetMismatch"
+    pass
 
 
 class NotNormal(PgalError):
-    code = "NotNormal"
+    pass
 
 
 class NotPGroup(PgalError):
-    code = "NotPGroup"
+    pass
 
 
 class BadM(PgalError):
-    code = "BadM"
+    pass
 
 
 # cohomology
 
 class KernelNotCentral(PgalError):
-    code = "KernelNotCentral"
+    pass
 
 
 class KernelNotPrime(PgalError):
-    code = "KernelNotPrime"
+    pass
 
 
 class NotACocycle(PgalError):
-    code = "NotACocycle"
+    pass
 
 
 class TooLarge(PgalError):
-    code = "TooLarge"
+    pass
 
 
 class BadIndexSubgroup(PgalError):
-    code = "BadIndexSubgroup"
+    pass
 
 
 class GInH(PgalError):
-    code = "GInH"
+    pass
 
 
 class PreimageOrderMismatch(PgalError):
-    code = "PreimageOrderMismatch"
+    pass
 
 
 class QuotientConditionFails(PgalError):
-    code = "QuotientConditionFails"
+    pass
 
 
 class IdentityElement(PgalError):
-    code = "IdentityElement"
+    pass
 
 
 # symbols
 
 class ZeroEntry(PgalError):
-    code = "ZeroEntry"
+    pass
 
 
 class NonRationalEntry(PgalError):
-    code = "NonRationalEntry"
+    pass
 
 
 class OpaqueFactorPresent(PgalError):
-    code = "OpaqueFactorPresent"
+    pass
 
 
 class FactorizationFailed(PgalError):
-    code = "FactorizationFailed"
+    pass
 
 
 class ZeroAlpha(PgalError):
-    code = "ZeroAlpha"
+    pass
 
 
 class SquareA(PgalError):
-    code = "SquareA"
+    pass
 
 
 class PrimeMismatch(PgalError):
-    code = "PrimeMismatch"
+    pass
 
 
 # obstruction engines
 
 class BadVariant(PgalError):
-    code = "BadVariant"
+    pass
 
 
 class BadFamily(PgalError):
-    code = "BadFamily"
+    pass
 
 
 # kummer solutions
 
 class MissingWitness(PgalError):
-    code = "MissingWitness"
+    pass
 
 
 class BadTheorem(PgalError):
-    code = "BadTheorem"
+    pass
 
 
 class BadI(PgalError):
-    code = "BadI"
+    pass
 
 
 # module machinery
 
 class BadIndex(PgalError):
-    code = "BadIndex"
+    pass
 
 
 class Mismatch(PgalError):
-    code = "Mismatch"
+    pass
 
 
 class NotSolvable(PgalError):
-    code = "NotSolvable"
+    pass
 
 
 # realization database
 
 class UnknownSpec(PgalError):
-    code = "UnknownSpec"
+    pass
 
 
 class BadParams(PgalError):
-    code = "BadParams"
+    pass

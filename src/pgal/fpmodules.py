@@ -137,13 +137,11 @@ def solvable(A: FpGModule, nd: NormData) -> bool:
     return all(delta(A, i) <= nd.dims[i] for i in range(1, top + 1))
 
 
-def count_solutions(A: FpGModule, nd: NormData, diagnostics: dict | None = None):
+def count_solutions(A: FpGModule, nd: NormData):
     """Number of solutions, or INFINITE when the base quotient is infinite.
 
     Evaluates the counting product literally; the indicator at
     i = p^(i(K/k)) + 1 is taken as false when the invariant is -infinity.
-    A zero count under solvability is recorded in `diagnostics` (it can only
-    arise from the indicator edge cases).
     """
     if not solvable(A, nd):
         raise NotSolvable("the embedding problem is not solvable")
@@ -164,8 +162,6 @@ def count_solutions(A: FpGModule, nd: NormData, diagnostics: dict | None = None)
             ind_j = 1 if (marker == j and i == top) else 0
             exp += nd.dims[j] - delta(A, j) - ind_j
         total *= p ** (d_i * exp)
-    if total == 0 and diagnostics is not None:
-        diagnostics["zero_count_under_solvability"] = True
     return total
 
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm, prod
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +29,11 @@ from .errors import (
     TooLarge,
 )
 
+if TYPE_CHECKING:
+    from .presentation import PcPresentation
+
 MAX_ORDER = 4096
+MAX_NORMALS = 4096  # normal_subgroups gives up beyond this many
 BLOCK_ENTRIES = 1 << 18
 
 
@@ -118,46 +121,12 @@ def path_counts(tree) -> np.ndarray:
     return counts
 
 
-def _is_multiplicative(phi: np.ndarray, S: np.ndarray, T: np.ndarray, gens) -> bool:
+def is_multiplicative(phi: np.ndarray, S: np.ndarray, T: np.ndarray, gens) -> bool:
     """phi(xs) = phi(x) phi(s) for all x and each s in gens, gens generating
     the source table S: then phi(xy) = phi(x) phi(y) for all x, y, since the
     y for which that holds contain the identity and are closed under right
     multiplication by each s (phi(x.ys) = phi(xy) phi(s) = phi(x) phi(ys))."""
     return all(np.array_equal(phi[S[:, s]], T[phi, phi[s]]) for s in gens)
-
-
-class PcPresentation(NamedTuple):
-    """A consistent power-commutator presentation of a group's table.
-
-    `rel_orders[i]` is the relative order e_i of x_i, `powers[i]` the word
-    {position: exponent} for x_i^{e_i} and `conj[(i, j)]` (i < j) the word
-    for x_i^{-1} x_j x_i, both over positions > i; a missing power word is
-    the identity, a missing conjugate x_j itself.  The table numbers the
-    normal forms x_0^{a_0} ... x_{k-1}^{a_{k-1}} in mixed radix, a_0 most
-    significant (catalog._pc_table).  Read-only: build it with `of`.
-    """
-
-    rel_orders: tuple
-    powers: Mapping
-    conj: Mapping
-
-    @classmethod
-    def of(cls, rel_orders, powers, conj) -> "PcPresentation":
-        def frozen(words):
-            return MappingProxyType({r: MappingProxyType(dict(w)) for r, w in words.items()})
-        return cls(tuple(int(e) for e in rel_orders), frozen(powers), frozen(conj))
-
-    def join(self, other: "PcPresentation") -> "PcPresentation":
-        """The presentation of the direct product, numbered as direct_product
-        numbers it: other's generators follow, and commute with, self's."""
-        k = len(self.rel_orders)
-
-        def shift(word):
-            return {pos + k: exp for pos, exp in word.items()}
-        return PcPresentation.of(
-            self.rel_orders + other.rel_orders,
-            {**self.powers, **{i + k: shift(w) for i, w in other.powers.items()}},
-            {**self.conj, **{(i + k, j + k): shift(w) for (i, j), w in other.conj.items()}})
 
 
 class Group:
@@ -193,6 +162,7 @@ class Group:
         self.pc = pc
         self._inv: np.ndarray | None = None
         self._orders: list[int] | None = None
+        self._tree: tuple | None = None
         if check:
             self._validate()
 
@@ -220,10 +190,9 @@ class Group:
         ar = np.arange(n)
         if not (np.array_equal(T[0], ar) and np.array_equal(T[:, 0], ar)):
             raise RelationInconsistent("index 0 is not a two-sided identity")
-        gens, reached = cayley_tree(T, [i for _, i in self.generators])[:2]
-        if len(reached) != n:
+        if len(self.tree()[1]) != n:
             raise RelationInconsistent("generators do not generate the group")
-        for s in gens:
+        for s in self.tree()[0]:
             for rows in row_blocks(n):
                 if not np.array_equal(T[T[rows, s]], np.take(T[rows], T[s], axis=1)):
                     raise RelationInconsistent("associativity fails")
@@ -253,6 +222,12 @@ class Group:
         if self._inv is None:
             self._inv = np.nonzero(self._np == 0)[1]  # one 0 per row, rows in order
         return self._inv
+
+    def tree(self) -> tuple:
+        """cayley_tree of the table on the named generators, walked once."""
+        if self._tree is None:
+            self._tree = cayley_tree(self._np, [i for _, i in self.generators])
+        return self._tree
 
     def conj(self, g: int, x: int) -> int:
         """g x g^{-1}"""
@@ -374,8 +349,8 @@ class GroupHom:
             raise RelationInconsistent("identity must map to identity")
         if phi.min() < 0 or phi.max() >= self.target.order:
             raise RelationInconsistent("images out of range")
-        if not _is_multiplicative(phi, self.source.np_table, self.target.np_table,
-                                  [s for _, s in self.source.generators]):
+        if not is_multiplicative(phi, self.source.np_table, self.target.np_table,
+                                 [s for _, s in self.source.generators]):
             raise RelationInconsistent("map is not multiplicative")
         object.__setattr__(self, "images", tuple(int(x) for x in phi))
 
@@ -575,7 +550,7 @@ def is_p_group(G: Group) -> int | None:
     return primes[0] if len(primes) == 1 else None
 
 
-def _central_step(G: Group, els: np.ndarray, gens, p: int) -> Subgroup:
+def central_step(G: Group, els: np.ndarray, gens, p: int) -> Subgroup:
     """[P, G] P^p for the normal subgroup P with elements els, gens generating G.
 
     It is generated by the x^p and the [x, s] = x^-1 x^s, for x in P and
@@ -594,62 +569,8 @@ def _central_step(G: Group, els: np.ndarray, gens, p: int) -> Subgroup:
 
 def frattini_style_subgroup(G: Group, p: int) -> Subgroup:
     """[G,G] G^p, the kernel of the maximal exponent-p abelian quotient:
-    G/N is abelian, of exponent p, for N = [G, G] G^p (_central_step)."""
-    return _central_step(G, np.arange(G.order), [s for _, s in G.generators], p)
-
-
-def read_pc(G: Group) -> tuple[PcPresentation, np.ndarray]:
-    """A pc presentation of the q-group G read off its table, and the
-    bijection L from its numbering to G's: L[i] is the element whose normal
-    form x_0^(a_0) ... x_(k-1)^(a_(k-1)) the mixed-radix digits of i give.
-
-    The layers of the q-central series P_0 = G, P_(i+1) = [P_i, G] P_i^q
-    (_central_step) are elementary abelian and central in G/P_(i+1).  Each
-    layer's generators are picked greedily: the least element of P_i outside
-    the span of P_(i+1) and the generators picked before it.  Taken layer by
-    layer they are x_0 .. x_(k-1), and each G_j = <x_j, ..., x_(k-1)> is
-    normal in G, of index q in G_(j-1) (Holt, Eick & O'Brien, Handbook of
-    Computational Group Theory, 2005, 8.2-8.3), so every relative order is
-    q.  The power word of x_i and the conjugate word of x_j under x_i are
-    the digits of L^-1 at x_i^q and at x_i^-1 x_j x_i; the series is
-    central, so the latter lies in x_j G_(j+1), over positions >= j.
-    Checked exactly: catalog._pc_table rebuilds G's table under L.
-    """
-    from .catalog import _pc_table  # catalog imports this module
-
-    q = is_p_group(G)
-    if q is None:
-        raise NotPGroup(f"|G| = {G.order} is not a prime power")
-    n, T = G.order, G.np_table
-    gens = cayley_tree(T, [s for _, s in G.generators])[0]
-    layer = np.arange(q)
-    xs, P = [], np.arange(n)
-    while len(P) > 1:
-        below = _central_step(G, P, gens, q)
-        span = below.pos >= 0
-        for x in P.tolist():
-            if not span[x]:  # span <x> S = the x^a S, a < q, as x^q lies in S
-                xs.append(x)
-                span[T[np.ix_(G._powers(np.full(q, x), layer), np.flatnonzero(span))]] = True
-        P = np.array(below.elements, dtype=np.int64)
-    k = len(xs)
-    L = np.zeros(1, dtype=np.int64)
-    for x in reversed(xs):
-        L = T[G._powers(np.full(q, x), layer)[:, None], L[None, :]].ravel().astype(np.int64)
-    L_inv = np.empty(n, dtype=np.int64)
-    L_inv[L] = np.arange(n)
-    place = q ** np.arange(k - 1, -1, -1)
-
-    def word(y) -> dict:
-        return {pos: int(a) for pos, a in enumerate(L_inv[y] // place % q) if a}
-
-    inv = G.inverses()
-    pc = PcPresentation.of(
-        [q] * k, {i: word(G.power(x, q)) for i, x in enumerate(xs)},
-        {(i, j): word(T[T[inv[xs[i]], xs[j]], xs[i]]) for i in range(k) for j in range(i + 1, k)})
-    if not np.array_equal(_pc_table(*pc), L_inv[T[np.ix_(L, L)]]):
-        raise RelationInconsistent("the read presentation does not rebuild the table")
-    return pc, L
+    G/N is abelian, of exponent p, for N = [G, G] G^p (central_step)."""
+    return central_step(G, np.arange(G.order), [s for _, s in G.generators], p)
 
 
 def sylow_subgroup(G: Group, p: int) -> Subgroup:
@@ -735,8 +656,8 @@ def max_elem_abelian_quotient(G: Group, p: int) -> tuple[Group, GroupHom]:
 # -- normal subgroups (bounded enumeration) ---------------------------------
 
 
-def normal_subgroups(G: Group, cap: int = 4096) -> list[Subgroup] | None:
-    """All normal subgroups, or None when the join closure exceeds cap.
+def normal_subgroups(G: Group) -> list[Subgroup] | None:
+    """All normal subgroups, or None when there are more than MAX_NORMALS.
 
     Every normal subgroup is the join of the normal closures of its elements
     (the atoms).  The atom of x is generated by the conjugacy class of x,
@@ -789,7 +710,7 @@ def normal_subgroups(G: Group, cap: int = 4096) -> list[Subgroup] | None:
                 if key not in normals:
                     normals[key] = np.flatnonzero(j)
                     fresh.append(normals[key])
-                    if len(normals) > cap:
+                    if len(normals) > MAX_NORMALS:
                         return None
         frontier = fresh
     found = sorted((tuple(els.tolist()) for els in normals.values()), key=lambda t: (len(t), t))
@@ -832,7 +753,7 @@ def find_isomorphism(G: Group, H: Group) -> list[int] | None:
             phi = [0] * G.order
             for y in reached[1:]:  # parents come first
                 phi[y] = rows[phi[parent[y]]][images[slot[y]]]
-            if len(set(phi)) != G.order or not _is_multiplicative(
+            if len(set(phi)) != G.order or not is_multiplicative(
                     np.array(phi), G.np_table, H.np_table, gens):
                 return None
             return phi

@@ -236,7 +236,7 @@ def minac_swallow_solution(p: int, i: int, omega: str = "omega") -> SolutionExpr
     return SolutionExpr(tuple(layers), "f", f"N({omega})=b")
 
 
-def verify_witness_t410(relation_holds: bool, c: FieldElem, p: int, q: int | None = None) -> bool:
+def verify_witness_t410(relation_holds: bool, c: FieldElem, p: int) -> bool:
     """Certificate check: the twisted-norm element is a nontrivial p-th root of 1."""
     if not relation_holds:
         return False

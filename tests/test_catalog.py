@@ -20,6 +20,7 @@ from pgal.catalog import build_group
 from pgal.cli import main
 from pgal.errors import NotNormal, OrderTooLarge, RelationInconsistent, UnknownFamily
 from pgal.groups import Group, direct_product, quotient, subgroup_generated
+from pgal.presentation import pc_table
 
 ORACLE_MAX = 128
 
@@ -225,7 +226,7 @@ def test_every_catalog_family_spec_matches_its_reference():
 ])
 def test_builder_rejects_inconsistent_presentations(rel_orders, powers, conj):
     with pytest.raises(RelationInconsistent):
-        catalog._pc_table(rel_orders, powers, conj)
+        pc_table(rel_orders, powers, conj)
 
 
 @pytest.mark.parametrize("spec,order", [

@@ -1,6 +1,7 @@
 """Cocycle extraction, extension building, H^2 counts, transfer and raise/lower."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -488,6 +489,24 @@ def test_a5_from_a_bare_table_keeps_its_dimensions():
     A5 = Group.from_json({"order": 60, "table": table})
     assert A5.pc is None
     assert [h2_enumerate(A5, p).dimension for p in (2, 3, 5)] == [1, 0, 0]
+
+
+def test_a_group_file_without_generators_is_checked_on_its_walk():
+    """Group.from_json names every element of a file without generators; the
+    cocycle identity is checked on the kept generators of the Cayley walk,
+    not on all 511 names."""
+    G = build_group("D:512")
+    bare = Group.from_json({"order": G.order, "table": G.table})
+    assert len(bare.generators) == 511 and len(bare.tree()[0]) == 2
+    f = h2_enumerate(G, 2).representatives[-1].values
+    broken = f.copy()
+    broken[1, 2] ^= 1
+    for values, want in ((f, (True, False)), (broken, (False, False))):
+        start = time.perf_counter()
+        got = verify(bare, 2, values)
+        assert time.perf_counter() - start < 1.0
+        assert got == verify(G, 2, values)
+        assert (got["is_cocycle"], got["is_coboundary"]) == want
 
 
 def test_error_paths():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgal import catalog
+from pgal import presentation
 from pgal.arith import factor, legendre
 from pgal.catalog import build_group, cyclic
 from pgal.cohomology import (
@@ -413,7 +413,7 @@ def _verdicts(monkeypatch, build):
     (np.array_equal compares two tables, two details, or neither)."""
     new = _verdict(build)
     with monkeypatch.context() as m:
-        m.setattr(catalog, "_check_hoelder", _full_table_hoelder)
+        m.setattr(presentation, "_check_hoelder", _full_table_hoelder)
         return new, _verdict(build)
 
 
@@ -431,7 +431,7 @@ def test_hoelder_tells_conjugation_by_w_from_conjugation_by_w_inverse(monkeypatc
     conj = {(0, 1): {1: 1}, (0, 2): {2: 4}, (1, 2): {2: 4}}
     verdicts = []
     for power in (3, 6):
-        new, old = _verdicts(monkeypatch, lambda: catalog._pc_table([3, 9, 27], {0: {1: power}}, conj))
+        new, old = _verdicts(monkeypatch, lambda: presentation.pc_table([3, 9, 27], {0: {1: power}}, conj))
         assert np.array_equal(new, old), power
         verdicts.append(new)
     assert verdicts[0].shape == (729, 729)
@@ -461,7 +461,7 @@ def test_hoelder_on_generators_agrees_with_the_full_table_on_random_presentation
     kinds = []
     for _ in range(2000):
         rel, powers, conj = _random_presentation(rng)
-        new, old = _verdicts(monkeypatch, lambda: catalog._pc_table(rel, powers, conj))
+        new, old = _verdicts(monkeypatch, lambda: presentation.pc_table(rel, powers, conj))
         assert np.array_equal(new, old), (rel, powers, conj)
         kinds.append("table" if isinstance(new, np.ndarray) else
                      next(k for k in ("automorphism", "does not fix", "times") if k in new))

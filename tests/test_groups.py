@@ -809,15 +809,17 @@ def test_normal_subgroups_agree_with_the_old_loop():
 
 
 @pytest.mark.parametrize("r,count", [(5, 374), (6, 2825)])
-def test_normal_subgroups_of_elementary_abelian_groups_are_all_subgroups(r, count):
+def test_normal_subgroups_of_elementary_abelian_groups_are_all_subgroups(r, count, monkeypatch):
     assert _subgroup_count_of_elementary_abelian(2, r) == count
     G = build_group(f"EA:p=2,r={r}")
     normals = normal_subgroups(G)
     # Subgroup checked each one closed; the list holds no repeats
     assert len({H.elements for H in normals}) == len(normals) == count
     assert sorted(H.order for H in normals) == [H.order for H in normals]
-    assert normal_subgroups(G, cap=count - 1) is None
-    assert len(normal_subgroups(G, cap=count)) == count
+    monkeypatch.setattr("pgal.groups.MAX_NORMALS", count - 1)
+    assert normal_subgroups(G) is None
+    monkeypatch.setattr("pgal.groups.MAX_NORMALS", count)
+    assert len(normal_subgroups(G)) == count
 
 
 # -- tables the library builds itself -------------------------------------------------

@@ -1,0 +1,75 @@
+"""The import graph of src/pgal, read with ast.
+
+Every relative import counts, at module level and inside functions, except
+those under `if TYPE_CHECKING:`, which never run.  The graph has no cycle,
+groups knows nothing of the catalog or of pc presentations, and only the CLI
+handlers and autoreal import pgal modules inside functions (their start-up
+lazy imports).
+"""
+
+import ast
+from pathlib import Path
+
+PKG = Path(__file__).resolve().parent.parent / "src" / "pgal"
+LAZY = {"cli", "autoreal"}
+
+
+def _imports(tree):
+    """(imported module, inside a function) for each relative import."""
+    out = []
+
+    def visit(node, in_function):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+                and node.test.id == "TYPE_CHECKING":
+            for child in node.orelse:
+                visit(child, in_function)
+            return
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            out.extend((name.split(".")[0], in_function) for name in names)
+        inner = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    visit(tree, False)
+    return out
+
+
+def _graph():
+    return {path.stem: _imports(ast.parse(path.read_text()))
+            for path in sorted(PKG.glob("*.py"))}
+
+
+def test_the_reader_sees_module_level_function_level_and_type_checking_imports():
+    tree = ast.parse("from typing import TYPE_CHECKING\nfrom .a import x\n"
+                     "if TYPE_CHECKING:\n    from .b import y\n"
+                     "def f():\n    from . import c, d\n")
+    assert _imports(tree) == [("a", False), ("c", True), ("d", True)]
+
+
+def test_the_import_graph_is_acyclic():
+    edges = {mod: {dep for dep, _ in deps} for mod, deps in _graph().items()}
+    done, path = set(), []
+
+    def visit(mod):
+        assert mod not in path, " -> ".join(path[path.index(mod):] + [mod])
+        if mod in done:
+            return
+        path.append(mod)
+        for dep in sorted(edges.get(mod, ())):
+            visit(dep)
+        path.pop()
+        done.add(mod)
+
+    for mod in sorted(edges):
+        visit(mod)
+
+
+def test_groups_imports_neither_the_catalog_nor_the_presentations():
+    deps = {dep for dep, _ in _graph()["groups"]}
+    assert not deps & {"catalog", "presentation"}
+
+
+def test_only_the_cli_and_autoreal_import_inside_functions():
+    lazy = {mod for mod, deps in _graph().items() if any(inner for _, inner in deps)}
+    assert lazy == LAZY

@@ -2,8 +2,8 @@
 Sylow reduction.
 
 A q-group table without a presentation has one read off it
-(groups.read_pc); any other table goes through a Sylow p-subgroup and the
-transfer (cohomology.corestrict).  They are checked against the tree and
+(presentation.read_pc); any other table goes through a Sylow p-subgroup and
+the transfer (cohomology.corestrict).  They are checked against the tree and
 four-case oracles in oracles.py, against cor res = [G : H], and against
 the dimensions that H_1 and the Schur multiplier give.
 """
@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgal import catalog
 from pgal.catalog import build_group
 from pgal.cohomology import (
     CoboundarySpace,
@@ -34,11 +33,11 @@ from pgal.errors import BadIndexSubgroup, NotPGroup
 from pgal.groups import (
     Group,
     direct_product,
-    read_pc,
     subgroup_generated,
     subgroups_of_index2,
     sylow_subgroup,
 )
+from pgal.presentation import pc_table, read_pc
 
 from oracles import corestrict_four_case, tree_h2_dim
 
@@ -67,13 +66,14 @@ def _catalog_specs(limit):
 
 
 def _round_trip(G):
-    pc, L = read_pc(G)
+    pc, L, table = read_pc(G)
     n = G.order
     assert sorted(L.tolist()) == list(range(n))
     assert all(e == pc.rel_orders[0] for e in pc.rel_orders)
     assert int(np.prod(pc.rel_orders)) == n
     # the rebuilt table is G's under L: L(a b) = L(a) L(b)
-    T = catalog._pc_table(*pc).astype(np.int64)
+    T = table.astype(np.int64)
+    assert np.array_equal(table, pc_table(*pc))
     assert np.array_equal(L[T], G.np_table[np.ix_(L, L)])
 
 

@@ -1,4 +1,4 @@
-"""H^2 from the tails of a pc presentation (cohomology.PcTails).
+"""H^2 from the tails of a pc presentation (presentation.PcTails).
 
 The engine is checked on the catalog's presentation and on one read off the
 bare table against the spanning-tree oracle (oracles.tree_h2_dim) on every
@@ -19,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgal import catalog, cohomology
+from pgal import cohomology, presentation
 from pgal.catalog import build_group
-from pgal.cohomology import PcTails, h2_enumerate, is_cocycle_table
+from pgal.cohomology import h2_enumerate, is_cocycle_table
 from pgal.errors import RelationInconsistent, TooLarge
 from pgal.groups import Group
+from pgal.presentation import PcTails, pc_table
 
 from oracles import PRIMES, family_specs, tree_h2_dim
 
@@ -80,13 +81,13 @@ BRUTE = [("C:8", 2), ("D:8", 2), ("Q:8", 2), ("C:4*C:2", 2), ("EA:p=2,r=3", 2), 
 @pytest.mark.parametrize("spec,p", BRUTE)
 def test_a_tail_is_consistent_exactly_when_the_builder_accepts_it(spec, p):
     G = build_group(spec)
-    tails = PcTails(G, p)
+    tails = PcTails(G.pc, G.np_table, p)
     assert tails.m <= 10
     consistent = 0
     for t in itertools.product(range(p), repeat=tails.m):
         in_v = not (tails.eq.rows @ np.array(t) % p).any()
         try:
-            catalog._pc_table(*_extended(G, p, t))
+            pc_table(*_extended(G, p, t))
             accepted = True
         except RelationInconsistent:
             accepted = False
@@ -105,7 +106,7 @@ _CACHE = {}
 def _solved(spec, p):
     if (spec, p) not in _CACHE:
         G = build_group(spec)
-        _CACHE[spec, p] = (G, PcTails(G, p), h2_enumerate(G, p))
+        _CACHE[spec, p] = (G, PcTails(G.pc, G.np_table, p), h2_enumerate(G, p))
     return _CACHE[spec, p]
 
 
@@ -117,7 +118,7 @@ def test_a_class_is_the_factor_set_of_the_checked_extension(case, seed):
     V = tails.eq.nullspace()
     rng = np.random.default_rng(seed)
     t = rng.integers(0, p, len(V)) @ V % p
-    TE = catalog._pc_table(*_extended(G, p, t)).astype(np.int64)
+    TE = pc_table(*_extended(G, p, t)).astype(np.int64)
     assert np.array_equal(TE[::p, ::p] // p, G.np_table)
     assert np.array_equal(tails.cocycle(t), TE[::p, ::p] % p)
     # a listed class is the one of the tails its index names, in
@@ -125,7 +126,7 @@ def test_a_class_is_the_factor_set_of_the_checked_extension(case, seed):
     i = seed % len(res.representatives)
     coeffs = list(itertools.product(range(p), repeat=res.dimension))[i] if res.complete \
         else np.eye(res.dimension, dtype=np.int64)[i]
-    TE = catalog._pc_table(*_extended(G, p, np.array(coeffs) @ tails.basis % p)).astype(np.int64)
+    TE = pc_table(*_extended(G, p, np.array(coeffs) @ tails.basis % p)).astype(np.int64)
     assert np.array_equal(res.representatives[i].values, TE[::p, ::p] % p)
 
 
@@ -144,7 +145,7 @@ def test_ea_3_7_has_dimension_28_but_no_extension_table():
     """|E| = 3 * 2187 exceeds the table cap, so h2_enumerate refuses it; the
     engine alone still gives 7 + 21."""
     G = build_group("EA:p=3,r=7")
-    assert len(PcTails(G, 3).basis) == 28
+    assert len(PcTails(G.pc, G.np_table, 3).basis) == 28
     with pytest.raises(TooLarge):
         h2_enumerate(G, 3)
 
@@ -153,7 +154,7 @@ def test_presentations_join_in_products_and_stay_out_of_json():
     G = build_group("D:8*C:3")
     assert G.pc.rel_orders == (2, 4, 3)
     assert dict(G.pc.conj) == {(0, 1): {1: 3}}
-    assert np.array_equal(catalog._pc_table(*G.pc), G.np_table)
+    assert np.array_equal(pc_table(*G.pc), G.np_table)
     with pytest.raises(TypeError):
         G.pc.powers[0] = {1: 1}
     assert set(G.to_json()) == {"order", "table", "generators"}
@@ -224,3 +225,14 @@ def test_tables_the_catalog_did_not_build_carry_no_presentation():
               Group.from_json(G.to_json()),
               cohomology.extension_of_cocycle(h2_enumerate(G, 2).representatives[1]).extension]
     assert all(T.pc is None for T in tables)
+
+
+@pytest.mark.parametrize("spec,p", [("D:16", 2), ("G3:p=3", 3)])
+def test_a_read_presentation_builds_its_table_once(monkeypatch, spec, p):
+    """read_pc checks itself with pc_table, and PcTails runs on that table."""
+    bare = _bare(build_group(spec))
+    calls = []
+    real = presentation.pc_table
+    monkeypatch.setattr(presentation, "pc_table", lambda *pc: calls.append(1) or real(*pc))
+    assert h2_enumerate(bare, p).dimension == h2_enumerate(build_group(spec), p).dimension
+    assert len(calls) == 1
