@@ -2,8 +2,8 @@
 
 The seeded database ships as JSON lines {"from", "to", "cite"}; quotient
 implications (G realizable forces G/N realizable) are generated lazily for
-resolvable groups of order <= 64.  Absence of a path is reported as
-"unknown", never as a refutation.
+groups of order <= 64.  Absence of a path is reported as "unknown", never
+as a refutation; a spec that names no group is UnknownSpec.
 """
 
 from __future__ import annotations
@@ -94,14 +94,19 @@ class RealizationGraph:
     def implies(self, src: str, dst: str) -> dict:
         """Reflexive-transitive closure over seeded plus quotient edges.
 
-        Returns {"holds": True, "path": [...]} or {"holds": "unknown", "path": []}.
+        Returns {"holds": True, "path": [...]} or {"holds": "unknown", "path": []},
+        and raises UnknownSpec when src or dst names no group.
         """
         src = self._resolve(src)
         dst = self._resolve(dst)
+        query: dict[str, Group] = {}
+        # a spec that names no group raises here; every other group the
+        # search builds is a node's, built when the graph was
+        self._group(src, query)
+        self._group(dst, query)
         if src == dst:
             return {"holds": True, "path": []}
         universe = sorted(self._nodes | {src, dst})
-        query: dict[str, Group] = {}
         frontier = [src]
         seen = {src: None}
         while frontier:
@@ -127,10 +132,7 @@ class RealizationGraph:
     def _quotient_edges(self, node: str, universe: list, query: dict) -> list[Edge]:
         from .groups import is_isomorphic, normal_subgroups, quotient
 
-        try:
-            G = self._group(node, query)
-        except UnknownSpec:
-            return []
+        G = self._group(node, query)
         if G.order > QUOTIENT_EDGE_MAX_ORDER:
             return []
         normals = normal_subgroups(G)
@@ -140,10 +142,7 @@ class RealizationGraph:
         for target in universe:
             if target == node:
                 continue
-            try:
-                H = self._group(target, query)
-            except UnknownSpec:
-                continue
+            H = self._group(target, query)
             if G.order % H.order or H.order > QUOTIENT_EDGE_MAX_ORDER:
                 continue
             for N in normals:
@@ -192,14 +191,13 @@ def reverse_known_false(src: str, dst: str) -> bool:
     from .catalog import parse_spec
 
     try:
-        f1, p1 = parse_spec(src)
-        f2, p2 = parse_spec(dst)
+        src_factors, dst_factors = parse_spec(src), parse_spec(dst)
     except UnknownFamily as exc:
         raise UnknownSpec(str(exc)) from exc
-    for a, b in _REVERSE_FALSE:
-        if f1 == a and f2 == b and p1.get("p") == p2.get("p"):
-            return True
-    return False
+    if len(src_factors) != 1 or len(dst_factors) != 1:
+        return False
+    (f1, p1), (f2, p2) = src_factors[0], dst_factors[0]
+    return (f1, f2) in _REVERSE_FALSE and p1["p"] == p2["p"]
 
 
 def gen_count_necessary(src: str, dst: str, graph: RealizationGraph | None = None) -> bool:

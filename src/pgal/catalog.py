@@ -5,6 +5,7 @@ them."""
 from __future__ import annotations
 
 import re
+from functools import reduce
 from math import prod
 
 from .arith import is_prime
@@ -236,98 +237,79 @@ def _check_two_power(order: int, minimum: int) -> None:
 
 # -- spec-string front end ----------------------------------------------------
 
+# each family's parameters, in the order its builder takes them; a family
+# whose parameters are _BARE takes its value bare, as in 'D:16'
+_BARE = ("order",)
+_FAMILIES = {
+    "C": (_BARE, cyclic),
+    "D": (_BARE, dihedral),
+    "SD": (_BARE, semidihedral),
+    "Q": (_BARE, quaternion),
+    "M": (_BARE, modular_max_cyclic),
+    "EA": (("p", "r"), elem_abelian),
+    "G1": (("p",), heisenberg),
+    "G2": (("p",), g2_group),
+    "G3": (("p",), g3_group),
+    "G4": (("p",), g4_group),
+    "G5": (("p",), g5_group),
+    "G6": (("p",), g6_group),
+    "G7": (("p",), g7_group),
+    "Mmod": (("p", "n"), modular_pgroup),
+    "MSS": (("p", "n", "j"), mss_semidirect),
+}
+
 # at most 4000 digits, below Python's limit for converting a string to int
 _PARAM_RE = re.compile(r"^([a-zA-Z][a-zA-Z0-9]*)=(-?\d{1,4000})$")
 
 
-def _params(text: str) -> dict:
-    out = {}
-    if not text:
-        return out
-    for piece in text.split(","):
+def parse_spec(spec: str) -> list[tuple[str, dict]]:
+    """The factors of a catalog spec like 'D:16', 'G1:p=3' or 'D:8*C:2', each
+    a (family, params) pair with params in the order the builder takes them.
+
+    A factor is accepted only if its family is known, it gives each of the
+    family's parameters exactly once and no other, and its p is prime;
+    anything else is UnknownFamily.
+    """
+    return [_parse_factor(part.strip()) for part in spec.split("*")]
+
+
+def _parse_factor(spec: str) -> tuple[str, dict]:
+    fam, colon, rest = spec.partition(":")
+    fam = fam.strip()
+    if not colon:
+        raise UnknownFamily(f"spec {spec!r} has no family prefix")
+    if fam not in _FAMILIES:
+        raise UnknownFamily(f"unknown family {fam!r}")
+    names = _FAMILIES[fam][0]
+    if names == _BARE:
+        try:
+            return fam, {names[0]: int(rest)}
+        except ValueError:
+            raise UnknownFamily(f"spec {spec!r} needs a numeric order")
+    given = []
+    for piece in rest.split(",") if rest.strip() else []:
         m = _PARAM_RE.match(piece.strip())
         if not m:
             raise UnknownFamily(f"bad parameter {piece!r}")
-        out[m.group(1)] = int(m.group(2))
-    return out
-
-
-def parse_spec(spec: str):
-    """Split a catalog spec like 'D:16' or 'G1:p=3' into (family, params)."""
-    spec = spec.strip()
-    if "*" in spec:
-        return "product", {"parts": [parse_spec(s) for s in spec.split("*")]}
-    if ":" not in spec:
-        raise UnknownFamily(f"spec {spec!r} has no family prefix")
-    fam, _, rest = spec.partition(":")
-    fam = fam.strip()
-    if fam in ("C", "D", "SD", "Q", "M"):
-        try:
-            return fam, {"order": int(rest)}
-        except ValueError:
-            raise UnknownFamily(f"spec {spec!r} needs a numeric order")
-    return fam, _params(rest)
+        given.append((m.group(1), int(m.group(2))))
+    if sorted(name for name, _ in given) != sorted(names):
+        raise UnknownFamily(f"{fam} takes each of the parameters {list(names)} exactly once")
+    params = dict(given)
+    if "p" in params and not is_prime(params["p"]):
+        raise UnknownFamily(f"{fam} needs a prime p, got p={params['p']}")
+    return fam, {name: params[name] for name in names}
 
 
 def canonical_spec(spec: str) -> str:
-    fam, params = parse_spec(spec)
-    if fam == "product":
-        return "*".join(canonical_spec(_unparse(f, p)) for f, p in params["parts"])
-    return _unparse(fam, params)
-
-
-def _unparse(fam, params) -> str:
-    if "order" in params:
-        return f"{fam}:{params['order']}"
-    inner = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-    return f"{fam}:{inner}"
-
-
-_FAMILIES = {
-    "C": lambda prm: cyclic(prm["order"]),
-    "D": lambda prm: dihedral(prm["order"]),
-    "SD": lambda prm: semidihedral(prm["order"]),
-    "Q": lambda prm: quaternion(prm["order"]),
-    "M": lambda prm: modular_max_cyclic(prm["order"]),
-    "EA": lambda prm: elem_abelian(prm["p"], prm["r"]),
-    "G1": lambda prm: heisenberg(prm["p"]),
-    "G2": lambda prm: g2_group(prm["p"]),
-    "G3": lambda prm: g3_group(prm["p"]),
-    "G4": lambda prm: g4_group(prm["p"]),
-    "G5": lambda prm: g5_group(prm["p"]),
-    "G6": lambda prm: g6_group(prm["p"]),
-    "G7": lambda prm: g7_group(prm["p"]),
-    "Mmod": lambda prm: modular_pgroup(prm["p"], prm["n"]),
-    "MSS": lambda prm: mss_semidirect(prm["p"], prm["n"], prm["j"]),
-}
+    """The spec with each factor's parameters sorted by name."""
+    return "*".join(
+        f"{fam}:" + ",".join(str(v) if _FAMILIES[fam][0] == _BARE else f"{k}={v}"
+                             for k, v in sorted(params.items()))
+        for fam, params in parse_spec(spec))
 
 
 def build_group(spec: str) -> Group:
-    """Build a catalog group from its spec string (see parse_spec)."""
-    fam, params = parse_spec(spec)
-    if fam == "product":
-        parts = [build_group(_unparse(f, p)) for f, p in params["parts"]]
-        out = parts[0]
-        for nxt in parts[1:]:
-            out = direct_product(out, nxt)
-        return out
-    if fam not in _FAMILIES:
-        raise UnknownFamily(f"unknown family {fam!r}")
-    missing = _required_params(fam) - set(params)
-    if missing:
-        raise UnknownFamily(f"{fam} needs parameters {sorted(missing)}")
-    if "p" in params and not is_prime(params["p"]):
-        raise UnknownFamily(f"{fam} needs a prime p, got p={params['p']}")
-    return _FAMILIES[fam](params)
-
-
-def _required_params(fam: str) -> set:
-    if fam in ("C", "D", "SD", "Q", "M"):
-        return {"order"}
-    if fam == "EA":
-        return {"p", "r"}
-    if fam == "Mmod":
-        return {"p", "n"}
-    if fam == "MSS":
-        return {"p", "n", "j"}
-    return {"p"}
+    """Build a catalog group from its spec string (see parse_spec); a product
+    of factors is their direct product."""
+    groups = [_FAMILIES[fam][1](*params.values()) for fam, params in parse_spec(spec)]
+    return reduce(direct_product, groups)

@@ -59,10 +59,10 @@ def is_cocycle_table(group: Group, p: int, values) -> bool:
     """Exact test of normalization and the cocycle identity.
 
     The identity f(x,y) + f(xy,z) = f(y,z) + f(x,yz) is checked for all x, y
-    and z a kept generator of the group's Cayley walk (Group.tree), n^2 k
-    entries.  That covers every z: the z for which it holds for all x, y
-    contain 1 and are closed under products (the closure argument of
-    Light's associativity test), and the kept generators generate.  Values
+    and z in the group's generator list (Group.gens), n^2 k entries.  That
+    covers every z: the z for which it holds for all x, y contain 1 and are
+    closed under products (the closure argument of Light's associativity
+    test), and those generators generate.  Values
     that are not integers (groups.integer_array) make no cocycle; values
     are exponents of zeta, so one of any size is read mod p.
     """
@@ -74,7 +74,7 @@ def is_cocycle_table(group: Group, p: int, values) -> bool:
     if F.shape != (n, n) or F[0].any() or F[:, 0].any():
         return False
     T = group.np_table
-    for s in group.tree()[0]:
+    for s in group.gens:
         for rows in row_blocks(n):
             Fx = F[rows]
             if ((Fx + F[T[rows], s] - F[:, s] - Fx[:, T[:, s]]) % p).any():
@@ -171,9 +171,10 @@ def cocycle_of_extension(E: Group, proj: GroupHom, kernel_gen: int) -> Cocycle2:
     kpow[powers] = np.arange(p)
     sec = _section(proj)
     sec_inv = np.nonzero(T[sec] == 0)[1]
-    # f(a, b) = s(a) s(b) s(ab)^-1, a power of the kernel generator
+    # f(a, b) = s(a) s(b) s(ab)^-1, a power of the kernel generator; the
+    # factor set of a central extension, so a cocycle by construction
     vals = kpow[T[T[np.ix_(sec, sec)], sec_inv[F.np_table]]]
-    return Cocycle2(F, p, vals)
+    return Cocycle2(F, p, vals, check=False)
 
 
 def extension_of_cocycle(f: Cocycle2) -> ExtensionClass:
@@ -552,7 +553,8 @@ def raise_lower(E: ExtensionClass, sigma1, n_exp: int, direction: str) -> Extens
     inf_vals = cyclic_step_cocycle(p, n_exp).values[expo[:, None], expo[None, :]]
     sign = 1 if direction == "raise" else -1
     new_vals = (E.cocycle.values + sign * inf_vals) % p
-    return extension_of_cocycle(Cocycle2(G, p, new_vals))
+    # extension_of_cocycle checks the sum
+    return extension_of_cocycle(Cocycle2(G, p, new_vals, check=False))
 
 
 def lift_order_diag(f: Cocycle2, z: int) -> dict:

@@ -133,7 +133,11 @@ class Group:
     """Immutable finite group given by its full multiplication table.
 
     `pc` is the group's pc presentation when the library built the table
-    from one (catalog groups and their direct products), else None.
+    from one (catalog groups and their direct products), else None.  `gens`
+    lists the generator indices the group's loops run over: the named ones
+    for a table the library built, and for a table from outside the ones
+    its validation walk kept (Group.tree), so that a file naming every
+    element is not looped over n - 1 times.
     """
 
     def __init__(self, table, generators, name: str = "", check: bool = True,
@@ -158,6 +162,7 @@ class Group:
         self._np = arr
         self.order = int(arr.shape[0])
         self.generators = [(str(n), int(i)) for n, i in generators]
+        self.gens = [i for _, i in self.generators]
         self.name = name
         self.pc = pc
         self._inv: np.ndarray | None = None
@@ -165,6 +170,7 @@ class Group:
         self._tree: tuple | None = None
         if check:
             self._validate()
+            self.gens = self.tree()[0]
 
     # -- validation ------------------------------------------------------
 
@@ -224,9 +230,9 @@ class Group:
         return self._inv
 
     def tree(self) -> tuple:
-        """cayley_tree of the table on the named generators, walked once."""
+        """cayley_tree of the table on gens, walked once."""
         if self._tree is None:
-            self._tree = cayley_tree(self._np, [i for _, i in self.generators])
+            self._tree = cayley_tree(self._np, self.gens)
         return self._tree
 
     def conj(self, g: int, x: int) -> int:
@@ -304,12 +310,11 @@ class Group:
         return sorted(cayley_tree(self._np, sorted({int(s) for s in seed}))[1])
 
     def center(self) -> "Subgroup":
-        """The elements that commute with each named generator: the named
-        generators generate the group (checked in _validate), so those are
-        central."""
+        """The elements that commute with each generator in gens: those
+        generate the group (checked in _validate), so these are central."""
         T = self._np
         mask = np.ones(self.order, dtype=bool)
-        for _, s in self.generators:
+        for s in self.gens:
             mask &= T[:, s] == T[s]
         return Subgroup(self, np.flatnonzero(mask).tolist(), check=False)
 
@@ -350,7 +355,7 @@ class GroupHom:
         if phi.min() < 0 or phi.max() >= self.target.order:
             raise RelationInconsistent("images out of range")
         if not is_multiplicative(phi, self.source.np_table, self.target.np_table,
-                                 [s for _, s in self.source.generators]):
+                                 self.source.gens):
             raise RelationInconsistent("map is not multiplicative")
         object.__setattr__(self, "images", tuple(int(x) for x in phi))
 
@@ -412,12 +417,12 @@ class Subgroup:
         return self.elements[local_idx]
 
     def is_normal(self) -> bool:
-        """g N g^-1 lies in N for each named generator g, one gather each:
+        """g N g^-1 lies in N for each generator g in gens, one gather each:
         conjugation by g is then a bijection of the finite N, so N is closed
         under conjugation by every product of the generators."""
         T = self.parent.np_table
         els = np.array(self.elements, dtype=np.int64)
-        for _, g in self.parent.generators:
+        for g in self.parent.gens:
             g_inv = int(np.flatnonzero(T[g] == 0)[0])
             if (self.pos[T[T[g, els], g_inv]] < 0).any():
                 return False
@@ -570,7 +575,7 @@ def central_step(G: Group, els: np.ndarray, gens, p: int) -> Subgroup:
 def frattini_style_subgroup(G: Group, p: int) -> Subgroup:
     """[G,G] G^p, the kernel of the maximal exponent-p abelian quotient:
     G/N is abelian, of exponent p, for N = [G, G] G^p (central_step)."""
-    return central_step(G, np.arange(G.order), [s for _, s in G.generators], p)
+    return central_step(G, np.arange(G.order), G.gens, p)
 
 
 def sylow_subgroup(G: Group, p: int) -> Subgroup:
@@ -661,14 +666,14 @@ def normal_subgroups(G: Group) -> list[Subgroup] | None:
 
     Every normal subgroup is the join of the normal closures of its elements
     (the atoms).  The atom of x is generated by the conjugacy class of x,
-    found by conjugating with the named generators only (they generate the
-    group), and x's unit powers and their conjugates have the same atom, so
+    found by conjugating with the generators in gens only (they generate
+    the group), and x's unit powers and their conjugates have the same atom, so
     one class of cyclic subgroups needs one closure walk.  Joining each new
     subgroup with each atom then finds every normal subgroup; the join of
     normal A and B is the product set AB, one gather.
     """
     T = G.np_table
-    conjs = np.array([T[T[s], G.inv(s)] for _, s in G.generators],
+    conjs = np.array([T[T[s], G.inv(s)] for s in G.gens],
                      dtype=np.int64).reshape(-1, G.order)
 
     def mask(els) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Matrices are kept in reduced row echelon form (RREF; each pivot column is
 a unit vector, rows in the order their pivots were found) so that reducing
-a block of incoming rows is a single exact float64 matmul (all
-intermediate values stay far below 2**53).
+a block of incoming rows is a single int64 matmul over the pivots the
+block uses, exact while (p - 1)^2 ncols < 2^63 (the bound a GFMatrix
+checks when it is made).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ class GFMatrix:
     """Incrementally built RREF over GF(p) with a fixed number of columns."""
 
     def __init__(self, ncols: int, p: int):
-        if (p - 1) ** 2 * max(ncols, 1) >= 2 ** 53:
-            raise TooLarge(f"GF({p}) elimination on {ncols} columns would not be exact in float64")
+        if (p - 1) ** 2 * max(ncols, 1) >= 2 ** 63:
+            raise TooLarge(f"GF({p}) elimination on {ncols} columns would overflow int64")
         self.p = p
         self.ncols = ncols
         self.rows = np.zeros((0, ncols), dtype=np.int64)
@@ -34,9 +35,12 @@ class GFMatrix:
         if not self.pivots or not block.size:
             return block
         coeff = block[:, self.pivots]
-        if not coeff.any():
+        # numpy's integer matmul has no BLAS, so only the pivots the block
+        # uses enter it: a block of sparse rows (cocycle equations) uses few
+        used = np.flatnonzero(coeff.any(axis=0))
+        if not used.size:
             return block
-        red = block - (coeff.astype(np.float64) @ self.rows.astype(np.float64)).astype(np.int64)
+        red = block - coeff[:, used] @ self.rows[used]
         return red % self.p
 
     def add_rows(self, block: np.ndarray) -> int:
@@ -74,7 +78,7 @@ class GFMatrix:
         if self.pivots:
             coeff = self.rows[:, new_piv]
             if coeff.any():
-                self.rows = (self.rows - coeff.astype(np.float64) @ npmat.astype(np.float64)).astype(np.int64) % p
+                self.rows = (self.rows - coeff @ npmat) % p
         self.rows = np.vstack([self.rows, npmat])
         self.pivots.extend(new_piv)
         return len(new_piv)

@@ -74,7 +74,9 @@ def generator_indices(rel_orders) -> list[int]:
 
 def pc_table(rel_orders, powers, conj) -> np.ndarray:
     """The int16 multiplication table of a pc presentation, by the level
-    formula, or RelationInconsistent."""
+    formula, or RelationInconsistent, also for a word at level i with a
+    letter that is not a later generator x_pos (i < pos < k) or has a
+    negative exponent."""
     k = len(rel_orders)
     gen = generator_indices(rel_orders)
     T = np.zeros((1, 1), dtype=np.int16)
@@ -84,6 +86,9 @@ def pc_table(rel_orders, powers, conj) -> np.ndarray:
         def word(letters):
             r = 0
             for pos, exp in sorted(letters.items()):
+                if not (i < pos < k and exp >= 0):
+                    raise RelationInconsistent(f"a word at level {i} has the letter "
+                                               f"x{pos}^{exp}, not x_j^a with {i} < j < {k}, a >= 0")
                 for _ in range(exp):
                     r = T[r, gen[pos]]
             return r
@@ -156,11 +161,10 @@ def read_pc(G: Group) -> tuple[PcPresentation, np.ndarray, np.ndarray]:
     if q is None:
         raise NotPGroup(f"|G| = {G.order} is not a prime power")
     n, T = G.order, G.np_table
-    gens = G.tree()[0]
     layer = np.arange(q)
     xs, P = [], np.arange(n)
     while len(P) > 1:
-        below = central_step(G, P, gens, q)
+        below = central_step(G, P, G.gens, q)
         span = below.pos >= 0
         for x in P.tolist():
             if not span[x]:  # span <x> S = the x^a S, a < q, as x^q lies in S

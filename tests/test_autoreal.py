@@ -48,11 +48,23 @@ def test_unknown_spec_raises():
         implies("ZZZ:9", "C:3")
 
 
+@pytest.mark.parametrize("bad", ["ZZZ:p=9", "EA:p=4,r=2", "D:12"])
+def test_a_spec_that_names_no_group_raises_on_either_side(bad):
+    """Also when both sides are the same; these used to answer "unknown"
+    (and True for the same spec twice)."""
+    for src, dst in ((bad, "C:3"), ("C:3", bad), (bad, bad)):
+        with pytest.raises(UnknownSpec):
+            implies(src, dst)
+
+
 def test_reverse_known_false_pairs():
     assert reverse_known_false("G2:p=3", "G1:p=3")
     assert reverse_known_false("G4:p=5", "G3:p=5")
     assert not reverse_known_false("G2:p=3", "G1:p=5")
     assert not reverse_known_false("Q:8", "D:8")
+    assert not reverse_known_false("G2:p=3*C:2", "G1:p=3")
+    with pytest.raises(UnknownSpec):
+        reverse_known_false("G2:p=4", "G1:p=4")
 
 
 def test_reverse_false_never_contradicts_implies():

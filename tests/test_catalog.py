@@ -223,6 +223,12 @@ def test_every_catalog_family_spec_matches_its_reference():
     ([2, 64], {}, {(0, 1): {1: 5}}),       # phi^2 = (x1 -> x1^25) is not the identity
     ([2, 128], {}, {(0, 1): {1: 5}}),
     ([2, 64], {0: {1: 1}}, {(0, 1): {1: 63}}),  # phi moves x0^2 = x1
+    # a word letter must be a later generator with an exponent >= 0: these read
+    # as x1^2 (C8), as the identity, and ended in IndexError twice
+    ([2, 4], {0: {-1: 2}}, {}),
+    ([2, 4], {0: {1: -2}}, {}),
+    ([2, 4], {0: {2: 1}}, {}),
+    ([2, 4], {}, {(0, 1): {1: 3, 0: 1}}),
 ])
 def test_builder_rejects_inconsistent_presentations(rel_orders, powers, conj):
     with pytest.raises(RelationInconsistent):
@@ -249,6 +255,24 @@ def test_cli_rejects_non_prime_p(capsys, spec):
     assert code == 1
     assert set(doc) == {"error", "detail"}
     assert doc["error"] == "UnknownFamily"
+
+
+def test_a_spec_parses_to_its_checked_factors():
+    assert catalog.parse_spec("D:8*EA:r=3,p=2") == [("D", {"order": 8}), ("EA", {"p": 2, "r": 3})]
+    assert list(catalog.parse_spec("MSS:j=2,p=3,n=1")[0][1]) == ["p", "n", "j"]
+
+
+@pytest.mark.parametrize("spec", ["EA:p=2,r=2,p=3", "EA:p=2,r=2,junk=1"])
+def test_a_spec_gives_each_parameter_exactly_once(capsys, spec):
+    """A repeated p used to take its last value (EA(3,2)), and a parameter the
+    family does not take was ignored."""
+    for call in (build_group, catalog.canonical_spec):
+        with pytest.raises(UnknownFamily):
+            call(spec)
+    code = main(["groups", "build", "--spec", spec, "--json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "UnknownFamily", "detail": f"{spec!r} is neither a catalog spec nor an existing file"}
 
 
 def _reference_quotient(G, N):

@@ -235,6 +235,8 @@ def test_human_output_default(capsys):
     (["cor", "--group", "D:8", "--subgroup", "0,2,4,6", "--cocycle", "{dir}/c.json", "--g", "99"],
      {"c.json": '{"p": 2, "group": "C:4", "values": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],'
                 ' [0, 0, 0, 0]]}'}, "BadIndexSubgroup", "0..7"),
+    # autoreal builds both ends of a query before it searches
+    (["autoreal", "query", "--from", "C:8192", "--to", "C:2"], {}, "OrderTooLarge", "8192"),
 ])
 def test_bad_input_gives_the_error_document(tmp_path, capsys, argv, files, code, named):
     for name, text in files.items():

@@ -18,6 +18,7 @@ from pgal.cohomology import (
     h2_enumerate,
     inflate,
     is_coboundary,
+    is_cocycle_table,
     lift_order_diag,
     power_commutator_data,
     prop54_report,
@@ -93,6 +94,7 @@ def test_extension_roundtrip_reproduces_values():
 ])
 def test_extension_roundtrip_isomorphic_for_catalog_extensions(spec, kernel):
     E, Q, proj, k, f = _central_quotient_cocycle(spec, kernel)
+    assert is_cocycle_table(Q, f.p, f.values)  # built with check=False
     rebuilt = extension_of_cocycle(f)
     f2 = cocycle_of_extension(rebuilt.extension, rebuilt.proj, rebuilt.kernel_gen)
     assert np.array_equal(f2.values, f.values)

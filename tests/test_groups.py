@@ -26,6 +26,7 @@ from pgal.groups import (
     direct_product,
     dual_action_predicate,
     find_isomorphism,
+    frattini_style_subgroup,
     is_isomorphic,
     max_elem_abelian_quotient,
     min_generators,
@@ -784,6 +785,22 @@ def test_is_normal_agrees_with_conjugation_by_every_element():
         for H in {tuple(G.closure([x])) for x in range(G.order)}:
             want = all(G.conj(g, y) in H for g in range(G.order) for y in H)
             assert Subgroup(G, H).is_normal() == want, (name, H)
+
+
+def test_a_file_without_generators_answers_as_the_catalog_group():
+    """A group file without generators names all n - 1 elements; its loops
+    run over the generators its validation walk kept, at most log2 n."""
+    G = build_group("D:1024")
+    F = Group.from_json({"order": G.order, "table": G.table})
+    assert len(F.generators) == 1023 and len(F.gens) <= 10
+    assert F.center().elements == G.center().elements
+    assert frattini_style_subgroup(F, 2).elements == frattini_style_subgroup(G, 2).elements
+    assert ([H.elements for H in subgroups_of_index2(F)]
+            == [H.elements for H in subgroups_of_index2(G)])
+    assert ([H.elements for H in normal_subgroups(F)]
+            == [H.elements for H in normal_subgroups(G)])
+    (QF, pF), (QG, pG) = quotient(F, F.center()), quotient(G, G.center())
+    assert np.array_equal(QF.np_table, QG.np_table) and pF.images == pG.images
 
 
 def _subgroup_count_of_elementary_abelian(p, r):

@@ -163,13 +163,15 @@ def test_the_cocycle_check_uses_every_generator():
 
 
 def test_a_prime_too_large_for_exact_elimination_is_refused():
-    """At p = 2^31 - 1 the float64 reduction would round, and a coboundary of
-    D:16 came out as not a coboundary; now that is a domain error."""
+    """The int64 elimination is exact while (p - 1)^2 ncols < 2^63: p = 2^31 - 1
+    is a domain error on D:16, and p = 2^27 - 39, which the float64 bound
+    2^53 refused, answers."""
     G = build_group("D:16")
     g = np.random.default_rng(1).integers(0, 2 ** 31 - 1, G.order)
     with pytest.raises(TooLarge):
         verify(G, 2 ** 31 - 1, _coboundary(G, 2 ** 31 - 1, g))
     assert verify(G, 10007, _coboundary(G, 10007, g))["is_coboundary"]
+    assert verify(G, 2 ** 27 - 39, _coboundary(G, 2 ** 27 - 39, g))["is_coboundary"]
 
 
 # -- a prime p only -------------------------------------------------------------------
