@@ -10,6 +10,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -229,11 +230,14 @@ class CoboundarySpace:
         self.N = len(self.edge_y)
         self.edge_z = group.np_table[self.edge_y, self.gens[self.edge_slot]]
 
-    def tree_additive(self) -> tuple[np.ndarray, np.ndarray]:
-        """phi[y, i] = phi_i(y), and dphi[i] = delta(phi_i) on the non-tree edges."""
-        phi = path_counts(self.tree)
+    @cached_property
+    def phi(self) -> np.ndarray:  # phi[y, i] = phi_i(y), built once, when first read
+        return path_counts(self.tree)
+
+    @cached_property
+    def dphi(self) -> np.ndarray:  # dphi[i] = delta(phi_i) on the non-tree edges
         own = np.eye(len(self.gens), dtype=np.int64)[self.edge_slot]
-        return phi, ((phi[self.edge_y] + own - phi[self.edge_z]) % self.p).T
+        return ((self.phi[self.edge_y] + own - self.phi[self.edge_z]) % self.p).T
 
     def normalise(self, Fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(w, v) for a normalized cochain F (int64), read only at its n x k
@@ -252,7 +256,7 @@ class CoboundarySpace:
         v and the rows of extra on the non-tree edges: with the rows augmented
         by the identity, [v, 0] reduces to [0, -c] exactly when v is in their span."""
         p, N = self.p, self.N
-        rows = np.vstack([self.tree_additive()[1], *extra])
+        rows = np.vstack([self.dphi, *extra])
         mat = GFMatrix(N + len(rows), p)
         mat.add_rows(np.hstack([rows, np.eye(len(rows), dtype=np.int64)]))
         red = mat.reduce(np.concatenate([v, np.zeros(len(rows), dtype=np.int64)])[None])[0]
@@ -269,10 +273,9 @@ class CoboundarySpace:
         F = integer_array(values, p)
         w, v = self.normalise(F[:, self.gens])
         if v.any():
-            c = self.solve(v)
-            if c is None:
+            if (c := self.solve(v)) is None:
                 return None
-            w = w + path_counts(self.tree) @ c
+            w = w + self.phi @ c
         w %= p
         for rows in row_blocks(self.group.order):
             if ((w[rows, None] + w[None, :] - w[T[rows]] - F[rows]) % p).any():
@@ -392,7 +395,7 @@ def _sylow_classes(group: Group, p: int):
     dim_p, build_p = _classes(P.as_group(), p)
     cob = CoboundarySpace(group, p)
     rank = GFMatrix(cob.N, p)
-    rank.add_rows(cob.tree_additive()[1])
+    rank.add_rows(cob.dphi)
     kept = [e for e, v in zip(np.eye(dim_p, dtype=np.int64), _cor_coords(cob, P, dim_p, build_p))
             if rank.add_rows(v[None])]
     basis = np.array(kept, dtype=np.int64).reshape(len(kept), dim_p)
@@ -584,13 +587,8 @@ def prop54_report(G: Group, H: Subgroup, g: int, fbar: Cocycle2) -> dict:
     orders = E1.element_orders()
     exp_h1 = lcm(*(orders[i * n + x] for i in range(2) for x in H.elements))
     exp_h = H.as_group().exponent()
-    applicable = exp_h % 2 == 0
-    for x in H.elements:
-        if not applicable or G.element_order(x) != exp_h:
-            continue
-        if G.conj(g, x) not in G.closure([x]):
-            applicable = False
-            break
+    applicable = exp_h % 2 == 0 and all(G.conj(g, x) in G.closure([x]) for x in H.elements
+                                        if G.element_order(x) == exp_h)
     return {
         "expH1": exp_h1,
         "expH2": exp_h2,
@@ -636,9 +634,6 @@ def power_commutator_data(E: ExtensionClass, gens: list) -> tuple[list, dict]:
     sec = _section(proj)
     pre = [int(sec[_resolve_element(proj.target, g)]) for g in gens]
     diag = [kp.get(ext.power(s, p)) for s in pre]
-    offdiag = {}
-    for i in range(len(pre)):
-        for j in range(i + 1, len(pre)):
-            lhs, rhs = ext.mul(pre[i], pre[j]), ext.mul(pre[j], pre[i])
-            offdiag[(i, j)] = kp.get(ext.mul(lhs, ext.inv(rhs)))
+    offdiag = {(i, j): kp.get(ext.mul(ext.mul(pre[i], pre[j]), ext.inv(ext.mul(pre[j], pre[i]))))
+               for i in range(len(pre)) for j in range(i + 1, len(pre))}
     return diag, offdiag

@@ -14,11 +14,16 @@ in H; then for h, h' in H
 
     (x^a h)(x^b h') = x^((a+b) mod e) * w^[a+b >= e] * phi^b(h) * h'.
 
-That is a group exactly when Hoelder's three conditions hold, and each
-level checks them (_check_hoelder).  The tails of a presentation (ch. 8 and
-9.4) extend it by a central z of order p, placed last, with a tail z^(t_r)
-on each of its m = k + k(k-1)/2 relations: the power tails of x_0 ..
-x_{k-1}, then the conjugate tails of the pairs i < j in lexicographic order.
+That is a group exactly when Hoelder's three conditions hold.  A word
+{pos: a} is the product of the x_pos^a in increasing pos, each at level i a
+later generator (i < pos < k) with a >= 0.  One walk per level (_walk)
+forms its words letter by letter, phi from the powers of each phi(x_j),
+and checks Hoelder's conditions; pc_table fills the level from it, and
+PcTails reads its z-parts off the walk's steps.  The tails of a
+presentation (ch. 8 and 9.4) extend it by a central z of order p, placed
+last, with a tail z^(t_r) on each of its m = k + k(k-1)/2 relations: the
+power tails of x_0 .. x_{k-1}, then the conjugate tails of the pairs i < j
+in lexicographic order.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ class PcPresentation(NamedTuple):
     """A consistent pc presentation of a group's table: `rel_orders[i]` is
     e_i, `powers[i]` the word {position: exponent} for x_i^{e_i} and
     `conj[(i, j)]` the one for x_i^{-1} x_j x_i.  Read-only: build it with
-    `of`."""
+    `of`, which rejects a key that names no such relation."""
 
     rel_orders: tuple
     powers: Mapping
@@ -49,6 +54,11 @@ class PcPresentation(NamedTuple):
 
     @classmethod
     def of(cls, rel_orders, powers, conj) -> "PcPresentation":
+        k = len(rel_orders)
+        pairs = {(i, j) for i in range(k) for j in range(i + 1, k)}
+        if stray := [r for r in powers if r not in range(k)] + [r for r in conj if r not in pairs]:
+            raise RelationInconsistent(f"no relation of {k} pc generators has the key {stray[0]}")
+
         def frozen(words):
             return MappingProxyType({r: MappingProxyType(dict(w)) for r, w in words.items()})
         return cls(tuple(int(e) for e in rel_orders), frozen(powers), frozen(conj))
@@ -72,37 +82,46 @@ def generator_indices(rel_orders) -> list[int]:
     return [prod(rel_orders[j + 1:]) if e > 1 else 0 for j, e in enumerate(rel_orders)]
 
 
+def _walk(T, pc: PcPresentation, i: int):
+    """Level i over H = G_(i+1), of table T: w = x_i^e_i, its word's steps
+    (prefix, pos), each the G-product prefix * x_pos, phi on H, and for j = k-1
+    down to i+1 (j, phi(x_j), its word's steps, its powers pw below e_j, phi on G_(j+1))."""
+    rel, powers, conj = pc
+    k, gen = len(rel), generator_indices(rel)
+
+    def word(letters):
+        r, steps = 0, []
+        for pos, exp in sorted(letters.items()):
+            if not (i < pos < k and exp >= 0):
+                raise RelationInconsistent(f"a word at level {i} has the letter "
+                                           f"x{pos}^{exp}, not x_j^a with {i} < j < {k}, a >= 0")
+            for _ in range(exp):
+                steps.append((r, pos))
+                r = T[r, gen[pos]]
+        return r, steps
+
+    w, steps = word(powers.get(i, {}))
+    phi, below = np.zeros(1, dtype=T.dtype), []  # phi on G_(j+1), grown to H
+    for j in reversed(range(i + 1, k)):
+        g, g_steps = word(conj.get((i, j), {j: 1}))
+        pw = [0]
+        for _ in range(rel[j] - 1):
+            pw.append(T[pw[-1], g])
+        pw = np.array(pw)
+        below.append((j, g, g_steps, pw, phi))
+        phi = T[pw[:, None], phi[None, :]].ravel()
+    _check_hoelder(T, phi, w, rel[i], i, gen[i + 1:])
+    return w, steps, phi, below
+
+
 def pc_table(rel_orders, powers, conj) -> np.ndarray:
     """The int16 multiplication table of a pc presentation, by the level
-    formula, or RelationInconsistent, also for a word at level i with a
-    letter that is not a later generator x_pos (i < pos < k) or has a
-    negative exponent."""
-    k = len(rel_orders)
-    gen = generator_indices(rel_orders)
+    formula, or RelationInconsistent (PcPresentation.of, _walk)."""
+    pc = PcPresentation.of(rel_orders, powers, conj)
     T = np.zeros((1, 1), dtype=np.int16)
-    for i in reversed(range(k)):
-        e, m = rel_orders[i], T.shape[0]
-
-        def word(letters):
-            r = 0
-            for pos, exp in sorted(letters.items()):
-                if not (i < pos < k and exp >= 0):
-                    raise RelationInconsistent(f"a word at level {i} has the letter "
-                                               f"x{pos}^{exp}, not x_j^a with {i} < j < {k}, a >= 0")
-                for _ in range(exp):
-                    r = T[r, gen[pos]]
-            return r
-
-        w = word(powers.get(i, {}))
-        phi = np.zeros(1, dtype=np.int16)  # phi on G_{j+1}, grown to G_{i+1}
-        for j in reversed(range(i + 1, k)):
-            g = word(conj.get((i, j), {j: 1}))
-            pw = [0]  # phi(x_j)^a for a < e_j
-            for _ in range(rel_orders[j] - 1):
-                pw.append(T[pw[-1], g])
-            phi = T[np.array(pw)[:, None], phi[None, :]].ravel()
-        _check_hoelder(T, phi, w, e, i, gen[i + 1:])
-
+    for i in reversed(range(len(pc.rel_orders))):
+        e, m = pc.rel_orders[i], T.shape[0]
+        w, _, phi, _ = _walk(T, pc, i)
         P = np.empty((e, m), dtype=np.int16)  # P[t] = phi^t
         P[0] = np.arange(m)
         for t in range(1, e):
@@ -175,8 +194,7 @@ def read_pc(G: Group) -> tuple[PcPresentation, np.ndarray, np.ndarray]:
     L = np.zeros(1, dtype=np.int64)
     for x in reversed(xs):
         L = T[G._powers(np.full(q, x), layer)[:, None], L[None, :]].ravel().astype(np.int64)
-    L_inv = np.empty(n, dtype=np.int64)
-    L_inv[L] = np.arange(n)
+    L_inv = np.argsort(L)
     place = q ** np.arange(k - 1, -1, -1)
 
     def word(y) -> dict:
@@ -216,50 +234,36 @@ class PcTails:
     """
 
     def __init__(self, pc: PcPresentation, table: np.ndarray, p: int):
-        rel, powers, conj = pc
-        k = len(rel)
-        self.p = p
+        rel, k = pc.rel_orders, len(pc.rel_orders)
         pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
         self.m = m = k + len(pairs)
         col = {pair: k + c for c, pair in enumerate(pairs)}
-        self.dtype = dtype = np.int8 if p <= 64 else np.int16  # holds 2p - 2
-        gen = generator_indices(rel)
-        delta = np.zeros((k, m), dtype=np.int64)
-        for i in range(k):
-            delta[i, i] += rel[i]
-            for pos, exp in powers.get(i, {}).items():
-                delta[pos, i] -= exp
-            for j in range(i + 1, k):
-                delta[j, col[i, j]] += 1
-                for pos, exp in conj.get((i, j), {j: 1}).items():
-                    delta[pos, col[i, j]] -= exp
-        self.eq = GFMatrix(m, p)
+        self.p, self.eq = p, GFMatrix(m, p)  # TooLarge unless (p-1)^2 m < 2^63
+        self.dtype = dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                                  if np.iinfo(t).max >= 2 * p - 2)  # the least that holds 2p - 2
+        gen, unit = generator_indices(rel), np.eye(m, dtype=np.int64)
+        delta = np.zeros((k, m), dtype=np.int64)  # z takes each word's letters off
+        delta[range(k), range(k)] = rel
+        delta[[j for _, j in pairs], range(k, m)] = 1
         L = np.zeros((1, 1, m), dtype=dtype)  # the z-forms on G_k = 1
         for i in reversed(range(k)):
             nH = L.shape[0]
             T = table[:nH, :nH]
 
-            def word(letters, tail):
-                """The G-part and the z-form of a word, times z^(t_tail), in E."""
-                r, z = 0, np.zeros(m, dtype=np.int64)
-                z[tail] = 1
-                for pos, exp in sorted(letters.items()):
-                    for _ in range(exp):
-                        z += L[r, gen[pos]]
-                        r = T[r, gen[pos]]
-                return r, z % p
+            def z(steps, tail):
+                """The z-form of a walked word times z^(t_tail); its letters come off delta."""
+                out = unit[tail].copy()
+                for r, pos in steps:
+                    out += L[r, gen[pos]]
+                    delta[pos, tail] -= 1
+                return out
 
-            w, omega = word(powers.get(i, {}), i)
-            phi, psi = np.zeros(1, dtype=np.int64), np.zeros((1, m), dtype=np.int64)
-            for j in reversed(range(i + 1, k)):  # phi, psi on G_j from G_(j+1)
-                g, gz = word(conj.get((i, j), {j: 1}), col[i, j])
-                pw, pwz = [0], [np.zeros(m, dtype=np.int64)]
-                for _ in range(rel[j] - 1):  # phi(x_j)^a
-                    pwz.append((pwz[-1] + gz + L[pw[-1], g]) % p)
-                    pw.append(T[pw[-1], g])
-                pw, pwz = np.array(pw), np.array(pwz)
-                psi = (pwz[:, None] + psi[None] + L[pw[:, None], phi[None]]).reshape(-1, m) % p
-                phi = T[pw[:, None], phi[None]].ravel()
+            w, steps, phi, below = _walk(T, pc, i)
+            omega, psi = z(steps, i) % p, np.zeros((1, m), dtype=np.int64)
+            for j, g, g_steps, pw, phi_j in below:  # psi on G_j from G_(j+1)
+                pwz = np.zeros((len(pw), m), dtype=np.int64)  # z-forms of phi(x_j)^a
+                np.cumsum(z(g_steps, col[i, j]) + L[pw[:-1], g], axis=0, out=pwz[1:])
+                psi = (pwz[:, None] + psi[None] + L[pw[:, None], phi_j[None]]).reshape(-1, m) % p
             e = rel[i]
             P = np.empty((e + 1, nH), dtype=np.int64)  # P[b] = phi^b
             PS = np.empty((e + 1, nH, m), dtype=np.int64)  # PS[b] = sum_{r<b} psi phi^r
@@ -281,17 +285,18 @@ class PcTails:
 
     def cocycle(self, t) -> np.ndarray:
         """The factor set of E for tails t in V, on G's numbering: one
-        contraction of the level-1 z-forms with t (in int32, which holds
-        m (p-1)^2) and one level-0 build."""
+        contraction of the level-1 z-forms with t (in int32 while that holds
+        m (p-1)^2, else int64) and one level-0 build."""
         p, t = self.p, np.asarray(t, dtype=np.int64) % self.p
         if self.level0 is None:
             return np.zeros((1, 1), dtype=np.int64)
         T, L, e, w, omega, P, PS = self.level0
         nH = L.shape[0]
-        Z = np.empty((nH, nH), dtype=np.int32)
+        acc = np.int32 if self.m * (p - 1) ** 2 < 2 ** 31 else np.int64
+        Z = np.empty((nH, nH), dtype=acc)
         step = max(1, _TAIL_BLOCK // (nH * self.m))
         for r0 in range(0, nH, step):
-            np.einsum("xyr,r->xy", L[r0:r0 + step], t.astype(np.int32), out=Z[r0:r0 + step])
+            np.einsum("xyr,r->xy", L[r0:r0 + step], t.astype(acc), out=Z[r0:r0 + step])
         Z %= p
         f = _tail_level(T, Z.astype(self.dtype)[..., None], e, w, (omega @ t % p)[None], P,
                         (PS @ t % p)[..., None], p, self.dtype)

@@ -74,7 +74,7 @@ def tree_h2_dim(G, p):
     eq = GFMatrix(N, p)
     eq.add_rows((L[:, Y] + e - L[:, cob.edge_z] - np.eye(N, dtype=np.int64)).reshape(-1, N) % p)
     comp = GFMatrix(N, p)
-    comp.add_rows(cob.tree_additive()[1])
+    comp.add_rows(cob.dphi)
     return sum(1 for v in eq.nullspace() if comp.add_rows(v[None]))
 
 

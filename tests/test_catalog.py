@@ -20,7 +20,7 @@ from pgal.catalog import build_group
 from pgal.cli import main
 from pgal.errors import NotNormal, OrderTooLarge, RelationInconsistent, UnknownFamily
 from pgal.groups import Group, direct_product, quotient, subgroup_generated
-from pgal.presentation import pc_table
+from pgal.presentation import PcPresentation, pc_table
 
 ORACLE_MAX = 128
 
@@ -233,6 +233,23 @@ def test_every_catalog_family_spec_matches_its_reference():
 def test_builder_rejects_inconsistent_presentations(rel_orders, powers, conj):
     with pytest.raises(RelationInconsistent):
         pc_table(rel_orders, powers, conj)
+
+
+@pytest.mark.parametrize("powers,conj,key", [
+    ({5: {1: 1}}, {}, "5"),
+    ({-1: {}}, {}, "-1"),
+    ({2: {}}, {}, "2"),
+    ({}, {(1, 0): {1: 3}}, "(1, 0)"),
+    ({}, {(1, 1): {1: 1}}, "(1, 1)"),
+    ({}, {(0, 2): {}}, "(0, 2)"),
+    ({}, {0: {1: 1}}, "0"),
+])
+def test_a_relation_key_outside_the_presentation_is_rejected(powers, conj, key):
+    """Each key on its own: the builder used to drop it and build C2 x C4."""
+    for build in (pc_table, PcPresentation.of):
+        with pytest.raises(RelationInconsistent) as exc:
+            build([2, 4], powers, conj)
+        assert exc.value.detail.endswith(f"has the key {key}")
 
 
 @pytest.mark.parametrize("spec,order", [

@@ -6,8 +6,10 @@ import time
 import numpy as np
 import pytest
 
+from pgal import cohomology
 from pgal.catalog import build_group
 from pgal.cohomology import (
+    CoboundarySpace,
     Cocycle2,
     class_equal,
     cocycle_of_extension,
@@ -151,6 +153,23 @@ def test_verify_witness_is_exact():
     for x in range(G.order):
         for y in range(G.order):
             assert (w[x] + w[y] - w[G.mul(x, y)]) % 2 == vals[x, y]
+
+
+def test_the_tree_coboundaries_are_built_once_and_only_when_needed(monkeypatch):
+    """delta(phi) and phi come from one path_counts per CoboundarySpace, and
+    a cochain that vanishes off the tree after normalising needs neither."""
+    calls = []
+    real = cohomology.path_counts
+    monkeypatch.setattr(cohomology, "path_counts", lambda tree: calls.append(1) or real(tree))
+    G = build_group("D:8")
+    cob = CoboundarySpace(G, 2)
+    assert cob.witness(np.zeros((8, 8), dtype=np.int64)) == [0] * 8 and calls == []
+    f = h2_enumerate(G, 2).representatives[1].values  # not a coboundary
+    g = np.array([0, 1, 1, 0, 1, 0, 0, 1])
+    bound = (g[:, None] + g[None, :] - g[G.np_table]) % 2
+    for _ in range(3):
+        assert cob.witness(f) is None and cob.witness(bound) is not None
+    assert len(calls) == 1 and cob.dphi is cob.dphi and cob.phi is cob.phi
 
 
 # -- H^2 enumeration ------------------------------------------------------------

@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 
 from pgal import cohomology, presentation
 from pgal.catalog import build_group
-from pgal.cohomology import h2_enumerate, is_cocycle_table
+from pgal.cohomology import h2_enumerate, is_cocycle_table, verify
 from pgal.errors import RelationInconsistent, TooLarge
 from pgal.groups import Group
-from pgal.presentation import PcTails, pc_table
+from pgal.presentation import PcPresentation, PcTails, pc_table
 
 from oracles import PRIMES, family_specs, tree_h2_dim
 
@@ -236,3 +236,51 @@ def test_a_read_presentation_builds_its_table_once(monkeypatch, spec, p):
     monkeypatch.setattr(presentation, "pc_table", lambda *pc: calls.append(1) or real(*pc))
     assert h2_enumerate(bare, p).dimension == h2_enumerate(build_group(spec), p).dimension
     assert len(calls) == 1
+
+
+# -- one walk per level: PcTails checks what pc_table checks -----------------------
+
+
+@pytest.mark.parametrize("powers,conj", [
+    ({0: {-1: 2}}, {}),        # a letter before x1
+    ({0: {1: -2}}, {}),        # a negative exponent
+    ({0: {2: 1}}, {}),         # a letter past the last generator
+    ({}, {(0, 1): {1: 3, 0: 1}}),
+    ({}, {(0, 1): {1: 2}}),    # x1 -> x1^2 is not bijective
+])
+def test_tails_reject_what_the_builder_rejects(powers, conj):
+    """PcTails used to answer dimensions 3 and 1 for the first and last, to
+    read the second as the identity and to raise IndexError for the others."""
+    with pytest.raises(RelationInconsistent) as built:
+        pc_table([2, 4], powers, conj)
+    with pytest.raises(RelationInconsistent) as tails:
+        PcTails(PcPresentation.of([2, 4], powers, conj), pc_table([2, 4], {}, {}), 2)
+    assert tails.value.detail == built.value.detail
+
+
+@pytest.mark.parametrize("spec", ["D:8", "Q:8", "EA:p=2,r=3", "G1:p=3"])
+@pytest.mark.parametrize("p", [40009, 65537])
+def test_tails_at_a_prime_beyond_int16(spec, p):
+    """The z-forms hold 2p - 2, so int32 here, and a cocycle of tails in V is
+    a coboundary, as H^2 = 0 for p prime to |G|."""
+    G = build_group(spec)
+    tails = PcTails(G.pc, G.np_table, p)
+    assert tails.dtype == np.int32 and len(tails.basis) == 0
+    V = tails.eq.nullspace()
+    assert len(V)
+    t = np.arange(1, len(V) + 1) * 7919 @ V % p
+    f = tails.cocycle(t)
+    assert f.any() and f.max() < p
+    ans = verify(G, p, f)
+    assert ans["is_cocycle"] and ans["is_coboundary"]
+
+
+def test_a_class_at_a_prime_near_2_to_the_30():
+    """The level-1 z-forms of C2 x D16 reach 7 on a tail V uses, so
+    contracting them with t at p = 10^9 + 7 passes int32; the factor set is
+    still a cocycle."""
+    G, p = build_group("C:2*D:16"), 1000000007
+    tails = PcTails(G.pc, G.np_table, p)
+    V = tails.eq.nullspace()
+    f = tails.cocycle(np.arange(1, len(V) + 1) * 7919 @ V % p)
+    assert tails.dtype == np.int32 and f.any() and is_cocycle_table(G, p, f)
