@@ -19,18 +19,18 @@ def _pc_group(rel_orders, powers, conj, display, name) -> Group:
     PcPresentation), its generators named by position.
 
     The order cap is checked before any table is allocated.  A group by
-    construction, since pc_table checked Hoelder's conditions at every level,
-    so Group does not validate the table again.  It keeps its presentation.
+    construction (of checks the words, pc_table Hoelder's conditions), so
+    Group does not validate the table again.  It keeps its presentation.
     """
     _check_order(prod(rel_orders))
     gen = generator_indices(rel_orders)
     gens = [(gname, gen[pos]) for gname, pos in display]
     try:
-        table = pc_table(rel_orders, powers, conj)
+        pc = PcPresentation.of(rel_orders, powers, conj)
+        table = pc_table(pc)
     except RelationInconsistent as exc:
         raise RelationInconsistent(f"presentation for {name} fails to close: {exc.detail}") from exc
-    return Group(table, gens, name=name, check=False,
-                 pc=PcPresentation.of(rel_orders, powers, conj))
+    return Group(table, gens, name=name, check=False, pc=pc)
 
 
 def _check_order(p: int, e: int = 1) -> None:

@@ -374,11 +374,8 @@ def _classes(group: Group, p: int):
     for a group that is not a q-group by the Sylow step."""
     if group.pc is None and is_p_group(group) is None:
         return _sylow_classes(group, p)
-    if group.pc is not None:
-        tails, back = PcTails(group.pc, group.np_table, p), None
-    else:
-        pc, L, table = read_pc(group)
-        tails, back = PcTails(pc, table, p), np.argsort(L)  # L^-1
+    H, L = (group, None) if group.pc is not None else read_pc(group)
+    tails, back = PcTails(H, p), None if L is None else np.argsort(L)  # L^-1
     basis = tails.basis
 
     def build(c):

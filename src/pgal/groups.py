@@ -132,16 +132,18 @@ def is_multiplicative(phi: np.ndarray, S: np.ndarray, T: np.ndarray, gens) -> bo
 class Group:
     """Immutable finite group given by its full multiplication table.
 
-    `pc` is the group's pc presentation when the library built the table
-    from one (catalog groups and their direct products), else None.  `gens`
-    lists the generator indices the group's loops run over: the named ones
-    for a table the library built, and for a table from outside the ones
-    its validation walk kept (Group.tree), so that a file naming every
+    `pc` is the presentation pc_table built the table from (catalog groups,
+    their direct products, read_pc; only with check=False), else None.
+    `gens` lists the generator indices the group's loops run over: the named
+    ones for a table the library built, and for a table from outside the
+    ones its validation walk kept (Group.tree), so that a file naming every
     element is not looped over n - 1 times.
     """
 
     def __init__(self, table, generators, name: str = "", check: bool = True,
                  pc: PcPresentation | None = None):
+        if pc is not None and check:
+            raise RelationInconsistent("only the table pc_table built from a presentation carries it")
         # a table from outside is read wide and range-checked before the cast,
         # so that 65536 cannot wrap to 0; a trusted int16 table is not copied
         try:

@@ -15,15 +15,15 @@ in H; then for h, h' in H
     (x^a h)(x^b h') = x^((a+b) mod e) * w^[a+b >= e] * phi^b(h) * h'.
 
 That is a group exactly when Hoelder's three conditions hold.  A word
-{pos: a} is the product of the x_pos^a in increasing pos, each at level i a
-later generator (i < pos < k) with a >= 0.  One walk per level (_walk)
-forms its words letter by letter, phi from the powers of each phi(x_j),
-and checks Hoelder's conditions; pc_table fills the level from it, and
-PcTails reads its z-parts off the walk's steps.  The tails of a
-presentation (ch. 8 and 9.4) extend it by a central z of order p, placed
-last, with a tail z^(t_r) on each of its m = k + k(k-1)/2 relations: the
-power tails of x_0 .. x_{k-1}, then the conjugate tails of the pairs i < j
-in lexicographic order.
+{pos: a} at level i is a normal form, the x_pos^a in increasing pos with
+i < pos < k and 0 <= a < e_pos (PcPresentation.of checks it), so its
+element is its mixed-radix index.  pc_table walks each level (_walk) and
+checks Hoelder's conditions on it; PcTails, given a pc group (a Group built
+from a presentation and its pc_table), reads its z-parts off the walk's
+steps.  The tails of a presentation (ch. 8 and 9.4) extend it by a central
+z of order p, placed last, with a tail z^(t_r) on each of its
+m = k + k(k-1)/2 relations: the power tails of x_0 .. x_{k-1}, then the
+conjugate tails of the pairs i < j in lexicographic order.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import NotPGroup, RelationInconsistent
+from .errors import BadParams, NotPGroup, RelationInconsistent
 from .groups import Group, central_step, is_multiplicative, is_p_group
 from .linalg import GFMatrix
 
@@ -46,7 +46,7 @@ class PcPresentation(NamedTuple):
     """A consistent pc presentation of a group's table: `rel_orders[i]` is
     e_i, `powers[i]` the word {position: exponent} for x_i^{e_i} and
     `conj[(i, j)]` the one for x_i^{-1} x_j x_i.  Read-only: build it with
-    `of`, which rejects a key that names no such relation."""
+    `of`, which rejects a stray relation key or a word not in normal form."""
 
     rel_orders: tuple
     powers: Mapping
@@ -58,6 +58,10 @@ class PcPresentation(NamedTuple):
         pairs = {(i, j) for i in range(k) for j in range(i + 1, k)}
         if stray := [r for r in powers if r not in range(k)] + [r for r in conj if r not in pairs]:
             raise RelationInconsistent(f"no relation of {k} pc generators has the key {stray[0]}")
+        for i, word in [*powers.items(), *((i, w) for (i, _), w in conj.items())]:
+            if bad := [(j, a) for j, a in word.items() if not (i < j < k and 0 <= a < rel_orders[j])]:
+                raise RelationInconsistent(f"a word at level {i} has the letter x{bad[0][0]}^{bad[0][1]}, "
+                                           f"not x_j^a with {i} < j < {k}, 0 <= a < e_j")
 
         def frozen(words):
             return MappingProxyType({r: MappingProxyType(dict(w)) for r, w in words.items()})
@@ -82,27 +86,23 @@ def generator_indices(rel_orders) -> list[int]:
     return [prod(rel_orders[j + 1:]) if e > 1 else 0 for j, e in enumerate(rel_orders)]
 
 
-def _walk(T, pc: PcPresentation, i: int):
+def _walk(T, pc: PcPresentation, gen, i: int):
     """Level i over H = G_(i+1), of table T: w = x_i^e_i, its word's steps
     (prefix, pos), each the G-product prefix * x_pos, phi on H, and for j = k-1
-    down to i+1 (j, phi(x_j), its word's steps, its powers pw below e_j, phi on G_(j+1))."""
+    down to i+1 (j, phi(x_j), its word's steps, its powers pw below e_j, phi on G_(j+1)).
+    A normal form and each prefix are partial sums of gen; only phi and pw read T."""
     rel, powers, conj = pc
-    k, gen = len(rel), generator_indices(rel)
 
     def word(letters):
         r, steps = 0, []
-        for pos, exp in sorted(letters.items()):
-            if not (i < pos < k and exp >= 0):
-                raise RelationInconsistent(f"a word at level {i} has the letter "
-                                           f"x{pos}^{exp}, not x_j^a with {i} < j < {k}, a >= 0")
-            for _ in range(exp):
-                steps.append((r, pos))
-                r = T[r, gen[pos]]
+        for pos, a in sorted(letters.items()):
+            steps += [(r + b * gen[pos], pos) for b in range(a)]
+            r += a * gen[pos]
         return r, steps
 
     w, steps = word(powers.get(i, {}))
     phi, below = np.zeros(1, dtype=T.dtype), []  # phi on G_(j+1), grown to H
-    for j in reversed(range(i + 1, k)):
+    for j in reversed(range(i + 1, len(rel))):
         g, g_steps = word(conj.get((i, j), {j: 1}))
         pw = [0]
         for _ in range(rel[j] - 1):
@@ -110,18 +110,18 @@ def _walk(T, pc: PcPresentation, i: int):
         pw = np.array(pw)
         below.append((j, g, g_steps, pw, phi))
         phi = T[pw[:, None], phi[None, :]].ravel()
-    _check_hoelder(T, phi, w, rel[i], i, gen[i + 1:])
     return w, steps, phi, below
 
 
-def pc_table(rel_orders, powers, conj) -> np.ndarray:
-    """The int16 multiplication table of a pc presentation, by the level
-    formula, or RelationInconsistent (PcPresentation.of, _walk)."""
-    pc = PcPresentation.of(rel_orders, powers, conj)
-    T = np.zeros((1, 1), dtype=np.int16)
-    for i in reversed(range(len(pc.rel_orders))):
-        e, m = pc.rel_orders[i], T.shape[0]
-        w, _, phi, _ = _walk(T, pc, i)
+def pc_table(pc: PcPresentation) -> np.ndarray:
+    """The int16 multiplication table of a presentation, by the level
+    formula, or RelationInconsistent where Hoelder's conditions fail."""
+    rel, T = pc.rel_orders, np.zeros((1, 1), dtype=np.int16)
+    gen = generator_indices(rel)
+    for i in reversed(range(len(rel))):
+        e, m = rel[i], T.shape[0]
+        w, _, phi, _ = _walk(T, pc, gen, i)
+        _check_hoelder(T, phi, w, e, i, gen[i + 1:])
         P = np.empty((e, m), dtype=np.int16)  # P[t] = phi^t
         P[0] = np.arange(m)
         for t in range(1, e):
@@ -161,10 +161,10 @@ def _check_hoelder(T, phi, w, e, i, gens) -> None:
         raise RelationInconsistent(f"conjugation by x{i}, {e} times, is not conjugation by x{i}^{e}")
 
 
-def read_pc(G: Group) -> tuple[PcPresentation, np.ndarray, np.ndarray]:
-    """A pc presentation of the q-group G read off its table, the bijection
-    L from its numbering to G's (L[i] is the element whose normal form the
-    digits of i give), and the presentation's table.
+def read_pc(G: Group) -> tuple[Group, np.ndarray]:
+    """The pc group H (generators x_i) of a presentation read off the q-group
+    G's table, and the bijection L from H's numbering to G's (L[i] is the
+    element whose normal form the digits of i give).
 
     The layers of the q-central series P_0 = G, P_(i+1) = [P_i, G] P_i^q
     (groups.central_step) are elementary abelian and central in G/P_(i+1).
@@ -204,14 +204,15 @@ def read_pc(G: Group) -> tuple[PcPresentation, np.ndarray, np.ndarray]:
     pc = PcPresentation.of(
         [q] * k, {i: word(G.power(x, q)) for i, x in enumerate(xs)},
         {(i, j): word(T[T[inv[xs[i]], xs[j]], xs[i]]) for i in range(k) for j in range(i + 1, k)})
-    table = pc_table(*pc)
-    if not np.array_equal(table, L_inv[T[np.ix_(L, L)]]):
+    H = Group(pc_table(pc), [(f"x{i}", g) for i, g in enumerate(place)], check=False, pc=pc)
+    if not np.array_equal(H.np_table, L_inv[T[np.ix_(L, L)]]):
         raise RelationInconsistent("the read presentation does not rebuild the table")
-    return pc, L, table
+    return H, L
 
 
 class PcTails:
-    """H^2(G, mu_p) from the tails of a pc presentation of G and its table.
+    """H^2(G, mu_p) from the tails of the presentation of a pc group G, one
+    whose table pc_table built from G.pc, so that nothing is checked again.
 
     The extension E numbers x z^c as p x + c, so its table is pc_table's on
     the extended presentation, and its z-parts are linear forms in the
@@ -233,7 +234,10 @@ class PcTails:
     numbering, as E's table would give them in T_E[::p, ::p] % p.
     """
 
-    def __init__(self, pc: PcPresentation, table: np.ndarray, p: int):
+    def __init__(self, group: Group, p: int):
+        pc, table = group.pc, group.np_table
+        if pc is None:
+            raise BadParams(f"{group.name or 'the group'} has no pc presentation (read_pc reads one)")
         rel, k = pc.rel_orders, len(pc.rel_orders)
         pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
         self.m = m = k + len(pairs)
@@ -258,7 +262,7 @@ class PcTails:
                     delta[pos, tail] -= 1
                 return out
 
-            w, steps, phi, below = _walk(T, pc, i)
+            w, steps, phi, below = _walk(T, pc, gen, i)
             omega, psi = z(steps, i) % p, np.zeros((1, m), dtype=np.int64)
             for j, g, g_steps, pw, phi_j in below:  # psi on G_j from G_(j+1)
                 pwz = np.zeros((len(pw), m), dtype=np.int64)  # z-forms of phi(x_j)^a

@@ -232,7 +232,7 @@ def test_every_catalog_family_spec_matches_its_reference():
 ])
 def test_builder_rejects_inconsistent_presentations(rel_orders, powers, conj):
     with pytest.raises(RelationInconsistent):
-        pc_table(rel_orders, powers, conj)
+        pc_table(PcPresentation.of(rel_orders, powers, conj))
 
 
 @pytest.mark.parametrize("powers,conj,key", [
@@ -245,11 +245,11 @@ def test_builder_rejects_inconsistent_presentations(rel_orders, powers, conj):
     ({}, {0: {1: 1}}, "0"),
 ])
 def test_a_relation_key_outside_the_presentation_is_rejected(powers, conj, key):
-    """Each key on its own: the builder used to drop it and build C2 x C4."""
-    for build in (pc_table, PcPresentation.of):
-        with pytest.raises(RelationInconsistent) as exc:
-            build([2, 4], powers, conj)
-        assert exc.value.detail.endswith(f"has the key {key}")
+    """Each key on its own: the builder used to drop it and build C2 x C4;
+    pc_table takes only a presentation PcPresentation.of has made."""
+    with pytest.raises(RelationInconsistent) as exc:
+        PcPresentation.of([2, 4], powers, conj)
+    assert exc.value.detail.endswith(f"has the key {key}")
 
 
 @pytest.mark.parametrize("spec,order", [

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgal import presentation
+from pgal.presentation import PcPresentation
 from pgal.arith import factor, legendre
 from pgal.catalog import build_group, cyclic
 from pgal.cohomology import (
@@ -431,7 +432,8 @@ def test_hoelder_tells_conjugation_by_w_from_conjugation_by_w_inverse(monkeypatc
     conj = {(0, 1): {1: 1}, (0, 2): {2: 4}, (1, 2): {2: 4}}
     verdicts = []
     for power in (3, 6):
-        new, old = _verdicts(monkeypatch, lambda: presentation.pc_table([3, 9, 27], {0: {1: power}}, conj))
+        pc = PcPresentation.of([3, 9, 27], {0: {1: power}}, conj)
+        new, old = _verdicts(monkeypatch, lambda: presentation.pc_table(pc))
         assert np.array_equal(new, old), power
         verdicts.append(new)
     assert verdicts[0].shape == (729, 729)
@@ -461,7 +463,8 @@ def test_hoelder_on_generators_agrees_with_the_full_table_on_random_presentation
     kinds = []
     for _ in range(2000):
         rel, powers, conj = _random_presentation(rng)
-        new, old = _verdicts(monkeypatch, lambda: presentation.pc_table(rel, powers, conj))
+        pc = PcPresentation.of(rel, powers, conj)
+        new, old = _verdicts(monkeypatch, lambda: presentation.pc_table(pc))
         assert np.array_equal(new, old), (rel, powers, conj)
         kinds.append("table" if isinstance(new, np.ndarray) else
                      next(k for k in ("automorphism", "does not fix", "times") if k in new))

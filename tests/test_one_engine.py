@@ -66,14 +66,15 @@ def _catalog_specs(limit):
 
 
 def _round_trip(G):
-    pc, L, table = read_pc(G)
+    H, L = read_pc(G)
+    pc, table = H.pc, H.np_table
     n = G.order
     assert sorted(L.tolist()) == list(range(n))
     assert all(e == pc.rel_orders[0] for e in pc.rel_orders)
     assert int(np.prod(pc.rel_orders)) == n
     # the rebuilt table is G's under L: L(a b) = L(a) L(b)
     T = table.astype(np.int64)
-    assert np.array_equal(table, pc_table(*pc))
+    assert np.array_equal(table, pc_table(pc))
     assert np.array_equal(L[T], G.np_table[np.ix_(L, L)])
 
 
@@ -95,7 +96,7 @@ def test_the_reader_takes_a_group_file_without_generators():
         G = build_group(spec)
         bare = Group.from_json({"order": G.order, "table": G.table})
         _round_trip(bare)
-        assert len(read_pc(bare)[0].rel_orders) == {16: 4, 81: 4, 32: 5, 1: 0}[G.order]
+        assert len(read_pc(bare)[0].pc.rel_orders) == {16: 4, 81: 4, 32: 5, 1: 0}[G.order]
 
 
 def test_the_reader_refuses_a_group_that_is_not_a_q_group():

@@ -12,6 +12,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,9 @@ from hypothesis import strategies as st
 from pgal import cohomology, presentation
 from pgal.catalog import build_group
 from pgal.cohomology import h2_enumerate, is_cocycle_table, verify
-from pgal.errors import RelationInconsistent, TooLarge
+from pgal.errors import BadParams, PgalError, RelationInconsistent, TooLarge
 from pgal.groups import Group
-from pgal.presentation import PcPresentation, PcTails, pc_table
+from pgal.presentation import PcPresentation, PcTails, pc_table, read_pc
 
 from oracles import PRIMES, family_specs, tree_h2_dim
 
@@ -39,14 +40,14 @@ def _bare(G):
 
 def _extended(G, p, t):
     """G's presentation with a central z of order p placed last and the tails
-    t: the power tails of x_0 .. x_(k-1), then the conjugate tails of the
-    pairs i < j in lexicographic order."""
+    t (each in range(p)): the power tails of x_0 .. x_(k-1), then the
+    conjugate tails of the pairs i < j in lexicographic order."""
     rel, powers, conj = G.pc
     k = len(rel)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     pw = {i: {**powers.get(i, {}), k: int(t[i])} for i in range(k)}
     cj = {(i, j): {**conj.get((i, j), {j: 1}), k: int(t[k + c])} for c, (i, j) in enumerate(pairs)}
-    return list(rel) + [p], pw, cj
+    return PcPresentation.of(list(rel) + [p], pw, cj)
 
 
 MIXED_PRODUCTS = [("D:8*C:3", 2), ("D:8*C:3", 3), ("Q:8*C:3", 2), ("Q:8*C:3", 3),
@@ -81,13 +82,13 @@ BRUTE = [("C:8", 2), ("D:8", 2), ("Q:8", 2), ("C:4*C:2", 2), ("EA:p=2,r=3", 2), 
 @pytest.mark.parametrize("spec,p", BRUTE)
 def test_a_tail_is_consistent_exactly_when_the_builder_accepts_it(spec, p):
     G = build_group(spec)
-    tails = PcTails(G.pc, G.np_table, p)
+    tails = PcTails(G, p)
     assert tails.m <= 10
     consistent = 0
     for t in itertools.product(range(p), repeat=tails.m):
         in_v = not (tails.eq.rows @ np.array(t) % p).any()
         try:
-            pc_table(*_extended(G, p, t))
+            pc_table(_extended(G, p, t))
             accepted = True
         except RelationInconsistent:
             accepted = False
@@ -106,7 +107,7 @@ _CACHE = {}
 def _solved(spec, p):
     if (spec, p) not in _CACHE:
         G = build_group(spec)
-        _CACHE[spec, p] = (G, PcTails(G.pc, G.np_table, p), h2_enumerate(G, p))
+        _CACHE[spec, p] = (G, PcTails(G, p), h2_enumerate(G, p))
     return _CACHE[spec, p]
 
 
@@ -118,7 +119,7 @@ def test_a_class_is_the_factor_set_of_the_checked_extension(case, seed):
     V = tails.eq.nullspace()
     rng = np.random.default_rng(seed)
     t = rng.integers(0, p, len(V)) @ V % p
-    TE = pc_table(*_extended(G, p, t)).astype(np.int64)
+    TE = pc_table(_extended(G, p, t)).astype(np.int64)
     assert np.array_equal(TE[::p, ::p] // p, G.np_table)
     assert np.array_equal(tails.cocycle(t), TE[::p, ::p] % p)
     # a listed class is the one of the tails its index names, in
@@ -126,7 +127,7 @@ def test_a_class_is_the_factor_set_of_the_checked_extension(case, seed):
     i = seed % len(res.representatives)
     coeffs = list(itertools.product(range(p), repeat=res.dimension))[i] if res.complete \
         else np.eye(res.dimension, dtype=np.int64)[i]
-    TE = pc_table(*_extended(G, p, np.array(coeffs) @ tails.basis % p)).astype(np.int64)
+    TE = pc_table(_extended(G, p, np.array(coeffs) @ tails.basis % p)).astype(np.int64)
     assert np.array_equal(res.representatives[i].values, TE[::p, ::p] % p)
 
 
@@ -145,7 +146,7 @@ def test_ea_3_7_has_dimension_28_but_no_extension_table():
     """|E| = 3 * 2187 exceeds the table cap, so h2_enumerate refuses it; the
     engine alone still gives 7 + 21."""
     G = build_group("EA:p=3,r=7")
-    assert len(PcTails(G.pc, G.np_table, 3).basis) == 28
+    assert len(PcTails(G, 3).basis) == 28
     with pytest.raises(TooLarge):
         h2_enumerate(G, 3)
 
@@ -154,7 +155,7 @@ def test_presentations_join_in_products_and_stay_out_of_json():
     G = build_group("D:8*C:3")
     assert G.pc.rel_orders == (2, 4, 3)
     assert dict(G.pc.conj) == {(0, 1): {1: 3}}
-    assert np.array_equal(pc_table(*G.pc), G.np_table)
+    assert np.array_equal(pc_table(G.pc), G.np_table)
     with pytest.raises(TypeError):
         G.pc.powers[0] = {1: 1}
     assert set(G.to_json()) == {"order", "table", "generators"}
@@ -238,7 +239,8 @@ def test_a_read_presentation_builds_its_table_once(monkeypatch, spec, p):
     assert len(calls) == 1
 
 
-# -- one walk per level: PcTails checks what pc_table checks -----------------------
+# -- each fact checked once: the words by PcPresentation.of, Hoelder's conditions
+# by pc_table, and the pair by building the group from both ----------------------
 
 
 @pytest.mark.parametrize("powers,conj", [
@@ -246,16 +248,55 @@ def test_a_read_presentation_builds_its_table_once(monkeypatch, spec, p):
     ({0: {1: -2}}, {}),        # a negative exponent
     ({0: {2: 1}}, {}),         # a letter past the last generator
     ({}, {(0, 1): {1: 3, 0: 1}}),
-    ({}, {(0, 1): {1: 2}}),    # x1 -> x1^2 is not bijective
+    ({}, {(0, 1): {1: 2}}),    # a normal form, but x1 -> x1^2 is not bijective
+    ({0: {1: 4}}, {}),         # x1^4 is not a normal form, as e_1 = 4
+    ({0: {1: 10 ** 9}}, {}),
 ])
 def test_tails_reject_what_the_builder_rejects(powers, conj):
-    """PcTails used to answer dimensions 3 and 1 for the first and last, to
-    read the second as the identity and to raise IndexError for the others."""
-    with pytest.raises(RelationInconsistent) as built:
-        pc_table([2, 4], powers, conj)
-    with pytest.raises(RelationInconsistent) as tails:
-        PcTails(PcPresentation.of([2, 4], powers, conj), pc_table([2, 4], {}, {}), 2)
-    assert tails.value.detail == built.value.detail
+    """PcTails takes only a pc group, so it never sees these: PcPresentation.of
+    rejects each word that is not a normal form, and pc_table the automorphism
+    that is not one.  PcTails used to answer dimensions 3 and 1 for the first
+    and fifth, to read the second as the identity and to raise IndexError for
+    the third and fourth; pc_table built C2 x C4 from the sixth and walked the
+    last letter by letter, for minutes."""
+    normal = conj == {(0, 1): {1: 2}}
+    t0 = time.perf_counter()
+    with pytest.raises(RelationInconsistent) as exc:
+        pc_table(PcPresentation.of([2, 4], powers, conj))
+    assert time.perf_counter() - t0 < 0.1
+    assert exc.value.detail.startswith("conjugation by x0 is not" if normal else "a word at level 0")
+
+
+def test_tails_need_a_pc_group():
+    with pytest.raises(BadParams):
+        PcTails(_bare(build_group("D:8")), 2)
+
+
+@pytest.mark.parametrize("table,pc", [("D:8", "Q:8"), ("D:8", "C:8"), ("C:8", "D:8")])
+def test_only_the_table_built_from_a_presentation_carries_it(table, pc):
+    """Each pair passed Group's exact check, and then h2_enumerate answered
+    dimension 2 for D8 with Q8's presentation (it is 3), 1 with C8's (and a
+    class that is no cocycle on D8's table), and IndexError for C8."""
+    G = build_group(table)
+    with pytest.raises(PgalError):
+        Group(G.np_table, G.generators, pc=build_group(pc).pc)
+
+
+def test_hoelder_is_checked_by_the_table_at_each_level_and_not_by_the_tails(monkeypatch):
+    """PcTails used to run Hoelder's checks again at every level: 2, 4 and 4
+    calls here."""
+    groups = [(G, p, h2_enumerate(_bare(G), p).dimension) for G, p in
+              [(build_group("D:8"), 2), (build_group("G3:p=3"), 3),
+               (read_pc(_bare(build_group("D:16")))[0], 2)]]
+    levels = []
+    real = presentation._check_hoelder
+    monkeypatch.setattr(presentation, "_check_hoelder", lambda *a: levels.append(a[4]) or real(*a))
+    for G, p, dim in groups:
+        assert len(PcTails(G, p).basis) == dim
+        assert levels == []
+        assert np.array_equal(pc_table(G.pc), G.np_table)
+        assert levels == list(reversed(range(len(G.pc.rel_orders))))
+        levels.clear()
 
 
 @pytest.mark.parametrize("spec", ["D:8", "Q:8", "EA:p=2,r=3", "G1:p=3"])
@@ -264,7 +305,7 @@ def test_tails_at_a_prime_beyond_int16(spec, p):
     """The z-forms hold 2p - 2, so int32 here, and a cocycle of tails in V is
     a coboundary, as H^2 = 0 for p prime to |G|."""
     G = build_group(spec)
-    tails = PcTails(G.pc, G.np_table, p)
+    tails = PcTails(G, p)
     assert tails.dtype == np.int32 and len(tails.basis) == 0
     V = tails.eq.nullspace()
     assert len(V)
@@ -280,7 +321,7 @@ def test_a_class_at_a_prime_near_2_to_the_30():
     contracting them with t at p = 10^9 + 7 passes int32; the factor set is
     still a cocycle."""
     G, p = build_group("C:2*D:16"), 1000000007
-    tails = PcTails(G.pc, G.np_table, p)
+    tails = PcTails(G, p)
     V = tails.eq.nullspace()
     f = tails.cocycle(np.arange(1, len(V) + 1) * 7919 @ V % p)
     assert tails.dtype == np.int32 and f.any() and is_cocycle_table(G, p, f)
