@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 # a symbol command starts without them; solve and schultz import kummer and
 # fpmodules themselves, so that obstruct and symbol start without those too.
 from . import obstructions, symbols
+from .arith import is_prime
 from .errors import BadParams, PgalError, UnknownFamily, ZeroEntry
 from .symbols import FieldElem, SymbolProduct
 
@@ -53,6 +54,19 @@ def _load_group(ref: str) -> tuple[Group, object]:
         raise UnknownFamily(f"{ref!r} is neither a catalog spec nor an existing file")
 
 
+def _int(tok: str, flag: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise BadParams(f"{flag} takes integers, got {tok.strip()!r}") from None
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    """The comma-separated integers of a flag's value; BadParams naming the
+    flag and the first token that is not one."""
+    return [_int(tok, flag) for tok in text.split(",") if tok.strip()]
+
+
 _ELEM_RE = re.compile(r"^\s*(-?\d+(?:/\d+)?|zeta(?:\d+)?|[A-Za-z_]\w*)\s*$")
 
 
@@ -69,6 +83,8 @@ def _parse_elem(tok: str, p: int) -> FieldElem:
     if t == "zeta":
         return symbols.zeta(p)
     if t.startswith("zeta") and t[4:].isdigit():
+        if int(t[4:]) == 0:
+            raise ZeroEntry(f"field element {tok!r} is not a root of unity zeta<n>, n >= 1")
         return symbols.zeta(int(t[4:]))
     return symbols.ind(t)
 
@@ -156,7 +172,7 @@ def _cmd_cor(args) -> int:
     from .groups import Subgroup
 
     G, ref = _load_group(args.group)
-    ids = [int(t) for t in args.subgroup.split(",") if t.strip()]
+    ids = _int_list(args.subgroup, "--subgroup")
     H = Subgroup(G, ids)
     fbar, _ = _load_json(args.cocycle, "cocycle",
                          lambda doc: Cocycle2(H.as_group(), doc["p"], doc["values"]))
@@ -195,7 +211,7 @@ def _cmd_obstruct(args) -> int:
         shown = "".join(toks) or "1"
     elif args.engine == "direct":
         a = _parse_elems(args.a, p) if args.a else []
-        d = [int(t) for t in args.d.split(",")] if args.d else []
+        d = _int_list(args.d, "--d")
         sym = obstructions.direct_factor(obstructions.DirectFactorInput(
             p, args.res, _parse_elem(args.b, p), args.j, a, d))
         shown = str(sym)
@@ -267,16 +283,16 @@ def _cmd_solve(args) -> int:
 def _cmd_schultz(args) -> int:
     from . import fpmodules as fpm
 
-    lengths = [int(t) for t in args.summands.split(",") if t.strip()]
+    lengths = _int_list(args.summands, "--summands")
     d: dict[int, int] = {}
     for l in lengths:
         d[l] = d.get(l, 0) + 1
     A = fpm.FpGModule(args.p, args.n, d)
-    dims = [int(t) for t in args.dims.split(",") if t.strip()]
+    dims = _int_list(args.dims, "--dims")
     top = args.p ** args.n
     if len(dims) != top:
         raise fpm.Mismatch(f"--dims needs {top} values (one per i in 1..p^n)")
-    ikk = None if args.ikk in (None, "-inf", "None") else int(args.ikk)
+    ikk = None if args.ikk in (None, "-inf", "None") else _int(args.ikk, "--ikk")
     nd = fpm.NormData(args.p, args.n, dict(enumerate(dims, start=1)), ikk,
                       args.finite == "true")
     ok = fpm.solvable(A, nd)
@@ -471,6 +487,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
+        # one primality check for every command's p, with h2_enumerate's detail
+        if getattr(args, "p", None) is not None and not is_prime(args.p):
+            raise BadParams(f"p must be prime, got p={args.p}")
         return args.func(args)
     except PgalError as exc:
         print(json.dumps({"error": exc.code, "detail": exc.detail}, sort_keys=True))

@@ -258,21 +258,30 @@ class Group:
         return self._orders[a]
 
     def element_orders(self) -> list[int]:
-        """The order of every element, in O(n log^2 n) table gathers.
+        """The order of every element, in O(n log n) table gathers per prime of n.
 
-        Each order divides n, so it is found from m = n by dividing out each
-        prime q of n while q | m and a^(m/q) = 1, for all elements at once.
+        Each order divides n.  For a prime q of n write n = q^a r: then
+        y = x^r has as its order the q-part of x's order, which is q to the
+        number of steps the q-th power map takes to carry y to 1, at most a.
+        Each q costs two power maps over all elements and a gathers.
         """
         if self._orders is None:
             n = self.order
-            m = np.full(n, n, dtype=np.int64)
+            orders = np.ones(n, dtype=np.int64)
+            every = np.arange(n)
             for q in _prime_divisors(n):
-                active = np.arange(n)
-                while active.size:
-                    active = active[m[active] % q == 0]
-                    active = active[self._powers(active, m[active] // q) == 0]
-                    m[active] //= q
-            self._orders = m.tolist()
+                a, r = 0, n
+                while r % q == 0:
+                    a, r = a + 1, r // q
+                y = self._powers(every, np.full(n, r))
+                qth = self._powers(every, np.full(n, q))
+                for _ in range(a):
+                    moved = y != 0
+                    if not moved.any():
+                        break
+                    orders[moved] *= q
+                    y = qth[y]
+            self._orders = orders.tolist()
         return list(self._orders)
 
     def _powers(self, a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -359,7 +368,7 @@ class GroupHom:
         if not is_multiplicative(phi, self.source.np_table, self.target.np_table,
                                  self.source.gens):
             raise RelationInconsistent("map is not multiplicative")
-        object.__setattr__(self, "images", tuple(int(x) for x in phi))
+        object.__setattr__(self, "images", tuple(phi.tolist()))
 
     def __call__(self, x: int) -> int:
         return self.images[x]
@@ -645,12 +654,20 @@ def subgroups_of_index2(G: Group) -> list[Subgroup]:
     # Q is elementary abelian; the tree keeps the first element outside the
     # span of those kept before it, and the path counts mod 2 are each
     # element's coordinates in that basis: x is in the kernel of phi when
-    # the counts of the basis elements phi selects have an even sum
-    counts = path_counts(tree)
-    images = np.asarray(proj.images)
-    bits = np.arange(len(tree[0]))
-    return [Subgroup(G, np.flatnonzero((counts @ (phi >> bits & 1) % 2 == 0)[images]).tolist(),
-                     check=False) for phi in range(1, 2 ** len(bits))]
+    # the counts of the basis elements phi selects have an even sum.  The
+    # sums for every phi are one product, built in blocks of phi with one
+    # kernel per row; d <= 12 kept generators, so a sum fits in int8
+    n, d = G.order, len(tree[0])
+    coords = (path_counts(tree)[np.asarray(proj.images)].T % 2).astype(np.int8)
+    select = (np.arange(1, 2 ** d)[:, None] >> np.arange(d) & 1).astype(np.int8)
+    out = []
+    step = max(1, BLOCK_ENTRIES // n)
+    for r0 in range(0, len(select), step):
+        even = select[r0:r0 + step] @ coords
+        even &= 1
+        even ^= 1
+        out += [Subgroup(G, np.flatnonzero(row).tolist(), check=False) for row in even]
+    return out
 
 
 def max_elem_abelian_quotient(G: Group, p: int) -> tuple[Group, GroupHom]:

@@ -35,7 +35,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import BadParams, NotPGroup, RelationInconsistent
-from .groups import Group, central_step, is_multiplicative, is_p_group
+from .groups import BLOCK_ENTRIES, Group, central_step, is_multiplicative, is_p_group
 from .linalg import GFMatrix
 
 # entries of one row block of the z-forms a level is built in
@@ -122,16 +122,18 @@ def pc_table(pc: PcPresentation) -> np.ndarray:
         e, m = rel[i], T.shape[0]
         w, _, phi, _ = _walk(T, pc, gen, i)
         _check_hoelder(T, phi, w, e, i, gen[i + 1:])
-        P = np.empty((e, m), dtype=np.int16)  # P[t] = phi^t
-        P[0] = np.arange(m)
-        for t in range(1, e):
-            P[t] = phi[P[t - 1]]
-        # fill the level in at most 16 blocks of a, so that no index array
+        P = np.empty((e, m), dtype=np.int16)  # P[t] = phi^t, by doubling: P[c + t] = phi^c(P[t])
+        P[0], c, phi_c = np.arange(m), 1, phi
+        while c < e:
+            P[c:2 * c] = phi_c[P[:min(c, e - c)]]
+            c, phi_c = 2 * c, phi_c[phi_c]
+        # fill the level in blocks of a of about BLOCK_ENTRIES entries (one
+        # block for a small level), so that no index array of a large level
         # approaches the size of the new table; mode="clip" lets take write
         # straight into it
         out = np.empty((e, m, e, m), dtype=np.int16)
         b = np.arange(e)
-        step = -(-e // 16)
+        step = max(1, BLOCK_ENTRIES // (e * m * m))
         for a0 in range(0, e, step):
             s = np.arange(a0, min(a0 + step, e))[:, None] + b  # a + b
             R = T[np.where(s >= e, w, 0)[:, None, :], P.T[None]]

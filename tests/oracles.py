@@ -7,9 +7,17 @@
 - `bar_complex_h2_dim`: the normalized bar complex, in (n-1)^2 unknowns;
 - `cor_image_search_exhaustive`: the corestriction-image search that tried
   every class of every index-2 subgroup, under its old caps;
-- `family_specs` and `PRIMES`: the catalog specs and primes the comparisons
-  run over.
+- `element_orders_active_set`: element orders by dividing each prime out
+  of n while a power is the identity, on a shrinking set of elements;
+- `index2_per_phi`: the index-2 kernels, one product and gather per map
+  onto C2;
+- `pc_table_sixteen_blocks`: pc_table filling each level in min(e, 16)
+  blocks, with phi^t built one power at a time;
+- `family_specs`, `PRIMES` and `permutation_group`: the catalog specs,
+  primes and tables that are not p-groups the comparisons run over.
 """
+
+import itertools
 
 import numpy as np
 
@@ -21,8 +29,19 @@ from pgal.cohomology import (
     h2_enumerate,
 )
 from pgal.errors import PrimeMismatch, TooLarge
-from pgal.groups import MAX_ORDER, subgroups_of_index2
+from pgal.groups import (
+    MAX_ORDER,
+    Group,
+    Subgroup,
+    _prime_divisors,
+    cayley_tree,
+    frattini_style_subgroup,
+    path_counts,
+    quotient,
+    subgroups_of_index2,
+)
 from pgal.linalg import GFMatrix
+from pgal.presentation import _check_hoelder, _walk, generator_indices
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -42,6 +61,16 @@ def family_specs(limit):
         specs += [f"MSS:p={p},n={n},j={j}" for n in range(1, 4) for j in range(1, p ** n + 1)
                   if p ** (n + j) <= limit]
     return specs
+
+
+def permutation_group(degree, even):
+    """S_n, or A_n, from a group file without generators."""
+    def sign(q):
+        return sum(q[i] > q[j] for i in range(degree) for j in range(i + 1, degree)) % 2
+    perms = [q for q in itertools.permutations(range(degree)) if not (even and sign(q))]
+    idx = {q: i for i, q in enumerate(perms)}
+    table = [[idx[tuple(b[a[k]] for k in range(degree))] for b in perms] for a in perms]
+    return Group.from_json({"order": len(perms), "table": table})
 
 
 def tree_h2_dim(G, p):
@@ -156,3 +185,57 @@ def cor_image_search_exhaustive(G, target):
             if class_equal(corestrict_tate(rep, H), target):
                 return H, rep
     return None
+
+
+def element_orders_active_set(G):
+    """Each order found from m = n by dividing out each prime q of n while
+    q | m and a^(m/q) = 1, for the elements still active."""
+    n = G.order
+    m = np.full(n, n, dtype=np.int64)
+    for q in _prime_divisors(n):
+        active = np.arange(n)
+        while active.size:
+            active = active[m[active] % q == 0]
+            active = active[G._powers(active, m[active] // q) == 0]
+            m[active] //= q
+    return m.tolist()
+
+
+def index2_per_phi(G):
+    """The kernel of each phi in 1..2^d - 1 on G/Phi(G), by one product of
+    the path counts with phi's bits and one gather each."""
+    if G.order % 2:
+        return []
+    Q, proj = quotient(G, frattini_style_subgroup(G, 2))
+    tree = cayley_tree(Q.np_table, range(1, Q.order))
+    counts = path_counts(tree)
+    images = np.asarray(proj.images)
+    bits = np.arange(len(tree[0]))
+    return [Subgroup(G, np.flatnonzero((counts @ (phi >> bits & 1) % 2 == 0)[images]).tolist(),
+                     check=False) for phi in range(1, 2 ** len(bits))]
+
+
+def pc_table_sixteen_blocks(pc):
+    """pc_table's level formula with each level in min(e, 16) blocks of a
+    and P[t] = phi[P[t - 1]]."""
+    rel, T = pc.rel_orders, np.zeros((1, 1), dtype=np.int16)
+    gen = generator_indices(rel)
+    for i in reversed(range(len(rel))):
+        e, m = rel[i], T.shape[0]
+        w, _, phi, _ = _walk(T, pc, gen, i)
+        _check_hoelder(T, phi, w, e, i, gen[i + 1:])
+        P = np.empty((e, m), dtype=np.int16)
+        P[0] = np.arange(m)
+        for t in range(1, e):
+            P[t] = phi[P[t - 1]]
+        out = np.empty((e, m, e, m), dtype=np.int16)
+        b = np.arange(e)
+        step = -(-e // 16)
+        for a0 in range(0, e, step):
+            s = np.arange(a0, min(a0 + step, e))[:, None] + b
+            R = T[np.where(s >= e, w, 0)[:, None, :], P.T[None]]
+            blk = out[a0:a0 + len(s)]
+            np.take(T, R, axis=0, out=blk, mode="clip")
+            blk += (s % e * m).astype(np.int16)[:, None, :, None]
+        T = out.reshape(e * m, e * m)
+    return T

@@ -1,12 +1,16 @@
 """Command line behavior: payload shapes, determinism, exit codes."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pgal
 from pgal.cli import _COMMANDS, _build_parser, main
@@ -237,6 +241,29 @@ def test_human_output_default(capsys):
                 ' [0, 0, 0, 0]]}'}, "BadIndexSubgroup", "0..7"),
     # autoreal builds both ends of a query before it searches
     (["autoreal", "query", "--from", "C:8192", "--to", "C:2"], {}, "OrderTooLarge", "8192"),
+    # each of these ended in a Python traceback
+    (["cor", "--group", "D:8", "--subgroup", "0,x", "--cocycle", "{dir}/c.json"], {},
+     "BadParams", "--subgroup takes integers, got 'x'"),
+    (["obstruct", "direct", "--p", "2", "--b", "2", "--d", "x"], {}, "BadParams",
+     "--d takes integers, got 'x'"),
+    (["schultz", "solve", "--p", "3", "--n", "1", "--summands", "a", "--dims", "2,2,2"], {},
+     "BadParams", "--summands takes integers, got 'a'"),
+    (["schultz", "solve", "--p", "3", "--n", "1", "--summands", "3", "--dims", "a"], {},
+     "BadParams", "--dims takes integers, got 'a'"),
+    (["schultz", "solve", "--p", "3", "--n", "1", "--summands", "3", "--dims", "2,2,2",
+      "--ikk=x"], {}, "BadParams", "--ikk takes integers, got 'x'"),
+    (["obstruct", "cp2", "--a", "zeta0", "--p", "3"], {}, "ZeroEntry", "'zeta0'"),
+    (["symbol", "eval", "--p", "0", "--expr=(2,3)"], {}, "BadParams", "p must be prime, got p=0"),
+    # every command's p is checked prime, as h2's is
+    (["obstruct", "cp2", "--a", "3", "--p", "1"], {}, "BadParams", "p must be prime, got p=1"),
+    (["obstruct", "cp2", "--a", "3", "--p", "4"], {}, "BadParams", "p must be prime, got p=4"),
+    (["obstruct", "massy", "--p", "9", "--a", "2"], {}, "BadParams", "p must be prime, got p=9"),
+    (["obstruct", "modular", "--variant", "m", "--p", "4", "--n", "1", "--a1", "2", "--a2", "3"],
+     {}, "BadParams", "p must be prime, got p=4"),
+    (["symbol", "eval", "--p", "4", "--expr=(2,3)"], {}, "BadParams", "p must be prime, got p=4"),
+    (["solve", "--theorem", "4.1", "--p", "4"], {}, "BadParams", "p must be prime, got p=4"),
+    (["autoreal", "bound", "--p", "4", "--n", "1", "--k", "2"], {}, "BadParams",
+     "p must be prime, got p=4"),
 ])
 def test_bad_input_gives_the_error_document(tmp_path, capsys, argv, files, code, named):
     for name, text in files.items():
@@ -467,3 +494,71 @@ def test_a_negative_entry_that_cannot_be_factored_keeps_its_sign_once(capsys, ar
     # the sign is split off as (-1, b), so the entry's atom is |entry|; it
     # was counted twice, giving the class of (|entry|, b)
     assert run(capsys, *argv) == (0, out)
+
+
+# -- no argv ends in a traceback ----------------------------------------------------------
+
+_JUNK = ["x", "0", "-1", "4", "1/0", "(2,", "zeta0", "0,x"]
+_GROUP = ["D:8", "C:4", "Q:8", "C:2*C:2", "EA:p=2,r=5", "C:6"]  # order <= 32
+_ELEM = ["2", "3", "-1", "5/3", "zeta", "zeta3"]
+_P, _SMALL = ["2", "3"], ["1", "2"]
+# per request: its command words and each flag's usable values; the junk
+# tokens are drawn for every flag besides
+_REQUESTS = [
+    (["groups", "build"], {"--spec": _GROUP}),
+    (["h2"], {"--group": _GROUP, "--p": _P}),
+    (["cor"], {"--group": ["D:8", "C:4"], "--subgroup": ["0,2,4,6", "0,1"],
+               "--cocycle": ["{cocycle}", "{missing}"], "--g": _SMALL}),
+    (["obstruct", "c4"], {"--a": _ELEM}),
+    (["obstruct", "cp2"], {"--a": _ELEM, "--p": _P}),
+    (["obstruct", "massy"], {"--p": _P, "--a": ["2,3", "5"], "--d": ["d11=1,d12=1", "d12=x"]}),
+    (["obstruct", "direct"], {"--p": _P, "--b": _ELEM, "--j": _SMALL, "--a": ["2,3"],
+                              "--d": ["1,2"], "--res": ["r"]}),
+    (["obstruct", "modular"], {"--variant": ["m", "1zeta", "zeta1", "zetazeta"], "--p": _P,
+                               "--n": _SMALL, "--a1": _ELEM, "--a2": _ELEM}),
+    (["obstruct", "gfamily"], {"--family": ["G3", "G4", "G5"], "--p": _P, "--a1": _ELEM,
+                               "--a2": _ELEM}),
+    (["obstruct", "hw"], {"--q": ["2,3", "2,3,5", "-1"]}),
+    (["obstruct", "twist"], {"--df": _ELEM, "--plus": ["(2,-1)(3,-1)", "(2,3)^2"]}),
+    (["solve"], {"--theorem": ["4.1", "4.2", "4.3", "4.4", "4.5", "4.12"], "--p": _P,
+                 "--i": _SMALL, "--witness": ["w"]}),
+    (["schultz", "solve"], {"--p": _P, "--n": _SMALL, "--summands": ["3", "1,1,2"],
+                            "--dims": ["2,2,2", "1,2"], "--ikk": ["-inf", "1"],
+                            "--finite": ["true", "false"]}),
+    (["autoreal", "query"], {"--from": _GROUP, "--to": _GROUP}),
+    (["autoreal", "bound"], {"--p": _P, "--n": _SMALL, "--k": _SMALL}),
+    (["symbol", "eval"], {"--p": _P, "--expr": ["(2,3)", "(2,-1)^3(5,zeta)", "(2,3"]}),
+]
+
+
+@st.composite
+def _argv(draw):
+    words, flags = draw(st.sampled_from(_REQUESTS))
+    argv = list(words)
+    for flag, usable in flags.items():
+        if draw(st.booleans()):
+            argv += [f"{flag}={draw(st.sampled_from(usable + _JUNK))}"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cocycle_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "c.json"
+    path.write_text('{"p": 2, "values": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}')
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_no_argv_ends_in_a_traceback(cocycle_file, argv):
+    argv = [a.replace("{cocycle}", cocycle_file).replace("{missing}", cocycle_file + ".none")
+            for a in argv] + ["--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert set(json.loads(out.getvalue())) == {"error", "detail"}, argv

@@ -1,0 +1,93 @@
+"""Element orders, index-2 kernels and pc tables in whole-group passes,
+against the loops they replaced (oracles.py): element orders from two power
+maps per prime, every index-2 kernel from one product, and each small pc
+level in one block."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from oracles import (
+    element_orders_active_set,
+    family_specs,
+    index2_per_phi,
+    pc_table_sixteen_blocks,
+    permutation_group,
+)
+from pgal.catalog import build_group
+from pgal.groups import subgroups_of_index2
+from pgal.presentation import pc_table
+
+_LARGE = ["D:64*C:64", "Q:64*C:64", "SD:64*C:64", "M:64*C:64", "EA:p=2,r=12"]
+# above order 256, a level shape of each kind: one level of large relative
+# order, many small levels, and a small level over a large one
+_PC_LARGE = _LARGE + [
+    "C:4096", "C:4095", "C:3125", "D:4096", "Q:2048", "SD:4096", "M:1024",
+    "EA:p=3,r=7", "EA:p=5,r=5", "Mmod:p=2,n=12", "Mmod:p=3,n=7",
+    "MSS:p=2,n=3,j=8", "MSS:p=3,n=2,j=5", "G3:p=7", "G7:p=7"]
+
+
+def _several_primes():
+    tables = [(f"{'A' if even else 'S'}{degree}", permutation_group(degree, even))
+              for degree, even in ((3, False), (4, True), (4, False), (5, True), (5, False),
+                                   (6, True))]
+    return tables + [(spec, build_group(spec)) for spec in ("D:8*C:3", "C:2*C:6")]
+
+
+def test_element_orders_agree_with_the_active_set_loop():
+    for spec in family_specs(256) + _LARGE:
+        G = build_group(spec)
+        assert G.element_orders() == element_orders_active_set(G), spec
+    for name, G in _several_primes():
+        assert G.element_orders() == element_orders_active_set(G), name
+
+
+def test_index2_kernels_agree_with_the_per_phi_loop():
+    for spec in family_specs(256):
+        G = build_group(spec)
+        if G.order & (G.order - 1) == 0:
+            assert ([H.elements for H in subgroups_of_index2(G)]
+                    == [H.elements for H in index2_per_phi(G)]), spec
+
+
+def test_the_4095_kernels_of_ea_2_12_agree_with_the_per_phi_loop():
+    # in a fresh interpreter: a list of 4095 subgroups of order 2048 takes
+    # about 440 MB, which this process would keep as resident size
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from oracles import index2_per_phi
+        from pgal.catalog import build_group
+        from pgal.groups import subgroups_of_index2
+
+        G = build_group("EA:p=2,r=12")
+        new = np.array([H.elements for H in subgroups_of_index2(G)], dtype=np.int16)
+        old = np.array([H.elements for H in index2_per_phi(G)], dtype=np.int16)
+        sys.exit(0 if new.shape == (4095, 2048) and np.array_equal(new, old) else 1)
+    """)
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": path}, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_pc_table_is_the_sixteen_block_table_up_to_order_256():
+    for spec in family_specs(256):
+        pc = build_group(spec).pc
+        assert _same_bytes(pc_table(pc), pc_table_sixteen_blocks(pc)), spec
+
+
+@pytest.mark.parametrize("spec", _PC_LARGE)
+def test_pc_table_is_the_sixteen_block_table_above_order_256(spec):
+    pc = build_group(spec).pc
+    assert _same_bytes(pc_table(pc), pc_table_sixteen_blocks(pc))

@@ -8,8 +8,6 @@ four-case oracles in oracles.py, against cor res = [G : H], and against
 the dimensions that H_1 and the Schur multiplier give.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,7 +37,7 @@ from pgal.groups import (
 )
 from pgal.presentation import pc_table, read_pc
 
-from oracles import corestrict_four_case, tree_h2_dim
+from oracles import corestrict_four_case, permutation_group, tree_h2_dim
 
 
 def _bare(G):
@@ -204,20 +202,10 @@ def test_cor_res_on_subgroups_that_are_not_normal():
 # -- groups that are not p-groups ------------------------------------------------------
 
 
-def _permutations(degree, even):
-    """S_n, or A_n, from a group file without generators."""
-    def sign(q):
-        return sum(q[i] > q[j] for i in range(degree) for j in range(i + 1, degree)) % 2
-    perms = [q for q in itertools.permutations(range(degree)) if not (even and sign(q))]
-    idx = {q: i for i, q in enumerate(perms)}
-    table = [[idx[tuple(b[a[k]] for k in range(degree))] for b in perms] for a in perms]
-    return Group.from_json({"order": len(perms), "table": table})
-
-
 @pytest.mark.parametrize("name,degree,even", [("S3", 3, False), ("A4", 4, True),
                                               ("S4", 4, False), ("A5", 5, True)])
 def test_the_sylow_reduction_agrees_with_the_tree_oracle(name, degree, even):
-    G = _permutations(degree, even)
+    G = permutation_group(degree, even)
     for p in (2, 3, 5):
         res = h2_enumerate(G, p)
         assert res.dimension == tree_h2_dim(G, p), (name, p)
@@ -229,7 +217,7 @@ def test_the_sylow_reduction_agrees_with_the_tree_oracle(name, degree, even):
 def test_s5_and_a6_beyond_the_tree_caps():
     """From H_1 and the Schur multiplier: S5 has C2 and C2, so (2, 0, 0);
     A6 has 0 and C6, so (1, 1, 0)."""
-    S5, A6 = _permutations(5, False), _permutations(6, True)
+    S5, A6 = permutation_group(5, False), permutation_group(6, True)
     assert [h2_enumerate(S5, p).dimension for p in (2, 3, 5)] == [2, 0, 0]
     assert [h2_enumerate(A6, p).dimension for p in (2, 3, 5)] == [1, 1, 0]
 
@@ -238,7 +226,7 @@ def test_s5_and_a6_beyond_the_tree_caps():
 def test_the_corestriction_coordinates_read_only_the_generator_columns(degree, even):
     """_cor_coords gathers the transfer at the kept generators' columns
     alone; it gives what normalise reads off the full corestriction."""
-    G = _permutations(degree, even)
+    G = permutation_group(degree, even)
     for p in (2, 3):
         P = sylow_subgroup(G, p)
         dim, build = _classes(P.as_group(), p)
@@ -260,7 +248,7 @@ def test_a_factor_of_order_prime_to_p_leaves_the_dimension(case, q):
     name, p = case
     if q == p:
         q = 11
-    G = _permutations(int(name[1]), name[0] == "A") if name[0] in "SA" else build_group(name)
+    G = permutation_group(int(name[1]), name[0] == "A") if name[0] in "SA" else build_group(name)
     assert p * q * G.order <= 4096
     GxC = _bare(direct_product(G, build_group(f"C:{q}")))
     assert h2_enumerate(GxC, p).dimension == h2_enumerate(G, p).dimension
