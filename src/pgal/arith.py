@@ -1,8 +1,11 @@
 """Exact integer arithmetic helpers: primality, factorization, Legendre symbols.
 
-Factorization is trial division up to a configurable bound followed by
-Brent's variant of Pollard rho.  A failure to split a composite within the
-budget raises FactorizationFailed; we never return a wrong factorization.
+Factorization is trial division by the primes below min(bound, 2^10)
+followed by Brent's variant of Pollard rho, which finds a prime q in about
+sqrt(q) steps and gets 4 * bound of them per attempt; the bound is
+configurable (PGAL_FACTOR_BOUND).  Primes come in increasing order.  A
+failure to split a composite within the budget raises FactorizationFailed;
+we never return a wrong factorization.
 Primality is Miller-Rabin, deterministic below MILLER_RABIN_BOUND; above it
 a number that passes every base raises FactorizationFailed as well.
 """
@@ -26,7 +29,9 @@ MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def factor_bound() -> int:
-    """Current trial-division bound; PGAL_FACTOR_BOUND overrides the default."""
+    """Current factoring bound: trial division stops at min(bound, 2^10) and
+    rho gets 4 * bound steps per attempt.  PGAL_FACTOR_BOUND overrides the
+    default."""
     raw = os.environ.get("PGAL_FACTOR_BOUND")
     if raw is None:
         return DEFAULT_TRIAL_BOUND
@@ -106,12 +111,12 @@ def _brent_rho(n: int, max_steps: int) -> int:
 def factor(n: int) -> dict[int, int]:
     """Factor |n| into primes, returned as {prime: exponent}.
 
-    Raises FactorizationFailed if a cofactor survives trial division to the
-    configured bound and the rho budget.  Results are memoised in a bounded
-    cache keyed on |n| and the bound; every call gets a fresh dict.  A
-    failure is memoised apart from them, under the same key, and raised
-    again from the memo, so an entry that cannot be factored costs one rho
-    attempt per process.
+    The primes come in increasing order.  Raises FactorizationFailed if a
+    cofactor survives trial division and the rho budget of the configured
+    bound.  Results are memoised in a bounded cache keyed on |n| and the
+    bound; every call gets a fresh dict.  A failure is memoised apart from
+    them, under the same key, and raised again from the memo, so an entry
+    that cannot be factored costs one rho attempt per process.
     """
     key = (abs(n), factor_bound())
     if key in _FAILED:
@@ -130,43 +135,31 @@ _FAILED: dict[tuple[int, int], str] = {}
 _FAILED_MAX = 256
 
 
-_WHEEL = (0, 4, 6, 10, 12, 16, 22, 24)  # 7 + these are the residues prime to 30
-_CHUNK = 30 * 2048
+# the primes below 2^10, which trial division tries; rho splits off the rest
+_TRIAL_PRIMES = tuple(d for d in range(2, 1 << 10)
+                      if all(d % q for q in range(2, math.isqrt(d) + 1)))
 
 
 @lru_cache(maxsize=1024)
 def _factor_cached(n: int, bound: int) -> tuple[tuple[int, int], ...]:
-    """The factorisation of n >= 0 as (prime, exponent) pairs, in the order
-    found; a tuple, so no caller can change a cached result."""
+    """The factorisation of n >= 0 as (prime, exponent) pairs in increasing
+    order; a tuple, so no caller can change a cached result.
+
+    2, 3 and 5 are divided out, then each prime d < 2^10 with d <= bound
+    while d^2 <= n, n the cofactor so far.  What is left goes to _split.
+    """
     if n == 0:
         raise FactorizationFailed("cannot factor 0")
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    # trial division by the d >= 7 prime to 30 with d^2 <= n and d <= bound,
-    # n the cofactor so far: one comprehension per residue class and chunk,
-    # then the chunk's divisors in increasing order (a composite one finds
-    # its primes divided out already).  The limit is read again after each
-    # chunk; a divisor d past the current root can only be n itself, a
-    # prime, which leaves the same factorisation as a cofactor would
-    lo, limit = 7, min(bound, math.isqrt(n))
-    while lo <= limit:
-        end = min(lo + _CHUNK, limit + 1)
-        hits = []
-        for r in _WHEEL:
-            hits += [d for d in range(lo + r, end, 30) if not n % d]
-        for d in sorted(hits):
-            while n % d == 0:
-                out[d] = out.get(d, 0) + 1
-                n //= d
-        lo += _CHUNK
-        limit = min(bound, math.isqrt(n))
+    for d in _TRIAL_PRIMES:
+        if d > 5 and (d > bound or d * d > n):
+            break
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
     if n > 1:
-        # every prime of the cofactor exceeds every prime found above
         out.update(_split(n, bound))
-    return tuple(out.items())
+    return tuple(sorted(out.items()))
 
 
 @lru_cache(maxsize=256)

@@ -7,11 +7,13 @@ from __future__ import annotations
 import re
 from functools import reduce
 from math import prod
+from typing import TYPE_CHECKING
 
 from .arith import is_prime
-from .errors import OrderTooLarge, RelationInconsistent, UnknownFamily
-from .groups import MAX_ORDER, Group, direct_product
-from .presentation import PcPresentation, generator_indices, pc_table
+from .errors import MAX_ORDER, OrderTooLarge, RelationInconsistent, UnknownFamily
+
+if TYPE_CHECKING:
+    from .groups import Group
 
 
 def _pc_group(rel_orders, powers, conj, display, name) -> Group:
@@ -21,13 +23,18 @@ def _pc_group(rel_orders, powers, conj, display, name) -> Group:
     The order cap is checked before any table is allocated.  A group by
     construction (of checks the words, pc_table Hoelder's conditions), so
     Group does not validate the table again.  It keeps its presentation.
+    The table modules load only once the order has passed its cap, so a
+    refused spec is answered without numpy.
     """
     _check_order(prod(rel_orders))
-    gen = generator_indices(rel_orders)
+    from . import presentation
+    from .groups import Group
+
+    gen = presentation.generator_indices(rel_orders)
     gens = [(gname, gen[pos]) for gname, pos in display]
     try:
-        pc = PcPresentation.of(rel_orders, powers, conj)
-        table = pc_table(pc)
+        pc = presentation.PcPresentation.of(rel_orders, powers, conj)
+        table = presentation.pc_table(pc)
     except RelationInconsistent as exc:
         raise RelationInconsistent(f"presentation for {name} fails to close: {exc.detail}") from exc
     return Group(table, gens, name=name, check=False, pc=pc)
@@ -312,4 +319,6 @@ def build_group(spec: str) -> Group:
     """Build a catalog group from its spec string (see parse_spec); a product
     of factors is their direct product."""
     groups = [_FAMILIES[fam][1](*params.values()) for fam, params in parse_spec(spec)]
+    from .groups import direct_product
+
     return reduce(direct_product, groups)

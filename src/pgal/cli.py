@@ -17,8 +17,9 @@ from typing import TYPE_CHECKING
 
 # Only modules that do not import numpy are loaded here; the handlers that
 # build tables import catalog, groups, cohomology and autoreal themselves, so
-# a symbol command starts without them; solve and schultz import kummer and
-# fpmodules themselves, so that obstruct and symbol start without those too.
+# a symbol command starts without them, and a spec the catalog refuses is
+# answered before they load; solve and schultz import kummer and fpmodules
+# themselves, so that obstruct and symbol start without those too.
 from . import obstructions, symbols
 from .arith import is_prime
 from .errors import BadParams, PgalError, UnknownFamily, ZeroEntry
@@ -42,11 +43,13 @@ def _load_json(path: str, what: str, build) -> tuple:
 
 
 def _load_group(ref: str) -> tuple[Group, object]:
-    """Spec string, or a path to a group JSON file."""
+    """Spec string, or a path to a group JSON file.  A spec loads the table
+    modules only once the catalog has accepted it."""
     from .catalog import build_group, canonical_spec
-    from .groups import Group
 
     if os.path.exists(ref):
+        from .groups import Group
+
         return _load_json(ref, "group", Group.from_json)
     try:
         return build_group(ref), canonical_spec(ref)
@@ -152,9 +155,9 @@ def _cmd_groups(args) -> int:
 
 
 def _cmd_h2(args) -> int:
+    G, ref = _load_group(args.group)
     from .cohomology import h2_enumerate
 
-    G, ref = _load_group(args.group)
     res = h2_enumerate(G, args.p)
     payload = {
         "group": ref if isinstance(ref, str) else "(file)",
@@ -168,10 +171,10 @@ def _cmd_h2(args) -> int:
 
 
 def _cmd_cor(args) -> int:
+    G, ref = _load_group(args.group)
     from .cohomology import Cocycle2, corestrict_tate
     from .groups import Subgroup
 
-    G, ref = _load_group(args.group)
     ids = _int_list(args.subgroup, "--subgroup")
     H = Subgroup(G, ids)
     fbar, _ = _load_json(args.cocycle, "cocycle",

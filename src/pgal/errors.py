@@ -1,4 +1,10 @@
-"""Exception hierarchy: every domain error carries a stable machine-readable code."""
+"""Exception hierarchy: every domain error carries a stable machine-readable code.
+
+MAX_ORDER, the cap on group orders that the size errors name, lives here too,
+so a spec can be refused without importing numpy.
+"""
+
+MAX_ORDER = 4096  # the largest group order pgal builds a table for
 
 
 class PgalError(Exception):

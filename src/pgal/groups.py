@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
+    MAX_ORDER,
     BadM,
     NotNormal,
     NotPGroup,
@@ -32,7 +33,6 @@ from .errors import (
 if TYPE_CHECKING:
     from .presentation import PcPresentation
 
-MAX_ORDER = 4096
 MAX_NORMALS = 4096  # normal_subgroups gives up beyond this many
 BLOCK_ENTRIES = 1 << 18
 

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import pgal
 from pgal.cli import _COMMANDS, _build_parser, main
 
+from fresh import run_request
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -421,6 +423,31 @@ def test_a_request_loads_only_what_its_command_uses(capsys, argv, numpy_free):
         assert not loaded & {"pgal.kummer", "pgal.fpmodules"}
     if numpy_free:
         assert not {m for m in loaded if m == "numpy" or m.startswith("numpy.")}
+
+
+def _neither(spec):
+    return json.dumps({"detail": f"{spec!r} is neither a catalog spec nor an existing file",
+                       "error": "UnknownFamily"}, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["groups", "build", "--spec", "X8:16", "--json"], _neither("X8:16")),
+    (["groups", "build", "--spec", "D:22", "--json"], _neither("D:22")),
+    (["groups", "build", "--spec", "C:65536", "--json"],
+     '{"detail": "order 65536 exceeds cap 4096", "error": "OrderTooLarge"}\n'),
+    (["groups", "build", "--spec", "G5:q=4"], _neither("G5:q=4")),
+    (["h2", "--group", "D:22", "--p", "2"], _neither("D:22")),
+])
+def test_a_spec_the_catalog_refuses_is_answered_before_numpy_loads(argv, doc):
+    req = run_request(argv)
+    assert (req.code, req.stdout, req.stderr) == (1, doc, "")
+    assert "numpy" not in req.modules and "pgal.catalog" in req.modules
+
+
+def test_a_spec_the_catalog_accepts_loads_numpy():
+    req = run_request(["groups", "build", "--spec", "D:8", "--json"])
+    assert req.code == 0 and json.loads(req.stdout)["order"] == 8
+    assert "numpy" in req.modules
 
 
 def test_a_reader_that_closes_the_pipe_gets_no_traceback():

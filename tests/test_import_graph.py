@@ -3,15 +3,16 @@
 Every relative import counts, at module level and inside functions, except
 those under `if TYPE_CHECKING:`, which never run.  The graph has no cycle,
 groups knows nothing of the catalog or of pc presentations, and only the CLI
-handlers and autoreal import pgal modules inside functions (their start-up
-lazy imports).
+handlers, autoreal and the catalog import pgal modules inside functions
+(their start-up lazy imports; the catalog's let a refused spec be answered
+without numpy).
 """
 
 import ast
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parent.parent / "src" / "pgal"
-LAZY = {"cli", "autoreal"}
+LAZY = {"cli", "autoreal", "catalog"}
 
 
 def _imports(tree):

@@ -10,10 +10,7 @@ bar-complex oracle in test_h2_engine.py stays beside these.
 
 import itertools
 import json
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +24,8 @@ from pgal.errors import BadParams, PgalError, RelationInconsistent, TooLarge
 from pgal.groups import Group
 from pgal.presentation import PcPresentation, PcTails, pc_table, read_pc
 
+from fresh import run_request
 from oracles import PRIMES, family_specs, tree_h2_dim
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _bare(G):
@@ -204,19 +200,12 @@ def test_a_basis_is_listed_when_the_classes_are_too_many():
 
 
 def test_h2_cli_at_ea_2_11_is_quick_and_small():
-    code = ("import resource, sys, time\n"
-            "from pgal.cli import main\n"
-            "t0 = time.perf_counter()\n"
-            "code = main(['h2', '--group', 'EA:p=2,r=11', '--p', '2', '--json'])\n"
-            "print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
-            " file=sys.stderr)\n"
-            "sys.exit(code)\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": str(SRC)}, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout)["dimension"] == 66
-    seconds, rss_kb = out.stderr.split()
-    assert float(seconds) < 5 and int(rss_kb) < 400 * 1024
+    """The request's own peak resident size (VmHWM), not ru_maxrss, which on
+    Linux keeps the forking test process's resident size across exec."""
+    req = run_request(["h2", "--group", "EA:p=2,r=11", "--p", "2", "--json"], timeout=60)
+    assert req.code == 0, req.stderr
+    assert json.loads(req.stdout)["dimension"] == 66
+    assert req.seconds < 5 and req.peak_rss_kb < 400 * 1024
 
 
 def test_tables_the_catalog_did_not_build_carry_no_presentation():
@@ -231,11 +220,12 @@ def test_tables_the_catalog_did_not_build_carry_no_presentation():
 @pytest.mark.parametrize("spec,p", [("D:16", 2), ("G3:p=3", 3)])
 def test_a_read_presentation_builds_its_table_once(monkeypatch, spec, p):
     """read_pc checks itself with pc_table, and PcTails runs on that table."""
-    bare = _bare(build_group(spec))
+    built = build_group(spec)
+    bare = _bare(built)
     calls = []
     real = presentation.pc_table
     monkeypatch.setattr(presentation, "pc_table", lambda *pc: calls.append(1) or real(*pc))
-    assert h2_enumerate(bare, p).dimension == h2_enumerate(build_group(spec), p).dimension
+    assert h2_enumerate(bare, p).dimension == h2_enumerate(built, p).dimension
     assert len(calls) == 1
 
 

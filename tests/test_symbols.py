@@ -1,9 +1,12 @@
 """Symbol normalization, Hilbert symbols, splitting, corestriction formulas."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgal.errors import (
     NonRationalEntry,
@@ -426,8 +429,10 @@ def test_chunked_trial_division_agrees_with_the_wheel_loop():
     from pgal.errors import FactorizationFailed
 
     def outcome(f, n, bound):
+        """The factorisation as a mapping: the wheel loop lists a cofactor's
+        primes in the order rho finds them, and factor sorts them."""
         try:
-            return f(n, bound)
+            return dict(f(n, bound))
         except FactorizationFailed:
             return "failed"
 
@@ -446,3 +451,48 @@ def test_chunked_trial_division_agrees_with_the_wheel_loop():
         want = outcome(_wheel_factor, n, bound)
         assert outcome(arith._factor_cached.__wrapped__, n, bound) == want, (n, bound)
     assert arith._split.cache_info().maxsize == 256
+
+
+# primes below 2^10, just above it, at the old scan's chunk edges and near
+# 10^6; a product takes at most one of the 30-40-bit primes, since rho spends
+# seconds on a product of two of them that it cannot split
+_FACTOR_POOL = [2, 3, 5, 7, 31, 97, 509, 1009, 1021, 1031, 1033, 61417, 61441, 61463,
+                999983, 1000003]
+_LARGE_PRIMES = [1073741827, 8589934609, 68719476767, 1099511627791]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_FACTOR_POOL), max_size=4),
+       st.lists(st.sampled_from(_LARGE_PRIMES), max_size=1),
+       st.sampled_from([2, 10, 1000, 1024, 1031, 61441, 10 ** 6]))
+def test_trial_division_below_2_10_and_rho_agree_with_the_wheel_loop(small, large, bound):
+    """Trial division stops at min(bound, 2^10) and rho splits off the primes
+    the wheel loop found above that: the same factorisation, or both fail."""
+    from pgal import arith
+    from pgal.errors import FactorizationFailed
+
+    primes = small + large
+    n = math.prod(primes)
+    try:
+        want = dict(_wheel_factor(n, bound))
+    except FactorizationFailed:
+        want = "failed"
+    try:
+        got = arith._factor_cached.__wrapped__(n, bound)
+    except FactorizationFailed:
+        assert want == "failed", (n, bound)
+        return
+    assert dict(got) == want, (n, bound)
+    assert [q for q, _ in got] == sorted(set(primes))
+
+
+def test_factor_lists_its_primes_in_increasing_order(monkeypatch):
+    from pgal.arith import factor
+
+    monkeypatch.delenv("PGAL_FACTOR_BOUND", raising=False)
+    # rho splits the cofactor here into its primes in decreasing order
+    n = 1099511627791 * 61441 * 1000003 * 1031 * 7 ** 2
+    for m in (n, -n, 2 ** 61 - 1, (2 ** 61 - 1) * (10 ** 9 + 7) * 3):
+        primes = list(factor(m))
+        assert primes == sorted(primes)
+    assert factor(n) == {7: 2, 1031: 1, 61441: 1, 1000003: 1, 1099511627791: 1}
