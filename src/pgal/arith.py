@@ -146,7 +146,9 @@ def _factor_cached(n: int, bound: int) -> tuple[tuple[int, int], ...]:
     order; a tuple, so no caller can change a cached result.
 
     2, 3 and 5 are divided out, then each prime d < 2^10 with d <= bound
-    while d^2 <= n, n the cofactor so far.  What is left goes to _split.
+    while d^2 <= n, n the cofactor so far.  What is left is prime when it is
+    below d^2 for the last d reached, since every prime below d was tried;
+    otherwise it goes to _split.
     """
     if n == 0:
         raise FactorizationFailed("cannot factor 0")
@@ -157,7 +159,9 @@ def _factor_cached(n: int, bound: int) -> tuple[tuple[int, int], ...]:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-    if n > 1:
+    if n > 1 and d * d > n:
+        out[n] = 1
+    elif n > 1:
         out.update(_split(n, bound))
     return tuple(sorted(out.items()))
 

@@ -10,7 +10,7 @@ from math import prod
 from typing import TYPE_CHECKING
 
 from .arith import is_prime
-from .errors import MAX_ORDER, OrderTooLarge, RelationInconsistent, UnknownFamily
+from .errors import RelationInconsistent, UnknownFamily, check_order
 
 if TYPE_CHECKING:
     from .groups import Group
@@ -26,7 +26,7 @@ def _pc_group(rel_orders, powers, conj, display, name) -> Group:
     The table modules load only once the order has passed its cap, so a
     refused spec is answered without numpy.
     """
-    _check_order(prod(rel_orders))
+    check_order(prod(rel_orders))
     from . import presentation
     from .groups import Group
 
@@ -38,18 +38,6 @@ def _pc_group(rel_orders, powers, conj, display, name) -> Group:
     except RelationInconsistent as exc:
         raise RelationInconsistent(f"presentation for {name} fails to close: {exc.detail}") from exc
     return Group(table, gens, name=name, check=False, pc=pc)
-
-
-def _check_order(p: int, e: int = 1) -> None:
-    """Raise OrderTooLarge unless the order p^e is at most MAX_ORDER.
-
-    A huge p^e is never formed: the detail shows the order in decimal, or
-    as p^e when that has more than 4096 bits.
-    """
-    if p < 2 or e < MAX_ORDER.bit_length() and p ** e <= MAX_ORDER:
-        return
-    order = f"{p}^{e}" if e > 1 and e * p.bit_length() > 4096 else p ** e
-    raise OrderTooLarge(f"order {order} exceeds cap {MAX_ORDER}")
 
 
 # -- individual families ------------------------------------------------------
@@ -66,7 +54,7 @@ def cyclic(n: int) -> Group:
 def elem_abelian(p: int, r: int) -> Group:
     if r < 0:
         raise UnknownFamily("elementary abelian group needs r >= 0")
-    _check_order(p, r)
+    check_order(p, r)
     return _pc_group([p] * r, {}, {}, [(f"e{i + 1}", i) for i in range(r)], f"EA({p},{r})")
 
 
@@ -127,7 +115,7 @@ def modular_pgroup(p: int, n: int) -> Group:
     """M(p^n), n >= 3: alpha of order p^(n-1), beta of order p, beta alpha = alpha^(1+p^(n-2)) beta."""
     if n < 3:
         raise UnknownFamily("modular group needs n >= 3")
-    _check_order(p, n)
+    check_order(p, n)
     m = p ** (n - 1)
     q = p ** (n - 2)
     return _pc_group(
@@ -227,7 +215,7 @@ def mss_semidirect(p: int, n: int, j: int) -> Group:
     # p^n > j once n >= bit_length(j), so the power stays small
     if not 1 <= j <= p ** min(n, j.bit_length()):
         raise UnknownFamily(f"need 1 <= j <= p^n, got j={j}")
-    _check_order(p, j + n)
+    check_order(p, j + n)
     return _pc_group(
         [p] * j + [p ** n],
         {},

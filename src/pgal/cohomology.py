@@ -27,6 +27,7 @@ from .errors import (
     PreimageOrderMismatch,
     PrimeMismatch,
     QuotientConditionFails,
+    RelationInconsistent,
     TargetMismatch,
     TooLarge,
 )
@@ -114,9 +115,11 @@ class Cocycle2:
 
     def transport(self, images, target: Group) -> "Cocycle2":
         """Push the cocycle along an isomorphism given by an image list."""
-        phi = np.asarray(images, dtype=np.int64)
+        phi = GroupHom(self.group, target, images)
+        if target.order != self.group.order or not phi.is_surjective():
+            raise RelationInconsistent("map is not a bijection")
         vals = np.zeros((target.order, target.order), dtype=np.int64)
-        vals[phi[:, None], phi[None, :]] = self.values
+        vals[np.ix_(phi.images, phi.images)] = self.values
         return Cocycle2(target, self.p, vals)
 
     def to_json(self, group_ref: str | None = None) -> dict:
@@ -142,7 +145,7 @@ class ExtensionClass:
 
 def _section(proj: GroupHom) -> np.ndarray:
     """The least preimage of each element of proj's target."""
-    images, sec = np.unique(np.asarray(proj.images), return_index=True)
+    images, sec = np.unique(proj.images, return_index=True)
     if len(images) != proj.target.order:
         raise TargetMismatch("projection is not surjective")
     return sec
@@ -152,8 +155,7 @@ def cocycle_of_extension(E: Group, proj: GroupHom, kernel_gen: int) -> Cocycle2:
     """Factor set of a central extension via the least-index-preimage section."""
     if proj.source is not E:
         raise TargetMismatch("projection must start at the extension group")
-    images = np.asarray(proj.images, dtype=np.int64)
-    ker = np.flatnonzero(images == 0)
+    ker = np.flatnonzero(proj.images == 0)
     p = len(ker)
     if not is_prime(p):
         raise KernelNotPrime(f"kernel has order {p}")
@@ -196,7 +198,7 @@ def extension_of_cocycle(f: Cocycle2) -> ExtensionClass:
     gens = [("zeta", n)] + [(nm if nm != "zeta" else "zeta'", idx) for nm, idx in G.generators]
     # a group by construction, since f passed the exact cocycle check
     E = Group(T, gens, name=f"ext{p}x{G.name or n}", check=False)
-    proj = GroupHom(E, G, tuple(int(x % n) for x in range(p * n)))
+    proj = GroupHom(E, G, np.arange(p * n) % n)
     return ExtensionClass(f, E, proj, n)
 
 
@@ -417,8 +419,7 @@ def restrict(f: Cocycle2, H: Subgroup) -> Cocycle2:
     """Restriction to a subgroup, indexed by H.as_group() element order."""
     if H.parent is not f.group:
         raise TargetMismatch("subgroup does not live in the cocycle's group")
-    els = np.array(H.elements, dtype=np.int64)
-    vals = f.values[np.ix_(els, els)]
+    vals = f.values[np.ix_(H.elements, H.elements)]
     return Cocycle2(H.as_group(), f.p, vals, check=False)
 
 
@@ -426,8 +427,7 @@ def inflate(f: Cocycle2, proj: GroupHom) -> Cocycle2:
     """Pullback along a projection G -> G/N."""
     if proj.target is not f.group:
         raise TargetMismatch("projection target does not carry the cocycle")
-    phi = np.asarray(proj.images, dtype=np.int64)
-    vals = f.values[phi[:, None], phi[None, :]]
+    vals = f.values[np.ix_(proj.images, proj.images)]
     return Cocycle2(proj.source, f.p, vals, check=False)
 
 
@@ -461,14 +461,13 @@ def _transfer(F: np.ndarray, H: Subgroup, cols: np.ndarray, transversal=None) ->
     p, at the columns cols of G's table only."""
     G = H.parent
     n, T, inv = G.order, G.np_table, G.inverses()
-    els = np.array(H.elements, dtype=np.int64)
     if transversal is None:
-        R = np.flatnonzero(T[els].min(axis=0) == np.arange(n))  # x = min Hx
+        R = np.flatnonzero(T[H.elements].min(axis=0) == np.arange(n))  # x = min Hx
     else:
         R = np.asarray(transversal, dtype=np.int64)
         if R.size and (R.min() < 0 or R.max() >= n):
             raise BadIndexSubgroup(f"transversal elements must lie in 0..{n - 1}")
-    cosets = T[np.ix_(els, R)]  # column i is H R[i]
+    cosets = T[np.ix_(H.elements, R)]  # column i is H R[i]
     if len(R) * H.order != n or (np.bincount(cosets.ravel(), minlength=n) != 1).any():
         raise BadIndexSubgroup("not a right transversal of the subgroup")
     bar = np.empty(n, dtype=np.int64)
@@ -549,7 +548,7 @@ def raise_lower(E: ExtensionClass, sigma1, n_exp: int, direction: str) -> Extens
     # dlog[(s1 H)^i] = i, the exponent that indexes the carry cocycle on C_m
     dlog = np.empty(m, dtype=np.int64)
     dlog[Q._powers(np.full(m, projH(s1)), np.arange(m))] = np.arange(m)
-    expo = dlog[np.asarray(projH.images)]
+    expo = dlog[projH.images]
     inf_vals = cyclic_step_cocycle(p, n_exp).values[expo[:, None], expo[None, :]]
     sign = 1 if direction == "raise" else -1
     new_vals = (E.cocycle.values + sign * inf_vals) % p

@@ -1,10 +1,22 @@
 """Exception hierarchy: every domain error carries a stable machine-readable code.
 
-MAX_ORDER, the cap on group orders that the size errors name, lives here too,
-so a spec can be refused without importing numpy.
+MAX_ORDER, the cap on group orders that the size errors name, and its check
+live here too, so a spec or a module can be refused without importing numpy.
 """
 
 MAX_ORDER = 4096  # the largest group order pgal builds a table for
+
+
+def check_order(p: int, e: int = 1) -> None:
+    """Raise OrderTooLarge unless the order p^e is at most MAX_ORDER.
+
+    A huge p^e is never formed: the detail shows the order in decimal, or
+    as p^e when that has more than 4096 bits.
+    """
+    if p < 2 or e < MAX_ORDER.bit_length() and p ** e <= MAX_ORDER:
+        return
+    order = f"{p}^{e}" if e > 1 and e * p.bit_length() > 4096 else p ** e
+    raise OrderTooLarge(f"order {order} exceeds cap {MAX_ORDER}")
 
 
 class PgalError(Exception):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadIndex, Mismatch, NotSolvable
+from .errors import BadIndex, Mismatch, NotSolvable, check_order
 
 
 class Infinite:
@@ -29,13 +29,15 @@ INFINITE = Infinite()
 
 @dataclass
 class FpGModule:
-    """Direct sum of d_i copies of F_p[G]/(sigma-1)^i, G cyclic of order p^n."""
+    """Direct sum of d_i copies of F_p[G]/(sigma-1)^i, G cyclic of order p^n
+    (at most MAX_ORDER, else OrderTooLarge)."""
 
     p: int
     n: int
     d: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_order(self.p, self.n)  # before p^n is formed
         top = self.p ** self.n
         clean = {}
         for i, m in self.d.items():
@@ -94,6 +96,7 @@ class NormData:
     base_quotient_finite: bool = True
 
     def __post_init__(self):
+        check_order(self.p, self.n)  # before p^n is formed
         top = self.p ** self.n
         dims = {int(i): int(v) for i, v in self.dims.items()}
         for i in range(1, top + 1):
@@ -116,6 +119,7 @@ class NormData:
         levels = [int(v) for v in levels]
         if len(levels) != n + 1:
             raise Mismatch(f"need {n + 1} level dimensions, got {len(levels)}")
+        check_order(p, n)
         dims = {i: levels[_level(i, p)] for i in range(1, p ** n + 1)}
         return cls(p, n, dims, i_invariant, base_quotient_finite)
 
@@ -172,6 +176,7 @@ def ei_solvability(p: int, norm_condition: bool) -> list:
 
 def mss_quotient(j: int, p: int, n: int) -> FpGModule:
     """The ring quotient M_j = F_p[G]/(sigma-1)^j as a module: one length-j summand."""
+    check_order(p, n)
     if not 1 <= j <= p ** n:
         raise BadIndex(f"need 1 <= j <= p^n, got j={j}")
     return FpGModule(p, n, {j: 1})

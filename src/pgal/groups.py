@@ -78,6 +78,16 @@ def integer_array(data, modulus: int | None = None) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _read(data, what: str, out_of_range: str) -> np.ndarray:
+    """integer_array of outside data, its refusals as RelationInconsistent."""
+    try:
+        return integer_array(data)
+    except OverflowError:
+        raise RelationInconsistent(out_of_range) from None
+    except TypeError:
+        raise RelationInconsistent(f"{what} must be integers") from None
+
+
 def cayley_tree(T: np.ndarray, named) -> tuple:
     """A spanning tree of the right Cayley graph, rooted at the identity.
 
@@ -146,12 +156,8 @@ class Group:
             raise RelationInconsistent("only the table pc_table built from a presentation carries it")
         # a table from outside is read wide and range-checked before the cast,
         # so that 65536 cannot wrap to 0; a trusted int16 table is not copied
-        try:
-            arr = integer_array(table) if check else np.asarray(table, dtype=np.int16)
-        except OverflowError:
-            raise RelationInconsistent("table entries out of range") from None
-        except TypeError:
-            raise RelationInconsistent("table entries must be integers") from None
+        arr = (_read(table, "table entries", "table entries out of range") if check
+               else np.asarray(table, dtype=np.int16))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise RelationInconsistent("table must be square")
         if arr.shape[0] > MAX_ORDER:
@@ -327,7 +333,7 @@ class Group:
         mask = np.ones(self.order, dtype=bool)
         for s in self.gens:
             mask &= T[:, s] == T[s]
-        return Subgroup(self, np.flatnonzero(mask).tolist(), check=False)
+        return Subgroup(self, np.flatnonzero(mask), check=False)
 
     def to_json(self) -> dict:
         return {
@@ -348,17 +354,17 @@ class Group:
         return f"<{label} of order {self.order}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupHom:
-    """Homomorphism given by the image of every element; checked exactly on
-    the source generators (n k entries)."""
+    """Homomorphism given by the image of every element, a read-only int16
+    array; checked exactly on the source generators (n k entries)."""
 
     source: Group
     target: Group
-    images: tuple
+    images: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.images, dtype=np.int64)
+        phi = _read(self.images, "images", "images out of range")
         if phi.shape != (self.source.order,):
             raise RelationInconsistent("image list has wrong length")
         if phi[0] != 0:
@@ -368,24 +374,25 @@ class GroupHom:
         if not is_multiplicative(phi, self.source.np_table, self.target.np_table,
                                  self.source.gens):
             raise RelationInconsistent("map is not multiplicative")
-        object.__setattr__(self, "images", tuple(phi.tolist()))
+        phi = phi.astype(np.int16)
+        phi.setflags(write=False)
+        object.__setattr__(self, "images", phi)
 
     def __call__(self, x: int) -> int:
-        return self.images[x]
+        return int(self.images[x])
 
     def is_surjective(self) -> bool:
-        return len(set(self.images)) == self.target.order
+        return bool(np.bincount(self.images, minlength=self.target.order).all())
 
     def kernel(self) -> "Subgroup":
-        return Subgroup(self.source, [i for i, v in enumerate(self.images) if v == 0],
-                        check=False)
+        return Subgroup(self.source, np.flatnonzero(self.images == 0), check=False)
 
 
 class Subgroup:
     """Subset of a parent group, validated closed and containing identity.
 
-    `pos` is its membership array, int16 like the tables: pos[x] = i for the
-    i-th element x (in increasing order) and -1 outside the subgroup.  The
+    `elements` is a read-only int16 array in increasing order and `pos` its
+    membership array: pos[x] = i for the i-th element x, -1 outside.  The
     subgroups the library finds itself (centers, kernels, closures, the
     index-2 kernels and the normal subgroups) are closed by construction and
     come as increasing indices, so they skip the sort and the |H|^2 closure
@@ -394,19 +401,25 @@ class Subgroup:
 
     def __init__(self, parent: Group, elements, check: bool = True):
         self.parent = parent
-        self.elements = tuple(sorted(set(int(e) for e in elements))) if check else tuple(elements)
-        if self.elements and (self.elements[0] < 0 or self.elements[-1] >= parent.order):
-            raise RelationInconsistent(f"subgroup elements must lie in 0..{parent.order - 1}")
-        if not self.elements or self.elements[0] != 0:
+        n = parent.order
+        if check:  # range-checked, then sorted and deduplicated by a membership mask
+            out_of_range = f"subgroup elements must lie in 0..{n - 1}"
+            els = _read(elements, "subgroup elements", out_of_range)
+            if els.size and (els.min() < 0 or els.max() >= n):
+                raise RelationInconsistent(out_of_range)
+            inside = np.zeros(n, dtype=bool)
+            inside[els] = True
+            elements = np.flatnonzero(inside)
+        els = self.elements = np.asarray(elements, dtype=np.int16)
+        if not els.size or els[0] != 0:
             raise RelationInconsistent("subgroup must contain the identity")
-        els = np.array(self.elements, dtype=np.int64)
-        self.pos = np.full(parent.order, -1, dtype=np.int16)
+        els.setflags(write=False)
+        self.pos = np.full(n, -1, dtype=np.int16)
         self.pos[els] = np.arange(len(els))
         self.pos.setflags(write=False)
-        if check:
-            inside = self.pos >= 0  # bool: the gather of the |H|^2 products takes a byte each
-            if not inside[parent.np_table[np.ix_(els, els)]].all():
-                raise RelationInconsistent("subgroup not closed under multiplication")
+        # bool: the gather of the |H|^2 products takes a byte each
+        if check and not inside[parent.np_table[np.ix_(els, els)]].all():
+            raise RelationInconsistent("subgroup not closed under multiplication")
         self._group: Group | None = None
 
     @property
@@ -424,18 +437,14 @@ class Subgroup:
             raise KeyError(parent_idx)
         return int(self.pos[int(parent_idx)])
 
-    def global_(self, local_idx: int) -> int:
-        return self.elements[local_idx]
-
     def is_normal(self) -> bool:
         """g N g^-1 lies in N for each generator g in gens, one gather each:
         conjugation by g is then a bijection of the finite N, so N is closed
         under conjugation by every product of the generators."""
         T = self.parent.np_table
-        els = np.array(self.elements, dtype=np.int64)
         for g in self.parent.gens:
             g_inv = int(np.flatnonzero(T[g] == 0)[0])
-            if (self.pos[T[T[g, els], g_inv]] < 0).any():
+            if (self.pos[T[T[g, self.elements], g_inv]] < 0).any():
                 return False
         return True
 
@@ -443,9 +452,8 @@ class Subgroup:
         """The subgroup with its own numbering; a group by construction,
         since a Subgroup is closed (checked, or closed by construction)."""
         if self._group is None:
-            els = np.array(self.elements, dtype=np.int64)
-            table = self.pos[self.parent.np_table[np.ix_(els, els)]]
-            gens = cayley_tree(table, range(1, len(els)))[0]
+            table = self.pos[self.parent.np_table[np.ix_(self.elements, self.elements)]]
+            gens = cayley_tree(table, range(1, self.order))[0]
             self._group = Group(
                 table,
                 [(f"g{self.elements[i]}", i) for i in gens],
@@ -476,7 +484,7 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
     if not N.is_normal():
         raise NotNormal("subgroup is not normal")
     T = G.np_table
-    least = T[:, np.array(N.elements, dtype=np.int64)].min(axis=1)  # of each coset xN
+    least = T[:, N.elements].min(axis=1)  # of each coset xN
     reps, coset_of = np.unique(least, return_inverse=True)
     coset_of = coset_of.astype(np.int16)
     m = len(reps)
@@ -494,8 +502,7 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
     if m > 1 and not gens:
         gens = [(f"g{i}", i) for i in cayley_tree(table, range(1, m))[0]]
     Q = Group(table, gens, name=f"{G.name or G.order}/N{N.order}", check=False)
-    proj = GroupHom(G, Q, tuple(coset_of.tolist()))
-    return Q, proj
+    return Q, GroupHom(G, Q, coset_of)
 
 
 def direct_product(G1: Group, G2: Group, name: str = "") -> Group:
@@ -531,7 +538,7 @@ def pullback(G1: Group, G2: Group, f1: GroupHom, f2: GroupHom) -> tuple[Group, G
     )
     if not same or not (f1.is_surjective() and f2.is_surjective()):
         raise TargetMismatch("maps must surject onto the same quotient")
-    xs, ys = np.nonzero(np.asarray(f1.images)[:, None] == np.asarray(f2.images)[None, :])
+    xs, ys = np.nonzero(f1.images[:, None] == f2.images[None, :])
     m = len(xs)
     if m * f1.target.order != G1.order * G2.order:
         raise RelationInconsistent("pullback order law |G1||G2|/|F| violated")
@@ -542,9 +549,7 @@ def pullback(G1: Group, G2: Group, f1: GroupHom, f2: GroupHom) -> tuple[Group, G
     T = lookup[G1.np_table[np.ix_(xs, xs)], G2.np_table[np.ix_(ys, ys)]]
     gens = [(f"g{xs[i]}.{ys[i]}", i) for i in cayley_tree(T, range(1, m))[0]]
     P = Group(T, gens, name=f"pullback{m}", check=False)
-    p1 = GroupHom(P, G1, tuple(xs.tolist()))
-    p2 = GroupHom(P, G2, tuple(ys.tolist()))
-    return P, p1, p2
+    return P, GroupHom(P, G1, xs), GroupHom(P, G2, ys)
 
 
 # -- structure invariants ---------------------------------------------------
@@ -658,7 +663,7 @@ def subgroups_of_index2(G: Group) -> list[Subgroup]:
     # sums for every phi are one product, built in blocks of phi with one
     # kernel per row; d <= 12 kept generators, so a sum fits in int8
     n, d = G.order, len(tree[0])
-    coords = (path_counts(tree)[np.asarray(proj.images)].T % 2).astype(np.int8)
+    coords = (path_counts(tree)[proj.images].T % 2).astype(np.int8)
     select = (np.arange(1, 2 ** d)[:, None] >> np.arange(d) & 1).astype(np.int8)
     out = []
     step = max(1, BLOCK_ENTRIES // n)
@@ -666,7 +671,7 @@ def subgroups_of_index2(G: Group) -> list[Subgroup]:
         even = select[r0:r0 + step] @ coords
         even &= 1
         even ^= 1
-        out += [Subgroup(G, np.flatnonzero(row).tolist(), check=False) for row in even]
+        out += [Subgroup(G, np.flatnonzero(row), check=False) for row in even]
     return out
 
 
@@ -717,7 +722,7 @@ def normal_subgroups(G: Group) -> list[Subgroup] | None:
             new = moved[~orbit[moved]]
             orbit[new] = True
         covered |= orbit
-        atoms.setdefault(tuple(G.closure(np.flatnonzero(orbit).tolist())), x)
+        atoms.setdefault(tuple(G.closure(np.flatnonzero(orbit))), x)
     reps = np.array(list(atoms.values()), dtype=np.int64)
     cols = [np.array(b, dtype=np.int64) for b in atoms]
     # membership mask as bytes -> elements
@@ -737,7 +742,8 @@ def normal_subgroups(G: Group) -> list[Subgroup] | None:
                     if len(normals) > MAX_NORMALS:
                         return None
         frontier = fresh
-    found = sorted((tuple(els.tolist()) for els in normals.values()), key=lambda t: (len(t), t))
+    # by order, then as tuples: big-endian bytes of indices below 2^15 compare alike
+    found = sorted(normals.values(), key=lambda els: (len(els), els.astype(">i2").tobytes()))
     return [Subgroup(G, els, check=False) for els in found]
 
 

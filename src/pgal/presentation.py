@@ -191,7 +191,7 @@ def read_pc(G: Group) -> tuple[Group, np.ndarray]:
             if not span[x]:  # span <x> S = the x^a S, a < q, as x^q lies in S
                 xs.append(x)
                 span[T[np.ix_(G._powers(np.full(q, x), layer), np.flatnonzero(span))]] = True
-        P = np.array(below.elements, dtype=np.int64)
+        P = below.elements
     k = len(xs)
     L = np.zeros(1, dtype=np.int64)
     for x in reversed(xs):

@@ -1,8 +1,9 @@
-"""Run one pgal CLI request in a fresh interpreter and report what it cost.
+"""Run one pgal CLI request, or one library call, in a fresh interpreter and
+report what it cost.
 
-The child runs `pgal.cli.main(argv)` and then reports, on the last line of
-its stderr, the seconds `main` took, the modules it had loaded and its peak
-resident size.  The peak is VmHWM from /proc/self/status, which exec resets,
+The child runs `pgal.cli.main(argv)`, or a setup and then a timed call, and
+then reports, on the last line of its stderr, the seconds `main` or the call
+took, the modules it had loaded and its peak resident size.  The peak is VmHWM from /proc/self/status, which exec resets,
 so it is the request's own; `ru_maxrss` is the fallback where /proc is
 absent, and on Linux it keeps the resident size of the forking process
 across exec.
@@ -18,15 +19,7 @@ from typing import NamedTuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-_CHILD = """
-import json, resource, sys, time
-from pgal.cli import main
-
-t0 = time.perf_counter()
-try:
-    code = main(sys.argv[1:])
-except SystemExit as exc:
-    code = exc.code
+_REPORT = """
 seconds = time.perf_counter() - t0
 sys.stdout.flush()
 try:
@@ -38,8 +31,26 @@ except (OSError, StopIteration):
         peak_kb //= 1024
 print(json.dumps({"seconds": seconds, "peak_kb": peak_kb, "modules": sorted(sys.modules)}),
       file=sys.stderr)
-sys.exit(code)
 """
+
+_CHILD = """
+import json, resource, sys, time
+from pgal.cli import main
+
+t0 = time.perf_counter()
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+""" + _REPORT + "sys.exit(code)\n"
+
+# argv[1] is the setup and argv[2] the timed call, each run by exec
+_CALL = """
+import json, resource, sys, time
+exec(sys.argv[1])
+t0 = time.perf_counter()
+exec(sys.argv[2])
+""" + _REPORT
 
 
 class Request(NamedTuple):
@@ -48,12 +59,22 @@ class Request(NamedTuple):
     stderr: str  # without the report line
     modules: frozenset
     peak_rss_kb: int
-    seconds: float  # in main, after the import of pgal.cli
+    seconds: float  # in main, after the import of pgal.cli; or in the call, after the setup
 
 
 def run_request(argv, timeout=120) -> Request:
     """`pgal argv` in a fresh interpreter that sees only PYTHONPATH=src."""
-    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True,
+    return _run([_CHILD, *argv], timeout)
+
+
+def run_call(setup: str, call: str, timeout=120) -> Request:
+    """The statements `setup` and then `call`, which alone is timed, in a
+    fresh interpreter that sees only PYTHONPATH=src; the peak covers both."""
+    return _run([_CALL, setup, call], timeout)
+
+
+def _run(args, timeout) -> Request:
+    proc = subprocess.run([sys.executable, "-c", *args], capture_output=True,
                           text=True, env={"PYTHONPATH": str(SRC)}, timeout=timeout)
     err, _, report = proc.stderr.rstrip("\n").rpartition("\n")
     try:

@@ -124,3 +124,14 @@ def test_schultz_shape_flags():
     # two length-2 summands at p=3: second 2 is not a p-power -> not excluded
     C = FpGModule(3, 2, {2: 2})
     assert schultz_bound_applicable(C)
+
+
+def test_the_bound_has_at_most_4300_decimal_digits():
+    # Python prints no int of more than 4300 digits; p^k is refused before it is formed
+    assert len(str(multiplicity_bound(2, 2, 14284).bound)) == 4300
+    assert len(str(multiplicity_bound(10, 1, 4299).bound)) == 4300
+    for k in (14285, 10 ** 9, 10 ** 30):
+        with pytest.raises(BadParams, match="more than 4300 decimal digits"):
+            multiplicity_bound(2, 2, k)
+    with pytest.raises(BadParams, match="more than 4300 decimal digits"):
+        multiplicity_bound(10, 1, 4300)

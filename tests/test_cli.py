@@ -266,6 +266,16 @@ def test_human_output_default(capsys):
     (["solve", "--theorem", "4.1", "--p", "4"], {}, "BadParams", "p must be prime, got p=4"),
     (["autoreal", "bound", "--p", "4", "--n", "1", "--k", "2"], {}, "BadParams",
      "p must be prime, got p=4"),
+    # huge exponents: the first two ended in the int-to-str limit's traceback,
+    # the last two formed p^k or p^n for longer than 30 s
+    (["autoreal", "bound", "--p", "2", "--n", "2", "--k", "14300"], {}, "BadParams",
+     "more than 4300 decimal digits"),
+    (["schultz", "solve", "--p", "2", "--n", "14300", "--summands", "1", "--dims", "1"], {},
+     "OrderTooLarge", "order 2^14300 exceeds cap 4096"),
+    (["autoreal", "bound", "--p", "3", "--n", "2", "--k", "1000000000"], {}, "BadParams",
+     "more than 4300 decimal digits"),
+    (["schultz", "solve", "--p", "3", "--n", "100000000", "--summands", "1", "--dims", "1"], {},
+     "OrderTooLarge", "order 3^100000000 exceeds cap 4096"),
 ])
 def test_bad_input_gives_the_error_document(tmp_path, capsys, argv, files, code, named):
     for name, text in files.items():
@@ -529,6 +539,7 @@ _JUNK = ["x", "0", "-1", "4", "1/0", "(2,", "zeta0", "0,x"]
 _GROUP = ["D:8", "C:4", "Q:8", "C:2*C:2", "EA:p=2,r=5", "C:6"]  # order <= 32
 _ELEM = ["2", "3", "-1", "5/3", "zeta", "zeta3"]
 _P, _SMALL = ["2", "3"], ["1", "2"]
+_HUGE = _SMALL + ["14300", "100000000"]
 # per request: its command words and each flag's usable values; the junk
 # tokens are drawn for every flag besides
 _REQUESTS = [
@@ -549,11 +560,11 @@ _REQUESTS = [
     (["obstruct", "twist"], {"--df": _ELEM, "--plus": ["(2,-1)(3,-1)", "(2,3)^2"]}),
     (["solve"], {"--theorem": ["4.1", "4.2", "4.3", "4.4", "4.5", "4.12"], "--p": _P,
                  "--i": _SMALL, "--witness": ["w"]}),
-    (["schultz", "solve"], {"--p": _P, "--n": _SMALL, "--summands": ["3", "1,1,2"],
+    (["schultz", "solve"], {"--p": _P, "--n": _HUGE, "--summands": ["3", "1,1,2"],
                             "--dims": ["2,2,2", "1,2"], "--ikk": ["-inf", "1"],
                             "--finite": ["true", "false"]}),
     (["autoreal", "query"], {"--from": _GROUP, "--to": _GROUP}),
-    (["autoreal", "bound"], {"--p": _P, "--n": _SMALL, "--k": _SMALL}),
+    (["autoreal", "bound"], {"--p": _P, "--n": _HUGE, "--k": _HUGE}),
     (["symbol", "eval"], {"--p": _P, "--expr": ["(2,3)", "(2,-1)^3(5,zeta)", "(2,3"]}),
 ]
 

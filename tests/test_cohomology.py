@@ -28,7 +28,7 @@ from pgal.cohomology import (
     restrict,
     verify,
 )
-from pgal.errors import PreimageOrderMismatch
+from pgal.errors import PreimageOrderMismatch, RelationInconsistent
 from pgal.groups import (
     Group,
     GroupHom,
@@ -403,7 +403,7 @@ def _mid_quotient_class(G, H, Hq, projE4, killed, survivor):
     for loc in range(Hfull.order):
         z = proj(loc)
         if imgs[z] is None:
-            imgs[z] = Hq.local(projE4(H.global_(loc)))
+            imgs[z] = Hq.local(projE4(H.elements[loc]))
     piQ = GroupHom(Q, Hqg, tuple(imgs))
     return cocycle_of_extension(Q, piQ, proj(H.local(survivor)))
 
@@ -735,3 +735,14 @@ def test_factor_set_errors_name_the_failure():
     doubling = GroupHom(C4, C4, (0, 2, 0, 2))
     with pytest.raises(TargetMismatch):
         cocycle_of_extension(C4, doubling, 2)
+
+
+def test_transport_refuses_a_map_that_is_not_a_bijection():
+    C2, C4 = build_group("C:2"), build_group("C:4")
+    zero = np.zeros((4, 4), dtype=np.int64)
+    for f, images, target in ((Cocycle2(C4, 2, zero), (0, 1, 0, 1), C2),
+                              (Cocycle2(C2, 2, zero[:2, :2]), (0, 2), C4)):
+        with pytest.raises(RelationInconsistent, match="not a bijection"):
+            f.transport(images, target)
+    with pytest.raises(RelationInconsistent, match="not multiplicative"):
+        Cocycle2(C4, 2, zero).transport((0, 3, 1, 2), C4)

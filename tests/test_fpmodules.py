@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pgal.errors import BadIndex, Mismatch, NotSolvable
+from pgal.errors import BadIndex, Mismatch, NotSolvable, OrderTooLarge
 from pgal.fpmodules import (
     INFINITE,
     FpGModule,
@@ -163,3 +163,18 @@ def test_mismatched_pn():
     nd = NormData.from_levels(2, 1, [1, 1])
     with pytest.raises(Mismatch):
         solvable(A, nd)
+
+
+def test_modules_and_norm_data_stop_at_the_order_cap():
+    # p^n is refused before it is formed: 3^(10^8) took longer than 30 s
+    assert FpGModule(2, 12, {4096: 1}).lengths() == [4096]
+    assert NormData.from_levels(2, 12, [1] * 13).dims[4096] == 1
+    for p, n in ((2, 13), (4099, 1), (2, 14300), (3, 10 ** 8)):
+        with pytest.raises(OrderTooLarge, match="exceeds cap 4096"):
+            FpGModule(p, n, {1: 1})
+        with pytest.raises(OrderTooLarge, match="exceeds cap 4096"):
+            NormData(p, n, {1: 1})
+        with pytest.raises(OrderTooLarge, match="exceeds cap 4096"):
+            mss_quotient(1, p, n)
+    with pytest.raises(OrderTooLarge, match="exceeds cap 4096"):
+        NormData.from_levels(2, 13, [1] * 14)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fresh import run_call
 from oracles import (
     element_orders_active_set,
     family_specs,
@@ -51,8 +52,8 @@ def test_index2_kernels_agree_with_the_per_phi_loop():
     for spec in family_specs(256):
         G = build_group(spec)
         if G.order & (G.order - 1) == 0:
-            assert ([H.elements for H in subgroups_of_index2(G)]
-                    == [H.elements for H in index2_per_phi(G)]), spec
+            assert ([tuple(H.elements.tolist()) for H in subgroups_of_index2(G)]
+                    == [tuple(H.elements.tolist()) for H in index2_per_phi(G)]), spec
 
 
 def test_the_4095_kernels_of_ea_2_12_agree_with_the_per_phi_loop():
@@ -75,6 +76,17 @@ def test_the_4095_kernels_of_ea_2_12_agree_with_the_per_phi_loop():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": path}, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_the_index2_pass_of_ea_2_12_stays_within_250_mb():
+    # each kernel is an int16 element array and pos array, 12 KB: the
+    # kernels as tuples of Python ints took 433 MB here
+    setup = ("from pgal.catalog import build_group\n"
+             "from pgal.groups import subgroups_of_index2\n"
+             "G = build_group('EA:p=2,r=12')")
+    req = run_call(setup, "kernels = subgroups_of_index2(G)\nassert len(kernels) == 4095")
+    assert req.code == 0, req.stderr
+    assert req.peak_rss_kb <= 250 * 1024, req.peak_rss_kb
 
 
 def _same_bytes(a, b):

@@ -88,7 +88,7 @@ def test_heisenberg_relations():
     assert G.order == 27
     assert all(G.element_order(g) == 3 for g in (g1, g2, g3))
     assert G.mul(g1, g2) == G.mul(G.mul(g2, g1), g3)
-    assert G.center().elements == subgroup_generated(G, [g3]).elements
+    assert np.array_equal(G.center().elements, subgroup_generated(G, [g3]).elements)
 
 
 def test_g2_group_relations():
@@ -271,7 +271,7 @@ def test_quotient_by_trivial_is_identity():
 def test_modular16_center_and_quotient():
     G = build_group("M:16")
     s = G.gen("sigma")
-    assert G.center().elements == subgroup_generated(G, [G.power(s, 2)]).elements
+    assert np.array_equal(G.center().elements, subgroup_generated(G, [G.power(s, 2)]).elements)
     Q, _ = quotient(G, subgroup_generated(G, [G.power(s, 2)]))
     assert is_isomorphic(Q, build_group("EA:p=2,r=2"))
 
@@ -300,7 +300,7 @@ def test_index2_cyclic_families_structure(n):
             want_center = subgroup_generated(G, [G.power(s, 2)])
         else:
             want_center = subgroup_generated(G, [G.power(s, 2 ** (n - 2))])
-        assert G.center().elements == want_center.elements
+        assert np.array_equal(G.center().elements, want_center.elements)
         Q, _ = quotient(G, subgroup_generated(G, [G.power(s, 2 ** (n - 2))]))
         if fam == "M":
             expect = build_group(f"C:{2 ** (n - 2)}*C:2")
@@ -793,14 +793,15 @@ def test_a_file_without_generators_answers_as_the_catalog_group():
     G = build_group("D:1024")
     F = Group.from_json({"order": G.order, "table": G.table})
     assert len(F.generators) == 1023 and len(F.gens) <= 10
-    assert F.center().elements == G.center().elements
-    assert frattini_style_subgroup(F, 2).elements == frattini_style_subgroup(G, 2).elements
-    assert ([H.elements for H in subgroups_of_index2(F)]
-            == [H.elements for H in subgroups_of_index2(G)])
-    assert ([H.elements for H in normal_subgroups(F)]
-            == [H.elements for H in normal_subgroups(G)])
+    assert np.array_equal(F.center().elements, G.center().elements)
+    assert np.array_equal(frattini_style_subgroup(F, 2).elements,
+                          frattini_style_subgroup(G, 2).elements)
+    assert ([tuple(H.elements.tolist()) for H in subgroups_of_index2(F)]
+            == [tuple(H.elements.tolist()) for H in subgroups_of_index2(G)])
+    assert ([tuple(H.elements.tolist()) for H in normal_subgroups(F)]
+            == [tuple(H.elements.tolist()) for H in normal_subgroups(G)])
     (QF, pF), (QG, pG) = quotient(F, F.center()), quotient(G, G.center())
-    assert np.array_equal(QF.np_table, QG.np_table) and pF.images == pG.images
+    assert np.array_equal(QF.np_table, QG.np_table) and np.array_equal(pF.images, pG.images)
 
 
 def _subgroup_count_of_elementary_abelian(p, r):
@@ -822,7 +823,8 @@ def test_normal_subgroups_agree_with_the_old_loop():
     for name, G in _oracle_groups(64):
         if name in ("EA:p=2,r=5", "EA:p=2,r=6"):
             continue
-        assert [H.elements for H in normal_subgroups(G)] == _loop_normal_subgroups(G), name
+        assert ([tuple(H.elements.tolist()) for H in normal_subgroups(G)]
+                == _loop_normal_subgroups(G)), name
 
 
 @pytest.mark.parametrize("r,count", [(5, 374), (6, 2825)])
@@ -831,7 +833,7 @@ def test_normal_subgroups_of_elementary_abelian_groups_are_all_subgroups(r, coun
     G = build_group(f"EA:p=2,r={r}")
     normals = normal_subgroups(G)
     # Subgroup checked each one closed; the list holds no repeats
-    assert len({H.elements for H in normals}) == len(normals) == count
+    assert len({tuple(H.elements.tolist()) for H in normals}) == len(normals) == count
     assert sorted(H.order for H in normals) == [H.order for H in normals]
     monkeypatch.setattr("pgal.groups.MAX_NORMALS", count - 1)
     assert normal_subgroups(G) is None
@@ -858,8 +860,8 @@ def _central_subgroups_of_prime_order(G):
     for z in G.center().elements:
         if z and all(orders[z] % q for q in range(2, orders[z])):
             H = subgroup_generated(G, [z])
-            if H.elements not in seen:
-                seen.add(H.elements)
+            if tuple(H.elements.tolist()) not in seen:
+                seen.add(tuple(H.elements.tolist()))
                 out.append(H)
     return out
 
@@ -871,7 +873,7 @@ def test_catalog_groups_quotients_and_index2_subgroups_pass_the_exact_check():
         for N in _central_subgroups_of_prime_order(G):
             Q, proj = quotient(G, N)
             _assert_built(Q, (spec, N.elements))
-            assert proj.kernel().elements == N.elements
+            assert np.array_equal(proj.kernel().elements, N.elements)
         for H in subgroups_of_index2(G):
             _assert_built(H.as_group(), (spec, "index 2"))
 
@@ -940,6 +942,20 @@ def test_entries_that_are_not_integers_are_refused(bad):
             Group(arr, [("a", 1)])
     for ok in (np.array([[0, 1], [1, 0]], dtype=np.uint8), [[0, 1], [1, np.int64(0)]]):
         assert Group(ok, [("a", 1)]).table == [[0, 1], [1, 0]]
+    # element lists from outside: a cast would read [0, 2.7] as the subgroup {0, 2}
+    C2, C4 = build_group("C:2"), build_group("C:4")
+    with pytest.raises(RelationInconsistent, match="subgroup elements must be integers"):
+        Subgroup(C4, [0, bad])
+    for make in (lambda: GroupHom(C4, C2, (0, bad, 0, 1)), lambda: _transport_on_c2([0, bad])):
+        with pytest.raises(RelationInconsistent, match="images must be integers"):
+            make()
+
+
+def _transport_on_c2(images):
+    from pgal.cohomology import Cocycle2
+
+    C2 = build_group("C:2")
+    return Cocycle2(C2, 2, [[0, 0], [0, 1]]).transport(images, C2)
 
 
 @pytest.mark.parametrize("bad", [-1, 4096, 32768, 65536, 65537, 2 ** 63, 2 ** 70])
@@ -953,4 +969,10 @@ def test_out_of_range_entries_are_refused_before_the_cast(bad):
         makers.append(lambda: Group(np.array(table, dtype=np.int64), [("a", 1)]))
     for make in makers:
         with pytest.raises(RelationInconsistent, match="table entries out of range"):
+            make()
+    C2, C4 = build_group("C:2"), build_group("C:4")
+    with pytest.raises(RelationInconsistent, match=r"subgroup elements must lie in 0\.\.3"):
+        Subgroup(C4, [0, bad])
+    for make in (lambda: GroupHom(C2, C2, (0, bad)), lambda: _transport_on_c2([0, bad])):
+        with pytest.raises(RelationInconsistent, match="images out of range"):
             make()

@@ -386,6 +386,29 @@ def test_factor_tests_each_cofactor_for_primality_once(monkeypatch):
     assert sorted(calls) == sorted([big * small, big, small])
 
 
+def test_a_cofactor_below_the_square_of_the_stopping_prime_is_not_tested(monkeypatch):
+    from pgal import arith
+
+    calls, real = [], arith.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    monkeypatch.delenv("PGAL_FACTOR_BOUND", raising=False)
+    arith._split.cache_clear()
+    # trial division stops at 13, since 13^2 > 13: every prime below 13 was tried
+    assert arith._factor_cached.__wrapped__(7 * 11 * 13, arith.factor_bound()) == (
+        (7, 1), (11, 1), (13, 1))
+    # after the last trial prime, 1031 < 1021^2 is prime too
+    assert arith._factor_cached.__wrapped__(1021 * 1031, 2 ** 11) == ((1021, 1), (1031, 1))
+    assert calls == []
+    # a stop at d > bound proves nothing: 143 = 11 * 13 goes to _split
+    assert arith._factor_cached.__wrapped__(11 * 13, 7) == ((11, 1), (13, 1))
+    assert calls[0] == 143
+
+
 def _wheel_factor(n, bound):
     """The one-candidate-at-a-time wheel loop and rho stack that
     arith._factor_cached ran before its chunked scan and cofactor memo."""
