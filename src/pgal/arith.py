@@ -17,6 +17,7 @@ import os
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from .errors import FactorizationFailed
 
@@ -135,9 +136,17 @@ _FAILED: dict[tuple[int, int], str] = {}
 _FAILED_MAX = 256
 
 
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n >= 2, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for d in range(2, math.isqrt(n - 1) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, n, d)))
+    return tuple(compress(range(n), sieve))
+
+
 # the primes below 2^10, which trial division tries; rho splits off the rest
-_TRIAL_PRIMES = tuple(d for d in range(2, 1 << 10)
-                      if all(d % q for q in range(2, math.isqrt(d) + 1)))
+_TRIAL_PRIMES = _primes_below(1 << 10)
 
 
 @lru_cache(maxsize=1024)

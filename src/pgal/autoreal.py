@@ -9,11 +9,11 @@ as a refutation; a spec that names no group is UnknownSpec.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING
 
 from .errors import BadParams, TooLarge, UnknownFamily, UnknownSpec
+from .records import FrozenRecord, Record
 
 if TYPE_CHECKING:
     from .fpmodules import FpGModule
@@ -26,21 +26,23 @@ QUOTIENT_EDGE_MAX_ORDER = 64
 BOUND_MAX_DIGITS = 4300  # Python's default limit on printing an int in decimal
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: str
-    dst: str
-    cite: str
+class Edge(FrozenRecord):
+    _fields = ("src", "dst", "cite")
+
+    def __init__(self, src: str, dst: str, cite: str):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "cite", cite)
 
     def to_json(self):
         return {"from": self.src, "to": self.dst, "cite": self.cite}
 
 
-@dataclass
-class MultiplicityBound:
-    spec: str
-    k: int
-    bound: int
+class MultiplicityBound(Record):
+    _fields = ("spec", "k", "bound")
+
+    def __init__(self, spec: str, k: int, bound: int):
+        self.spec, self.k, self.bound = spec, k, bound
 
 
 class RealizationGraph:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
@@ -48,6 +47,7 @@ from .groups import (
 from .linalg import GFMatrix
 from .arith import is_prime
 from .presentation import PcTails, read_pc
+from .records import Record
 
 MAX_REPS = 4096  # h2_enumerate lists every class up to this many
 
@@ -130,14 +130,14 @@ class Cocycle2:
         }
 
 
-@dataclass
-class ExtensionClass:
+class ExtensionClass(Record):
     """A cocycle together with its canonical central extension model."""
 
-    cocycle: Cocycle2
-    extension: Group
-    proj: GroupHom
-    kernel_gen: int
+    _fields = ("cocycle", "extension", "proj", "kernel_gen")
+
+    def __init__(self, cocycle: Cocycle2, extension: Group, proj: GroupHom, kernel_gen: int):
+        self.cocycle, self.extension, self.proj, self.kernel_gen = (
+            cocycle, extension, proj, kernel_gen)
 
 
 # -- factor sets <-> extensions ----------------------------------------------
@@ -338,12 +338,13 @@ class Classes(Sequence):
         return self._build(np.array(coeffs, dtype=np.int64))
 
 
-@dataclass
-class H2Result:
-    dimension: int
-    class_count: int
-    representatives: Classes
-    complete: bool
+class H2Result(Record):
+    _fields = ("dimension", "class_count", "representatives", "complete")
+
+    def __init__(self, dimension: int, class_count: int, representatives: Classes,
+                 complete: bool):
+        self.dimension, self.class_count = dimension, class_count
+        self.representatives, self.complete = representatives, complete
 
 
 def h2_enumerate(group: Group, p: int) -> H2Result:

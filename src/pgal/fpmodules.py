@@ -5,9 +5,8 @@ problems, including exact p-binomial coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import BadIndex, Mismatch, NotSolvable, check_order
+from .records import Record
 
 
 class Infinite:
@@ -27,20 +26,18 @@ class Infinite:
 INFINITE = Infinite()
 
 
-@dataclass
-class FpGModule:
+class FpGModule(Record):
     """Direct sum of d_i copies of F_p[G]/(sigma-1)^i, G cyclic of order p^n
     (at most MAX_ORDER, else OrderTooLarge)."""
 
-    p: int
-    n: int
-    d: dict = field(default_factory=dict)
+    _fields = ("p", "n", "d")
 
-    def __post_init__(self):
-        check_order(self.p, self.n)  # before p^n is formed
-        top = self.p ** self.n
+    def __init__(self, p: int, n: int, d: dict | None = None):
+        self.p, self.n = p, n
+        check_order(p, n)  # before p^n is formed
+        top = p ** n
         clean = {}
-        for i, m in self.d.items():
+        for i, m in (d or {}).items():
             i, m = int(i), int(m)
             if m < 0 or not 1 <= i <= top:
                 raise BadIndex(f"summand length {i} outside 1..{top} or negative multiplicity")
@@ -78,8 +75,7 @@ def p_binomial(n: int, m: int, p: int) -> int:
     return q
 
 
-@dataclass
-class NormData:
+class NormData(Record):
     """Norm-group dimensions D_{i} plus the level invariant i(K/k).
 
     dims maps i in 1..p^n to a non-negative integer and must be constant on
@@ -89,16 +85,15 @@ class NormData:
     finite.
     """
 
-    p: int
-    n: int
-    dims: dict
-    i_invariant: int | None = None
-    base_quotient_finite: bool = True
+    _fields = ("p", "n", "dims", "i_invariant", "base_quotient_finite")
 
-    def __post_init__(self):
-        check_order(self.p, self.n)  # before p^n is formed
-        top = self.p ** self.n
-        dims = {int(i): int(v) for i, v in self.dims.items()}
+    def __init__(self, p: int, n: int, dims: dict, i_invariant: int | None = None,
+                 base_quotient_finite: bool = True):
+        self.p, self.n, self.i_invariant = p, n, i_invariant
+        self.base_quotient_finite = base_quotient_finite
+        check_order(p, n)  # before p^n is formed
+        top = p ** n
+        dims = {int(i): int(v) for i, v in dims.items()}
         for i in range(1, top + 1):
             if i not in dims:
                 raise Mismatch(f"missing norm dimension for i={i}")

@@ -13,7 +13,6 @@ that are already groups, are built once in int16 and skip that check
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm, prod
 from typing import TYPE_CHECKING
@@ -29,6 +28,7 @@ from .errors import (
     TargetMismatch,
     TooLarge,
 )
+from .records import FrozenRecord, Record
 
 if TYPE_CHECKING:
     from .presentation import PcPresentation
@@ -354,28 +354,27 @@ class Group:
         return f"<{label} of order {self.order}>"
 
 
-@dataclass(frozen=True, eq=False)
-class GroupHom:
+class GroupHom(FrozenRecord):
     """Homomorphism given by the image of every element, a read-only int16
     array; checked exactly on the source generators (n k entries)."""
 
-    source: Group
-    target: Group
-    images: np.ndarray
+    _fields = ("source", "target", "images")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
-    def __post_init__(self):
-        phi = _read(self.images, "images", "images out of range")
-        if phi.shape != (self.source.order,):
+    def __init__(self, source: Group, target: Group, images: np.ndarray):
+        phi = _read(images, "images", "images out of range")
+        if phi.shape != (source.order,):
             raise RelationInconsistent("image list has wrong length")
         if phi[0] != 0:
             raise RelationInconsistent("identity must map to identity")
-        if phi.min() < 0 or phi.max() >= self.target.order:
+        if phi.min() < 0 or phi.max() >= target.order:
             raise RelationInconsistent("images out of range")
-        if not is_multiplicative(phi, self.source.np_table, self.target.np_table,
-                                 self.source.gens):
+        if not is_multiplicative(phi, source.np_table, target.np_table, source.gens):
             raise RelationInconsistent("map is not multiplicative")
         phi = phi.astype(np.int16)
         phi.setflags(write=False)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", phi)
 
     def __call__(self, x: int) -> int:
@@ -555,12 +554,13 @@ def pullback(G1: Group, G2: Group, f1: GroupHom, f2: GroupHom) -> tuple[Group, G
 # -- structure invariants ---------------------------------------------------
 
 
-@dataclass
-class StructureInvariants:
-    center: Subgroup
-    exponent: int
-    element_orders: tuple
-    min_generators: int
+class StructureInvariants(Record):
+    _fields = ("center", "exponent", "element_orders", "min_generators")
+
+    def __init__(self, center: Subgroup, exponent: int, element_orders: tuple,
+                 min_generators: int):
+        self.center, self.exponent = center, exponent
+        self.element_orders, self.min_generators = element_orders, min_generators
 
 
 def is_p_group(G: Group) -> int | None:
@@ -803,8 +803,7 @@ def is_isomorphic(G: Group, H: Group) -> bool:
 # -- dual-module action predicates ------------------------------------------
 
 
-@dataclass
-class DualActionData:
+class DualActionData(Record):
     """Action data for an abelian kernel A = prod C_{m_i}.
 
     `action` maps each quotient-group generator name to a matrix acting on
@@ -813,12 +812,10 @@ class DualActionData:
     generator, a unit modulo the exponent of A.
     """
 
-    orders: tuple
-    action: dict
-    cyclo: dict
+    _fields = ("orders", "action", "cyclo")
 
-    def __post_init__(self):
-        self.orders = tuple(int(m) for m in self.orders)
+    def __init__(self, orders: tuple, action: dict, cyclo: dict):
+        self.orders, self.action, self.cyclo = tuple(int(m) for m in orders), action, cyclo
         if any(m < 1 for m in self.orders):
             raise RelationInconsistent("cyclic factor orders must be positive")
         self.exponent = lcm(*self.orders) if self.orders else 1

@@ -8,24 +8,23 @@ out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BadI, BadTheorem, MissingWitness
+from .records import FrozenRecord
 from .symbols import FieldElem
 
 
-@dataclass(frozen=True)
-class GroupRingElem:
+class GroupRingElem(FrozenRecord):
     """Element sum c_i sigma^i of Z[C_n], coefficients as plain integers."""
 
-    n: int
-    coeffs: tuple
+    _fields = ("n", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.n:
-            raise BadI(f"need {self.n} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+    def __init__(self, n: int, coeffs: tuple):
+        if len(coeffs) != n:
+            raise BadI(f"need {n} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
 
     def add(self, other: "GroupRingElem") -> "GroupRingElem":
         return GroupRingElem(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -94,14 +93,17 @@ def theta_operator(p: int) -> GroupRingElem:
 # -- solution expressions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(FrozenRecord):
     """base^exponent inside a radicand; the exponent is a group-ring element,
     an exact fraction (for nested roots), or implicitly 1."""
 
-    base: str
-    ring_exp: GroupRingElem | None = None
-    frac_exp: Fraction | None = None
+    _fields = ("base", "ring_exp", "frac_exp")
+
+    def __init__(self, base: str, ring_exp: GroupRingElem | None = None,
+                 frac_exp: Fraction | None = None):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "ring_exp", ring_exp)
+        object.__setattr__(self, "frac_exp", frac_exp)
 
     def __str__(self):
         if self.ring_exp is not None:
@@ -119,10 +121,12 @@ class Atom:
         return out
 
 
-@dataclass(frozen=True)
-class Layer:
-    radicand: tuple          # of Atom
-    degree: int
+class Layer(FrozenRecord):
+    _fields = ("radicand", "degree")
+
+    def __init__(self, radicand: tuple, degree: int):  # radicand: a tuple of Atom
+        object.__setattr__(self, "radicand", radicand)
+        object.__setattr__(self, "degree", degree)
 
     def __str__(self):
         word = "*".join(str(a) for a in self.radicand) or "1"
@@ -132,13 +136,15 @@ class Layer:
         return {"radicand": [a.to_json() for a in self.radicand], "degree": self.degree}
 
 
-@dataclass(frozen=True)
-class SolutionExpr:
+class SolutionExpr(FrozenRecord):
     """Kummer tower; free_scalar (if set) multiplies the first layer's radicand."""
 
-    layers: tuple
-    free_scalar: str | None = None
-    condition: str = ""
+    _fields = ("layers", "free_scalar", "condition")
+
+    def __init__(self, layers: tuple, free_scalar: str | None = None, condition: str = ""):
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "free_scalar", free_scalar)
+        object.__setattr__(self, "condition", condition)
 
     def __str__(self):
         body = ", ".join(str(l) for l in self.layers)
@@ -153,10 +159,12 @@ class SolutionExpr:
         }
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
-    base: SolutionExpr
-    scalar: str = "f"
+class SolutionFamily(FrozenRecord):
+    _fields = ("base", "scalar")
+
+    def __init__(self, base: SolutionExpr, scalar: str = "f"):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "scalar", scalar)
 
 
 def solution_family(base: SolutionExpr) -> SolutionFamily:

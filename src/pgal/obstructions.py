@@ -7,9 +7,8 @@ so every output is evaluable over Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import BadFamily, BadVariant, PrimeMismatch, ZeroEntry
+from .records import Record
 from .symbols import (
     FieldElem,
     SymbolProduct,
@@ -29,8 +28,7 @@ def _check_nonzero(*elems: FieldElem):
             raise ZeroEntry("zero entry in a symbol")
 
 
-@dataclass
-class MassyInput:
+class MassyInput(Record):
     """Data for the elementary-abelian quotient decomposition.
 
     d maps (i, i) to the power exponents s_i^p = zeta^(d_ii) and (i, j),
@@ -38,11 +36,10 @@ class MassyInput:
     Indices are 1-based to match the usual statement.
     """
 
-    p: int
-    a: list
-    d: dict = field(default_factory=dict)
+    _fields = ("p", "a", "d")
 
-    def __post_init__(self):
+    def __init__(self, p: int, a: list, d: dict | None = None):
+        self.p, self.a, self.d = p, a, {} if d is None else d
         if len(self.a) < 1:
             raise ZeroEntry("need at least one a_i")
         _check_nonzero(*self.a)
@@ -51,18 +48,18 @@ class MassyInput:
                 raise BadFamily(f"bad index pair {(i, j)}")
 
 
-@dataclass
-class DirectFactorInput:
-    """Data for a quotient H x C_p: t^p = zeta^j and t s_i = zeta^(d_i) s_i t."""
+class DirectFactorInput(Record):
+    """Data for a quotient H x C_p: t^p = zeta^j and t s_i = zeta^(d_i) s_i t.
 
-    p: int
-    res_class: object       # opaque name (str) or SymbolProduct for [K,H,res_H gamma]
-    b: FieldElem = None
-    j: int = 0
-    a: list = field(default_factory=list)
-    d: list = field(default_factory=list)
+    res_class is an opaque name (str) or the SymbolProduct of [K,H,res_H gamma].
+    """
 
-    def __post_init__(self):
+    _fields = ("p", "res_class", "b", "j", "a", "d")
+
+    def __init__(self, p: int, res_class: object, b: FieldElem | None = None, j: int = 0,
+                 a: list | None = None, d: list | None = None):
+        self.p, self.res_class, self.b, self.j = p, res_class, b, j
+        self.a, self.d = [] if a is None else a, [] if d is None else d
         if self.b is None:
             raise ZeroEntry("b is required")
         _check_nonzero(self.b, *self.a)
@@ -70,31 +67,30 @@ class DirectFactorInput:
             raise BadFamily("a and d must have matching lengths")
 
 
-@dataclass
-class LedetInput:
-    """Data for a quotient N x H with t_j s_i = zeta^(d_ij) s_i t_j."""
+class LedetInput(Record):
+    """Data for a quotient N x H with t_j s_i = zeta^(d_ij) s_i t_j; d maps
+    (i, j), 1-based, to the exponent."""
 
-    p: int
-    resN_class: object
-    resH_class: object
-    a: list = field(default_factory=list)
-    b: list = field(default_factory=list)
-    d: dict = field(default_factory=dict)   # (i, j) -> exponent, 1-based
+    _fields = ("p", "resN_class", "resH_class", "a", "b", "d")
 
-    def __post_init__(self):
+    def __init__(self, p: int, resN_class: object, resH_class: object, a: list | None = None,
+                 b: list | None = None, d: dict | None = None):
+        self.p, self.resN_class, self.resH_class = p, resN_class, resH_class
+        self.a, self.b = [] if a is None else a, [] if b is None else b
+        self.d = {} if d is None else d
         _check_nonzero(*self.a, *self.b)
         for (i, j) in self.d:
             if not (1 <= i <= len(self.a) and 1 <= j <= len(self.b)):
                 raise BadFamily(f"bad index pair {(i, j)}")
 
 
-@dataclass
-class DiagonalForm:
+class DiagonalForm(Record):
     """Diagonal quadratic form <a_1, ..., a_n>."""
 
-    entries: list
+    _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: list):
+        self.entries = entries
         if not self.entries:
             raise ZeroEntry("a diagonal form needs at least one entry")
         _check_nonzero(*self.entries)

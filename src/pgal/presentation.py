@@ -130,16 +130,18 @@ def pc_table(pc: PcPresentation) -> np.ndarray:
         # fill the level in blocks of a of about BLOCK_ENTRIES entries (one
         # block for a small level), so that no index array of a large level
         # approaches the size of the new table; mode="clip" lets take write
-        # straight into it
+        # straight into it.  s = a + b < 2e, the offsets s % e * m < e m and
+        # the rows w or 0 all fit in int16, so they are formed there and the
+        # offsets are added without a cast
         out = np.empty((e, m, e, m), dtype=np.int16)
-        b = np.arange(e)
+        b, w = np.arange(e, dtype=np.int16), np.int16(w)
         step = max(1, BLOCK_ENTRIES // (e * m * m))
         for a0 in range(0, e, step):
-            s = np.arange(a0, min(a0 + step, e))[:, None] + b  # a + b
+            s = np.arange(a0, min(a0 + step, e), dtype=np.int16)[:, None] + b  # a + b
             R = T[np.where(s >= e, w, 0)[:, None, :], P.T[None]]
             blk = out[a0:a0 + len(s)]
             np.take(T, R, axis=0, out=blk, mode="clip")
-            blk += (s % e * m).astype(np.int16)[:, None, :, None]
+            blk += (s % e * m)[:, None, :, None]
         T = out.reshape(e * m, e * m)
     return T
 

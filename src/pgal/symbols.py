@@ -9,7 +9,6 @@ classes; the converse is decided for p = 2 by Hilbert symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -22,13 +21,13 @@ from .errors import (
     ZeroAlpha,
     ZeroEntry,
 )
+from .records import FrozenRecord
 
 
 # -- field elements ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldElem:
+class FieldElem(FrozenRecord):
     """Exact rational, named indeterminate, root of unity, or a product of those.
 
     kind is one of "rat", "ind", "zeta", "prod":
@@ -39,8 +38,11 @@ class FieldElem:
       prod -> payload is a tuple of (FieldElem, int exponent) pairs
     """
 
-    kind: str
-    payload: object
+    _fields = ("kind", "payload")
+
+    def __init__(self, kind: str, payload: object):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
 
     def key(self):
         if self.kind == "rat":
@@ -191,13 +193,16 @@ def elem_neg(x: FieldElem) -> FieldElem:
 # -- symbol products -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymbolProduct:
+class SymbolProduct(FrozenRecord):
     """Formal product of p-cyclic algebra classes (a, b; zeta)^e."""
 
-    p: int
-    factors: tuple          # of (FieldElem, FieldElem) pairs, exponent folded
-    opaque: tuple           # of (name, exponent mod p) pairs
+    _fields = ("p", "factors", "opaque")
+
+    # factors: (FieldElem, FieldElem) pairs, exponent folded; opaque: (name, exponent mod p) pairs
+    def __init__(self, p: int, factors: tuple, opaque: tuple):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "opaque", opaque)
 
     def is_trivial_form(self) -> bool:
         return not self.factors and not self.opaque

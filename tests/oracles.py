@@ -13,11 +13,14 @@
   onto C2;
 - `pc_table_sixteen_blocks`: pc_table filling each level in min(e, 16)
   blocks, with phi^t built one power at a time;
+- `trial_primes_by_division`: arith's trial primes as a comprehension
+  that trial-divides each candidate;
 - `family_specs`, `PRIMES` and `permutation_group`: the catalog specs,
   primes and tables that are not p-groups the comparisons run over.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -239,3 +242,8 @@ def pc_table_sixteen_blocks(pc):
             blk += (s % e * m).astype(np.int16)[:, None, :, None]
         T = out.reshape(e * m, e * m)
     return T
+
+
+def trial_primes_by_division():
+    return tuple(d for d in range(2, 1 << 10)
+                 if all(d % q for q in range(2, math.isqrt(d) + 1)))

@@ -417,9 +417,11 @@ def _fresh_run(argv):
 ])
 def test_a_request_loads_only_what_its_command_uses(capsys, argv, numpy_free):
     """Symbol, solve and schultz commands never import numpy; only solve and
-    schultz load kummer and fpmodules; no command loads numpy.ma; every
-    command answers in a fresh process exactly as in this one, with the same
-    exit code, stdout and stderr, and its output arrives complete."""
+    schultz load kummer and fpmodules; no command loads numpy.ma or
+    dataclasses, and none loads inspect but through numpy, whose
+    numpy._core.overrides imports it; every command answers in a fresh
+    process exactly as in this one, with the same exit code, stdout and
+    stderr, and its output arrives complete."""
     try:
         code = main(list(argv))
     except SystemExit as exc:
@@ -429,10 +431,12 @@ def test_a_request_loads_only_what_its_command_uses(capsys, argv, numpy_free):
     assert (status, out, err) == expected
     assert "pgal.cli" in loaded
     assert "numpy.ma" not in loaded
+    assert "dataclasses" not in loaded
     if argv[0] in ("obstruct", "symbol", "groups", "h2", "autoreal", "--help"):
         assert not loaded & {"pgal.kummer", "pgal.fpmodules"}
     if numpy_free:
         assert not {m for m in loaded if m == "numpy" or m.startswith("numpy.")}
+        assert "inspect" not in loaded
 
 
 def _neither(spec):

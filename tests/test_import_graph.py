@@ -5,7 +5,8 @@ those under `if TYPE_CHECKING:`, which never run.  The graph has no cycle,
 groups knows nothing of the catalog or of pc presentations, and only the CLI
 handlers, autoreal and the catalog import pgal modules inside functions
 (their start-up lazy imports; the catalog's let a refused spec be answered
-without numpy).
+without numpy).  No module imports dataclasses, which brings inspect, ast
+and dis into every process; value classes are records (pgal.records).
 """
 
 import ast
@@ -74,3 +75,26 @@ def test_groups_imports_neither_the_catalog_nor_the_presentations():
 def test_only_the_cli_and_autoreal_import_inside_functions():
     lazy = {mod for mod, deps in _graph().items() if any(inner for _, inner in deps)}
     assert lazy == LAZY
+
+
+def _absolute_imports(tree):
+    """The top-level package of each absolute import, anywhere in the module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_the_reader_sees_absolute_imports_at_any_depth():
+    tree = ast.parse("import os.path\nfrom .a import x\n"
+                     "def f():\n    from dataclasses import dataclass\n")
+    assert _absolute_imports(tree) == {"os", "dataclasses"}
+
+
+def test_no_module_imports_dataclasses():
+    users = sorted(path.stem for path in PKG.glob("*.py")
+                   if "dataclasses" in _absolute_imports(ast.parse(path.read_text())))
+    assert users == []

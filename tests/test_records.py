@@ -1,0 +1,165 @@
+"""The value classes behave as the dataclasses they replaced.
+
+For each class: == over its fields in order, and only with an instance of
+the same class; the hash of the fields' tuple for a frozen class, none for a
+mutable one; repr Name(f=v, ...); assignment and deletion refused on a
+frozen class; a fresh default for each instance where the field used a
+default factory; and each check of the old __post_init__ raising the same
+code and detail.  GroupHom compares and hashes by identity.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from pgal.autoreal import Edge, MultiplicityBound
+from pgal.catalog import build_group
+from pgal.cohomology import Cocycle2, ExtensionClass, H2Result, extension_of_cocycle, h2_enumerate
+from pgal.errors import PgalError
+from pgal.fpmodules import FpGModule, NormData
+from pgal.groups import DualActionData, GroupHom, StructureInvariants, structure_invariants
+from pgal.kummer import Atom, GroupRingElem, Layer, SolutionExpr, SolutionFamily, ring_one
+from pgal.obstructions import DiagonalForm, DirectFactorInput, LedetInput, MassyInput
+from pgal.symbols import FieldElem, SymbolProduct, ind, rat
+
+G = build_group("C:4")
+INV = structure_invariants(G)
+EXT = extension_of_cocycle(Cocycle2(G, 2, np.zeros((4, 4), dtype=np.int64)))
+H2 = h2_enumerate(G, 2)
+SWAP = {"s": [[0, 1], [1, 0]]}
+
+# class, its fields in order, frozen, the arguments of one instance, of an unequal one
+CLASSES = [
+    (FieldElem, ("kind", "payload"), True, ("rat", Fraction(3)), ("ind", "x")),
+    (SymbolProduct, ("p", "factors", "opaque"), True,
+     (2, ((rat(2), rat(3)),), ()), (3, (), (("K", 1),))),
+    (MassyInput, ("p", "a", "d"), False,
+     (2, [rat(2), rat(3)], {(1, 2): 1}), (2, [rat(2), rat(3)])),
+    (DirectFactorInput, ("p", "res_class", "b", "j", "a", "d"), False,
+     (3, "res", rat(6), 1, [ind("a1")], [2]), (3, "res", rat(6))),
+    (LedetInput, ("p", "resN_class", "resH_class", "a", "b", "d"), False,
+     (2, "rn", "rh", [rat(3)], [rat(5)], {(1, 1): 1}), (2, None, None)),
+    (DiagonalForm, ("entries",), False, ([rat(2), rat(3)],), ([rat(2)],)),
+    (GroupRingElem, ("n", "coeffs"), True, (3, (1, 0, 2)), (3, (0, 0, 0))),
+    (Atom, ("base", "ring_exp", "frac_exp"), True,
+     ("w", ring_one(3)), ("a1", None, Fraction(-1, 3))),
+    (Layer, ("radicand", "degree"), True, ((Atom("w"),), 3), ((), 2)),
+    (SolutionExpr, ("layers", "free_scalar", "condition"), True,
+     ((Layer((Atom("w"),), 3),), "f", "N(w)=a2"), ((),)),
+    (SolutionFamily, ("base", "scalar"), True, (SolutionExpr(()), "g"), (SolutionExpr(()),)),
+    (FpGModule, ("p", "n", "d"), False, (3, 1, {3: 1, 1: 0}), (3, 1)),
+    (NormData, ("p", "n", "dims", "i_invariant", "base_quotient_finite"), False,
+     (3, 1, {1: 2, 2: 1, 3: 1}), (3, 1, {1: 2, 2: 1, 3: 1}, 0, False)),
+    (Edge, ("src", "dst", "cite"), True, ("C:4", "D:8", "cite"), ("C:4", "D:8", "other")),
+    (MultiplicityBound, ("spec", "k", "bound"), False, ("C:9", 2, 9), ("C:9", 3, 27)),
+    (GroupHom, ("source", "target", "images"), True,
+     (G, G, np.arange(4)), (G, build_group("C:1"), np.zeros(4, dtype=np.int64))),
+    (StructureInvariants, ("center", "exponent", "element_orders", "min_generators"), False,
+     (INV.center, INV.exponent, INV.element_orders, INV.min_generators),
+     (INV.center, 2, INV.element_orders, INV.min_generators)),
+    (DualActionData, ("orders", "action", "cyclo"), False,
+     ((2, 2), SWAP, {"s": 1}), ((2, 2), SWAP, {})),
+    (ExtensionClass, ("cocycle", "extension", "proj", "kernel_gen"), False,
+     (EXT.cocycle, EXT.extension, EXT.proj, EXT.kernel_gen),
+     (EXT.cocycle, EXT.extension, EXT.proj, 0)),
+    (H2Result, ("dimension", "class_count", "representatives", "complete"), False,
+     (H2.dimension, H2.class_count, H2.representatives, H2.complete),
+     (H2.dimension, H2.class_count, H2.representatives, not H2.complete)),
+]
+
+IDS = [row[0].__name__ for row in CLASSES]
+
+
+@pytest.mark.parametrize("cls,fields,frozen,args,other", CLASSES, ids=IDS)
+def test_a_record_compares_hashes_and_prints_by_its_fields(cls, fields, frozen, args, other):
+    x, y, z = cls(*args), cls(*args), cls(*other)
+    values = tuple(getattr(x, f) for f in fields)
+    body = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+    assert repr(x) == f"{cls.__name__}({body})"
+    assert x == x and x != z and x != values and x.__eq__(values) is NotImplemented
+    if cls is GroupHom:  # identity, as with eq=False
+        assert x != y and hash(x) == object.__hash__(x)
+    elif frozen:
+        assert x == y and hash(x) == hash(y) == hash(values)
+    else:
+        assert x == y
+        with pytest.raises(TypeError):
+            hash(x)
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(x, fields[0], values[0])
+        with pytest.raises(AttributeError):
+            delattr(x, fields[-1])
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert tuple(getattr(x, f) for f in fields) == values
+    else:
+        setattr(x, fields[-1], values[-1])
+
+
+@pytest.mark.parametrize("cls,args,fields", [
+    (MassyInput, (2, [rat(2)]), ("d",)),
+    (DirectFactorInput, (3, "res", rat(6)), ("a", "d")),
+    (LedetInput, (2, None, None), ("a", "b", "d")),
+    (FpGModule, (3, 1), ("d",)),
+], ids=lambda v: v.__name__ if isinstance(v, type) else "")
+def test_each_instance_gets_its_own_default(cls, args, fields):
+    x, y = cls(*args), cls(*args)
+    for f in fields:
+        assert not getattr(x, f) and getattr(x, f) is not getattr(y, f)
+
+
+ZERO = FieldElem("rat", Fraction(0))
+
+
+@pytest.mark.parametrize("build,code,detail", [
+    (lambda: MassyInput(2, []), "ZeroEntry", "need at least one a_i"),
+    (lambda: MassyInput(2, [rat(2), ZERO]), "ZeroEntry", "zero entry in a symbol"),
+    (lambda: MassyInput(2, [rat(2)], {(1, 2): 1}), "BadFamily", "bad index pair (1, 2)"),
+    (lambda: DirectFactorInput(3, "res"), "ZeroEntry", "b is required"),
+    (lambda: DirectFactorInput(3, "res", rat(6), a=[ind("a1")]), "BadFamily",
+     "a and d must have matching lengths"),
+    (lambda: LedetInput(2, None, None, a=[rat(3)], d={(1, 1): 1}), "BadFamily",
+     "bad index pair (1, 1)"),
+    (lambda: LedetInput(2, None, None, b=[ZERO]), "ZeroEntry", "zero entry in a symbol"),
+    (lambda: DiagonalForm([]), "ZeroEntry", "a diagonal form needs at least one entry"),
+    (lambda: DiagonalForm([ZERO]), "ZeroEntry", "zero entry in a symbol"),
+    (lambda: GroupRingElem(3, (1, 2)), "BadI", "need 3 coefficients, got 2"),
+    (lambda: FpGModule(2, 13), "OrderTooLarge", "order 8192 exceeds cap 4096"),
+    (lambda: FpGModule(3, 1, {4: 1}), "BadIndex",
+     "summand length 4 outside 1..3 or negative multiplicity"),
+    (lambda: FpGModule(3, 1, {1: -1}), "BadIndex",
+     "summand length 1 outside 1..3 or negative multiplicity"),
+    (lambda: NormData(2, 13, {}), "OrderTooLarge", "order 8192 exceeds cap 4096"),
+    (lambda: NormData(3, 1, {1: 2, 2: 2}), "Mismatch", "missing norm dimension for i=3"),
+    (lambda: NormData(3, 1, {1: -1, 2: 0, 3: 0}), "Mismatch",
+     "norm dimensions must be non-negative"),
+    (lambda: NormData(3, 1, {1: 2, 2: 2, 3: 1}), "Mismatch",
+     "dims must be constant on ceil(log_p) blocks; differ at 2,3"),
+    (lambda: NormData(3, 1, {1: 2, 2: 1, 3: 1}, 1), "Mismatch",
+     "i invariant must be None or in 0..0"),
+    (lambda: GroupHom(G, G, [0, 1, 2]), "RelationInconsistent", "image list has wrong length"),
+    (lambda: GroupHom(G, G, [1, 0, 2, 3]), "RelationInconsistent",
+     "identity must map to identity"),
+    (lambda: GroupHom(G, G, [0, 1, 2, 9]), "RelationInconsistent", "images out of range"),
+    (lambda: GroupHom(G, G, [0, 1.5, 2, 3]), "RelationInconsistent",
+     "images must be integers"),
+    (lambda: GroupHom(G, G, [0, 1, 0, 0]), "RelationInconsistent", "map is not multiplicative"),
+    (lambda: DualActionData((0,), {}, {}), "RelationInconsistent",
+     "cyclic factor orders must be positive"),
+    (lambda: DualActionData((2,), {"s": [[1, 0]]}, {}), "RelationInconsistent",
+     "action matrix for s has wrong shape"),
+    (lambda: DualActionData((2, 4), {"s": [[1, 0], [1, 1]]}, {}), "RelationInconsistent",
+     "action matrix for s is not well defined"),
+    (lambda: DualActionData((64, 128), {"s": [[1, 0], [0, 1]]}, {}), "TooLarge",
+     "kernel too large for bijectivity check"),
+    (lambda: DualActionData((2, 2), {"s": [[0, 0], [0, 0]]}, {}), "RelationInconsistent",
+     "action matrix for s is not bijective"),
+    (lambda: DualActionData((2,), {}, {"s": 2}), "RelationInconsistent",
+     "cyclo value 2 is not a unit mod 2"),
+])
+def test_each_check_raises_its_code_and_detail(build, code, detail):
+    with pytest.raises(PgalError) as exc:
+        build()
+    assert (exc.value.code, exc.value.detail) == (code, detail)

@@ -284,6 +284,16 @@ def test_primality_is_exact_below_psi13():
     assert splits_over_Q(symbol(rat(a * a * b), rat(2), 2))
 
 
+def test_the_trial_primes_are_the_primes_below_2_to_the_10():
+    from oracles import trial_primes_by_division
+    from pgal import arith
+
+    assert arith._TRIAL_PRIMES == trial_primes_by_division()
+    assert len(arith._TRIAL_PRIMES) == 172
+    assert [arith._primes_below(n) for n in (2, 3, 4, 5, 11)] == [
+        (), (2,), (2, 3), (2, 3), (2, 3, 5, 7)]
+
+
 def test_a_number_past_psi13_that_passes_every_base_is_an_error():
     from pgal.arith import is_prime
     from pgal.errors import FactorizationFailed
