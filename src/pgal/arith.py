@@ -115,25 +115,9 @@ def factor(n: int) -> dict[int, int]:
     The primes come in increasing order.  Raises FactorizationFailed if a
     cofactor survives trial division and the rho budget of the configured
     bound.  Results are memoised in a bounded cache keyed on |n| and the
-    bound; every call gets a fresh dict.  A failure is memoised apart from
-    them, under the same key, and raised again from the memo, so an entry
-    that cannot be factored costs one rho attempt per process.
+    bound; every call gets a fresh dict.
     """
-    key = (abs(n), factor_bound())
-    if key in _FAILED:
-        raise FactorizationFailed(_FAILED[key])
-    try:
-        return dict(_factor_cached(*key))
-    except FactorizationFailed as exc:
-        if len(_FAILED) >= _FAILED_MAX:
-            del _FAILED[next(iter(_FAILED))]  # the oldest
-        _FAILED[key] = exc.detail
-        raise
-
-
-# (|n|, bound) -> the detail of its FactorizationFailed, at most _FAILED_MAX
-_FAILED: dict[tuple[int, int], str] = {}
-_FAILED_MAX = 256
+    return dict(_factor_cached(abs(n), factor_bound()))
 
 
 def _primes_below(n: int) -> tuple[int, ...]:
@@ -157,7 +141,7 @@ def _factor_cached(n: int, bound: int) -> tuple[tuple[int, int], ...]:
     2, 3 and 5 are divided out, then each prime d < 2^10 with d <= bound
     while d^2 <= n, n the cofactor so far.  What is left is prime when it is
     below d^2 for the last d reached, since every prime below d was tried;
-    otherwise it goes to _split.
+    otherwise is_prime and Brent rho split it.
     """
     if n == 0:
         raise FactorizationFailed("cannot factor 0")
@@ -168,24 +152,13 @@ def _factor_cached(n: int, bound: int) -> tuple[tuple[int, int], ...]:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
+    stack = []
     if n > 1 and d * d > n:
         out[n] = 1
     elif n > 1:
-        out.update(_split(n, bound))
-    return tuple(sorted(out.items()))
-
-
-@lru_cache(maxsize=256)
-def _split(m: int, bound: int) -> tuple[tuple[int, int], ...]:
-    """The factorisation of a cofactor m > 1 that survived trial division,
-    by is_prime and Brent rho.  Memoised on its own, since the numbers one
-    request factors often share it (df, df/2 and their twists)."""
-    out: dict[int, int] = {}
-    stack = [m]
+        stack.append(n)
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
@@ -194,7 +167,7 @@ def _split(m: int, bound: int) -> tuple[tuple[int, int], ...]:
             raise FactorizationFailed(f"could not split composite {m}")
         stack.append(g)
         stack.append(m // g)
-    return tuple(out.items())
+    return tuple(sorted(out.items()))
 
 
 def legendre(a: int, p: int) -> int:

@@ -348,24 +348,29 @@ class H2Result(Record):
 
 
 def h2_enumerate(group: Group, p: int) -> H2Result:
-    """Dimension of H^2(G, mu_p) and class representatives, for p |G| <= MAX_ORDER.
+    """Dimension of H^2(G, mu_p) and class representatives.
 
-    One solve, PcTails, serves every table.  A group with a pc presentation
-    (catalog groups and their products) uses its own; any other q-group
-    table has one read off it (read_pc), and its classes move back to G's
-    numbering through the bijection L.  Any other group goes through
-    a Sylow p-subgroup P: cor res = [G : P] is a unit mod p, so cor maps
-    H^2(P) onto H^2(G) (Brown, Cohomology of Groups, III.10), and the cor of
-    a basis of H^2(P) that raise the rank in the tree coordinates of
-    CoboundarySpace, against the k rows delta(phi_i), are a basis of H^2(G).
+    When p does not divide |G| the dimension is 0: |G| kills H^2 and is a
+    unit mod p (Brown, Cohomology of Groups, III.10).  Otherwise one solve,
+    PcTails, serves every table; it never builds the extension, so no order
+    cap applies.  A group with a pc presentation (catalog groups and their
+    products) uses its own; any other q-group table has one read off it
+    (read_pc), and its classes move back to G's numbering through the
+    bijection L.  Any other group goes through a Sylow p-subgroup P:
+    cor res = [G : P] is a unit mod p, so cor maps H^2(P) onto H^2(G)
+    (Brown, Cohomology of Groups, III.10), and the cor of a basis of H^2(P)
+    that raise the rank in the tree coordinates of CoboundarySpace, against
+    the k rows delta(phi_i), are a basis of H^2(G).
 
     The representatives list all p^dim classes when that count is at most
     MAX_REPS, and otherwise a basis; either way a class is built when read.
     """
     _check_prime(p)
-    if p * group.order > MAX_ORDER:
-        raise TooLarge("extension group would exceed the table cap")
-    h, build = _classes(group, p)
+    if group.order % p:
+        n = group.order
+        h, build = 0, lambda c: Cocycle2(group, p, np.zeros((n, n), dtype=np.int64), check=False)
+    else:
+        h, build = _classes(group, p)
     count = p ** h
     complete = count <= MAX_REPS
     return H2Result(h, count, Classes(build, p, h, complete), complete)

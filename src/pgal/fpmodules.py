@@ -128,19 +128,31 @@ def _level(i: int, p: int) -> int:
     return s
 
 
+def _deltas(A: FpGModule) -> list:
+    """[0, Delta(A_{1}), ..., Delta(A_{p^n + 1})], by one suffix sum."""
+    top = A.p ** A.n
+    out = [0] * (top + 2)
+    for j, m in A.d.items():
+        out[j] += m
+    for i in range(top, 0, -1):
+        out[i] += out[i + 1]
+    return out
+
+
 def solvable(A: FpGModule, nd: NormData) -> bool:
     """Delta(A_{i}) <= D_{i} for every i in 1..p^n."""
     if (A.p, A.n) != (nd.p, nd.n):
         raise Mismatch("module and norm data have different (p, n)")
-    top = A.p ** A.n
-    return all(delta(A, i) <= nd.dims[i] for i in range(1, top + 1))
+    deltas = _deltas(A)
+    return all(deltas[i] <= nd.dims[i] for i in range(1, len(deltas) - 1))
 
 
 def count_solutions(A: FpGModule, nd: NormData):
     """Number of solutions, or INFINITE when the base quotient is infinite.
 
-    Evaluates the counting product literally; the indicator at
-    i = p^(i(K/k)) + 1 is taken as false when the invariant is -infinity.
+    Evaluates the counting product, with the sum over j < i in the exponent
+    carried from one i to the next; the indicator at i = p^(i(K/k)) + 1 is
+    taken as false when the invariant is -infinity.
     """
     if not solvable(A, nd):
         raise NotSolvable("the embedding problem is not solvable")
@@ -149,18 +161,19 @@ def count_solutions(A: FpGModule, nd: NormData):
     p = A.p
     top = p ** A.n
     marker = None if nd.i_invariant is None else p ** nd.i_invariant + 1
+    deltas = _deltas(A)
     total = 1
+    carried = 0  # sum over j < i of D_j - Delta(A_j)
     for i in range(1, top + 1):
         d_i = A.d.get(i, 0)
         ind = 1 if marker == i else 0
-        topval = nd.dims[i] - delta(A, i + 1) - ind
-        botval = delta(A, i) - delta(A, i + 1)
+        topval = nd.dims[i] - deltas[i + 1] - ind
+        botval = deltas[i] - deltas[i + 1]
         total *= p_binomial(topval, botval, p)
-        exp = 0
-        for j in range(1, i):
-            ind_j = 1 if (marker == j and i == top) else 0
-            exp += nd.dims[j] - delta(A, j) - ind_j
-        total *= p ** (d_i * exp)
+        # at i = top the indicator of j = marker < i enters the exponent too
+        ind_j = 1 if (i == top and marker is not None and marker < i) else 0
+        total *= p ** (d_i * (carried - ind_j))
+        carried += nd.dims[i] - deltas[i]
     return total
 
 

@@ -1,10 +1,11 @@
 """Formal p-cyclic algebra symbols with exact splitting decisions over Q for p = 2.
 
-A symbol product is a list of factors (a, b; zeta) plus opaque named classes.
-normalize() applies exact symbol identities only (bilinearity, p-torsion,
-(a,-a) = (a,1-a) = 1, antisymmetry for odd p, p-th power reduction of
-rational entries), so equal canonical forms always mean equal Brauer
-classes; the converse is decided for p = 2 by Hilbert symbols.
+A symbol product is a list of factors (a, b; zeta) plus opaque named classes,
+built in canonical form: its entries are expanded once into atom pairs by
+exact symbol identities only (bilinearity, p-torsion, (a,-a) = (a,1-a) = 1,
+antisymmetry for odd p, p-th power reduction of rational entries and of roots
+of unity), and the pairs are kept.  Equal canonical forms always mean equal
+Brauer classes; the converse is decided for p = 2 by Hilbert symbols.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import FactorizationFailed, factor, is_square, legendre
+from .arith import FactorizationFailed, factor, is_prime, is_square, legendre
 from .errors import (
     NonRationalEntry,
     OpaqueFactorPresent,
@@ -194,15 +195,16 @@ def elem_neg(x: FieldElem) -> FieldElem:
 
 
 class SymbolProduct(FrozenRecord):
-    """Formal product of p-cyclic algebra classes (a, b; zeta)^e."""
+    """Formal product of p-cyclic algebra classes (a, b; zeta)^e.
+
+    It keeps the atom pairs its raw factors expand to (_expand), so mul, pow
+    and splits_over_Q never factor an entry again."""
 
     _fields = ("p", "factors", "opaque")
 
     # factors: (FieldElem, FieldElem) pairs, exponent folded; opaque: (name, exponent mod p) pairs
     def __init__(self, p: int, factors: tuple, opaque: tuple):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "opaque", opaque)
+        _regroup(self, p, _expand(factors, p), opaque)
 
     def is_trivial_form(self) -> bool:
         return not self.factors and not self.opaque
@@ -210,14 +212,13 @@ class SymbolProduct(FrozenRecord):
     def mul(self, other: "SymbolProduct") -> "SymbolProduct":
         if self.p != other.p:
             raise PrimeMismatch(f"cannot multiply p={self.p} and p={other.p} symbols")
-        return normalize(SymbolProduct(
-            self.p, self.factors + other.factors, self.opaque + other.opaque))
+        return _regroup(SymbolProduct.__new__(SymbolProduct), self.p,
+                        [*self._pairs.items(), *other._pairs.items()], self.opaque + other.opaque)
 
     def pow(self, e: int) -> "SymbolProduct":
-        e %= self.p
-        fs = tuple((l, elem_pow(r, e)) for l, r in self.factors) if e else ()
-        op = tuple((n, k * e) for n, k in self.opaque)
-        return normalize(SymbolProduct(self.p, fs, op))
+        return _regroup(SymbolProduct.__new__(SymbolProduct), self.p,
+                        [(pair, k * e) for pair, k in self._pairs.items()],
+                        [(name, k * e) for name, k in self.opaque])
 
     def __str__(self):
         if self.is_trivial_form():
@@ -248,7 +249,7 @@ class SymbolProduct(FrozenRecord):
             fs.append((FieldElem.from_json(f["left"]),
                        elem_pow(FieldElem.from_json(f["right"]), f.get("exp", 1))))
         op = tuple((o["name"], o["exp"]) for o in doc.get("opaque", []))
-        return normalize(cls(p, tuple(fs), op))
+        return cls(p, tuple(fs), op)
 
 
 def trivial(p: int) -> SymbolProduct:
@@ -257,15 +258,19 @@ def trivial(p: int) -> SymbolProduct:
 
 def symbol(a: FieldElem, b: FieldElem, p: int) -> SymbolProduct:
     """The class of the p-cyclic algebra (a, b; zeta_p)."""
-    return normalize(SymbolProduct(p, ((a, b),), ()))
+    return SymbolProduct(p, ((a, b),), ())
 
 
 def opaque_class(name: str, p: int, exp: int = 1) -> SymbolProduct:
-    return normalize(SymbolProduct(p, (), ((str(name), exp),)))
+    return SymbolProduct(p, (), ((str(name), exp),))
 
 
 def _atoms(x: FieldElem, p: int):
-    """Multiplicative atoms (prime, indeterminate, zeta base) with exponents mod p."""
+    """Multiplicative atoms (prime, indeterminate, zeta base) with exponents mod p.
+
+    An entry factor cannot split is one atom, unreduced.  zeta_n^e, n = p^k m
+    with p prime to m, is zeta_{p^k}^(e/m mod p^k) times a p-th power, so its
+    atom is zeta_{p^k} (-1 when p^k = 2), and none when k = 0."""
     x = elem_canon(x)
     if x.kind == "rat":
         out = []
@@ -284,8 +289,13 @@ def _atoms(x: FieldElem, p: int):
     if x.kind == "ind":
         return [(x, 1)]
     if x.kind == "zeta":
-        n, e = x.payload
-        return [(zeta(n, 1), e % p)] if e % p else []
+        m, e = x.payload
+        pk = 1
+        while m % p == 0:
+            m //= p
+            pk *= p
+        e = e * pow(m, -1, pk) % p  # 0 when pk = 1
+        return [(zeta(pk, 1), e)] if e else []
     out = []
     for b, e in x.payload:
         for atom, ae in _atoms(b, p):
@@ -300,23 +310,22 @@ def _one_minus_rule(a: FieldElem, b: FieldElem) -> bool:
     return False
 
 
-def normalize(P: SymbolProduct) -> SymbolProduct:
-    """Idempotent, order-insensitive canonical form; preserves the class.
+def _expand(factors, p: int) -> list:
+    """The atom pairs of raw factors (l, r), each entry factored once, as
+    ((left atom, right atom), exponent) items.
 
-    Factors are expanded bilinearly into atom pairs, the exact identities
-    (a,-a) = (a,1-a) = 1, (x,x) = (x,-1), p-torsion and odd-p antisymmetry
-    are applied there, and the result is regrouped by left entry.  Equal
-    canonical forms always mean equal classes; the converse holds only up
-    to the identities above (splitting over Q decides the rest for p = 2).
+    Factors are expanded bilinearly, and the exact identities (a,-a) =
+    (a,1-a) = 1, (x,x) = (x,-1), p-torsion and odd-p antisymmetry are
+    applied to the atom pairs, so that a pair's left atom has the smaller key.
     """
-    p = P.p
-    pairs: dict = {}
-    for l, r in P.factors:
+    pairs = []
+    for l, r in factors:
         l, r = elem_canon(l), elem_canon(r)
         if l.is_one() or r.is_one() or _one_minus_rule(l, r):
             continue
+        rights = _atoms(r, p)
         for la0, le in _atoms(l, p):
-            for ra0, re in _atoms(r, p):
+            for ra0, re in rights:
                 la, ra = la0, ra0
                 e = (le * re) % p
                 if not e:
@@ -331,29 +340,42 @@ def normalize(P: SymbolProduct) -> SymbolProduct:
                 if ra.key() < la.key():
                     la, ra = ra, la
                     if p != 2:
-                        e = (-e) % p
-                key = (la.key(), ra.key())
-                if key in pairs:
-                    pairs[key][2] = (pairs[key][2] + e) % p
-                else:
-                    pairs[key] = [la, ra, e]
+                        e = -e
+                pairs.append(((la, ra), e))
+    return pairs
+
+
+def _sum_mod(items, p: int) -> dict:
+    """{key: the sum of its exponents mod p} over (key, exponent) items, nonzero sums only."""
+    out: dict = {}
+    for key, e in items:
+        out[key] = out.get(key, 0) + e
+    return {key: e % p for key, e in out.items() if e % p}
+
+
+def _regroup(P: SymbolProduct, p: int, pairs, opaque) -> SymbolProduct:
+    """Set P's fields from (atom pair, exponent) and (opaque name, exponent)
+    items summed mod p: it keeps the pairs, and factors groups them by left atom."""
+    pairs = _sum_mod(pairs, p)
     groups: dict = {}
-    for (lk, _), (la, ra, e) in sorted(pairs.items()):
-        if not e:
-            continue
-        groups.setdefault(lk, (la, []))[1].append((ra, e))
+    for la, ra in sorted(pairs, key=lambda pair: (pair[0].key(), pair[1].key())):
+        groups.setdefault(la, []).append((ra, pairs[la, ra]))
     factors = []
-    for lk in sorted(groups):
-        la, rights = groups[lk]
+    for la, rights in groups.items():
         r = elem_canon(FieldElem("prod", tuple(rights)))
-        if r.is_one():
-            continue
-        factors.append((la, r))
-    ops: dict = {}
-    for name, e in P.opaque:
-        ops[name] = (ops.get(name, 0) + e) % p
-    opaque = tuple((n, ops[n]) for n in sorted(ops) if ops[n])
-    return SymbolProduct(p, tuple(factors), opaque)
+        if not r.is_one():
+            factors.append((la, r))
+    object.__setattr__(P, "p", p)
+    object.__setattr__(P, "factors", tuple(factors))
+    object.__setattr__(P, "opaque", tuple(sorted(_sum_mod(opaque, p).items())))
+    object.__setattr__(P, "_pairs", pairs)
+    return P
+
+
+def normalize(P: SymbolProduct) -> SymbolProduct:
+    """P itself, since every SymbolProduct is built in canonical form; the
+    name stays for perfbench/spans.py, which wraps it."""
+    return P
 
 
 # -- Hilbert symbols and splitting over Q ---------------------------------------
@@ -416,7 +438,6 @@ def splits_over_Q(P: SymbolProduct) -> bool:
     """True iff the class is trivial in Br(Q); p = 2, rational entries only."""
     if P.p != 2:
         raise PrimeMismatch("splitting decision implemented for p = 2 only")
-    P = normalize(P)
     if P.opaque:
         raise OpaqueFactorPresent("opaque factors block evaluation")
     rats = []
@@ -424,10 +445,14 @@ def splits_over_Q(P: SymbolProduct) -> bool:
         if not (l.is_rational() and r.is_rational()):
             raise NonRationalEntry(f"non-rational entry in ({l},{r})")
         rats.append((l.payload, r.payload))
-    if not rats:
-        return True
-    entries = [q for pair in rats for q in pair]
-    for place in relevant_places(entries):
+    # the places: infinity, 2 and the odd prime atoms of the stored pairs
+    places = {2}
+    for q in {atom.payload for pair in P._pairs for atom in pair} - {-1}:
+        n = q.numerator * q.denominator
+        if q.denominator != 1 or not is_prime(n):  # an entry factor could not split
+            raise FactorizationFailed(f"could not split composite {n}")
+        places.add(n)
+    for place in ["inf"] + sorted(places):
         total = 1
         for a, b in rats:
             total *= hilbert_local(a, b, place)

@@ -15,6 +15,12 @@
   blocks, with phi^t built one power at a time;
 - `trial_primes_by_division`: arith's trial primes as a comprehension
   that trial-divides each candidate;
+- `normalize_by_reexpansion`: symbols.normalize as it was before a symbol
+  product kept its atom pairs, which expanded a raw factor list and
+  regrouped it, here with the p-primary rule for roots of unity and
+  repeated until the form expands back to itself;
+- `count_solutions_double_loop`: fpmodules.count_solutions as the literal
+  double loop over i and j < i, recomputing each Delta;
 - `family_specs`, `PRIMES` and `permutation_group`: the catalog specs,
   primes and tables that are not p-groups the comparisons run over.
 """
@@ -31,7 +37,9 @@ from pgal.cohomology import (
     corestrict_tate,
     h2_enumerate,
 )
-from pgal.errors import PrimeMismatch, TooLarge
+from pgal.arith import factor
+from pgal.errors import FactorizationFailed, NotSolvable, PrimeMismatch, TooLarge
+from pgal.fpmodules import INFINITE, delta, p_binomial, solvable
 from pgal.groups import (
     MAX_ORDER,
     Group,
@@ -45,6 +53,7 @@ from pgal.groups import (
 )
 from pgal.linalg import GFMatrix
 from pgal.presentation import _check_hoelder, _walk, generator_indices
+from pgal.symbols import FieldElem, elem_canon, rat, zeta
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -247,3 +256,109 @@ def pc_table_sixteen_blocks(pc):
 def trial_primes_by_division():
     return tuple(d for d in range(2, 1 << 10)
                  if all(d % q for q in range(2, math.isqrt(d) + 1)))
+
+
+def _atoms_once(x, p):
+    """Atoms of x with exponents mod p; an entry factor cannot split is one atom."""
+    x = elem_canon(x)
+    if x.kind == "rat":
+        q, out = x.payload, []
+        if q < 0 and p == 2:
+            out.append((rat(-1), 1))
+            q = -q
+        try:
+            facs = factor(q.numerator * q.denominator ** (p - 1))
+        except FactorizationFailed:
+            return out + [(rat(q), 1)]
+        return out + [(rat(r), e % p) for r, e in sorted(facs.items()) if e % p]
+    if x.kind == "ind":
+        return [(x, 1)]
+    if x.kind == "zeta":
+        # zeta_n^e = zeta_{p^k}^(e m^-1) times a p-th power, n = p^k m, p prime to m
+        n, e = x.payload
+        k = max(j for j in range(n.bit_length()) if n % p ** j == 0)
+        if k == 0:
+            return []
+        e = e * pow(n // p ** k, -1, p ** k) % p
+        return [(zeta(p ** k), e)] if e else []
+    return [(a, ae * e % p) for b, e in x.payload for a, ae in _atoms_once(b, p)]
+
+
+def _one_minus(a, b):
+    return a.is_rational() and b.is_rational() and (
+        b.payload == 1 - a.payload or a.payload == 1 - b.payload)
+
+
+def _normalize_once(p, factors, opaque):
+    pairs = {}
+    for l, r in factors:
+        l, r = elem_canon(l), elem_canon(r)
+        if l.is_one() or r.is_one() or _one_minus(l, r):
+            continue
+        for la0, le in _atoms_once(l, p):
+            for ra0, re in _atoms_once(r, p):
+                la, ra, e = la0, ra0, le * re % p
+                if not e:
+                    continue
+                if la.key() == ra.key():
+                    if p != 2:
+                        continue
+                    if not (la.is_rational() and la.payload == -1):
+                        ra = rat(-1)
+                if _one_minus(la, ra):
+                    continue
+                if ra.key() < la.key():
+                    la, ra = ra, la
+                    if p != 2:
+                        e = -e % p
+                key = (la.key(), ra.key())
+                old = pairs.get(key, (la, ra, 0))[2]
+                pairs[key] = (la, ra, (old + e) % p)
+    groups = {}
+    for (lk, _), (la, ra, e) in sorted(pairs.items()):
+        if e:
+            groups.setdefault(lk, (la, []))[1].append((ra, e))
+    out = []
+    for lk in sorted(groups):
+        la, rights = groups[lk]
+        r = elem_canon(FieldElem("prod", tuple(rights)))
+        if not r.is_one():
+            out.append((la, r))
+    ops = {}
+    for name, e in opaque:
+        ops[name] = (ops.get(name, 0) + e) % p
+    return tuple(out), tuple((n, ops[n]) for n in sorted(ops) if ops[n])
+
+
+def normalize_by_reexpansion(p, factors, opaque):
+    """(factors, opaque) of the canonical form of a raw factor list."""
+    factors, opaque = tuple(factors), tuple(opaque)
+    while True:
+        out = _normalize_once(p, factors, opaque)
+        if out == (factors, opaque):
+            return out
+        factors, opaque = out
+
+
+def count_solutions_double_loop(A, nd):
+    """The counting product, evaluated literally."""
+    if not solvable(A, nd):
+        raise NotSolvable("the embedding problem is not solvable")
+    if not nd.base_quotient_finite:
+        return INFINITE
+    p = A.p
+    top = p ** A.n
+    marker = None if nd.i_invariant is None else p ** nd.i_invariant + 1
+    total = 1
+    for i in range(1, top + 1):
+        d_i = A.d.get(i, 0)
+        ind = 1 if marker == i else 0
+        topval = nd.dims[i] - delta(A, i + 1) - ind
+        botval = delta(A, i) - delta(A, i + 1)
+        total *= p_binomial(topval, botval, p)
+        exp = 0
+        for j in range(1, i):
+            ind_j = 1 if (marker == j and i == top) else 0
+            exp += nd.dims[j] - delta(A, j) - ind_j
+        total *= p ** (d_i * exp)
+    return total

@@ -55,6 +55,29 @@ def test_h2_counts(capsys):
     assert doc2["classes"] == 8
 
 
+def test_h2_answers_where_p_times_the_order_passes_the_table_cap(capsys):
+    # 5 does not divide 1024, so H^2 = 0, though 5 * 1024 > 4096
+    code, doc = run_json(capsys, "h2", "--group", "C:1024", "--p", "5", "--json")
+    assert (code, doc) == (0, {"classes": 1, "complete_enumeration": True, "dimension": 0,
+                               "group": "C:1024", "p": 5})
+
+
+@pytest.mark.parametrize("p,expr,shown", [
+    ("5", "(3,zeta4)", "1"),
+    ("3", "(2,zeta12)", "(2,z3;z3)"),
+    ("3", "(2,zeta4)(2,zeta4)", "1"),
+])
+def test_a_root_of_unity_keeps_only_its_p_primary_part(capsys, p, expr, shown):
+    code, doc = run_json(capsys, "symbol", "eval", "--p", p, "--expr", expr, "--json")
+    assert (code, doc["class"], doc["canonical"]) == (0, shown, shown)
+
+
+def test_a_square_as_a_product_and_as_a_power_print_the_same_bytes(capsys):
+    outs = [run(capsys, "symbol", "eval", "--p", "3", "--expr", expr, "--json")
+            for expr in ("(2,zeta4)(2,zeta4)", "(2,zeta4)^2")]
+    assert outs[0] == outs[1]
+
+
 def test_obstruct_c4(capsys):
     code, doc = run_json(capsys, "obstruct", "c4", "--a", "2", "--json")
     assert code == 0

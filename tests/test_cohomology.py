@@ -596,17 +596,20 @@ def test_error_paths():
     for other in (build_group("EA:p=2,r=2"), build_group("C:4")):
         with pytest.raises(TargetMismatch, match="does not live on the group searched"):
             cor_image_search(V4, Cocycle2(other, 2, np.zeros((4, 4), dtype=int)))
-    # every table answers while p |G| <= 4096: C:128 through its
-    # presentation, and a bare D:128 (refused by the spanning tree's caps
-    # before) through one read off its table
+    # every table answers: C:128 through its presentation, and a bare D:128
+    # (refused by the spanning tree's caps before) through one read off its
+    # table; C:1024 at p = 5 has H^2 = 0, from the catalog or as a bare table
     assert h2_enumerate(build_group("C:128"), 2).dimension == 1
-    with pytest.raises(TooLarge):
-        h2_enumerate(build_group("C:1024"), 5)
+    C1024 = build_group("C:1024")
+    for G in (C1024, Group(C1024.np_table, C1024.generators)):
+        res = h2_enumerate(G, 5)
+        assert (res.dimension, res.class_count, res.complete) == (0, 1, True)
+        assert not res.representatives[0].values.any()
     D128 = build_group("D:128")
     assert h2_enumerate(Group(D128.np_table, D128.generators), 2).dimension == 3
-    C1024 = build_group("C:1024")
-    with pytest.raises(TooLarge):
-        h2_enumerate(Group(C1024.np_table, C1024.generators), 5)
+    # the extension is still built as a table, under the cap
+    with pytest.raises(TooLarge, match="extension order 5120 exceeds cap 4096"):
+        extension_of_cocycle(h2_enumerate(C1024, 5).representatives[0])
 
 
 def test_values_that_are_not_integers_make_no_cocycle():

@@ -12,7 +12,6 @@ from pgal.cohomology import (
     cocycle_of_extension,
     corestrict_tate,
     extension_of_cocycle,
-    h2_enumerate,
     lift_order_diag,
     raise_lower,
 )
@@ -89,7 +88,7 @@ ROWS = {
     "KernelNotCentral": _noncentral_kernel,
     "KernelNotPrime": _kernel_gen_outside_the_kernel,
     "NotACocycle": lambda: Cocycle2(build_group("C:2"), 2, [[0, 0], [0, 1.7]]),
-    "TooLarge": lambda: h2_enumerate(build_group("C:1024"), 5),
+    "TooLarge": lambda: extension_of_cocycle(_zero(build_group("C:1024"), 5)),
     "BadIndexSubgroup": _quarter_subgroup,
     "GInH": lambda: corestrict_tate(*_d8_index2(), g=0),
     "PreimageOrderMismatch": lambda: raise_lower(

@@ -144,6 +144,46 @@ def test_count_positive_on_margin_safe_inputs():
         assert c >= 1
 
 
+def test_count_solutions_agrees_with_the_double_loop():
+    """The carried exponent sum against the literal double loop, on every
+    (p, n) with p^n <= 64; margin-safe norm data and random levels, which
+    may leave the problem unsolvable."""
+    from oracles import count_solutions_double_loop
+
+    def outcome(count, A, nd):
+        try:
+            return count(A, nd)
+        except NotSolvable:
+            return "not solvable"
+
+    rng = random.Random(23)
+    cases = [(p, n) for p in (2, 3, 5, 7, 11, 13, 31, 61) for n in range(1, 7) if p ** n <= 64]
+    assert len(cases) == 17
+    for p, n in cases:
+        top = p ** n
+        for _ in range(3):
+            A = FpGModule(p, n, {rng.randint(1, top): rng.randint(1, 3)
+                                 for _ in range(rng.randint(0, 4))})
+            for levels in ([delta(A, 1) + rng.randint(0, 3) for _ in range(n + 1)],
+                           [rng.randint(0, delta(A, 1) + 2) for _ in range(n + 1)]):
+                for inv in [None] + list(range(n)):
+                    nd = NormData.from_levels(p, n, levels, i_invariant=inv)
+                    assert outcome(count_solutions, A, nd) == \
+                        outcome(count_solutions_double_loop, A, nd), (p, n, A.d, levels, inv)
+
+
+def test_count_solutions_at_p_n_4096_is_fast():
+    """p = 2, n = 12: the double loop over i and j < i takes about 10 s."""
+    import time
+
+    A = FpGModule(2, 12, {1: 2, 7: 1, 100: 3, 2049: 2, 4096: 1})
+    nd = NormData.from_levels(2, 12, [delta(A, 1) + 2] * 13, i_invariant=3)
+    start = time.perf_counter()
+    count = count_solutions(A, nd)
+    assert time.perf_counter() - start < 0.5
+    assert count > 1 and count % 2 == 0
+
+
 def test_ei_solvability():
     assert ei_solvability(3, True) == [True, True]
     assert ei_solvability(3, False) == [False, False]

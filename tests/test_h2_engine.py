@@ -78,6 +78,31 @@ def test_known_dimensions(spec, p, dim):
         assert is_cocycle_table(f.group, p, f.values)
 
 
+@pytest.mark.parametrize("p,r", [(3, r) for r in range(1, 8)] + [(5, r) for r in range(1, 6)])
+def test_elementary_abelian_dimensions_up_to_the_table_cap(p, r):
+    """dim H^2(EA(p, r), F_p) = r(r+1)/2, also where p |G| > 4096."""
+    assert h2_enumerate(build_group(f"EA:p={p},r={r}"), p).dimension == r * (r + 1) // 2
+
+
+def test_kunneth_past_the_old_cap():
+    """D:64 x C:64, order 4096: 3 + 2 * 1 + 1, and a class is a cocycle."""
+    res = h2_enumerate(build_group("D:64*C:64"), 2)
+    assert (res.dimension, res.class_count) == (6, 64)
+    f = res.representatives[-1]
+    assert is_cocycle_table(f.group, 2, f.values)
+
+
+@pytest.mark.parametrize("spec", ["D:8", "Q:8", "G1:p=3"])
+@pytest.mark.parametrize("p", [40009, 65537, 2 ** 31 - 1])
+def test_a_prime_that_does_not_divide_the_order_gives_zero(spec, p):
+    """|G| kills H^2 and is a unit mod p.  No elimination over GF(p) runs,
+    so GFMatrix's int64 guard, which refuses 2^31 - 1, is not reached."""
+    res = h2_enumerate(build_group(spec), p)
+    assert (res.dimension, res.class_count, len(res.representatives)) == (0, 1, 1)
+    zero = res.representatives[0]
+    assert zero.p == p and not zero.values.any()
+
+
 def test_engine_accepts_any_generating_set():
     """A group file without generators names every element; the pc reader
     keeps an irredundant subset and the answer does not change."""

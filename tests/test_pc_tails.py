@@ -139,12 +139,14 @@ def test_known_dimensions_beyond_the_old_caps(spec, p, dim):
 
 
 def test_ea_3_7_has_dimension_28_but_no_extension_table():
-    """|E| = 3 * 2187 exceeds the table cap, so h2_enumerate refuses it; the
-    engine alone still gives 7 + 21."""
+    """h2_enumerate gives 7 + 21, as the engine does, though |E| = 3 * 2187
+    exceeds the table cap, so extension_of_cocycle refuses to build E."""
     G = build_group("EA:p=3,r=7")
     assert len(PcTails(G, 3).basis) == 28
-    with pytest.raises(TooLarge):
-        h2_enumerate(G, 3)
+    res = h2_enumerate(G, 3)
+    assert (res.dimension, res.complete) == (28, False)
+    with pytest.raises(TooLarge, match="extension order 6561 exceeds cap 4096"):
+        cohomology.extension_of_cocycle(res.representatives[0])
 
 
 def test_presentations_join_in_products_and_stay_out_of_json():

@@ -1,5 +1,6 @@
 """Symbol normalization, Hilbert symbols, splitting, corestriction formulas."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from pgal.errors import (
 )
 from pgal.symbols import (
     SymbolProduct,
+    elem_mul,
     hilbert_local,
     ind,
     normalize,
@@ -96,6 +98,92 @@ def test_normalize_idempotent_and_order_insensitive():
         shuffled = list(facs)
         rng.shuffle(shuffled)
         assert normalize(SymbolProduct(p, tuple(shuffled), ())) == n1
+
+
+def _entries(p):
+    """Rationals, indeterminates, roots of unity of order p, p^2, 4 and 6,
+    and products of two of them."""
+    rats = st.tuples(st.sampled_from([-1, 2, -2, 3, 5, -6, 7, 10, 12, -15, 49]),
+                     st.sampled_from([1, 3, 4, 5])).map(lambda nd: rat(Fraction(*nd)))
+    zetas = st.sampled_from([p, p * p, 4, 6]).flatmap(
+        lambda n: st.integers(1, n - 1).map(lambda e: zeta(n, e)))
+    atoms = st.one_of(rats, st.sampled_from(["a", "b"]).map(ind), zetas)
+    return st.one_of(atoms, st.tuples(atoms, atoms).map(lambda xy: elem_mul(*xy)))
+
+
+def _raw_doc(p, factors, opaque):
+    return {"p": p,
+            "factors": [{"left": l.to_json(), "right": r.to_json(), "exp": 1} for l, r in factors],
+            "opaque": [{"name": n, "exp": e} for n, e in opaque]}
+
+
+def _products(p):
+    """(product, its raw factors, its raw opaque classes), built by symbol,
+    opaque_class, mul, pow and from_json."""
+    entry = _entries(p)
+    leaves = st.one_of(
+        st.tuples(entry, entry).map(lambda ab: (symbol(*ab, p), [ab], [])),
+        st.tuples(st.sampled_from(["X", "Y"]), st.integers(-3, 3)).map(
+            lambda ne: (opaque_class(ne[0], p, ne[1]), [], [ne])))
+
+    def times(x, y):
+        return x[0].mul(y[0]), x[1] + y[1], x[2] + y[2]
+
+    def power(x, e):
+        # the raw factors repeated e mod p times, as a class is p-torsion:
+        # folding e into the right entries would hide identities, since
+        # (3, -2) = 1 at p = 3 by (a, 1-a) = 1, yet (3, 4) is not seen as 1
+        return x[0].pow(e), x[1] * (e % p), [(n, k * e) for n, k in x[2]]
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, children).map(lambda xy: times(*xy)),
+            st.tuples(children, st.integers(-3, 4)).map(lambda xe: power(*xe)),
+            children.map(lambda x: (SymbolProduct.from_json(_raw_doc(p, x[1], x[2])), x[1], x[2])))
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(st.just(p), _products(p))))
+def test_a_product_is_the_canonical_form_of_its_raw_factors(case):
+    """Whatever built it, a product equals the expansion of its raw factors,
+    regrouped and expanded again until nothing changes; and it is a fixed
+    point of normalize, of multiplying by 1 and of a JSON round trip."""
+    from oracles import normalize_by_reexpansion
+
+    p, (P, factors, opaque) = case
+    assert (P.factors, P.opaque) == normalize_by_reexpansion(p, factors, opaque)
+    assert normalize(P) == P
+    assert P.mul(trivial(p)) == P
+    assert SymbolProduct.from_json(P.to_json()) == P
+
+
+def test_mul_pow_and_splitting_never_factor(monkeypatch, capsys):
+    """Each entry is factored when its symbol is formed, and only then: an
+    obstruct hw request with n entries forms n(n-1)/2 symbols of two entries."""
+    from pgal import arith, symbols
+    from pgal.cli import main
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return arith.factor(n)
+
+    monkeypatch.setattr(symbols, "factor", counting)
+    P = symbol(rat(6), rat(-35), 2).mul(symbol(rat(Fraction(10, 7)), rat(3), 2))
+    Q = symbol(ind("a"), rat(12), 3).mul(opaque_class("K", 3))
+    assert sorted(calls) == [3, 6, 12, 35, 70]  # each rational entry once; 10/7 as 70
+    P.mul(P.pow(3)).pow(-1)
+    Q.pow(2).mul(Q).pow(5)
+    assert splits_over_Q(P) is False and splits_over_Q(P.mul(P)) is True
+    assert len(calls) == 5
+    for entries in ("6,-10", "2,3,-5", "6,-35,10/7,13", "-1,2,3,5,7"):
+        n = entries.count(",") + 1
+        calls.clear()
+        assert main(["obstruct", "hw", f"--q={entries}", "--json"]) == 0
+        capsys.readouterr()
+        assert len(calls) <= n * (n - 1), entries
 
 
 def test_odd_p_antisymmetry():
@@ -321,6 +409,8 @@ def test_an_entry_that_cannot_be_factored_is_one_atom_that_keeps_its_class():
         assert minus == symbol(rat(-1), b, 2).mul(symbol(rat(P), b, 2))
         assert minus != symbol(rat(P), b, 2)
         assert normalize(minus) == minus
+        with pytest.raises(FactorizationFailed, match="cannot certify"):
+            splits_over_Q(minus)
     assert str(symbol(rat(-P), rat(3), 2)) == f"(-1,3)(3,{P})"
     assert str(symbol(rat(-P), rat(3), 3)) == f"({-P},3;z3)"
 
@@ -351,14 +441,13 @@ def test_factor_results_are_memoised_in_a_bounded_cache(monkeypatch):
 
 def test_a_failed_factorisation_runs_rho_once_per_request(monkeypatch, capsys):
     """N, a product of two 50-bit primes, defeats rho at bound 100.  The
-    request meets it in normalize and in relevant_places; failures are
-    memoised apart from the results cache, so rho runs on N once."""
+    request factors N once, when its symbol is formed, and splits_over_Q
+    reads the stored atom, so rho runs on N once."""
     from pgal import arith
     from pgal.cli import main
     from pgal.errors import FactorizationFailed
 
     monkeypatch.setenv("PGAL_FACTOR_BOUND", "100")
-    monkeypatch.setattr(arith, "_FAILED", {})
     calls, real = [], arith._brent_rho
     monkeypatch.setattr(arith, "_brent_rho",
                         lambda m, max_steps: calls.append(m) or real(m, max_steps))
@@ -368,12 +457,37 @@ def test_a_failed_factorisation_runs_rho_once_per_request(monkeypatch, capsys):
     assert calls == [N]
     with pytest.raises(FactorizationFailed, match=f"could not split composite {N}"):
         arith.factor(-N)
-    assert calls == [N]
-    for bound in range(2, 302):  # the memo is bounded
-        monkeypatch.setenv("PGAL_FACTOR_BOUND", str(bound))
-        with pytest.raises(FactorizationFailed):
-            arith.factor(0)
-    assert len(arith._FAILED) == arith._FAILED_MAX == 256
+    # the decision meets N as a stored atom that is not prime, and rho does
+    # not run on it again
+    P = symbol(rat(N), rat(3), 2)
+    calls.clear()
+    with pytest.raises(FactorizationFailed, match=f"could not split composite {N}"):
+        splits_over_Q(P)
+    assert calls == []
+
+
+# the product of the two largest primes below 2^30
+SEMIPRIME_60 = 1073741789 * 1073741783
+
+
+@pytest.mark.parametrize("argv", [
+    ["obstruct", "c4", f"--a=-{2 * SEMIPRIME_60}/3", "--json"],
+    ["obstruct", "twist", f"--df={6 * SEMIPRIME_60}", "--plus=(5,-3)(7,11)", "--json"],
+    # the second symbol with the entry finds it in factor's results memo
+    ["obstruct", "twist", f"--df=-{SEMIPRIME_60}", f"--plus=(-{SEMIPRIME_60},5)", "--json"],
+])
+def test_a_request_carrying_a_60_bit_semiprime_runs_rho_once(monkeypatch, capsys, argv):
+    from pgal import arith
+    from pgal.cli import main
+
+    monkeypatch.delenv("PGAL_FACTOR_BOUND", raising=False)
+    arith._factor_cached.cache_clear()
+    calls, real = [], arith._brent_rho
+    monkeypatch.setattr(arith, "_brent_rho",
+                        lambda m, max_steps: calls.append(m) or real(m, max_steps))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["splits_over_Q"] in (True, False)
+    assert calls == [SEMIPRIME_60]
 
 
 def test_factor_tests_each_cofactor_for_primality_once(monkeypatch):
@@ -388,9 +502,7 @@ def test_factor_tests_each_cofactor_for_primality_once(monkeypatch):
     monkeypatch.setattr(arith, "is_prime", counting)
     monkeypatch.delenv("PGAL_FACTOR_BOUND", raising=False)
     big, small = 2 ** 61 - 1, 10 ** 9 + 7
-    # the uncached function and an empty cofactor memo, so that an earlier
-    # factor() cannot hide the calls
-    arith._split.cache_clear()
+    # the uncached function, so that an earlier factor() cannot hide the calls
     assert dict(arith._factor_cached.__wrapped__(big * small, arith.factor_bound())) == {
         big: 1, small: 1}
     assert sorted(calls) == sorted([big * small, big, small])
@@ -407,21 +519,20 @@ def test_a_cofactor_below_the_square_of_the_stopping_prime_is_not_tested(monkeyp
 
     monkeypatch.setattr(arith, "is_prime", counting)
     monkeypatch.delenv("PGAL_FACTOR_BOUND", raising=False)
-    arith._split.cache_clear()
     # trial division stops at 13, since 13^2 > 13: every prime below 13 was tried
     assert arith._factor_cached.__wrapped__(7 * 11 * 13, arith.factor_bound()) == (
         (7, 1), (11, 1), (13, 1))
     # after the last trial prime, 1031 < 1021^2 is prime too
     assert arith._factor_cached.__wrapped__(1021 * 1031, 2 ** 11) == ((1021, 1), (1031, 1))
     assert calls == []
-    # a stop at d > bound proves nothing: 143 = 11 * 13 goes to _split
+    # a stop at d > bound proves nothing: 143 = 11 * 13 goes to is_prime and rho
     assert arith._factor_cached.__wrapped__(11 * 13, 7) == ((11, 1), (13, 1))
     assert calls[0] == 143
 
 
 def _wheel_factor(n, bound):
     """The one-candidate-at-a-time wheel loop and rho stack that
-    arith._factor_cached ran before its chunked scan and cofactor memo."""
+    arith._factor_cached ran before its chunked scan."""
     from pgal import arith
     from pgal.errors import FactorizationFailed
 
@@ -480,10 +591,8 @@ def test_chunked_trial_division_agrees_with_the_wheel_loop():
               for _ in range(12)]
     pairs += [(PSI_13, 10 ** 6), (0, 10 ** 6)]
     for n, bound in pairs:
-        arith._split.cache_clear()
         want = outcome(_wheel_factor, n, bound)
         assert outcome(arith._factor_cached.__wrapped__, n, bound) == want, (n, bound)
-    assert arith._split.cache_info().maxsize == 256
 
 
 # primes below 2^10, just above it, at the old scan's chunk edges and near
