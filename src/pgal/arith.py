@@ -114,10 +114,9 @@ def factor(n: int) -> dict[int, int]:
 
     The primes come in increasing order.  Raises FactorizationFailed if a
     cofactor survives trial division and the rho budget of the configured
-    bound.  Results are memoised in a bounded cache keyed on |n| and the
-    bound; every call gets a fresh dict.
+    bound.  Every call gets a fresh dict.
     """
-    return dict(_factor_cached(abs(n), factor_bound()))
+    return dict(_factor(abs(n), factor_bound()))
 
 
 def _primes_below(n: int) -> tuple[int, ...]:
@@ -133,15 +132,14 @@ def _primes_below(n: int) -> tuple[int, ...]:
 _TRIAL_PRIMES = _primes_below(1 << 10)
 
 
-@lru_cache(maxsize=1024)
-def _factor_cached(n: int, bound: int) -> tuple[tuple[int, int], ...]:
+def _factor(n: int, bound: int) -> tuple[tuple[int, int], ...]:
     """The factorisation of n >= 0 as (prime, exponent) pairs in increasing
-    order; a tuple, so no caller can change a cached result.
+    order.
 
     2, 3 and 5 are divided out, then each prime d < 2^10 with d <= bound
     while d^2 <= n, n the cofactor so far.  What is left is prime when it is
     below d^2 for the last d reached, since every prime below d was tried;
-    otherwise is_prime and Brent rho split it.
+    otherwise it goes to _cofactor_primes.
     """
     if n == 0:
         raise FactorizationFailed("cannot factor 0")
@@ -152,19 +150,36 @@ def _factor_cached(n: int, bound: int) -> tuple[tuple[int, int], ...]:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-    stack = []
     if n > 1 and d * d > n:
         out[n] = 1
     elif n > 1:
-        stack.append(n)
+        found = _cofactor_primes(n, bound)
+        if isinstance(found, str):
+            raise FactorizationFailed(found)
+        out.update(found)
+    return tuple(sorted(out.items()))
+
+
+@lru_cache(maxsize=1024)
+def _cofactor_primes(m: int, bound: int) -> tuple[tuple[int, int], ...] | str:
+    """The factorisation of a cofactor m > 1 that survived trial division,
+    by is_prime and Brent rho, or the detail of the failure that ended it.
+    The one memo of factoring: keyed on the cofactor, it also serves entries
+    that share one (df, df/2 and their twists), and keeps failures."""
+    out: dict[int, int] = {}
+    stack = [m]
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        try:
+            prime = is_prime(m)
+        except FactorizationFailed as exc:  # past psi_13, it passes every base
+            return exc.detail
+        if prime:
             out[m] = out.get(m, 0) + 1
             continue
         g = _brent_rho(m, max_steps=4 * bound)
         if not g or g in (1, m):
-            raise FactorizationFailed(f"could not split composite {m}")
+            return f"could not split composite {m}"
         stack.append(g)
         stack.append(m // g)
     return tuple(sorted(out.items()))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import FactorizationFailed, factor, is_prime, is_square, legendre
+from .arith import FactorizationFailed, factor, is_square, legendre
 from .errors import (
     NonRationalEntry,
     OpaqueFactorPresent,
@@ -197,14 +197,15 @@ def elem_neg(x: FieldElem) -> FieldElem:
 class SymbolProduct(FrozenRecord):
     """Formal product of p-cyclic algebra classes (a, b; zeta)^e.
 
-    It keeps the atom pairs its raw factors expand to (_expand), so mul, pow
-    and splits_over_Q never factor an entry again."""
+    It keeps the atom pairs its raw factors expand to (_expand) and the
+    failure of each entry factor could not split, so nothing factors again."""
 
     _fields = ("p", "factors", "opaque")
 
     # factors: (FieldElem, FieldElem) pairs, exponent folded; opaque: (name, exponent mod p) pairs
     def __init__(self, p: int, factors: tuple, opaque: tuple):
-        _regroup(self, p, _expand(factors, p), opaque)
+        unsplit: dict = {}
+        _regroup(self, p, _expand(factors, p, unsplit), opaque, unsplit)
 
     def is_trivial_form(self) -> bool:
         return not self.factors and not self.opaque
@@ -213,12 +214,13 @@ class SymbolProduct(FrozenRecord):
         if self.p != other.p:
             raise PrimeMismatch(f"cannot multiply p={self.p} and p={other.p} symbols")
         return _regroup(SymbolProduct.__new__(SymbolProduct), self.p,
-                        [*self._pairs.items(), *other._pairs.items()], self.opaque + other.opaque)
+                        [*self._pairs.items(), *other._pairs.items()], self.opaque + other.opaque,
+                        {**self._unsplit, **other._unsplit})
 
     def pow(self, e: int) -> "SymbolProduct":
         return _regroup(SymbolProduct.__new__(SymbolProduct), self.p,
                         [(pair, k * e) for pair, k in self._pairs.items()],
-                        [(name, k * e) for name, k in self.opaque])
+                        [(name, k * e) for name, k in self.opaque], self._unsplit)
 
     def __str__(self):
         if self.is_trivial_form():
@@ -265,10 +267,11 @@ def opaque_class(name: str, p: int, exp: int = 1) -> SymbolProduct:
     return SymbolProduct(p, (), ((str(name), exp),))
 
 
-def _atoms(x: FieldElem, p: int):
+def _atoms(x: FieldElem, p: int, unsplit: dict):
     """Multiplicative atoms (prime, indeterminate, zeta base) with exponents mod p.
 
-    An entry factor cannot split is one atom, unreduced.  zeta_n^e, n = p^k m
+    An entry factor cannot split is one atom, unreduced, and unsplit maps it
+    to the detail of its FactorizationFailed.  zeta_n^e, n = p^k m
     with p prime to m, is zeta_{p^k}^(e/m mod p^k) times a p-th power, so its
     atom is zeta_{p^k} (-1 when p^k = 2), and none when k = 0."""
     x = elem_canon(x)
@@ -283,22 +286,20 @@ def _atoms(x: FieldElem, p: int):
             for prime, e in sorted(factor(n).items()):
                 if e % p:
                     out.append((rat(prime), e % p))
-        except FactorizationFailed:
-            out.append((rat(q), 1))  # one atom, unreduced
+        except FactorizationFailed as exc:
+            unsplit[rat(q)] = exc.detail
+            out.append((rat(q), 1))
         return out
     if x.kind == "ind":
         return [(x, 1)]
     if x.kind == "zeta":
-        m, e = x.payload
-        pk = 1
-        while m % p == 0:
-            m //= p
-            pk *= p
-        e = e * pow(m, -1, pk) % p  # 0 when pk = 1
+        n, e = x.payload
+        pk = gcd(n, p ** n.bit_length())  # the p-part of n
+        e = e * pow(n // pk, -1, pk) % p  # 0 when pk = 1
         return [(zeta(pk, 1), e)] if e else []
     out = []
     for b, e in x.payload:
-        for atom, ae in _atoms(b, p):
+        for atom, ae in _atoms(b, p, unsplit):
             out.append((atom, (ae * e) % p))
     return out
 
@@ -310,9 +311,10 @@ def _one_minus_rule(a: FieldElem, b: FieldElem) -> bool:
     return False
 
 
-def _expand(factors, p: int) -> list:
+def _expand(factors, p: int, unsplit: dict) -> list:
     """The atom pairs of raw factors (l, r), each entry factored once, as
-    ((left atom, right atom), exponent) items.
+    ((left atom, right atom), exponent) items; unsplit gains the atoms of
+    entries factor could not split.
 
     Factors are expanded bilinearly, and the exact identities (a,-a) =
     (a,1-a) = 1, (x,x) = (x,-1), p-torsion and odd-p antisymmetry are
@@ -323,8 +325,8 @@ def _expand(factors, p: int) -> list:
         l, r = elem_canon(l), elem_canon(r)
         if l.is_one() or r.is_one() or _one_minus_rule(l, r):
             continue
-        rights = _atoms(r, p)
-        for la0, le in _atoms(l, p):
+        rights = _atoms(r, p, unsplit)
+        for la0, le in _atoms(l, p, unsplit):
             for ra0, re in rights:
                 la, ra = la0, ra0
                 e = (le * re) % p
@@ -353,22 +355,31 @@ def _sum_mod(items, p: int) -> dict:
     return {key: e % p for key, e in out.items() if e % p}
 
 
-def _regroup(P: SymbolProduct, p: int, pairs, opaque) -> SymbolProduct:
+def _regroup(P: SymbolProduct, p: int, pairs, opaque, unsplit: dict) -> SymbolProduct:
     """Set P's fields from (atom pair, exponent) and (opaque name, exponent)
-    items summed mod p: it keeps the pairs, and factors groups them by left atom."""
+    items summed mod p: it keeps the pairs, and factors groups them by left
+    atom, so that expanding factors gives the pairs back.  Hence an atom
+    factor could not split, which it could not split in a product either,
+    merges into a right entry only as its one rational atom besides -1,
+    with exponent 1; else its pair is repeated once per unit of exponent."""
     pairs = _sum_mod(pairs, p)
     groups: dict = {}
     for la, ra in sorted(pairs, key=lambda pair: (pair[0].key(), pair[1].key())):
         groups.setdefault(la, []).append((ra, pairs[la, ra]))
     factors = []
     for la, rights in groups.items():
-        r = elem_canon(FieldElem("prod", tuple(rights)))
+        rats = [e for ra, e in rights if ra.is_rational() and ra.payload != -1]
+        apart = [] if rats == [1] else [ra for ra, _ in rights if ra in unsplit]
+        r = elem_canon(FieldElem("prod", tuple((ra, e) for ra, e in rights if ra not in apart)))
         if not r.is_one():
             factors.append((la, r))
+        factors.extend((la, ra) for ra, e in rights if ra in apart for _ in range(e))
     object.__setattr__(P, "p", p)
     object.__setattr__(P, "factors", tuple(factors))
     object.__setattr__(P, "opaque", tuple(sorted(_sum_mod(opaque, p).items())))
     object.__setattr__(P, "_pairs", pairs)
+    object.__setattr__(P, "_unsplit", {a: unsplit[a] for pair in pairs for a in pair
+                                       if a in unsplit})
     return P
 
 
@@ -447,11 +458,11 @@ def splits_over_Q(P: SymbolProduct) -> bool:
         rats.append((l.payload, r.payload))
     # the places: infinity, 2 and the odd prime atoms of the stored pairs
     places = {2}
-    for q in {atom.payload for pair in P._pairs for atom in pair} - {-1}:
-        n = q.numerator * q.denominator
-        if q.denominator != 1 or not is_prime(n):  # an entry factor could not split
-            raise FactorizationFailed(f"could not split composite {n}")
-        places.add(n)
+    for atom in sorted({atom for pair in P._pairs for atom in pair}, key=FieldElem.key):
+        if atom in P._unsplit:
+            raise FactorizationFailed(P._unsplit[atom])
+        places.add(abs(atom.payload.numerator))
+    places.discard(1)
     for place in ["inf"] + sorted(places):
         total = 1
         for a, b in rats:

@@ -289,6 +289,19 @@ def _one_minus(a, b):
         b.payload == 1 - a.payload or a.payload == 1 - b.payload)
 
 
+def _unsplit(a, p):
+    """Whether the atom a is an entry factor cannot split: such an atom
+    merges into a right entry only as its one rational atom besides -1, with
+    exponent 1, since factor would not split a product with it."""
+    if not a.is_rational():
+        return False
+    try:
+        factor(a.payload.numerator * a.payload.denominator ** (p - 1))
+    except FactorizationFailed:
+        return True
+    return False
+
+
 def _normalize_once(p, factors, opaque):
     pairs = {}
     for l, r in factors:
@@ -321,9 +334,12 @@ def _normalize_once(p, factors, opaque):
     out = []
     for lk in sorted(groups):
         la, rights = groups[lk]
-        r = elem_canon(FieldElem("prod", tuple(rights)))
+        rats = [e for ra, e in rights if ra.is_rational() and ra.payload != -1]
+        apart = [] if rats == [1] else [ra for ra, _ in rights if _unsplit(ra, p)]
+        r = elem_canon(FieldElem("prod", tuple((ra, e) for ra, e in rights if ra not in apart)))
         if not r.is_one():
             out.append((la, r))
+        out.extend((la, ra) for ra, e in rights if ra in apart for _ in range(e))
     ops = {}
     for name, e in opaque:
         ops[name] = (ops.get(name, 0) + e) % p

@@ -151,4 +151,4 @@ def test_every_cache_is_bounded():
         assert not unbounded, f"{path.stem} uses functools.cache"
         assert refs == len(sizes), f"{path.stem} uses lru_cache other than as a decorator"
         found.update({f"{path.stem}.{name}": size for name, size in sizes.items()})
-    assert found == {"arith._factor_cached": 1024}
+    assert found == {"arith._cofactor_primes": 1024}

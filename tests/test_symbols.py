@@ -35,6 +35,12 @@ from pgal.symbols import (
 )
 
 
+# the product of the two largest primes below 2^30
+SEMIPRIME_60 = 1073741789 * 1073741783
+# above psi_13 and passes every Miller-Rabin base, so factor raises on it
+UNFACTORED = 13268176258719549543847943
+
+
 def test_symbol_with_unit_entry_is_trivial():
     assert symbol(ind("a"), one(), 5).is_trivial_form()
 
@@ -102,13 +108,17 @@ def test_normalize_idempotent_and_order_insensitive():
 
 def _entries(p):
     """Rationals, indeterminates, roots of unity of order p, p^2, 4 and 6,
-    and products of two of them."""
+    products of two of them, and +-UNFACTORED times a rational, which factor
+    cannot split.  UNFACTORED^2 is left out: it would go to rho, which
+    spends a minute failing on it."""
     rats = st.tuples(st.sampled_from([-1, 2, -2, 3, 5, -6, 7, 10, 12, -15, 49]),
                      st.sampled_from([1, 3, 4, 5])).map(lambda nd: rat(Fraction(*nd)))
     zetas = st.sampled_from([p, p * p, 4, 6]).flatmap(
         lambda n: st.integers(1, n - 1).map(lambda e: zeta(n, e)))
     atoms = st.one_of(rats, st.sampled_from(["a", "b"]).map(ind), zetas)
-    return st.one_of(atoms, st.tuples(atoms, atoms).map(lambda xy: elem_mul(*xy)))
+    unsplit = st.tuples(st.sampled_from([UNFACTORED, -UNFACTORED]), rats).map(
+        lambda ux: elem_mul(rat(ux[0]), ux[1]))
+    return st.one_of(atoms, st.tuples(atoms, atoms).map(lambda xy: elem_mul(*xy)), unsplit)
 
 
 def _raw_doc(p, factors, opaque):
@@ -155,7 +165,8 @@ def test_a_product_is_the_canonical_form_of_its_raw_factors(case):
     assert (P.factors, P.opaque) == normalize_by_reexpansion(p, factors, opaque)
     assert normalize(P) == P
     assert P.mul(trivial(p)) == P
-    assert SymbolProduct.from_json(P.to_json()) == P
+    Q = SymbolProduct.from_json(P.to_json())
+    assert Q == P and Q._pairs == P._pairs  # equal products carry equal pairs
 
 
 def test_mul_pow_and_splitting_never_factor(monkeypatch, capsys):
@@ -393,10 +404,6 @@ def test_a_number_past_psi13_that_passes_every_base_is_an_error():
         assert not is_prime(n)
 
 
-# above PSI_13 and passes every base, so factor raises on it
-UNFACTORED = 13268176258719549543847943
-
-
 def test_an_entry_that_cannot_be_factored_is_one_atom_that_keeps_its_class():
     from pgal.arith import factor
     from pgal.errors import FactorizationFailed
@@ -416,27 +423,32 @@ def test_an_entry_that_cannot_be_factored_is_one_atom_that_keeps_its_class():
 
 
 def test_factor_results_are_memoised_in_a_bounded_cache(monkeypatch):
-    from pgal.arith import _factor_cached, factor
+    """The memo is keyed on the cofactor left by trial division and the
+    bound, and keeps failures as well as factorisations."""
+    from pgal.arith import _cofactor_primes, factor
     from pgal.errors import FactorizationFailed
 
     monkeypatch.delenv("PGAL_FACTOR_BOUND", raising=False)
-    n = 2 ** 4 * 3 * 1000003
+    big = 2 ** 61 - 1
+    n = 2 ** 4 * 3 * big
     first = factor(n)
     first[2] = 99
     del first[3]
-    before = _factor_cached.cache_info()
+    before = _cofactor_primes.cache_info()
     assert before.maxsize is not None and before.maxsize <= 1024
-    assert factor(-n) == {2: 4, 3: 1, 1000003: 1}
-    after = _factor_cached.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert factor(-n) == {2: 4, 3: 1, big: 1}
+    assert factor(5 * big) == {5: 1, big: 1}  # another integer, the same cofactor
+    after = _cofactor_primes.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
     monkeypatch.setenv("PGAL_FACTOR_BOUND", "1000")
-    assert factor(n) == {2: 4, 3: 1, 1000003: 1}
-    assert _factor_cached.cache_info().misses == after.misses + 1
-    size = _factor_cached.cache_info().currsize
-    for bad in (0, PSI_13, PSI_13):
-        with pytest.raises(FactorizationFailed):
+    assert factor(n) == {2: 4, 3: 1, big: 1}
+    assert _cofactor_primes.cache_info().misses == after.misses + 1
+    _cofactor_primes.cache_clear()
+    for bad in (0, PSI_13, 2 * PSI_13):
+        with pytest.raises(FactorizationFailed, match="cannot" if bad else "cannot factor 0"):
             factor(bad)
-    assert _factor_cached.cache_info().currsize == size
+    info = _cofactor_primes.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_a_failed_factorisation_runs_rho_once_per_request(monkeypatch, capsys):
@@ -448,6 +460,7 @@ def test_a_failed_factorisation_runs_rho_once_per_request(monkeypatch, capsys):
     from pgal.errors import FactorizationFailed
 
     monkeypatch.setenv("PGAL_FACTOR_BOUND", "100")
+    arith._cofactor_primes.cache_clear()
     calls, real = [], arith._brent_rho
     monkeypatch.setattr(arith, "_brent_rho",
                         lambda m, max_steps: calls.append(m) or real(m, max_steps))
@@ -455,33 +468,74 @@ def test_a_failed_factorisation_runs_rho_once_per_request(monkeypatch, capsys):
     assert main(["symbol", "eval", "--p", "2", "--expr", f"({N},3)", "--json"]) == 0
     assert f"(3,{N})" in capsys.readouterr().out
     assert calls == [N]
+    # the failure is memoised: factor raises its detail again without rho,
+    # and the decision raises the detail its stored atom keeps
     with pytest.raises(FactorizationFailed, match=f"could not split composite {N}"):
         arith.factor(-N)
-    # the decision meets N as a stored atom that is not prime, and rho does
-    # not run on it again
     P = symbol(rat(N), rat(3), 2)
-    calls.clear()
     with pytest.raises(FactorizationFailed, match=f"could not split composite {N}"):
         splits_over_Q(P)
-    assert calls == []
+    assert calls == [N]
 
 
-# the product of the two largest primes below 2^30
-SEMIPRIME_60 = 1073741789 * 1073741783
+def test_an_obstruct_hw_request_runs_rho_once_on_an_entry_it_cannot_factor(monkeypatch, capsys):
+    """Each entry enters n - 1 of the symbols of obstruct hw; the failure
+    memo lets rho run on the 60-bit semiprime once at bound 100."""
+    from pgal import arith
+    from pgal.cli import main
+
+    monkeypatch.setenv("PGAL_FACTOR_BOUND", "100")
+    arith._cofactor_primes.cache_clear()
+    calls, real = [], arith._brent_rho
+    monkeypatch.setattr(arith, "_brent_rho",
+                        lambda m, max_steps: calls.append(m) or real(m, max_steps))
+    N = SEMIPRIME_60
+    assert main(["obstruct", "hw", f"--q={N},2,3", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["splits_over_Q"] is None
+    assert out["canonical"] == f"(2,3)(2,{N})(3,{N})"
+    assert calls == [N]
+
+
+def test_an_atom_factor_could_not_split_stands_alone(monkeypatch):
+    """Merging such atoms would make a right entry that expands to one atom,
+    so a product rebuilt from its factors would carry other pairs."""
+    from pgal import arith
+    from pgal.errors import FactorizationFailed
+
+    monkeypatch.setenv("PGAL_FACTOR_BOUND", "100")
+    N, M = SEMIPRIME_60, 844424930132057 * 1266637395197957
+    for p in (2, 3):
+        P = symbol(rat(2), rat(N), p).mul(symbol(rat(2), rat(M), p))
+        Q = SymbolProduct.from_json(P.to_json())
+        assert [str(r) for _, r in P.factors] == [str(N), str(M)]
+        assert Q == P and Q._pairs == P._pairs
+        inverse = symbol(rat(2), rat(N), p).pow(-1)
+        assert P.mul(inverse) == Q.mul(inverse) == symbol(rat(2), rat(M), p)
+        # a power repeats the factor rather than raising N to it
+        assert P.pow(2) == SymbolProduct.from_json(P.pow(2).to_json())
+        assert P.pow(p).is_trivial_form()
+    assert [str(r) for _, r in P.pow(2).factors] == [str(N), str(N), str(M), str(M)]
+    # 2N fails as a whole; its detail names the cofactor rho could not split
+    arith._cofactor_primes.cache_clear()
+    with pytest.raises(FactorizationFailed, match=f"could not split composite {N}$"):
+        splits_over_Q(symbol(rat(2 * N), rat(3), 2))
 
 
 @pytest.mark.parametrize("argv", [
     ["obstruct", "c4", f"--a=-{2 * SEMIPRIME_60}/3", "--json"],
     ["obstruct", "twist", f"--df={6 * SEMIPRIME_60}", "--plus=(5,-3)(7,11)", "--json"],
-    # the second symbol with the entry finds it in factor's results memo
+    # the second symbol with the entry finds its cofactor in factor's memo
     ["obstruct", "twist", f"--df=-{SEMIPRIME_60}", f"--plus=(-{SEMIPRIME_60},5)", "--json"],
+    # 5N and N are different integers with the same cofactor
+    ["obstruct", "twist", f"--df={SEMIPRIME_60}/5", f"--plus=({SEMIPRIME_60},-1)", "--json"],
 ])
 def test_a_request_carrying_a_60_bit_semiprime_runs_rho_once(monkeypatch, capsys, argv):
     from pgal import arith
     from pgal.cli import main
 
     monkeypatch.delenv("PGAL_FACTOR_BOUND", raising=False)
-    arith._factor_cached.cache_clear()
+    arith._cofactor_primes.cache_clear()
     calls, real = [], arith._brent_rho
     monkeypatch.setattr(arith, "_brent_rho",
                         lambda m, max_steps: calls.append(m) or real(m, max_steps))
@@ -502,8 +556,9 @@ def test_factor_tests_each_cofactor_for_primality_once(monkeypatch):
     monkeypatch.setattr(arith, "is_prime", counting)
     monkeypatch.delenv("PGAL_FACTOR_BOUND", raising=False)
     big, small = 2 ** 61 - 1, 10 ** 9 + 7
-    # the uncached function, so that an earlier factor() cannot hide the calls
-    assert dict(arith._factor_cached.__wrapped__(big * small, arith.factor_bound())) == {
+    # an empty memo, so that an earlier factor() cannot hide the calls
+    arith._cofactor_primes.cache_clear()
+    assert dict(arith._factor(big * small, arith.factor_bound())) == {
         big: 1, small: 1}
     assert sorted(calls) == sorted([big * small, big, small])
 
@@ -520,19 +575,20 @@ def test_a_cofactor_below_the_square_of_the_stopping_prime_is_not_tested(monkeyp
     monkeypatch.setattr(arith, "is_prime", counting)
     monkeypatch.delenv("PGAL_FACTOR_BOUND", raising=False)
     # trial division stops at 13, since 13^2 > 13: every prime below 13 was tried
-    assert arith._factor_cached.__wrapped__(7 * 11 * 13, arith.factor_bound()) == (
+    arith._cofactor_primes.cache_clear()
+    assert arith._factor(7 * 11 * 13, arith.factor_bound()) == (
         (7, 1), (11, 1), (13, 1))
     # after the last trial prime, 1031 < 1021^2 is prime too
-    assert arith._factor_cached.__wrapped__(1021 * 1031, 2 ** 11) == ((1021, 1), (1031, 1))
+    assert arith._factor(1021 * 1031, 2 ** 11) == ((1021, 1), (1031, 1))
     assert calls == []
     # a stop at d > bound proves nothing: 143 = 11 * 13 goes to is_prime and rho
-    assert arith._factor_cached.__wrapped__(11 * 13, 7) == ((11, 1), (13, 1))
+    assert arith._factor(11 * 13, 7) == ((11, 1), (13, 1))
     assert calls[0] == 143
 
 
 def _wheel_factor(n, bound):
     """The one-candidate-at-a-time wheel loop and rho stack that
-    arith._factor_cached ran before its chunked scan."""
+    arith._factor ran before its chunked scan."""
     from pgal import arith
     from pgal.errors import FactorizationFailed
 
@@ -592,7 +648,7 @@ def test_chunked_trial_division_agrees_with_the_wheel_loop():
     pairs += [(PSI_13, 10 ** 6), (0, 10 ** 6)]
     for n, bound in pairs:
         want = outcome(_wheel_factor, n, bound)
-        assert outcome(arith._factor_cached.__wrapped__, n, bound) == want, (n, bound)
+        assert outcome(arith._factor, n, bound) == want, (n, bound)
 
 
 # primes below 2^10, just above it, at the old scan's chunk edges and near
@@ -620,7 +676,7 @@ def test_trial_division_below_2_10_and_rho_agree_with_the_wheel_loop(small, larg
     except FactorizationFailed:
         want = "failed"
     try:
-        got = arith._factor_cached.__wrapped__(n, bound)
+        got = arith._factor(n, bound)
     except FactorizationFailed:
         assert want == "failed", (n, bound)
         return
