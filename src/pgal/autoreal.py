@@ -12,7 +12,7 @@ import json
 from importlib import resources
 from typing import TYPE_CHECKING
 
-from .errors import BadParams, TooLarge, UnknownFamily, UnknownSpec
+from .errors import BadParams, TooLarge, UnknownFamily, UnknownSpec, check_digits
 from .records import FrozenRecord, Record
 
 if TYPE_CHECKING:
@@ -23,7 +23,6 @@ if TYPE_CHECKING:
 # parse specs or build groups, so that multiplicity_bound runs without them
 
 QUOTIENT_EDGE_MAX_ORDER = 64
-BOUND_MAX_DIGITS = 4300  # Python's default limit on printing an int in decimal
 
 
 class Edge(FrozenRecord):
@@ -213,16 +212,12 @@ def gen_count_necessary(src: str, dst: str, graph: RealizationGraph | None = Non
 
 def multiplicity_bound(p: int, n: int, k: int) -> MultiplicityBound:
     """Lower bound p^k on the realization multiplicity of F_p[G]^k x| G, for
-    a p^k of at most BOUND_MAX_DIGITS decimal digits."""
+    a p^k of at most MAX_DIGITS decimal digits."""
     if p == 2 and n < 2:
         raise BadParams("need n >= 2 when p = 2")
     if n < 1 or k < 0:
         raise BadParams("need n >= 1 and k >= 0")
-    # |p|^k >= 2^(k (b - 1)), b the bit length of p: that refuses a huge p^k
-    # before it is formed, and one below about 2^28600 is formed and compared
-    limit = 10 ** BOUND_MAX_DIGITS
-    if k * (abs(p).bit_length() - 1) >= limit.bit_length() or abs(p) ** k >= limit:
-        raise BadParams(f"p^k has more than {BOUND_MAX_DIGITS} decimal digits")
+    check_digits(abs(p), k, "p^k")
     spec = f"(F_{p}[Z/{p}^{n}Z])^{k} x| Z/{p}^{n}Z"
     return MultiplicityBound(spec, k, p ** k)
 

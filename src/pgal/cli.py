@@ -299,7 +299,7 @@ def _cmd_schultz(args) -> int:
     nd = fpm.NormData(args.p, args.n, dict(enumerate(dims, start=1)), ikk,
                       args.finite == "true")
     ok = fpm.solvable(A, nd)
-    deltas = [fpm.delta(A, i) for i in range(1, top + 2)]
+    deltas = fpm.deltas(A)[1:]
     payload = {"solvable": ok, "deltas": deltas, "count": None}
     lines = [f"solvable: {ok}", f"deltas: {deltas}"]
     if ok:

@@ -28,10 +28,9 @@ from .errors import (
     QuotientConditionFails,
     RelationInconsistent,
     TargetMismatch,
-    TooLarge,
+    check_order,
 )
 from .groups import (
-    MAX_ORDER,
     Group,
     GroupHom,
     Subgroup,
@@ -184,8 +183,7 @@ def extension_of_cocycle(f: Cocycle2) -> ExtensionClass:
     """Group on pairs (zeta-exponent, base element) with twisted multiplication."""
     G, p = f.group, f.p
     n = G.order
-    if p * n > MAX_ORDER:
-        raise TooLarge(f"extension order {p * n} exceeds cap {MAX_ORDER}")
+    check_order(p * n)
     if not is_cocycle_table(G, p, f.values):
         raise NotACocycle("input fails the cocycle identity")
     # (i, x)(j, y) = (i + j + f(x, y), xy), numbered i n + x; built in int16

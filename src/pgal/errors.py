@@ -1,10 +1,12 @@
 """Exception hierarchy: every domain error carries a stable machine-readable code.
 
-MAX_ORDER, the cap on group orders that the size errors name, and its check
-live here too, so a spec or a module can be refused without importing numpy.
+MAX_ORDER, the cap on group orders that the size errors name, MAX_DIGITS, the
+cap on the integers pgal prints, and their checks live here too, so a spec
+or a module can be refused without importing numpy.
 """
 
 MAX_ORDER = 4096  # the largest group order pgal builds a table for
+MAX_DIGITS = 4300  # Python's default limit on printing an int in decimal
 
 
 def check_order(p: int, e: int = 1) -> None:
@@ -17,6 +19,16 @@ def check_order(p: int, e: int = 1) -> None:
         return
     order = f"{p}^{e}" if e > 1 and e * p.bit_length() > 4096 else p ** e
     raise OrderTooLarge(f"order {order} exceeds cap {MAX_ORDER}")
+
+
+def check_digits(p: int, e: int, what: str) -> None:
+    """Raise BadParams unless p^e (p, e >= 0) has at most MAX_DIGITS decimal
+    digits.  p^e >= 2^(e (b - 1)), b the bit length of p, so a huge p^e is
+    refused before it is formed, and one below about 2^28600 is formed and
+    compared."""
+    limit = 10 ** MAX_DIGITS
+    if e * (p.bit_length() - 1) >= limit.bit_length() or p ** e >= limit:
+        raise BadParams(f"{what} has more than {MAX_DIGITS} decimal digits")
 
 
 class PgalError(Exception):

@@ -5,7 +5,7 @@ problems, including exact p-binomial coefficients.
 
 from __future__ import annotations
 
-from .errors import BadIndex, Mismatch, NotSolvable, check_order
+from .errors import BadIndex, Mismatch, NotSolvable, check_digits, check_order
 from .records import Record
 
 
@@ -61,9 +61,11 @@ def delta(A: FpGModule, i: int) -> int:
 
 
 def p_binomial(n: int, m: int, p: int) -> int:
-    """Gaussian binomial at q = p; zero when m < 0 or m > n, exact integer otherwise."""
+    """Gaussian binomial at q = p; zero when m < 0 or m > n, exact integer
+    otherwise, in min(m, n - m) steps, as [n, m] = [n, n - m]."""
     if m < 0 or m > n:
         return 0
+    m = min(m, n - m)
     num = 1
     den = 1
     for t in range(m):
@@ -128,7 +130,7 @@ def _level(i: int, p: int) -> int:
     return s
 
 
-def _deltas(A: FpGModule) -> list:
+def deltas(A: FpGModule) -> list:
     """[0, Delta(A_{1}), ..., Delta(A_{p^n + 1})], by one suffix sum."""
     top = A.p ** A.n
     out = [0] * (top + 2)
@@ -143,8 +145,8 @@ def solvable(A: FpGModule, nd: NormData) -> bool:
     """Delta(A_{i}) <= D_{i} for every i in 1..p^n."""
     if (A.p, A.n) != (nd.p, nd.n):
         raise Mismatch("module and norm data have different (p, n)")
-    deltas = _deltas(A)
-    return all(deltas[i] <= nd.dims[i] for i in range(1, len(deltas) - 1))
+    tail = deltas(A)
+    return all(tail[i] <= nd.dims[i] for i in range(1, len(tail) - 1))
 
 
 def count_solutions(A: FpGModule, nd: NormData):
@@ -152,7 +154,11 @@ def count_solutions(A: FpGModule, nd: NormData):
 
     Evaluates the counting product, with the sum over j < i in the exponent
     carried from one i to the next; the indicator at i = p^(i(K/k)) + 1 is
-    taken as false when the invariant is -infinity.
+    taken as false when the invariant is -infinity.  A count of more than
+    MAX_DIGITS decimal digits is BadParams: each p-binomial [n, m] lies
+    between p^(m(n-m)) and 4 p^(m(n-m)), so the count is at least p^E, E the
+    sum of those exponents and of the powers of p, and a p^E past the limit
+    is refused before any factor is formed.
     """
     if not solvable(A, nd):
         raise NotSolvable("the embedding problem is not solvable")
@@ -161,19 +167,28 @@ def count_solutions(A: FpGModule, nd: NormData):
     p = A.p
     top = p ** A.n
     marker = None if nd.i_invariant is None else p ** nd.i_invariant + 1
-    deltas = _deltas(A)
-    total = 1
+    tail = deltas(A)
+    factors, E = [], 0
     carried = 0  # sum over j < i of D_j - Delta(A_j)
     for i in range(1, top + 1):
-        d_i = A.d.get(i, 0)
         ind = 1 if marker == i else 0
-        topval = nd.dims[i] - deltas[i + 1] - ind
-        botval = deltas[i] - deltas[i + 1]
-        total *= p_binomial(topval, botval, p)
+        topval = nd.dims[i] - tail[i + 1] - ind
+        botval = tail[i] - tail[i + 1]
+        if not 0 <= botval <= topval:
+            # a zero factor; it comes first where carried = 0 below would
+            # give a negative power, as that forces D = Delta at the marker
+            return 0
         # at i = top the indicator of j = marker < i enters the exponent too
         ind_j = 1 if (i == top and marker is not None and marker < i) else 0
-        total *= p ** (d_i * (carried - ind_j))
-        carried += nd.dims[i] - deltas[i]
+        power = A.d.get(i, 0) * (carried - ind_j)
+        factors.append((topval, botval, power))
+        E += botval * (topval - botval) + power
+        carried += nd.dims[i] - tail[i]
+    check_digits(p, E, "the solution count")
+    total = 1
+    for topval, botval, power in factors:
+        total *= p_binomial(topval, botval, p) * p ** power
+    check_digits(total, 1, "the solution count")
     return total
 
 

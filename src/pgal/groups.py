@@ -27,6 +27,7 @@ from .errors import (
     RelationInconsistent,
     TargetMismatch,
     TooLarge,
+    check_order,
 )
 from .records import FrozenRecord, Record
 
@@ -160,8 +161,7 @@ class Group:
                else np.asarray(table, dtype=np.int16))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise RelationInconsistent("table must be square")
-        if arr.shape[0] > MAX_ORDER:
-            raise RelationInconsistent(f"order {arr.shape[0]} exceeds cap {MAX_ORDER}")
+        check_order(arr.shape[0])
         if check:
             if arr.size and (arr.min() < 0 or arr.max() >= arr.shape[0]):
                 raise RelationInconsistent("table entries out of range")
@@ -509,8 +509,7 @@ def direct_product(G1: Group, G2: Group, name: str = "") -> Group:
     as the product of two groups.  It has a pc presentation when both
     factors have one."""
     n1, n2 = G1.order, G2.order
-    if n1 * n2 > MAX_ORDER:
-        raise TooLarge(f"product order {n1 * n2} exceeds cap {MAX_ORDER}")
+    check_order(n1 * n2)
     T = (G1.np_table[:, None, :, None] * n2 + G2.np_table[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     gens = [(n, i * n2) for n, i in G1.generators]
     used = {n for n, _ in gens}
@@ -541,8 +540,7 @@ def pullback(G1: Group, G2: Group, f1: GroupHom, f2: GroupHom) -> tuple[Group, G
     m = len(xs)
     if m * f1.target.order != G1.order * G2.order:
         raise RelationInconsistent("pullback order law |G1||G2|/|F| violated")
-    if m > MAX_ORDER:
-        raise TooLarge(f"pullback order {m} exceeds cap {MAX_ORDER}")
+    check_order(m)
     lookup = np.full((G1.order, G2.order), -1, dtype=np.int16)
     lookup[xs, ys] = np.arange(m)
     T = lookup[G1.np_table[np.ix_(xs, xs)], G2.np_table[np.ix_(ys, ys)]]

@@ -17,13 +17,15 @@ in H; then for h, h' in H
 That is a group exactly when Hoelder's three conditions hold.  A word
 {pos: a} at level i is a normal form, the x_pos^a in increasing pos with
 i < pos < k and 0 <= a < e_pos (PcPresentation.of checks it), so its
-element is its mixed-radix index.  pc_table walks each level (_walk) and
-checks Hoelder's conditions on it; PcTails, given a pc group (a Group built
-from a presentation and its pc_table), reads its z-parts off the walk's
-steps.  The tails of a presentation (ch. 8 and 9.4) extend it by a central
-z of order p, placed last, with a tail z^(t_r) on each of its
-m = k + k(k-1)/2 relations: the power tails of x_0 .. x_{k-1}, then the
-conjugate tails of the pairs i < j in lexicographic order.
+element is its mixed-radix index.  pc_table walks each level (_walk),
+checks Hoelder's conditions on it and fills it by the level formula
+(_fill); PcTails, given a pc group (a Group built from a presentation and
+its pc_table), reads its z-parts off the walk's steps and fills its z-forms
+and classes by the same _fill.  The tails of a presentation (ch. 8 and
+9.4) extend it by a central z of order p, placed last, with a tail z^(t_r)
+on each of its m = k + k(k-1)/2 relations: the power tails of
+x_0 .. x_{k-1}, then the conjugate tails of the pairs i < j in
+lexicographic order.
 """
 
 from __future__ import annotations
@@ -37,9 +39,6 @@ import numpy as np
 from .errors import BadParams, NotPGroup, RelationInconsistent
 from .groups import BLOCK_ENTRIES, Group, central_step, is_multiplicative, is_p_group
 from .linalg import GFMatrix
-
-# entries of one row block of the z-forms a level is built in
-_TAIL_BLOCK = 1 << 21
 
 
 class PcPresentation(NamedTuple):
@@ -113,6 +112,34 @@ def _walk(T, pc: PcPresentation, gen, i: int):
     return w, steps, phi, below
 
 
+def _fill(T, X, e, w, P, add) -> np.ndarray:
+    """The level formula on G_i = <x> H, H of table T, for X on H x H (T
+    itself, or z-forms with a trailing axis), with P[b] = phi^b:
+
+        out[x^a h, x^b h'] = X[w^u phi^b(h), h'] + add,  u = [a+b >= e].
+
+    w^u is w or 1, so the row w^u phi^b(h) is Q[k, h], k = b + e u, with Q
+    the rows of P and then of w P.  Built in row blocks of about
+    BLOCK_ENTRIES entries, gathered straight into the output (mode="clip"
+    lets take write there); add(blk, s, h, k), s = a + b and h a column,
+    then adds the caller's part to a block in place.  The indices are int16,
+    as each is below 2 |G_i| <= 2 MAX_ORDER."""
+    nH = T.shape[0]
+    n = e * nH
+    out = np.empty((n, n) + X.shape[2:], dtype=X.dtype)
+    b, Q = np.arange(e, dtype=np.int16), np.concatenate([P, T[w][P]])
+    be = b + e
+    step = max(1, BLOCK_ENTRIES // out[0].size)
+    for r0 in range(0, n, step):
+        a, h = np.divmod(np.arange(r0, min(n, r0 + step), dtype=np.int16)[:, None], nH)
+        s = a + b
+        k = np.where(s >= e, be, b)
+        blk = out[r0:r0 + len(a)].reshape((len(a), e) + X.shape[1:])
+        np.take(X, Q[k, h], axis=0, out=blk, mode="clip")
+        add(blk, s, h, k)
+    return out
+
+
 def pc_table(pc: PcPresentation) -> np.ndarray:
     """The int16 multiplication table of a presentation, by the level
     formula, or RelationInconsistent where Hoelder's conditions fail."""
@@ -127,22 +154,8 @@ def pc_table(pc: PcPresentation) -> np.ndarray:
         while c < e:
             P[c:2 * c] = phi_c[P[:min(c, e - c)]]
             c, phi_c = 2 * c, phi_c[phi_c]
-        # fill the level in blocks of a of about BLOCK_ENTRIES entries (one
-        # block for a small level), so that no index array of a large level
-        # approaches the size of the new table; mode="clip" lets take write
-        # straight into it.  s = a + b < 2e, the offsets s % e * m < e m and
-        # the rows w or 0 all fit in int16, so they are formed there and the
-        # offsets are added without a cast
-        out = np.empty((e, m, e, m), dtype=np.int16)
-        b, w = np.arange(e, dtype=np.int16), np.int16(w)
-        step = max(1, BLOCK_ENTRIES // (e * m * m))
-        for a0 in range(0, e, step):
-            s = np.arange(a0, min(a0 + step, e), dtype=np.int16)[:, None] + b  # a + b
-            R = T[np.where(s >= e, w, 0)[:, None, :], P.T[None]]
-            blk = out[a0:a0 + len(s)]
-            np.take(T, R, axis=0, out=blk, mode="clip")
-            blk += (s % e * m)[:, None, :, None]
-        T = out.reshape(e * m, e * m)
+        # x^((a+b) mod e) is the offset ((a+b) mod e) m
+        T = _fill(T, T, e, w, P, lambda blk, s, h, k: np.add(blk, (s % e * m)[:, :, None], out=blk))
     return T
 
 
@@ -233,9 +246,10 @@ class PcTails:
     (i, j) by a_j, each less the a_l of the letters of its word.  So
     dim H^2 = dim V - rank delta.
 
-    The z-forms stop at G_1: level 0 only adds rows, and a class is built on
-    demand from the kept level-1 forms (`cocycle`), its values in G's own
-    numbering, as E's table would give them in T_E[::p, ::p] % p.
+    The solve keeps, for each level, what builds a class from the last level
+    up (`cocycle`): H's table, e, w, omega, P and PS, about e n_H m entries;
+    the z-forms themselves are dropped with the solve.  A class's values are
+    in G's own numbering, as E's table would give them in T_E[::p, ::p] % p.
     """
 
     def __init__(self, group: Group, p: int):
@@ -254,6 +268,7 @@ class PcTails:
         delta[range(k), range(k)] = rel
         delta[[j for _, j in pairs], range(k, m)] = 1
         L = np.zeros((1, 1, m), dtype=dtype)  # the z-forms on G_k = 1
+        self.levels = []
         for i in reversed(range(k)):
             nH = L.shape[0]
             T = table[:nH, :nH]
@@ -273,7 +288,7 @@ class PcTails:
                 np.cumsum(z(g_steps, col[i, j]) + L[pw[:-1], g], axis=0, out=pwz[1:])
                 psi = (pwz[:, None] + psi[None] + L[pw[:, None], phi_j[None]]).reshape(-1, m) % p
             e = rel[i]
-            P = np.empty((e + 1, nH), dtype=np.int64)  # P[b] = phi^b
+            P = np.empty((e + 1, nH), dtype=np.int16)  # P[b] = phi^b
             PS = np.empty((e + 1, nH, m), dtype=np.int64)  # PS[b] = sum_{r<b} psi phi^r
             P[0], PS[0] = np.arange(nH), 0
             for b in range(1, e + 1):
@@ -282,58 +297,37 @@ class PcTails:
                 self.eq.add_rows(L[:, s] + psi[T[:, s]] - psi - psi[s] - L[phi, phi[s]])
                 self.eq.add_rows((PS[e, s] + L[w, P[e, s]] - L[s, w])[None])
             self.eq.add_rows(psi[w][None])
-            level = (T, L, e, w, omega, P[:e], PS[:e])
+            self.levels.append((T, e, w, omega, P[:e], PS[:e]))
             if i:
-                L = _tail_level(*level, p, dtype)
-        self.level0 = level if k else None
+                L = _tail_level(T, L, e, w, omega, P[:e], PS[:e], p)
         comp = GFMatrix(m, p)
         comp.add_rows(delta % p)
         kept = [v for v in self.eq.nullspace() if comp.add_rows(v[None])]
         self.basis = np.array(kept, dtype=np.int64).reshape(len(kept), m)
 
     def cocycle(self, t) -> np.ndarray:
-        """The factor set of E for tails t in V, on G's numbering: one
-        contraction of the level-1 z-forms with t (in int32 while that holds
-        m (p-1)^2, else int64) and one level-0 build."""
+        """The factor set of E for tails t in V, on G's numbering: the level
+        formula from the last level up with m = 1, on omega t and PS t."""
         p, t = self.p, np.asarray(t, dtype=np.int64) % self.p
-        if self.level0 is None:
-            return np.zeros((1, 1), dtype=np.int64)
-        T, L, e, w, omega, P, PS = self.level0
-        nH = L.shape[0]
-        acc = np.int32 if self.m * (p - 1) ** 2 < 2 ** 31 else np.int64
-        Z = np.empty((nH, nH), dtype=acc)
-        step = max(1, _TAIL_BLOCK // (nH * self.m))
-        for r0 in range(0, nH, step):
-            np.einsum("xyr,r->xy", L[r0:r0 + step], t.astype(acc), out=Z[r0:r0 + step])
-        Z %= p
-        f = _tail_level(T, Z.astype(self.dtype)[..., None], e, w, (omega @ t % p)[None], P,
-                        (PS @ t % p)[..., None], p, self.dtype)
-        return f[:, :, 0]
+        f = np.zeros((1, 1), dtype=self.dtype)
+        for T, e, w, omega, P, PS in self.levels:
+            f = _tail_level(T, f, e, w, omega @ t % p, P, PS @ t % p, p)
+        return f
 
 
-def _tail_level(T, L, e, w, omega, P, PS, p, dtype) -> np.ndarray:
+def _tail_level(T, L, e, w, omega, P, PS, p) -> np.ndarray:
     """The z-forms on G_i = <x> H from those on H (PcTails), by the level
     formula with w = x^e z^omega and x^-1 h x = phi(h) z^psi(h):
 
         f(x^a h, x^b h') = u (omega + f(w, phi^b h)) + PS[b, h] + f(w^u phi^b h, h'),
 
     u = [a+b >= e] and PS[b, h] = psi(h) + psi(phi h) + ... + psi(phi^(b-1) h).
-    Built in row blocks of at most _TAIL_BLOCK entries: the last term is
-    gathered straight into the output, and the rest, reduced mod p, added
-    to it, so one subtraction of p reduces the sum."""
-    nH, m = L.shape[0], L.shape[2]
-    n = e * nH
-    rest = (np.concatenate([PS, PS + omega + L[w][P]]) % p).astype(dtype).reshape(-1, m)
-    Tw = T[w]
-    out = np.empty((n, n, m), dtype=dtype)
-    b = np.arange(e)
-    step = max(1, _TAIL_BLOCK // (n * m))
-    for r0 in range(0, n, step):
-        a, h = np.divmod(np.arange(r0, min(n, r0 + step)), nH)
-        u = a[:, None] + b >= e
-        ph = P[:, h].T
-        blk = out[r0:r0 + len(a)].reshape(len(a), e, nH, m)
-        np.take(L, np.where(u, Tw[ph], ph), axis=0, out=blk, mode="clip")
-        blk += rest[(u * e + b) * nH + h[:, None]][:, :, None]
+    The last term is _fill's gather, and the rest, reduced mod p and indexed
+    as _fill's Q, is added to each block, so one subtraction of p reduces the
+    sum there."""
+    rest = (np.concatenate([PS, PS + omega + L[w][P]]) % p).astype(L.dtype)
+
+    def add(blk, s, h, k):
+        blk += rest[k, h][:, :, None]
         np.subtract(blk, p, out=blk, where=blk >= p)
-    return out
+    return _fill(T, L, e, w, P, add)

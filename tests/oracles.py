@@ -13,6 +13,9 @@
   onto C2;
 - `pc_table_sixteen_blocks`: pc_table filling each level in min(e, 16)
   blocks, with phi^t built one power at a time;
+- `contraction_cocycle`: PcTails' class build as it was, one contraction of
+  the level-1 z-forms of every tail with t and one level-0 fill, the forms
+  built level by level by its own walk;
 - `trial_primes_by_division`: arith's trial primes as a comprehension
   that trial-divides each candidate;
 - `normalize_by_reexpansion`: symbols.normalize as it was before a symbol
@@ -251,6 +254,78 @@ def pc_table_sixteen_blocks(pc):
             blk += (s % e * m).astype(np.int16)[:, None, :, None]
         T = out.reshape(e * m, e * m)
     return T
+
+
+def contraction_cocycle(G, p):
+    """t -> the class of the tails t of the pc group G at p: the z-forms of
+    all m tails are built level by level down to G_1, each level in row
+    blocks of 2^21 entries (_tail_level_by_blocks), then contracted with t,
+    and level 0 is built on the contraction."""
+    pc, table = G.pc, G.np_table
+    rel, k = pc.rel_orders, len(pc.rel_orders)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    m = k + len(pairs)
+    col = {pair: k + c for c, pair in enumerate(pairs)}
+    gen, unit = generator_indices(rel), np.eye(m, dtype=np.int64)
+    L = np.zeros((1, 1, m), dtype=np.int64)  # the z-forms on G_k = 1
+    level0 = None
+    for i in reversed(range(k)):
+        nH = L.shape[0]
+        T = table[:nH, :nH]
+
+        def z(steps, tail):
+            out = unit[tail].copy()
+            for r, pos in steps:
+                out += L[r, gen[pos]]
+            return out
+
+        w, steps, phi, below = _walk(T, pc, gen, i)
+        omega, psi = z(steps, i) % p, np.zeros((1, m), dtype=np.int64)
+        for j, g, g_steps, pw, phi_j in below:
+            pwz = np.zeros((len(pw), m), dtype=np.int64)
+            np.cumsum(z(g_steps, col[i, j]) + L[pw[:-1], g], axis=0, out=pwz[1:])
+            psi = (pwz[:, None] + psi[None] + L[pw[:, None], phi_j[None]]).reshape(-1, m) % p
+        e = rel[i]
+        P = np.empty((e, nH), dtype=np.int64)
+        PS = np.empty((e, nH, m), dtype=np.int64)
+        P[0], PS[0] = np.arange(nH), 0
+        for b in range(1, e):
+            P[b], PS[b] = phi[P[b - 1]], (PS[b - 1] + psi[P[b - 1]]) % p
+        level0 = (T, L, e, w, omega, P, PS)
+        if i:
+            L = _tail_level_by_blocks(T, L, e, w, omega, P, PS, p)
+
+    def cocycle(t):
+        t = np.asarray(t, dtype=np.int64) % p
+        if level0 is None:
+            return np.zeros((1, 1), dtype=np.int64)
+        T, L, e, w, omega, P, PS = level0
+        Z = np.einsum("xyr,r->xy", L, t) % p
+        return _tail_level_by_blocks(T, Z[..., None], e, w, (omega @ t % p)[None], P,
+                                     (PS @ t % p)[..., None], p)[:, :, 0]
+    return cocycle
+
+
+def _tail_level_by_blocks(T, L, e, w, omega, P, PS, p):
+    """The z-forms on G_i = <x> H from those on H, by the level formula
+    f(x^a h, x^b h') = u (omega + f(w, phi^b h)) + PS[b, h] + f(w^u phi^b h, h'),
+    u = [a+b >= e], in row blocks of at most 2^21 entries."""
+    nH, m = L.shape[0], L.shape[2]
+    n = e * nH
+    rest = (np.concatenate([PS, PS + omega + L[w][P]]) % p).reshape(-1, m)
+    Tw = T[w]
+    out = np.empty((n, n, m), dtype=np.int64)
+    b = np.arange(e)
+    step = max(1, (1 << 21) // (n * m))
+    for r0 in range(0, n, step):
+        a, h = np.divmod(np.arange(r0, min(n, r0 + step)), nH)
+        u = a[:, None] + b >= e
+        ph = P[:, h].T
+        blk = out[r0:r0 + len(a)].reshape(len(a), e, nH, m)
+        np.take(L, np.where(u, Tw[ph], ph), axis=0, out=blk, mode="clip")
+        blk += rest[(u * e + b) * nH + h[:, None]][:, :, None]
+        np.subtract(blk, p, out=blk, where=blk >= p)
+    return out
 
 
 def trial_primes_by_division():

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +131,26 @@ def test_schultz_infinite(capsys):
     code, doc = run_json(capsys, "schultz", "solve", "--p", "3", "--n", "1",
                          "--summands", "3", "--dims", "2,2,2", "--ikk", "0",
                          "--finite", "false", "--json")
+    assert doc["count"] == "infinite"
+
+
+@pytest.mark.parametrize("summands,dims", [("4", "1,1,1,1"), ("3,4", "2,2,2,2")])
+def test_a_zero_schultz_count_prints_as_an_integer(capsys, summands, dims):
+    # carried = 0 at i = p^n made p^-1 a factor, and the count printed 0.0
+    code, out = run(capsys, "schultz", "solve", "--p", "2", "--n", "2", "--summands", summands,
+                    "--dims", dims, "--ikk", "0", "--finite", "true", "--json")
+    deltas = {"4": "[1, 1, 1, 1, 0]", "3,4": "[2, 2, 2, 1, 0]"}[summands]
+    assert (code, out) == (0, f'{{"count": 0, "deltas": {deltas}, "solvable": true}}\n')
+
+
+def test_schultz_deltas_at_p_n_4096_are_one_suffix_sum(capsys):
+    """4096 distinct lengths; one delta per i took 0.7 s."""
+    t0 = time.perf_counter()
+    code, doc = run_json(capsys, "schultz", "solve", "--p", "2", "--n", "12",
+                         "--summands", ",".join(map(str, range(1, 4097))),
+                         "--dims", ",".join(["4096"] * 4096), "--finite", "false", "--json")
+    assert time.perf_counter() - t0 < 0.1
+    assert code == 0 and doc["deltas"] == list(range(4096, -1, -1))
     assert doc["count"] == "infinite"
 
 
@@ -299,6 +320,17 @@ def test_human_output_default(capsys):
      "more than 4300 decimal digits"),
     (["schultz", "solve", "--p", "3", "--n", "100000000", "--summands", "1", "--dims", "1"], {},
      "OrderTooLarge", "order 3^100000000 exceeds cap 4096"),
+    # solution counts past the int-to-str limit ended in its traceback; the
+    # first is refused before the count is formed
+    (["schultz", "solve", "--p", "2", "--n", "1", "--summands", "2", "--dims", "100000,100000"],
+     {}, "BadParams", "the solution count has more than 4300 decimal digits"),
+    (["schultz", "solve", "--p", "2", "--n", "6", "--summands", ",".join(map(str, range(1, 65))),
+      "--dims", ",".join(["64"] * 64)], {}, "BadParams",
+     "the solution count has more than 4300 decimal digits"),
+    # one order cap, one refusal: products, pullbacks and extensions above it
+    # were TooLarge, and an outside table RelationInconsistent
+    (["groups", "build", "--spec", "D:64*C:128"], {}, "OrderTooLarge",
+     "order 8192 exceeds cap 4096"),
 ])
 def test_bad_input_gives_the_error_document(tmp_path, capsys, argv, files, code, named):
     for name, text in files.items():
@@ -611,6 +643,35 @@ def cocycle_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "c.json"
     path.write_text('{"p": 2, "values": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}')
     return str(path)
+
+
+@st.composite
+def _schultz_argv(draw):
+    """A schultz request with one dimension per ceil(log_p) block, some large."""
+    p, n = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2]))
+    top = p ** n
+    lengths = draw(st.lists(st.integers(1, top), min_size=1, max_size=8))
+    levels = draw(st.lists(st.sampled_from([0, 1, 2, 10 ** 3, 10 ** 5]),
+                           min_size=n + 1, max_size=n + 1))
+    dims = [levels[next(s for s in range(n + 1) if p ** s >= i)] for i in range(1, top + 1)]
+    ikk = draw(st.sampled_from(["-inf"] + [str(j) for j in range(n)]))
+    return ["schultz", "solve", "--p", str(p), "--n", str(n),
+            "--summands", ",".join(map(str, lengths)), "--dims", ",".join(map(str, dims)),
+            f"--ikk={ikk}", "--finite", draw(st.sampled_from(["true", "false"])), "--json"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schultz_argv())
+def test_a_schultz_count_is_printed_or_refused(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1), argv
+    doc = json.loads(out.getvalue())
+    if code == 1:
+        assert set(doc) == {"error", "detail"}, argv
+    elif isinstance(doc["count"], int):
+        assert len(str(doc["count"])) <= 4300, argv
 
 
 @settings(max_examples=300, deadline=None)

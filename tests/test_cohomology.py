@@ -537,10 +537,10 @@ def test_error_paths():
         IdentityElement,
         KernelNotPrime,
         NotACocycle,
+        OrderTooLarge,
         PrimeMismatch,
         QuotientConditionFails,
         TargetMismatch,
-        TooLarge,
     )
 
     G = build_group("D:8")
@@ -608,7 +608,7 @@ def test_error_paths():
     D128 = build_group("D:128")
     assert h2_enumerate(Group(D128.np_table, D128.generators), 2).dimension == 3
     # the extension is still built as a table, under the cap
-    with pytest.raises(TooLarge, match="extension order 5120 exceeds cap 4096"):
+    with pytest.raises(OrderTooLarge, match="order 5120 exceeds cap 4096"):
         extension_of_cocycle(h2_enumerate(C1024, 5).representatives[0])
 
 

@@ -28,7 +28,7 @@ from pgal.cohomology import (
     power_commutator_data,
     raise_lower,
 )
-from pgal.errors import RelationInconsistent, TargetMismatch, TooLarge
+from pgal.errors import OrderTooLarge, RelationInconsistent, TargetMismatch
 from pgal.groups import (
     Group,
     GroupHom,
@@ -111,7 +111,7 @@ def _loop_index2(G):
 def _loop_pullback(G1, G2, f1, f2):
     """The pairs by a double loop, numbered through a dict."""
     if G1.order * G2.order > 4096 * f1.target.order:
-        raise TooLarge("pullback too large")
+        raise OrderTooLarge("pullback too large")
     pairs = [(x, y) for x in range(G1.order) for y in range(G2.order) if f1(x) == f2(y)]
     code = {(x, y): i for i, (x, y) in enumerate(pairs)}
     xs = np.array([x for x, _ in pairs])
@@ -215,8 +215,8 @@ def test_pullback_agrees_with_the_pair_loop():
         _, proj = quotient(G, G.center())
         try:
             want = _loop_pullback(G, G, proj, proj)
-        except TooLarge:
-            with pytest.raises(TooLarge):
+        except OrderTooLarge:
+            with pytest.raises(OrderTooLarge):
                 pullback(G, G, proj, proj)
             continue
         P, p1, p2 = pullback(G, G, proj, proj)

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from pgal.errors import BadIndex, Mismatch, NotSolvable, OrderTooLarge
+from pgal.errors import BadIndex, BadParams, Mismatch, NotSolvable, OrderTooLarge
 from pgal.fpmodules import (
     INFINITE,
     FpGModule,
     NormData,
     count_solutions,
     delta,
+    deltas,
     ei_solvability,
     mss_quotient,
     p_binomial,
@@ -21,6 +22,17 @@ from pgal.fpmodules import (
 def test_delta_paper_example():
     A = FpGModule(3, 1, {3: 1})
     assert [delta(A, i) for i in (1, 2, 3, 4)] == [1, 1, 1, 0]
+
+
+def test_deltas_is_the_list_of_every_delta():
+    rng = random.Random(29)
+    cases = [(p, n) for p in (2, 3, 5, 7, 11, 13, 31, 61) for n in range(1, 7) if p ** n <= 64]
+    for p, n in cases:
+        top = p ** n
+        for _ in range(3):
+            A = FpGModule(p, n, {rng.randint(1, top): rng.randint(1, 3)
+                                 for _ in range(rng.randint(0, 6))})
+            assert deltas(A) == [0] + [delta(A, i) for i in range(1, top + 2)], (p, n, A.d)
 
 
 def test_delta_zero_module_and_sums():
@@ -38,6 +50,19 @@ def test_p_binomial_piecewise_and_values():
     assert p_binomial(2, 1, 2) == 3
     assert p_binomial(3, 2, 3) == 13
     assert p_binomial(5, 0, 7) == 1
+
+
+def test_p_binomial_takes_the_shorter_side():
+    """A count with many summands of one length forms [D, D] at that length:
+    10^5 steps on numbers of up to 10^5 bits each, where one would do."""
+    import time
+
+    start = time.perf_counter()
+    assert p_binomial(10 ** 5, 10 ** 5, 2) == 1
+    assert p_binomial(10 ** 5, 10 ** 5 - 1, 3) == (3 ** 10 ** 5 - 1) // 2
+    A = FpGModule(2, 1, {1: 20000})
+    assert count_solutions(A, NormData.from_levels(2, 1, [20000, 0])) == 1
+    assert time.perf_counter() - start < 0.5
 
 
 def test_p_binomial_pascal_oracle():
@@ -168,20 +193,32 @@ def test_count_solutions_agrees_with_the_double_loop():
                            [rng.randint(0, delta(A, 1) + 2) for _ in range(n + 1)]):
                 for inv in [None] + list(range(n)):
                     nd = NormData.from_levels(p, n, levels, i_invariant=inv)
-                    assert outcome(count_solutions, A, nd) == \
-                        outcome(count_solutions_double_loop, A, nd), (p, n, A.d, levels, inv)
+                    got = outcome(count_solutions, A, nd)
+                    assert got == outcome(count_solutions_double_loop, A, nd), \
+                        (p, n, A.d, levels, inv)
+                    # == alone lets 0.0 pass for 0
+                    assert type(got) in (int, str), (p, n, A.d, levels, inv)
 
 
 def test_count_solutions_at_p_n_4096_is_fast():
-    """p = 2, n = 12: the double loop over i and j < i takes about 10 s."""
+    """p = 2, n = 12: the double loop over i and j < i takes about 10 s.  The
+    norm dimensions exceed Delta by one on every block but the last, so the
+    count has 3,254 digits; with Delta(A_1) + 2 on every block, as this test
+    first had them, it has 21,141, and is refused before it is formed."""
     import time
 
     A = FpGModule(2, 12, {1: 2, 7: 1, 100: 3, 2049: 2, 4096: 1})
-    nd = NormData.from_levels(2, 12, [delta(A, 1) + 2] * 13, i_invariant=3)
+    levels = [delta(A, 2 ** (s - 1) + 1 if s else 1) + (s < 12) for s in range(13)]
+    nd = NormData.from_levels(2, 12, levels, i_invariant=3)
     start = time.perf_counter()
     count = count_solutions(A, nd)
     assert time.perf_counter() - start < 0.5
-    assert count > 1 and count % 2 == 0
+    assert count > 1 and count % 2 == 0 and len(str(count)) == 3254
+    nd = NormData.from_levels(2, 12, [delta(A, 1) + 2] * 13, i_invariant=3)
+    start = time.perf_counter()
+    with pytest.raises(BadParams, match="the solution count has more than 4300 decimal digits"):
+        count_solutions(A, nd)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_ei_solvability():

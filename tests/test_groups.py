@@ -177,6 +177,20 @@ def test_unknown_family_and_too_large():
         build_group("C:8192")
 
 
+def test_every_group_order_above_the_cap_is_one_refusal():
+    """Products and pullbacks were TooLarge, and an outside table
+    RelationInconsistent."""
+    C64, C128 = build_group("C:64"), build_group("C:128")
+    _, f1 = quotient(C64, Subgroup(C64, range(64)))
+    _, f2 = quotient(C128, Subgroup(C128, range(128)))
+    big = np.zeros((4097, 4097), dtype=np.int16)
+    for make in (lambda: direct_product(C64, C128),
+                 lambda: pullback(C64, C128, f1, f2),
+                 lambda: Group(big, [], check=False)):
+        with pytest.raises(OrderTooLarge, match=r"order \d+ exceeds cap 4096"):
+            make()
+
+
 def test_from_table_rejects_broken_table():
     with pytest.raises(RelationInconsistent):
         Group([[0, 1], [1, 1]], [("a", 1)])

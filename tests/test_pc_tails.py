@@ -20,12 +20,18 @@ from hypothesis import strategies as st
 from pgal import cohomology, presentation
 from pgal.catalog import build_group
 from pgal.cohomology import h2_enumerate, is_cocycle_table, verify
-from pgal.errors import BadParams, PgalError, RelationInconsistent, TooLarge
-from pgal.groups import Group
+from pgal.errors import BadParams, OrderTooLarge, PgalError, RelationInconsistent, TooLarge
+from pgal.groups import Group, _prime_divisors
 from pgal.presentation import PcPresentation, PcTails, pc_table, read_pc
 
-from fresh import run_request
-from oracles import PRIMES, family_specs, tree_h2_dim
+from fresh import run_call, run_request
+from oracles import (
+    PRIMES,
+    contraction_cocycle,
+    family_specs,
+    pc_table_sixteen_blocks,
+    tree_h2_dim,
+)
 
 
 def _bare(G):
@@ -127,6 +133,62 @@ def test_a_class_is_the_factor_set_of_the_checked_extension(case, seed):
     assert np.array_equal(res.representatives[i].values, TE[::p, ::p] % p)
 
 
+# -- a class by the level fill, against the contraction of the level-1 forms ------
+
+
+def _first_and_last_classes(tails, p):
+    """The tails of the first 20 classes in product order, and of the last."""
+    dim = len(tails.basis)
+    coeffs = [*itertools.islice(itertools.product(range(p), repeat=dim), 20), (p - 1,) * dim]
+    return [np.array(c, dtype=np.int64) @ tails.basis % p for c in coeffs]
+
+
+def test_a_class_is_the_contraction_oracles_up_to_order_81():
+    pairs = 0
+    for spec in family_specs(81):
+        G = build_group(spec)
+        for p in _prime_divisors(G.order):
+            tails, want = PcTails(G, p), contraction_cocycle(G, p)
+            for t in _first_and_last_classes(tails, p):
+                assert np.array_equal(tails.cocycle(t), want(t)), (spec, p, t)
+            pairs += 1
+    assert pairs == 197
+    # no pc level: the class of C1 is the 1 x 1 zero
+    assert np.array_equal(PcTails(build_group("C:1"), 2).cocycle([]), [[0]])
+
+
+def test_tables_and_tails_filled_in_many_blocks(monkeypatch):
+    """With blocks of 64 entries every level above order 8 is filled in
+    several, each of one row or less of the output."""
+    solved = [(spec, p, PcTails(build_group(spec), p).basis)
+              for spec, p in [("D:16", 2), ("Q:32", 2), ("G3:p=3", 3), ("EA:p=2,r=5", 2),
+                              ("C:9*C:2", 3), ("C:64", 2), ("MSS:p=2,n=2,j=3", 2)]]
+    monkeypatch.setattr(presentation, "BLOCK_ENTRIES", 64)
+    for spec in family_specs(64):
+        pc = build_group(spec).pc
+        table, want = pc_table(pc), pc_table_sixteen_blocks(pc)
+        assert table.dtype == want.dtype and table.tobytes() == want.tobytes(), spec
+    for spec, p, basis in solved:
+        G = build_group(spec)
+        tails, want = PcTails(G, p), contraction_cocycle(G, p)
+        assert np.array_equal(tails.basis, basis), spec
+        for t in _first_and_last_classes(tails, p):
+            assert np.array_equal(tails.cocycle(t), want(t)), (spec, p, t)
+
+
+def test_h2_at_ea_2_12_and_one_class_stay_under_500_mb():
+    """The level-1 z-forms, 327 MB of int8 here, are freed when the solve
+    returns and no class reads them: with them kept for the classes, the
+    peak (VmHWM) was 545 MB."""
+    setup = ("from pgal.catalog import build_group\n"
+             "from pgal.cohomology import h2_enumerate\n"
+             "G = build_group('EA:p=2,r=12')")
+    req = run_call(setup, "res = h2_enumerate(G, 2)\n"
+                          "assert res.representatives[0].values.shape == (4096, 4096)")
+    assert req.code == 0, req.stderr
+    assert req.peak_rss_kb < 500 * 1024, req.peak_rss_kb
+
+
 # dim H^2(G, F_p) = d(G) + d(M(G)), and Kunneth for the product (see
 # test_h2_engine.py)
 @pytest.mark.parametrize("spec,p,dim", [("D:2048", 2, 3), ("Q:2048", 2, 2), ("EA:p=2,r=8", 2, 36),
@@ -145,7 +207,7 @@ def test_ea_3_7_has_dimension_28_but_no_extension_table():
     assert len(PcTails(G, 3).basis) == 28
     res = h2_enumerate(G, 3)
     assert (res.dimension, res.complete) == (28, False)
-    with pytest.raises(TooLarge, match="extension order 6561 exceeds cap 4096"):
+    with pytest.raises(OrderTooLarge, match="order 6561 exceeds cap 4096"):
         cohomology.extension_of_cocycle(res.representatives[0])
 
 
