@@ -12,7 +12,7 @@ import json
 from importlib import resources
 from typing import TYPE_CHECKING
 
-from .errors import BadParams, TooLarge, UnknownFamily, UnknownSpec, check_digits
+from .errors import BadParams, UnknownFamily, UnknownSpec, check_digits
 from .records import FrozenRecord, Record
 
 if TYPE_CHECKING:
@@ -51,14 +51,14 @@ class RealizationGraph:
         """Checks each edge's citation and generator counts, and keeps the
         edges out of each node with both ends resolved to canonical specs."""
         self.edges = list(edges)
-        self._nodes: set[str] = set()
-        self._groups: dict[str, Group] = {}  # of the nodes only
+        self._groups: dict[str, Group] = {}  # of the nodes only, built as they are met
         self._out: dict[str, list[Edge]] = {}
         for e in self.edges:
             if not e.cite:
                 raise UnknownSpec(f"edge {e.src} => {e.dst} lacks a citation")
             dst, src = self._resolve(e.dst), self._resolve(e.src)
-            self._nodes.update((src, dst))
+            for spec in (dst, src):
+                self._group(spec, self._groups)
             if not gen_count_necessary(src, dst, graph=self):
                 raise UnknownSpec(
                     f"edge {e.src} => {e.dst} violates the generator-count condition")
@@ -83,7 +83,7 @@ class RealizationGraph:
         from .catalog import build_group
 
         spec = self._resolve(spec)
-        cache = self._groups if spec in self._nodes else {} if query is None else query
+        cache = self._groups if spec in self._groups else {} if query is None else query
         if spec not in cache:
             try:
                 cache[spec] = build_group(spec)
@@ -108,7 +108,7 @@ class RealizationGraph:
         self._group(dst, query)
         if src == dst:
             return {"holds": True, "path": []}
-        universe = sorted(self._nodes | {src, dst})
+        universe = sorted(self._groups.keys() | {src, dst})
         frontier = [src]
         seen = {src: None}
         while frontier:
@@ -151,12 +151,9 @@ class RealizationGraph:
                 if N.order != G.order // H.order:
                     continue
                 Q, _ = quotient(G, N)
-                try:
-                    if is_isomorphic(Q, H):
-                        out.append(Edge(node, target, "trivial: G => G/N"))
-                        break
-                except TooLarge:
-                    continue
+                if is_isomorphic(Q, H):
+                    out.append(Edge(node, target, "trivial: G => G/N"))
+                    break
         return out
 
 

@@ -5,7 +5,7 @@ them."""
 from __future__ import annotations
 
 import re
-from functools import reduce
+from functools import partial, reduce
 from math import prod
 from typing import TYPE_CHECKING
 
@@ -58,57 +58,24 @@ def elem_abelian(p: int, r: int) -> Group:
     return _pc_group([p] * r, {}, {}, [(f"e{i + 1}", i) for i in range(r)], f"EA({p},{r})")
 
 
-def dihedral(order: int) -> Group:
-    _check_two_power(order, minimum=8)
-    m = order // 2
-    return _pc_group(
-        [2, m],
-        {},
-        {(0, 1): {1: m - 1}},
-        [("sigma", 1), ("tau", 0)],
-        f"D{order}",
-    )
+def _metacyclic(e: int, m: int, k: int, names: tuple, name: str, power: int = 0) -> Group:
+    """The group on x0 of relative order e and x1 of order m, with
+    x0^-1 x1 x0 = x1^k and x0^e = x1^power (no power word at power 0), its
+    generators names[0] = x1 and names[1] = x0."""
+    return _pc_group([e, m], {0: {1: power}} if power else {}, {(0, 1): {1: k}},
+                     list(zip(names, (1, 0))), name)
 
 
-def semidihedral(order: int) -> Group:
-    _check_two_power(order, minimum=16)
-    m = order // 2
-    return _pc_group(
-        [2, m],
-        {},
-        {(0, 1): {1: m // 2 - 1}},
-        [("sigma", 1), ("tau", 0)],
-        f"SD{order}",
-    )
+def _index_two(family: str, order: int, minimum: int, k: int, power: int = 0) -> Group:
+    """A 2-group family of the given order with a cyclic subgroup <sigma> of
+    index 2, tau^-1 sigma tau = sigma^k and tau^2 = sigma^power."""
+    _check_two_power(order, minimum)
+    return _metacyclic(2, order // 2, k, ("sigma", "tau"), f"{family}{order}", power)
 
 
-def quaternion(order: int) -> Group:
-    _check_two_power(order, minimum=8)
-    m = order // 2
-    return _pc_group(
-        [2, m],
-        {0: {1: m // 2}},
-        {(0, 1): {1: m - 1}},
-        [("sigma", 1), ("tau", 0)],
-        f"Q{order}",
-    )
-
-
-def modular_max_cyclic(order: int) -> Group:
-    """M_{2^n}: the modular 2-group with cyclic subgroup of index 2.
-
-    Same presentation as M(2^n), but carrying the sigma/tau generator names
-    used for the index-2 families.
-    """
-    _check_two_power(order, minimum=16)
-    m = order // 2
-    return _pc_group(
-        [2, m],
-        {},
-        {(0, 1): {1: m // 2 + 1}},
-        [("sigma", 1), ("tau", 0)],
-        f"M{order}",
-    )
+def _check_two_power(order: int, minimum: int) -> None:
+    if order < minimum or order != 1 << (order.bit_length() - 1):
+        raise UnknownFamily(f"order {order} not in this 2-power family (min {minimum})")
 
 
 def modular_pgroup(p: int, n: int) -> Group:
@@ -117,90 +84,37 @@ def modular_pgroup(p: int, n: int) -> Group:
         raise UnknownFamily("modular group needs n >= 3")
     check_order(p, n)
     m = p ** (n - 1)
-    q = p ** (n - 2)
-    return _pc_group(
-        [p, m],
-        {},
-        {(0, 1): {1: (1 - q) % m}},
-        [("alpha", 1), ("beta", 0)],
-        f"M({p}^{n})",
-    )
-
-
-def heisenberg(p: int) -> Group:
-    """G1: the nonabelian group of order p^3 and exponent p (p odd)."""
-    return _pc_group(
-        [p, p, p],
-        {},
-        {(0, 1): {1: 1, 2: p - 1}},
-        [("g1", 0), ("g2", 1), ("g3", 2)],
-        f"G1({p})",
-    )
+    return _metacyclic(p, m, (1 - p ** (n - 2)) % m, ("alpha", "beta"), f"M({p}^{n})")
 
 
 def g2_group(p: int) -> Group:
     """G2: order p^3, g1 of order p^2, g1 g2 = g2 g1^(p+1)."""
-    return _pc_group(
-        [p, p * p],
-        {},
-        {(0, 1): {1: p + 1}},
-        [("g1", 1), ("g2", 0)],
-        f"G2({p})",
-    )
+    return _metacyclic(p, p * p, p + 1, ("g1", "g2"), f"G2({p})")
 
 
-def g3_group(p: int) -> Group:
-    return _pc_group(
-        [p, p, p, p],
-        {1: {3: 1}},
-        {(0, 1): {1: 1, 2: p - 1}},
-        [("g1", 1), ("g2", 0), ("g3", 2), ("g4", 3)],
-        f"G3({p})",
-    )
+# The families on relative orders [p] * r: each row holds the power words,
+# the conjugate words (an exponent -1 is read mod p) and the generators as
+# (name, position) pairs.  G1 is the nonabelian group of order p^3 and
+# exponent p (p odd); G7 = (C_p)^3 x| C_p with [mu,tau] = sigma,
+# [mu,lambda] = tau and sigma central does not close at p = 2.  A family on
+# [p] * r is added as one more row and one more _FAMILIES entry.
+_G_GENS = [("g1", 1), ("g2", 0), ("g3", 2), ("g4", 3)]
+_WORDS = {
+    "G1": ({}, {(0, 1): {1: 1, 2: -1}}, [("g1", 0), ("g2", 1), ("g3", 2)]),
+    "G3": ({1: {3: 1}}, {(0, 1): {1: 1, 2: -1}}, _G_GENS),
+    "G4": ({0: {2: 1}, 1: {3: 1}}, {(0, 1): {1: 1, 2: -1}}, _G_GENS),
+    "G5": ({1: {2: 1}, 2: {3: 1}}, {(0, 1): {1: 1, 3: -1}}, _G_GENS),
+    "G6": ({2: {3: 1}}, {(0, 1): {1: 1, 3: -1}}, _G_GENS),
+    "G7": ({}, {(0, 1): {1: 1, 2: -1}, (0, 2): {2: 1, 3: -1}},
+           [("sigma", 3), ("tau", 2), ("lambda", 1), ("mu", 0)]),
+}
 
 
-def g4_group(p: int) -> Group:
-    return _pc_group(
-        [p, p, p, p],
-        {0: {2: 1}, 1: {3: 1}},
-        {(0, 1): {1: 1, 2: p - 1}},
-        [("g1", 1), ("g2", 0), ("g3", 2), ("g4", 3)],
-        f"G4({p})",
-    )
-
-
-def g5_group(p: int) -> Group:
-    return _pc_group(
-        [p, p, p, p],
-        {1: {2: 1}, 2: {3: 1}},
-        {(0, 1): {1: 1, 3: p - 1}},
-        [("g1", 1), ("g2", 0), ("g3", 2), ("g4", 3)],
-        f"G5({p})",
-    )
-
-
-def g6_group(p: int) -> Group:
-    return _pc_group(
-        [p, p, p, p],
-        {2: {3: 1}},
-        {(0, 1): {1: 1, 3: p - 1}},
-        [("g1", 1), ("g2", 0), ("g3", 2), ("g4", 3)],
-        f"G6({p})",
-    )
-
-
-def g7_group(p: int) -> Group:
-    """G7 = (C_p)^3 x| C_p with [mu,tau]=sigma, [mu,lambda]=tau, sigma central.
-
-    p odd: at p = 2 the presentation does not close (RelationInconsistent).
-    """
-    return _pc_group(
-        [p, p, p, p],
-        {},
-        {(0, 1): {1: 1, 2: p - 1}, (0, 2): {2: 1, 3: p - 1}},
-        [("sigma", 3), ("tau", 2), ("lambda", 1), ("mu", 0)],
-        f"G7({p})",
-    )
+def _from_words(family: str, p: int) -> Group:
+    """The group of the family's _WORDS row at the prime p."""
+    powers, conj, display = _WORDS[family]
+    conj = {key: {pos: e % p for pos, e in word.items()} for key, word in conj.items()}
+    return _pc_group([p] * len(display), powers, conj, display, f"{family}({p})")
 
 
 def mss_semidirect(p: int, n: int, j: int) -> Group:
@@ -225,11 +139,6 @@ def mss_semidirect(p: int, n: int, j: int) -> Group:
     )
 
 
-def _check_two_power(order: int, minimum: int) -> None:
-    if order < minimum or order != 1 << (order.bit_length() - 1):
-        raise UnknownFamily(f"order {order} not in this 2-power family (min {minimum})")
-
-
 # -- spec-string front end ----------------------------------------------------
 
 # each family's parameters, in the order its builder takes them; a family
@@ -237,18 +146,18 @@ def _check_two_power(order: int, minimum: int) -> None:
 _BARE = ("order",)
 _FAMILIES = {
     "C": (_BARE, cyclic),
-    "D": (_BARE, dihedral),
-    "SD": (_BARE, semidihedral),
-    "Q": (_BARE, quaternion),
-    "M": (_BARE, modular_max_cyclic),
+    "D": (_BARE, lambda order: _index_two("D", order, 8, order // 2 - 1)),
+    "SD": (_BARE, lambda order: _index_two("SD", order, 16, order // 4 - 1)),
+    "Q": (_BARE, lambda order: _index_two("Q", order, 8, order // 2 - 1, order // 4)),
+    "M": (_BARE, lambda order: _index_two("M", order, 16, order // 4 + 1)),
     "EA": (("p", "r"), elem_abelian),
-    "G1": (("p",), heisenberg),
+    "G1": (("p",), partial(_from_words, "G1")),
     "G2": (("p",), g2_group),
-    "G3": (("p",), g3_group),
-    "G4": (("p",), g4_group),
-    "G5": (("p",), g5_group),
-    "G6": (("p",), g6_group),
-    "G7": (("p",), g7_group),
+    "G3": (("p",), partial(_from_words, "G3")),
+    "G4": (("p",), partial(_from_words, "G4")),
+    "G5": (("p",), partial(_from_words, "G5")),
+    "G6": (("p",), partial(_from_words, "G6")),
+    "G7": (("p",), partial(_from_words, "G7")),
     "Mmod": (("p", "n"), modular_pgroup),
     "MSS": (("p", "n", "j"), mss_semidirect),
 }

@@ -255,7 +255,8 @@ _D_RE = re.compile(r"^d(\d)(\d)$")
 
 
 def _parse_d_pairs(text: str) -> dict:
-    """Parse 'd11=1,d12=0' into {(1,1): 1, (1,2): 0} (single-digit indices)."""
+    """Parse 'd11=1,d12=0' into {(1,1): 1, (1,2): 0} (single-digit indices,
+    each datum given once)."""
     out = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -265,7 +266,10 @@ def _parse_d_pairs(text: str) -> dict:
         m = _D_RE.match(key.strip())
         if not m or not val.strip().lstrip("-").isdigit():
             raise ZeroEntry(f"cannot parse commutator datum {piece!r}")
-        out[(int(m.group(1)), int(m.group(2)))] = int(val)
+        ij = (int(m.group(1)), int(m.group(2)))
+        if ij in out:
+            raise ZeroEntry(f"commutator datum {key.strip()} is given more than once")
+        out[ij] = int(val)
     return out
 
 

@@ -158,19 +158,16 @@ def cocycle_of_extension(E: Group, proj: GroupHom, kernel_gen: int) -> Cocycle2:
     p = len(ker)
     if not is_prime(p):
         raise KernelNotPrime(f"kernel has order {p}")
-    powers = []
-    x = 0
-    for _ in range(p):
-        powers.append(x)
-        x = E.mul(x, kernel_gen)
-    if x != 0 or sorted(powers) != ker.tolist():
+    # kernel_gen^0 .. kernel_gen^p in one gather
+    powers = E._powers(np.full(p + 1, kernel_gen), np.arange(p + 1))
+    if powers[p] != 0 or sorted(powers[:p].tolist()) != ker.tolist():
         raise KernelNotPrime("kernel_gen does not generate the kernel")
     T, F = E.np_table, proj.target
     moved = np.flatnonzero(T[kernel_gen] != T[:, kernel_gen])
     if moved.size:
         raise KernelNotCentral(f"kernel generator fails to commute with element {moved[0]}")
     kpow = np.zeros(E.order, dtype=np.int64)
-    kpow[powers] = np.arange(p)
+    kpow[powers[:p]] = np.arange(p)
     sec = _section(proj)
     sec_inv = np.nonzero(T[sec] == 0)[1]
     # f(a, b) = s(a) s(b) s(ab)^-1, a power of the kernel generator; the
@@ -630,7 +627,7 @@ def power_commutator_data(E: ExtensionClass, gens: list) -> tuple[list, dict]:
     kernel (the convention-dependent data only exists when it does).
     """
     ext, proj, p = E.extension, E.proj, E.cocycle.p
-    kp = {ext.power(E.kernel_gen, j): j for j in range(p)}
+    kp = {int(z): j for j, z in enumerate(ext._powers(np.full(p, E.kernel_gen), np.arange(p)))}
     sec = _section(proj)
     pre = [int(sec[_resolve_element(proj.target, g)]) for g in gens]
     diag = [kp.get(ext.power(s, p)) for s in pre]

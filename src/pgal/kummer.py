@@ -195,7 +195,7 @@ def build_solution(theorem: str, p: int, witness: dict) -> SolutionExpr:
     if th not in _THEOREMS:
         raise BadTheorem(f"theorem must be one of {_THEOREMS}, got {theorem!r}")
     theta = theta_operator(p)
-    if th == "T4_1":
+    if th in ("T4_1", "T4_3"):
         w = _need(witness, "omega")
         return SolutionExpr((Layer((Atom(w, theta),), p),), "f", f"N({w})=a2")
     if th == "T4_2":
@@ -203,9 +203,6 @@ def build_solution(theorem: str, p: int, witness: dict) -> SolutionExpr:
         return SolutionExpr(
             (Layer((Atom("a1", frac_exp=Fraction(-1, p)), Atom(w, theta)), p),),
             "f", f"N({w})=a2*zeta")
-    if th == "T4_3":
-        w = _need(witness, "omega")
-        return SolutionExpr((Layer((Atom(w, theta),), p),), "f", f"N({w})=a2")
     if th == "T4_4":
         x = _need(witness, "x")
         # omega = a2^(1/p) * (x^(p-1) s2(x^(p-2)) ... s2^(p-2)(x))^(-1), printed

@@ -143,41 +143,42 @@ def _g_presentation(fam, p):
 
 
 def _oracle_cases():
-    """(spec, thunk giving the reference (table, generators)) up to ORACLE_MAX."""
+    """(spec, group name, thunk giving the reference (table, generators)) up to
+    ORACLE_MAX."""
     primes = [2, 3, 5, 7, 11]
     cases = []
     prime_powers = sorted(p ** r for p in primes for r in range(1, 8) if p ** r <= ORACLE_MAX)
     for n in [1, 6, 12, 127] + prime_powers:
-        cases.append((f"C:{n}", lambda n=n: _cyclic_sum(n)))
+        cases.append((f"C:{n}", f"C{n}", lambda n=n: _cyclic_sum(n)))
     for p in primes:
         for r in range(0, 8):
             if p ** r <= ORACLE_MAX:
-                cases.append((f"EA:p={p},r={r}", lambda p=p, r=r: _ea_chain(p, r)))
+                cases.append((f"EA:p={p},r={r}", f"EA({p},{r})", lambda p=p, r=r: _ea_chain(p, r)))
     for order in (8, 16, 32, 64, 128):
         m = order // 2
-        cases.append((f"D:{order}", lambda m=m: _collected([2, m], {}, {(0, 1): {1: m - 1}},
-                                                           _SIGMA_TAU)))
-        cases.append((f"Q:{order}", lambda m=m: _collected([2, m], {0: {1: m // 2}},
-                                                           {(0, 1): {1: m - 1}}, _SIGMA_TAU)))
+        cases.append((f"D:{order}", f"D{order}", lambda m=m: _collected(
+            [2, m], {}, {(0, 1): {1: m - 1}}, _SIGMA_TAU)))
+        cases.append((f"Q:{order}", f"Q{order}", lambda m=m: _collected(
+            [2, m], {0: {1: m // 2}}, {(0, 1): {1: m - 1}}, _SIGMA_TAU)))
         if order >= 16:
-            cases.append((f"SD:{order}", lambda m=m: _collected(
+            cases.append((f"SD:{order}", f"SD{order}", lambda m=m: _collected(
                 [2, m], {}, {(0, 1): {1: m // 2 - 1}}, _SIGMA_TAU)))
-            cases.append((f"M:{order}", lambda m=m: _collected(
+            cases.append((f"M:{order}", f"M{order}", lambda m=m: _collected(
                 [2, m], {}, {(0, 1): {1: m // 2 + 1}}, _SIGMA_TAU)))
     for p, n in [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (5, 3)]:
         m, q = p ** (n - 1), p ** (n - 2)
-        cases.append((f"Mmod:p={p},n={n}", lambda p=p, m=m, q=q: _collected(
+        cases.append((f"Mmod:p={p},n={n}", f"M({p}^{n})", lambda p=p, m=m, q=q: _collected(
             [p, m], {}, {(0, 1): {1: (1 - q) % m}}, [("alpha", 1), ("beta", 0)])))
     for p in (2, 3, 5):
-        cases.append((f"G1:p={p}", lambda p=p: _collected(
+        cases.append((f"G1:p={p}", f"G1({p})", lambda p=p: _collected(
             [p] * 3, {}, {(0, 1): {1: 1, 2: p - 1}}, [("g1", 0), ("g2", 1), ("g3", 2)])))
-        cases.append((f"G2:p={p}", lambda p=p: _collected(
+        cases.append((f"G2:p={p}", f"G2({p})", lambda p=p: _collected(
             [p, p * p], {}, {(0, 1): {1: p + 1}}, [("g1", 1), ("g2", 0)])))
     for p in (2, 3):
         for fam in ("G3", "G4", "G5", "G6"):
-            cases.append((f"{fam}:p={p}", lambda fam=fam, p=p: _collected(
+            cases.append((f"{fam}:p={p}", f"{fam}({p})", lambda fam=fam, p=p: _collected(
                 [p] * 4, *_g_presentation(fam, p), _G_DISPLAY)))
-        cases.append((f"G7:p={p}", lambda p=p: _collected(
+        cases.append((f"G7:p={p}", f"G7({p})", lambda p=p: _collected(
             [p] * 4, {}, {(0, 1): {1: 1, 2: p - 1}, (0, 2): {2: 1, 3: p - 1}},
             [("sigma", 3), ("tau", 2), ("lambda", 1), ("mu", 0)])))
     for p in primes:
@@ -185,7 +186,8 @@ def _oracle_cases():
             for j in range(1, p ** n + 1):
                 if p ** (n + j) > ORACLE_MAX:
                     break
-                cases.append((f"MSS:p={p},n={n},j={j}", lambda p=p, n=n, j=j: _mss_formula(p, n, j)))
+                cases.append((f"MSS:p={p},n={n},j={j}", f"MSS({p},{n},{j})",
+                              lambda p=p, n=n, j=j: _mss_formula(p, n, j)))
     return cases
 
 
@@ -204,8 +206,10 @@ INCONSISTENT = {"G7:p=2"}
 
 def test_every_catalog_family_spec_matches_its_reference():
     cases = _oracle_cases()
-    assert {spec.partition(":")[0] for spec, _ in cases} == set(catalog._FAMILIES)
-    for spec, reference in cases:
+    assert {spec.partition(":")[0] for spec, _, _ in cases} == set(catalog._FAMILIES)
+    assert {"C1", "C9", "EA(3,2)", "D16", "SD16", "Q32", "M16", "M(3^3)", "G1(3)", "G2(3)", "G3(3)",
+            "G4(3)", "G5(3)", "G6(3)", "G7(3)", "MSS(3,1,3)"} <= {name for _, name, _ in cases}
+    for spec, name, reference in cases:
         T, gens = reference()
         if spec in INCONSISTENT:
             assert not np.array_equal(T[T, :], T[:, T]), spec
@@ -216,6 +220,7 @@ def test_every_catalog_family_spec_matches_its_reference():
         assert G.np_table.dtype == np.int16, spec
         assert np.array_equal(G.np_table, T), spec
         assert G.generators == gens, spec
+        assert G.name == name, spec
 
 
 @pytest.mark.parametrize("rel_orders,powers,conj", [

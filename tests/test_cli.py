@@ -331,6 +331,9 @@ def test_human_output_default(capsys):
     # were TooLarge, and an outside table RelationInconsistent
     (["groups", "build", "--spec", "D:64*C:128"], {}, "OrderTooLarge",
      "order 8192 exceeds cap 4096"),
+    # a repeated commutator datum: the last value won, and d11=2 answered class 1
+    (["obstruct", "massy", "--p", "2", "--a", "2", "--d", "d11=1,d11=2"], {}, "ZeroEntry",
+     "commutator datum d11 is given more than once"),
 ])
 def test_bad_input_gives_the_error_document(tmp_path, capsys, argv, files, code, named):
     for name, text in files.items():
