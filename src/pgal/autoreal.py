@@ -28,20 +28,12 @@ QUOTIENT_EDGE_MAX_ORDER = 64
 class Edge(FrozenRecord):
     _fields = ("src", "dst", "cite")
 
-    def __init__(self, src: str, dst: str, cite: str):
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "cite", cite)
-
     def to_json(self):
         return {"from": self.src, "to": self.dst, "cite": self.cite}
 
 
 class MultiplicityBound(Record):
     _fields = ("spec", "k", "bound")
-
-    def __init__(self, spec: str, k: int, bound: int):
-        self.spec, self.k, self.bound = spec, k, bound
 
 
 class RealizationGraph:

@@ -276,13 +276,11 @@ def _parse_d_pairs(text: str) -> dict:
 def _cmd_solve(args) -> int:
     from . import kummer
 
-    th = args.theorem
-    if th in ("4.12", "4_12", "T4_12"):
-        expr = kummer.minac_swallow_solution(args.p, args.i or 2, args.witness or "omega")
-    else:
-        wit_name = args.witness or {"4.4": "x", "4.5": "y"}.get(th, "omega")
-        key = {"4.4": "x", "4.5": "y"}.get(th, "omega")
-        expr = kummer.build_solution(th, args.p, {key: wit_name})
+    key = kummer.witness_key(args.theorem)
+    if kummer.theorem_name(args.theorem) == "T4_12":
+        expr = kummer.minac_swallow_solution(args.p, args.i or 2, args.witness or key)
+    else:  # the spelling as given, so that a refusal names it
+        expr = kummer.build_solution(args.theorem, args.p, {key: args.witness or key})
     payload = expr.to_json()
     return _emit(args, payload, [str(expr)])
 

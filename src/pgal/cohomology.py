@@ -134,10 +134,6 @@ class ExtensionClass(Record):
 
     _fields = ("cocycle", "extension", "proj", "kernel_gen")
 
-    def __init__(self, cocycle: Cocycle2, extension: Group, proj: GroupHom, kernel_gen: int):
-        self.cocycle, self.extension, self.proj, self.kernel_gen = (
-            cocycle, extension, proj, kernel_gen)
-
 
 # -- factor sets <-> extensions ----------------------------------------------
 
@@ -295,9 +291,7 @@ def is_coboundary(f: Cocycle2) -> bool:
 
 def class_equal(f1: Cocycle2, f2: Cocycle2) -> bool:
     """Equality in H^2: the difference is a coboundary."""
-    if f1.group is not f2.group or f1.p != f2.p:
-        return False
-    return CoboundarySpace(f1.group, f1.p).witness(f1.values - f2.values) is not None
+    return CoboundarySpace(f1.group, f1.p).witness(f1.add(f2.neg()).values) is not None
 
 
 # -- H^2 enumeration -----------------------------------------------------------
@@ -335,11 +329,6 @@ class Classes(Sequence):
 
 class H2Result(Record):
     _fields = ("dimension", "class_count", "representatives", "complete")
-
-    def __init__(self, dimension: int, class_count: int, representatives: Classes,
-                 complete: bool):
-        self.dimension, self.class_count = dimension, class_count
-        self.representatives, self.complete = representatives, complete
 
 
 def h2_enumerate(group: Group, p: int) -> H2Result:
@@ -465,8 +454,11 @@ def _transfer(F: np.ndarray, H: Subgroup, cols: np.ndarray, transversal=None) ->
     if transversal is None:
         R = np.flatnonzero(T[H.elements].min(axis=0) == np.arange(n))  # x = min Hx
     else:
-        R = np.asarray(transversal, dtype=np.int64)
-        if R.size and (R.min() < 0 or R.max() >= n):
+        try:
+            R = integer_array(transversal)
+        except (TypeError, OverflowError):
+            raise BadIndexSubgroup(f"transversal elements must be integers in 0..{n - 1}") from None
+        if R.ndim != 1 or R.size and (R.min() < 0 or R.max() >= n):
             raise BadIndexSubgroup(f"transversal elements must lie in 0..{n - 1}")
     cosets = T[np.ix_(H.elements, R)]  # column i is H R[i]
     if len(R) * H.order != n or (np.bincount(cosets.ravel(), minlength=n) != 1).any():

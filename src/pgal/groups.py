@@ -169,7 +169,14 @@ class Group:
         arr.setflags(write=False)
         self._np = arr
         self.order = int(arr.shape[0])
-        self.generators = [(str(n), int(i)) for n, i in generators]
+        generators = [(str(n), i) for n, i in generators]
+        if check:  # a cast would read an index of 1.5, true or "1" as 1
+            idx = _read([i for _, i in generators], "generator indices",
+                        f"generator indices must lie in 0..{self.order - 1}")
+            if idx.ndim != 1:
+                raise RelationInconsistent("generator indices must be integers")
+            generators = zip([n for n, _ in generators], idx.tolist())
+        self.generators = [(n, int(i)) for n, i in generators]
         self.gens = [i for _, i in self.generators]
         self.name = name
         self.pc = pc
@@ -373,9 +380,7 @@ class GroupHom(FrozenRecord):
             raise RelationInconsistent("map is not multiplicative")
         phi = phi.astype(np.int16)
         phi.setflags(write=False)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", phi)
+        self._set(source=source, target=target, images=phi)
 
     def __call__(self, x: int) -> int:
         return int(self.images[x])
@@ -554,11 +559,6 @@ def pullback(G1: Group, G2: Group, f1: GroupHom, f2: GroupHom) -> tuple[Group, G
 
 class StructureInvariants(Record):
     _fields = ("center", "exponent", "element_orders", "min_generators")
-
-    def __init__(self, center: Subgroup, exponent: int, element_orders: tuple,
-                 min_generators: int):
-        self.center, self.exponent = center, exponent
-        self.element_orders, self.min_generators = element_orders, min_generators
 
 
 def is_p_group(G: Group) -> int | None:

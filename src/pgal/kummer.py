@@ -23,8 +23,7 @@ class GroupRingElem(FrozenRecord):
     def __init__(self, n: int, coeffs: tuple):
         if len(coeffs) != n:
             raise BadI(f"need {n} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        self._set(n=n, coeffs=tuple(int(c) for c in coeffs))
 
     def add(self, other: "GroupRingElem") -> "GroupRingElem":
         return GroupRingElem(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -98,12 +97,7 @@ class Atom(FrozenRecord):
     an exact fraction (for nested roots), or implicitly 1."""
 
     _fields = ("base", "ring_exp", "frac_exp")
-
-    def __init__(self, base: str, ring_exp: GroupRingElem | None = None,
-                 frac_exp: Fraction | None = None):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "ring_exp", ring_exp)
-        object.__setattr__(self, "frac_exp", frac_exp)
+    _defaults = {"ring_exp": None, "frac_exp": None}
 
     def __str__(self):
         if self.ring_exp is not None:
@@ -122,11 +116,7 @@ class Atom(FrozenRecord):
 
 
 class Layer(FrozenRecord):
-    _fields = ("radicand", "degree")
-
-    def __init__(self, radicand: tuple, degree: int):  # radicand: a tuple of Atom
-        object.__setattr__(self, "radicand", radicand)
-        object.__setattr__(self, "degree", degree)
+    _fields = ("radicand", "degree")  # radicand: a tuple of Atom
 
     def __str__(self):
         word = "*".join(str(a) for a in self.radicand) or "1"
@@ -140,11 +130,7 @@ class SolutionExpr(FrozenRecord):
     """Kummer tower; free_scalar (if set) multiplies the first layer's radicand."""
 
     _fields = ("layers", "free_scalar", "condition")
-
-    def __init__(self, layers: tuple, free_scalar: str | None = None, condition: str = ""):
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "free_scalar", free_scalar)
-        object.__setattr__(self, "condition", condition)
+    _defaults = {"free_scalar": None, "condition": ""}
 
     def __str__(self):
         body = ", ".join(str(l) for l in self.layers)
@@ -161,10 +147,7 @@ class SolutionExpr(FrozenRecord):
 
 class SolutionFamily(FrozenRecord):
     _fields = ("base", "scalar")
-
-    def __init__(self, base: SolutionExpr, scalar: str = "f"):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "scalar", scalar)
+    _defaults = {"scalar": "f"}
 
 
 def solution_family(base: SolutionExpr) -> SolutionFamily:
@@ -183,44 +166,46 @@ def solution_family(base: SolutionExpr) -> SolutionFamily:
 _THEOREMS = ("T4_1", "T4_2", "T4_3", "T4_4", "T4_5")
 
 
+def theorem_name(theorem: str) -> str:
+    """T4_4 for each of the spellings 4.4, 4_4, t4.4 and T4_4."""
+    th = theorem.replace(".", "_").upper()
+    return th if th.startswith("T") else "T" + th
+
+
+def witness_key(theorem: str) -> str:
+    """The symbol a construction needs a witness for: "x" for T4_4, "y" for
+    T4_5, else "omega" (minac_swallow_solution's T4_12 too)."""
+    return {"T4_4": "x", "T4_5": "y"}.get(theorem_name(theorem), "omega")
+
+
 def build_solution(theorem: str, p: int, witness: dict) -> SolutionExpr:
     """The quoted radicand for one of the explicit solution constructions.
 
-    witness maps the construction's required symbol to the caller's chosen
-    name: "omega" for T4_1/T4_2/T4_3, "x" for T4_4, "y" for T4_5.
+    witness maps the construction's required symbol, witness_key(theorem),
+    to the caller's chosen name.
     """
-    th = theorem.replace(".", "_").upper()
-    if not th.startswith("T"):
-        th = "T" + th
+    th = theorem_name(theorem)
     if th not in _THEOREMS:
         raise BadTheorem(f"theorem must be one of {_THEOREMS}, got {theorem!r}")
-    theta = theta_operator(p)
+    if (key := witness_key(th)) not in witness:
+        raise MissingWitness(f"construction needs a witness named {key!r}")
+    w, theta = str(witness[key]), theta_operator(p)
     if th in ("T4_1", "T4_3"):
-        w = _need(witness, "omega")
         return SolutionExpr((Layer((Atom(w, theta),), p),), "f", f"N({w})=a2")
     if th == "T4_2":
-        w = _need(witness, "omega")
         return SolutionExpr(
             (Layer((Atom("a1", frac_exp=Fraction(-1, p)), Atom(w, theta)), p),),
             "f", f"N({w})=a2*zeta")
     if th == "T4_4":
-        x = _need(witness, "x")
         # omega = a2^(1/p) * (x^(p-1) s2(x^(p-2)) ... s2^(p-2)(x))^(-1), printed
         # with the exponents inside the Galois action; the group-ring exponent
         # is the same theta vector
         return SolutionExpr(
-            (Layer((Atom("a2", frac_exp=Fraction(1, p)), Atom(x, theta.scale(-1))), p),),
-            "f", f"N({x})=a1*zeta")
-    x = _need(witness, "y")
+            (Layer((Atom("a2", frac_exp=Fraction(1, p)), Atom(w, theta.scale(-1))), p),),
+            "f", f"N({w})=a1*zeta")
     return SolutionExpr(
-        (Layer((Atom("a1", frac_exp=Fraction(1, p * p)), Atom(x, theta)), p),),
-        "f", f"N({x})=zeta_p2^(-1)*a2")
-
-
-def _need(witness: dict, key: str) -> str:
-    if key not in witness:
-        raise MissingWitness(f"construction needs a witness named {key!r}")
-    return str(witness[key])
+        (Layer((Atom("a1", frac_exp=Fraction(1, p * p)), Atom(w, theta)), p),),
+        "f", f"N({w})=zeta_p2^(-1)*a2")
 
 
 def minac_swallow_solution(p: int, i: int, omega: str = "omega") -> SolutionExpr:

@@ -41,10 +41,6 @@ class FieldElem(FrozenRecord):
 
     _fields = ("kind", "payload")
 
-    def __init__(self, kind: str, payload: object):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", payload)
-
     def key(self):
         if self.kind == "rat":
             return ("rat", self.payload.numerator, self.payload.denominator)
@@ -374,12 +370,8 @@ def _regroup(P: SymbolProduct, p: int, pairs, opaque, unsplit: dict) -> SymbolPr
         if not r.is_one():
             factors.append((la, r))
         factors.extend((la, ra) for ra, e in rights if ra in apart for _ in range(e))
-    object.__setattr__(P, "p", p)
-    object.__setattr__(P, "factors", tuple(factors))
-    object.__setattr__(P, "opaque", tuple(sorted(_sum_mod(opaque, p).items())))
-    object.__setattr__(P, "_pairs", pairs)
-    object.__setattr__(P, "_unsplit", {a: unsplit[a] for pair in pairs for a in pair
-                                       if a in unsplit})
+    P._set(p=p, factors=tuple(factors), opaque=tuple(sorted(_sum_mod(opaque, p).items())),
+           _pairs=pairs, _unsplit={a: unsplit[a] for pair in pairs for a in pair if a in unsplit})
     return P
 
 

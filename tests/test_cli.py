@@ -117,6 +117,17 @@ def test_solve_theorem(capsys):
     assert doc["condition"] == "N(omega)=a2*zeta"
 
 
+@pytest.mark.parametrize("spelling,dotted", [
+    ("T4_4", "4.4"), ("4_4", "4.4"), ("t4.4", "4.4"), ("T4_5", "4.5"),
+    ("T4_12", "4.12"), ("t4_12", "4.12"),
+])
+def test_solve_takes_every_spelling_of_a_theorem(capsys, spelling, dotted):
+    # the CLI's own witness table knew only the dotted spellings
+    want = run(capsys, "solve", "--theorem", dotted, "--p", "3")
+    assert want[0] == 0
+    assert run(capsys, "solve", "--theorem", spelling, "--p", "3") == want
+
+
 def test_schultz_solve(capsys):
     code, doc = run_json(capsys, "schultz", "solve", "--p", "3", "--n", "1",
                          "--summands", "3", "--dims", "2,2,2", "--ikk", "0",
@@ -273,6 +284,9 @@ def test_human_output_default(capsys):
     (["groups", "build", "--spec", "{dir}/g.json"],
      {"g.json": '{"order": 2, "table": [[0, 1], [1, "0"]]}'},
      "RelationInconsistent", "must be integers"),
+    (["groups", "build", "--spec", "{dir}/g.json"],
+     {"g.json": '{"order": 2, "table": [[0, 1], [1, 0]], "generators": [{"name": "a", "index": 1.5}]}'},
+     "RelationInconsistent", "generator indices must be integers"),
     (["cor", "--group", "D:8", "--subgroup", "0,2,4,6", "--cocycle", "{dir}/c.json"],
      {"c.json": '{"p": 2, "group": "C:4", "values": [[0, 0, 0, 0], [0, 0.5, 0, 0], '
                 '[0, 0, 0, 0], [0, 0, 0, 0]]}'},

@@ -954,6 +954,8 @@ def test_entries_that_are_not_integers_are_refused(bad):
     for arr in (np.array([[0, 1], [1, 0]], dtype=float), np.array([[0, 1], [1, 0]], dtype=bool)):
         with pytest.raises(RelationInconsistent, match="table entries must be integers"):
             Group(arr, [("a", 1)])
+    with pytest.raises(RelationInconsistent, match="generator indices must be integers"):
+        Group([[0, 1], [1, 0]], [("a", bad)])  # int(i) would read 1.5, true or "1" as 1
     for ok in (np.array([[0, 1], [1, 0]], dtype=np.uint8), [[0, 1], [1, np.int64(0)]]):
         assert Group(ok, [("a", 1)]).table == [[0, 1], [1, 0]]
     # element lists from outside: a cast would read [0, 2.7] as the subgroup {0, 2}

@@ -24,7 +24,7 @@ from pgal.cohomology import (
     is_cocycle_table,
     verify,
 )
-from pgal.errors import BadParams, NotACocycle, TooLarge
+from pgal.errors import BadParams, NotACocycle, PrimeMismatch, TooLarge
 from pgal.groups import Group
 from pgal.linalg import GFMatrix
 
@@ -268,6 +268,18 @@ def test_representatives_are_pairwise_inequivalent(case):
         assert not class_equal(a, b)
     for f in reps[1:]:
         assert not verify(G, case[1], f.values)["is_coboundary"]
+
+
+def test_class_equal_refuses_cocycles_on_two_groups_or_primes():
+    # a second build of D:8 is another group object; class_equal said False
+    # for the same class on it, where add refuses the pair
+    A, B = build_group("D:8"), build_group("D:8")
+    f = h2_enumerate(A, 2).representatives[3]
+    assert class_equal(f, Cocycle2(A, 2, f.values))
+    for other in (Cocycle2(B, 2, f.values), Cocycle2(A, 3, np.zeros((8, 8), dtype=np.int64))):
+        for pair in ((f, other), (other, f)):
+            with pytest.raises(PrimeMismatch, match="different groups or primes"):
+                class_equal(*pair)
 
 
 def _plain_rank(rows, p):

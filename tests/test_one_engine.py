@@ -126,7 +126,9 @@ def test_a_transversal_must_be_one():
     H = subgroups_of_index2(G)[0]
     fbar = h2_enumerate(H.as_group(), 2).representatives[1]
     inside = H.elements[1]
-    for R in ([0, inside], [0], [0, 99], [0, -1]):
+    outside = int(np.argmin(H.pos >= 0))
+    # a cast would read 1.5 as 1 and False as 0, giving the transversal [0, 1]
+    for R in ([0, inside], [0], [0, 99], [0, -1], [0, outside + 0.5], [False, outside]):
         with pytest.raises(BadIndexSubgroup):
             corestrict(fbar, H, R)
     for g in (99, -1):

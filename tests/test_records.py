@@ -5,10 +5,14 @@ the same class; the hash of the fields' tuple for a frozen class, none for a
 mutable one; repr Name(f=v, ...); assignment and deletion refused on a
 frozen class; a fresh default for each instance where the field used a
 default factory; and each check of the old __post_init__ raising the same
-code and detail.  GroupHom compares and hashes by identity.
+code and detail.  GroupHom compares and hashes by identity.  Record's one
+constructor sets the fields: no record writes an __init__ that only copies
+its parameters, and only records.py calls object.__setattr__.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,3 +167,48 @@ def test_each_check_raises_its_code_and_detail(build, code, detail):
     with pytest.raises(PgalError) as exc:
         build()
     assert (exc.value.code, exc.value.detail) == (code, detail)
+
+
+PKG = Path(__file__).resolve().parent.parent / "src" / "pgal"
+
+
+def _copies_parameters(stmt, params) -> bool:
+    """self.x = x, self.x, self.y = x, y, or object.__setattr__(self, "x", x)."""
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+        call = stmt.value
+        return (ast.unparse(call.func) == "object.__setattr__" and len(call.args) == 3
+                and isinstance(call.args[2], ast.Name) and call.args[2].id in params)
+    if not isinstance(stmt, ast.Assign):
+        return False
+    targets = [t for target in stmt.targets
+               for t in (target.elts if isinstance(target, ast.Tuple) else [target])]
+    values = stmt.value.elts if isinstance(stmt.value, ast.Tuple) else [stmt.value]
+    return (all(isinstance(t, ast.Attribute) and ast.unparse(t.value) == "self" for t in targets)
+            and all(isinstance(v, ast.Name) and v.id in params for v in values))
+
+
+def _copy_only_inits(pkg: Path) -> list:
+    """The record classes under pkg whose __init__ only copies its parameters."""
+    classes = [node for path in sorted(pkg.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)]
+    records, grew = {"Record", "FrozenRecord"}, True
+    while grew:
+        found = {c.name for c in classes if any(ast.unparse(b) in records for b in c.bases)}
+        records, grew = records | found, not found <= records
+    out = []
+    for cls in classes:
+        for fn in cls.body:
+            if cls.name in records and isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                params = {a.arg for a in fn.args.args[1:] + fn.args.kwonlyargs}
+                body = [s for s in fn.body if not (isinstance(s, ast.Expr)
+                                                   and isinstance(s.value, ast.Constant))]
+                if all(_copies_parameters(s, params) for s in body):
+                    out.append(cls.name)
+    return out
+
+
+def test_records_are_built_by_one_constructor():
+    assert _copy_only_inits(PKG) == []
+    setters = [path.name for path in sorted(PKG.glob("*.py"))
+               if "object.__setattr__" in path.read_text()]
+    assert setters == ["records.py"]
