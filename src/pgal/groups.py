@@ -169,14 +169,13 @@ class Group:
         arr.setflags(write=False)
         self._np = arr
         self.order = int(arr.shape[0])
-        generators = [(str(n), i) for n, i in generators]
-        if check:  # a cast would read an index of 1.5, true or "1" as 1
+        generators = list(generators)
+        if check:  # int(i) would read an index of 1.5, true or "1" as 1
             idx = _read([i for _, i in generators], "generator indices",
                         f"generator indices must lie in 0..{self.order - 1}")
             if idx.ndim != 1:
                 raise RelationInconsistent("generator indices must be integers")
-            generators = zip([n for n, _ in generators], idx.tolist())
-        self.generators = [(n, int(i)) for n, i in generators]
+        self.generators = [(str(n), int(i)) for n, i in generators]
         self.gens = [i for _, i in self.generators]
         self.name = name
         self.pc = pc

@@ -191,14 +191,11 @@ def _copy_only_inits(pkg: Path) -> list:
     """The record classes under pkg whose __init__ only copies its parameters."""
     classes = [node for path in sorted(pkg.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)]
-    records, grew = {"Record", "FrozenRecord"}, True
-    while grew:
-        found = {c.name for c in classes if any(ast.unparse(b) in records for b in c.bases)}
-        records, grew = records | found, not found <= records
+    records = [c for c in classes if {ast.unparse(b) for b in c.bases} & {"Record", "FrozenRecord"}]
     out = []
-    for cls in classes:
+    for cls in records:
         for fn in cls.body:
-            if cls.name in records and isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
                 params = {a.arg for a in fn.args.args[1:] + fn.args.kwonlyargs}
                 body = [s for s in fn.body if not (isinstance(s, ast.Expr)
                                                    and isinstance(s.value, ast.Constant))]
