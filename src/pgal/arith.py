@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 import os
-import random
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from typing import TYPE_CHECKING
 
 from .errors import FactorizationFailed
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_TRIAL_BOUND = 10 ** 6
 
@@ -75,6 +77,8 @@ def is_prime(n: int) -> bool:
 
 def _brent_rho(n: int, max_steps: int) -> int:
     """One Brent-rho attempt; returns a nontrivial factor or 0 on failure."""
+    import random
+
     if n % 2 == 0:
         return 2
     rng = random.Random(0xC0FFEE ^ n)
@@ -195,6 +199,8 @@ def legendre(a: int, p: int) -> int:
 
 
 def is_square(q: Fraction | int) -> bool:
+    from fractions import Fraction
+
     q = Fraction(q)
     if q <= 0:
         return q == 0

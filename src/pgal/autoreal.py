@@ -132,18 +132,19 @@ class RealizationGraph:
         normals = normal_subgroups(G)
         if normals is None:
             return []
-        out = []
+        out, quotients = [], {}  # G/N by N's place in normals, built once
         for target in universe:
             if target == node:
                 continue
             H = self._group(target, query)
             if G.order % H.order or H.order > QUOTIENT_EDGE_MAX_ORDER:
                 continue
-            for N in normals:
+            for i, N in enumerate(normals):
                 if N.order != G.order // H.order:
                     continue
-                Q, _ = quotient(G, N)
-                if is_isomorphic(Q, H):
+                if i not in quotients:
+                    quotients[i] = quotient(G, N)[0]
+                if is_isomorphic(quotients[i], H):
                     out.append(Edge(node, target, "trivial: G => G/N"))
                     break
         return out

@@ -8,29 +8,29 @@ structured {"error", "detail"} document, usage errors exit 2.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-# Only modules that do not import numpy are loaded here; the handlers that
-# build tables import catalog, groups, cohomology and autoreal themselves, so
-# a symbol command starts without them, and a spec the catalog refuses is
-# answered before they load; solve and schultz import kummer and fpmodules
-# themselves, so that obstruct and symbol start without those too.
-from . import obstructions, symbols
+# Only the modules every request reads load here; each handler imports what
+# it uses: symbols for obstruct and symbol, obstructions for obstruct, kummer
+# for solve, fpmodules for schultz, and the table modules (numpy) for groups,
+# h2, cor and autoreal, once the catalog has accepted a spec; json loads only
+# where a payload or an error document is written or a file is read.  So
+# `pgal --help` reads the commands' names and one-line help and nothing else.
 from .arith import is_prime
 from .errors import BadParams, PgalError, UnknownFamily, ZeroEntry
-from .symbols import FieldElem, SymbolProduct
 
 if TYPE_CHECKING:
     from .groups import Group
+    from .symbols import FieldElem, SymbolProduct
 
 
 def _load_json(path: str, what: str, build) -> tuple:
     """(build(doc), doc) for the JSON file at path; a bad file is BadParams naming it."""
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -74,6 +74,10 @@ _ELEM_RE = re.compile(r"^\s*(-?\d+(?:/\d+)?|zeta(?:\d+)?|[A-Za-z_]\w*)\s*$")
 
 
 def _parse_elem(tok: str, p: int) -> FieldElem:
+    from fractions import Fraction
+
+    from . import symbols
+
     m = _ELEM_RE.match(tok)
     if not m:
         raise ZeroEntry(f"cannot parse field element {tok!r}")
@@ -100,6 +104,8 @@ _FACTOR_RE = re.compile(r"\(([^()]*)\)(?:\^(-?\d+))?")
 
 
 def _parse_symbol_expr(text: str, p: int) -> SymbolProduct:
+    from . import symbols
+
     out = symbols.trivial(p)
     rest = text.replace(" ", "")
     pos = 0
@@ -117,24 +123,28 @@ def _parse_symbol_expr(text: str, p: int) -> SymbolProduct:
     return out
 
 
+def _print_json(doc: dict) -> None:
+    import json
+
+    print(json.dumps(doc, sort_keys=True))
+
+
 def _emit(args, payload: dict, human_lines: list[str]) -> int:
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         for line in human_lines:
             print(line)
     return 0
 
 
-def _splits_or_none(sym: SymbolProduct):
-    try:
-        return symbols.splits_over_Q(sym)
-    except PgalError:
-        return None
-
-
 def _symbol_payload(sym: SymbolProduct) -> tuple[dict, list[str]]:
-    splits = _splits_or_none(sym)
+    from .symbols import splits_over_Q
+
+    try:
+        splits = splits_over_Q(sym)
+    except PgalError:
+        splits = None
     payload = {"class": str(sym), "symbol": sym.to_json(), "splits_over_Q": splits}
     lines = [f"class: {sym}"]
     if splits is not None:
@@ -191,6 +201,8 @@ def _zs(p: int) -> str:
 
 
 def _cmd_obstruct(args) -> int:
+    from . import obstructions, symbols
+
     p = getattr(args, "p", 2)
     if args.engine == "c4":
         sym = obstructions.obstruction_c4(_parse_elem(args.a, 2))
@@ -344,23 +356,22 @@ def _with_json(p):
     return p
 
 
-def _groups_parser(sub) -> None:
-    g = sub.add_parser("groups", help="catalog groups")
+def _groups_parser(g) -> None:
     gsub = g.add_subparsers(dest="action", required=True)
     gb = _with_json(gsub.add_parser("build", help="build a catalog group"))
     gb.add_argument("--spec", required=True, help="catalog spec, e.g. D:16, or a JSON file")
     gb.set_defaults(func=_cmd_groups)
 
 
-def _h2_parser(sub) -> None:
-    h2 = _with_json(sub.add_parser("h2", help="second cohomology with mu_p coefficients"))
+def _h2_parser(h2) -> None:
+    _with_json(h2)
     h2.add_argument("--group", required=True)
     h2.add_argument("--p", type=int, required=True)
     h2.set_defaults(func=_cmd_h2)
 
 
-def _cor_parser(sub) -> None:
-    cor = _with_json(sub.add_parser("cor", help="quadratic corestriction of a cocycle"))
+def _cor_parser(cor) -> None:
+    _with_json(cor)
     cor.add_argument("--group", required=True)
     cor.add_argument("--subgroup", required=True, help="comma-separated element ids")
     cor.add_argument("--cocycle", required=True, help="cocycle JSON file on the subgroup")
@@ -368,8 +379,7 @@ def _cor_parser(sub) -> None:
     cor.set_defaults(func=_cmd_cor)
 
 
-def _obstruct_parser(sub) -> None:
-    ob = sub.add_parser("obstruct", help="obstruction symbol engines")
+def _obstruct_parser(ob) -> None:
     osub = ob.add_subparsers(dest="engine", required=True)
     oc4 = _with_json(osub.add_parser("c4"))
     oc4.add_argument("--a", required=True)
@@ -408,8 +418,8 @@ def _obstruct_parser(sub) -> None:
         parser.set_defaults(func=_cmd_obstruct)
 
 
-def _solve_parser(sub) -> None:
-    so = _with_json(sub.add_parser("solve", help="symbolic solution expressions"))
+def _solve_parser(so) -> None:
+    _with_json(so)
     so.add_argument("--theorem", required=True, help="4.1 | 4.2 | 4.3 | 4.4 | 4.5 | 4.12")
     so.add_argument("--p", type=int, required=True)
     so.add_argument("--i", type=int, default=None, help="tower index for 4.12")
@@ -417,8 +427,7 @@ def _solve_parser(sub) -> None:
     so.set_defaults(func=_cmd_solve)
 
 
-def _schultz_parser(sub) -> None:
-    sc = sub.add_parser("schultz", help="module solvability and counting")
+def _schultz_parser(sc) -> None:
     scsub = sc.add_subparsers(dest="action", required=True)
     scs = _with_json(scsub.add_parser("solve"))
     scs.add_argument("--p", type=int, required=True)
@@ -430,8 +439,7 @@ def _schultz_parser(sub) -> None:
     scs.set_defaults(func=_cmd_schultz)
 
 
-def _autoreal_parser(sub) -> None:
-    au = sub.add_parser("autoreal", help="automatic realization database")
+def _autoreal_parser(au) -> None:
     ausub = au.add_subparsers(dest="action", required=True)
     auq = _with_json(ausub.add_parser("query"))
     auq.add_argument("--from", dest="src", required=True)
@@ -444,8 +452,7 @@ def _autoreal_parser(sub) -> None:
     aub.set_defaults(func=_cmd_autoreal)
 
 
-def _symbol_parser(sub) -> None:
-    sy = sub.add_parser("symbol", help="symbol product evaluation")
+def _symbol_parser(sy) -> None:
     sysub = sy.add_subparsers(dest="action", required=True)
     sye = _with_json(sysub.add_parser("eval"))
     sye.add_argument("--p", type=int, required=True)
@@ -453,51 +460,67 @@ def _symbol_parser(sub) -> None:
     sye.set_defaults(func=_cmd_symbol)
 
 
-# each command's subtree, in the order `pgal --help` lists them
+# each command's one-line help and the builder of its subtree, in the order
+# `pgal --help` lists them
 _COMMANDS = {
-    "groups": _groups_parser,
-    "h2": _h2_parser,
-    "cor": _cor_parser,
-    "obstruct": _obstruct_parser,
-    "solve": _solve_parser,
-    "schultz": _schultz_parser,
-    "autoreal": _autoreal_parser,
-    "symbol": _symbol_parser,
+    "groups": ("catalog groups", _groups_parser),
+    "h2": ("second cohomology with mu_p coefficients", _h2_parser),
+    "cor": ("quadratic corestriction of a cocycle", _cor_parser),
+    "obstruct": ("obstruction symbol engines", _obstruct_parser),
+    "solve": ("symbolic solution expressions", _solve_parser),
+    "schultz": ("module solvability and counting", _schultz_parser),
+    "autoreal": ("automatic realization database", _autoreal_parser),
+    "symbol": ("symbol product evaluation", _symbol_parser),
 }
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for a request whose first argument is command.
+    """The parser for a request whose command is command.
 
-    A command's request gets only that command's subtree.  Its metavar lists
-    every command, so a top-level usage line (printed for an extra argument)
-    has the same bytes as the full parser's.  Anything else (no arguments,
-    --help, an unknown command) gets every subtree and no metavar, since a
-    metavar would change argparse's "required" and "invalid choice" messages.
+    A command gets only its own subtree.  Its metavar lists every command,
+    so a top-level usage line (printed for an extra argument) has the same
+    bytes as a parser with every subtree.  Anything else (no arguments,
+    --help, an unknown command) gets each command's name and one-line help,
+    all that argparse reads at the top level, and no metavar, since a
+    metavar would change argparse's "required" and "invalid choice"
+    messages.  Those stand-in subparsers take any arguments silently, so a
+    command that follows a leading option is found (see _parse_args).
     """
     top = argparse.ArgumentParser(prog="pgal",
                                   description="central embedding problems of p-groups")
     if command in _COMMANDS:
         sub = top.add_subparsers(dest="command", required=True,
                                  metavar="{" + ",".join(_COMMANDS) + "}")
-        _COMMANDS[command](sub)
+        text, build = _COMMANDS[command]
+        build(sub.add_parser(command, help=text))
     else:
         sub = top.add_subparsers(dest="command", required=True)
-        for build in _COMMANDS.values():
-            build(sub)
+        for name, (text, _) in _COMMANDS.items():
+            sub.add_parser(name, help=text, add_help=False)
     return top
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv as a parser with every subtree reads it.  When argv does not
+    start with a command, the top-level parser prints the help or a usage
+    error and exits, or finds the command after leading options (`--json h2
+    ...`), which its own parser then reads from the start."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        command = _build_parser().parse_known_args(argv)[0].command
+    return _build_parser(command).parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_args(argv)
     try:
         # one primality check for every command's p, with h2_enumerate's detail
         if getattr(args, "p", None) is not None and not is_prime(args.p):
             raise BadParams(f"p must be prime, got p={args.p}")
         return args.func(args)
     except PgalError as exc:
-        print(json.dumps({"error": exc.code, "detail": exc.detail}, sort_keys=True))
+        _print_json({"error": exc.code, "detail": exc.detail})
         return 1
 
 

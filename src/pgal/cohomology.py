@@ -478,13 +478,24 @@ def _transfer(F: np.ndarray, H: Subgroup, cols: np.ndarray, transversal=None) ->
 
 def corestrict_tate(fbar: Cocycle2, H: Subgroup, g: int | None = None) -> Cocycle2:
     """Quadratic corestriction (p = 2, index 2): corestrict with the
-    transversal {1, g}, g the least element outside H by default."""
+    transversal {1, g}, g the least element outside H by default.  A g that
+    is not an integer element of G is BadIndexSubgroup, as for corestrict's
+    transversal."""
     if fbar.p != 2:
         raise PrimeMismatch("the transfer formula is implemented for p = 2 only")
     if H.index() != 2:
         raise BadIndexSubgroup(f"subgroup has index {H.index()}, need 2")
+    n = H.parent.order
     if g is None:
         g = int(np.argmin(H.pos >= 0))
+    else:
+        try:
+            g_arr = integer_array(g)
+        except (TypeError, OverflowError):
+            g_arr = None
+        if g_arr is None or g_arr.ndim or not 0 <= g_arr < n:
+            raise BadIndexSubgroup(f"g must be an integer in 0..{n - 1}")
+        g = int(g_arr)
     if g in H:
         raise GInH(f"element {g} lies in the subgroup")
     return corestrict(fbar, H, [0, g])

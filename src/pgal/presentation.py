@@ -112,22 +112,22 @@ def _walk(T, pc: PcPresentation, gen, i: int):
     return w, steps, phi, below
 
 
-def _fill(T, X, e, w, P, add) -> np.ndarray:
-    """The level formula on G_i = <x> H, H of table T, for X on H x H (T
-    itself, or z-forms with a trailing axis), with P[b] = phi^b:
+def _fill(X, Q, add) -> np.ndarray:
+    """The level formula on G_i = <x> H for X on H x H (H's table, or
+    z-forms with a trailing axis), with P[b] = phi^b:
 
         out[x^a h, x^b h'] = X[w^u phi^b(h), h'] + add,  u = [a+b >= e].
 
     w^u is w or 1, so the row w^u phi^b(h) is Q[k, h], k = b + e u, with Q
-    the rows of P and then of w P.  Built in row blocks of about
+    the rows of P and then of w P (int16).  Built in row blocks of about
     BLOCK_ENTRIES entries, gathered straight into the output (mode="clip"
     lets take write there); add(blk, s, h, k), s = a + b and h a column,
     then adds the caller's part to a block in place.  The indices are int16,
     as each is below 2 |G_i| <= 2 MAX_ORDER."""
-    nH = T.shape[0]
+    e, nH = Q.shape[0] // 2, Q.shape[1]
     n = e * nH
     out = np.empty((n, n) + X.shape[2:], dtype=X.dtype)
-    b, Q = np.arange(e, dtype=np.int16), np.concatenate([P, T[w][P]])
+    b = np.arange(e, dtype=np.int16)
     be = b + e
     step = max(1, BLOCK_ENTRIES // out[0].size)
     for r0 in range(0, n, step):
@@ -155,7 +155,8 @@ def pc_table(pc: PcPresentation) -> np.ndarray:
             P[c:2 * c] = phi_c[P[:min(c, e - c)]]
             c, phi_c = 2 * c, phi_c[phi_c]
         # x^((a+b) mod e) is the offset ((a+b) mod e) m
-        T = _fill(T, T, e, w, P, lambda blk, s, h, k: np.add(blk, (s % e * m)[:, :, None], out=blk))
+        T = _fill(T, np.concatenate([P, T[w][P]]),
+                  lambda blk, s, h, k: np.add(blk, (s % e * m)[:, :, None], out=blk))
     return T
 
 
@@ -247,9 +248,10 @@ class PcTails:
     dim H^2 = dim V - rank delta.
 
     The solve keeps, for each level, what builds a class from the last level
-    up (`cocycle`): H's table, e, w, omega, P and PS, about e n_H m entries;
-    the z-forms themselves are dropped with the solve.  A class's values are
-    in G's own numbering, as E's table would give them in T_E[::p, ::p] % p.
+    up (`cocycle`): w, omega, P, PS and _fill's gather rows Q = [P; w P],
+    about e n_H m entries; the z-forms themselves are dropped with the
+    solve.  A class's values are in G's own numbering, as E's table would
+    give them in T_E[::p, ::p] % p.
     """
 
     def __init__(self, group: Group, p: int):
@@ -297,9 +299,10 @@ class PcTails:
                 self.eq.add_rows(L[:, s] + psi[T[:, s]] - psi - psi[s] - L[phi, phi[s]])
                 self.eq.add_rows((PS[e, s] + L[w, P[e, s]] - L[s, w])[None])
             self.eq.add_rows(psi[w][None])
-            self.levels.append((T, e, w, omega, P[:e], PS[:e]))
+            level = (w, omega, P[:e], PS[:e], np.concatenate([P[:e], T[w][P[:e]]]))
+            self.levels.append(level)
             if i:
-                L = _tail_level(T, L, e, w, omega, P[:e], PS[:e], p)
+                L = _tail_level(L, *level, p)
         comp = GFMatrix(m, p)
         comp.add_rows(delta % p)
         kept = [v for v in self.eq.nullspace() if comp.add_rows(v[None])]
@@ -310,12 +313,12 @@ class PcTails:
         formula from the last level up with m = 1, on omega t and PS t."""
         p, t = self.p, np.asarray(t, dtype=np.int64) % self.p
         f = np.zeros((1, 1), dtype=self.dtype)
-        for T, e, w, omega, P, PS in self.levels:
-            f = _tail_level(T, f, e, w, omega @ t % p, P, PS @ t % p, p)
+        for w, omega, P, PS, Q in self.levels:
+            f = _tail_level(f, w, omega @ t % p, P, PS @ t % p, Q, p)
         return f
 
 
-def _tail_level(T, L, e, w, omega, P, PS, p) -> np.ndarray:
+def _tail_level(L, w, omega, P, PS, Q, p) -> np.ndarray:
     """The z-forms on G_i = <x> H from those on H (PcTails), by the level
     formula with w = x^e z^omega and x^-1 h x = phi(h) z^psi(h):
 
@@ -330,4 +333,4 @@ def _tail_level(T, L, e, w, omega, P, PS, p) -> np.ndarray:
     def add(blk, s, h, k):
         blk += rest[k, h][:, :, None]
         np.subtract(blk, p, out=blk, where=blk >= p)
-    return _fill(T, L, e, w, P, add)
+    return _fill(L, Q, add)

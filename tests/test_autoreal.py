@@ -32,6 +32,24 @@ def test_reflexive_and_quotient_edges():
     assert any(e["cite"].startswith("trivial") for e in res["path"])
 
 
+@pytest.mark.parametrize("src,dst", [("G1:p=3", "C:7"), ("C:64", "D:32"), ("C:8", "Q:8"),
+                                     ("Q:32", "C:4"), ("C:9", "C:3")])
+def test_a_query_forms_each_quotient_once(monkeypatch, src, dst):
+    """A node's quotient edges build each G/N once, however many targets have
+    its order."""
+    import pgal.groups
+
+    formed, quotient = [], pgal.groups.quotient
+
+    def counted(G, N):
+        formed.append((id(G), tuple(N.elements.tolist())))
+        return quotient(G, N)
+
+    monkeypatch.setattr(pgal.groups, "quotient", counted)
+    implies(src, dst)
+    assert formed and len(formed) == len(set(formed))
+
+
 def test_unknown_direction_reported_as_unknown():
     assert implies("D:8", "Q:8")["holds"] == "unknown"
     assert implies("C:16", "Q:16")["holds"] == "unknown"

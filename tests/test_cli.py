@@ -1,5 +1,6 @@
 """Command line behavior: payload shapes, determinism, exit codes."""
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -413,6 +414,26 @@ def _parse(parser, argv, capsys):
     return outcome, captured.out, captured.err
 
 
+def _full_parser():
+    """Every command's subtree under one top level, built from the command
+    table: the oracle that each request's parser answers as."""
+    top = argparse.ArgumentParser(prog="pgal", description=_build_parser().description)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (text, build) in _COMMANDS.items():
+        build(sub.add_parser(name, help=text))
+    return top
+
+
+def _main(argv, capsys):
+    """(exit code, stdout, stderr) of main on argv."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_every_command_has_parity_rows():
     assert list(_PARITY_ROWS) == list(_COMMANDS)
 
@@ -425,12 +446,14 @@ def test_a_command_parser_answers_as_the_full_parser(capsys, command):
     rows = [[command, "--help"], [command], [command, "nope"]] + _PARITY_ROWS[command]
     for argv in rows:
         assert argv[0] == command
-        assert _parse(one, argv, capsys) == _parse(_build_parser(), argv, capsys), argv
+        assert _parse(one, argv, capsys) == _parse(_full_parser(), argv, capsys), argv
 
 
 def test_requests_without_a_command_get_the_full_parser(capsys):
     """No arguments, --help, an unknown command and a leading option; argparse
-    names the command positional by its dest here, not by a metavar."""
+    names the command positional by its dest here, not by a metavar.  main
+    answers each as the parser with every subtree does, also where a command
+    follows a leading option."""
     usage = "usage: pgal [-h] {groups,h2,cor,obstruct,solve,schultz,autoreal,symbol} ...\n"
     choices = ", ".join(f"'{c}'" for c in _COMMANDS)
     expected = {
@@ -440,17 +463,16 @@ def test_requests_without_a_command_get_the_full_parser(capsys):
         ("--json",): usage + "pgal: error: the following arguments are required: command\n",
     }
     for argv, err in expected.items():
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 2
-        assert capsys.readouterr() == ("", err)
+        assert _main(argv, capsys) == (2, "", err)
     for argv in (["--help"], ["-h", "h2"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
+        code, out, err = _main(argv, capsys)
+        assert (code, err) == (0, "")
         assert out.startswith(usage) and all(f"    {c}" in out for c in _COMMANDS)
-        assert _parse(_build_parser(), argv, capsys) == (0, out, "")
+    for argv in ([], ["--help"], ["-h", "h2"], ["nope"], ["nope", "--json"], ["--json"],
+                 ["--json", "nope"], ["--json", "h2", "-h"],
+                 ["--json", "h2", "--group", "D:8", "--p", "2"],
+                 ["--json", "symbol", "eval", "--p", "2"]):
+        assert _main(argv, capsys) == _parse(_full_parser(), argv, capsys), argv
 
 
 # -- what a request loads -----------------------------------------------------------
@@ -490,9 +512,11 @@ def _fresh_run(argv):
 ])
 def test_a_request_loads_only_what_its_command_uses(capsys, argv, numpy_free):
     """Symbol, solve and schultz commands never import numpy; only solve and
-    schultz load kummer and fpmodules; no command loads numpy.ma or
-    dataclasses, and none loads inspect but through numpy, whose
-    numpy._core.overrides imports it; every command answers in a fresh
+    schultz load kummer and fpmodules; groups, h2, autoreal and schultz load
+    neither symbols, obstructions nor fractions; --help loads no pgal module
+    but errors, arith and the CLI, and neither json nor decimal; no command
+    loads numpy.ma or dataclasses, and none loads inspect but through numpy,
+    whose numpy._core.overrides imports it; every command answers in a fresh
     process exactly as in this one, with the same exit code, stdout and
     stderr, and its output arrives complete."""
     try:
@@ -507,6 +531,12 @@ def test_a_request_loads_only_what_its_command_uses(capsys, argv, numpy_free):
     assert "dataclasses" not in loaded
     if argv[0] in ("obstruct", "symbol", "groups", "h2", "autoreal", "--help"):
         assert not loaded & {"pgal.kummer", "pgal.fpmodules"}
+    if argv[0] in ("groups", "h2", "autoreal", "schultz", "--help"):
+        assert not loaded & {"pgal.symbols", "pgal.obstructions", "fractions"}
+    if argv[0] == "--help":
+        assert {m for m in loaded if m.split(".")[0] == "pgal"} == {
+            "pgal", "pgal.errors", "pgal.arith", "pgal.cli"}
+        assert not loaded & {"decimal", "json"}
     if numpy_free:
         assert not {m for m in loaded if m == "numpy" or m.startswith("numpy.")}
         assert "inspect" not in loaded

@@ -128,6 +128,12 @@ CLASSES = [c for c in vars(errors).values()
            if isinstance(c, type) and issubclass(c, errors.PgalError) and c is not errors.PgalError]
 
 
+@pytest.mark.parametrize("g", [[1], (1,), 1.5, True, "1", 2 ** 70, -1, 8])
+def test_a_coset_representative_that_is_no_element_is_bad_index_subgroup(g):
+    with pytest.raises(errors.BadIndexSubgroup, match=r"0\.\.7"):
+        corestrict_tate(*_d8_index2(), g=g)
+
+
 def test_codes_are_one_to_one_and_each_has_a_row():
     codes = [c.code for c in CLASSES]
     assert len(set(codes)) == len(codes)

@@ -79,6 +79,13 @@ def test_only_the_cli_and_autoreal_import_inside_functions():
     assert lazy == LAZY
 
 
+def test_the_cli_imports_only_arith_and_errors_at_module_level():
+    """Each handler imports what it reads, so `pgal --help` loads no other
+    pgal module; every request reads errors, and arith's is_prime checks
+    each command's p."""
+    assert {dep for dep, inner in _graph()["cli"] if not inner} == {"arith", "errors"}
+
+
 def _absolute_imports(tree):
     """The top-level package of each absolute import, anywhere in the module."""
     out = set()
