@@ -4,6 +4,14 @@ The seeded database ships as JSON lines {"from", "to", "cite"}; quotient
 implications (G realizable forces G/N realizable) are generated lazily for
 groups of order <= 64.  Absence of a path is reported as "unknown", never
 as a refutation; a spec that names no group is UnknownSpec.
+
+Loading the graph builds no group: each node's order is read off its spec
+(catalog.spec_order), which is all a query needs to skip a node or a
+quotient target.  A query builds only the groups it reads (its two ends,
+the nodes whose quotient edges it searches, the targets whose order divides
+theirs, the ends of the seeded edges it follows) and keeps the nodes' groups
+for the graph's lifetime.  A seeded edge's generator-count condition is
+checked the first time a query follows it, before it can enter a path.
 """
 
 from __future__ import annotations
@@ -19,8 +27,9 @@ if TYPE_CHECKING:
     from .fpmodules import FpGModule
     from .groups import Group
 
-# catalog and groups (and numpy with them) are imported by the functions that
-# parse specs or build groups, so that multiplicity_bound runs without them
+# catalog and groups are imported by the functions that parse specs or build
+# groups, so that multiplicity_bound runs without them, and numpy loads only
+# when a query builds its first group
 
 QUOTIENT_EDGE_MAX_ORDER = 64
 
@@ -37,24 +46,33 @@ class MultiplicityBound(Record):
 
 
 class RealizationGraph:
-    """Directed implications over catalog specs, with provenance on every edge."""
+    """Directed implications over catalog specs, with provenance on every edge.
+
+    Groups are built as queries read them: a node's group the first time a
+    query needs its table, a seeded edge's generator counts the first time a
+    query follows the edge.
+    """
 
     def __init__(self, edges: list[Edge]):
-        """Checks each edge's citation and generator counts, and keeps the
-        edges out of each node with both ends resolved to canonical specs."""
+        """Checks each edge's citation and that both its ends name groups
+        (by their orders, without a table), and keeps the edges out of each
+        node with both ends resolved to canonical specs."""
+        from .catalog import spec_order
+
         self.edges = list(edges)
-        self._groups: dict[str, Group] = {}  # of the nodes only, built as they are met
+        self._orders: dict[str, int] = {}  # of the nodes, read off their specs
+        self._groups: dict[str, Group] = {}  # of the nodes, built as queries read them
         self._out: dict[str, list[Edge]] = {}
+        self._unchecked: dict[Edge, Edge] = {}  # seeded edge -> as given, until followed
         for e in self.edges:
             if not e.cite:
                 raise UnknownSpec(f"edge {e.src} => {e.dst} lacks a citation")
             dst, src = self._resolve(e.dst), self._resolve(e.src)
             for spec in (dst, src):
-                self._group(spec, self._groups)
-            if not gen_count_necessary(src, dst, graph=self):
-                raise UnknownSpec(
-                    f"edge {e.src} => {e.dst} violates the generator-count condition")
-            self._out.setdefault(src, []).append(Edge(src, dst, e.cite))
+                self._orders[spec] = _read_spec(spec_order, spec)
+            edge = Edge(src, dst, e.cite)
+            self._out.setdefault(src, []).append(edge)
+            self._unchecked[edge] = e
 
     @classmethod
     def load_default(cls) -> "RealizationGraph":
@@ -70,18 +88,27 @@ class RealizationGraph:
             raise UnknownSpec(f"cannot resolve {spec!r}: {exc.detail}") from exc
 
     def _group(self, spec: str, query: dict | None = None) -> Group:
-        """The group of spec, kept for the graph's lifetime when spec is a
-        node and otherwise only in `query`, the cache of one query."""
+        """The group of spec, built the first time it is read and kept for
+        the graph's lifetime when spec is a node, otherwise only in `query`,
+        the cache of one query."""
         from .catalog import build_group
 
         spec = self._resolve(spec)
-        cache = self._groups if spec in self._groups else {} if query is None else query
+        cache = self._groups if spec in self._orders else {} if query is None else query
         if spec not in cache:
-            try:
-                cache[spec] = build_group(spec)
-            except UnknownFamily as exc:
-                raise UnknownSpec(f"cannot build {spec!r}: {exc.detail}") from exc
+            cache[spec] = _read_spec(build_group, spec)
         return cache[spec]
+
+    def _follow(self, e: Edge) -> None:
+        """Checks a seeded edge's generator-count condition the first time a
+        query follows it."""
+        given = self._unchecked.get(e)
+        if given is None:
+            return
+        if not gen_count_necessary(e.src, e.dst, graph=self):
+            raise UnknownSpec(
+                f"edge {given.src} => {given.dst} violates the generator-count condition")
+        del self._unchecked[e]
 
     # -- closure query ---------------------------------------------------
 
@@ -94,21 +121,22 @@ class RealizationGraph:
         src = self._resolve(src)
         dst = self._resolve(dst)
         query: dict[str, Group] = {}
-        # a spec that names no group raises here; every other group the
-        # search builds is a node's, built when the graph was
-        self._group(src, query)
-        self._group(dst, query)
+        # a spec that names no group raises here
+        orders = dict(self._orders)
+        for spec in (src, dst):
+            orders[spec] = self._group(spec, query).order
         if src == dst:
             return {"holds": True, "path": []}
-        universe = sorted(self._groups.keys() | {src, dst})
+        orders = dict(sorted(orders.items()))
         frontier = [src]
         seen = {src: None}
         while frontier:
             nxt = []
             for node in frontier:
-                outs = self._out.get(node, []) + self._quotient_edges(node, universe, query)
+                outs = self._out.get(node, []) + self._quotient_edges(node, orders, query)
                 for e in outs:
                     if e.dst not in seen:
+                        self._follow(e)
                         seen[e.dst] = e
                         nxt.append(e.dst)
             if dst in seen:
@@ -123,31 +151,54 @@ class RealizationGraph:
             node = seen[node].src
         return {"holds": True, "path": [e.to_json() for e in reversed(path)]}
 
-    def _quotient_edges(self, node: str, universe: list, query: dict) -> list[Edge]:
+    def _quotient_edges(self, node: str, orders: dict, query: dict) -> list[Edge]:
+        """The edges node => target, for the targets in `orders` (spec ->
+        order, in spec order) isomorphic to a quotient of node's group.
+
+        Orders decide what is built: nothing for a node above
+        QUOTIENT_EDGE_MAX_ORDER, only the targets whose order divides the
+        node's, and the normal subgroups only when such an order is smaller
+        than the node's, since G/1 is G itself.
+        """
         from .groups import is_isomorphic, normal_subgroups, quotient
 
-        G = self._group(node, query)
-        if G.order > QUOTIENT_EDGE_MAX_ORDER:
+        order = orders[node]
+        if order > QUOTIENT_EDGE_MAX_ORDER:
             return []
-        normals = normal_subgroups(G)
+        targets = [t for t, n in orders.items() if t != node and order % n == 0]
+        if not targets:
+            return []
+        G = self._group(node, query)
+        normals = normal_subgroups(G) if any(orders[t] < order for t in targets) else []
         if normals is None:
             return []
-        out, quotients = [], {}  # G/N by N's place in normals, built once
-        for target in universe:
-            if target == node:
-                continue
-            H = self._group(target, query)
-            if G.order % H.order or H.order > QUOTIENT_EDGE_MAX_ORDER:
-                continue
+        formed: dict[int, Group] = {}  # G/N by N's place in normals, built once
+
+        def quotients(k: int):
+            """G/N for each normal N of order k."""
+            if k == 1:
+                yield G
+                return
             for i, N in enumerate(normals):
-                if N.order != G.order // H.order:
-                    continue
-                if i not in quotients:
-                    quotients[i] = quotient(G, N)[0]
-                if is_isomorphic(quotients[i], H):
-                    out.append(Edge(node, target, "trivial: G => G/N"))
-                    break
+                if N.order == k:
+                    if i not in formed:
+                        formed[i] = quotient(G, N)[0]
+                    yield formed[i]
+
+        out = []
+        for target in targets:
+            H = self._group(target, query)
+            if any(is_isomorphic(Q, H) for Q in quotients(order // H.order)):
+                out.append(Edge(node, target, "trivial: G => G/N"))
         return out
+
+
+def _read_spec(read, spec: str):
+    """read(spec), where a spec that names no group is UnknownSpec."""
+    try:
+        return read(spec)
+    except UnknownFamily as exc:
+        raise UnknownSpec(f"cannot build {spec!r}: {exc.detail}") from exc
 
 
 def _parse_edges(text: str) -> list[Edge]:

@@ -1,6 +1,7 @@
 """The group catalog: named p-group families, each a pc presentation whose
 table pgal.presentation builds and checks, and the spec strings that name
-them."""
+them.  A spec's order is known from its presentations alone (spec_order),
+without a table or numpy."""
 
 from __future__ import annotations
 
@@ -11,62 +12,85 @@ from typing import TYPE_CHECKING
 
 from .arith import is_prime
 from .errors import RelationInconsistent, UnknownFamily, check_order
+from .records import Record
 
 if TYPE_CHECKING:
     from .groups import Group
 
 
-def _pc_group(rel_orders, powers, conj, display, name) -> Group:
-    """The group of a pc presentation (`powers` and `conj` as in
-    PcPresentation), its generators named by position.
+class PcSpec(Record):
+    """A catalog group's pc presentation (`powers` and `conj` as in
+    PcPresentation), its generators named by position in `display`.
 
-    The order cap is checked before any table is allocated.  A group by
-    construction (of checks the words, pc_table Hoelder's conditions), so
-    Group does not validate the table again.  It keeps its presentation.
-    The table modules load only once the order has passed its cap, so a
-    refused spec is answered without numpy.
+    The family builders return one, so a group's order is known, and the
+    order cap checked, before any table is allocated; the table modules (and
+    numpy) load only in `build`.
     """
-    check_order(prod(rel_orders))
-    from . import presentation
-    from .groups import Group
 
-    gen = presentation.generator_indices(rel_orders)
-    gens = [(gname, gen[pos]) for gname, pos in display]
-    try:
-        pc = presentation.PcPresentation.of(rel_orders, powers, conj)
-        table = presentation.pc_table(pc)
-    except RelationInconsistent as exc:
-        raise RelationInconsistent(f"presentation for {name} fails to close: {exc.detail}") from exc
-    return Group(table, gens, name=name, check=False, pc=pc)
+    _fields = ("rel_orders", "powers", "conj", "display", "name")
+
+    def __init__(self, rel_orders, powers, conj, display, name):
+        check_order(prod(rel_orders))
+        self._set(rel_orders=rel_orders, powers=powers, conj=conj, display=display, name=name)
+
+    @property
+    def order(self) -> int:
+        return prod(self.rel_orders)
+
+    def build(self) -> Group:
+        """The group of the presentation.  A group by construction (of
+        checks the words, pc_table Hoelder's conditions), so Group does not
+        validate the table again.  It keeps its presentation."""
+        from . import presentation
+        from .groups import Group
+
+        gen = presentation.generator_indices(self.rel_orders)
+        gens = [(gname, gen[pos]) for gname, pos in self.display]
+        try:
+            pc = presentation.PcPresentation.of(self.rel_orders, self.powers, self.conj)
+            table = presentation.pc_table(pc)
+        except RelationInconsistent as exc:
+            raise RelationInconsistent(
+                f"presentation for {self.name} fails to close: {exc.detail}") from exc
+        return Group(table, gens, name=self.name, check=False, pc=pc)
 
 
 # -- individual families ------------------------------------------------------
+#
+# Each builder checks its parameters and returns its member's presentation;
+# build_group builds it and spec_order reads its order.
 
 
 def cyclic(n: int) -> Group:
+    """The cyclic group of order n, built (the family builders below give
+    presentations)."""
+    return _cyclic(n).build()
+
+
+def _cyclic(n: int) -> PcSpec:
     if n < 1:
         raise UnknownFamily("cyclic group needs order >= 1")
     if n == 1:
-        return _pc_group([], {}, {}, [], "C1")
-    return _pc_group([n], {}, {}, [("sigma", 0)], f"C{n}")
+        return PcSpec([], {}, {}, [], "C1")
+    return PcSpec([n], {}, {}, [("sigma", 0)], f"C{n}")
 
 
-def elem_abelian(p: int, r: int) -> Group:
+def elem_abelian(p: int, r: int) -> PcSpec:
     if r < 0:
         raise UnknownFamily("elementary abelian group needs r >= 0")
     check_order(p, r)
-    return _pc_group([p] * r, {}, {}, [(f"e{i + 1}", i) for i in range(r)], f"EA({p},{r})")
+    return PcSpec([p] * r, {}, {}, [(f"e{i + 1}", i) for i in range(r)], f"EA({p},{r})")
 
 
-def _metacyclic(e: int, m: int, k: int, names: tuple, name: str, power: int = 0) -> Group:
+def _metacyclic(e: int, m: int, k: int, names: tuple, name: str, power: int = 0) -> PcSpec:
     """The group on x0 of relative order e and x1 of order m, with
     x0^-1 x1 x0 = x1^k and x0^e = x1^power (no power word at power 0), its
     generators names[0] = x1 and names[1] = x0."""
-    return _pc_group([e, m], {0: {1: power}} if power else {}, {(0, 1): {1: k}},
-                     list(zip(names, (1, 0))), name)
+    return PcSpec([e, m], {0: {1: power}} if power else {}, {(0, 1): {1: k}},
+                  list(zip(names, (1, 0))), name)
 
 
-def _index_two(family: str, order: int, minimum: int, k: int, power: int = 0) -> Group:
+def _index_two(family: str, order: int, minimum: int, k: int, power: int = 0) -> PcSpec:
     """A 2-group family of the given order with a cyclic subgroup <sigma> of
     index 2, tau^-1 sigma tau = sigma^k and tau^2 = sigma^power."""
     _check_two_power(order, minimum)
@@ -78,7 +102,7 @@ def _check_two_power(order: int, minimum: int) -> None:
         raise UnknownFamily(f"order {order} not in this 2-power family (min {minimum})")
 
 
-def modular_pgroup(p: int, n: int) -> Group:
+def modular_pgroup(p: int, n: int) -> PcSpec:
     """M(p^n), n >= 3: alpha of order p^(n-1), beta of order p, beta alpha = alpha^(1+p^(n-2)) beta."""
     if n < 3:
         raise UnknownFamily("modular group needs n >= 3")
@@ -87,7 +111,7 @@ def modular_pgroup(p: int, n: int) -> Group:
     return _metacyclic(p, m, (1 - p ** (n - 2)) % m, ("alpha", "beta"), f"M({p}^{n})")
 
 
-def g2_group(p: int) -> Group:
+def g2_group(p: int) -> PcSpec:
     """G2: order p^3, g1 of order p^2, g1 g2 = g2 g1^(p+1)."""
     return _metacyclic(p, p * p, p + 1, ("g1", "g2"), f"G2({p})")
 
@@ -110,14 +134,14 @@ _WORDS = {
 }
 
 
-def _from_words(family: str, p: int) -> Group:
+def _from_words(family: str, p: int) -> PcSpec:
     """The group of the family's _WORDS row at the prime p."""
     powers, conj, display = _WORDS[family]
     conj = {key: {pos: e % p for pos, e in word.items()} for key, word in conj.items()}
-    return _pc_group([p] * len(display), powers, conj, display, f"{family}({p})")
+    return PcSpec([p] * len(display), powers, conj, display, f"{family}({p})")
 
 
-def mss_semidirect(p: int, n: int, j: int) -> Group:
+def mss_semidirect(p: int, n: int, j: int) -> PcSpec:
     """M_j x| C_{p^n}: the cyclic group ring quotient F_p[C_{p^n}]/(s-1)^j acted on by s.
 
     Module basis b_i = (s-1)^i, i < j, with s b_i s^{-1} = b_i + b_{i+1};
@@ -130,7 +154,7 @@ def mss_semidirect(p: int, n: int, j: int) -> Group:
     if not 1 <= j <= p ** min(n, j.bit_length()):
         raise UnknownFamily(f"need 1 <= j <= p^n, got j={j}")
     check_order(p, j + n)
-    return _pc_group(
+    return PcSpec(
         [p] * j + [p ** n],
         {},
         {(i, j): {i + 1: 1, j: 1} for i in range(j - 1)},
@@ -145,7 +169,7 @@ def mss_semidirect(p: int, n: int, j: int) -> Group:
 # whose parameters are _BARE takes its value bare, as in 'D:16'
 _BARE = ("order",)
 _FAMILIES = {
-    "C": (_BARE, cyclic),
+    "C": (_BARE, _cyclic),
     "D": (_BARE, lambda order: _index_two("D", order, 8, order // 2 - 1)),
     "SD": (_BARE, lambda order: _index_two("SD", order, 16, order // 4 - 1)),
     "Q": (_BARE, lambda order: _index_two("Q", order, 8, order // 2 - 1, order // 4)),
@@ -212,10 +236,35 @@ def canonical_spec(spec: str) -> str:
         for fam, params in parse_spec(spec))
 
 
+def _pc_specs(spec: str) -> list[PcSpec]:
+    """The presentation of each factor of spec, from its family's builder."""
+    return [_FAMILIES[fam][1](*params.values()) for fam, params in parse_spec(spec)]
+
+
+def _product_order(factors: list[PcSpec]) -> int:
+    """The order of the factors' direct product, checked against the cap as
+    each factor joins, as direct_product checks it."""
+    order = 1
+    for pc in factors:
+        order *= pc.order
+        check_order(order)
+    return order
+
+
+def spec_order(spec: str) -> int:
+    """The order of build_group(spec), read off the factors' relative orders
+    without a table or numpy.  A spec that build_group refuses is refused
+    with the same error, except a presentation that fails to close (G7:p=2),
+    which only building the table finds."""
+    return _product_order(_pc_specs(spec))
+
+
 def build_group(spec: str) -> Group:
     """Build a catalog group from its spec string (see parse_spec); a product
-    of factors is their direct product."""
-    groups = [_FAMILIES[fam][1](*params.values()) for fam, params in parse_spec(spec)]
+    of factors is their direct product.  Every factor's presentation, and
+    the product's order, is checked before the first table is built."""
+    factors = _pc_specs(spec)
+    _product_order(factors)
     from .groups import direct_product
 
-    return reduce(direct_product, groups)
+    return reduce(direct_product, [pc.build() for pc in factors])

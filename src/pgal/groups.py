@@ -491,10 +491,12 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
     reps, coset_of = np.unique(least, return_inverse=True)
     coset_of = coset_of.astype(np.int16)
     m = len(reps)
-    # gathered by row blocks, so no m x m int16 index table is held beside it
+    # gathered by row blocks, so no m x m int16 index table is held beside it;
+    # the indices are table entries, so in range, and mode="clip" lets take
+    # write straight into the output, where "raise" buffers each block
     table = np.empty((m, m), dtype=np.int16)
     for rows in row_blocks(m):
-        np.take(coset_of, T.take(reps[rows], 0).take(reps, 1), out=table[rows])
+        np.take(coset_of, T.take(reps[rows], 0).take(reps, 1), out=table[rows], mode="clip")
     gens = []
     seen = set()
     for name, idx in G.generators:

@@ -24,6 +24,9 @@
   repeated until the form expands back to itself;
 - `count_solutions_double_loop`: fpmodules.count_solutions as the literal
   double loop over i and j < i, recomputing each Delta;
+- `realization_answers`: the realization graph's closure queries as they
+  were answered with every node built and every edge checked on
+  construction, here with the quotient relation found once for all specs;
 - `family_specs`, `PRIMES` and `permutation_group`: the catalog specs,
   primes and tables that are not p-groups the comparisons run over.
 """
@@ -33,6 +36,8 @@ import math
 
 import numpy as np
 
+from pgal.autoreal import QUOTIENT_EDGE_MAX_ORDER
+from pgal.catalog import build_group, canonical_spec
 from pgal.cohomology import (
     CoboundarySpace,
     Cocycle2,
@@ -50,6 +55,9 @@ from pgal.groups import (
     _prime_divisors,
     cayley_tree,
     frattini_style_subgroup,
+    is_isomorphic,
+    min_generators,
+    normal_subgroups,
     path_counts,
     quotient,
     subgroups_of_index2,
@@ -453,3 +461,48 @@ def count_solutions_double_loop(A, nd):
             exp += nd.dims[j] - delta(A, j) - ind_j
         total *= p ** (d_i * exp)
     return total
+
+
+def realization_answers(edges, specs):
+    """{(src, dst): RealizationGraph(edges).implies(src, dst)} over the
+    ordered pairs of specs, from every group built and every edge's
+    generator-count condition asserted first.  A query is a breadth-first
+    search from src that leaves a node by its seeded edges, in file order,
+    then by its quotient edges (order at most 64) to the nodes and both ends
+    in spec order."""
+    seeded = {}
+    for e in edges:
+        src, dst = canonical_spec(e.src), canonical_spec(e.dst)
+        seeded.setdefault(src, []).append((dst, e.cite))
+    nodes = {spec for src, arrows in seeded.items() for spec in [src] + [d for d, _ in arrows]}
+    groups = {spec: build_group(spec) for spec in nodes | {canonical_spec(s) for s in specs}}
+    for src, arrows in seeded.items():
+        for dst, _ in arrows:
+            assert min_generators(groups[dst]) <= min_generators(groups[src])
+    quotients_of = {}  # spec -> the specs isomorphic to one of its quotients
+    for spec, G in groups.items():
+        normals = normal_subgroups(G) if G.order <= QUOTIENT_EDGE_MAX_ORDER else []
+        quotients = [quotient(G, N)[0] for N in normals]
+        quotients_of[spec] = {t for t, H in groups.items() if t != spec and any(
+            Q.order == H.order and is_isomorphic(Q, H) for Q in quotients)}
+    answers = {}
+    for a, b in itertools.product(specs, repeat=2):
+        src, dst = canonical_spec(a), canonical_spec(b)
+        universe = sorted(nodes | {src, dst})
+        seen, frontier = {src: None}, [src]
+        while frontier and dst not in seen:
+            nxt = []
+            for node in frontier:
+                for t, cite in seeded.get(node, []) + [
+                        (t, "trivial: G => G/N") for t in universe if t in quotients_of[node]]:
+                    if t not in seen:
+                        seen[t] = {"from": node, "to": t, "cite": cite}
+                        nxt.append(t)
+            frontier = nxt
+        path, node = [], dst
+        while seen.get(node):
+            path.append(seen[node])
+            node = seen[node]["from"]
+        answers[a, b] = {"holds": True, "path": path[::-1]} if dst in seen else \
+            {"holds": "unknown", "path": []}
+    return answers

@@ -97,11 +97,61 @@ def test_gen_count_examples():
     assert gen_count_necessary("G1:p=3", "C:1")
 
 
-def test_the_default_graph_caches_only_its_own_nodes():
+def _counting_builds(monkeypatch):
+    """The (spec, order) of each group catalog.build_group builds from now on."""
+    import pgal.catalog
+
+    built, build = [], pgal.catalog.build_group
+
+    def counted(spec):
+        G = build(spec)
+        built.append((spec, G.order))
+        return G
+
+    monkeypatch.setattr(pgal.catalog, "build_group", counted)
+    return built
+
+
+def test_the_default_graph_caches_only_its_own_nodes(monkeypatch):
+    """And builds them only as queries read them: loading used to build all
+    36 nodes."""
     g = default_graph()
     assert implies("C:81", "C:3") == {"holds": "unknown", "path": []}
-    assert "C:81" not in g._groups and "D:8" in g._groups
-    assert set(g._groups) == {spec for e in g.edges for spec in (e.src, e.dst)}
+    assert "C:81" not in g._groups
+    assert set(g._groups) <= {spec for e in g.edges for spec in (e.src, e.dst)}
+    built = _counting_builds(monkeypatch)
+    fresh = RealizationGraph.load_default()
+    assert built == [] and fresh._groups == {}
+    assert implies("C:4", "C:16", graph=fresh)["holds"] is True
+    assert built and {spec for spec, _ in built} <= set(fresh._groups)
+    assert not {"G3:p=5", "G4:p=5", "G1:p=7", "G2:p=7"} & set(fresh._groups)
+
+
+@pytest.mark.parametrize("src,dst", [("G4:p=3", "C:7"), ("C:64", "G4:p=3"), ("Q:16", "D:8"),
+                                     ("C:9", "D:16"), ("G1:p=3", "C:27"), ("C:49", "SD:16")])
+def test_a_query_builds_few_and_small_groups(monkeypatch, src, dst):
+    """Every node's group used to be built on load, up to order 625."""
+    built = _counting_builds(monkeypatch)
+    RealizationGraph.load_default().implies(src, dst)
+    assert len(built) <= 16 and max(order for _, order in built) <= 81
+
+
+def test_a_lazy_graph_answers_as_the_graph_with_everything_built():
+    """Every ordered pair over the nodes and four other specs, against the
+    search over every node built and every edge checked.  One fresh graph
+    per source, so each source's queries start with nothing built."""
+    from pgal.catalog import canonical_spec
+    from oracles import realization_answers
+
+    edges = RealizationGraph.load_default().edges
+    nodes = sorted({canonical_spec(spec) for e in edges for spec in (e.src, e.dst)})
+    specs = nodes + ["C:81", "C:2", "EA:p=2,r=2", "D:64"]
+    expected = realization_answers(edges, specs)
+    assert sum(ans["holds"] is True for ans in expected.values()) > len(specs)
+    for src in specs:
+        g = RealizationGraph.load_default()
+        for dst in specs:
+            assert g.implies(src, dst) == expected[src, dst], (src, dst)
 
 
 def test_database_edges_respect_gen_count():
@@ -111,10 +161,25 @@ def test_database_edges_respect_gen_count():
 
 
 def test_bad_database_edge_rejected():
+    """A missing citation, or an end that names no group, is refused on
+    construction; the generator-count condition, which used to be checked
+    there too, is checked when a query first follows the edge."""
     from pgal.autoreal import Edge
 
-    with pytest.raises(UnknownSpec):
-        RealizationGraph([Edge("C:4", "EA:p=2,r=2", "bogus")])
+    for edge, detail in [
+        (("C:4", "C:8", ""), "edge C:4 => C:8 lacks a citation"),
+        (("C:4", "D:12", "x"), "cannot build 'D:12': order 12 not in this 2-power family (min 8)"),
+        (("EA:p=4,r=2", "C:2", "x"), "cannot resolve 'EA:p=4,r=2': EA needs a prime p, got p=4"),
+    ]:
+        with pytest.raises(UnknownSpec) as exc:
+            RealizationGraph([Edge(*edge)])
+        assert exc.value.detail == detail
+    g = RealizationGraph([Edge("C:4", "EA:p=2,r=2", "bogus")])
+    assert g._groups == {}
+    for _ in range(2):
+        with pytest.raises(UnknownSpec) as exc:
+            g.implies("C:4", "EA:p=2,r=2")
+        assert exc.value.detail == "edge C:4 => EA:p=2,r=2 violates the generator-count condition"
 
 
 def test_multiplicity_bound():

@@ -356,3 +356,36 @@ def test_a_parameter_too_long_to_read_is_a_bad_parameter(capsys):
     assert code == 1
     assert doc["error"] == "UnknownFamily"
     assert doc["detail"].startswith("'EA:p=2,r=111")
+
+
+def test_spec_order_is_the_order_of_the_group_built():
+    from oracles import family_specs
+
+    products = ["D:8*C:2", "C:2*C:2*C:2", "Q:8*EA:p=2,r=2", "G1:p=3*C:3",
+                "MSS:j=2,n=1,p=3*C:1", "EA:p=2,r=2*M:16*C:4", "D:64*C:64"]
+    for spec in family_specs(256) + products:
+        assert catalog.spec_order(spec) == build_group(spec).order, spec
+
+
+@pytest.mark.parametrize("spec", ["D:12", "EA:p=4,r=2", "C:8192", "EA:p=2,r=1000000000",
+                                  "C:2*D:12", "D:64*C:128", "C:8192*D:12"])
+def test_spec_order_refuses_a_spec_as_build_group_does(spec):
+    """At once, since no table is built or list of a billion orders formed."""
+    errors = []
+    for call in (build_group, catalog.spec_order):
+        start = time.perf_counter()
+        with pytest.raises((UnknownFamily, OrderTooLarge)) as exc:
+            call(spec)
+        assert time.perf_counter() - start < 1.0
+        errors.append((type(exc.value), exc.value.detail))
+    assert errors[0] == errors[1]
+
+
+def test_spec_order_runs_without_numpy():
+    from fresh import run_call
+
+    req = run_call("from pgal.catalog import spec_order",
+                   "assert spec_order('D:64*C:64') == 4096\n"
+                   "assert spec_order('MSS:p=3,n=2,j=3') == 243")
+    assert req.code == 0, req.stderr
+    assert "numpy" not in req.modules and "pgal.groups" not in req.modules
