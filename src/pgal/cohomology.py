@@ -7,7 +7,6 @@ extracted with the section that picks the least-index preimage.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from functools import cached_property
 from math import lcm
@@ -16,6 +15,7 @@ import numpy as np
 
 from .catalog import cyclic
 from .errors import (
+    MAX_ORDER,
     BadIndexSubgroup,
     BadParams,
     GInH,
@@ -34,10 +34,10 @@ from .groups import (
     Group,
     GroupHom,
     Subgroup,
-    integer_array,
     is_p_group,
     path_counts,
     quotient,
+    read_integers,
     row_blocks,
     subgroup_generated,
     subgroups_of_index2,
@@ -51,9 +51,23 @@ from .records import Record
 MAX_REPS = 4096  # h2_enumerate lists every class up to this many
 
 
-def _check_prime(p) -> None:
+def _check_prime(p) -> int:
+    """p as a Python int, or BadParams unless it is a prime integer below 2^63."""
+    detail = f"p must be prime, got p={p}"  # a negative p too: is_prime refuses it
+    p = int(read_integers(p, BadParams, detail, low=-2 ** 63, ndim=0,
+                          out_of_range=f"p must be a prime below 2^63, got p={p}"))
     if not is_prime(p):
-        raise BadParams(f"p must be prime, got p={p}")
+        raise BadParams(detail)
+    return p
+
+
+def _integer(x, what: str, n: int, low: int = 0, error=BadParams, names=()) -> int:
+    """x in low..n-1, or the index of the name x in names; else error naming x."""
+    if names and isinstance(x, str):
+        x = next((i for name, i in names if name == x), x)
+    kind = "a generator name or an integer" if names else "an integer"
+    return int(read_integers(x, error, f"{what} must be {kind} in {low}..{n - 1}", n, low=low,
+                             ndim=0))
 
 
 def is_cocycle_table(group: Group, p: int, values) -> bool:
@@ -63,13 +77,15 @@ def is_cocycle_table(group: Group, p: int, values) -> bool:
     and z in the group's generator list (Group.gens), n^2 k entries.  That
     covers every z: the z for which it holds for all x, y contain 1 and are
     closed under products (the closure argument of Light's associativity
-    test), and those generators generate.  Values
-    that are not integers (groups.integer_array) make no cocycle; values
-    are exponents of zeta, so one of any size is read mod p.
+    test), and those generators generate.  Values that are not integers
+    make no cocycle; values are exponents of zeta, read mod p, and as the
+    identity holds mod any modulus, p need only be an integer in 2..2^63-1.
     """
+    p = int(read_integers(p, BadParams, f"p must be an integer in 2..2^63-1, got p={p}",
+                          low=2, ndim=0))
     try:
-        F = integer_array(values, p)
-    except TypeError:
+        F = read_integers(values, NotACocycle, "", modulus=p)
+    except NotACocycle:
         return False
     n = group.order
     if F.shape != (n, n) or F[0].any() or F[:, 0].any():
@@ -93,12 +109,11 @@ class Cocycle2:
     """
 
     def __init__(self, group: Group, p: int, values, check: bool = True):
-        _check_prime(p)
-        if check and not is_cocycle_table(group, p, values):
+        self.group, self.p = group, _check_prime(p)
+        if check and not is_cocycle_table(group, self.p, values):
             raise NotACocycle("table violates normalization or the cocycle identity")
-        self.group = group
-        self.p = int(p)
-        self.values = integer_array(values, self.p) if check else np.asarray(values, dtype=np.int64)
+        self.values = (read_integers(values, NotACocycle, "", modulus=self.p) if check
+                       else np.asarray(values, dtype=np.int64))
         self.values.setflags(write=False)
 
     def __call__(self, x: int, y: int) -> int:
@@ -150,6 +165,7 @@ def cocycle_of_extension(E: Group, proj: GroupHom, kernel_gen: int) -> Cocycle2:
     """Factor set of a central extension via the least-index-preimage section."""
     if proj.source is not E:
         raise TargetMismatch("projection must start at the extension group")
+    kernel_gen = _integer(kernel_gen, "kernel_gen", E.order)
     ker = np.flatnonzero(proj.images == 0)
     p = len(ker)
     if not is_prime(p):
@@ -213,7 +229,7 @@ class CoboundarySpace:
     """
 
     def __init__(self, group: Group, p: int):
-        self.group, self.p = group, p
+        self.group, self.p = group, _check_prime(p)  # GF(p) elimination needs a prime
         self.tree = group.tree()
         gens, _, self.levels, self.parent, self.slot = self.tree
         self.gens = np.array(gens, dtype=np.int64)
@@ -263,7 +279,7 @@ class CoboundarySpace:
         The witness is checked against the full table before it is returned.
         """
         p, T = self.p, self.group.np_table
-        F = integer_array(values, p)
+        F = read_integers(values, NotACocycle, "cocycle values must be integers", modulus=p)
         w, v = self.normalise(F[:, self.gens])
         if v.any():
             if (c := self.solve(v)) is None:
@@ -278,11 +294,9 @@ class CoboundarySpace:
 
 def verify(group: Group, p: int, values) -> dict:
     """Check the cocycle conditions and test for being a coboundary."""
-    _check_prime(p)
-    if not is_cocycle_table(group, p, values):
-        return {"is_cocycle": False, "is_coboundary": False, "witness": None}
-    g = CoboundarySpace(group, p).witness(values)
-    return {"is_cocycle": True, "is_coboundary": g is not None, "witness": g}
+    cob = CoboundarySpace(group, p)
+    g = cob.witness(values) if (ok := is_cocycle_table(group, cob.p, values)) else None
+    return {"is_cocycle": ok, "is_coboundary": g is not None, "witness": g}
 
 
 def is_coboundary(f: Cocycle2) -> bool:
@@ -313,13 +327,9 @@ class Classes(Sequence):
         return self._p ** self._dim if self._complete else self._dim
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        n = len(self)
-        i = operator.index(i)
-        if not -n <= i < n:
-            raise IndexError("class index out of range")
-        i %= n
+        i = range(len(self))[i]  # an index or a slice, read and bounded as a sequence's
+        if isinstance(i, range):
+            return [self[j] for j in i]
         if self._complete:
             coeffs = [i // self._p ** (self._dim - 1 - d) % self._p for d in range(self._dim)]
         else:
@@ -349,7 +359,7 @@ def h2_enumerate(group: Group, p: int) -> H2Result:
     The representatives list all p^dim classes when that count is at most
     MAX_REPS, and otherwise a basis; either way a class is built when read.
     """
-    _check_prime(p)
+    p = _check_prime(p)
     if group.order % p:
         n = group.order
         h, build = 0, lambda c: Cocycle2(group, p, np.zeros((n, n), dtype=np.int64), check=False)
@@ -454,12 +464,9 @@ def _transfer(F: np.ndarray, H: Subgroup, cols: np.ndarray, transversal=None) ->
     if transversal is None:
         R = np.flatnonzero(T[H.elements].min(axis=0) == np.arange(n))  # x = min Hx
     else:
-        try:
-            R = integer_array(transversal)
-        except (TypeError, OverflowError):
-            raise BadIndexSubgroup(f"transversal elements must be integers in 0..{n - 1}") from None
-        if R.ndim != 1 or R.size and (R.min() < 0 or R.max() >= n):
-            raise BadIndexSubgroup(f"transversal elements must lie in 0..{n - 1}")
+        R = read_integers(transversal, BadIndexSubgroup,
+                          f"transversal elements must be integers in 0..{n - 1}", n, ndim=1,
+                          out_of_range=f"transversal elements must lie in 0..{n - 1}")
     cosets = T[np.ix_(H.elements, R)]  # column i is H R[i]
     if len(R) * H.order != n or (np.bincount(cosets.ravel(), minlength=n) != 1).any():
         raise BadIndexSubgroup("not a right transversal of the subgroup")
@@ -485,27 +492,14 @@ def corestrict_tate(fbar: Cocycle2, H: Subgroup, g: int | None = None) -> Cocycl
         raise PrimeMismatch("the transfer formula is implemented for p = 2 only")
     if H.index() != 2:
         raise BadIndexSubgroup(f"subgroup has index {H.index()}, need 2")
-    n = H.parent.order
-    if g is None:
-        g = int(np.argmin(H.pos >= 0))
-    else:
-        try:
-            g_arr = integer_array(g)
-        except (TypeError, OverflowError):
-            g_arr = None
-        if g_arr is None or g_arr.ndim or not 0 <= g_arr < n:
-            raise BadIndexSubgroup(f"g must be an integer in 0..{n - 1}")
-        g = int(g_arr)
+    g = (int(np.argmin(H.pos >= 0)) if g is None
+         else _integer(g, "g", H.parent.order, error=BadIndexSubgroup))
     if g in H:
         raise GInH(f"element {g} lies in the subgroup")
     return corestrict(fbar, H, [0, g])
 
 
 # -- the raise/lower companion construction ------------------------------------
-
-
-def _resolve_element(G: Group, gen) -> int:
-    return G.gen(gen) if isinstance(gen, str) else int(gen)
 
 
 def cyclic_step_cocycle(p: int, n_exp: int) -> Cocycle2:
@@ -515,7 +509,8 @@ def cyclic_step_cocycle(p: int, n_exp: int) -> Cocycle2:
     t^m, it is the factor set of the section i -> t^i of C_m:
     t^i t^j t^-((i+j) mod m) = (t^m)^[i+j >= m].
     """
-    m = p ** (n_exp - 1)
+    p = _check_prime(p)
+    m = p ** (_integer(n_exp, "n_exp", MAX_ORDER.bit_length() + 1, low=1) - 1)
     i = np.arange(m)
     return Cocycle2(cyclic(m), p, (i[:, None] + i >= m).astype(np.int64), check=False)
 
@@ -530,8 +525,8 @@ def raise_lower(E: ExtensionClass, sigma1, n_exp: int, direction: str) -> Extens
         raise QuotientConditionFails(f"unknown direction {direction!r}")
     G = E.proj.target
     p = E.cocycle.p
-    s1 = _resolve_element(G, sigma1)
-    m = p ** (n_exp - 1)
+    s1 = _integer(sigma1, "sigma1", G.order, names=G.generators)
+    m = p ** (_integer(n_exp, "n_exp", MAX_ORDER.bit_length() + 1, low=1) - 1)
     if G.element_order(s1) != m:
         raise QuotientConditionFails(f"sigma1 must have order {m} in the base group")
     others = [i for _, i in G.generators if i != s1]
@@ -564,6 +559,7 @@ def lift_order_diag(f: Cocycle2, z: int) -> dict:
     """f(z^(k/2), z^(k/2)) and the order of z's preimages (p = 2)."""
     if f.p != 2:
         raise PrimeMismatch("defined for p = 2")
+    z = _integer(z, "z", f.group.order)
     if z == 0:
         raise IdentityElement("z must not be the identity")
     k = f.group.element_order(z)
@@ -632,7 +628,8 @@ def power_commutator_data(E: ExtensionClass, gens: list) -> tuple[list, dict]:
     ext, proj, p = E.extension, E.proj, E.cocycle.p
     kp = {int(z): j for j, z in enumerate(ext._powers(np.full(p, E.kernel_gen), np.arange(p)))}
     sec = _section(proj)
-    pre = [int(sec[_resolve_element(proj.target, g)]) for g in gens]
+    pre = [int(sec[_integer(g, "gens", proj.target.order, names=proj.target.generators)])
+           for g in gens]
     diag = [kp.get(ext.power(s, p)) for s in pre]
     offdiag = {(i, j): kp.get(ext.mul(ext.mul(pre[i], pre[j]), ext.inv(ext.mul(pre[j], pre[i]))))
                for i in range(len(pre)) for j in range(i + 1, len(pre))}

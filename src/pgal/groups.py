@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     MAX_ORDER,
     BadM,
+    BadParams,
     NotNormal,
     NotPGroup,
     RelationInconsistent,
@@ -36,6 +37,7 @@ if TYPE_CHECKING:
 
 MAX_NORMALS = 4096  # normal_subgroups gives up beyond this many
 BLOCK_ENTRIES = 1 << 18
+INTEGER_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
 
 
 def row_blocks(n: int):
@@ -56,37 +58,50 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def integer_array(data, modulus: int | None = None) -> np.ndarray:
-    """Outside data as int64: TypeError for an entry that is not an integer
-    (a cast would truncate 0.5 and read false as 0), OverflowError for one
-    beyond 64 bits.  numpy reads bools among ints as int64 and ints past
-    2^63 as float64, so a list is judged by the types of its entries.  With
-    a modulus the entries are reduced mod it before the cast (a list's on
-    its exact Python ints), so no entry is then too wide."""
-    if isinstance(data, np.ndarray):
-        if data.dtype.kind not in "iu":
-            raise TypeError("entries must be integers")
-        if modulus is not None and data.dtype == np.uint64:
-            data = data % np.uint64(modulus)  # the cast would wrap entries past 2^63
-        arr = data.astype(np.int64, copy=False)
-    else:
-        arr = np.array(data, dtype=object)
-        if not all(issubclass(t, (int, np.integer)) and t is not bool
-                   for t in set(map(type, arr.flat))):
-            raise TypeError("entries must be integers")
+def read_integers(data, error, detail: str, n=None, *, low: int = 0, ndim: int | None = None,
+                  modulus: int | None = None, out_of_range: str | None = None) -> np.ndarray:
+    """Integers a caller hands the library (an array, a list, a set or a
+    scalar) as a read-only array: int16 in low..n-1, int64 below 2^63 for n
+    None, or with a modulus int64 reduced mod it.  Entries are judged by
+    their types, never cast (numpy reads a bool among ints as 1 and 0.5 as
+    0): an entry that is not an int or a numpy integer (a float, bool,
+    string or None, or a ragged list), or another rank than ndim, is
+    error(detail).  An entry past 64 bits or out of range is
+    error(out_of_range or detail), checked before the cast that would wrap
+    65536 to 0.  n may be a function of the shape that returns the bound
+    or raises the site's own shape error."""
+    # a lone int is read exactly as int64, uint64 or object; a list as objects
+    arr = data if isinstance(data, np.ndarray) else np.array(data) if type(data) is int else np.array(
+        list(data) if isinstance(data, (set, frozenset)) else data, dtype=object)
+    kinds = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
+    if not kinds <= INTEGER_TYPES or ndim is not None and arr.ndim != ndim:
+        raise error(detail)
+    if modulus is not None and arr.dtype.kind != "i":  # the cast would wrap entries past 2^63
+        arr = arr % (modulus if arr.dtype == object else np.uint64(modulus))
+    if arr.dtype == object:
+        try:
+            arr = arr.astype(np.int64)
+        except OverflowError:
+            raise error(out_of_range or detail) from None
     if modulus is not None:
-        arr = arr % modulus
-    return arr.astype(np.int64, copy=False)
+        out = arr.astype(np.int64, copy=False) % modulus
+    else:
+        bound = n(arr.shape) if callable(n) else 2 ** 63 if n is None else n
+        if arr.size:  # one entry is compared as an int: two reductions cost more than the rest
+            lo, hi = (arr.min(), arr.max()) if arr.size > 1 else (int(arr.flat[0]),) * 2
+            if lo < low or hi >= bound:
+                raise error(out_of_range or detail)
+        out = arr.astype(np.int64 if n is None else np.int16)
+    out.setflags(write=False)
+    return out
 
 
-def _read(data, what: str, out_of_range: str) -> np.ndarray:
-    """integer_array of outside data, its refusals as RelationInconsistent."""
-    try:
-        return integer_array(data)
-    except OverflowError:
-        raise RelationInconsistent(out_of_range) from None
-    except TypeError:
-        raise RelationInconsistent(f"{what} must be integers") from None
+def _square(shape) -> int:
+    """The side of a square table within the order cap."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise RelationInconsistent("table must be square")
+    check_order(shape[0])
+    return shape[0]
 
 
 def cayley_tree(T: np.ndarray, named) -> tuple:
@@ -155,26 +170,18 @@ class Group:
                  pc: PcPresentation | None = None):
         if pc is not None and check:
             raise RelationInconsistent("only the table pc_table built from a presentation carries it")
-        # a table from outside is read wide and range-checked before the cast,
-        # so that 65536 cannot wrap to 0; a trusted int16 table is not copied
-        arr = (_read(table, "table entries", "table entries out of range") if check
+        # a table from outside is read exactly; a trusted int16 table is not copied
+        arr = (read_integers(table, RelationInconsistent, "table entries must be integers", _square,
+                             out_of_range="table entries out of range") if check
                else np.asarray(table, dtype=np.int16))
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise RelationInconsistent("table must be square")
-        check_order(arr.shape[0])
-        if check:
-            if arr.size and (arr.min() < 0 or arr.max() >= arr.shape[0]):
-                raise RelationInconsistent("table entries out of range")
-            arr = arr.astype(np.int16)
+        self.order = _square(arr.shape)
         arr.setflags(write=False)
         self._np = arr
-        self.order = int(arr.shape[0])
         generators = list(generators)
         if check:  # int(i) would read an index of 1.5, true or "1" as 1
-            idx = _read([i for _, i in generators], "generator indices",
-                        f"generator indices must lie in 0..{self.order - 1}")
-            if idx.ndim != 1:
-                raise RelationInconsistent("generator indices must be integers")
+            read_integers([i for _, i in generators], RelationInconsistent,
+                          "generator indices must be integers", self.order, ndim=1,
+                          out_of_range=f"generator indices must lie in 0..{self.order - 1}")
         self.generators = [(str(n), int(i)) for n, i in generators]
         self.gens = [i for _, i in self.generators]
         self.name = name
@@ -203,10 +210,6 @@ class Group:
         """
         n = self.order
         T = self._np
-        if T.min() < 0 or T.max() >= n:
-            raise RelationInconsistent("table entries out of range")
-        if any(not 0 <= i < n for _, i in self.generators):
-            raise RelationInconsistent(f"generator indices must lie in 0..{n - 1}")
         ar = np.arange(n)
         if not (np.array_equal(T[0], ar) and np.array_equal(T[:, 0], ar)):
             raise RelationInconsistent("index 0 is not a two-sided identity")
@@ -330,7 +333,10 @@ class Group:
         The elements reached from the identity by right multiplication with
         the seeds: in a finite group that already is a subgroup.
         """
-        return sorted(cayley_tree(self._np, sorted({int(s) for s in seed}))[1])
+        n = self.order
+        seed = read_integers(seed, BadParams, f"seed elements must be integers in 0..{n - 1}", n,
+                             ndim=1)
+        return sorted(cayley_tree(self._np, sorted(set(seed.tolist())))[1])
 
     def center(self) -> "Subgroup":
         """The elements that commute with each generator in gens: those
@@ -368,17 +374,14 @@ class GroupHom(FrozenRecord):
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
     def __init__(self, source: Group, target: Group, images: np.ndarray):
-        phi = _read(images, "images", "images out of range")
+        phi = read_integers(images, RelationInconsistent, "images must be integers",
+                            target.order, out_of_range="images out of range")
         if phi.shape != (source.order,):
             raise RelationInconsistent("image list has wrong length")
         if phi[0] != 0:
             raise RelationInconsistent("identity must map to identity")
-        if phi.min() < 0 or phi.max() >= target.order:
-            raise RelationInconsistent("images out of range")
         if not is_multiplicative(phi, source.np_table, target.np_table, source.gens):
             raise RelationInconsistent("map is not multiplicative")
-        phi = phi.astype(np.int16)
-        phi.setflags(write=False)
         self._set(source=source, target=target, images=phi)
 
     def __call__(self, x: int) -> int:
@@ -406,12 +409,9 @@ class Subgroup:
         self.parent = parent
         n = parent.order
         if check:  # range-checked, then sorted and deduplicated by a membership mask
-            out_of_range = f"subgroup elements must lie in 0..{n - 1}"
-            els = _read(elements, "subgroup elements", out_of_range)
-            if els.size and (els.min() < 0 or els.max() >= n):
-                raise RelationInconsistent(out_of_range)
             inside = np.zeros(n, dtype=bool)
-            inside[els] = True
+            inside[read_integers(elements, RelationInconsistent, "subgroup elements must be integers",
+                                 n, out_of_range=f"subgroup elements must lie in 0..{n - 1}")] = True
             elements = np.flatnonzero(inside)
         els = self.elements = np.asarray(elements, dtype=np.int16)
         if not els.size or els[0] != 0:
@@ -584,7 +584,7 @@ def central_step(G: Group, els: np.ndarray, gens, p: int) -> Subgroup:
         seeds.append(T[T[inv[els], inv[s]], T[els, s]])  # x^-1 s^-1 . x s
     # each seed once, in increasing order, without np.unique (which imports numpy.ma)
     return subgroup_generated(
-        G, np.flatnonzero(np.bincount(np.concatenate(seeds), minlength=G.order)).tolist())
+        G, np.flatnonzero(np.bincount(np.concatenate(seeds), minlength=G.order)))
 
 
 def frattini_style_subgroup(G: Group, p: int) -> Subgroup:

@@ -1,0 +1,216 @@
+"""Every integer a caller hands the group and cohomology API goes through
+one reader, groups.read_integers.
+
+One row per entry point: the call, a valid value, the error code, the
+detail for a value that is not an integer (a float, a bool, a string, None,
+a list where an integer belongs, an unknown generator name) and the detail
+for one out of range (-1, the first index past the end, 2^70).  A bad value
+raises exactly that PgalError and nothing else; a valid one answers the
+same given as a Python int, a numpy int, or an int16 or int64 array.
+"""
+
+from collections.abc import Sequence
+
+import numpy as np
+import pytest
+
+from pgal.catalog import build_group
+from pgal.cohomology import (
+    CoboundarySpace,
+    Cocycle2,
+    corestrict,
+    corestrict_tate,
+    cocycle_of_extension,
+    cyclic_step_cocycle,
+    extension_of_cocycle,
+    h2_enumerate,
+    is_cocycle_table,
+    lift_order_diag,
+    power_commutator_data,
+    raise_lower,
+    verify,
+)
+from pgal.errors import PgalError
+from pgal.groups import Group, GroupHom, Subgroup, subgroup_generated, subgroups_of_index2
+
+C2, C4, D8 = build_group("C:2"), build_group("C:4"), build_group("D:8")
+C2_TABLE = [[0, 1], [1, 0]]
+H = subgroups_of_index2(D8)[0]
+FBAR = h2_enumerate(H.as_group(), 2).representatives[1]
+E4 = extension_of_cocycle(Cocycle2(C4, 2, np.zeros((4, 4), dtype=np.int64)))  # C4 x C2
+ZERO8 = np.zeros((8, 8), dtype=np.int64)
+NOT_INTEGERS = [1.5, True, "1", None, [1]]
+BIG = 2 ** 70
+
+
+class Row:
+    """An entry point: call(shape(v)) puts the value v where the entry
+    point reads an integer, and answers for v = valid.  A value that is not
+    an integer (or names no generator) raises code with the detail `typed`;
+    -1, the values in low, past_end and 2^70 raise it with `ranged`."""
+
+    def __init__(self, call, shape, valid, code, typed, ranged=None, past_end=None,
+                 names=False, low=()):
+        self.call, self.shape, self.valid, self.code = call, shape, valid, code
+        self.typed, self.ranged = typed, ranged or typed
+        self.bad = [(v, typed) for v in NOT_INTEGERS + ["nope"] * names]
+        self.bad += [(v, self.ranged) for v in (-1, *low, past_end, BIG)]
+
+
+def _scalar(v):
+    return v
+
+
+# index sites: past_end is the order they index
+ROWS = {
+    "Group table entry": Row(lambda t: Group(t, [("a", 1)]), lambda v: [[0, 1], [1, v]], 0,
+                             "RelationInconsistent", "table entries must be integers",
+                             "table entries out of range", past_end=2),
+    "Group generator index": Row(lambda i: Group(C2_TABLE, [("a", i)]), _scalar, 1,
+                                 "RelationInconsistent", "generator indices must be integers",
+                                 "generator indices must lie in 0..1", past_end=2),
+    "Subgroup element": Row(lambda els: Subgroup(D8, els), lambda v: [0, v], 2,
+                            "RelationInconsistent", "subgroup elements must be integers",
+                            "subgroup elements must lie in 0..7", past_end=8),
+    "GroupHom image": Row(lambda im: GroupHom(C4, C2, im), lambda v: [0, v, 0, 1], 1,
+                          "RelationInconsistent", "images must be integers",
+                          "images out of range", past_end=2),
+    "Cocycle2.transport image": Row(lambda im: Cocycle2(C2, 2, [[0, 0], [0, 1]]).transport(im, C2),
+                                    lambda v: [0, v], 1, "RelationInconsistent",
+                                    "images must be integers", "images out of range", past_end=2),
+    "corestrict transversal": Row(lambda R: corestrict(FBAR, H, R),
+                                  lambda v: [0, v], int(np.argmin(H.pos >= 0)), "BadIndexSubgroup",
+                                  "transversal elements must be integers in 0..7",
+                                  "transversal elements must lie in 0..7", past_end=8),
+    "corestrict_tate g": Row(lambda g: corestrict_tate(FBAR, H, g), _scalar,
+                             int(np.argmin(H.pos >= 0)), "BadIndexSubgroup",
+                             "g must be an integer in 0..7", past_end=8),
+    "cocycle_of_extension kernel_gen": Row(
+        lambda k: cocycle_of_extension(E4.extension, E4.proj, k), _scalar, 4, "BadParams",
+        "kernel_gen must be an integer in 0..7", past_end=8),
+    "raise_lower sigma1": Row(lambda s: raise_lower(E4, s, 3, "raise"), _scalar, 1, "BadParams",
+                              "sigma1 must be a generator name or an integer in 0..3",
+                              past_end=4, names=True),
+    "power_commutator_data gens": Row(lambda g: power_commutator_data(E4, g), lambda v: [v], 1,
+                                      "BadParams",
+                                      "gens must be a generator name or an integer in 0..3",
+                                      past_end=4, names=True),
+    "lift_order_diag z": Row(lambda z: lift_order_diag(Cocycle2(D8, 2, ZERO8), z), _scalar, 1,
+                             "BadParams", "z must be an integer in 0..7", past_end=8),
+    "Group.closure seed": Row(D8.closure, lambda v: [v], 1, "BadParams",
+                              "seed elements must be integers in 0..7", past_end=8),
+    "subgroup_generated seed": Row(lambda s: subgroup_generated(D8, s), lambda v: [v], 1,
+                                   "BadParams", "seed elements must be integers in 0..7",
+                                   past_end=8),
+    "cyclic_step_cocycle n_exp": Row(lambda e: cyclic_step_cocycle(2, e), _scalar, 3, "BadParams",
+                                     "n_exp must be an integer in 1..13", past_end=14, low=(0,)),
+    "raise_lower n_exp": Row(lambda e: raise_lower(E4, "sigma", e, "raise"), _scalar, 3,
+                             "BadParams", "n_exp must be an integer in 1..13", past_end=14,
+                             low=(0,)),
+}
+
+ROWS["corestrict_tate g"].bad.remove((None, "g must be an integer in 0..7"))  # the default g
+
+
+def _prime_row(call):
+    """p must be a prime integer below 2^63."""
+    row = Row(call, _scalar, 2, "BadParams", "")
+    row.bad = [(v, f"p must be prime, got p={v}")
+               for v in [*NOT_INTEGERS, 2.0, 3.0, "2", -1, 0, 1, 4]]
+    row.bad += [(v, f"p must be a prime below 2^63, got p={v}") for v in (2 ** 89 - 1, BIG, -BIG)]
+    return row
+
+
+ROWS.update({
+    "h2_enumerate p": _prime_row(lambda p: h2_enumerate(D8, p)),
+    "verify p": _prime_row(lambda p: verify(D8, p, ZERO8)),
+    "Cocycle2 p": _prime_row(lambda p: Cocycle2(D8, p, ZERO8)),
+    "Cocycle2 p, check=False": _prime_row(lambda p: Cocycle2(D8, p, ZERO8, check=False)),
+    "CoboundarySpace p": _prime_row(lambda p: CoboundarySpace(D8, p)),
+    "cyclic_step_cocycle p": _prime_row(lambda p: cyclic_step_cocycle(p, 2)),
+})
+# the cocycle identity is sound mod any p, so a composite one is no refusal
+ROWS["is_cocycle_table p"] = Row(lambda p: is_cocycle_table(D8, p, ZERO8), _scalar, 4,
+                                 "BadParams", "")
+ROWS["is_cocycle_table p"].bad = [(v, f"p must be an integer in 2..2^63-1, got p={v}")
+                                  for v in [*NOT_INTEGERS, 2.0, "2", -1, 0, 1, BIG, -BIG]]
+# cocycle values are exponents of zeta, read mod p: -1, 2 and 2^70 are values
+ROWS["CoboundarySpace.witness values"] = Row(CoboundarySpace(C2, 2).witness,
+                                             lambda v: [[0, 0], [0, v]], 2, "NotACocycle",
+                                             "cocycle values must be integers")
+ROWS["Cocycle2 values"] = Row(lambda vals: Cocycle2(C2, 2, vals), lambda v: [[0, 0], [0, v]], 1,
+                              "NotACocycle", "table violates normalization or the cocycle identity")
+for name in ("CoboundarySpace.witness values", "Cocycle2 values"):
+    ROWS[name].bad = [(v, ROWS[name].typed) for v in NOT_INTEGERS]
+
+CASES = [(name, v, detail) for name, row in ROWS.items() for v, detail in row.bad]
+
+
+@pytest.mark.parametrize("name,bad,detail", CASES, ids=[f"{n}-{v!r}" for n, v, _ in CASES])
+def test_a_bad_integer_raises_its_code_and_detail(name, bad, detail):
+    row = ROWS[name]
+    with pytest.raises(PgalError) as exc:
+        row.call(row.shape(bad))
+    assert (exc.value.code, exc.value.detail) == (row.code, detail)
+
+
+def test_cocycle_values_that_are_not_integers_make_no_cocycle_and_others_are_read_mod_p():
+    for bad in NOT_INTEGERS:
+        assert not is_cocycle_table(C2, 2, [[0, 0], [0, bad]])
+    for v, reduced in ((-1, 1), (2, 0), (BIG, 0), (BIG + 1, 1)):
+        values = [[0, 0], [0, v]]
+        assert is_cocycle_table(C2, 2, values)
+        assert Cocycle2(C2, 2, values).values.tolist() == [[0, 0], [0, reduced]]
+        assert CoboundarySpace(C2, 2).witness(values) == ([0, 0] if reduced == 0 else None)
+
+
+def _plain(x):
+    """A result as plain Python data, to compare answers."""
+    if isinstance(x, (Group, Subgroup, GroupHom, Cocycle2, CoboundarySpace)):
+        return {Group: lambda: x.table, Subgroup: lambda: x.elements.tolist(),
+                GroupHom: lambda: x.images.tolist(), Cocycle2: lambda: [x.p, x.values.tolist()],
+                CoboundarySpace: lambda: [x.p, x.N]}[type(x)]()
+    if isinstance(x, Sequence) and not isinstance(x, (str, list, tuple)):  # h2's Classes
+        return [_plain(f) for f in x]
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if hasattr(x, "_fields"):  # a record
+        return [_plain(getattr(x, f)) for f in x._fields]
+    return x
+
+
+def _kinds(row):
+    """The valid argument as Python ints, numpy ints and int16 and int64 arrays."""
+    v, shape = row.valid, row.shape
+    out = [shape(v), shape(np.int64(v)), shape(np.int16(v)), shape(np.uint8(v))]
+    arg = shape(v)
+    if isinstance(arg, list):
+        out += [np.array(arg, dtype=np.int16), np.array(arg, dtype=np.int64)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_a_valid_integer_answers_alike_in_every_integer_type(name):
+    row = ROWS[name]
+    answers = [_plain(row.call(arg)) for arg in _kinds(row)]
+    assert all(a == answers[0] for a in answers), name
+
+
+def test_valid_answers_are_pinned():
+    assert Group([[0, 1], [1, 0]], [("a", np.int16(1))]).generators == [("a", 1)]
+    assert Subgroup(D8, np.array([0, 2], dtype=np.int16)).elements.tolist() == [0, 2]
+    assert D8.closure(np.array([1], dtype=np.int64)) == [0, 1, 2, 3]
+    assert subgroup_generated(D8, {4}).elements.tolist() == [0, 4]
+    assert cyclic_step_cocycle(np.int64(2), np.int16(2)).values.tolist() == [[0, 0], [0, 1]]
+    assert raise_lower(E4, np.int64(1), 3, "raise").cocycle.values.tolist() == [
+        [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 1, 1]]
+    assert power_commutator_data(E4, ["sigma", np.int16(1)]) == ([None, None], {(0, 1): 0})
+    assert lift_order_diag(Cocycle2(D8, 2, ZERO8), np.uint8(1)) == {"value": 0,
+                                                                    "lifted_order": 4}
+    assert h2_enumerate(D8, np.int64(2)).dimension == 3
+    assert is_cocycle_table(D8, 4, ZERO8)
+    assert CoboundarySpace(D8, np.int16(3)).p == 3 and type(CoboundarySpace(D8, 3).p) is int

@@ -7,7 +7,9 @@ frozen class; a fresh default for each instance where the field used a
 default factory; and each check of the old __post_init__ raising the same
 code and detail.  GroupHom compares and hashes by identity.  Record's one
 constructor sets the fields: no record writes an __init__ that only copies
-its parameters, and only records.py calls object.__setattr__.
+its parameters, and only records.py calls object.__setattr__.  Likewise
+caller integers have one reader: only groups.read_integers catches
+OverflowError, so no entry point grows its own cast.
 """
 
 import ast
@@ -209,3 +211,37 @@ def test_records_are_built_by_one_constructor():
     setters = [path.name for path in sorted(PKG.glob("*.py"))
                if "object.__setattr__" in path.read_text()]
     assert setters == ["records.py"]
+
+
+# a bare except and these classes catch OverflowError too
+CATCHES_OVERFLOW = {"OverflowError", "ArithmeticError", "Exception", "BaseException"}
+
+
+def _overflow_catchers(pkg: Path) -> list:
+    """(file, innermost enclosing function) of each handler under pkg that
+    catches OverflowError."""
+    out = []
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first, so an inner function's name wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and (node.type is None or CATCHES_OVERFLOW & {
+                    getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}):
+                out.append((path.name, owner.get(node)))
+    return out
+
+
+def test_caller_integers_have_one_reader(tmp_path):
+    assert _overflow_catchers(PKG) == [("groups.py", "read_integers")]
+    defined = {node.name for path in PKG.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert not defined & {"integer_array", "_read"}
+    # the guard sees a cast of its own in a nested function, and a bare except
+    (tmp_path / "m.py").write_text(
+        "def f(x):\n    def g():\n        try:\n            return int(x)\n"
+        "        except (TypeError, OverflowError):\n            pass\n"
+        "    try:\n        g()\n    except:\n        pass\n")
+    assert _overflow_catchers(tmp_path) == [("m.py", "f"), ("m.py", "g")]
