@@ -483,11 +483,10 @@ def _transfer(F: np.ndarray, H: Subgroup, cols: np.ndarray, transversal=None) ->
     return out
 
 
-def corestrict_tate(fbar: Cocycle2, H: Subgroup, g: int | None = None) -> Cocycle2:
-    """Quadratic corestriction (p = 2, index 2): corestrict with the
-    transversal {1, g}, g the least element outside H by default.  A g that
-    is not an integer element of G is BadIndexSubgroup, as for corestrict's
-    transversal."""
+def _tate_g(fbar: Cocycle2, H: Subgroup, g: int | None) -> int:
+    """corestrict_tate's checks, and its g: the least element outside H for
+    None.  A g that is not an integer element of G is BadIndexSubgroup, as
+    for corestrict's transversal."""
     if fbar.p != 2:
         raise PrimeMismatch("the transfer formula is implemented for p = 2 only")
     if H.index() != 2:
@@ -496,7 +495,13 @@ def corestrict_tate(fbar: Cocycle2, H: Subgroup, g: int | None = None) -> Cocycl
          else _integer(g, "g", H.parent.order, error=BadIndexSubgroup))
     if g in H:
         raise GInH(f"element {g} lies in the subgroup")
-    return corestrict(fbar, H, [0, g])
+    return g
+
+
+def corestrict_tate(fbar: Cocycle2, H: Subgroup, g: int | None = None) -> Cocycle2:
+    """Quadratic corestriction (p = 2, index 2): corestrict with the
+    transversal {1, g}, g as read by _tate_g."""
+    return corestrict(fbar, H, [0, _tate_g(fbar, H, g)])
 
 
 # -- the raise/lower companion construction ------------------------------------
@@ -570,13 +575,16 @@ def lift_order_diag(f: Cocycle2, z: int) -> dict:
     return {"value": val, "lifted_order": k if val == 0 else 2 * k}
 
 
-def prop54_report(G: Group, H: Subgroup, g: int, fbar: Cocycle2) -> dict:
-    """Exponent comparison for a corestricted extension (transfer context).
+def prop54_report(G: Group, H: Subgroup, g: int | None, fbar: Cocycle2) -> dict:
+    """Exponent comparison for a corestricted extension (transfer context),
+    with g read as corestrict_tate reads it, for the corestriction and the
+    part-(2) conjugation test alike.
 
     Part (2) needs exp(H) even (its argument lifts the half-order power of a
     maximal-order element), so the trivial subgroup is reported inapplicable.
     """
-    f = corestrict_tate(fbar, H, g)
+    g = _tate_g(fbar, H, g)
+    f = corestrict(fbar, H, [0, g])
     exp_h2 = extension_of_cocycle(fbar).extension.exponent()
     E1 = extension_of_cocycle(f).extension
     n = G.order

@@ -1,9 +1,11 @@
 """Exception hierarchy: every domain error carries a stable machine-readable code.
 
 MAX_ORDER, the cap on group orders that the size errors name, MAX_DIGITS, the
-cap on the integers pgal prints, and their checks live here too, so a spec
-or a module can be refused without importing numpy.
+cap on the integers pgal prints, their checks and is_integer live here too,
+so a spec or a module can be refused without importing numpy.
 """
+
+import sys
 
 MAX_ORDER = 4096  # the largest group order pgal builds a table for
 MAX_DIGITS = 4300  # Python's default limit on printing an int in decimal
@@ -29,6 +31,14 @@ def check_digits(p: int, e: int, what: str) -> None:
     limit = 10 ** MAX_DIGITS
     if e * (p.bit_length() - 1) >= limit.bit_length() or p ** e >= limit:
         raise BadParams(f"{what} has more than {MAX_DIGITS} decimal digits")
+
+
+def is_integer(x) -> bool:
+    """x is an int or a numpy integer, never a bool: the rule by which
+    groups.read_integers reads a caller's integers, for one value and
+    without importing numpy (no numpy integer exists before numpy loads)."""
+    np = sys.modules.get("numpy")
+    return type(x) is int or np is not None and isinstance(x, np.integer)
 
 
 class PgalError(Exception):

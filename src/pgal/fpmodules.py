@@ -5,7 +5,7 @@ problems, including exact p-binomial coefficients.
 
 from __future__ import annotations
 
-from .errors import BadIndex, Mismatch, NotSolvable, check_digits, check_order
+from .errors import BadIndex, Mismatch, NotSolvable, check_digits, check_order, is_integer
 from .records import Record
 
 
@@ -38,6 +38,8 @@ class FpGModule(Record):
         top = p ** n
         clean = {}
         for i, m in (d or {}).items():
+            if not (is_integer(i) and is_integer(m)):
+                raise BadIndex("summand lengths and multiplicities must be integers")
             i, m = int(i), int(m)
             if m < 0 or not 1 <= i <= top:
                 raise BadIndex(f"summand length {i} outside 1..{top} or negative multiplicity")
@@ -95,6 +97,8 @@ class NormData(Record):
         self.base_quotient_finite = base_quotient_finite
         check_order(p, n)  # before p^n is formed
         top = p ** n
+        if not all(is_integer(i) and is_integer(v) for i, v in dims.items()):
+            raise Mismatch("norm dimension indices and values must be integers")
         dims = {int(i): int(v) for i, v in dims.items()}
         for i in range(1, top + 1):
             if i not in dims:
@@ -113,7 +117,7 @@ class NormData(Record):
     def from_levels(cls, p: int, n: int, levels, i_invariant=None,
                     base_quotient_finite=True) -> "NormData":
         """Build from one dimension per level 0..n (the ceil-log blocks)."""
-        levels = [int(v) for v in levels]
+        levels = list(levels)  # NormData reads each as a dimension
         if len(levels) != n + 1:
             raise Mismatch(f"need {n + 1} level dimensions, got {len(levels)}")
         check_order(p, n)

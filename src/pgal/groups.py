@@ -29,6 +29,7 @@ from .errors import (
     TargetMismatch,
     TooLarge,
     check_order,
+    is_integer,
 )
 from .records import FrozenRecord, Record
 
@@ -37,6 +38,7 @@ if TYPE_CHECKING:
 
 MAX_NORMALS = 4096  # normal_subgroups gives up beyond this many
 BLOCK_ENTRIES = 1 << 18
+# errors.is_integer's rule, as the set of types read_integers accepts
 INTEGER_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
 
 
@@ -314,9 +316,6 @@ class Group:
     def exponent(self) -> int:
         return lcm(*self.element_orders()) if self.order > 1 else 1
 
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self._np, self._np.T))
-
     def gen(self, name: str) -> int:
         for n, i in self.generators:
             if n == name:
@@ -432,13 +431,18 @@ class Subgroup:
     def index(self) -> int:
         return self.parent.order // self.order
 
-    def __contains__(self, x: int) -> bool:
-        return 0 <= int(x) < self.parent.order and self.pos[int(x)] >= 0
+    def __contains__(self, x) -> bool:
+        """x is an element of the subgroup; a non-integer never is."""
+        return is_integer(x) and 0 <= x < self.parent.order and bool(self.pos[x] >= 0)
 
-    def local(self, parent_idx: int) -> int:
+    def local(self, parent_idx) -> int:
+        """The member's index in elements; KeyError for an integer that is
+        not a member, BadParams for a non-integer."""
+        if not is_integer(parent_idx):
+            raise BadParams("element must be an integer")
         if parent_idx not in self:
             raise KeyError(parent_idx)
-        return int(self.pos[int(parent_idx)])
+        return int(self.pos[parent_idx])
 
     def is_normal(self) -> bool:
         """g N g^-1 lies in N for each generator g in gens, one gather each:
@@ -582,7 +586,8 @@ def central_step(G: Group, els: np.ndarray, gens, p: int) -> Subgroup:
     seeds = [G._powers(els, np.full(len(els), p))]
     for s in gens:
         seeds.append(T[T[inv[els], inv[s]], T[els, s]])  # x^-1 s^-1 . x s
-    # each seed once, in increasing order, without np.unique (which imports numpy.ma)
+    # each seed once, in increasing order: a plain np.unique loads numpy.ma
+    # (numpy 2.4 asks np.ma.is_masked unless an index or inverse is asked for)
     return subgroup_generated(
         G, np.flatnonzero(np.bincount(np.concatenate(seeds), minlength=G.order)))
 
@@ -717,7 +722,7 @@ def normal_subgroups(G: Group) -> list[Subgroup] | None:
         while new.size:
             moved = conjs[:, new].ravel()
             # repeats in new are harmless, since orbit[new] is set before the next
-            # gather (np.unique would import numpy.ma)
+            # gather, so no np.unique pass (the plain one loads numpy.ma) is needed
             new = moved[~orbit[moved]]
             orbit[new] = True
         covered |= orbit
@@ -749,32 +754,26 @@ def normal_subgroups(G: Group) -> list[Subgroup] | None:
 # -- isomorphism testing (brute force, for tests and small lookups) ---------
 
 
-def _order_profile(G: Group) -> tuple:
-    from collections import Counter
-    return tuple(sorted(Counter(G.element_orders()).items()))
-
-
 def find_isomorphism(G: Group, H: Group) -> list[int] | None:
     """Explicit isomorphism G -> H as an image list, or None.
 
-    Brute-force generator-image search, restricted to order <= 64.  The
-    images of the generators fix the map along the Cayley tree of G.
+    Brute-force generator-image search, restricted to order <= 64.  Groups
+    with other sorted element orders or center orders are not isomorphic
+    (the center check covers commutativity: G is abelian exactly when its
+    center is G).  The images of the generators G.tree() keeps fix the map
+    along that walk.
     """
     if G.order != H.order:
         return None
     if G.order > 64:
         raise TooLarge("isomorphism search limited to order 64")
-    if (_order_profile(G), G.is_abelian(), G.center().order) != (
-            _order_profile(H), H.is_abelian(), H.center().order):
+    g_orders, h_orders = G.element_orders(), H.element_orders()
+    if sorted(g_orders) != sorted(h_orders) or G.center().order != H.center().order:
         return None
-    gens, reached, _, parent, slot = cayley_tree(G.np_table, range(1, G.order))
+    gens, reached, _, parent, slot = G.tree()
     if not gens:
         return [0]
-    # elements of H bucketed by order
-    by_order: dict[int, list[int]] = {}
-    for x in range(H.order):
-        by_order.setdefault(H.element_order(x), []).append(x)
-    g_orders = [G.element_order(g) for g in gens]
+    candidates = [[x for x, o in enumerate(h_orders) if o == g_orders[g]] for g in gens]
     rows, parent, slot = H.table, parent.tolist(), slot.tolist()
 
     def extend(k: int, images: list[int]) -> list[int] | None:
@@ -786,7 +785,7 @@ def find_isomorphism(G: Group, H: Group) -> list[int] | None:
                     np.array(phi), G.np_table, H.np_table, gens):
                 return None
             return phi
-        for cand in by_order.get(g_orders[k], []):
+        for cand in candidates[k]:
             res = extend(k + 1, images + [cand])
             if res is not None:
                 return res
@@ -814,14 +813,19 @@ class DualActionData(Record):
     _fields = ("orders", "action", "cyclo")
 
     def __init__(self, orders: tuple, action: dict, cyclo: dict):
-        self.orders, self.action, self.cyclo = tuple(int(m) for m in orders), action, cyclo
+        self.orders = tuple(read_integers(
+            orders, RelationInconsistent, "cyclic factor orders must be integers", low=-2 ** 63,
+            ndim=1, out_of_range="cyclic factor orders must lie in 1..2^63-1").tolist())
+        self.action, self.cyclo = action, cyclo
         if any(m < 1 for m in self.orders):
             raise RelationInconsistent("cyclic factor orders must be positive")
         self.exponent = lcm(*self.orders) if self.orders else 1
         for name, M in self.action.items():
             self._check_automorphism(name, M)
         for name, u in self.cyclo.items():
-            if gcd(int(u), self.exponent) != 1:
+            unit = read_integers(u, RelationInconsistent, f"cyclo value for {name} must be an "
+                                 "integer", ndim=0, modulus=self.exponent)
+            if gcd(int(unit), self.exponent) != 1:
                 raise RelationInconsistent(f"cyclo value {u} is not a unit mod {self.exponent}")
 
     def _apply(self, M, v):

@@ -428,7 +428,12 @@ def hilbert_local(a, b, place) -> int:
 
 
 def relevant_places(entries) -> list:
-    """infinity, 2, and all odd primes dividing any entry's numerator or denominator."""
+    """infinity, 2, and all odd primes dividing any entry's numerator or denominator.
+
+    It factors the raw entries it is given.  splits_over_Q reads the atoms
+    a product stores instead: their odd primes are among those of the raw
+    entries it was built from, and at any other odd prime both entries of
+    each stored symbol are units, so that symbol is 1 there."""
     places = {2}
     for q in entries:
         q = Fraction(q)
@@ -438,7 +443,12 @@ def relevant_places(entries) -> list:
 
 
 def splits_over_Q(P: SymbolProduct) -> bool:
-    """True iff the class is trivial in Br(Q); p = 2, rational entries only."""
+    """True iff the class is trivial in Br(Q); p = 2, rational entries only.
+
+    The places are infinity, 2 and the odd primes among the stored atoms,
+    read without factoring again.  relevant_places of the raw entries may
+    add primes; at those, both entries of each stored symbol are units, so
+    every symbol here is 1."""
     if P.p != 2:
         raise PrimeMismatch("splitting decision implemented for p = 2 only")
     if P.opaque:

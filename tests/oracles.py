@@ -24,6 +24,9 @@
   repeated until the form expands back to itself;
 - `count_solutions_double_loop`: fpmodules.count_solutions as the literal
   double loop over i and j < i, recomputing each Delta;
+- `find_isomorphism_every_element`: groups.find_isomorphism as it was,
+  comparing order profiles, commutativity and center orders on each call
+  and searching along a Cayley walk on every element;
 - `realization_answers`: the realization graph's closure queries as they
   were answered with every node built and every edge checked on
   construction, here with the quotient relation found once for all specs;
@@ -33,6 +36,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -56,6 +60,7 @@ from pgal.groups import (
     cayley_tree,
     frattini_style_subgroup,
     is_isomorphic,
+    is_multiplicative,
     min_generators,
     normal_subgroups,
     path_counts,
@@ -461,6 +466,37 @@ def count_solutions_double_loop(A, nd):
             exp += nd.dims[j] - delta(A, j) - ind_j
         total *= p ** (d_i * exp)
     return total
+
+
+def find_isomorphism_every_element(G, H):
+    """An isomorphism G -> H as an image list, or None: the images of the
+    generators a Cayley walk on every element keeps, each of its
+    generator's order, fixing the map along that walk."""
+    if G.order != H.order:
+        return None
+
+    def invariants(X):
+        T = X.np_table
+        profile = tuple(sorted(Counter(X.element_orders()).items()))
+        return profile, bool(np.array_equal(T, T.T)), X.center().order
+
+    if invariants(G) != invariants(H):
+        return None
+    gens, reached, _, parent, slot = cayley_tree(G.np_table, range(1, G.order))
+    if not gens:
+        return [0]
+    by_order = {}
+    for x in range(H.order):
+        by_order.setdefault(H.element_order(x), []).append(x)
+    rows = H.table
+    for images in itertools.product(*(by_order.get(G.element_order(g), []) for g in gens)):
+        phi = [0] * G.order
+        for y in reached[1:]:
+            phi[y] = rows[phi[parent[y]]][images[slot[y]]]
+        if len(set(phi)) == G.order and is_multiplicative(np.array(phi), G.np_table,
+                                                          H.np_table, gens):
+            return phi
+    return None
 
 
 def realization_answers(edges, specs):

@@ -487,6 +487,16 @@ def test_prop54_inequality_and_part2():
                 assert rep["part2_holds"]
 
 
+def test_prop54_reads_a_default_g_as_corestrict_tate_does():
+    """g = None is the least element outside H, for the corestriction and
+    the part-(2) conjugation test alike."""
+    G = build_group("D:8")
+    H = subgroups_of_index2(G)[0]
+    fbar = h2_enumerate(H.as_group(), 2).representatives[1]
+    least = min(x for x in range(G.order) if x not in H)
+    assert prop54_report(G, H, None, fbar) == prop54_report(G, H, least, fbar)
+
+
 def test_prop54_zero_cocycle_matches_split_exponent():
     G = build_group("D:8")
     H = subgroups_of_index2(G)[0]

@@ -1,8 +1,10 @@
 """Element orders, index-2 kernels and pc tables in whole-group passes,
 against the loops they replaced (oracles.py): element orders from two power
-maps per prime, every index-2 kernel from one product, and each small pc
-level in one block."""
+maps per prime, every index-2 kernel from one product, each small pc
+level in one block, and isomorphism tests from the invariants and Cayley
+walk each group holds."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -16,12 +18,14 @@ from fresh import run_call
 from oracles import (
     element_orders_active_set,
     family_specs,
+    find_isomorphism_every_element,
     index2_per_phi,
     pc_table_sixteen_blocks,
     permutation_group,
 )
-from pgal.catalog import build_group
-from pgal.groups import subgroups_of_index2
+from pgal.autoreal import RealizationGraph
+from pgal.catalog import build_group, canonical_spec, spec_order
+from pgal.groups import find_isomorphism, is_isomorphic, subgroups_of_index2
 from pgal.presentation import pc_table
 
 _LARGE = ["D:64*C:64", "Q:64*C:64", "SD:64*C:64", "M:64*C:64", "EA:p=2,r=12"]
@@ -103,3 +107,27 @@ def test_pc_table_is_the_sixteen_block_table_up_to_order_256():
 def test_pc_table_is_the_sixteen_block_table_above_order_256(spec):
     pc = build_group(spec).pc
     assert _same_bytes(pc_table(pc), pc_table_sixteen_blocks(pc))
+
+
+def test_isomorphism_tests_agree_with_the_every_element_search_up_to_order_32():
+    """Every ordered pair of equal-order catalog specs and autoreal nodes up
+    to order 32; each map find_isomorphism returns is a bijection that
+    respects the whole table."""
+    nodes = {canonical_spec(spec) for e in RealizationGraph.load_default().edges
+             for spec in (e.src, e.dst)}
+    specs = sorted({canonical_spec(s) for s in family_specs(32)}
+                   | {s for s in nodes if spec_order(s) <= 32})
+    groups = [build_group(spec) for spec in specs]
+    isomorphic = 0
+    for G, H in itertools.product(groups, repeat=2):
+        if G.order != H.order:
+            continue
+        phi = find_isomorphism(G, H)
+        assert is_isomorphic(G, H) == (phi is not None)
+        assert (phi is not None) == (find_isomorphism_every_element(G, H) is not None), (G, H)
+        if phi is not None:
+            isomorphic += 1
+            phi = np.array(phi)
+            assert sorted(phi.tolist()) == list(range(G.order)), (G, H)
+            assert np.array_equal(phi[G.np_table], H.np_table[np.ix_(phi, phi)]), (G, H)
+    assert isomorphic > len(groups)  # some specs name one group twice

@@ -1,5 +1,6 @@
 """Every integer a caller hands the group and cohomology API goes through
-one reader, groups.read_integers.
+one reader, groups.read_integers; the numpy-free fpmodules state its rule
+for one value with errors.is_integer.
 
 One row per entry point: the call, a valid value, the error code, the
 detail for a value that is not an integer (a float, a bool, a string, None,
@@ -30,8 +31,17 @@ from pgal.cohomology import (
     raise_lower,
     verify,
 )
-from pgal.errors import PgalError
-from pgal.groups import Group, GroupHom, Subgroup, subgroup_generated, subgroups_of_index2
+from pgal.errors import PgalError, is_integer
+from pgal.fpmodules import FpGModule, NormData
+from pgal.groups import (
+    INTEGER_TYPES,
+    DualActionData,
+    Group,
+    GroupHom,
+    Subgroup,
+    subgroup_generated,
+    subgroups_of_index2,
+)
 
 C2, C4, D8 = build_group("C:2"), build_group("C:4"), build_group("D:8")
 C2_TABLE = [[0, 1], [1, 0]]
@@ -143,6 +153,39 @@ ROWS["Cocycle2 values"] = Row(lambda vals: Cocycle2(C2, 2, vals), lambda v: [[0,
 for name in ("CoboundarySpace.witness values", "Cocycle2 values"):
     ROWS[name].bad = [(v, ROWS[name].typed) for v in NOT_INTEGERS]
 
+# a non-integer element is refused, while an integer that is no member keeps
+# its KeyError (test_membership_and_local_read_only_integers)
+ROWS["Subgroup.local element"] = Row(H.local, _scalar, 2, "BadParams",
+                                     "element must be an integer")
+ROWS["DualActionData orders"] = Row(lambda o: DualActionData(o, {"r": ((3,),)}, {"r": 1}),
+                                    lambda v: (v,), 8, "RelationInconsistent", "")
+ROWS["DualActionData orders"].bad = (
+    [(v, "cyclic factor orders must be integers") for v in NOT_INTEGERS]
+    + [(v, "cyclic factor orders must be positive") for v in (0, -1)]
+    + [(v, "cyclic factor orders must lie in 1..2^63-1") for v in (BIG, -BIG)])
+ROWS["DualActionData cyclo value"] = Row(lambda u: DualActionData((8,), {"r": ((3,),)}, {"r": u}),
+                                         _scalar, 3, "RelationInconsistent",
+                                         "cyclo value for r must be an integer")
+# the numpy-free modules state the reader's rule with errors.is_integer
+FPG = "summand lengths and multiplicities must be integers"
+NORM = "norm dimension indices and values must be integers"
+ROWS.update({
+    "FpGModule length": Row(lambda d: FpGModule(2, 2, d), lambda v: {v: 1}, 3, "BadIndex", FPG),
+    "FpGModule multiplicity": Row(lambda d: FpGModule(2, 2, d), lambda v: {2: v}, 2, "BadIndex",
+                                  FPG),
+    "NormData index": Row(lambda d: NormData(2, 1, d), lambda v: {v: 1, 1: 1}, 2, "Mismatch", NORM),
+    "NormData dim": Row(lambda d: NormData(2, 1, d), lambda v: {1: v, 2: v}, 1, "Mismatch", NORM),
+    "NormData.from_levels level": Row(lambda lv: NormData.from_levels(2, 1, lv),
+                                      lambda v: [v, v], 1, "Mismatch", NORM),
+})
+KEY_ROWS = ("FpGModule length", "NormData index")  # a list is no dict key
+for name in ("Subgroup.local element", "DualActionData cyclo value", "FpGModule length",
+             "FpGModule multiplicity", "NormData index", "NormData dim",
+             "NormData.from_levels level"):
+    row = ROWS[name]
+    row.bad = [(v, row.typed) for v in NOT_INTEGERS
+               if not (name in KEY_ROWS and isinstance(v, list))]
+
 CASES = [(name, v, detail) for name, row in ROWS.items() for v, detail in row.bad]
 
 
@@ -214,3 +257,26 @@ def test_valid_answers_are_pinned():
     assert h2_enumerate(D8, np.int64(2)).dimension == 3
     assert is_cocycle_table(D8, 4, ZERO8)
     assert CoboundarySpace(D8, np.int16(3)).p == 3 and type(CoboundarySpace(D8, 3).p) is int
+
+
+def test_membership_and_local_read_only_integers():
+    """H = {0, 2, 4, 6}: a non-integer is never a member, an integer is one
+    in every integer type, and local refuses only non-integers."""
+    assert H.elements.tolist() == [0, 2, 4, 6]
+    for v in [*NOT_INTEGERS, 2.5, 2.0, False, np.float64(2), np.bool_(False)]:
+        assert v not in H
+    for kind in (int, np.int16, np.int64, np.uint8):
+        assert kind(4) in H and kind(3) not in H and H.local(kind(4)) == 2
+    for v in (-1, 1, 8, BIG):
+        assert v not in H
+        with pytest.raises(KeyError):
+            H.local(v)
+
+
+def test_is_integer_states_the_readers_rule():
+    """errors.is_integer, which the numpy-free modules use, accepts a value
+    exactly when its type is one read_integers accepts."""
+    values = [0, -3, BIG, True, np.bool_(True), 1.5, 2.0, np.float64(2), "1", None, [1], (1,),
+              2 + 0j, *(kind(1) for kind in INTEGER_TYPES)]
+    for v in values:
+        assert is_integer(v) == (type(v) in INTEGER_TYPES), repr(v)

@@ -287,6 +287,24 @@ def test_normalize_preserves_splitting():
         assert splits_over_Q(normalize(P)) == raw
 
 
+_ENTRY = st.one_of(st.sampled_from([-1, 2, 3, -3, 5, 6]).map(Fraction),
+                   st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                             st.integers(1, 10 ** 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_ENTRY, _ENTRY), min_size=1, max_size=4))
+def test_splitting_reads_the_stored_atoms_as_the_raw_places(pairs):
+    """At p = 2 a product of rational symbols splits over Q exactly when the
+    Hilbert symbols of its raw entries multiply to 1 at every place of
+    relevant_places: the places splits_over_Q reads off the stored atoms
+    decide as the places of the raw entries do."""
+    P = SymbolProduct(2, tuple((rat(a), rat(b)) for a, b in pairs), ())
+    places = relevant_places([q for pair in pairs for q in pair])
+    raw = all(math.prod(hilbert_local(a, b, place) for a, b in pairs) == 1 for place in places)
+    assert splits_over_Q(P) == raw
+
+
 def _local_product(facs, place):
     prod = 1
     for a, b in facs:
