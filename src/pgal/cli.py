@@ -106,7 +106,7 @@ _FACTOR_RE = re.compile(r"\(([^()]*)\)(?:\^(-?\d+))?")
 def _parse_symbol_expr(text: str, p: int) -> SymbolProduct:
     from . import symbols
 
-    out = symbols.trivial(p)
+    factors = []
     rest = text.replace(" ", "")
     pos = 0
     while pos < len(rest):
@@ -117,10 +117,9 @@ def _parse_symbol_expr(text: str, p: int) -> SymbolProduct:
         if len(entries) != 2:
             raise ZeroEntry(f"symbol factor needs two entries, got {m.group(1)!r}")
         a, b = (_parse_elem(e, p) for e in entries)
-        e = int(m.group(2) or 1)
-        out = out.mul(symbols.symbol(a, b, p).pow(e))
+        factors.append(symbols.symbol(a, b, p).pow(int(m.group(2) or 1)))
         pos = m.end()
-    return out
+    return symbols.trivial(p).mul(*factors)
 
 
 def _print_json(doc: dict) -> None:

@@ -583,6 +583,8 @@ def prop54_report(G: Group, H: Subgroup, g: int | None, fbar: Cocycle2) -> dict:
     Part (2) needs exp(H) even (its argument lifts the half-order power of a
     maximal-order element), so the trivial subgroup is reported inapplicable.
     """
+    if H.parent is not G:
+        raise TargetMismatch("subgroup does not live in the given group")
     g = _tate_g(fbar, H, g)
     f = corestrict(fbar, H, [0, g])
     exp_h2 = extension_of_cocycle(fbar).extension.exponent()

@@ -5,7 +5,16 @@ problems, including exact p-binomial coefficients.
 
 from __future__ import annotations
 
-from .errors import BadIndex, Mismatch, NotSolvable, check_digits, check_order, is_integer
+from .arith import is_prime
+from .errors import (
+    BadIndex,
+    BadParams,
+    Mismatch,
+    NotSolvable,
+    check_digits,
+    check_order,
+    is_integer,
+)
 from .records import Record
 
 
@@ -26,6 +35,21 @@ class Infinite:
 INFINITE = Infinite()
 
 
+def _read_pn(p, n) -> tuple[int, int]:
+    """p and n as ints: BadParams unless p is a prime integer and n an
+    integer >= 0, and OrderTooLarge for p^n past MAX_ORDER, checked before
+    p^n is formed or a p of order past the cap is tested for primality."""
+    if not is_integer(p):
+        raise BadParams(f"p must be prime, got p={p}")
+    if not is_integer(n) or n < 0:
+        raise BadParams(f"n must be an integer >= 0, got n={n}")
+    p, n = int(p), int(n)
+    check_order(p, n)
+    if not is_prime(p):
+        raise BadParams(f"p must be prime, got p={p}")
+    return p, n
+
+
 class FpGModule(Record):
     """Direct sum of d_i copies of F_p[G]/(sigma-1)^i, G cyclic of order p^n
     (at most MAX_ORDER, else OrderTooLarge)."""
@@ -33,8 +57,7 @@ class FpGModule(Record):
     _fields = ("p", "n", "d")
 
     def __init__(self, p: int, n: int, d: dict | None = None):
-        self.p, self.n = p, n
-        check_order(p, n)  # before p^n is formed
+        self.p, self.n = p, n = _read_pn(p, n)
         top = p ** n
         clean = {}
         for i, m in (d or {}).items():
@@ -93,9 +116,8 @@ class NormData(Record):
 
     def __init__(self, p: int, n: int, dims: dict, i_invariant: int | None = None,
                  base_quotient_finite: bool = True):
-        self.p, self.n, self.i_invariant = p, n, i_invariant
-        self.base_quotient_finite = base_quotient_finite
-        check_order(p, n)  # before p^n is formed
+        self.p, self.n = p, n = _read_pn(p, n)
+        self.i_invariant, self.base_quotient_finite = i_invariant, base_quotient_finite
         top = p ** n
         if not all(is_integer(i) and is_integer(v) for i, v in dims.items()):
             raise Mismatch("norm dimension indices and values must be integers")
@@ -110,17 +132,17 @@ class NormData(Record):
                 raise Mismatch(
                     f"dims must be constant on ceil(log_p) blocks; differ at {i - 1},{i}")
         self.dims = dims
-        if self.i_invariant is not None and not 0 <= self.i_invariant <= self.n - 1:
+        if i_invariant is not None and not (is_integer(i_invariant) and 0 <= i_invariant < n):
             raise Mismatch(f"i invariant must be None or in 0..{self.n - 1}")
 
     @classmethod
     def from_levels(cls, p: int, n: int, levels, i_invariant=None,
                     base_quotient_finite=True) -> "NormData":
         """Build from one dimension per level 0..n (the ceil-log blocks)."""
+        p, n = _read_pn(p, n)
         levels = list(levels)  # NormData reads each as a dimension
         if len(levels) != n + 1:
             raise Mismatch(f"need {n + 1} level dimensions, got {len(levels)}")
-        check_order(p, n)
         dims = {i: levels[_level(i, p)] for i in range(1, p ** n + 1)}
         return cls(p, n, dims, i_invariant, base_quotient_finite)
 

@@ -621,19 +621,31 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
     return H
 
 
+def _frattini_rank(G: Group, p: int) -> int:
+    """The rank of G/[G,G]G^p, which is d(G) for a p-group G (Burnside's
+    basis theorem)."""
+    q, r = G.order // frattini_style_subgroup(G, p).order, 0
+    while q > 1:
+        q //= p
+        r += 1
+    return r
+
+
 def min_generators(G: Group) -> int:
+    """d(G), the least number of elements that generate G.
+
+    When every Sylow subgroup is normal (every catalog group), G is their
+    direct product and G/Phi(G) the product of theirs, so d(G) is the
+    largest of their Frattini ranks.  Other tables, up to order 256, are
+    searched subset by subset."""
     if G.order == 1:
         return 0
-    p = is_p_group(G)
-    if p and p > 1:
-        q = G.order // frattini_style_subgroup(G, p).order
-        r = 0
-        while q > 1:
-            q //= p
-            r += 1
-        return r
-    if max(G.element_orders()) == G.order:
-        return 1
+    primes = _prime_divisors(G.order)
+    if len(primes) == 1:
+        return _frattini_rank(G, primes[0])
+    sylows = [sylow_subgroup(G, p) for p in primes]
+    if all(P.is_normal() for P in sylows):
+        return max(_frattini_rank(P.as_group(), p) for P, p in zip(sylows, primes))
     if G.order > 256:
         raise TooLarge("exhaustive generator search limited to order 256")
     from itertools import combinations
@@ -806,8 +818,9 @@ class DualActionData(Record):
 
     `action` maps each quotient-group generator name to a matrix acting on
     column vectors (entry [i][j] is the i-th coordinate of the image of the
-    j-th basis element); `cyclo` gives the cyclotomic character value of the
-    generator, a unit modulo the exponent of A.
+    j-th basis element, an integer read mod the exponent of A); `cyclo`
+    gives the cyclotomic character value of the generator, a unit modulo
+    the exponent of A.
     """
 
     _fields = ("orders", "action", "cyclo")
@@ -836,6 +849,8 @@ class DualActionData(Record):
         r = len(self.orders)
         if len(M) != r or any(len(row) != r for row in M):
             raise RelationInconsistent(f"action matrix for {name} has wrong shape")
+        M = [read_integers(row, RelationInconsistent, f"action matrix for {name} must have "
+                           "integer entries", ndim=1, modulus=self.exponent).tolist() for row in M]
         for j in range(r):
             for i in range(r):
                 if (M[i][j] * self.orders[j]) % self.orders[i]:
@@ -861,21 +876,18 @@ def dual_action_predicate(data: DualActionData, m: int) -> dict:
     """Flags for the power-type conditions on the induced character action.
 
     The action of rho on characters is chi -> chi^t exactly when a^rho =
-    a^(u*t) for all a, u the cyclotomic value of rho.  `thm24` asks each
-    generator to act as chi^m or trivially (m^2 = 1 mod exp A required),
-    `pm_one` as chi^{+-1}, and `uniform_power` as chi^t for some t.
+    a^(u*t) for all a, u the cyclotomic value of rho.  Each flag asks every
+    generator to act as chi^t for some t in its own set: `uniform_power`
+    the units mod exp A, `pm_one` {1, -1} and `thm24` {1, m}, for an
+    integer m with m^2 = 1 mod exp A.
     """
-    e = data.exponent
+    if not is_integer(m):
+        raise BadM("m must be an integer")
+    m, e = int(m), data.exponent
     if (m * m) % e != 1 % e:
         raise BadM(f"m^2 = {m * m} is not 1 modulo {e}")
-    uniform = pm = t24 = True
-    for name, M in data.action.items():
-        u = data.cyclo.get(name, 1)
-        is_ident = data._is_mult_by(M, u)
-        is_m = data._is_mult_by(M, (u * m) % e if e > 1 else 0)
-        is_inv = data._is_mult_by(M, (u * (e - 1)) % e if e > 1 else 0)
-        t24 = t24 and (is_ident or is_m)
-        pm = pm and (is_ident or is_inv)
-        if not any(data._is_mult_by(M, (u * t) % e) for t in range(e) if gcd(t, e) == 1):
-            uniform = False
-    return {"uniform_power": uniform, "pm_one": pm, "thm24": t24}
+    flags = {"uniform_power": [t for t in range(e) if gcd(t, e) == 1], "pm_one": (1, -1),
+             "thm24": (1, m)}
+    return {flag: all(any(data._is_mult_by(M, data.cyclo.get(name, 1) * t % e) for t in ts)
+                      for name, M in data.action.items())
+            for flag, ts in flags.items()}

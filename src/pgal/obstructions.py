@@ -22,12 +22,6 @@ from .symbols import (
 )
 
 
-def _check_nonzero(*elems: FieldElem):
-    for e in elems:
-        if e.kind == "rat" and e.payload == 0:
-            raise ZeroEntry("zero entry in a symbol")
-
-
 class MassyInput(Record):
     """Data for the elementary-abelian quotient decomposition.
 
@@ -42,7 +36,6 @@ class MassyInput(Record):
         self.p, self.a, self.d = p, a, {} if d is None else d
         if len(self.a) < 1:
             raise ZeroEntry("need at least one a_i")
-        _check_nonzero(*self.a)
         for (i, j) in self.d:
             if not (1 <= i <= j <= len(self.a)):
                 raise BadFamily(f"bad index pair {(i, j)}")
@@ -62,7 +55,6 @@ class DirectFactorInput(Record):
         self.a, self.d = [] if a is None else a, [] if d is None else d
         if self.b is None:
             raise ZeroEntry("b is required")
-        _check_nonzero(self.b, *self.a)
         if len(self.a) != len(self.d):
             raise BadFamily("a and d must have matching lengths")
 
@@ -78,7 +70,6 @@ class LedetInput(Record):
         self.p, self.resN_class, self.resH_class = p, resN_class, resH_class
         self.a, self.b = [] if a is None else a, [] if b is None else b
         self.d = {} if d is None else d
-        _check_nonzero(*self.a, *self.b)
         for (i, j) in self.d:
             if not (1 <= i <= len(self.a) and 1 <= j <= len(self.b)):
                 raise BadFamily(f"bad index pair {(i, j)}")
@@ -93,7 +84,6 @@ class DiagonalForm(Record):
         self.entries = entries
         if not self.entries:
             raise ZeroEntry("a diagonal form needs at least one entry")
-        _check_nonzero(*self.entries)
 
 
 def _as_class(obj, p: int) -> SymbolProduct:
@@ -112,13 +102,11 @@ def _as_class(obj, p: int) -> SymbolProduct:
 
 def obstruction_c4(a: FieldElem) -> SymbolProduct:
     """Embedding a quadratic extension into a C4 extension: the class (a, -1)."""
-    _check_nonzero(a)
     return symbol(a, rat(-1), 2)
 
 
 def obstruction_cp2(a: FieldElem, p: int) -> SymbolProduct:
     """Embedding a degree-p Kummer extension into C_{p^2}: the class (a, zeta; zeta)."""
-    _check_nonzero(a)
     return symbol(a, zeta(p), p)
 
 
@@ -128,18 +116,8 @@ def obstruction_cp2(a: FieldElem, p: int) -> SymbolProduct:
 def massy(data: MassyInput) -> SymbolProduct:
     """prod_i (a_i, zeta; zeta)^(d_ii) * prod_{i<k} (a_i, a_k; zeta)^(d_ik)."""
     p = data.p
-    out = trivial(p)
-    n = len(data.a)
-    for i in range(1, n + 1):
-        e = data.d.get((i, i), 0) % p
-        if e:
-            out = out.mul(symbol(data.a[i - 1], zeta(p), p).pow(e))
-    for i in range(1, n + 1):
-        for k in range(i + 1, n + 1):
-            e = data.d.get((i, k), 0) % p
-            if e:
-                out = out.mul(symbol(data.a[i - 1], data.a[k - 1], p).pow(e))
-    return out
+    return trivial(p).mul(*(symbol(data.a[i - 1], zeta(p) if i == k else data.a[k - 1], p).pow(e)
+                            for (i, k), e in sorted(data.d.items()) if e % p))
 
 
 def direct_factor(data: DirectFactorInput) -> SymbolProduct:
@@ -148,27 +126,20 @@ def direct_factor(data: DirectFactorInput) -> SymbolProduct:
     right = zeta(p, data.j % p)
     for ai, di in zip(data.a, data.d):
         right = elem_mul(right, elem_pow(ai, di % p))
-    out = _as_class(data.res_class, p)
-    if not right.is_one():
-        out = out.mul(symbol(data.b, right, p))
-    return out
+    return _as_class(data.res_class, p).mul(symbol(data.b, right, p))
 
 
 def ledet_product(data: LedetInput) -> SymbolProduct:
     """[K,N,res_N gamma] * [K',H,res_H gamma] * prod (b_j, a_i; zeta)^(d_ij)."""
     p = data.p
-    out = _as_class(data.resN_class, p).mul(_as_class(data.resH_class, p))
-    for (i, j), e in sorted(data.d.items()):
-        e %= p
-        if e:
-            out = out.mul(symbol(data.b[j - 1], data.a[i - 1], p).pow(e))
-    return out
+    return _as_class(data.resN_class, p).mul(
+        _as_class(data.resH_class, p),
+        *(symbol(data.b[j - 1], data.a[i - 1], p).pow(e)
+          for (i, j), e in sorted(data.d.items()) if e % p))
 
 
 def relate_raise_lower(o_g1: SymbolProduct, o_cyclic: SymbolProduct) -> SymbolProduct:
     """Obstruction of the companion extension: the product of the two classes."""
-    if o_g1.p != o_cyclic.p:
-        raise PrimeMismatch("obstructions have different primes")
     return o_g1.mul(o_cyclic)
 
 
@@ -188,7 +159,6 @@ def modular_obstruction(variant: str, p: int, n: int, a1: FieldElem, a2: FieldEl
     """
     if n < 3:
         raise BadVariant("modular families need n >= 3")
-    _check_nonzero(a1, a2)
     if variant == "M":
         return _as_class(crossed if crossed is not None else "K,C_q,zeta", p).mul(
             symbol(a2, a1, p))
@@ -204,7 +174,6 @@ def modular_obstruction(variant: str, p: int, n: int, a1: FieldElem, a2: FieldEl
 def g_family_obstruction(family: str, p: int, a1: FieldElem, a2: FieldElem,
                          cyc_factor=None, zeta_p2_in_k: bool = False) -> SymbolProduct:
     """Obstructions for the order-p^4 groups with quotient C_{p^2} x C_p."""
-    _check_nonzero(a1, a2)
     if family == "G3":
         return symbol(a2, a1, p)
     if family == "G4":
@@ -222,12 +191,8 @@ def g_family_obstruction(family: str, p: int, a1: FieldElem, a2: FieldElem,
 
 def hasse_witt(q: DiagonalForm) -> SymbolProduct:
     """hw(q) = prod_{i<j} (a_i, a_j)."""
-    out = trivial(2)
-    n = len(q.entries)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = out.mul(symbol(q.entries[i], q.entries[j], 2))
-    return out
+    a, n = q.entries, len(q.entries)
+    return trivial(2).mul(*(symbol(a[i], a[j], 2) for i in range(n) for j in range(i + 1, n)))
 
 
 def discriminant(q: DiagonalForm) -> FieldElem:
@@ -236,19 +201,11 @@ def discriminant(q: DiagonalForm) -> FieldElem:
 
 def frohlich_obstruction(q: DiagonalForm, q_e: DiagonalForm, spin_pairs) -> SymbolProduct:
     """hw(q) hw(q_e) (d, -d_e) prod (a_i, sp(rho_i)); the twist q_e is caller data."""
-    out = hasse_witt(q).mul(hasse_witt(q_e))
-    d = discriminant(q)
-    d_e = discriminant(q_e)
-    out = out.mul(symbol(d, elem_mul(rat(-1), d_e), 2))
-    for a_i, sp_i in spin_pairs:
-        _check_nonzero(a_i, sp_i)
-        out = out.mul(symbol(a_i, sp_i, 2))
-    return out
+    twist = symbol(discriminant(q), elem_mul(rat(-1), discriminant(q_e)), 2)
+    return hasse_witt(q).mul(hasse_witt(q_e), twist,
+                             *(symbol(a_i, sp_i, 2) for a_i, sp_i in spin_pairs))
 
 
 def double_cover_twist(o_plus: SymbolProduct, d_f: FieldElem) -> SymbolProduct:
     """Negative-cover obstruction (-1, d_f) * O_plus; an involution on classes."""
-    if o_plus.p != 2:
-        raise PrimeMismatch("double covers live at p = 2")
-    _check_nonzero(d_f)
     return symbol(rat(-1), d_f, 2).mul(o_plus)

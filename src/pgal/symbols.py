@@ -37,9 +37,15 @@ class FieldElem(FrozenRecord):
       zeta -> payload is (root_order, exponent), a primitive root_order-th
               root raised to exponent
       prod -> payload is a tuple of (FieldElem, int exponent) pairs
+    A zero rational is refused here, so no symbol entry is ever 0.
     """
 
     _fields = ("kind", "payload")
+
+    def __init__(self, kind: str, payload):
+        if kind == "rat" and payload == 0:
+            raise ZeroEntry("0 is not allowed in symbols")
+        self._set(kind=kind, payload=payload)
 
     def key(self):
         if self.kind == "rat":
@@ -100,10 +106,7 @@ class FieldElem(FrozenRecord):
 
 
 def rat(q) -> FieldElem:
-    q = Fraction(q)
-    if q == 0:
-        raise ZeroEntry("0 is not allowed in symbols")
-    return FieldElem("rat", q)
+    return FieldElem("rat", Fraction(q))
 
 
 def ind(name: str) -> FieldElem:
@@ -164,8 +167,6 @@ def elem_canon(x: FieldElem) -> FieldElem:
         elem, e = others[key]
         if e:
             factors.append((elem, e))
-    if q == 0:
-        raise ZeroEntry("product collapses to zero")
     if not factors:
         return FieldElem("rat", q)
     if q != 1:
@@ -206,12 +207,16 @@ class SymbolProduct(FrozenRecord):
     def is_trivial_form(self) -> bool:
         return not self.factors and not self.opaque
 
-    def mul(self, other: "SymbolProduct") -> "SymbolProduct":
-        if self.p != other.p:
-            raise PrimeMismatch(f"cannot multiply p={self.p} and p={other.p} symbols")
+    def mul(self, *others: "SymbolProduct") -> "SymbolProduct":
+        """self times others: every prime checked first, then one regrouping."""
+        for other in others:
+            if self.p != other.p:
+                raise PrimeMismatch(f"cannot multiply p={self.p} and p={other.p} symbols")
+        factors = (self, *others)
         return _regroup(SymbolProduct.__new__(SymbolProduct), self.p,
-                        [*self._pairs.items(), *other._pairs.items()], self.opaque + other.opaque,
-                        {**self._unsplit, **other._unsplit})
+                        [item for P in factors for item in P._pairs.items()],
+                        [item for P in factors for item in P.opaque],
+                        {atom: d for P in factors for atom, d in P._unsplit.items()})
 
     def pow(self, e: int) -> "SymbolProduct":
         return _regroup(SymbolProduct.__new__(SymbolProduct), self.p,

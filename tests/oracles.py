@@ -30,6 +30,15 @@
 - `realization_answers`: the realization graph's closure queries as they
   were answered with every node built and every edge checked on
   construction, here with the quotient relation found once for all specs;
+- `massy_by_folding`, `ledet_product_by_folding`, `hasse_witt_by_folding`
+  and `frohlich_by_folding`: the multi-factor obstruction engines as they
+  were, one binary `mul` per factor;
+- `min_generators_by_search`: the least number of generators by trying
+  every subset of each size, as min_generators does for tables whose Sylow
+  subgroups are not all normal;
+- `hasse_by_groups`: Massy's central embedding problem over Q decided
+  place by place on the group side, an independent check of `massy` and
+  `splits_over_Q`;
 - `family_specs`, `PRIMES` and `permutation_group`: the catalog specs,
   primes and tables that are not p-groups the comparisons run over.
 """
@@ -37,6 +46,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -49,7 +59,7 @@ from pgal.cohomology import (
     corestrict_tate,
     h2_enumerate,
 )
-from pgal.arith import factor
+from pgal.arith import factor, legendre
 from pgal.errors import FactorizationFailed, NotSolvable, PrimeMismatch, TooLarge
 from pgal.fpmodules import INFINITE, delta, p_binomial, solvable
 from pgal.groups import (
@@ -68,8 +78,9 @@ from pgal.groups import (
     subgroups_of_index2,
 )
 from pgal.linalg import GFMatrix
+from pgal.obstructions import _as_class, discriminant
 from pgal.presentation import _check_hoelder, _walk, generator_indices
-from pgal.symbols import FieldElem, elem_canon, rat, zeta
+from pgal.symbols import FieldElem, elem_canon, elem_mul, rat, symbol, trivial, zeta
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -542,3 +553,97 @@ def realization_answers(edges, specs):
         answers[a, b] = {"holds": True, "path": path[::-1]} if dst in seen else \
             {"holds": "unknown", "path": []}
     return answers
+
+
+def massy_by_folding(data):
+    p = data.p
+    out = trivial(p)
+    n = len(data.a)
+    for i in range(1, n + 1):
+        e = data.d.get((i, i), 0) % p
+        if e:
+            out = out.mul(symbol(data.a[i - 1], zeta(p), p).pow(e))
+    for i in range(1, n + 1):
+        for k in range(i + 1, n + 1):
+            e = data.d.get((i, k), 0) % p
+            if e:
+                out = out.mul(symbol(data.a[i - 1], data.a[k - 1], p).pow(e))
+    return out
+
+
+def ledet_product_by_folding(data):
+    p = data.p
+    out = _as_class(data.resN_class, p).mul(_as_class(data.resH_class, p))
+    for (i, j), e in sorted(data.d.items()):
+        e %= p
+        if e:
+            out = out.mul(symbol(data.b[j - 1], data.a[i - 1], p).pow(e))
+    return out
+
+
+def hasse_witt_by_folding(q):
+    out = trivial(2)
+    n = len(q.entries)
+    for i in range(n):
+        for j in range(i + 1, n):
+            out = out.mul(symbol(q.entries[i], q.entries[j], 2))
+    return out
+
+
+def frohlich_by_folding(q, q_e, spin_pairs):
+    out = hasse_witt_by_folding(q).mul(hasse_witt_by_folding(q_e))
+    out = out.mul(symbol(discriminant(q), elem_mul(rat(-1), discriminant(q_e)), 2))
+    for a_i, sp_i in spin_pairs:
+        out = out.mul(symbol(a_i, sp_i, 2))
+    return out
+
+
+def min_generators_by_search(G):
+    """The least r such that some r elements generate G."""
+    for r in range(G.order):
+        for combo in itertools.combinations(range(1, G.order), r):
+            if len(G.closure(combo)) == G.order:
+                return r
+    return 0  # unreachable: the group's own elements generate it
+
+
+def hasse_by_groups(E, z, gens, a):
+    """Whether the embedding problem E -> E/<z> = EA(2, r) over
+    Q(sqrt a_1, ..., sqrt a_r), gens[i] over the generator that moves
+    sqrt a_i, is solvable at every place but 2, which by the product
+    formula is then solvable too.  z is central of order 2 and the a_i are
+    nonzero integers or Fractions.
+
+    At an odd prime l, a_i = l^v_i u_i with u_i a unit at l, and the tame
+    group <sigma, tau | sigma tau sigma^-1 = tau^l> maps tau to the v_i mod
+    2 and sigma, the Frobenius that fixes sqrt l, to the u_i that are not
+    squares mod l; the problem is solvable there iff some s over sigma's
+    image and t over tau's satisfy s t s^-1 = t^l.  Only the l that divide
+    an a_i can fail.  At infinity complex conjugation maps to the signs,
+    and some e over its image must have e^2 = 1 (Serre, A Course in
+    Arithmetic, ch. III; Massy, J. Algebra 109, 1987)."""
+    def over(bits):
+        g = 0
+        for x, bit in zip(gens, bits):
+            if bit:
+                g = E.mul(g, x)
+        return g, E.mul(g, z)
+
+    a = [Fraction(q) for q in a]
+    if not any(E.mul(e, e) == 0 for e in over([q < 0 for q in a])):
+        return False
+    places = {l for q in a for l in factor(q.numerator * q.denominator) if l != 2}
+    for l in sorted(places):
+        tau, sigma = [], []
+        for q in a:
+            v, num, den = 0, q.numerator, q.denominator
+            while num % l == 0:
+                num, v = num // l, v + 1
+            while den % l == 0:
+                den, v = den // l, v - 1
+            tau.append(v % 2)
+            sigma.append(legendre(num * den, l) == -1)
+        if not any(E.mul(E.mul(s, t), E.inv(s)) == E.power(t, l)
+                   for s in over(sigma) for t in over(tau)):
+            return False
+    return True

@@ -497,6 +497,19 @@ def test_prop54_reads_a_default_g_as_corestrict_tate_does():
     assert prop54_report(G, H, None, fbar) == prop54_report(G, H, least, fbar)
 
 
+def test_prop54_refuses_a_group_other_than_the_subgroups_parent():
+    """On D:8's first index-2 subgroup, Q:8 or C:8 in G's place would be
+    read as the parent and report part 2 applicable and failing."""
+    from pgal.errors import TargetMismatch
+
+    G = build_group("D:8")
+    H = subgroups_of_index2(G)[0]
+    fbar = h2_enumerate(H.as_group(), 2).representatives[1]
+    for other in ("Q:8", "C:8"):
+        with pytest.raises(TargetMismatch, match="^subgroup does not live in the given group$"):
+            prop54_report(build_group(other), H, None, fbar)
+
+
 def test_prop54_zero_cocycle_matches_split_exponent():
     G = build_group("D:8")
     H = subgroups_of_index2(G)[0]

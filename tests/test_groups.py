@@ -346,6 +346,33 @@ def test_min_generators_quotient_monotone():
             assert min_generators(Q) <= dG
 
 
+# products of groups of coprime orders, so nilpotent, up to order 48
+MIXED = ["C:6", "C:12", "C:2*C:2*C:3", "C:2*C:5", "C:2*C:3*C:5", "D:8*C:3", "Q:8*C:3",
+         "C:4*C:2*C:3", "EA:p=2,r=3*C:3", "EA:p=2,r=2*C:9", "EA:p=2,r=2*EA:p=3,r=2",
+         "EA:p=3,r=2*C:4", "D:8*C:5", "D:16*C:3", "Q:16*C:3", "EA:p=2,r=4*C:3"]
+
+
+@pytest.mark.parametrize("spec", MIXED)
+def test_min_generators_of_a_mixed_product_agrees_with_the_subset_search(spec):
+    from oracles import min_generators_by_search
+
+    G = build_group(spec)
+    assert min_generators(G) == min_generators_by_search(G)
+
+
+def test_min_generators_searches_subsets_only_when_a_sylow_subgroup_is_not_normal(monkeypatch):
+    from oracles import permutation_group
+
+    searched, real = [], itertools.combinations
+    monkeypatch.setattr(itertools, "combinations", lambda *a: searched.append(a) or real(*a))
+    assert min_generators(build_group("EA:p=2,r=5*C:3")) == 5
+    assert min_generators(build_group("EA:p=2,r=6*EA:p=3,r=3")) == 6
+    assert not searched
+    for degree in (3, 4):  # S3 and S4
+        searched.clear()
+        assert min_generators(permutation_group(degree, False)) == 2 and searched
+
+
 def test_subgroups_of_index2():
     assert len(subgroups_of_index2(build_group("EA:p=2,r=2"))) == 3
     assert subgroups_of_index2(build_group("C:3")) == []
@@ -416,6 +443,17 @@ def test_dual_action_bad_m():
     data = DualActionData((8,), {"r": ((3,),)}, {"r": 1})
     with pytest.raises(BadM):
         dual_action_predicate(data, 2)
+    for m in (3.0, 3.5, True, "3", None):
+        with pytest.raises(BadM, match="^m must be an integer$"):
+            dual_action_predicate(data, m)
+
+
+def test_dual_action_matrix_entries_are_read_mod_the_exponent():
+    flags = dual_action_predicate(DualActionData((8,), {"r": ((3,),)}, {"r": 1}), 3)
+    for entry in (-5, 11, 2 ** 70 + 3, np.int16(3)):
+        data = DualActionData((8,), {"r": ((entry,),)}, {"r": 1})
+        assert dual_action_predicate(data, 3) == flags
+    assert dual_action_predicate(DualActionData((8,), {"r": ((3,),)}, {"r": 1}), -5) == flags
 
 
 def test_dual_action_non_power_map():

@@ -39,6 +39,7 @@ from pgal.groups import (
     Group,
     GroupHom,
     Subgroup,
+    dual_action_predicate,
     subgroup_generated,
     subgroups_of_index2,
 )
@@ -166,6 +167,13 @@ ROWS["DualActionData orders"].bad = (
 ROWS["DualActionData cyclo value"] = Row(lambda u: DualActionData((8,), {"r": ((3,),)}, {"r": u}),
                                          _scalar, 3, "RelationInconsistent",
                                          "cyclo value for r must be an integer")
+# action matrix entries, like cyclo values, are read mod the exponent of A
+ROWS["DualActionData action entry"] = Row(
+    lambda M: DualActionData((8,), {"r": M}, {"r": 1}), lambda v: ((v,),), 3,
+    "RelationInconsistent", "action matrix for r must have integer entries")
+ROWS["dual_action_predicate m"] = Row(
+    lambda m: dual_action_predicate(DualActionData((8,), {"r": ((3,),)}, {"r": 1}), m), _scalar,
+    3, "BadM", "m must be an integer")
 # the numpy-free modules state the reader's rule with errors.is_integer
 FPG = "summand lengths and multiplicities must be integers"
 NORM = "norm dimension indices and values must be integers"
@@ -181,10 +189,31 @@ ROWS.update({
 KEY_ROWS = ("FpGModule length", "NormData index")  # a list is no dict key
 for name in ("Subgroup.local element", "DualActionData cyclo value", "FpGModule length",
              "FpGModule multiplicity", "NormData index", "NormData dim",
-             "NormData.from_levels level"):
+             "NormData.from_levels level", "DualActionData action entry",
+             "dual_action_predicate m"):
     row = ROWS[name]
     row.bad = [(v, row.typed) for v in NOT_INTEGERS
                if not (name in KEY_ROWS and isinstance(v, list))]
+ROWS["dual_action_predicate m"].bad.append((3.0, "m must be an integer"))
+
+# p must be a prime integer and n an integer >= 0, read before p^n is formed
+DIMS3 = {1: 1, 2: 1, 3: 1}
+for name, call in (("FpGModule p", lambda p: FpGModule(p, 1, {1: 1})),
+                   ("NormData p", lambda p: NormData(p, 1, DIMS3)),
+                   ("NormData.from_levels p", lambda p: NormData.from_levels(p, 1, [1, 1]))):
+    ROWS[name] = Row(call, _scalar, 3, "BadParams", "")
+    ROWS[name].bad = [(v, f"p must be prime, got p={v}")
+                      for v in [*NOT_INTEGERS, 3.0, "3", -1, 0, 1, 4]]
+for name, call in (("FpGModule n", lambda n: FpGModule(3, n, {1: 1})),
+                   ("NormData n", lambda n: NormData(3, n, DIMS3)),
+                   ("NormData.from_levels n", lambda n: NormData.from_levels(3, n, [1, 1]))):
+    ROWS[name] = Row(call, _scalar, 1, "BadParams", "")
+    ROWS[name].bad = [(v, f"n must be an integer >= 0, got n={v}")
+                      for v in [*NOT_INTEGERS, 1.0, -1, -BIG]]
+ROWS["NormData i_invariant"] = Row(lambda i: NormData(3, 1, DIMS3, i), _scalar, 0, "Mismatch",
+                                   "i invariant must be None or in 0..0", past_end=1)
+ROWS["NormData i_invariant"].bad.remove((None, "i invariant must be None or in 0..0"))  # -inf
+ROWS["NormData i_invariant"].bad.append((0.0, "i invariant must be None or in 0..0"))
 
 CASES = [(name, v, detail) for name, row in ROWS.items() for v, detail in row.bad]
 

@@ -1,6 +1,11 @@
 """Obstruction engines against the stated formulas and their cross-checks."""
 
+from fractions import Fraction
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgal.errors import BadFamily, BadVariant, PrimeMismatch, ZeroEntry
 from pgal.obstructions import (
@@ -21,7 +26,18 @@ from pgal.obstructions import (
     obstruction_cp2,
     relate_raise_lower,
 )
-from pgal.symbols import ind, one, rat, splits_over_Q, symbol, trivial, zeta
+from pgal.symbols import (
+    SymbolProduct,
+    ind,
+    one,
+    opaque_class,
+    rat,
+    splits_over_Q,
+    symbol,
+    trivial,
+    zeta,
+)
+from test_symbols import SEMIPRIME_60, UNFACTORED, _entries, _products
 
 
 def test_c4_obstruction_examples():
@@ -247,3 +263,170 @@ def test_zero_entry_rejected():
 
     with pytest.raises(ZeroEntry):
         obstruction_c4(FieldElem("rat", Fraction(0)))
+
+
+def test_a_product_at_two_primes_is_refused_by_mul():
+    for build in (lambda: relate_raise_lower(trivial(2), trivial(3)),
+                  lambda: double_cover_twist(trivial(3), rat(5)),
+                  lambda: trivial(2).mul(trivial(2), opaque_class("K", 3))):
+        with pytest.raises(PrimeMismatch, match=r"^cannot multiply p=2 and p=3 symbols$"):
+            build()
+
+
+# -- each engine against its fold of binary muls ---------------------------------
+
+
+def _same(P, Q):
+    """Equal in every field and rendering; P keeps the detail of each of its
+    atoms that factor cannot split, and equals the product rebuilt from its
+    JSON, whose pairs come from expanding the factors again, not from mul."""
+    from oracles import _unsplit
+
+    assert set(P._unsplit) == {a for pair in P._pairs for a in pair if _unsplit(a, P.p)}
+    R = SymbolProduct.from_json(P.to_json())
+    for X in (Q, R):
+        assert (P.p, P.factors, P.opaque, P._pairs, P._unsplit, str(P), P.to_json()) == (
+            X.p, X.factors, X.opaque, X._pairs, X._unsplit, str(X), X.to_json())
+
+
+def _holds_unfactored(x):
+    return x.kind == "rat" and x.payload.numerator % UNFACTORED == 0
+
+
+def _form(entry):
+    """A diagonal form with at most one entry factor cannot split: the
+    discriminant multiplies the entries, and the square of such an entry
+    would go to rho, which spends a minute failing on it."""
+    return st.lists(entry, min_size=1, max_size=4).filter(
+        lambda es: sum(map(_holds_unfactored, es)) <= 1).map(DiagonalForm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_each_engine_forms_the_product_its_fold_of_binary_muls_does(p, data):
+    """Rational entries (negatives and fractions), indeterminates, roots of
+    unity, entries factor cannot split and opaque sub-classes; and mul of
+    several products is the fold of mul over them."""
+    from oracles import (
+        frohlich_by_folding,
+        hasse_witt_by_folding,
+        ledet_product_by_folding,
+        massy_by_folding,
+    )
+
+    entry, product = _entries(p), _products(p).map(lambda x: x[0])
+    P, Qs = data.draw(product), data.draw(st.lists(product, max_size=4))
+    fold = P
+    for Q in Qs:
+        fold = fold.mul(Q)
+    _same(P.mul(*Qs), fold)
+
+    def exponents(rows, cols, diagonal):
+        keys = st.tuples(st.integers(1, rows), st.integers(1, cols))
+        if diagonal:
+            keys = keys.map(sorted).map(tuple)
+        return st.dictionaries(keys, st.integers(-3, 4), max_size=6)
+
+    a = data.draw(st.lists(entry, min_size=1, max_size=4))
+    massy_data = MassyInput(p, a, data.draw(exponents(len(a), len(a), True)))
+    _same(massy(massy_data), massy_by_folding(massy_data))
+    b = data.draw(st.lists(entry, min_size=1, max_size=3))
+    sub = st.one_of(st.none(), st.sampled_from(["rN", "rH"]), product)
+    ledet_data = LedetInput(p, data.draw(sub), data.draw(sub), a, b,
+                            data.draw(exponents(len(a), len(b), False)))
+    _same(ledet_product(ledet_data), ledet_product_by_folding(ledet_data))
+    if p == 2:
+        q, q_e = data.draw(_form(entry)), data.draw(_form(entry))
+        spin = data.draw(st.lists(st.tuples(entry, entry), max_size=3))
+        _same(hasse_witt(q), hasse_witt_by_folding(q))
+        _same(frohlich_obstruction(q, q_e, spin), frohlich_by_folding(q, q_e, spin))
+
+
+def test_the_engines_match_their_folds_where_factor_gives_up(monkeypatch):
+    """At PGAL_FACTOR_BOUND=100 rho cannot split the 60-bit semiprime, nor
+    the discriminant that multiplies two entries carrying UNFACTORED."""
+    from oracles import (
+        frohlich_by_folding,
+        hasse_witt_by_folding,
+        ledet_product_by_folding,
+        massy_by_folding,
+    )
+
+    monkeypatch.setenv("PGAL_FACTOR_BOUND", "100")
+    entries = [rat(UNFACTORED), rat(-3 * UNFACTORED), rat(SEMIPRIME_60),
+               rat(Fraction(-SEMIPRIME_60, 7)), ind("a"), zeta(4)]
+    q, q_e = DiagonalForm(entries[:4]), DiagonalForm(entries[2:])
+    spin = [(entries[0], rat(5)), (entries[2], ind("b"))]
+    P = frohlich_obstruction(q, q_e, spin)
+    assert P._unsplit and not P.opaque
+    _same(P, frohlich_by_folding(q, q_e, spin))
+    _same(hasse_witt(q), hasse_witt_by_folding(q))
+    for p in (2, 3, 5):
+        massy_data = MassyInput(p, entries[:4], {(i, j): i + j for i in range(1, 5)
+                                                 for j in range(i, 5)})
+        _same(massy(massy_data), massy_by_folding(massy_data))
+        data = LedetInput(p, "rN", massy(MassyInput(p, entries[4:], {(1, 2): 1})),
+                          entries[:3], entries[3:], {(1, 1): 1, (2, 3): 2, (3, 2): p - 1})
+        _same(ledet_product(data), ledet_product_by_folding(data))
+
+
+# -- Massy's decision against the groups, place by place ---------------------------
+
+
+@cache
+def _massy_cases():
+    """(spec, E, z, gens, d): every catalog 2-group E of order at most 32,
+    alone or times C:2 or C:2*C:2 within that order, with each central z of
+    order 2 such that E/<z> is elementary abelian of rank at most 4; gens
+    lift the least basis of E/<z>, and d is Massy's data read off E."""
+    from oracles import family_specs
+
+    from pgal.catalog import build_group, spec_order
+    from pgal.cohomology import cocycle_of_extension, extension_of_cocycle, power_commutator_data
+    from pgal.groups import quotient, subgroup_generated
+
+    groups = [s for s in family_specs(32) if spec_order(s) in (4, 8, 16, 32)]
+    groups += [f"{s}*{c}" for s in groups for c in ("C:2", "C:2*C:2")
+               if spec_order(s) * spec_order(c) <= 32]
+    cases = []
+    for spec in groups:
+        E = build_group(spec)
+        for z in E.center().elements.tolist():
+            if E.element_order(z) != 2:
+                continue
+            Q, proj = quotient(E, subgroup_generated(E, [z]))
+            if Q.exponent() > 2 or Q.order > 16:
+                continue
+            basis = []
+            for x in range(1, Q.order):
+                if x not in Q.closure(basis):
+                    basis.append(x)
+            ext = extension_of_cocycle(cocycle_of_extension(E, proj, z))
+            diag, off = power_commutator_data(ext, basis)
+            d = {(i + 1, i + 1): e for i, e in enumerate(diag)}
+            d.update({(i + 1, j + 1): e for (i, j), e in off.items()})
+            gens = [next(x for x in range(E.order) if proj(x) == y) for y in basis]
+            cases.append((spec, E, z, gens, d))
+    return cases
+
+
+def test_the_massy_cases_cover_ranks_one_to_four_and_the_first_groups_checked():
+    specs = {case[0] for case in _massy_cases()}
+    assert {"D:8", "Q:8", "C:4*C:2", "G1:p=2", "D:8*C:2", "Q:8*C:2", "C:4*C:2*C:2",
+            "EA:p=2,r=4*C:2"} <= specs
+    assert {len(case[3]) for case in _massy_cases()} == {1, 2, 3, 4}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_massy_splits_exactly_when_no_place_fails_on_the_group_side(data):
+    """By the Hasse principle for Br(Q), the problem is solvable over Q iff
+    it is solvable at every place; oracles.hasse_by_groups decides that
+    from E itself, with the place 2 left to the product formula."""
+    from oracles import hasse_by_groups
+
+    spec, E, z, gens, d = data.draw(st.sampled_from(_massy_cases()))
+    a = data.draw(st.lists(st.integers(-10 ** 4, 10 ** 4).filter(bool),
+                           min_size=len(gens), max_size=len(gens)))
+    assert splits_over_Q(massy(MassyInput(2, [rat(x) for x in a], d))) == hasse_by_groups(
+        E, z, gens, a), (spec, z, a)
