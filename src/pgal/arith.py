@@ -1,4 +1,4 @@
-"""Exact integer arithmetic helpers: primality, factorization, Legendre symbols.
+"""Exact integer arithmetic: primality, a caller's prime, factorization, valuations, Legendre.
 
 Factorization is trial division by the primes below min(bound, 2^10)
 followed by Brent's variant of Pollard rho, which finds a prime q in about
@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from .errors import FactorizationFailed
+from .errors import BadParams, FactorizationFailed, read_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -53,11 +53,7 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r, d = valuation(n - 1, 2)
     for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -73,6 +69,25 @@ def is_prime(n: int) -> bool:
             f"cannot certify {n} prime: Miller-Rabin with the prime bases up to 41 "
             f"is proven only below {MILLER_RABIN_BOUND}")
     return True
+
+
+def read_prime(p, error=BadParams, detail: str | None = None) -> int:
+    """The one check of a p a caller gives: p as an int if it is a prime integer by
+    errors.is_integer's rule, else error(detail or "p must be prime, got p=...")."""
+    detail = detail or f"p must be prime, got p={p}"
+    p = read_int(p, error, detail)
+    if not is_prime(p):
+        raise error(detail)
+    return p
+
+
+def valuation(n: int, p: int) -> tuple[int, int]:
+    """(v, n // p^v) for n != 0 and p >= 2, v the largest with p^v | n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
 
 
 def _brent_rho(n: int, max_steps: int) -> int:

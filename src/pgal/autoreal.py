@@ -20,7 +20,8 @@ import json
 from importlib import resources
 from typing import TYPE_CHECKING
 
-from .errors import BadParams, UnknownFamily, UnknownSpec, check_digits
+from .arith import read_prime
+from .errors import BadParams, UnknownFamily, UnknownSpec, check_digits, read_int
 from .records import FrozenRecord, Record
 
 if TYPE_CHECKING:
@@ -88,12 +89,11 @@ class RealizationGraph:
             raise UnknownSpec(f"cannot resolve {spec!r}: {exc.detail}") from exc
 
     def _group(self, spec: str, query: dict | None = None) -> Group:
-        """The group of spec, built the first time it is read and kept for
-        the graph's lifetime when spec is a node, otherwise only in `query`,
-        the cache of one query."""
+        """The group of the canonical spec, built the first time it is read
+        and kept for the graph's lifetime when spec is a node, otherwise
+        only in `query`, the cache of one query."""
         from .catalog import build_group
 
-        spec = self._resolve(spec)
         cache = self._groups if spec in self._orders else {} if query is None else query
         if spec not in cache:
             cache[spec] = _read_spec(build_group, spec)
@@ -248,17 +248,18 @@ def gen_count_necessary(src: str, dst: str, graph: RealizationGraph | None = Non
     from .groups import min_generators
 
     g = graph or default_graph()
-    return min_generators(g._group(dst)) <= min_generators(g._group(src))
+    return min_generators(g._group(g._resolve(dst))) <= min_generators(g._group(g._resolve(src)))
 
 
 def multiplicity_bound(p: int, n: int, k: int) -> MultiplicityBound:
-    """Lower bound p^k on the realization multiplicity of F_p[G]^k x| G, for
-    a p^k of at most MAX_DIGITS decimal digits."""
-    if p == 2 and n < 2:
-        raise BadParams("need n >= 2 when p = 2")
-    if n < 1 or k < 0:
-        raise BadParams("need n >= 1 and k >= 0")
-    check_digits(abs(p), k, "p^k")
+    """Lower bound p^k on the realization multiplicity of F_p[G]^k x| G, G
+    cyclic of order p^n, for a prime p, integers n >= 1 (n >= 2 at p = 2)
+    and k >= 0, and a p^k of at most MAX_DIGITS decimal digits."""
+    p, need = read_prime(p), "need n >= 1 and k >= 0"
+    n = read_int(n, BadParams, f"n must be an integer, got n={n}", 2 if p == 2 else 1,
+                 out_of_range="need n >= 2 when p = 2" if p == 2 else need)
+    k = read_int(k, BadParams, f"k must be an integer, got k={k}", 0, out_of_range=need)
+    check_digits(p, k, "p^k")
     spec = f"(F_{p}[Z/{p}^{n}Z])^{k} x| Z/{p}^{n}Z"
     return MultiplicityBound(spec, k, p ** k)
 

@@ -10,7 +10,7 @@ from functools import partial, reduce
 from math import prod
 from typing import TYPE_CHECKING
 
-from .arith import is_prime
+from .arith import read_prime
 from .errors import RelationInconsistent, UnknownFamily, check_order
 from .records import Record
 
@@ -223,8 +223,8 @@ def _parse_factor(spec: str) -> tuple[str, dict]:
     if sorted(name for name, _ in given) != sorted(names):
         raise UnknownFamily(f"{fam} takes each of the parameters {list(names)} exactly once")
     params = dict(given)
-    if "p" in params and not is_prime(params["p"]):
-        raise UnknownFamily(f"{fam} needs a prime p, got p={params['p']}")
+    if "p" in params:
+        read_prime(params["p"], UnknownFamily, f"{fam} needs a prime p, got p={params['p']}")
     return fam, {name: params[name] for name in names}
 
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 # h2, cor and autoreal, once the catalog has accepted a spec; json loads only
 # where a payload or an error document is written or a file is read.  So
 # `pgal --help` reads the commands' names and one-line help and nothing else.
-from .arith import is_prime
+from .arith import read_prime
 from .errors import BadParams, PgalError, UnknownFamily, ZeroEntry
 
 if TYPE_CHECKING:
@@ -515,8 +515,8 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         # one primality check for every command's p, with h2_enumerate's detail
-        if getattr(args, "p", None) is not None and not is_prime(args.p):
-            raise BadParams(f"p must be prime, got p={args.p}")
+        if getattr(args, "p", None) is not None:
+            read_prime(args.p)
         return args.func(args)
     except PgalError as exc:
         _print_json({"error": exc.code, "detail": exc.detail})

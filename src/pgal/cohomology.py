@@ -29,6 +29,7 @@ from .errors import (
     RelationInconsistent,
     TargetMismatch,
     check_order,
+    read_int,
 )
 from .groups import (
     Group,
@@ -44,7 +45,7 @@ from .groups import (
     sylow_subgroup,
 )
 from .linalg import GFMatrix
-from .arith import is_prime
+from .arith import read_prime
 from .presentation import PcTails, read_pc
 from .records import Record
 
@@ -53,12 +54,9 @@ MAX_REPS = 4096  # h2_enumerate lists every class up to this many
 
 def _check_prime(p) -> int:
     """p as a Python int, or BadParams unless it is a prime integer below 2^63."""
-    detail = f"p must be prime, got p={p}"  # a negative p too: is_prime refuses it
-    p = int(read_integers(p, BadParams, detail, low=-2 ** 63, ndim=0,
-                          out_of_range=f"p must be a prime below 2^63, got p={p}"))
-    if not is_prime(p):
-        raise BadParams(detail)
-    return p
+    # the range detail for any p past 64 bits, a negative one too; read_prime refuses the rest
+    return read_prime(read_int(p, BadParams, f"p must be prime, got p={p}", -2 ** 63, 2 ** 63,
+                               out_of_range=f"p must be a prime below 2^63, got p={p}"))
 
 
 def _integer(x, what: str, n: int, low: int = 0, error=BadParams, names=()) -> int:
@@ -66,8 +64,7 @@ def _integer(x, what: str, n: int, low: int = 0, error=BadParams, names=()) -> i
     if names and isinstance(x, str):
         x = next((i for name, i in names if name == x), x)
     kind = "a generator name or an integer" if names else "an integer"
-    return int(read_integers(x, error, f"{what} must be {kind} in {low}..{n - 1}", n, low=low,
-                             ndim=0))
+    return read_int(x, error, f"{what} must be {kind} in {low}..{n - 1}", low, n)
 
 
 def is_cocycle_table(group: Group, p: int, values) -> bool:
@@ -81,8 +78,7 @@ def is_cocycle_table(group: Group, p: int, values) -> bool:
     make no cocycle; values are exponents of zeta, read mod p, and as the
     identity holds mod any modulus, p need only be an integer in 2..2^63-1.
     """
-    p = int(read_integers(p, BadParams, f"p must be an integer in 2..2^63-1, got p={p}",
-                          low=2, ndim=0))
+    p = read_int(p, BadParams, f"p must be an integer in 2..2^63-1, got p={p}", 2, 2 ** 63)
     try:
         F = read_integers(values, NotACocycle, "", modulus=p)
     except NotACocycle:
@@ -167,9 +163,7 @@ def cocycle_of_extension(E: Group, proj: GroupHom, kernel_gen: int) -> Cocycle2:
         raise TargetMismatch("projection must start at the extension group")
     kernel_gen = _integer(kernel_gen, "kernel_gen", E.order)
     ker = np.flatnonzero(proj.images == 0)
-    p = len(ker)
-    if not is_prime(p):
-        raise KernelNotPrime(f"kernel has order {p}")
+    p = read_prime(len(ker), KernelNotPrime, f"kernel has order {len(ker)}")
     # kernel_gen^0 .. kernel_gen^p in one gather
     powers = E._powers(np.full(p + 1, kernel_gen), np.arange(p + 1))
     if powers[p] != 0 or sorted(powers[:p].tolist()) != ker.tolist():

@@ -1,8 +1,8 @@
 """Exception hierarchy: every domain error carries a stable machine-readable code.
 
 MAX_ORDER, the cap on group orders that the size errors name, MAX_DIGITS, the
-cap on the integers pgal prints, their checks and is_integer live here too,
-so a spec or a module can be refused without importing numpy.
+cap on the integers pgal prints, their checks, is_integer and read_int live
+here too, so a spec or a module can be refused without importing numpy.
 """
 
 import sys
@@ -39,6 +39,17 @@ def is_integer(x) -> bool:
     without importing numpy (no numpy integer exists before numpy loads)."""
     np = sys.modules.get("numpy")
     return type(x) is int or np is not None and isinstance(x, np.integer)
+
+
+def read_int(x, error, detail: str, low: int | None = None, high: int | None = None,
+             out_of_range: str | None = None) -> int:
+    """x as an int if is_integer(x), never cast, else error(detail); outside
+    low..high-1 error(out_of_range or detail).  groups.read_integers' twin."""
+    if not is_integer(x):
+        raise error(detail)
+    if low is not None and x < low or high is not None and x >= high:
+        raise error(out_of_range or detail)
+    return int(x)
 
 
 class PgalError(Exception):

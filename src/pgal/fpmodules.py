@@ -5,7 +5,7 @@ problems, including exact p-binomial coefficients.
 
 from __future__ import annotations
 
-from .arith import is_prime
+from .arith import read_prime
 from .errors import (
     BadIndex,
     BadParams,
@@ -13,7 +13,7 @@ from .errors import (
     NotSolvable,
     check_digits,
     check_order,
-    is_integer,
+    read_int,
 )
 from .records import Record
 
@@ -39,15 +39,10 @@ def _read_pn(p, n) -> tuple[int, int]:
     """p and n as ints: BadParams unless p is a prime integer and n an
     integer >= 0, and OrderTooLarge for p^n past MAX_ORDER, checked before
     p^n is formed or a p of order past the cap is tested for primality."""
-    if not is_integer(p):
-        raise BadParams(f"p must be prime, got p={p}")
-    if not is_integer(n) or n < 0:
-        raise BadParams(f"n must be an integer >= 0, got n={n}")
-    p, n = int(p), int(n)
+    p = read_int(p, BadParams, f"p must be prime, got p={p}")
+    n = read_int(n, BadParams, f"n must be an integer >= 0, got n={n}", 0)
     check_order(p, n)
-    if not is_prime(p):
-        raise BadParams(f"p must be prime, got p={p}")
-    return p, n
+    return read_prime(p), n
 
 
 class FpGModule(Record):
@@ -61,9 +56,8 @@ class FpGModule(Record):
         top = p ** n
         clean = {}
         for i, m in (d or {}).items():
-            if not (is_integer(i) and is_integer(m)):
-                raise BadIndex("summand lengths and multiplicities must be integers")
-            i, m = int(i), int(m)
+            i, m = (read_int(x, BadIndex, "summand lengths and multiplicities must be integers")
+                    for x in (i, m))
             if m < 0 or not 1 <= i <= top:
                 raise BadIndex(f"summand length {i} outside 1..{top} or negative multiplicity")
             if m:
@@ -119,9 +113,9 @@ class NormData(Record):
         self.p, self.n = p, n = _read_pn(p, n)
         self.i_invariant, self.base_quotient_finite = i_invariant, base_quotient_finite
         top = p ** n
-        if not all(is_integer(i) and is_integer(v) for i, v in dims.items()):
-            raise Mismatch("norm dimension indices and values must be integers")
-        dims = {int(i): int(v) for i, v in dims.items()}
+        detail = "norm dimension indices and values must be integers"
+        dims = {read_int(i, Mismatch, detail): read_int(v, Mismatch, detail)
+                for i, v in dims.items()}
         for i in range(1, top + 1):
             if i not in dims:
                 raise Mismatch(f"missing norm dimension for i={i}")
@@ -132,8 +126,8 @@ class NormData(Record):
                 raise Mismatch(
                     f"dims must be constant on ceil(log_p) blocks; differ at {i - 1},{i}")
         self.dims = dims
-        if i_invariant is not None and not (is_integer(i_invariant) and 0 <= i_invariant < n):
-            raise Mismatch(f"i invariant must be None or in 0..{self.n - 1}")
+        if i_invariant is not None:
+            read_int(i_invariant, Mismatch, f"i invariant must be None or in 0..{n - 1}", 0, n)
 
     @classmethod
     def from_levels(cls, p: int, n: int, levels, i_invariant=None,

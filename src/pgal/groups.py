@@ -30,7 +30,9 @@ from .errors import (
     TooLarge,
     check_order,
     is_integer,
+    read_int,
 )
+from .arith import valuation
 from .records import FrozenRecord, Record
 
 if TYPE_CHECKING:
@@ -52,19 +54,18 @@ def row_blocks(n: int):
 def _prime_divisors(n: int) -> list[int]:
     out, q = [], 2
     while n > 1:
-        if n % q == 0:
+        v, n = valuation(n, q)
+        if v:
             out.append(q)
-            while n % q == 0:
-                n //= q
         q += 1
     return out
 
 
 def read_integers(data, error, detail: str, n=None, *, low: int = 0, ndim: int | None = None,
                   modulus: int | None = None, out_of_range: str | None = None) -> np.ndarray:
-    """Integers a caller hands the library (an array, a list, a set or a
-    scalar) as a read-only array: int16 in low..n-1, int64 below 2^63 for n
-    None, or with a modulus int64 reduced mod it.  Entries are judged by
+    """Integers a caller hands the library (an array, a list or a set) as a
+    read-only array: int16 in low..n-1, int64 below 2^63 for n None, or
+    with a modulus int64 reduced mod it.  Entries are judged by
     their types, never cast (numpy reads a bool among ints as 1 and 0.5 as
     0): an entry that is not an int or a numpy integer (a float, bool,
     string or None, or a ragged list), or another rank than ndim, is
@@ -72,14 +73,15 @@ def read_integers(data, error, detail: str, n=None, *, low: int = 0, ndim: int |
     error(out_of_range or detail), checked before the cast that would wrap
     65536 to 0.  n may be a function of the shape that returns the bound
     or raises the site's own shape error."""
-    # a lone int is read exactly as int64, uint64 or object; a list as objects
-    arr = data if isinstance(data, np.ndarray) else np.array(data) if type(data) is int else np.array(
+    # a list is read as objects, so that no entry is cast
+    arr = data if isinstance(data, np.ndarray) else np.array(
         list(data) if isinstance(data, (set, frozenset)) else data, dtype=object)
     kinds = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
     if not kinds <= INTEGER_TYPES or ndim is not None and arr.ndim != ndim:
         raise error(detail)
     if modulus is not None and arr.dtype.kind != "i":  # the cast would wrap entries past 2^63
-        arr = arr % (modulus if arr.dtype == object else np.uint64(modulus))
+        # asarray: the remainder of a lone entry (a 0-d array) is a scalar
+        arr = np.asarray(arr % (modulus if arr.dtype == object else np.uint64(modulus)))
     if arr.dtype == object:
         try:
             arr = arr.astype(np.int64)
@@ -191,6 +193,7 @@ class Group:
         self._inv: np.ndarray | None = None
         self._orders: list[int] | None = None
         self._tree: tuple | None = None
+        self._center: np.ndarray | None = None
         if check:
             self._validate()
             self.gens = self.tree()[0]
@@ -287,9 +290,7 @@ class Group:
             orders = np.ones(n, dtype=np.int64)
             every = np.arange(n)
             for q in _prime_divisors(n):
-                a, r = 0, n
-                while r % q == 0:
-                    a, r = a + 1, r // q
+                a, r = valuation(n, q)
                 y = self._powers(every, np.full(n, r))
                 qth = self._powers(every, np.full(n, q))
                 for _ in range(a):
@@ -338,13 +339,15 @@ class Group:
         return sorted(cayley_tree(self._np, sorted(set(seed.tolist())))[1])
 
     def center(self) -> "Subgroup":
-        """The elements that commute with each generator in gens: those
-        generate the group (checked in _validate), so these are central."""
-        T = self._np
-        mask = np.ones(self.order, dtype=bool)
-        for s in self.gens:
-            mask &= T[:, s] == T[s]
-        return Subgroup(self, np.flatnonzero(mask), check=False)
+        """The elements that commute with each generator in gens, found once:
+        those generate the group (checked in _validate), so these are central."""
+        if self._center is None:  # the elements, as a kept Subgroup would refer back: a cycle
+            T = self._np
+            mask = np.ones(self.order, dtype=bool)
+            for s in self.gens:
+                mask &= T[:, s] == T[s]
+            self._center = np.flatnonzero(mask).astype(np.int16)
+        return Subgroup(self, self._center, check=False)
 
     def to_json(self) -> dict:
         return {
@@ -438,11 +441,10 @@ class Subgroup:
     def local(self, parent_idx) -> int:
         """The member's index in elements; KeyError for an integer that is
         not a member, BadParams for a non-integer."""
-        if not is_integer(parent_idx):
-            raise BadParams("element must be an integer")
-        if parent_idx not in self:
-            raise KeyError(parent_idx)
-        return int(self.pos[parent_idx])
+        x = read_int(parent_idx, BadParams, "element must be an integer")
+        if x not in self:
+            raise KeyError(x)
+        return int(self.pos[x])
 
     def is_normal(self) -> bool:
         """g N g^-1 lies in N for each generator g in gens, one gather each:
@@ -608,7 +610,7 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
     each added generator into H.
     """
     n, T, inv = G.order, G.np_table, G.inverses()
-    full = p ** next(e for e in range(n.bit_length(), -1, -1) if n % p ** e == 0)
+    full = p ** valuation(n, p)[0]
     p_element = full % np.array(G.element_orders()) == 0
     H, hgens = trivial_subgroup(G), []
     while H.order < full:
@@ -624,11 +626,7 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
 def _frattini_rank(G: Group, p: int) -> int:
     """The rank of G/[G,G]G^p, which is d(G) for a p-group G (Burnside's
     basis theorem)."""
-    q, r = G.order // frattini_style_subgroup(G, p).order, 0
-    while q > 1:
-        q //= p
-        r += 1
-    return r
+    return valuation(G.order // frattini_style_subgroup(G, p).order, p)[0]
 
 
 def min_generators(G: Group) -> int:
@@ -836,9 +834,8 @@ class DualActionData(Record):
         for name, M in self.action.items():
             self._check_automorphism(name, M)
         for name, u in self.cyclo.items():
-            unit = read_integers(u, RelationInconsistent, f"cyclo value for {name} must be an "
-                                 "integer", ndim=0, modulus=self.exponent)
-            if gcd(int(unit), self.exponent) != 1:
+            unit = read_int(u, RelationInconsistent, f"cyclo value for {name} must be an integer")
+            if gcd(unit, self.exponent) != 1:
                 raise RelationInconsistent(f"cyclo value {u} is not a unit mod {self.exponent}")
 
     def _apply(self, M, v):
@@ -881,9 +878,7 @@ def dual_action_predicate(data: DualActionData, m: int) -> dict:
     the units mod exp A, `pm_one` {1, -1} and `thm24` {1, m}, for an
     integer m with m^2 = 1 mod exp A.
     """
-    if not is_integer(m):
-        raise BadM("m must be an integer")
-    m, e = int(m), data.exponent
+    m, e = read_int(m, BadM, "m must be an integer"), data.exponent
     if (m * m) % e != 1 % e:
         raise BadM(f"m^2 = {m * m} is not 1 modulo {e}")
     flags = {"uniform_power": [t for t in range(e) if gcd(t, e) == 1], "pm_one": (1, -1),

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BadI, BadTheorem, MissingWitness
+from .arith import read_prime
+from .errors import BadI, BadTheorem, MissingWitness, read_int
 from .records import FrozenRecord
 from .symbols import FieldElem
 
@@ -21,9 +22,11 @@ class GroupRingElem(FrozenRecord):
     _fields = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: tuple):
+        n = read_int(n, BadI, f"n must be an integer >= 1, got n={n}", 1)
         if len(coeffs) != n:
             raise BadI(f"need {n} coefficients, got {len(coeffs)}")
-        self._set(n=n, coeffs=tuple(int(c) for c in coeffs))
+        self._set(n=n, coeffs=tuple(read_int(c, BadI, f"coefficients must be integers, got {c}")
+                                    for c in coeffs))
 
     def add(self, other: "GroupRingElem") -> "GroupRingElem":
         return GroupRingElem(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -46,7 +49,7 @@ class GroupRingElem(FrozenRecord):
 
     def pow(self, e: int) -> "GroupRingElem":
         out = ring_one(self.n)
-        for _ in range(e):
+        for _ in range(read_int(e, BadI, f"e must be an integer >= 0, got e={e}", 0)):
             out = out.mul(self)
         return out
 
@@ -86,6 +89,7 @@ def theta_operator(p: int) -> GroupRingElem:
 
     Satisfies (sigma - 1) * theta = N - p in Z[C_p].
     """
+    p = read_prime(p)
     return GroupRingElem(p, tuple(p - 1 - i for i in range(p)))
 
 
@@ -189,6 +193,7 @@ def build_solution(theorem: str, p: int, witness: dict) -> SolutionExpr:
         raise BadTheorem(f"theorem must be one of {_THEOREMS}, got {theorem!r}")
     if (key := witness_key(th)) not in witness:
         raise MissingWitness(f"construction needs a witness named {key!r}")
+    p = read_prime(p)
     w, theta = str(witness[key]), theta_operator(p)
     if th in ("T4_1", "T4_3"):
         return SolutionExpr((Layer((Atom(w, theta),), p),), "f", f"N({w})=a2")
@@ -215,8 +220,8 @@ def minac_swallow_solution(p: int, i: int, omega: str = "omega") -> SolutionExpr
     is the single layer omega^((sigma-1)^(p-2)).  Exponents are reduced mod p
     (p-th powers of omega do not change the extension).
     """
-    if not 2 <= i <= p:
-        raise BadI(f"need 2 <= i <= p, got i={i}")
+    p = read_prime(p)
+    i = read_int(i, BadI, f"need 2 <= i <= p, got i={i}", 2, p + 1)
     s1 = sigma_minus_one(p)
     layers = []
     for j in range(p - i, p - 1):
@@ -228,6 +233,7 @@ def minac_swallow_solution(p: int, i: int, omega: str = "omega") -> SolutionExpr
 
 def verify_witness_t410(relation_holds: bool, c: FieldElem, p: int) -> bool:
     """Certificate check: the twisted-norm element is a nontrivial p-th root of 1."""
+    p = read_prime(p)
     if not relation_holds:
         return False
     if c.kind == "rat":

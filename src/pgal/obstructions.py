@@ -7,7 +7,8 @@ so every output is evaluable over Q.
 
 from __future__ import annotations
 
-from .errors import BadFamily, BadVariant, PrimeMismatch, ZeroEntry
+from .arith import read_prime
+from .errors import BadFamily, BadVariant, PrimeMismatch, ZeroEntry, read_int
 from .records import Record
 from .symbols import (
     FieldElem,
@@ -16,6 +17,7 @@ from .symbols import (
     elem_pow,
     opaque_class,
     rat,
+    read_exponent,
     symbol,
     trivial,
     zeta,
@@ -33,12 +35,13 @@ class MassyInput(Record):
     _fields = ("p", "a", "d")
 
     def __init__(self, p: int, a: list, d: dict | None = None):
-        self.p, self.a, self.d = p, a, {} if d is None else d
+        self.p, self.a, self.d = read_prime(p), a, {} if d is None else d
         if len(self.a) < 1:
             raise ZeroEntry("need at least one a_i")
-        for (i, j) in self.d:
+        for (i, j), e in self.d.items():
             if not (1 <= i <= j <= len(self.a)):
                 raise BadFamily(f"bad index pair {(i, j)}")
+            read_exponent(e, f"d{i}{j}")
 
 
 class DirectFactorInput(Record):
@@ -51,12 +54,14 @@ class DirectFactorInput(Record):
 
     def __init__(self, p: int, res_class: object, b: FieldElem | None = None, j: int = 0,
                  a: list | None = None, d: list | None = None):
-        self.p, self.res_class, self.b, self.j = p, res_class, b, j
+        self.p, self.res_class, self.b, self.j = read_prime(p), res_class, b, read_exponent(j, "j")
         self.a, self.d = [] if a is None else a, [] if d is None else d
         if self.b is None:
             raise ZeroEntry("b is required")
         if len(self.a) != len(self.d):
             raise BadFamily("a and d must have matching lengths")
+        for i, e in enumerate(self.d, start=1):
+            read_exponent(e, f"d{i}")
 
 
 class LedetInput(Record):
@@ -67,12 +72,13 @@ class LedetInput(Record):
 
     def __init__(self, p: int, resN_class: object, resH_class: object, a: list | None = None,
                  b: list | None = None, d: dict | None = None):
-        self.p, self.resN_class, self.resH_class = p, resN_class, resH_class
+        self.p, self.resN_class, self.resH_class = read_prime(p), resN_class, resH_class
         self.a, self.b = [] if a is None else a, [] if b is None else b
         self.d = {} if d is None else d
-        for (i, j) in self.d:
+        for (i, j), e in self.d.items():
             if not (1 <= i <= len(self.a) and 1 <= j <= len(self.b)):
                 raise BadFamily(f"bad index pair {(i, j)}")
+            read_exponent(e, f"d{i}{j}")
 
 
 class DiagonalForm(Record):
@@ -107,6 +113,7 @@ def obstruction_c4(a: FieldElem) -> SymbolProduct:
 
 def obstruction_cp2(a: FieldElem, p: int) -> SymbolProduct:
     """Embedding a degree-p Kummer extension into C_{p^2}: the class (a, zeta; zeta)."""
+    p = read_prime(p)
     return symbol(a, zeta(p), p)
 
 
@@ -157,8 +164,9 @@ def modular_obstruction(variant: str, p: int, n: int, a1: FieldElem, a2: FieldEl
     class [K,C_q,zeta]), "1z" / "z1" / "zz" for the central extensions with
     (beta^p, alpha-power relation) twisted by (1,zeta), (zeta,1), (zeta,zeta).
     """
-    if n < 3:
-        raise BadVariant("modular families need n >= 3")
+    read_int(n, BadVariant, f"n must be an integer, got n={n}", 3,
+             out_of_range="modular families need n >= 3")
+    p = read_prime(p)
     if variant == "M":
         return _as_class(crossed if crossed is not None else "K,C_q,zeta", p).mul(
             symbol(a2, a1, p))
@@ -174,6 +182,7 @@ def modular_obstruction(variant: str, p: int, n: int, a1: FieldElem, a2: FieldEl
 def g_family_obstruction(family: str, p: int, a1: FieldElem, a2: FieldElem,
                          cyc_factor=None, zeta_p2_in_k: bool = False) -> SymbolProduct:
     """Obstructions for the order-p^4 groups with quotient C_{p^2} x C_p."""
+    p = read_prime(p)
     if family == "G3":
         return symbol(a2, a1, p)
     if family == "G4":

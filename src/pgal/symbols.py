@@ -13,16 +13,24 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import FactorizationFailed, factor, is_square, legendre
+from .arith import FactorizationFailed, factor, is_square, legendre, read_prime, valuation
 from .errors import (
+    BadParams,
     NonRationalEntry,
     OpaqueFactorPresent,
     PrimeMismatch,
     SquareA,
     ZeroAlpha,
     ZeroEntry,
+    is_integer,
+    read_int,
 )
 from .records import FrozenRecord
+
+
+def read_exponent(e, name: str = "e") -> int:
+    """An exponent a caller gives, as an int; BadParams naming it unless an integer."""
+    return read_int(e, BadParams, f"{name} must be an integer, got {name}={e}")
 
 
 # -- field elements ------------------------------------------------------------
@@ -106,6 +114,9 @@ class FieldElem(FrozenRecord):
 
 
 def rat(q) -> FieldElem:
+    """The rational q: an integer, a Fraction or a string such as "3/4", never a bool or a float."""
+    if not (is_integer(q) or isinstance(q, (Fraction, str))):
+        raise BadParams(f"q must be an integer, a Fraction or a string, got q={q!r}")
     return FieldElem("rat", Fraction(q))
 
 
@@ -119,8 +130,8 @@ def one() -> FieldElem:
 
 def zeta(order: int, e: int = 1) -> FieldElem:
     """zeta_order^e, reduced: order 1 or exponent 0 gives 1, order 2 gives -1."""
-    order = int(order)
-    e = int(e) % order
+    order = read_int(order, BadParams, f"order must be an integer >= 1, got order={order}", 1)
+    e = read_exponent(e) % order
     g = gcd(order, e) if e else order
     order, e = order // g, e // g
     if order == 1:
@@ -181,7 +192,7 @@ def elem_mul(*xs: FieldElem) -> FieldElem:
 
 
 def elem_pow(x: FieldElem, e: int) -> FieldElem:
-    return elem_canon(FieldElem("prod", ((x, int(e)),)))
+    return elem_canon(FieldElem("prod", ((x, read_exponent(e)),)))
 
 
 def elem_neg(x: FieldElem) -> FieldElem:
@@ -201,7 +212,8 @@ class SymbolProduct(FrozenRecord):
 
     # factors: (FieldElem, FieldElem) pairs, exponent folded; opaque: (name, exponent mod p) pairs
     def __init__(self, p: int, factors: tuple, opaque: tuple):
-        unsplit: dict = {}
+        p, unsplit = read_prime(p), {}
+        opaque = [(name, read_exponent(e, "exp")) for name, e in opaque]
         _regroup(self, p, _expand(factors, p, unsplit), opaque, unsplit)
 
     def is_trivial_form(self) -> bool:
@@ -219,6 +231,7 @@ class SymbolProduct(FrozenRecord):
                         {atom: d for P in factors for atom, d in P._unsplit.items()})
 
     def pow(self, e: int) -> "SymbolProduct":
+        e = read_exponent(e)
         return _regroup(SymbolProduct.__new__(SymbolProduct), self.p,
                         [(pair, k * e) for pair, k in self._pairs.items()],
                         [(name, k * e) for name, k in self.opaque], self._unsplit)
@@ -394,25 +407,19 @@ def _split_off(q: Fraction, l: int) -> tuple[int, int]:
 
     u stands for the unit a/b: the two differ by the square b^2, so no
     Hilbert symbol tells them apart."""
-    num, den = q.numerator, q.denominator
-    v = 0
-    while num % l == 0:
-        num //= l
-        v += 1
-    while den % l == 0:
-        den //= l
-        v -= 1
-    return v, num * den
+    (v_num, num), (v_den, den) = valuation(q.numerator, l), valuation(q.denominator, l)
+    return v_num - v_den, num * den
 
 
 def hilbert_local(a, b, place) -> int:
-    """Local Hilbert symbol (a, b)_place over Q; place is a prime or 'inf'."""
+    """Local Hilbert symbol (a, b)_place over Q; place is a prime, or 'inf',
+    'infinity' or the integer 0 for the real place."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ZeroEntry("Hilbert symbol entries must be nonzero")
-    if place in ("inf", "infinity", 0):
+    if place in ("inf", "infinity") or is_integer(place) and place == 0:
         return -1 if (a < 0 and b < 0) else 1
-    l = int(place)
+    l = read_prime(place, BadParams, f"place must be a prime, 0 or 'inf', got place={place}")
     if l == 2:
         va, ua = _split_off(a, 2)
         vb, ub = _split_off(b, 2)

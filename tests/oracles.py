@@ -39,6 +39,10 @@
 - `hasse_by_groups`: Massy's central embedding problem over Q decided
   place by place on the group side, an independent check of `massy` and
   `splits_over_Q`;
+- `prime_divisors_by_trial`, `two_adic_split` and `split_off_by_division`:
+  groups._prime_divisors, the 2-adic split in arith.is_prime and
+  symbols._split_off as they were, each dividing a prime out one step at a
+  time, before arith.valuation did it for all of them;
 - `family_specs`, `PRIMES` and `permutation_group`: the catalog specs,
   primes and tables that are not p-groups the comparisons run over.
 """
@@ -647,3 +651,38 @@ def hasse_by_groups(E, z, gens, a):
                    for s in over(sigma) for t in over(tau)):
             return False
     return True
+
+
+def prime_divisors_by_trial(n):
+    """The primes dividing n >= 1, each q from 2 up divided out while it divides."""
+    out, q = [], 2
+    while n > 1:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out
+
+
+def two_adic_split(n):
+    """(r, d) with n = 2^r d and d odd, for n >= 1."""
+    d = n
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    return r, d
+
+
+def split_off_by_division(q, l):
+    """(v, u) with q = l^v a/b, l prime to a and b, and u = ab."""
+    num, den = q.numerator, q.denominator
+    v = 0
+    while num % l == 0:
+        num //= l
+        v += 1
+    while den % l == 0:
+        den //= l
+        v -= 1
+    return v, num * den

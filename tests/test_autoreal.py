@@ -12,7 +12,7 @@ from pgal.autoreal import (
     reverse_known_false,
     schultz_bound_applicable,
 )
-from pgal.errors import BadParams, UnknownSpec
+from pgal.errors import BadParams, UnknownSpec, check_digits
 from pgal.fpmodules import FpGModule
 
 
@@ -212,9 +212,11 @@ def test_schultz_shape_flags():
 def test_the_bound_has_at_most_4300_decimal_digits():
     # Python prints no int of more than 4300 digits; p^k is refused before it is formed
     assert len(str(multiplicity_bound(2, 2, 14284).bound)) == 4300
-    assert len(str(multiplicity_bound(10, 1, 4299).bound)) == 4300
     for k in (14285, 10 ** 9, 10 ** 30):
         with pytest.raises(BadParams, match="more than 4300 decimal digits"):
             multiplicity_bound(2, 2, k)
-    with pytest.raises(BadParams, match="more than 4300 decimal digits"):
-        multiplicity_bound(10, 1, 4300)
+    # the exact edge at base 10, which multiplicity_bound refuses as no prime
+    check_digits(10, 4299, "p^k")
+    assert len(str(10 ** 4299)) == 4300
+    with pytest.raises(BadParams, match="p\\^k has more than 4300 decimal digits"):
+        check_digits(10, 4300, "p^k")

@@ -2,13 +2,16 @@
 
 import argparse
 import contextlib
+import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -736,3 +739,31 @@ def test_no_argv_ends_in_a_traceback(cocycle_file, argv):
     assert code in (0, 1, 2), argv
     if code == 1:
         assert set(json.loads(out.getvalue())) == {"error", "detail"}, argv
+
+
+def _bench_module(name):
+    """A module of perfbench/ loaded from its file, which stays unchanged."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_request_answers_as_recorded(capsys):
+    """Each request of the cli-requests pool, run in process, gives the exit
+    code and the stdout bytes recorded in perfbench/expected.json."""
+    workloads = _bench_module("workloads")
+    expected = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                           / "expected.json").read_text())["cli-requests"]
+    pool = workloads.cli_pool()
+    assert len(pool) == len(expected) == 228
+    for argv in pool:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        want = expected[workloads.cli_key(argv)]
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+            want["code"], want["stdout_sha256"]), argv

@@ -1,6 +1,9 @@
-"""Every integer a caller hands the group and cohomology API goes through
-one reader, groups.read_integers; the numpy-free fpmodules state its rule
-for one value with errors.is_integer.
+"""Every integer a caller hands the library goes through one reader: an
+array through groups.read_integers, a single integer through
+errors.read_int (the same rule, for one value and without numpy), and
+every p through arith.read_prime, in the group and cohomology API and in
+the numpy-free symbols, obstructions, kummer, fpmodules and
+autoreal.multiplicity_bound alike.
 
 One row per entry point: the call, a valid value, the error code, the
 detail for a value that is not an integer (a float, a bool, a string, None,
@@ -31,6 +34,7 @@ from pgal.cohomology import (
     raise_lower,
     verify,
 )
+from pgal.autoreal import multiplicity_bound
 from pgal.errors import PgalError, is_integer
 from pgal.fpmodules import FpGModule, NormData
 from pgal.groups import (
@@ -42,6 +46,35 @@ from pgal.groups import (
     dual_action_predicate,
     subgroup_generated,
     subgroups_of_index2,
+)
+from pgal.kummer import (
+    GroupRingElem,
+    build_solution,
+    minac_swallow_solution,
+    sigma_minus_one,
+    theta_operator,
+    verify_witness_t410,
+)
+from pgal.obstructions import (
+    DirectFactorInput,
+    LedetInput,
+    MassyInput,
+    direct_factor,
+    g_family_obstruction,
+    ledet_product,
+    massy,
+    modular_obstruction,
+    obstruction_cp2,
+)
+from pgal.symbols import (
+    SymbolProduct,
+    elem_pow,
+    hilbert_local,
+    opaque_class,
+    rat,
+    symbol,
+    trivial,
+    zeta,
 )
 
 C2, C4, D8 = build_group("C:2"), build_group("C:4"), build_group("D:8")
@@ -174,7 +207,7 @@ ROWS["DualActionData action entry"] = Row(
 ROWS["dual_action_predicate m"] = Row(
     lambda m: dual_action_predicate(DualActionData((8,), {"r": ((3,),)}, {"r": 1}), m), _scalar,
     3, "BadM", "m must be an integer")
-# the numpy-free modules state the reader's rule with errors.is_integer
+# the numpy-free modules read one integer at a time with errors.read_int
 FPG = "summand lengths and multiplicities must be integers"
 NORM = "norm dimension indices and values must be integers"
 ROWS.update({
@@ -215,6 +248,100 @@ ROWS["NormData i_invariant"] = Row(lambda i: NormData(3, 1, DIMS3, i), _scalar, 
 ROWS["NormData i_invariant"].bad.remove((None, "i invariant must be None or in 0..0"))  # -inf
 ROWS["NormData i_invariant"].bad.append((0.0, "i invariant must be None or in 0..0"))
 
+
+
+# the numpy-free engines: each p is read by arith.read_prime, which knows no
+# 64-bit bound, and each other integer by errors.read_int, naming it
+def _free_prime_row(call):
+    row = Row(call, _scalar, 3, "BadParams", "")
+    row.bad = [(v, f"p must be prime, got p={v}")
+               for v in [*NOT_INTEGERS, 3.0, "3", -1, -3, 0, 1, 4, 9, BIG, -BIG]]
+    return row
+
+
+def _named_row(call, valid, code, detail, ranged=(), ranged_detail=None):
+    """detail.format(v) for each value that is not an integer (the valid one
+    as a float too), ranged_detail or that for the values in ranged."""
+    row = Row(call, _scalar, valid, code, "")
+    row.bad = [(v, detail.format(v)) for v in [*NOT_INTEGERS, float(valid)]]
+    row.bad += [(v, (ranged_detail or detail).format(v)) for v in ranged]
+    return row
+
+
+D_OF = "d{0} must be an integer, got d{0}={{}}"
+ROWS.update({
+    "symbol p": _free_prime_row(lambda p: symbol(rat(5), rat(3), p)),
+    "trivial p": _free_prime_row(trivial),
+    "opaque_class p": _free_prime_row(lambda p: opaque_class("x", p)),
+    "SymbolProduct.from_json p": _free_prime_row(
+        lambda p: SymbolProduct.from_json({"p": p, "factors": [], "opaque": []})),
+    "obstruction_cp2 p": _free_prime_row(lambda p: obstruction_cp2(rat(5), p)),
+    "MassyInput p": _free_prime_row(lambda p: massy(MassyInput(p, [rat(3), rat(5)], {(1, 2): 1}))),
+    "DirectFactorInput p": _free_prime_row(
+        lambda p: direct_factor(DirectFactorInput(p, "r", rat(2), 1))),
+    "LedetInput p": _free_prime_row(
+        lambda p: ledet_product(LedetInput(p, "n", "h", [rat(3)], [rat(5)], {(1, 1): 1}))),
+    "modular_obstruction p": _free_prime_row(
+        lambda p: modular_obstruction("z1", p, 3, rat(2), rat(3))),
+    "g_family_obstruction p": _free_prime_row(
+        lambda p: g_family_obstruction("G4", p, rat(2), rat(3))),
+    "theta_operator p": _free_prime_row(theta_operator),
+    "build_solution p": _free_prime_row(lambda p: build_solution("4.1", p, {"omega": "w"})),
+    "minac_swallow_solution p": _free_prime_row(lambda p: minac_swallow_solution(p, 2)),
+    "verify_witness_t410 p": _free_prime_row(lambda p: verify_witness_t410(True, zeta(3), p)),
+    "multiplicity_bound p": _free_prime_row(lambda p: multiplicity_bound(p, 2, 3)),
+    "zeta order": _named_row(zeta, 4, "BadParams", "order must be an integer >= 1, got order={}",
+                             ranged=(0, -1)),
+    "zeta e": _named_row(lambda e: zeta(4, e), 1, "BadParams", "e must be an integer, got e={}"),
+    "elem_pow e": _named_row(lambda e: elem_pow(rat(2), e), 3, "BadParams",
+                             "e must be an integer, got e={}"),
+    "SymbolProduct.pow e": _named_row(lambda e: symbol(rat(2), rat(3), 3).pow(e), 2, "BadParams",
+                                      "e must be an integer, got e={}"),
+    "opaque_class exp": _named_row(lambda e: opaque_class("x", 3, e), 2, "BadParams",
+                                   "exp must be an integer, got exp={}"),
+    "MassyInput d": _named_row(lambda d: massy(MassyInput(3, [rat(3), rat(5)], {(1, 2): d})), 1,
+                               "BadParams", D_OF.format(12)),
+    "DirectFactorInput j": _named_row(lambda j: direct_factor(DirectFactorInput(3, "r", rat(2), j)),
+                                      1, "BadParams", "j must be an integer, got j={}"),
+    "DirectFactorInput d": _named_row(
+        lambda d: direct_factor(DirectFactorInput(3, "r", rat(2), 0, [rat(5)], [d])), 1,
+        "BadParams", D_OF.format(1)),
+    "LedetInput d": _named_row(
+        lambda d: ledet_product(LedetInput(3, "n", "h", [rat(3)], [rat(5)], {(1, 1): d})), 1,
+        "BadParams", D_OF.format(11)),
+    "modular_obstruction n": _named_row(
+        lambda n: modular_obstruction("1z", 3, n, rat(2), rat(3)), 3, "BadVariant",
+        "n must be an integer, got n={}", ranged=(2, 0, -1),
+        ranged_detail="modular families need n >= 3"),
+    "GroupRingElem n": _named_row(lambda n: GroupRingElem(n, (1, 0)), 2, "BadI",
+                                  "n must be an integer >= 1, got n={}", ranged=(0, -1)),
+    "GroupRingElem coefficient": _named_row(lambda c: GroupRingElem(2, (c, 0)), 1, "BadI",
+                                            "coefficients must be integers, got {}"),
+    "GroupRingElem.pow e": _named_row(lambda e: sigma_minus_one(3).pow(e), 2, "BadI",
+                                      "e must be an integer >= 0, got e={}", ranged=(-1,)),
+    "minac_swallow_solution i": _named_row(lambda i: minac_swallow_solution(5, i), 3, "BadI",
+                                           "need 2 <= i <= p, got i={}", ranged=(1, 6, -1, BIG)),
+    "multiplicity_bound n": _named_row(lambda n: multiplicity_bound(3, n, 2), 2, "BadParams",
+                                       "n must be an integer, got n={}", ranged=(0, -1),
+                                       ranged_detail="need n >= 1 and k >= 0"),
+    "multiplicity_bound n, p = 2": _named_row(lambda n: multiplicity_bound(2, n, 2), 2, "BadParams",
+                                              "n must be an integer, got n={}", ranged=(1, 0, -1),
+                                              ranged_detail="need n >= 2 when p = 2"),
+    "multiplicity_bound k": _named_row(lambda k: multiplicity_bound(3, 2, k), 2, "BadParams",
+                                       "k must be an integer, got k={}", ranged=(-1,),
+                                       ranged_detail="need n >= 1 and k >= 0"),
+})
+ROWS["multiplicity_bound k"].bad.append((BIG, "p^k has more than 4300 decimal digits"))
+# a place is a prime, or 0 (an integer) or "inf" for the real place
+ROWS["hilbert_local place"] = Row(lambda l: hilbert_local(3, 5, l), _scalar, 3, "BadParams", "")
+ROWS["hilbert_local place"].bad = [
+    (v, f"place must be a prime, 0 or 'inf', got place={v}")
+    for v in [*NOT_INTEGERS, 3.0, "3", "Inf", -1, -3, 1, 4, 9, BIG, -BIG, False, 0.0]]
+# rat reads any integer, a Fraction or a string, but never a bool or a float
+ROWS["rat q"] = Row(rat, _scalar, 5, "BadParams", "")
+ROWS["rat q"].bad = [(v, f"q must be an integer, a Fraction or a string, got q={v!r}")
+                     for v in (1.5, 5.0, True, False, None, [1], np.float64(2), np.bool_(True))]
+
 CASES = [(name, v, detail) for name, row in ROWS.items() for v, detail in row.bad]
 
 
@@ -234,6 +361,18 @@ def test_cocycle_values_that_are_not_integers_make_no_cocycle_and_others_are_rea
         assert is_cocycle_table(C2, 2, values)
         assert Cocycle2(C2, 2, values).values.tolist() == [[0, 0], [0, reduced]]
         assert CoboundarySpace(C2, 2).witness(values) == ([0, 0] if reduced == 0 else None)
+
+
+def test_a_lone_integer_where_a_table_belongs_makes_no_cocycle():
+    """One integer is a table of the wrong shape at any size: read mod p as
+    a lone entry, not past 64 bits by a cast."""
+    for v in (5, -1, BIG, -BIG, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int64(5)):
+        assert not is_cocycle_table(D8, 2, v)
+        assert verify(D8, 2, v) == {"is_cocycle": False, "is_coboundary": False, "witness": None}
+        with pytest.raises(PgalError) as exc:
+            Cocycle2(D8, 2, v)
+        assert (exc.value.code, exc.value.detail) == (
+            "NotACocycle", "table violates normalization or the cocycle identity")
 
 
 def _plain(x):

@@ -11,6 +11,10 @@ its parameters, and only records.py calls object.__setattr__.  Likewise
 caller integers have one reader: only groups.read_integers catches
 OverflowError, so no entry point grows its own cast; and a zero symbol entry
 is refused where it is made: only FieldElem.__init__ tests a payload for 0.
+Each number rule has one owner: only arith.py names is_prime (everyone
+else reads p with arith.read_prime), only arith.py divides a prime out in a
+`while n % p == 0` loop (everyone else calls arith.valuation), and no one
+calls read_integers with ndim=0 (one integer goes through errors.read_int).
 """
 
 import ast
@@ -243,34 +247,95 @@ def test_caller_integers_have_one_reader(tmp_path):
     assert _overflow_catchers(tmp_path) == [("m.py", "f"), ("m.py", "g")]
 
 
-def _zero_payload_tests(pkg: Path) -> list:
-    """(file, qualified name of the innermost enclosing function) of each
-    comparison under pkg that tests a payload for equality with 0."""
+def _owners(pkg: Path, hit) -> list:
+    """(file, qualified name of the innermost enclosing function, or None)
+    of each node under pkg for which hit(node) holds."""
     out = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
+            if hit(child):
+                out.append((path.name, owner))
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{owner}.{child.name}" if owner else child.name)
-                continue
-            if isinstance(child, ast.Compare):
-                sides = [child.left, *child.comparators]
-                if (any(isinstance(op, (ast.Eq, ast.NotEq)) for op in child.ops)
-                        and any(getattr(s, "attr", getattr(s, "id", None)) == "payload"
-                                for s in sides)
-                        and any(isinstance(s, ast.Constant) and s.value == 0 for s in sides)):
-                    out.append((path.name, owner))
-            visit(child, owner)
+            else:
+                visit(child, owner)
 
     for path in sorted(pkg.glob("*.py")):
         visit(ast.parse(path.read_text()), None)
     return out
 
 
+def _tests_payload_for_zero(node) -> bool:
+    """A comparison that tests a payload for equality with 0."""
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left, *node.comparators]
+    return (any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+            and any(getattr(s, "attr", getattr(s, "id", None)) == "payload" for s in sides)
+            and any(isinstance(s, ast.Constant) and s.value == 0 for s in sides))
+
+
 def test_a_zero_entry_is_refused_only_where_a_field_element_is_made(tmp_path):
-    assert _zero_payload_tests(PKG) == [("symbols.py", "FieldElem.__init__")]
+    assert _owners(PKG, _tests_payload_for_zero) == [("symbols.py", "FieldElem.__init__")]
     # the guard sees a test in a nested function or either orientation, not a sign test
     (tmp_path / "m.py").write_text(
         "class A:\n    def f(self, x):\n        def g():\n            return 0 != x.payload\n"
         "        return x.payload == 0 or x.payload < 0\n")
-    assert _zero_payload_tests(tmp_path) == [("m.py", "A.f.g"), ("m.py", "A.f")]
+    assert _owners(tmp_path, _tests_payload_for_zero) == [("m.py", "A.f.g"), ("m.py", "A.f")]
+
+
+def _names_is_prime(node) -> bool:
+    """A name, attribute or imported name is_prime."""
+    return "is_prime" in (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "name", None), getattr(node, "asname", None))
+
+
+def _divides_out(node) -> bool:
+    """while a % b == 0 (either orientation) or while not a % b."""
+    if not isinstance(node, ast.While):
+        return False
+    test = node.test
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return isinstance(test.operand, ast.BinOp) and isinstance(test.operand.op, ast.Mod)
+    if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.Eq)):
+        return False
+    sides = [test.left, *test.comparators]
+    return (any(isinstance(s, ast.BinOp) and isinstance(s.op, ast.Mod) for s in sides)
+            and any(isinstance(s, ast.Constant) and s.value == 0 for s in sides))
+
+
+def _scalar_read(node) -> bool:
+    """read_integers(..., ndim=0, ...), by name or attribute."""
+    name = getattr(node, "func", None)
+    return (isinstance(node, ast.Call)
+            and "read_integers" in (getattr(name, "id", None), getattr(name, "attr", None))
+            and any(k.arg == "ndim" and isinstance(k.value, ast.Constant) and k.value.value == 0
+                    for k in node.keywords))
+
+
+def test_only_arith_names_is_prime(tmp_path):
+    assert {name for name, _ in _owners(PKG, _names_is_prime)} == {"arith.py"}
+    (tmp_path / "m.py").write_text(
+        "from .arith import is_prime as ip\nfrom . import arith\n"
+        "def f(p):\n    return arith.is_prime(p)\n")
+    assert _owners(tmp_path, _names_is_prime) == [("m.py", None), ("m.py", "f")]
+
+
+def test_only_arith_divides_a_prime_out_in_a_loop(tmp_path):
+    assert _owners(PKG, _divides_out) == [("arith.py", "valuation"), ("arith.py", "_factor")]
+    (tmp_path / "m.py").write_text(
+        "class A:\n    def f(self, n, q):\n        while 0 == n % q:\n            n //= q\n"
+        "        while not n % q:\n            n //= q\n        while n % q == 1:\n"
+        "            n -= 1\n        return n\n")
+    assert _owners(tmp_path, _divides_out) == [("m.py", "A.f"), ("m.py", "A.f")]
+
+
+def test_no_integer_is_read_as_a_zero_dimensional_array(tmp_path):
+    assert _owners(PKG, _scalar_read) == []
+    (tmp_path / "m.py").write_text(
+        "from . import groups\n"
+        "def f(x):\n    return groups.read_integers(x, ValueError, '', ndim=0)\n"
+        "def g(x):\n    return read_integers(x, ValueError, '', ndim=1)\n")
+    assert _owners(tmp_path, _scalar_read) == [("m.py", "f")]
