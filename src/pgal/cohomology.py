@@ -128,9 +128,8 @@ class Cocycle2:
         phi = GroupHom(self.group, target, images)
         if target.order != self.group.order or not phi.is_surjective():
             raise RelationInconsistent("map is not a bijection")
-        vals = np.zeros((target.order, target.order), dtype=np.int64)
-        vals[np.ix_(phi.images, phi.images)] = self.values
-        return Cocycle2(target, self.p, vals)
+        back = np.argsort(phi.images)  # the inverse bijection
+        return Cocycle2(target, self.p, self.values[np.ix_(back, back)], check=False)
 
     def to_json(self, group_ref: str | None = None) -> dict:
         return {
@@ -271,16 +270,19 @@ class CoboundarySpace:
         After `normalise`, the values v on the non-tree edges must be a
         combination c of the delta(phi_i), and then w + sum c_i phi_i is one.
         The witness is checked against the full table before it is returned.
+        Values that are not integers, or not an n x n table, are NotACocycle.
         """
-        p, T = self.p, self.group.np_table
+        p, T, n = self.p, self.group.np_table, self.group.order
         F = read_integers(values, NotACocycle, "cocycle values must be integers", modulus=p)
+        if F.shape != (n, n):
+            raise NotACocycle(f"cocycle values must be a table of shape {n} x {n}")
         w, v = self.normalise(F[:, self.gens])
         if v.any():
             if (c := self.solve(v)) is None:
                 return None
             w = w + self.phi @ c
         w %= p
-        for rows in row_blocks(self.group.order):
+        for rows in row_blocks(n):
             if ((w[rows, None] + w[None, :] - w[T[rows]] - F[rows]) % p).any():
                 return None
         return [int(c) for c in w]

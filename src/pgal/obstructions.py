@@ -8,7 +8,7 @@ so every output is evaluable over Q.
 from __future__ import annotations
 
 from .arith import read_prime
-from .errors import BadFamily, BadVariant, PrimeMismatch, ZeroEntry, read_int
+from .errors import BadFamily, BadVariant, PrimeMismatch, ZeroEntry, is_integer, read_int
 from .records import Record
 from .symbols import (
     FieldElem,
@@ -24,6 +24,19 @@ from .symbols import (
 )
 
 
+def _read_pairs(d: dict | None, in_range) -> dict:
+    """d, {} for None: each key an index pair (i, j) of integers (by
+    errors.is_integer's rule) with in_range(i, j), else BadFamily, and each
+    exponent d_ij read by read_exponent."""
+    d = {} if d is None else d
+    for key, e in d.items():
+        if not (isinstance(key, tuple) and len(key) == 2 and all(map(is_integer, key))
+                and in_range(*key)):
+            raise BadFamily(f"bad index pair {key!r}")
+        read_exponent(e, "d{}{}".format(*key))
+    return d
+
+
 class MassyInput(Record):
     """Data for the elementary-abelian quotient decomposition.
 
@@ -35,13 +48,10 @@ class MassyInput(Record):
     _fields = ("p", "a", "d")
 
     def __init__(self, p: int, a: list, d: dict | None = None):
-        self.p, self.a, self.d = read_prime(p), a, {} if d is None else d
+        self.p, self.a = read_prime(p), a
         if len(self.a) < 1:
             raise ZeroEntry("need at least one a_i")
-        for (i, j), e in self.d.items():
-            if not (1 <= i <= j <= len(self.a)):
-                raise BadFamily(f"bad index pair {(i, j)}")
-            read_exponent(e, f"d{i}{j}")
+        self.d = _read_pairs(d, lambda i, j: 1 <= i <= j <= len(a))
 
 
 class DirectFactorInput(Record):
@@ -74,11 +84,7 @@ class LedetInput(Record):
                  b: list | None = None, d: dict | None = None):
         self.p, self.resN_class, self.resH_class = read_prime(p), resN_class, resH_class
         self.a, self.b = [] if a is None else a, [] if b is None else b
-        self.d = {} if d is None else d
-        for (i, j), e in self.d.items():
-            if not (1 <= i <= len(self.a) and 1 <= j <= len(self.b)):
-                raise BadFamily(f"bad index pair {(i, j)}")
-            read_exponent(e, f"d{i}{j}")
+        self.d = _read_pairs(d, lambda i, j: 1 <= i <= len(self.a) and 1 <= j <= len(self.b))
 
 
 class DiagonalForm(Record):

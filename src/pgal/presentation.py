@@ -191,8 +191,9 @@ def read_pc(G: Group) -> tuple[Group, np.ndarray]:
     layer they are x_0 .. x_(k-1), each G_j is normal in G, of index q in
     G_(j-1) (Handbook, 8.2-8.3), so every relative order is q.  The words
     are the digits of L^-1 at x_i^q and at x_i^-1 x_j x_i, which lies in
-    x_j G_(j+1) as the series is central.  Checked exactly: pc_table
-    rebuilds G's table under L.
+    x_j G_(j+1) as the series is central.  Checked exactly: L is a bijection
+    and multiplicative on H's pc generators (groups.is_multiplicative), so
+    pc_table's table is G's under L.
     """
     q = is_p_group(G)
     if q is None:
@@ -223,7 +224,7 @@ def read_pc(G: Group) -> tuple[Group, np.ndarray]:
         [q] * k, {i: word(G.power(x, q)) for i, x in enumerate(xs)},
         {(i, j): word(T[T[inv[xs[i]], xs[j]], xs[i]]) for i in range(k) for j in range(i + 1, k)})
     H = Group(pc_table(pc), [(f"x{i}", g) for i, g in enumerate(place)], check=False, pc=pc)
-    if not np.array_equal(H.np_table, L_inv[T[np.ix_(L, L)]]):
+    if not ((np.bincount(L, minlength=n) == 1).all() and is_multiplicative(L, H.np_table, T, H.gens)):
         raise RelationInconsistent("the read presentation does not rebuild the table")
     return H, L
 

@@ -39,6 +39,8 @@ from pgal.groups import (
     subgroups_of_index2,
 )
 
+from oracles import family_specs
+
 
 def _central_quotient_cocycle(spec, kernel_power):
     """Catalog group modulo a central cyclic subgroup, with its factor set."""
@@ -772,3 +774,23 @@ def test_transport_refuses_a_map_that_is_not_a_bijection():
             f.transport(images, target)
     with pytest.raises(RelationInconsistent, match="not multiplicative"):
         Cocycle2(C4, 2, zero).transport((0, 3, 1, 2), C4)
+
+
+def test_transport_along_a_relabelling_gives_a_cocycle_and_moves_back():
+    """transport builds its image unchecked; along a relabelling by a random
+    permutation fixing 0, onto the relabelled table checked as a group, the
+    image of each class is a cocycle, is the class read through the
+    relabelling, and moves back to the class."""
+    rng = np.random.default_rng(36)
+    for spec in family_specs(16):
+        G = build_group(spec)
+        n = G.order
+        perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+        table = np.empty((n, n), dtype=np.int64)
+        table[np.ix_(perm, perm)] = perm[G.np_table]
+        target = Group(table.tolist(), [(name, int(perm[g])) for name, g in G.generators])
+        for f in h2_enumerate(G, 2).representatives:
+            image = f.transport(perm, target)
+            assert is_cocycle_table(target, 2, image.values), spec
+            assert np.array_equal(image.values[np.ix_(perm, perm)], f.values), spec
+            assert np.array_equal(image.transport(np.argsort(perm), G).values, f.values), spec

@@ -186,6 +186,11 @@ ROWS["Cocycle2 values"] = Row(lambda vals: Cocycle2(C2, 2, vals), lambda v: [[0,
                               "NotACocycle", "table violates normalization or the cocycle identity")
 for name in ("CoboundarySpace.witness values", "Cocycle2 values"):
     ROWS[name].bad = [(v, ROWS[name].typed) for v in NOT_INTEGERS]
+# an integer, at any size, or a table of another shape is no n x n table of values
+ROWS["CoboundarySpace.witness shape"] = Row(CoboundarySpace(D8, 2).witness, _scalar,
+                                            ZERO8.tolist(), "NotACocycle", "")
+ROWS["CoboundarySpace.witness shape"].bad = [(v, "cocycle values must be a table of shape 8 x 8")
+                                             for v in (5, BIG, [[0]])]
 
 # a non-integer element is refused, while an integer that is no member keeps
 # its KeyError (test_membership_and_local_read_only_integers)
@@ -332,6 +337,23 @@ ROWS.update({
                                        ranged_detail="need n >= 1 and k >= 0"),
 })
 ROWS["multiplicity_bound k"].bad.append((BIG, "p^k has more than 4300 decimal digits"))
+
+
+def _massy_d(d):
+    return massy(MassyInput(3, [rat(3), rat(5)], d))
+
+
+def _ledet_d(d):
+    return ledet_product(LedetInput(3, "n", "h", [rat(3)], [rat(5)], d))
+
+
+# a key of the Massy and Ledet data is a pair (i, j) of integers in the
+# record's range: here (1, v), v in 1..2 (Massy, i <= j) or 1..1 (Ledet)
+for name, call, past_end in (("MassyInput index pair", _massy_d, 3),
+                             ("LedetInput index pair", _ledet_d, 2)):
+    ROWS[name] = Row(call, lambda v: {(1, v): 1}, 1, "BadFamily", "")
+    ROWS[name].bad = [(v, f"bad index pair {(1, v)!r}")
+                      for v in [1.5, 1.0, True, np.bool_(True), "1", None, 0, -1, past_end, BIG]]
 # a place is a prime, or 0 (an integer) or "inf" for the real place
 ROWS["hilbert_local place"] = Row(lambda l: hilbert_local(3, 5, l), _scalar, 3, "BadParams", "")
 ROWS["hilbert_local place"].bad = [
@@ -351,6 +373,14 @@ def test_a_bad_integer_raises_its_code_and_detail(name, bad, detail):
     with pytest.raises(PgalError) as exc:
         row.call(row.shape(bad))
     assert (exc.value.code, exc.value.detail) == (row.code, detail)
+
+
+@pytest.mark.parametrize("call", [_massy_d, _ledet_d], ids=["MassyInput", "LedetInput"])
+@pytest.mark.parametrize("key", [1, "11", None, (1,), (1, 1, 1), frozenset({1})], ids=repr)
+def test_a_key_that_is_not_a_pair_is_a_bad_index_pair(call, key):
+    with pytest.raises(PgalError) as exc:
+        call({key: 1})
+    assert (exc.value.code, exc.value.detail) == ("BadFamily", f"bad index pair {key!r}")
 
 
 def test_cocycle_values_that_are_not_integers_make_no_cocycle_and_others_are_read_mod_p():

@@ -27,7 +27,8 @@ from pgal.cohomology import (
     is_cocycle_table,
     restrict,
 )
-from pgal.errors import BadIndexSubgroup, NotPGroup
+from pgal import presentation
+from pgal.errors import BadIndexSubgroup, NotPGroup, RelationInconsistent
 from pgal.groups import (
     Group,
     direct_product,
@@ -35,7 +36,7 @@ from pgal.groups import (
     subgroups_of_index2,
     sylow_subgroup,
 )
-from pgal.presentation import pc_table, read_pc
+from pgal.presentation import PcPresentation, pc_table, read_pc
 
 from oracles import corestrict_four_case, permutation_group, tree_h2_dim
 
@@ -100,6 +101,51 @@ def test_the_reader_takes_a_group_file_without_generators():
 def test_the_reader_refuses_a_group_that_is_not_a_q_group():
     with pytest.raises(NotPGroup):
         read_pc(_bare(build_group("D:8*C:3")))
+
+
+NOT_REBUILT = "the read presentation does not rebuild the table"
+
+
+def test_a_consistent_reading_that_is_no_homomorphism_is_refused(monkeypatch):
+    """Bare D:8 reads as x0^2 = x2, x0^-1 x1 x0 = x1 x2: with that conjugate
+    word made x1, the presentation is consistent (C4 x C2, which pc_table
+    builds) but abelian, so L is a bijection that is not multiplicative."""
+    G, of = _bare(build_group("D:8")), PcPresentation.of
+    assert read_pc(G)[0].pc.conj[(0, 1)] == {1: 1, 2: 1}
+
+    def abelian(rel_orders, powers, conj):
+        return of(rel_orders, powers, {**conj, (0, 1): {1: 1}})
+    monkeypatch.setattr(PcPresentation, "of", abelian)
+    with pytest.raises(RelationInconsistent) as exc:
+        read_pc(G)
+    assert exc.value.detail == NOT_REBUILT
+
+
+def test_a_reading_that_repeats_an_element_is_refused(monkeypatch):
+    """Bare C:9 reads x0 = 1, x1 = 3, and L (L[3 a + b] = x0^a x1^b) is built
+    from the powers x^0, x^1, x^2 of x1 and then of x0.  With x0's powers
+    given as x0^0, x0^1, x0^1, L repeats 1, 4 and 7, while the two values
+    the words read through argsort(L), 0 and 3, stay once each, so the
+    words and H are right.  The reading is refused even when the
+    homomorphism half is made to pass: the bijectivity half refuses it on
+    its own."""
+    G, powers, calls = _bare(build_group("C:9")), Group._powers, []
+
+    def repeating(self, a, k):
+        out = powers(self, a, k)
+        if len(a) == 3 and (a == a[0]).all():  # read_pc's own calls: 2 to span, 2 to build L
+            calls.append(int(a[0]))
+            if len(calls) == 4:
+                out[2] = out[1]
+        return out
+    monkeypatch.setattr(Group, "_powers", repeating)
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(presentation, "is_multiplicative", lambda *args: True)
+        calls.clear()
+        with pytest.raises(RelationInconsistent) as exc:
+            read_pc(G)
+        assert exc.value.detail == NOT_REBUILT and calls == [1, 3, 3, 1]
 
 
 # -- the transfer -------------------------------------------------------------------

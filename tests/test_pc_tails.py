@@ -189,6 +189,22 @@ def test_h2_at_ea_2_12_and_one_class_stay_under_500_mb():
     assert req.peak_rss_kb < 500 * 1024, req.peak_rss_kb
 
 
+@pytest.mark.parametrize("spec", ["D:4096", "EA:p=2,r=12"])
+def test_reading_a_bare_order_4096_table_stays_under_150_mb(spec):
+    """read_pc proves its reading by the map law on H's pc generators, in
+    n k entries: comparing G's whole table relabelled by L with H's took
+    the peak (VmHWM), the bare group built in the same process, to 264 MB."""
+    setup = ("from pgal.catalog import build_group\n"
+             "from pgal.groups import Group\n"
+             "from pgal.presentation import read_pc\n"
+             f"G = build_group({spec!r})\n"
+             "G = Group(G.np_table, G.generators, check=False)")
+    req = run_call(setup, "H, L = read_pc(G)\n"
+                          "assert H.order == len(L) == 4096")
+    assert req.code == 0, req.stderr
+    assert req.peak_rss_kb < 150 * 1024, req.peak_rss_kb
+
+
 # dim H^2(G, F_p) = d(G) + d(M(G)), and Kunneth for the product (see
 # test_h2_engine.py)
 @pytest.mark.parametrize("spec,p,dim", [("D:2048", 2, 3), ("Q:2048", 2, 2), ("EA:p=2,r=8", 2, 36),
