@@ -9,9 +9,10 @@ Loading the graph builds no group: each node's order is read off its spec
 (catalog.spec_order), which is all a query needs to skip a node or a
 quotient target.  A query builds only the groups it reads (its two ends,
 the nodes whose quotient edges it searches, the targets whose order divides
-theirs, the ends of the seeded edges it follows) and keeps the nodes' groups
-for the graph's lifetime.  A seeded edge's generator-count condition is
-checked the first time a query follows it, before it can enter a path.
+theirs, the ends of the seeded edges it follows) and keeps the nodes' groups,
+and which nodes are quotients of which, for the graph's lifetime.  A seeded
+edge's generator-count condition is checked the first time a query follows
+it, before it can enter a path.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class RealizationGraph:
         self.edges = list(edges)
         self._orders: dict[str, int] = {}  # of the nodes, read off their specs
         self._groups: dict[str, Group] = {}  # of the nodes, built as queries read them
+        # (node, node target) -> the target is a quotient of the node, once searched
+        self._quotient_of: dict[tuple[str, str], bool] = {}
         self._out: dict[str, list[Edge]] = {}
         self._unchecked: dict[Edge, Edge] = {}  # seeded edge -> as given, until followed
         for e in self.edges:
@@ -158,7 +161,9 @@ class RealizationGraph:
         Orders decide what is built: nothing for a node above
         QUOTIENT_EDGE_MAX_ORDER, only the targets whose order divides the
         node's, and the normal subgroups only when such an order is smaller
-        than the node's, since G/1 is G itself.
+        than the node's, since G/1 is G itself.  Between two nodes the
+        answer is kept for the graph's lifetime, so a target already
+        searched from a node is not searched again.
         """
         from .groups import is_isomorphic, normal_subgroups, quotient
 
@@ -166,10 +171,12 @@ class RealizationGraph:
         if order > QUOTIENT_EDGE_MAX_ORDER:
             return []
         targets = [t for t, n in orders.items() if t != node and order % n == 0]
-        if not targets:
-            return []
+        found = {t: self._quotient_of[node, t] for t in targets if (node, t) in self._quotient_of}
+        todo = [t for t in targets if t not in found]
+        if not todo:
+            return [Edge(node, t, "trivial: G => G/N") for t in targets if found[t]]
         G = self._group(node, query)
-        normals = normal_subgroups(G) if any(orders[t] < order for t in targets) else []
+        normals = normal_subgroups(G) if any(orders[t] < order for t in todo) else []
         if normals is None:
             return []
         formed: dict[int, Group] = {}  # G/N by N's place in normals, built once
@@ -185,12 +192,12 @@ class RealizationGraph:
                         formed[i] = quotient(G, N)[0]
                     yield formed[i]
 
-        out = []
-        for target in targets:
+        for target in todo:
             H = self._group(target, query)
-            if any(is_isomorphic(Q, H) for Q in quotients(order // H.order)):
-                out.append(Edge(node, target, "trivial: G => G/N"))
-        return out
+            found[target] = any(is_isomorphic(Q, H) for Q in quotients(order // H.order))
+            if node in self._orders and target in self._orders:
+                self._quotient_of[node, target] = found[target]
+        return [Edge(node, t, "trivial: G => G/N") for t in targets if found[t]]
 
 
 def _read_spec(read, spec: str):

@@ -68,7 +68,13 @@ def _integer(x, what: str, n: int, low: int = 0, error=BadParams, names=()) -> i
 
 
 def is_cocycle_table(group: Group, p: int, values) -> bool:
-    """Exact test of normalization and the cocycle identity.
+    """Exact test of normalization and the cocycle identity (_cocycle_table)."""
+    return _cocycle_table(group, p, values) is not None
+
+
+def _cocycle_table(group: Group, p: int, values) -> np.ndarray | None:
+    """The values read mod p as an n x n int64 table if they make a cocycle,
+    else None: an exact test of normalization and the cocycle identity.
 
     The identity f(x,y) + f(xy,z) = f(y,z) + f(x,yz) is checked for all x, y
     and z in the group's generator list (Group.gens), n^2 k entries.  That
@@ -82,17 +88,17 @@ def is_cocycle_table(group: Group, p: int, values) -> bool:
     try:
         F = read_integers(values, NotACocycle, "", modulus=p)
     except NotACocycle:
-        return False
+        return None
     n = group.order
     if F.shape != (n, n) or F[0].any() or F[:, 0].any():
-        return False
+        return None
     T = group.np_table
     for s in group.gens:
         for rows in row_blocks(n):
             Fx = F[rows]
             if ((Fx + F[T[rows], s] - F[:, s] - Fx[:, T[:, s]]) % p).any():
-                return False
-    return True
+                return None
+    return F
 
 
 class Cocycle2:
@@ -106,10 +112,10 @@ class Cocycle2:
 
     def __init__(self, group: Group, p: int, values, check: bool = True):
         self.group, self.p = group, _check_prime(p)
-        if check and not is_cocycle_table(group, self.p, values):
-            raise NotACocycle("table violates normalization or the cocycle identity")
-        self.values = (read_integers(values, NotACocycle, "", modulus=self.p) if check
+        self.values = (_cocycle_table(group, self.p, values) if check
                        else np.asarray(values, dtype=np.int64))
+        if self.values is None:
+            raise NotACocycle("table violates normalization or the cocycle identity")
         self.values.setflags(write=False)
 
     def __call__(self, x: int, y: int) -> int:
@@ -291,8 +297,9 @@ class CoboundarySpace:
 def verify(group: Group, p: int, values) -> dict:
     """Check the cocycle conditions and test for being a coboundary."""
     cob = CoboundarySpace(group, p)
-    g = cob.witness(values) if (ok := is_cocycle_table(group, cob.p, values)) else None
-    return {"is_cocycle": ok, "is_coboundary": g is not None, "witness": g}
+    F = _cocycle_table(group, cob.p, values)
+    g = cob.witness(F) if F is not None else None
+    return {"is_cocycle": F is not None, "is_coboundary": g is not None, "witness": g}
 
 
 def is_coboundary(f: Cocycle2) -> bool:

@@ -194,6 +194,7 @@ class Group:
         self._orders: list[int] | None = None
         self._tree: tuple | None = None
         self._center: np.ndarray | None = None
+        self._conj: np.ndarray | None = None
         if check:
             self._validate()
             self.gens = self.tree()[0]
@@ -256,6 +257,17 @@ class Group:
         if self._tree is None:
             self._tree = cayley_tree(self._np, self.gens)
         return self._tree
+
+    def conjugations(self) -> np.ndarray:
+        """Conjugation by each generator, built once: row i is the map
+        x -> s^-1 x s for s = gens[i], a read-only int16 array.  s^-1 comes
+        from one scan of row s, then two gathers give s^-1 (x s)."""
+        if self._conj is None:
+            T = self._np
+            rows = [T[np.flatnonzero(T[s] == 0)[0]][T[:, s]] for s in self.gens]
+            self._conj = np.array(rows, dtype=np.int16).reshape(len(self.gens), self.order)
+            self._conj.setflags(write=False)
+        return self._conj
 
     def conj(self, g: int, x: int) -> int:
         """g x g^{-1}"""
@@ -339,14 +351,11 @@ class Group:
         return sorted(cayley_tree(self._np, sorted(set(seed.tolist())))[1])
 
     def center(self) -> "Subgroup":
-        """The elements that commute with each generator in gens, found once:
-        those generate the group (checked in _validate), so these are central."""
+        """The elements each generator's conjugation fixes, found once: the
+        generators generate the group (checked in _validate), so these are central."""
         if self._center is None:  # the elements, as a kept Subgroup would refer back: a cycle
-            T = self._np
-            mask = np.ones(self.order, dtype=bool)
-            for s in self.gens:
-                mask &= T[:, s] == T[s]
-            self._center = np.flatnonzero(mask).astype(np.int16)
+            fixed = (self.conjugations() == np.arange(self.order)).all(axis=0)
+            self._center = np.flatnonzero(fixed).astype(np.int16)
         return Subgroup(self, self._center, check=False)
 
     def to_json(self) -> dict:
@@ -447,15 +456,10 @@ class Subgroup:
         return int(self.pos[x])
 
     def is_normal(self) -> bool:
-        """g N g^-1 lies in N for each generator g in gens, one gather each:
-        conjugation by g is then a bijection of the finite N, so N is closed
-        under conjugation by every product of the generators."""
-        T = self.parent.np_table
-        for g in self.parent.gens:
-            g_inv = int(np.flatnonzero(T[g] == 0)[0])
-            if (self.pos[T[T[g, self.elements], g_inv]] < 0).any():
-                return False
-        return True
+        """s^-1 N s lies in N for each generator s, one gather of Group.conjugations.
+        The g with g^-1 N g in N form a submonoid that holds every generator, and
+        a submonoid of a finite group is a subgroup (g^-1 is a power of g): all of G."""
+        return bool((self.pos[self.parent.conjugations()[:, self.elements]] >= 0).all())
 
     def as_group(self) -> Group:
         """The subgroup with its own numbering; a group by construction,
@@ -576,18 +580,16 @@ def is_p_group(G: Group) -> int | None:
     return primes[0] if len(primes) == 1 else None
 
 
-def central_step(G: Group, els: np.ndarray, gens, p: int) -> Subgroup:
-    """[P, G] P^p for the normal subgroup P with elements els, gens generating G.
+def central_step(G: Group, els: np.ndarray, p: int) -> Subgroup:
+    """[P, G] P^p for the normal subgroup P with elements els.
 
     It is generated by the x^p and the [x, s] = x^-1 x^s, for x in P and
-    each s in gens, and that subgroup N is already normal: for y in N, which
-    lies in P, y^s = y [y, s] lies in N.  In G/N each s then centralises
-    PN/N, so [P, G] lies in N.
+    each generator s (x^s read off Group.conjugations), and that subgroup N
+    is already normal: for y in N, which lies in P, y^s = y [y, s] lies in
+    N.  In G/N each s then centralises PN/N, so [P, G] lies in N.
     """
-    T, inv = G.np_table, G.inverses()
-    seeds = [G._powers(els, np.full(len(els), p))]
-    for s in gens:
-        seeds.append(T[T[inv[els], inv[s]], T[els, s]])  # x^-1 s^-1 . x s
+    seeds = [G._powers(els, np.full(len(els), p)),
+             G.np_table[G.inverses()[els], G.conjugations()[:, els]].ravel()]
     # each seed once, in increasing order: a plain np.unique loads numpy.ma
     # (numpy 2.4 asks np.ma.is_masked unless an index or inverse is asked for)
     return subgroup_generated(
@@ -597,7 +599,7 @@ def central_step(G: Group, els: np.ndarray, gens, p: int) -> Subgroup:
 def frattini_style_subgroup(G: Group, p: int) -> Subgroup:
     """[G,G] G^p, the kernel of the maximal exponent-p abelian quotient:
     G/N is abelian, of exponent p, for N = [G, G] G^p (central_step)."""
-    return central_step(G, np.arange(G.order), G.gens, p)
+    return central_step(G, np.arange(G.order), p)
 
 
 def sylow_subgroup(G: Group, p: int) -> Subgroup:
@@ -704,15 +706,13 @@ def normal_subgroups(G: Group) -> list[Subgroup] | None:
 
     Every normal subgroup is the join of the normal closures of its elements
     (the atoms).  The atom of x is generated by the conjugacy class of x,
-    found by conjugating with the generators in gens only (they generate
-    the group), and x's unit powers and their conjugates have the same atom, so
-    one class of cyclic subgroups needs one closure walk.  Joining each new
-    subgroup with each atom then finds every normal subgroup; the join of
-    normal A and B is the product set AB, one gather.
+    found by conjugating with the generators only (Group.conjugations; they
+    generate the group), and x's unit powers and their conjugates have the
+    same atom, so one class of cyclic subgroups needs one closure walk.
+    Joining each new subgroup with each atom then finds every normal
+    subgroup; the join of normal A and B is the product set AB, one gather.
     """
-    T = G.np_table
-    conjs = np.array([T[T[s], G.inv(s)] for s in G.gens],
-                     dtype=np.int64).reshape(-1, G.order)
+    T, conjs = G.np_table, G.conjugations()
 
     def mask(els) -> np.ndarray:
         inside = np.zeros(G.order, dtype=bool)

@@ -202,7 +202,7 @@ def read_pc(G: Group) -> tuple[Group, np.ndarray]:
     layer = np.arange(q)
     xs, P = [], np.arange(n)
     while len(P) > 1:
-        below = central_step(G, P, G.gens, q)
+        below = central_step(G, P, q)
         span = below.pos >= 0
         for x in P.tolist():
             if not span[x]:  # span <x> S = the x^a S, a < q, as x^q lies in S

@@ -46,8 +46,23 @@ def test_a_query_forms_each_quotient_once(monkeypatch, src, dst):
         return quotient(G, N)
 
     monkeypatch.setattr(pgal.groups, "quotient", counted)
-    implies(src, dst)
+    RealizationGraph.load_default().implies(src, dst)
     assert formed and len(formed) == len(set(formed))
+
+
+def test_the_graph_keeps_the_quotient_relation_among_its_nodes(monkeypatch):
+    """Asked again, queries between nodes search no quotient: the graph kept
+    the relation, for pairs of nodes only, so at most the node count squared."""
+    import pgal.groups
+
+    g = RealizationGraph.load_default()
+    pairs = [("Q:32", "C:4"), ("C:64", "D:32"), ("C:81", "C:3"), ("D:16", "EA:p=2,r=2")]
+    answers = [g.implies(src, dst) for src, dst in pairs]
+    assert g._quotient_of and all(a in g._orders and b in g._orders for a, b in g._quotient_of)
+    searched = []
+    monkeypatch.setattr(pgal.groups, "normal_subgroups", lambda G: searched.append(G) or [])
+    assert [g.implies(src, dst) for src, dst in pairs[:2]] == answers[:2]
+    assert searched == []
 
 
 def test_unknown_direction_reported_as_unknown():

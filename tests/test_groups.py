@@ -839,6 +839,21 @@ def test_is_normal_agrees_with_conjugation_by_every_element():
             assert Subgroup(G, H).is_normal() == want, (name, H)
 
 
+def test_conjugations_agree_with_the_scalar_conjugate():
+    """Row i of Group.conjugations is x -> s^-1 x s for s = gens[i], the
+    kept generators for a group file without generators."""
+    from pgal.groups import is_multiplicative
+
+    for name, G in _oracle_groups(64):
+        C, T = G.conjugations(), G.np_table
+        assert C.dtype == np.int16 and not C.flags.writeable and G.conjugations() is C, name
+        assert C.shape == (len(G.gens), G.order), name
+        for row, s in zip(C, G.gens):
+            assert row.tolist() == [G.mul(G.mul(G.inv(s), x), s) for x in range(G.order)], name
+            assert row[0] == 0 and np.bincount(row, minlength=G.order).all(), name
+            assert is_multiplicative(row, T, T, G.gens), name
+
+
 def test_a_file_without_generators_answers_as_the_catalog_group():
     """A group file without generators names all n - 1 elements; its loops
     run over the generators its validation walk kept, at most log2 n."""

@@ -405,6 +405,26 @@ def test_a_lone_integer_where_a_table_belongs_makes_no_cocycle():
             "NotACocycle", "table violates normalization or the cocycle identity")
 
 
+def test_a_checked_cocycle_reads_a_list_once(monkeypatch):
+    """Cocycle2 keeps the table its check read, and verify hands that table
+    to the witness: a list goes through the object-dtype read once in each."""
+    import pgal.cohomology
+
+    values = h2_enumerate(D8, 2).representatives[-1].values.tolist()
+    reads, read = [], pgal.cohomology.read_integers
+
+    def counted(data, *args, **kwargs):
+        reads.append(not isinstance(data, np.ndarray) or data.dtype == object)
+        return read(data, *args, **kwargs)
+
+    monkeypatch.setattr(pgal.cohomology, "read_integers", counted)
+    assert Cocycle2(D8, 2, values).values.tolist() == values
+    assert reads == [True]
+    reads.clear()
+    assert verify(D8, 2, values) == {"is_cocycle": True, "is_coboundary": False, "witness": None}
+    assert reads.count(True) == 1
+
+
 def _plain(x):
     """A result as plain Python data, to compare answers."""
     if isinstance(x, (Group, Subgroup, GroupHom, Cocycle2, CoboundarySpace)):

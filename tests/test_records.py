@@ -15,6 +15,10 @@ Each number rule has one owner: only arith.py names is_prime (everyone
 else reads p with arith.read_prime), only arith.py divides a prime out in a
 `while n % p == 0` loop (everyone else calls arith.valuation), and no one
 calls read_integers with ndim=0 (one integer goes through errors.read_int).
+A group's table is searched for the identity only where inverses are
+found: Group._validate, Group.inverses, Group.conjugations (conjugation by
+the generators, which the center, normality and the normal closures read)
+and cocycle_of_extension.
 """
 
 import ast
@@ -339,3 +343,35 @@ def test_no_integer_is_read_as_a_zero_dimensional_array(tmp_path):
         "def f(x):\n    return groups.read_integers(x, ValueError, '', ndim=0)\n"
         "def g(x):\n    return read_integers(x, ValueError, '', ndim=1)\n")
     assert _owners(tmp_path, _scalar_read) == [("m.py", "f")]
+
+
+def _is_table(node) -> bool:
+    """T, self._np, an .np_table attribute, or a subscript of one of these."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return (isinstance(node, ast.Name) and node.id == "T"
+            or isinstance(node, ast.Attribute)
+            and (node.attr == "np_table" or ast.unparse(node) == "self._np"))
+
+
+def _compares_table_with_zero(node) -> bool:
+    """A comparison of a table with 0, in either orientation: a search for inverses."""
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left, *node.comparators]
+    return (any(isinstance(s, ast.Constant) and s.value == 0 for s in sides)
+            and any(_is_table(s) for s in sides))
+
+
+def test_inverses_are_found_only_by_their_owners(tmp_path):
+    assert _owners(PKG, _compares_table_with_zero) == [
+        ("cohomology.py", "cocycle_of_extension"), ("groups.py", "Group._validate"),
+        ("groups.py", "Group.inverses"), ("groups.py", "Group.conjugations")]
+    # the guard sees either orientation and a nested function, not a sum, a
+    # membership array indexed by table entries or another constant
+    (tmp_path / "m.py").write_text(
+        "class A:\n    def f(self, T):\n        def g():\n            return 0 == T[1][:, 2]\n"
+        "        return (self._np == 0, self.G.np_table[3] != 0, T.sum() == 0,\n"
+        "                self.pos[T[1]] == 0, T[1] < 1)\n")
+    assert _owners(tmp_path, _compares_table_with_zero) == [
+        ("m.py", "A.f.g"), ("m.py", "A.f"), ("m.py", "A.f")]
