@@ -6,13 +6,14 @@ groups of order <= 64.  Absence of a path is reported as "unknown", never
 as a refutation; a spec that names no group is UnknownSpec.
 
 Loading the graph builds no group: each node's order is read off its spec
-(catalog.spec_order), which is all a query needs to skip a node or a
-quotient target.  A query builds only the groups it reads (its two ends,
-the nodes whose quotient edges it searches, the targets whose order divides
-theirs, the ends of the seeded edges it follows) and keeps the nodes' groups,
-and which nodes are quotients of which, for the graph's lifetime.  A seeded
-edge's generator-count condition is checked the first time a query follows
-it, before it can enter a path.
+(catalog.spec_order), as are a query's two ends.  A quotient's order divides
+the group's, so orders show which specs could reach the target; from any
+other source a query answers "unknown" and builds nothing.  Otherwise it
+builds only the groups its search reads (the nodes whose quotient edges it
+searches, the targets whose order divides theirs, the ends of the seeded
+edges it follows) and keeps the nodes' groups, and which nodes are
+quotients of which, for the graph's lifetime.  A seeded edge's
+generator-count condition is checked the first time a query follows it.
 """
 
 from __future__ import annotations
@@ -119,18 +120,23 @@ class RealizationGraph:
         """Reflexive-transitive closure over seeded plus quotient edges.
 
         Returns {"holds": True, "path": [...]} or {"holds": "unknown", "path": []},
-        and raises UnknownSpec when src or dst names no group.
+        and raises UnknownSpec when src or dst names no group.  The ends are
+        not built: a src outside dst's reach set is "unknown" at once.
         """
+        from .catalog import spec_order
+
         src = self._resolve(src)
         dst = self._resolve(dst)
-        query: dict[str, Group] = {}
         # a spec that names no group raises here
         orders = dict(self._orders)
         for spec in (src, dst):
-            orders[spec] = self._group(spec, query).order
+            orders[spec] = _read_spec(spec_order, spec)
         if src == dst:
             return {"holds": True, "path": []}
+        if src not in self._reach(dst, orders):
+            return {"holds": "unknown", "path": []}
         orders = dict(sorted(orders.items()))
+        query: dict[str, Group] = {}
         frontier = [src]
         seen = {src: None}
         while frontier:
@@ -153,6 +159,18 @@ class RealizationGraph:
             path.append(seen[node])
             node = seen[node].src
         return {"holds": True, "path": [e.to_json() for e in reversed(path)]}
+
+    def _reach(self, dst: str, orders: dict) -> set[str]:
+        """The least set of specs in `orders` that holds dst and each spec with
+        a seeded edge into it or, of order at most QUOTIENT_EDGE_MAX_ORDER, a
+        multiple of an order in it: the specs that may have a path to dst."""
+        reach, grown = {dst}, True
+        while grown:
+            grown = {v for v, n in orders.items() if v not in reach and (
+                any(e.dst in reach for e in self._out.get(v, ()))
+                or n <= QUOTIENT_EDGE_MAX_ORDER and any(n % orders[w] == 0 for w in reach))}
+            reach |= grown
+        return reach
 
     def _quotient_edges(self, node: str, orders: dict, query: dict) -> list[Edge]:
         """The edges node => target, for the targets in `orders` (spec ->

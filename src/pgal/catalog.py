@@ -120,8 +120,9 @@ def g2_group(p: int) -> PcSpec:
 # the conjugate words (an exponent -1 is read mod p) and the generators as
 # (name, position) pairs.  G1 is the nonabelian group of order p^3 and
 # exponent p (p odd); G7 = (C_p)^3 x| C_p with [mu,tau] = sigma,
-# [mu,lambda] = tau and sigma central does not close at p = 2.  A family on
-# [p] * r is added as one more row and one more _FAMILIES entry.
+# [mu,lambda] = tau and sigma central does not close at p = 2, so G7 takes
+# only an odd p.  A family on [p] * r is added as one more row and one more
+# _FAMILIES entry.
 _G_GENS = [("g1", 1), ("g2", 0), ("g3", 2), ("g4", 3)]
 _WORDS = {
     "G1": ({}, {(0, 1): {1: 1, 2: -1}}, [("g1", 0), ("g2", 1), ("g3", 2)]),
@@ -136,6 +137,8 @@ _WORDS = {
 
 def _from_words(family: str, p: int) -> PcSpec:
     """The group of the family's _WORDS row at the prime p."""
+    if family == "G7" and p == 2:
+        raise UnknownFamily(f"G7 needs an odd p, got p={p}")
     powers, conj, display = _WORDS[family]
     conj = {key: {pos: e % p for pos, e in word.items()} for key, word in conj.items()}
     return PcSpec([p] * len(display), powers, conj, display, f"{family}({p})")
@@ -254,8 +257,7 @@ def _product_order(factors: list[PcSpec]) -> int:
 def spec_order(spec: str) -> int:
     """The order of build_group(spec), read off the factors' relative orders
     without a table or numpy.  A spec that build_group refuses is refused
-    with the same error, except a presentation that fails to close (G7:p=2),
-    which only building the table finds."""
+    with the same error."""
     return _product_order(_pc_specs(spec))
 
 

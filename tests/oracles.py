@@ -29,7 +29,8 @@
   and searching along a Cayley walk on every element;
 - `realization_answers`: the realization graph's closure queries as they
   were answered with every node built and every edge checked on
-  construction, here with the quotient relation found once for all specs;
+  construction, here with the quotient relation found once for all specs,
+  and `reaches`, which pairs a path could join by the ends' orders alone;
 - `massy_by_folding`, `ledet_product_by_folding`, `hasse_witt_by_folding`
   and `frohlich_by_folding`: the multi-factor obstruction engines as they
   were, one binary `mul` per factor;
@@ -55,7 +56,7 @@ from fractions import Fraction
 import numpy as np
 
 from pgal.autoreal import QUOTIENT_EDGE_MAX_ORDER
-from pgal.catalog import build_group, canonical_spec
+from pgal.catalog import build_group, canonical_spec, spec_order
 from pgal.cohomology import (
     CoboundarySpace,
     Cocycle2,
@@ -512,6 +513,33 @@ def find_isomorphism_every_element(G, H):
                                                           H.np_table, gens):
             return phi
     return None
+
+
+def reaches(edges, specs):
+    """{(src, dst): whether src has a path to dst} over the ordered pairs of
+    specs and every edge that orders allow: each seeded edge, and v => w for
+    v != w among the nodes and both ends with |v| <= QUOTIENT_EDGE_MAX_ORDER
+    and |w| dividing |v|."""
+    seeded = {(canonical_spec(e.src), canonical_spec(e.dst)) for e in edges}
+    nodes = {spec for arrow in seeded for spec in arrow}
+    order = {spec: spec_order(spec) for spec in nodes | {canonical_spec(s) for s in specs}}
+
+    def allowed(v, w):
+        return (v, w) in seeded or v != w and order[v] <= QUOTIENT_EDGE_MAX_ORDER \
+            and order[v] % order[w] == 0
+
+    answers = {}
+    for a, b in itertools.product(specs, repeat=2):
+        src, dst = canonical_spec(a), canonical_spec(b)
+        universe = nodes | {src, dst}
+        reach, todo = {dst}, [dst]
+        while todo:
+            w = todo.pop()
+            for v in [v for v in universe - reach if allowed(v, w)]:
+                reach.add(v)
+                todo.append(v)
+        answers[a, b] = src in reach
+    return answers
 
 
 def realization_answers(edges, specs):

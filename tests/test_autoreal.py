@@ -32,7 +32,7 @@ def test_reflexive_and_quotient_edges():
     assert any(e["cite"].startswith("trivial") for e in res["path"])
 
 
-@pytest.mark.parametrize("src,dst", [("G1:p=3", "C:7"), ("C:64", "D:32"), ("C:8", "Q:8"),
+@pytest.mark.parametrize("src,dst", [("G2:p=3", "G1:p=3"), ("C:64", "D:32"), ("C:8", "Q:8"),
                                      ("Q:32", "C:4"), ("C:9", "C:3")])
 def test_a_query_forms_each_quotient_once(monkeypatch, src, dst):
     """A node's quotient edges build each G/N once, however many targets have
@@ -145,28 +145,61 @@ def test_the_default_graph_caches_only_its_own_nodes(monkeypatch):
 @pytest.mark.parametrize("src,dst", [("G4:p=3", "C:7"), ("C:64", "G4:p=3"), ("Q:16", "D:8"),
                                      ("C:9", "D:16"), ("G1:p=3", "C:27"), ("C:49", "SD:16")])
 def test_a_query_builds_few_and_small_groups(monkeypatch, src, dst):
-    """Every node's group used to be built on load, up to order 625."""
+    """Every node's group used to be built on load, up to order 625.  No edge
+    joins orders of two primes, so a cross-prime query builds nothing."""
+    from math import gcd
+
+    from pgal.catalog import spec_order
+
     built = _counting_builds(monkeypatch)
     RealizationGraph.load_default().implies(src, dst)
-    assert len(built) <= 16 and max(order for _, order in built) <= 81
+    if gcd(spec_order(src), spec_order(dst)) == 1:
+        assert built == []
+    else:
+        assert len(built) <= 16 and max(order for _, order in built) <= 81
 
 
-def test_a_lazy_graph_answers_as_the_graph_with_everything_built():
+@pytest.mark.parametrize("src,dst,out", [
+    ("C:8", "C:9", '{"from": "C:8", "holds": "unknown", "path": [], "to": "C:9"}\n'),
+    ("G4:p=3", "C:7", '{"from": "G4:p=3", "holds": "unknown", "path": [], "to": "C:7"}\n'),
+    ("Q:16", "D:8", '{"from": "Q:16", "holds": true, "path": [{"cite": "trivial: G => G/N", '
+                    '"from": "Q:16", "to": "D:8"}], "to": "D:8"}\n'),
+], ids=["C:8-C:9", "G4:p=3-C:7", "Q:16-D:8"])
+def test_a_query_no_path_can_answer_loads_no_table_module(src, dst, out):
+    """In a fresh interpreter, where the two "unknown" answers used to load
+    numpy and build 16 and 2 groups first."""
+    from fresh import run_request
+
+    req = run_request(["autoreal", "query", "--from", src, "--to", dst, "--json"])
+    assert (req.code, req.stdout, req.stderr) == (0, out, "")
+    if '"unknown"' in out:
+        assert not {"numpy", "pgal.groups"} & req.modules
+
+
+def test_a_lazy_graph_answers_as_the_graph_with_everything_built(monkeypatch):
     """Every ordered pair over the nodes and four other specs, against the
     search over every node built and every edge checked.  One fresh graph
-    per source, so each source's queries start with nothing built."""
+    per source, so each source's queries start with nothing built.  A query
+    whose source is outside the target's reach set builds no group."""
     from pgal.catalog import canonical_spec
-    from oracles import realization_answers
+    from oracles import reaches, realization_answers
 
     edges = RealizationGraph.load_default().edges
     nodes = sorted({canonical_spec(spec) for e in edges for spec in (e.src, e.dst)})
     specs = nodes + ["C:81", "C:2", "EA:p=2,r=2", "D:64"]
     expected = realization_answers(edges, specs)
     assert sum(ans["holds"] is True for ans in expected.values()) > len(specs)
+    reach = reaches(edges, specs)
+    built, outside = _counting_builds(monkeypatch), 0
     for src in specs:
         g = RealizationGraph.load_default()
         for dst in specs:
+            before = len(built)
             assert g.implies(src, dst) == expected[src, dst], (src, dst)
+            if not reach[src, dst]:
+                outside += 1
+                assert len(built) == before, (src, dst)
+    assert outside > len(specs) ** 2 // 2
 
 
 def test_database_edges_respect_gen_count():
@@ -185,6 +218,7 @@ def test_bad_database_edge_rejected():
         (("C:4", "C:8", ""), "edge C:4 => C:8 lacks a citation"),
         (("C:4", "D:12", "x"), "cannot build 'D:12': order 12 not in this 2-power family (min 8)"),
         (("EA:p=4,r=2", "C:2", "x"), "cannot resolve 'EA:p=4,r=2': EA needs a prime p, got p=4"),
+        (("G7:p=2", "C:2", "x"), "cannot build 'G7:p=2': G7 needs an odd p, got p=2"),
     ]:
         with pytest.raises(UnknownSpec) as exc:
             RealizationGraph([Edge(*edge)])

@@ -433,11 +433,13 @@ def _verdicts(monkeypatch, build):
 
 
 def test_hoelder_on_generators_agrees_with_the_full_table_on_the_catalog(monkeypatch):
-    specs = [spec for spec, _, _ in _oracle_cases()]
-    assert "G7:p=2" in specs
-    for spec in specs:
+    for spec, _, _ in _oracle_cases():
         new, old = _verdicts(monkeypatch, lambda: build_group(spec).np_table)
         assert np.array_equal(new, old), spec
+    # the G7 words at p = 2, which the catalog refuses by their parameters
+    pc = PcPresentation.of([2] * 4, {}, {(0, 1): {1: 1, 2: 1}, (0, 2): {2: 1, 3: 1}})
+    new, old = _verdicts(monkeypatch, lambda: presentation.pc_table(pc))
+    assert new == old == "conjugation by x0, 2 times, is not conjugation by x0^2"
 
 
 def test_hoelder_tells_conjugation_by_w_from_conjugation_by_w_inverse(monkeypatch):
