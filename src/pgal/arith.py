@@ -153,15 +153,25 @@ _TRIAL_PRIMES = _primes_below(1 << 10)
 
 def _factor(n: int, bound: int) -> tuple[tuple[int, int], ...]:
     """The factorisation of n >= 0 as (prime, exponent) pairs in increasing
-    order.
+    order: _trial_division, then _cofactor_primes on what it leaves."""
+    if n == 0:
+        raise FactorizationFailed("cannot factor 0")
+    out, n = _trial_division(n, bound)
+    if n > 1:
+        found = _cofactor_primes(n, bound)
+        if isinstance(found, str):
+            raise FactorizationFailed(found)
+        out.update(found)
+    return tuple(sorted(out.items()))
+
+
+def _trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """The small primes of n >= 1 and the cofactor left, 1 when there is none.
 
     2, 3 and 5 are divided out, then each prime d < 2^10 with d <= bound
     while d^2 <= n, n the cofactor so far.  What is left is prime when it is
-    below d^2 for the last d reached, since every prime below d was tried;
-    otherwise it goes to _cofactor_primes.
-    """
-    if n == 0:
-        raise FactorizationFailed("cannot factor 0")
+    below d^2 for the last d reached, since every prime below d was tried,
+    and then counts among the primes."""
     out: dict[int, int] = {}
     for d in _TRIAL_PRIMES:
         if d > 5 and (d > bound or d * d > n):
@@ -170,13 +180,30 @@ def _factor(n: int, bound: int) -> tuple[tuple[int, int], ...]:
             out[d] = out.get(d, 0) + 1
             n //= d
     if n > 1 and d * d > n:
-        out[n] = 1
-    elif n > 1:
-        found = _cofactor_primes(n, bound)
-        if isinstance(found, str):
-            raise FactorizationFailed(found)
-        out.update(found)
-    return tuple(sorted(out.items()))
+        out[n], n = 1, 1
+    return out, n
+
+
+def _is_power(m: int, k: int) -> bool:
+    """m >= 2 is r^k for an integer r >= 2, by Newton's method for the root."""
+    if m.bit_length() <= k:  # r >= 2 needs m >= 2^k
+        return False
+    r = 1 << -(-m.bit_length() // k)  # above the root
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r ** k == m
+        r = s
+
+
+def without_power_cofactor(n: int, k: int) -> int:
+    """n >= 1, or its trial-division part when the cofactor trial division
+    leaves is a perfect k-th power.  That cofactor adds only multiples of k
+    to the exponents, so factor of the result agrees with factor(n) mod k;
+    and rho never runs on a square (at k = 2) that it could not split, such
+    as the product of two entries that share a cofactor."""
+    _, m = _trial_division(n, factor_bound())
+    return n // m if m > 1 and _is_power(m, k) else n
 
 
 @lru_cache(maxsize=1024)

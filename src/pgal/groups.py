@@ -118,6 +118,17 @@ def cayley_tree(T: np.ndarray, named) -> tuple:
     they were found, the levels (elements by depth), and each element's
     parent u and generator slot i, with y = u * gens[i].
     """
+    gens, reached, parent, slot, depth = _cayley_walk(T, named)
+    levels: list = [[] for _ in range(max(depth) + 1)]
+    for y in reached:
+        levels[depth[y]].append(y)
+    return (gens, reached, [np.array(lv, dtype=np.int64) for lv in levels],
+            np.array(parent, dtype=np.int64), np.array(slot, dtype=np.int64))
+
+
+def _cayley_walk(T: np.ndarray, named) -> tuple:
+    """cayley_tree's walk, as lists: the kept generators, the reached
+    elements, and each element's parent, slot and depth."""
     n = T.shape[0]
     parent, slot, depth = [-1] * n, [-1] * n, [0] * n
     parent[0] = 0
@@ -133,11 +144,7 @@ def cayley_tree(T: np.ndarray, named) -> tuple:
                 if parent[y] < 0:
                     parent[y], slot[y], depth[y] = u, i, depth[u] + 1
                     reached.append(y)
-    levels: list = [[] for _ in range(max(depth) + 1)]
-    for y in reached:
-        levels[depth[y]].append(y)
-    return (gens, reached, [np.array(lv, dtype=np.int64) for lv in levels],
-            np.array(parent, dtype=np.int64), np.array(slot, dtype=np.int64))
+    return gens, reached, parent, slot, depth
 
 
 def path_counts(tree) -> np.ndarray:
@@ -155,8 +162,12 @@ def is_multiplicative(phi: np.ndarray, S: np.ndarray, T: np.ndarray, gens) -> bo
     """phi(xs) = phi(x) phi(s) for all x and each s in gens, gens generating
     the source table S: then phi(xy) = phi(x) phi(y) for all x, y, since the
     y for which that holds contain the identity and are closed under right
-    multiplication by each s (phi(x.ys) = phi(xy) phi(s) = phi(x) phi(ys))."""
-    return all(np.array_equal(phi[S[:, s]], T[phi, phi[s]]) for s in gens)
+    multiplication by each s (phi(x.ys) = phi(xy) phi(s) = phi(x) phi(ys)).
+    One n x k gather a side, column i holding phi(x s_i) and phi(x) phi(s_i)
+    (take: a fancy index of two broadcast arrays costs up to twice as much)."""
+    gens = np.asarray(gens, dtype=np.intp)
+    return np.array_equal(phi.take(S.take(gens, axis=1)),
+                          T.take(phi.take(gens), axis=1).take(phi, axis=0))
 
 
 class Group:
@@ -249,7 +260,9 @@ class Group:
     def inverses(self) -> np.ndarray:
         """The inverse of every element, computed once."""
         if self._inv is None:
-            self._inv = np.nonzero(self._np == 0)[1]  # one 0 per row, rows in order
+            # one 0 per row, rows in order; a flat scan, since a 2-d nonzero
+            # builds both index arrays and costs about six times as much
+            self._inv = np.flatnonzero(self._np == 0) % self.order
         return self._inv
 
     def tree(self) -> tuple:
@@ -348,7 +361,7 @@ class Group:
         n = self.order
         seed = read_integers(seed, BadParams, f"seed elements must be integers in 0..{n - 1}", n,
                              ndim=1)
-        return sorted(cayley_tree(self._np, sorted(set(seed.tolist())))[1])
+        return sorted(_cayley_walk(self._np, sorted(set(seed.tolist())))[1])
 
     def center(self) -> "Subgroup":
         """The elements each generator's conjugation fixes, found once: the
@@ -409,11 +422,13 @@ class Subgroup:
     """Subset of a parent group, validated closed and containing identity.
 
     `elements` is a read-only int16 array in increasing order and `pos` its
-    membership array: pos[x] = i for the i-th element x, -1 outside.  The
-    subgroups the library finds itself (centers, kernels, closures, the
-    index-2 kernels and the normal subgroups) are closed by construction and
-    come as increasing indices, so they skip the sort and the |H|^2 closure
-    gather (check=False); a subset from outside is checked exactly.
+    membership array: pos[x] = i for the i-th element x, -1 outside, built
+    the first time it is read, so that a subgroup nobody asks about (most
+    of the index-2 kernels) costs only its elements.  The subgroups the
+    library finds itself (centers, kernels, closures, the index-2 kernels
+    and the normal subgroups) are closed by construction and come as
+    increasing indices, so they skip the sort and the |H|^2 closure gather
+    (check=False); a subset from outside is checked exactly.
     """
 
     def __init__(self, parent: Group, elements, check: bool = True):
@@ -428,13 +443,21 @@ class Subgroup:
         if not els.size or els[0] != 0:
             raise RelationInconsistent("subgroup must contain the identity")
         els.setflags(write=False)
-        self.pos = np.full(n, -1, dtype=np.int16)
-        self.pos[els] = np.arange(len(els))
-        self.pos.setflags(write=False)
         # bool: the gather of the |H|^2 products takes a byte each
         if check and not inside[parent.np_table[np.ix_(els, els)]].all():
             raise RelationInconsistent("subgroup not closed under multiplication")
+        self._pos: np.ndarray | None = None
         self._group: Group | None = None
+
+    @property
+    def pos(self) -> np.ndarray:
+        """The membership array, read-only int16, built the first time it is read."""
+        if self._pos is None:
+            pos = np.full(self.parent.order, -1, dtype=np.int16)
+            pos[self.elements] = np.arange(self.order)
+            pos.setflags(write=False)
+            self._pos = pos
+        return self._pos
 
     @property
     def order(self) -> int:
@@ -466,7 +489,7 @@ class Subgroup:
         since a Subgroup is closed (checked, or closed by construction)."""
         if self._group is None:
             table = self.pos[self.parent.np_table[np.ix_(self.elements, self.elements)]]
-            gens = cayley_tree(table, range(1, self.order))[0]
+            gens = _cayley_walk(table, range(1, self.order))[0]
             self._group = Group(
                 table,
                 [(f"g{self.elements[i]}", i) for i in gens],
@@ -490,6 +513,10 @@ def trivial_subgroup(G: Group) -> Subgroup:
 def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
     """Quotient G/N with the projection; cosets are ordered by least element.
 
+    The least element of a coset is its own least, so the representatives
+    are the x with least(x) = x, and a coset's number is the rank of its
+    representative among them, one cumsum: the numbering that
+    np.unique(least, return_inverse=True) gives, without the sort.
     A group by construction, since N was checked normal.
     """
     if N.parent is not G:
@@ -498,8 +525,9 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
         raise NotNormal("subgroup is not normal")
     T = G.np_table
     least = T[:, N.elements].min(axis=1)  # of each coset xN
-    reps, coset_of = np.unique(least, return_inverse=True)
-    coset_of = coset_of.astype(np.int16)
+    is_rep = least == np.arange(G.order)
+    reps = np.flatnonzero(is_rep)
+    coset_of = (np.cumsum(is_rep, dtype=np.int16) - 1)[least]
     m = len(reps)
     # gathered by row blocks, so no m x m int16 index table is held beside it;
     # the indices are table entries, so in range, and mode="clip" lets take
@@ -515,7 +543,7 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
             gens.append((name, img))
             seen.add(img)
     if m > 1 and not gens:
-        gens = [(f"g{i}", i) for i in cayley_tree(table, range(1, m))[0]]
+        gens = [(f"g{i}", i) for i in _cayley_walk(table, range(1, m))[0]]
     Q = Group(table, gens, name=f"{G.name or G.order}/N{N.order}", check=False)
     return Q, GroupHom(G, Q, coset_of)
 
@@ -560,7 +588,7 @@ def pullback(G1: Group, G2: Group, f1: GroupHom, f2: GroupHom) -> tuple[Group, G
     lookup = np.full((G1.order, G2.order), -1, dtype=np.int16)
     lookup[xs, ys] = np.arange(m)
     T = lookup[G1.np_table[np.ix_(xs, xs)], G2.np_table[np.ix_(ys, ys)]]
-    gens = [(f"g{xs[i]}.{ys[i]}", i) for i in cayley_tree(T, range(1, m))[0]]
+    gens = [(f"g{xs[i]}.{ys[i]}", i) for i in _cayley_walk(T, range(1, m))[0]]
     P = Group(T, gens, name=f"pullback{m}", check=False)
     return P, GroupHom(P, G1, xs), GroupHom(P, G2, ys)
 
@@ -667,7 +695,12 @@ def structure_invariants(G: Group) -> StructureInvariants:
 
 
 def subgroups_of_index2(G: Group) -> list[Subgroup]:
-    """All index-2 subgroups, i.e. kernels of the surjections onto C2."""
+    """All index-2 subgroups, i.e. kernels of the surjections onto C2.
+
+    Each kernel has n/2 elements, so one np.nonzero of a block of kernel
+    masks gives the block's kernels as the rows of a (kernels, n/2) int16
+    array, and each Subgroup takes its row; its membership array is built
+    only if it is read (Subgroup.pos)."""
     if G.order % 2:
         return []
     Q, proj = quotient(G, frattini_style_subgroup(G, 2))
@@ -687,7 +720,9 @@ def subgroups_of_index2(G: Group) -> list[Subgroup]:
         even = select[r0:r0 + step] @ coords
         even &= 1
         even ^= 1
-        out += [Subgroup(G, np.flatnonzero(row), check=False) for row in even]
+        # row-major, so the columns come kernel by kernel, each increasing
+        kernels = np.nonzero(even)[1].astype(np.int16).reshape(len(even), n // 2)
+        out += [Subgroup(G, row, check=False) for row in kernels]
     return out
 
 

@@ -142,13 +142,22 @@ def _fill(X, Q, add) -> np.ndarray:
 
 def pc_table(pc: PcPresentation) -> np.ndarray:
     """The int16 multiplication table of a presentation, by the level
-    formula, or RelationInconsistent where Hoelder's conditions fail."""
+    formula, or RelationInconsistent where Hoelder's conditions fail.
+
+    Over the trivial group H (the last level) w = 1, so the formula is the
+    cyclic table (a + b) mod e, which is built directly: _fill would spend
+    a dozen passes over it on indices into a 1 x 1 table."""
     rel, T = pc.rel_orders, np.zeros((1, 1), dtype=np.int16)
     gen = generator_indices(rel)
     for i in reversed(range(len(rel))):
         e, m = rel[i], T.shape[0]
         w, _, phi, _ = _walk(T, pc, gen, i)
         _check_hoelder(T, phi, w, e, i, gen[i + 1:])
+        if m == 1:
+            a = np.arange(e, dtype=np.int16)
+            T = a[:, None] + a
+            np.remainder(T, e, out=T)
+            continue
         P = np.empty((e, m), dtype=np.int16)  # P[t] = phi^t, by doubling: P[c + t] = phi^c(P[t])
         P[0], c, phi_c = np.arange(m), 1, phi
         while c < e:

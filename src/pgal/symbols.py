@@ -13,7 +13,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import FactorizationFailed, factor, is_square, legendre, read_prime, valuation
+from .arith import (
+    FactorizationFailed,
+    factor,
+    is_square,
+    legendre,
+    read_prime,
+    valuation,
+    without_power_cofactor,
+)
 from .errors import (
     BadParams,
     NonRationalEntry,
@@ -284,7 +292,9 @@ def opaque_class(name: str, p: int, exp: int = 1) -> SymbolProduct:
 def _atoms(x: FieldElem, p: int, unsplit: dict):
     """Multiplicative atoms (prime, indeterminate, zeta base) with exponents mod p.
 
-    An entry factor cannot split is one atom, unreduced, and unsplit maps it
+    A cofactor that trial division leaves and that is a p-th power adds
+    nothing mod p and is not factored (arith.without_power_cofactor).  An
+    entry factor cannot split is one atom, unreduced, and unsplit maps it
     to the detail of its FactorizationFailed.  zeta_n^e, n = p^k m
     with p prime to m, is zeta_{p^k}^(e/m mod p^k) times a p-th power, so its
     atom is zeta_{p^k} (-1 when p^k = 2), and none when k = 0."""
@@ -296,7 +306,7 @@ def _atoms(x: FieldElem, p: int, unsplit: dict):
             out.append((rat(-1), 1))
             q = -q
         try:
-            n = abs(q.numerator * q.denominator ** (p - 1))
+            n = without_power_cofactor(abs(q.numerator * q.denominator ** (p - 1)), p)
             for prime, e in sorted(factor(n).items()):
                 if e % p:
                     out.append((rat(prime), e % p))

@@ -206,7 +206,9 @@ def test_s3_frattini_subgroups_at_2_and_3():
 
 
 def test_index2_subgroups_agree_with_the_old_loop():
-    for name, G in GROUPS:
+    # EA(2,10) has 1,023 kernels, gathered in four blocks of 256: the blocks
+    # of the groups up to order 256 hold all of their kernels at once
+    for name, G in GROUPS + [("EA:p=2,r=10", build_group("EA:p=2,r=10"))]:
         assert [tuple(H.elements.tolist()) for H in subgroups_of_index2(G)] == _loop_index2(G), name
 
 
@@ -308,6 +310,17 @@ def _library_subgroups(G):
 
 def _read_only_int16(a) -> bool:
     return a.dtype == np.int16 and not a.flags.writeable
+
+
+def test_a_membership_array_is_built_when_it_is_first_read():
+    for name, G in GROUPS:
+        for H in _library_subgroups(G) + [Subgroup(G, G.center().elements)]:
+            assert H._pos is None, name
+            eager = np.full(G.order, -1, dtype=np.int16)
+            eager[H.elements] = np.arange(H.order)
+            pos = H.pos
+            assert _read_only_int16(pos) and np.array_equal(pos, eager), name
+            assert H.pos is pos, name
 
 
 def test_library_built_subgroups_pass_the_exact_constructor():

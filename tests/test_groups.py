@@ -961,6 +961,10 @@ def test_quotient_tables_gathered_by_row_blocks_equal_the_single_gather():
             Q, proj = quotient(G, N)
             assert np.array_equal(Q.np_table, _single_gather_quotient_table(G, proj)), \
                 (spec, N.elements[:4])
+            # cosets numbered by their least elements in increasing order, as the sort gave
+            least = G.np_table[:, N.elements].min(axis=1)
+            assert np.array_equal(proj.images, np.unique(least, return_inverse=True)[1]), \
+                (spec, N.elements[:4])
 
 
 def test_pullbacks_pass_the_exact_check():

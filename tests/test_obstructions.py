@@ -430,3 +430,17 @@ def test_massy_splits_exactly_when_no_place_fails_on_the_group_side(data):
                            min_size=len(gens), max_size=len(gens)))
     assert splits_over_Q(massy(MassyInput(2, [rat(x) for x in a], d))) == hasse_by_groups(
         E, z, gens, a), (spec, z, a)
+
+
+def test_frohlich_twist_of_two_entries_sharing_a_cofactor_answers_at_once():
+    """The discriminant -3 U^2 of <U, -3U> leaves the cofactor U^2 after
+    trial division, on which rho spent about 40 s failing; a square adds
+    nothing mod 2, so the twist is (-3, -5), with no 3 U^2 atom."""
+    import time
+
+    q = DiagonalForm([rat(UNFACTORED), rat(-3 * UNFACTORED)])
+    start = time.perf_counter()
+    P = frohlich_obstruction(q, DiagonalForm([rat(5)]), [])
+    assert time.perf_counter() - start < 0.5
+    assert rat(3 * UNFACTORED ** 2) not in {a for pair in P._pairs for a in pair}
+    assert P == hasse_witt(q).mul(symbol(rat(-3), rat(-5), 2))

@@ -328,7 +328,7 @@ def test_only_arith_names_is_prime(tmp_path):
 
 
 def test_only_arith_divides_a_prime_out_in_a_loop(tmp_path):
-    assert _owners(PKG, _divides_out) == [("arith.py", "valuation"), ("arith.py", "_factor")]
+    assert _owners(PKG, _divides_out) == [("arith.py", "valuation"), ("arith.py", "_trial_division")]
     (tmp_path / "m.py").write_text(
         "class A:\n    def f(self, n, q):\n        while 0 == n % q:\n            n //= q\n"
         "        while not n % q:\n            n //= q\n        while n % q == 1:\n"

@@ -440,6 +440,22 @@ def test_an_entry_that_cannot_be_factored_is_one_atom_that_keeps_its_class():
     assert str(symbol(rat(-P), rat(3), 3)) == f"({-P},3;z3)"
 
 
+def test_a_cofactor_that_is_a_pth_power_is_dropped_before_factoring():
+    from pgal.arith import without_power_cofactor
+
+    U = UNFACTORED
+    assert without_power_cofactor(12 * U ** 2, 2) == 12
+    assert without_power_cofactor(7 * U ** 3, 3) == 7
+    assert without_power_cofactor(U ** 2, 2) == 1
+    for n, k in ((12 * U ** 2, 3), (7 * U ** 3, 2), (3 * U, 2), (2 * SEMIPRIME_60, 2), (45, 2)):
+        assert without_power_cofactor(n, k) == n
+    # 2^10 * 3^2: trial division leaves no cofactor
+    assert without_power_cofactor(9216, 2) == 9216
+    # the square's class is the class of what is left, with no atom for U
+    assert symbol(rat(-3 * U ** 2), rat(5), 2) == symbol(rat(-3), rat(5), 2)
+    assert str(symbol(rat(Fraction(U ** 3, 2)), rat(5), 3)) == str(symbol(rat(Fraction(1, 2)), rat(5), 3))
+
+
 def test_factor_results_are_memoised_in_a_bounded_cache(monkeypatch):
     """The memo is keyed on the cofactor left by trial division and the
     bound, and keeps failures as well as factorisations."""
