@@ -38,6 +38,7 @@ from .groups import (
     is_p_group,
     path_counts,
     quotient,
+    read_index,
     read_integers,
     row_blocks,
     subgroup_generated,
@@ -57,14 +58,6 @@ def _check_prime(p) -> int:
     # the range detail for any p past 64 bits, a negative one too; read_prime refuses the rest
     return read_prime(read_int(p, BadParams, f"p must be prime, got p={p}", -2 ** 63, 2 ** 63,
                                out_of_range=f"p must be a prime below 2^63, got p={p}"))
-
-
-def _integer(x, what: str, n: int, low: int = 0, error=BadParams, names=()) -> int:
-    """x in low..n-1, or the index of the name x in names; else error naming x."""
-    if names and isinstance(x, str):
-        x = next((i for name, i in names if name == x), x)
-    kind = "a generator name or an integer" if names else "an integer"
-    return read_int(x, error, f"{what} must be {kind} in {low}..{n - 1}", low, n)
 
 
 def is_cocycle_table(group: Group, p: int, values) -> bool:
@@ -119,7 +112,8 @@ class Cocycle2:
         self.values.setflags(write=False)
 
     def __call__(self, x: int, y: int) -> int:
-        return int(self.values[x, y])
+        n = self.group.order
+        return int(self.values[read_index(x, "x", n), read_index(y, "y", n)])
 
     def add(self, other: "Cocycle2") -> "Cocycle2":
         if other.group is not self.group or other.p != self.p:
@@ -166,7 +160,7 @@ def cocycle_of_extension(E: Group, proj: GroupHom, kernel_gen: int) -> Cocycle2:
     """Factor set of a central extension via the least-index-preimage section."""
     if proj.source is not E:
         raise TargetMismatch("projection must start at the extension group")
-    kernel_gen = _integer(kernel_gen, "kernel_gen", E.order)
+    kernel_gen = read_index(kernel_gen, "kernel_gen", E.order)
     ker = np.flatnonzero(proj.images == 0)
     p = read_prime(len(ker), KernelNotPrime, f"kernel has order {len(ker)}")
     # kernel_gen^0 .. kernel_gen^p in one gather
@@ -495,7 +489,7 @@ def _tate_g(fbar: Cocycle2, H: Subgroup, g: int | None) -> int:
     if H.index() != 2:
         raise BadIndexSubgroup(f"subgroup has index {H.index()}, need 2")
     g = (int(np.argmin(H.pos >= 0)) if g is None
-         else _integer(g, "g", H.parent.order, error=BadIndexSubgroup))
+         else read_index(g, "g", H.parent.order, error=BadIndexSubgroup))
     if g in H:
         raise GInH(f"element {g} lies in the subgroup")
     return g
@@ -518,7 +512,7 @@ def cyclic_step_cocycle(p: int, n_exp: int) -> Cocycle2:
     t^i t^j t^-((i+j) mod m) = (t^m)^[i+j >= m].
     """
     p = _check_prime(p)
-    m = p ** (_integer(n_exp, "n_exp", MAX_ORDER.bit_length() + 1, low=1) - 1)
+    m = p ** (read_index(n_exp, "n_exp", MAX_ORDER.bit_length() + 1, low=1) - 1)
     i = np.arange(m)
     return Cocycle2(cyclic(m), p, (i[:, None] + i >= m).astype(np.int64), check=False)
 
@@ -533,8 +527,8 @@ def raise_lower(E: ExtensionClass, sigma1, n_exp: int, direction: str) -> Extens
         raise QuotientConditionFails(f"unknown direction {direction!r}")
     G = E.proj.target
     p = E.cocycle.p
-    s1 = _integer(sigma1, "sigma1", G.order, names=G.generators)
-    m = p ** (_integer(n_exp, "n_exp", MAX_ORDER.bit_length() + 1, low=1) - 1)
+    s1 = read_index(sigma1, "sigma1", G.order, names=G.generators)
+    m = p ** (read_index(n_exp, "n_exp", MAX_ORDER.bit_length() + 1, low=1) - 1)
     if G.element_order(s1) != m:
         raise QuotientConditionFails(f"sigma1 must have order {m} in the base group")
     others = [i for _, i in G.generators if i != s1]
@@ -567,7 +561,7 @@ def lift_order_diag(f: Cocycle2, z: int) -> dict:
     """f(z^(k/2), z^(k/2)) and the order of z's preimages (p = 2)."""
     if f.p != 2:
         raise PrimeMismatch("defined for p = 2")
-    z = _integer(z, "z", f.group.order)
+    z = read_index(z, "z", f.group.order)
     if z == 0:
         raise IdentityElement("z must not be the identity")
     k = f.group.element_order(z)
@@ -641,7 +635,7 @@ def power_commutator_data(E: ExtensionClass, gens: list) -> tuple[list, dict]:
     ext, proj, p = E.extension, E.proj, E.cocycle.p
     kp = {int(z): j for j, z in enumerate(ext._powers(np.full(p, E.kernel_gen), np.arange(p)))}
     sec = _section(proj)
-    pre = [int(sec[_integer(g, "gens", proj.target.order, names=proj.target.generators)])
+    pre = [int(sec[read_index(g, "gens", proj.target.order, names=proj.target.generators)])
            for g in gens]
     diag = [kp.get(ext.power(s, p)) for s in pre]
     offdiag = {(i, j): kp.get(ext.mul(ext.mul(pre[i], pre[j]), ext.inv(ext.mul(pre[j], pre[i]))))

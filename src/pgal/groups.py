@@ -100,6 +100,15 @@ def read_integers(data, error, detail: str, n=None, *, low: int = 0, ndim: int |
     return out
 
 
+def read_index(x, what: str, n: int, low: int = 0, error=BadParams, names=()) -> int:
+    """x in low..n-1, or the index of the name x in names; else error naming
+    x.  One element argument is read by it once, at entry, never in a loop."""
+    if names and isinstance(x, str):
+        x = next((i for name, i in names if name == x), x)
+    kind = "a generator name or an integer" if names else "an integer"
+    return read_int(x, error, f"{what} must be {kind} in {low}..{n - 1}", low, n)
+
+
 def _square(shape) -> int:
     """The side of a square table within the order cap."""
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -252,10 +261,10 @@ class Group:
         return self._np
 
     def mul(self, a: int, b: int) -> int:
-        return int(self._np[a, b])
+        return int(self._np[read_index(a, "a", self.order), read_index(b, "b", self.order)])
 
     def inv(self, a: int) -> int:
-        return int(self.inverses()[a])
+        return int(self.inverses()[read_index(a, "a", self.order)])
 
     def inverses(self) -> np.ndarray:
         """The inverse of every element, computed once."""
@@ -284,20 +293,24 @@ class Group:
 
     def conj(self, g: int, x: int) -> int:
         """g x g^{-1}"""
-        return self.mul(self.mul(g, x), self.inv(g))
+        g, x = read_index(g, "g", self.order), read_index(x, "x", self.order)
+        return int(self._np[self._np[g, x], self.inverses()[g]])
 
     def power(self, a: int, k: int) -> int:
+        """a^k for any integer k, by repeated squaring on the table."""
+        a, k = read_index(a, "a", self.order), read_int(k, BadParams, f"k must be an integer, got k={k}")
         if k < 0:
-            a, k = self.inv(a), -k
-        r = 0
+            a, k = self.inverses()[a], -k
+        T, r = self._np, 0
         while k:
             if k & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
+                r = T[r, a]
+            a = T[a, a]
             k >>= 1
-        return r
+        return int(r)
 
     def element_order(self, a: int) -> int:
+        a = read_index(a, "a", self.order)
         if self._orders is None:
             self.element_orders()
         return self._orders[a]
@@ -350,7 +363,9 @@ class Group:
 
     def commutator(self, a: int, b: int) -> int:
         """[a, b] = a^{-1} b^{-1} a b"""
-        return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
+        a, b = read_index(a, "a", self.order), read_index(b, "b", self.order)
+        T, inv = self._np, self.inverses()
+        return int(T[T[inv[a], inv[b]], T[a, b]])
 
     def closure(self, seed) -> list[int]:
         """Subgroup generated by seed, as a sorted index list.
@@ -409,7 +424,7 @@ class GroupHom(FrozenRecord):
         self._set(source=source, target=target, images=phi)
 
     def __call__(self, x: int) -> int:
-        return int(self.images[x])
+        return int(self.images[read_index(x, "x", self.source.order)])
 
     def is_surjective(self) -> bool:
         return bool(np.bincount(self.images, minlength=self.target.order).all())

@@ -18,14 +18,16 @@ That is a group exactly when Hoelder's three conditions hold.  A word
 {pos: a} at level i is a normal form, the x_pos^a in increasing pos with
 i < pos < k and 0 <= a < e_pos (PcPresentation.of checks it), so its
 element is its mixed-radix index.  pc_table walks each level (_walk),
-checks Hoelder's conditions on it and fills it by the level formula
+raises its phi to the powers phi^b by doubling (_phi_powers), checks
+Hoelder's conditions on them and fills the level by the level formula
 (_fill); PcTails, given a pc group (a Group built from a presentation and
-its pc_table), reads its z-parts off the walk's steps and fills its z-forms
-and classes by the same _fill.  The tails of a presentation (ch. 8 and
-9.4) extend it by a central z of order p, placed last, with a tail z^(t_r)
-on each of its m = k + k(k-1)/2 relations: the power tails of
-x_0 .. x_{k-1}, then the conjugate tails of the pairs i < j in
-lexicographic order.
+its pc_table), reads its z-parts off the walk's steps, takes the same
+powers from _phi_powers and the psi-sums from one cumsum over them, and
+fills its z-forms and classes by the same _fill.  The tails of a
+presentation (ch. 8 and 9.4) extend it by a central z of order p, placed
+last, with a tail z^(t_r) on each of its m = k + k(k-1)/2 relations: the
+power tails of x_0 .. x_{k-1}, then the conjugate tails of the pairs
+i < j in lexicographic order.
 """
 
 from __future__ import annotations
@@ -140,6 +142,20 @@ def _fill(X, Q, add) -> np.ndarray:
     return out
 
 
+def _phi_powers(phi, e: int) -> np.ndarray:
+    """The rows P[b] = phi^b, b = 0..e, of phi on H (int16), by doubling:
+    with P[0..c] known, P[c + t] = P[c][P[t]] = phi^c phi^t for t up to
+    min(c, e - c), so about log2 e gathers.  Over the trivial H every row
+    is 0, with no gather."""
+    P = np.zeros((e + 1, len(phi)), dtype=np.int16)
+    P[0], P[1], c = np.arange(len(phi)), phi, 1
+    while len(phi) > 1 and c < e:
+        t = min(c, e - c)
+        P[c + 1:c + t + 1] = P[c][P[1:t + 1]]
+        c += t
+    return P
+
+
 def pc_table(pc: PcPresentation) -> np.ndarray:
     """The int16 multiplication table of a presentation, by the level
     formula, or RelationInconsistent where Hoelder's conditions fail.
@@ -152,39 +168,30 @@ def pc_table(pc: PcPresentation) -> np.ndarray:
     for i in reversed(range(len(rel))):
         e, m = rel[i], T.shape[0]
         w, _, phi, _ = _walk(T, pc, gen, i)
-        _check_hoelder(T, phi, w, e, i, gen[i + 1:])
+        P = _phi_powers(phi, e)
+        _check_hoelder(T, P, w, e, i, gen[i + 1:])
         if m == 1:
             a = np.arange(e, dtype=np.int16)
             T = a[:, None] + a
             np.remainder(T, e, out=T)
             continue
-        P = np.empty((e, m), dtype=np.int16)  # P[t] = phi^t, by doubling: P[c + t] = phi^c(P[t])
-        P[0], c, phi_c = np.arange(m), 1, phi
-        while c < e:
-            P[c:2 * c] = phi_c[P[:min(c, e - c)]]
-            c, phi_c = 2 * c, phi_c[phi_c]
         # x^((a+b) mod e) is the offset ((a+b) mod e) m
-        T = _fill(T, np.concatenate([P, T[w][P]]),
+        T = _fill(T, np.concatenate([P[:e], T[w][P[:e]]]),
                   lambda blk, s, h, k: np.add(blk, (s % e * m)[:, :, None], out=blk))
     return T
 
 
-def _check_hoelder(T, phi, w, e, i, gens) -> None:
+def _check_hoelder(T, P, w, e, i, gens) -> None:
     """Hoelder's conditions for G_i = <x_i> H, H the group of table T
-    generated by gens, in n_i k entries as for homomorphisms
-    (groups.is_multiplicative): phi is a homomorphism of H with trivial
-    kernel, so bijective; phi(w) = w; and phi^e is conjugation by w, that
-    is w phi^e(h) = h w for every h."""
-    if not (np.count_nonzero(phi == 0) == 1 and is_multiplicative(phi, T, T, gens)):
+    generated by gens and P[b] = phi^b (_phi_powers), in n_i k entries as
+    for homomorphisms (groups.is_multiplicative): phi is a homomorphism of
+    H with trivial kernel, so bijective; phi(w) = w; and phi^e is
+    conjugation by w, that is w phi^e(h) = h w for every h."""
+    if not (np.count_nonzero(P[1] == 0) == 1 and is_multiplicative(P[1], T, T, gens)):
         raise RelationInconsistent(f"conjugation by x{i} is not an automorphism")
-    if phi[w] != w:
+    if P[1, w] != w:
         raise RelationInconsistent(f"conjugation by x{i} does not fix x{i}^{e}")
-    phi_e, base, n = np.arange(T.shape[0]), phi, e
-    while n:
-        if n & 1:
-            phi_e = base[phi_e]
-        base, n = base[base], n >> 1
-    if not np.array_equal(T[w, phi_e], T[:, w]):
+    if not np.array_equal(T[w, P[e]], T[:, w]):
         raise RelationInconsistent(f"conjugation by x{i}, {e} times, is not conjugation by x{i}^{e}")
 
 
@@ -300,11 +307,10 @@ class PcTails:
                 np.cumsum(z(g_steps, col[i, j]) + L[pw[:-1], g], axis=0, out=pwz[1:])
                 psi = (pwz[:, None] + psi[None] + L[pw[:, None], phi_j[None]]).reshape(-1, m) % p
             e = rel[i]
-            P = np.empty((e + 1, nH), dtype=np.int16)  # P[b] = phi^b
-            PS = np.empty((e + 1, nH, m), dtype=np.int64)  # PS[b] = sum_{r<b} psi phi^r
-            P[0], PS[0] = np.arange(nH), 0
-            for b in range(1, e + 1):
-                P[b], PS[b] = phi[P[b - 1]], (PS[b - 1] + psi[P[b - 1]]) % p
+            P = _phi_powers(phi, e)
+            PS = np.zeros((e + 1,) + psi.shape, dtype=np.int64)  # PS[b] = sum_{r<b} psi phi^r
+            np.cumsum(psi[P[:e]], axis=0, out=PS[1:])
+            PS %= p
             for s in gen[i + 1:]:
                 self.eq.add_rows(L[:, s] + psi[T[:, s]] - psi - psi[s] - L[phi, phi[s]])
                 self.eq.add_rows((PS[e, s] + L[w, P[e, s]] - L[s, w])[None])

@@ -13,6 +13,9 @@
   onto C2;
 - `pc_table_sixteen_blocks`: pc_table filling each level in min(e, 16)
   blocks, with phi^t built one power at a time;
+- `phi_powers_one_at_a_time`: a pc level's powers phi^b and psi-sums, one
+  pass per b, as PcTails built them before presentation._phi_powers and
+  its cumsum;
 - `contraction_cocycle`: PcTails' class build as it was, one contraction of
   the level-1 z-forms of every tail with t and one level-0 fill, the forms
   built level by level by its own walk;
@@ -267,11 +270,12 @@ def pc_table_sixteen_blocks(pc):
     for i in reversed(range(len(rel))):
         e, m = rel[i], T.shape[0]
         w, _, phi, _ = _walk(T, pc, gen, i)
-        _check_hoelder(T, phi, w, e, i, gen[i + 1:])
-        P = np.empty((e, m), dtype=np.int16)
+        P = np.empty((e + 1, m), dtype=np.int16)
         P[0] = np.arange(m)
-        for t in range(1, e):
+        for t in range(1, e + 1):
             P[t] = phi[P[t - 1]]
+        _check_hoelder(T, P, w, e, i, gen[i + 1:])
+        P = P[:e]
         out = np.empty((e, m, e, m), dtype=np.int16)
         b = np.arange(e)
         step = -(-e // 16)
@@ -285,11 +289,27 @@ def pc_table_sixteen_blocks(pc):
     return T
 
 
+def phi_powers_one_at_a_time(phi, e, psi=None, p=1):
+    """PcTails' powers of phi as they were built, one pass per b: P[b] =
+    phi^b and, given psi, PS[b] = psi + psi phi + ... + psi phi^(b-1) mod p,
+    for b = 0..e."""
+    P = np.empty((e + 1, len(phi)), dtype=np.int16)
+    P[0] = np.arange(len(phi))
+    PS = None if psi is None else np.zeros((e + 1,) + psi.shape, dtype=np.int64)
+    for b in range(1, e + 1):
+        P[b] = phi[P[b - 1]]
+        if PS is not None:
+            PS[b] = (PS[b - 1] + psi[P[b - 1]]) % p
+    return P, PS
+
+
 def contraction_cocycle(G, p):
     """t -> the class of the tails t of the pc group G at p: the z-forms of
     all m tails are built level by level down to G_1, each level in row
     blocks of 2^21 entries (_tail_level_by_blocks), then contracted with t,
-    and level 0 is built on the contraction."""
+    and level 0 is built on the contraction.  Its attribute powers holds
+    each level's P[:e] and PS[:e] (phi_powers_one_at_a_time), from the
+    last level up."""
     pc, table = G.pc, G.np_table
     rel, k = pc.rel_orders, len(pc.rel_orders)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -297,7 +317,7 @@ def contraction_cocycle(G, p):
     col = {pair: k + c for c, pair in enumerate(pairs)}
     gen, unit = generator_indices(rel), np.eye(m, dtype=np.int64)
     L = np.zeros((1, 1, m), dtype=np.int64)  # the z-forms on G_k = 1
-    level0 = None
+    level0, powers = None, []
     for i in reversed(range(k)):
         nH = L.shape[0]
         T = table[:nH, :nH]
@@ -315,11 +335,9 @@ def contraction_cocycle(G, p):
             np.cumsum(z(g_steps, col[i, j]) + L[pw[:-1], g], axis=0, out=pwz[1:])
             psi = (pwz[:, None] + psi[None] + L[pw[:, None], phi_j[None]]).reshape(-1, m) % p
         e = rel[i]
-        P = np.empty((e, nH), dtype=np.int64)
-        PS = np.empty((e, nH, m), dtype=np.int64)
-        P[0], PS[0] = np.arange(nH), 0
-        for b in range(1, e):
-            P[b], PS[b] = phi[P[b - 1]], (PS[b - 1] + psi[P[b - 1]]) % p
+        P, PS = phi_powers_one_at_a_time(phi, e, psi, p)
+        P, PS = P[:e], PS[:e]
+        powers.append((P, PS))
         level0 = (T, L, e, w, omega, P, PS)
         if i:
             L = _tail_level_by_blocks(T, L, e, w, omega, P, PS, p)
@@ -332,6 +350,7 @@ def contraction_cocycle(G, p):
         Z = np.einsum("xyr,r->xy", L, t) % p
         return _tail_level_by_blocks(T, Z[..., None], e, w, (omega @ t % p)[None], P,
                                      (PS @ t % p)[..., None], p)[:, :, 0]
+    cocycle.powers = powers
     return cocycle
 
 

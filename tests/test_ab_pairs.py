@@ -1,5 +1,6 @@
 """The summary of tools/ab_pairs.py: quartiles per side and the change's
-wins, with ties counted for neither side."""
+wins, with ties counted for neither side, each end-to-end metric's verdict
+against its relative bound, and whether a gain is met on it."""
 
 import importlib.util
 from pathlib import Path
@@ -33,3 +34,56 @@ def test_quartiles_are_inclusive_and_a_single_pair_is_its_own():
     (one,) = ab_pairs.summary(pairs[:1], {"t": "lower"})
     assert one["parent"] == (1.0, 1.0, 1.0) and one["pairs"] == 1
     assert "0 of 1 (lower is better)" in ab_pairs.format_rows([one])
+
+
+def _row(parent, change, better="lower", bound=0.25):
+    """The summary row of one metric "t" over the pairs zip(parent, change)."""
+    pairs = [({"t": float(a)}, {"t": float(b)}) for a, b in zip(parent, change)]
+    (row,) = ab_pairs.summary(pairs, {"t": better}, {"t": bound})
+    return row
+
+
+def test_a_median_worse_by_more_than_the_bound_is_regressed():
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    assert _row(parent, [v + 30 for v in parent])["verdict"] == "regressed"   # +29%
+    assert _row(parent, [v + 20 for v in parent])["verdict"] == "ok"          # +19%
+    assert _row(parent, [v - 50 for v in parent])["verdict"] == "ok"
+    # higher is better: a drop past the bound regresses, a rise never does
+    assert _row(parent, [v * 0.7 for v in parent], "higher")["verdict"] == "regressed"
+    assert _row(parent, [v * 2 for v in parent], "higher")["verdict"] == "ok"
+    # no bound, no verdict
+    (row,) = ab_pairs.summary([({"t": 1.0}, {"t": 2.0})], {"t": "lower"})
+    assert "verdict" not in row and row["gain"] == "not met"
+
+
+def test_a_parent_iqr_past_the_bound_is_unresolved_unless_every_change_run_wins():
+    parent = [60, 70, 80, 90, 100, 110, 120, 130, 140, 150]   # IQR 45 of a median 105
+    assert _row(parent, parent)["verdict"] == "unresolved"
+    assert _row(parent, [v - 20 for v in parent])["verdict"] == "unresolved"
+    assert _row(parent, [55] * 10)["verdict"] == "ok"           # below every parent run
+    assert _row(parent, [60] * 10)["verdict"] == "unresolved"   # a tie with the best is no win
+    assert _row(parent, parent, bound=0.5)["verdict"] == "ok"
+    # a regression past the bound is reported as such, however wide the spread
+    assert _row(parent, [v * 2 for v in parent])["verdict"] == "regressed"
+
+
+def test_a_gain_is_met_only_by_nine_wins_in_ten_and_a_gap_past_the_iqr():
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # IQR 4.5
+    assert _row(parent, [v - 10 for v in parent])["gain"] == "met"
+    # nine wins of ten are enough, eight are not
+    nine = [v - 10 for v in parent[:9]] + [parent[9] + 1]
+    eight = [v - 10 for v in parent[:8]] + [parent[8] + 1, parent[9] + 1]
+    assert _row(parent, nine)["gain"] == "met"
+    assert _row(parent, eight)["gain"] == "not met"
+    # ten wins whose median gap (3) is within the parent's IQR
+    assert _row(parent, [v - 3 for v in parent])["gain"] == "not met"
+    # higher is better
+    assert _row(parent, [v + 10 for v in parent], "higher")["gain"] == "met"
+    assert _row(parent, [v - 10 for v in parent], "higher")["gain"] == "not met"
+    assert _row(parent, parent)["gain"] == "not met"
+
+
+def test_the_verdicts_are_printed_beside_the_wins():
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    line = ab_pairs.format_rows([_row(parent, [v - 10 for v in parent])])
+    assert line.endswith("10 of 10 (lower is better)  ok  gain met")

@@ -410,9 +410,10 @@ def test_normal_subgroups_at_order_4096(spec, count):
 # -- Hoelder's conditions on H's full table ------------------------------------------
 
 
-def _full_table_hoelder(T, phi, w, e, i, gens):
-    """phi an automorphism of H by a sort and an m^2 compare, w^-1 by a row scan."""
-    m = T.shape[0]
+def _full_table_hoelder(T, P, w, e, i, gens):
+    """phi = P[1] an automorphism of H by a sort and an m^2 compare, phi^e by
+    its own binary powering (not P[e]), w^-1 by a row scan."""
+    m, phi = T.shape[0], P[1]
     if not (np.array_equal(np.sort(phi), np.arange(m))
             and np.array_equal(phi[T], T[phi[:, None], phi[None, :]])):
         raise RelationInconsistent(f"conjugation by x{i} is not an automorphism")

@@ -44,6 +44,7 @@ from pgal.groups import (
     GroupHom,
     Subgroup,
     dual_action_predicate,
+    quotient,
     subgroup_generated,
     subgroups_of_index2,
 )
@@ -253,6 +254,28 @@ ROWS["NormData i_invariant"] = Row(lambda i: NormData(3, 1, DIMS3, i), _scalar, 
 ROWS["NormData i_invariant"].bad.remove((None, "i invariant must be None or in 0..0"))  # -inf
 ROWS["NormData i_invariant"].bad.append((0.0, "i invariant must be None or in 0..0"))
 
+# element arguments, each read once at entry: -1 used to wrap to the last
+# element (D16.mul(-1, -1) was 0) and True to be read as 1; the exponent of
+# Group.power is any integer
+D16 = build_group("D:16")
+Q16, PROJ16 = quotient(D16, subgroup_generated(D16, [D16.power(D16.gen("sigma"), 4)]))
+F16 = h2_enumerate(Q16, 2).representatives[2]
+for name, call, arg, n in (
+        ("Group.mul a", lambda v: D16.mul(v, 3), "a", 16),
+        ("Group.mul b", lambda v: D16.mul(3, v), "b", 16),
+        ("Group.inv a", D16.inv, "a", 16),
+        ("Group.power a", lambda v: D16.power(v, 2), "a", 16),
+        ("Group.conj g", lambda v: D16.conj(v, 3), "g", 16),
+        ("Group.conj x", lambda v: D16.conj(3, v), "x", 16),
+        ("Group.commutator a", lambda v: D16.commutator(v, 3), "a", 16),
+        ("Group.commutator b", lambda v: D16.commutator(3, v), "b", 16),
+        ("Group.element_order a", D16.element_order, "a", 16),
+        ("GroupHom x", PROJ16, "x", 16),
+        ("Cocycle2 x", lambda v: F16(v, 5), "x", 8),
+        ("Cocycle2 y", lambda v: F16(5, v), "y", 8)):
+    ROWS[name] = Row(call, _scalar, 5, "BadParams", f"{arg} must be an integer in 0..{n - 1}",
+                     past_end=n)
+
 
 
 # the numpy-free engines: each p is read by arith.read_prime, which knows no
@@ -295,6 +318,8 @@ ROWS.update({
     "minac_swallow_solution p": _free_prime_row(lambda p: minac_swallow_solution(p, 2)),
     "verify_witness_t410 p": _free_prime_row(lambda p: verify_witness_t410(True, zeta(3), p)),
     "multiplicity_bound p": _free_prime_row(lambda p: multiplicity_bound(p, 2, 3)),
+    "Group.power k": _named_row(lambda k: D16.power(1, k), 3, "BadParams",
+                                "k must be an integer, got k={}"),
     "zeta order": _named_row(zeta, 4, "BadParams", "order must be an integer >= 1, got order={}",
                              ranged=(0, -1)),
     "zeta e": _named_row(lambda e: zeta(4, e), 1, "BadParams", "e must be an integer, got e={}"),
@@ -475,6 +500,8 @@ def test_valid_answers_are_pinned():
     assert h2_enumerate(D8, np.int64(2)).dimension == 3
     assert is_cocycle_table(D8, 4, ZERO8)
     assert CoboundarySpace(D8, np.int16(3)).p == 3 and type(CoboundarySpace(D8, 3).p) is int
+    assert D16.power(1, -1) == D16.inv(1) == 7 and D16.power(1, 2 ** 70 + 3) == D16.power(1, 3)
+    assert type(D16.mul(np.int64(5), 3)) is int and type(PROJ16(np.int16(5))) is int
 
 
 def test_membership_and_local_read_only_integers():
@@ -498,3 +525,4 @@ def test_is_integer_states_the_readers_rule():
               2 + 0j, *(kind(1) for kind in INTEGER_TYPES)]
     for v in values:
         assert is_integer(v) == (type(v) in INTEGER_TYPES), repr(v)
+

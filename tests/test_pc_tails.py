@@ -8,6 +8,7 @@ class by class, and on known dimensions beyond the old order caps.  The
 bar-complex oracle in test_h2_engine.py stays beside these.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -30,6 +31,7 @@ from oracles import (
     contraction_cocycle,
     family_specs,
     pc_table_sixteen_blocks,
+    phi_powers_one_at_a_time,
     tree_h2_dim,
 )
 
@@ -395,3 +397,61 @@ def test_a_class_at_a_prime_near_2_to_the_30():
     V = tails.eq.nullspace()
     f = tails.cocycle(np.arange(1, len(V) + 1) * 7919 @ V % p)
     assert tails.dtype == np.int32 and f.any() and is_cocycle_table(G, p, f)
+
+
+# -- the powers of phi, by doubling --------------------------------------------------
+
+LARGE_LEVELS = ["C:2048", "C:3125", "C:4096", "D:4096", "Q:2048"]
+
+
+def test_phi_powers_agree_with_the_loop_on_every_level(monkeypatch):
+    """Every level pc_table and PcTails double, on every family spec up to
+    order 256 and a level of relative order up to 4096, gives the powers of
+    the one-pass-per-b loop; and PcTails's psi-sums are the loop's on the
+    oracle's own psi (contraction_cocycle), wherever that oracle is cheap:
+    up to order 256 and on the one-level C:p^n."""
+    real, seen = presentation._phi_powers, []
+
+    def checked(phi, e):
+        P = real(phi, e)
+        want, _ = phi_powers_one_at_a_time(phi, e)
+        assert P.dtype == want.dtype and np.array_equal(P, want), (len(phi), e)
+        seen.append(e)
+        return P
+    monkeypatch.setattr(presentation, "_phi_powers", checked)
+    for spec in family_specs(256) + LARGE_LEVELS:
+        G = build_group(spec)
+        assert np.array_equal(pc_table(G.pc), G.np_table), spec
+        for p in _prime_divisors(G.order) or [2]:
+            levels = PcTails(G, p).levels
+            if G.order <= 256 or len(G.pc.rel_orders) == 1:
+                want = contraction_cocycle(G, p).powers
+                assert len(want) == len(levels), spec
+                for (_, _, P, PS, _), (want_P, want_PS) in zip(levels, want):
+                    assert np.array_equal(P, want_P) and np.array_equal(PS, want_PS), (spec, p)
+    assert {4096, 3125, 2048} <= set(seen)
+
+
+def _digests(specs):
+    """sha256 of the tables of specs, and of the first 16 classes of
+    h2_enumerate at each prime dividing each order."""
+    tables, classes = hashlib.sha256(), hashlib.sha256()
+    for spec in specs:
+        G = build_group(spec)
+        tables.update(G.np_table.tobytes())
+        for p in _prime_divisors(G.order):
+            for f in h2_enumerate(G, p).representatives[:16]:
+                classes.update(f.values.tobytes())
+    return tables.hexdigest(), classes.hexdigest()
+
+
+@pytest.mark.parametrize("specs,want", [
+    (family_specs(256), ("87a3e6590c3ca51c3191d90b8d28fd5a1eeba49c70318584011b90f16e0e2ba8",
+                         "3a924ae0f52f1c247eddaec04ad63b17bc5876b830cde64de8f4a5aae2a9fcf9")),
+    (LARGE_LEVELS, ("9da8514941a037408d7af5fc6e6869ffee02bad576ff42b82fb525ae8efcfbcb",
+                    "6effffd8f2cbc8d7053382c6dcc17f20589e38611054da55260e1f9f98937a39")),
+], ids=["family-256", "large-levels"])
+def test_tables_and_classes_are_pinned(specs, want):
+    """The bytes of every table and of the first classes, as recorded before
+    the powers of phi were doubled."""
+    assert _digests(specs) == want

@@ -11,9 +11,21 @@ favours neither side.  Runs go one at a time.  The end-to-end metrics and
 which way each is better come from the change's BENCHMARK.json.
 
 For each metric it prints each side's median and quartiles over the pairs,
-and in how many pairs the change was better; a tie counts for neither side.
-A run that exits nonzero or prints no JSON result is reported and left out
-of its pair.  Only the standard library is used.
+in how many pairs the change was better (a tie counts for neither side),
+and a verdict against the metric's relative `bound` in BENCHMARK.json:
+
+- "regressed": the change's median is worse than the parent's by more
+  than the bound;
+- "unresolved": the parent's IQR exceeds the bound, so the runs spread too
+  widely to tell, unless every change run beats every parent run;
+- "ok" otherwise.
+
+Each metric also reads "gain met" when the change wins at least 9 of
+every 10 pairs and the median gap, in the better direction, exceeds the
+parent's IQR, else "gain not met"; a change that claims a gain reads its
+metric's row.  A run that exits
+nonzero or prints no JSON result is reported and left out of its pair.
+Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -55,34 +67,66 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summary(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
+def summary(pairs: list[tuple[dict, dict]], better: dict[str, str],
+            bounds: dict[str, float] | None = None) -> list[dict]:
     """One row per metric of better ({name: "lower" or "higher"}) over the
-    (parent, change) pairs in which both sides measured it: each side's
-    quartiles (q1, median, q3), the pair count, and the change's wins, the
-    pairs in which it is strictly better."""
+    (parent, change) pairs in which both sides measured it: each side's runs
+    and quartiles (q1, median, q3), the pair count, and the change's wins,
+    the pairs in which it is strictly better, and whether a gain is met.
+    A metric with a relative bound in bounds gets its verdict."""
     rows = []
     for name, way in better.items():
         both = [(a[name], b[name]) for a, b in pairs if name in a and name in b]
         if not both:
             continue
         sign = 1 if way == "lower" else -1
-        rows.append({
+        row = {
             "metric": name,
             "better": way,
             "pairs": len(both),
+            "runs": ([a for a, _ in both], [b for _, b in both]),
             "parent": _quartiles([a for a, _ in both]),
             "change": _quartiles([b for _, b in both]),
             "wins": sum(sign * (a - b) > 0 for a, b in both),
-        })
+        }
+        row["gain"] = gain_verdict(row)
+        if bounds and name in bounds:
+            row["verdict"] = verdict(row, bounds[name])
+        rows.append(row)
     return rows
+
+
+def verdict(row: dict, bound: float) -> str:
+    """"regressed", "unresolved" or "ok" for a summary row (module doc);
+    the bound and the parent's IQR are relative to the parent's median."""
+    sign = 1 if row["better"] == "lower" else -1
+    (q1, parent, q3), change = row["parent"], row["change"][1]
+    if sign * (change - parent) > bound * abs(parent):
+        return "regressed"
+    parents, changes = row["runs"]
+    beats_all = all(sign * (a - b) > 0 for a in parents for b in changes)
+    if q3 - q1 > bound * abs(parent) and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
+def gain_verdict(row: dict) -> str:
+    """"met" when the change wins at least 9 of every 10 pairs and its median
+    beats the parent's by more than the parent's IQR, else "not met"."""
+    sign = 1 if row["better"] == "lower" else -1
+    (q1, parent, q3), change = row["parent"], row["change"][1]
+    met = 10 * row["wins"] >= 9 * row["pairs"] and sign * (parent - change) > q3 - q1
+    return "met" if met else "not met"
 
 
 def format_rows(rows: list[dict]) -> str:
     out = [f"{'metric':<14} {'parent q1 / median / q3':>32} {'change q1 / median / q3':>32}  wins"]
     for r in rows:
         cols = [" / ".join(f"{v:.4g}" for v in r[side]) for side in ("parent", "change")]
+        notes = f"  {r['verdict']}" if "verdict" in r else ""
+        notes += f"  gain {r['gain']}"
         out.append(f"{r['metric']:<14} {cols[0]:>32} {cols[1]:>32}  "
-                   f"{r['wins']} of {r['pairs']} ({r['better']} is better)")
+                   f"{r['wins']} of {r['pairs']} ({r['better']} is better){notes}")
     return "\n".join(out)
 
 
@@ -98,6 +142,7 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
     pairs = []
     for i in range(args.pairs):
         seed = seeds[i % len(seeds)]
@@ -108,7 +153,7 @@ def main(argv=None) -> int:
         print(f"pair {i + 1} seed {seed}: parent {a}  change {b}", flush=True)
         if a is not None and b is not None:
             pairs.append((a, b))
-    print(format_rows(summary(pairs, better)))
+    print(format_rows(summary(pairs, better, bounds)))
     return 0 if pairs else 1
 
 
