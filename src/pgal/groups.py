@@ -395,10 +395,16 @@ class Group:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Group":
+        """The group of a group document.  Its "order" is read as an
+        integer and must be the table's row count (0 for a table that is
+        not a list); without "generators", every element but the identity
+        is named one."""
+        n = read_int(doc["order"], RelationInconsistent, "the group order must be an integer")
+        rows = len(doc["table"]) if isinstance(doc["table"], list) else 0
+        if n != rows:
+            raise RelationInconsistent(f"order {n} is not the table's row count {rows}")
         gens = [(g["name"], g["index"]) for g in doc.get("generators", [])]
-        if not gens and doc["order"] > 1:
-            gens = [(f"g{i}", i) for i in range(1, doc["order"])]
-        return cls(doc["table"], gens)
+        return cls(doc["table"], gens or [(f"g{i}", i) for i in range(1, n)])
 
     def __repr__(self):
         label = self.name or "Group"
@@ -645,6 +651,29 @@ def frattini_style_subgroup(G: Group, p: int) -> Subgroup:
     return central_step(G, np.arange(G.order), p)
 
 
+def layer_basis(G: Group, P: np.ndarray, N: Subgroup, q: int) -> tuple[list[int], np.ndarray]:
+    """The greedy basis of an elementary abelian layer P/N of exponent q,
+    and every element's coordinates in it.
+
+    P holds a subgroup's elements in increasing order and N is normal in P
+    with P/N elementary abelian of exponent q.  The picks are the x of P,
+    in increasing order, that lie outside the span S of N and the earlier
+    picks.  code[y] is y's coordinates, sum a_i q^i with the first pick
+    least significant: -1 outside P, 0 on N.  It is built as the span
+    grows: picking x makes the cosets x^a S, a < q, the new span (x^q lies
+    in S, and x normalises S since P/N is abelian), and
+    code[x^a s] = code[s] + a q^i.
+    """
+    T, a, code, picks = G.np_table, np.arange(q), np.full(G.order, -1), []
+    code[N.elements] = 0
+    for x in P.tolist():
+        if code[x] < 0:
+            cosets = T[np.ix_(G._powers(np.full(q, x), a), np.flatnonzero(code >= 0))]
+            code[cosets] = code[cosets[0]] + a[:, None] * q ** len(picks)
+            picks.append(x)
+    return picks, code
+
+
 def sylow_subgroup(G: Group, p: int) -> Subgroup:
     """A Sylow p-subgroup, grown from the trivial one.
 
@@ -712,31 +741,27 @@ def structure_invariants(G: Group) -> StructureInvariants:
 def subgroups_of_index2(G: Group) -> list[Subgroup]:
     """All index-2 subgroups, i.e. kernels of the surjections onto C2.
 
+    They are the kernels of the nonzero maps phi of G/Phi onto C2, Phi =
+    [G,G]G^2 (Burnside's basis theorem), and x lies in the kernel of phi
+    when code(x) & phi has an even number of bits, code(x) being x's
+    coordinates in the greedy basis of G/Phi (layer_basis), phi's bit i
+    the image of pick i.  The parities come from one 2^d table, built by
+    doubling, and are read in blocks of phi with one kernel per row.
     Each kernel has n/2 elements, so one np.nonzero of a block of kernel
     masks gives the block's kernels as the rows of a (kernels, n/2) int16
     array, and each Subgroup takes its row; its membership array is built
     only if it is read (Subgroup.pos)."""
     if G.order % 2:
         return []
-    Q, proj = quotient(G, frattini_style_subgroup(G, 2))
-    tree = cayley_tree(Q.np_table, range(1, Q.order))
-    # Q is elementary abelian; the tree keeps the first element outside the
-    # span of those kept before it, and the path counts mod 2 are each
-    # element's coordinates in that basis: x is in the kernel of phi when
-    # the counts of the basis elements phi selects have an even sum.  The
-    # sums for every phi are one product, built in blocks of phi with one
-    # kernel per row; d <= 12 kept generators, so a sum fits in int8
-    n, d = G.order, len(tree[0])
-    coords = (path_counts(tree)[proj.images].T % 2).astype(np.int8)
-    select = (np.arange(1, 2 ** d)[:, None] >> np.arange(d) & 1).astype(np.int8)
-    out = []
-    step = max(1, BLOCK_ENTRIES // n)
-    for r0 in range(0, len(select), step):
-        even = select[r0:r0 + step] @ coords
-        even &= 1
-        even ^= 1
+    picks, code = layer_basis(G, np.arange(G.order), frattini_style_subgroup(G, 2), 2)
+    odd = np.zeros(1, dtype=bool)
+    for _ in picks:
+        odd = np.concatenate([odd, ~odd])
+    phis, out, step = np.arange(1, len(odd)), [], max(1, BLOCK_ENTRIES // G.order)
+    for r0 in range(0, len(phis), step):
+        even = ~odd[phis[r0:r0 + step, None] & code]
         # row-major, so the columns come kernel by kernel, each increasing
-        kernels = np.nonzero(even)[1].astype(np.int16).reshape(len(even), n // 2)
+        kernels = np.nonzero(even)[1].astype(np.int16).reshape(len(even), G.order // 2)
         out += [Subgroup(G, row, check=False) for row in kernels]
     return out
 

@@ -39,7 +39,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import BadParams, NotPGroup, RelationInconsistent
-from .groups import BLOCK_ENTRIES, Group, central_step, is_multiplicative, is_p_group
+from .groups import BLOCK_ENTRIES, Group, central_step, is_multiplicative, is_p_group, layer_basis
 from .linalg import GFMatrix
 
 
@@ -202,33 +202,29 @@ def read_pc(G: Group) -> tuple[Group, np.ndarray]:
 
     The layers of the q-central series P_0 = G, P_(i+1) = [P_i, G] P_i^q
     (groups.central_step) are elementary abelian and central in G/P_(i+1).
-    Each layer's generators are picked greedily: the least element of P_i
-    outside the span of P_(i+1) and those picked before it.  Taken layer by
-    layer they are x_0 .. x_(k-1), each G_j is normal in G, of index q in
-    G_(j-1) (Handbook, 8.2-8.3), so every relative order is q.  The words
-    are the digits of L^-1 at x_i^q and at x_i^-1 x_j x_i, which lies in
-    x_j G_(j+1) as the series is central.  Checked exactly: L is a bijection
-    and multiplicative on H's pc generators (groups.is_multiplicative), so
-    pc_table's table is G's under L.
+    Each layer's generators are its greedy basis (groups.layer_basis): the
+    least element of P_i outside the span of P_(i+1) and those picked
+    before it.  Taken layer by layer they are x_0 .. x_(k-1), each G_j is
+    normal in G, of index q in G_(j-1) (Handbook, 8.2-8.3), so every
+    relative order is q.  The words are the digits of L^-1 at x_i^q and at
+    x_i^-1 x_j x_i, which lies in x_j G_(j+1) as the series is central.
+    Checked exactly: L is a bijection and multiplicative on H's pc
+    generators (groups.is_multiplicative), so pc_table's table is G's
+    under L.
     """
     q = is_p_group(G)
     if q is None:
         raise NotPGroup(f"|G| = {G.order} is not a prime power")
     n, T = G.order, G.np_table
-    layer = np.arange(q)
     xs, P = [], np.arange(n)
     while len(P) > 1:
         below = central_step(G, P, q)
-        span = below.pos >= 0
-        for x in P.tolist():
-            if not span[x]:  # span <x> S = the x^a S, a < q, as x^q lies in S
-                xs.append(x)
-                span[T[np.ix_(G._powers(np.full(q, x), layer), np.flatnonzero(span))]] = True
+        xs += layer_basis(G, P, below, q)[0]
         P = below.elements
     k = len(xs)
     L = np.zeros(1, dtype=np.int64)
     for x in reversed(xs):
-        L = T[G._powers(np.full(q, x), layer)[:, None], L[None, :]].ravel().astype(np.int64)
+        L = T[G._powers(np.full(q, x), np.arange(q))[:, None], L[None, :]].ravel().astype(np.int64)
     L_inv = np.argsort(L)
     place = q ** np.arange(k - 1, -1, -1)
 

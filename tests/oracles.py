@@ -11,6 +11,8 @@
   of n while a power is the identity, on a shrinking set of elements;
 - `index2_per_phi`: the index-2 kernels, one product and gather per map
   onto C2;
+- `layer_picks_by_span_masks`: the greedy basis of an elementary abelian
+  layer as presentation.read_pc picked it, with a span mask per layer;
 - `pc_table_sixteen_blocks`: pc_table filling each level in min(e, 16)
   blocks, with phi^t built one power at a time;
 - `phi_powers_one_at_a_time`: a pc level's powers phi^b and psi-sums, one
@@ -260,6 +262,18 @@ def index2_per_phi(G):
     bits = np.arange(len(tree[0]))
     return [Subgroup(G, np.flatnonzero((counts @ (phi >> bits & 1) % 2 == 0)[images]).tolist(),
                      check=False) for phi in range(1, 2 ** len(bits))]
+
+
+def layer_picks_by_span_masks(G, P, N, q):
+    """The x of P, in increasing order, outside the span of N and the x
+    picked before them, the span kept as a mask and grown by the cosets
+    x^a S, a < q, of each pick."""
+    T, layer, span, picks = G.np_table, np.arange(q), N.pos >= 0, []
+    for x in P.tolist():
+        if not span[x]:
+            picks.append(x)
+            span[T[np.ix_(G._powers(np.full(q, x), layer), np.flatnonzero(span))]] = True
+    return picks
 
 
 def pc_table_sixteen_blocks(pc):

@@ -1,6 +1,7 @@
 """The summary of tools/ab_pairs.py: quartiles per side and the change's
 wins, with ties counted for neither side, each end-to-end metric's verdict
-against its relative bound, and whether a gain is met on it."""
+against its relative bound, whether a gain is met on it, and the line on
+each side's failed jobs and runs."""
 
 import importlib.util
 from pathlib import Path
@@ -87,3 +88,26 @@ def test_the_verdicts_are_printed_beside_the_wins():
     parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
     line = ab_pairs.format_rows([_row(parent, [v - 10 for v in parent])])
     assert line.endswith("10 of 10 (lower is better)  ok  gain met")
+
+
+def _run(failed, attempted):
+    return {"metrics": {}, "failed": failed, "attempted": attempted}
+
+
+def test_failures_are_summed_per_side_and_a_higher_share_is_worse():
+    parent = [_run(0, 100), _run(1, 100), None]
+    line = ab_pairs.failure_line(parent, [_run(0, 100), _run(1, 100), None])
+    assert line == ("failures: parent 1 of 200 jobs, 1 of 3 runs failed; "
+                    "change 1 of 200 jobs, 1 of 3 runs failed  failure share ok")
+    # one more failed job in as many attempted
+    assert ab_pairs.failure_line(parent, [_run(2, 100), _run(0, 100), None]).endswith("worse")
+    # the same count of failed jobs in fewer attempted is a higher share
+    assert ab_pairs.failure_line(parent, [_run(1, 50), _run(0, 100), None]).endswith("worse")
+    # a lower share, but one run fewer completed
+    worse = ab_pairs.failure_line(parent, [_run(0, 100), None, None])
+    assert worse == ("failures: parent 1 of 200 jobs, 1 of 3 runs failed; "
+                     "change 0 of 100 jobs, 2 of 3 runs failed  failure share worse")
+    # fewer failures on both counts, and a side whose runs all failed
+    assert ab_pairs.failure_line(parent, [_run(0, 100)] * 3).endswith("failure share ok")
+    assert ab_pairs.failure_line([None, None], [None, None]).endswith("failure share ok")
+    assert ab_pairs.failure_line([None, None], [_run(0, 10), None]).endswith("failure share ok")

@@ -353,6 +353,20 @@ def test_human_output_default(capsys):
     (["groups", "build", "--spec", "{dir}/g.json"],
      {"g.json": '{"order": 2, "table": [[0, 1], [1, 0]], "generators": [{"name": "a", "index": 1.5}]}'},
      "RelationInconsistent", "generator indices must be integers"),
+    # the order must be the table's: C4's table with order 2 was read as C4,
+    # order true ended in a generation error and 4.5 in a TypeError's repr
+    (["h2", "--group", "{dir}/g.json", "--p", "2"],
+     {"g.json": '{"order": 2, "table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]}'},
+     "RelationInconsistent", "order 2 is not the table's row count 4"),
+    (["groups", "build", "--spec", "{dir}/g.json"],
+     {"g.json": '{"order": true, "table": [[0, 1], [1, 0]]}'},
+     "RelationInconsistent", "the group order must be an integer"),
+    (["groups", "build", "--spec", "{dir}/g.json"],
+     {"g.json": '{"order": 4.5, "table": [[0, 1], [1, 0]]}'},
+     "RelationInconsistent", "the group order must be an integer"),
+    # a table that is not a list has no rows
+    (["groups", "build", "--spec", "{dir}/g.json"], {"g.json": '{"order": 1, "table": 5}'},
+     "RelationInconsistent", "order 1 is not the table's row count 0"),
 ])
 def test_bad_input_gives_the_error_document(tmp_path, capsys, argv, files, code, named):
     for name, text in files.items():

@@ -208,7 +208,8 @@ def test_s3_frattini_subgroups_at_2_and_3():
 def test_index2_subgroups_agree_with_the_old_loop():
     # EA(2,10) has 1,023 kernels, gathered in four blocks of 256: the blocks
     # of the groups up to order 256 hold all of their kernels at once
-    for name, G in GROUPS + [("EA:p=2,r=10", build_group("EA:p=2,r=10"))]:
+    large = ["EA:p=2,r=10", "D:4096", "C:64*C:64", "Q:8*Q:8*Q:8*C:4"]
+    for name, G in GROUPS + [(spec, build_group(spec)) for spec in large]:
         assert [tuple(H.elements.tolist()) for H in subgroups_of_index2(G)] == _loop_index2(G), name
 
 

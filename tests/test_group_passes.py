@@ -1,8 +1,9 @@
 """Element orders, index-2 kernels and pc tables in whole-group passes,
 against the loops they replaced (oracles.py): element orders from two power
-maps per prime, every index-2 kernel from one product, each small pc
-level in one block, and isomorphism tests from the invariants and Cayley
-walk each group holds."""
+maps per prime, each elementary abelian layer's greedy basis and codes
+from one table, every index-2 kernel from one parity gather per block,
+each small pc level in one block, and isomorphism tests from the
+invariants and Cayley walk each group holds."""
 
 import itertools
 import os
@@ -20,12 +21,22 @@ from oracles import (
     family_specs,
     find_isomorphism_every_element,
     index2_per_phi,
+    layer_picks_by_span_masks,
     pc_table_sixteen_blocks,
     permutation_group,
 )
 from pgal.autoreal import RealizationGraph
 from pgal.catalog import build_group, canonical_spec, spec_order
-from pgal.groups import find_isomorphism, is_isomorphic, subgroups_of_index2
+from pgal.groups import (
+    Group,
+    central_step,
+    find_isomorphism,
+    frattini_style_subgroup,
+    is_isomorphic,
+    is_p_group,
+    layer_basis,
+    subgroups_of_index2,
+)
 from pgal.presentation import pc_table
 
 _LARGE = ["D:64*C:64", "Q:64*C:64", "SD:64*C:64", "M:64*C:64", "EA:p=2,r=12"]
@@ -52,12 +63,50 @@ def test_element_orders_agree_with_the_active_set_loop():
         assert G.element_orders() == element_orders_active_set(G), name
 
 
-def test_index2_kernels_agree_with_the_per_phi_loop():
-    for spec in family_specs(256):
+def _check_layer(G, P, N, q):
+    """layer_basis on the layer P/N against the span-mask loop, and its code:
+    -1 exactly outside P, 0 exactly on N, q^i at the i-th pick, below q^d
+    on P, and additive digit by digit mod q under x -> x s for each pick s."""
+    picks, code = layer_basis(G, P, N, q)
+    assert picks == layer_picks_by_span_masks(G, P, N, q)
+    d, inside = len(picks), np.zeros(G.order, dtype=bool)
+    inside[P] = True
+    assert np.array_equal(code < 0, ~inside) and np.array_equal(code == 0, N.pos >= 0)
+    assert code[picks].tolist() == [q ** i for i in range(d)]
+    assert len(P) == N.order * q ** d and code[P].max(initial=0) < q ** d
+
+    def digits(c):
+        return c[:, None] // q ** np.arange(d) % q
+    for s in picks:
+        assert np.array_equal(digits(code[G.np_table[P, s]]), (digits(code[P]) + digits(code[[s]])) % q)
+
+
+def test_layer_bases_agree_with_the_span_mask_loop_on_every_read_pc_layer():
+    for spec in family_specs(256) + ["D:2048", "EA:p=2,r=11"]:
         G = build_group(spec)
-        if G.order & (G.order - 1) == 0:
-            assert ([tuple(H.elements.tolist()) for H in subgroups_of_index2(G)]
-                    == [tuple(H.elements.tolist()) for H in index2_per_phi(G)]), spec
+        q = is_p_group(G)
+        if q is None:  # read_pc reads q-groups only
+            continue
+        G = Group.from_json({"order": G.order, "table": G.table})  # a group file, no pc
+        P = np.arange(G.order)
+        while len(P) > 1:
+            below = central_step(G, P, q)
+            _check_layer(G, P, below, q)
+            P = below.elements
+
+
+def test_layer_bases_agree_with_the_span_mask_loop_on_g_mod_frattini():
+    for name, G in _several_primes():
+        for q in (2, 3):
+            _check_layer(G, np.arange(G.order), frattini_style_subgroup(G, q), q)
+
+
+def test_index2_kernels_agree_with_the_per_phi_loop():
+    tables = [(spec, build_group(spec)) for spec in family_specs(256)
+              + ["D:4096", "C:64*C:64", "Q:8*Q:8*Q:8*C:4"]]
+    for name, G in tables + _several_primes():
+        assert ([tuple(H.elements.tolist()) for H in subgroups_of_index2(G)]
+                == [tuple(H.elements.tolist()) for H in index2_per_phi(G)]), name
 
 
 def test_the_4095_kernels_of_ea_2_12_agree_with_the_per_phi_loop():

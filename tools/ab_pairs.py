@@ -23,8 +23,13 @@ and a verdict against the metric's relative `bound` in BENCHMARK.json:
 Each metric also reads "gain met" when the change wins at least 9 of
 every 10 pairs and the median gap, in the better direction, exceeds the
 parent's IQR, else "gain not met"; a change that claims a gain reads its
-metric's row.  A run that exits
-nonzero or prints no JSON result is reported and left out of its pair.
+metric's row.  A run that exits nonzero or prints no JSON result is
+reported and left out of its pair.
+
+A last line sums each side's failed and attempted jobs over its completed
+runs and counts its runs that failed outright.  It reads "failure share
+worse" when the change's share of failed jobs is higher than the
+parent's, or when fewer of its runs completed, else "failure share ok".
 Only the standard library is used.
 """
 
@@ -39,8 +44,9 @@ from pathlib import Path
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The metrics of one benchmark run in the checkout at root, as
-    {name: value}, or None when it fails."""
+    """One benchmark run in the checkout at root: its metrics as
+    {name: value} under "metrics", and its "failed" and "attempted" job
+    counts, or None when the run fails."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -57,7 +63,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict | Non
     if result.get("failed"):
         print(f"{result['failed']} of {result['attempted']} jobs failed in {root} (seed {seed})",
               file=sys.stderr)
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "failed": result["failed"], "attempted": result["attempted"]}
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -130,6 +137,21 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(out)
 
 
+def failure_line(parent: list, change: list) -> str:
+    """The failures of each side's runs (run_once results, None for a run
+    that failed outright), and the verdict of the module doc."""
+    counts = []
+    for runs in (parent, change):
+        done = [r for r in runs if r is not None]
+        counts.append((sum(r["failed"] for r in done), sum(r["attempted"] for r in done),
+                       len(runs) - len(done), len(runs)))
+    (pf, pa, pr, pn), (cf, ca, cr, cn) = counts
+    worse = cf * pa > pf * ca or cn - cr < pn - pr
+    sides = [f"{side} {f} of {a} jobs, {r} of {n} runs failed"
+             for side, (f, a, r, n) in zip(("parent", "change"), counts)]
+    return f"failures: {'; '.join(sides)}  failure share {'worse' if worse else 'ok'}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -143,17 +165,21 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
-    pairs = []
+    pairs, sides = [], ([], [])
     for i in range(args.pairs):
         seed = seeds[i % len(seeds)]
         flip = i % 2
         first, second = (args.change, args.parent) if flip else (args.parent, args.change)
         runs = [run_once(root, args.workload, seed, args.seconds) for root in (first, second)]
         a, b = runs[::-1] if flip else runs
-        print(f"pair {i + 1} seed {seed}: parent {a}  change {b}", flush=True)
+        sides[0].append(a)
+        sides[1].append(b)
+        print(f"pair {i + 1} seed {seed}: parent {a and a['metrics']}  change {b and b['metrics']}",
+              flush=True)
         if a is not None and b is not None:
-            pairs.append((a, b))
+            pairs.append((a["metrics"], b["metrics"]))
     print(format_rows(summary(pairs, better, bounds)))
+    print(failure_line(*sides))
     return 0 if pairs else 1
 
 
