@@ -47,17 +47,19 @@ from .groups import (
 )
 from .linalg import GFMatrix
 from .arith import read_prime
-from .presentation import PcTails, read_pc
+from .presentation import PcTails, read_pc, value_type
 from .records import Record
 
 MAX_REPS = 4096  # h2_enumerate lists every class up to this many
 
 
 def _check_prime(p) -> int:
-    """p as a Python int, or BadParams unless it is a prime integer below 2^63."""
-    # the range detail for any p past 64 bits, a negative one too; read_prime refuses the rest
-    return read_prime(read_int(p, BadParams, f"p must be prime, got p={p}", -2 ** 63, 2 ** 63,
-                               out_of_range=f"p must be a prime below 2^63, got p={p}"))
+    """p as a Python int, or BadParams unless it is a prime integer below
+    2^62, where value_type(p) is int64: int64 holds the sum of two values
+    reduced mod p, 2p - 2, exactly while p <= 2^62."""
+    # the range detail for any p of 62 bits or more, a negative one too; read_prime refuses the rest
+    return read_prime(read_int(p, BadParams, f"p must be prime, got p={p}", -2 ** 62, 2 ** 62,
+                               out_of_range=f"p must be a prime below 2^62, got p={p}"))
 
 
 def is_cocycle_table(group: Group, p: int, values) -> bool:
@@ -75,9 +77,11 @@ def _cocycle_table(group: Group, p: int, values) -> np.ndarray | None:
     closed under products (the closure argument of Light's associativity
     test), and those generators generate.  Values that are not integers
     make no cocycle; values are exponents of zeta, read mod p, and as the
-    identity holds mod any modulus, p need only be an integer in 2..2^63-1.
+    identity holds mod any modulus, p need only be an integer in 2..2^62.
+    Each term of the identity is a sum of four values in [0, p) with two
+    signs, so it lies within +-(2p - 2) < 2^63 and the int64 test is exact.
     """
-    p = read_int(p, BadParams, f"p must be an integer in 2..2^63-1, got p={p}", 2, 2 ** 63)
+    p = read_int(p, BadParams, f"p must be an integer in 2..2^62, got p={p}", 2, 2 ** 62 + 1)
     try:
         F = read_integers(values, NotACocycle, "", modulus=p)
     except NotACocycle:
@@ -99,16 +103,18 @@ class Cocycle2:
 
     Values from outside are checked exactly and reduced mod p.  The library's
     own constructions pass check=False with integer values already reduced
-    into [0, p); those are taken as int64 as they are, and an int64 array is
-    not copied but made read-only.
+    into [0, p).  Either way the values are kept read-only in value_type(p),
+    and an array of that type is not copied.  add and neg sum two values in
+    [0, p) or negate one, so they stay within 2p - 2, which value_type(p)
+    holds.
     """
 
     def __init__(self, group: Group, p: int, values, check: bool = True):
         self.group, self.p = group, _check_prime(p)
-        self.values = (_cocycle_table(group, self.p, values) if check
-                       else np.asarray(values, dtype=np.int64))
-        if self.values is None:
+        values = _cocycle_table(group, self.p, values) if check else values
+        if values is None:
             raise NotACocycle("table violates normalization or the cocycle identity")
+        self.values = np.asarray(values, dtype=value_type(self.p))
         self.values.setflags(write=False)
 
     def __call__(self, x: int, y: int) -> int:
@@ -171,7 +177,7 @@ def cocycle_of_extension(E: Group, proj: GroupHom, kernel_gen: int) -> Cocycle2:
     moved = np.flatnonzero(T[kernel_gen] != T[:, kernel_gen])
     if moved.size:
         raise KernelNotCentral(f"kernel generator fails to commute with element {moved[0]}")
-    kpow = np.zeros(E.order, dtype=np.int64)
+    kpow = np.zeros(E.order, dtype=value_type(p))
     kpow[powers[:p]] = np.arange(p)
     sec = _section(proj)
     sec_inv = np.nonzero(T[sec] == 0)[1]
@@ -242,10 +248,10 @@ class CoboundarySpace:
         return ((self.phi[self.edge_y] + own - self.phi[self.edge_z]) % self.p).T
 
     def normalise(self, Fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(w, v) for a normalized cochain F (int64), read only at its n x k
-        columns Fs = F[:, gens]: the 1-cochain w built along the tree so that
-        F - delta(w) vanishes on the tree edges, and the values v of
-        F - delta(w) on the non-tree edges, mod p."""
+        """(w, v) for a normalized cochain F with values in [0, p), read only
+        at its n x k columns Fs = F[:, gens]: the int64 1-cochain w built
+        along the tree so that F - delta(w) vanishes on the tree edges, and
+        the values v of F - delta(w) on the non-tree edges, mod p."""
         w = np.zeros(self.group.order, dtype=np.int64)
         for lv in self.levels[1:]:
             u, i = self.parent[lv], self.slot[lv]
@@ -269,8 +275,10 @@ class CoboundarySpace:
 
         After `normalise`, the values v on the non-tree edges must be a
         combination c of the delta(phi_i), and then w + sum c_i phi_i is one.
-        The witness is checked against the full table before it is returned.
-        Values that are not integers, or not an n x n table, are NotACocycle.
+        The witness is checked against the full table before it is returned;
+        that check sums four values in [0, p) with two signs, within
+        +-(2p - 2) < 2^63.  Values that are not integers, or not an n x n
+        table, are NotACocycle.
         """
         p, T, n = self.p, self.group.np_table, self.group.order
         F = read_integers(values, NotACocycle, "cocycle values must be integers", modulus=p)
@@ -359,7 +367,7 @@ def h2_enumerate(group: Group, p: int) -> H2Result:
     p = _check_prime(p)
     if group.order % p:
         n = group.order
-        h, build = 0, lambda c: Cocycle2(group, p, np.zeros((n, n), dtype=np.int64), check=False)
+        h, build = 0, lambda c: Cocycle2(group, p, np.zeros((n, n), value_type(p)), check=False)
     else:
         h, build = _classes(group, p)
     count = p ** h
@@ -405,7 +413,7 @@ def _cor_coords(cob: CoboundarySpace, H: Subgroup, dim: int, build) -> np.ndarra
     """The tree coordinates of the corestrictions to G of the basis classes
     build(e_j) of H^2(H), one row each, gathered at the kept generators'
     columns, the only ones cob.normalise reads."""
-    return np.array([cob.normalise(_transfer(build(e).values, H, cob.gens))[1]
+    return np.array([cob.normalise(_transfer(build(e).values, H, cob.gens, cob.p))[1]
                      for e in np.eye(dim, dtype=np.int64)], dtype=np.int64).reshape(dim, cob.N)
 
 
@@ -449,13 +457,14 @@ def corestrict(fbar: Cocycle2, H: Subgroup, transversal=None) -> Cocycle2:
     ):
         raise BadIndexSubgroup("cocycle is not indexed by this subgroup")
     G, p = H.parent, fbar.p
-    return Cocycle2(G, p, _transfer(fbar.values, H, np.arange(G.order), transversal) % p,
-                    check=False)
+    return Cocycle2(G, p, _transfer(fbar.values, H, np.arange(G.order), p, transversal), check=False)
 
 
-def _transfer(F: np.ndarray, H: Subgroup, cols: np.ndarray, transversal=None) -> np.ndarray:
-    """corestrict's sum for the values F of a cochain on H, not reduced mod
-    p, at the columns cols of G's table only."""
+def _transfer(F: np.ndarray, H: Subgroup, cols: np.ndarray, p: int, transversal=None) -> np.ndarray:
+    """corestrict's sum for the values F of a cochain on H, in [0, p), at
+    the columns cols of G's table only, in F's type: the sum is reduced mod p
+    at each coset, so each partial sum adds two values in [0, p) and stays
+    within 2p - 2, which value_type(p) holds."""
     G = H.parent
     n, T, inv = G.order, G.np_table, G.inverses()
     if transversal is None:
@@ -473,10 +482,10 @@ def _transfer(F: np.ndarray, H: Subgroup, cols: np.ndarray, transversal=None) ->
     nxt = bar[tg]  # bar(t g), by its place in R
     h = H.pos[T[tg, inv[R[nxt]]]]  # h(t, g) = t g bar(t g)^-1, numbered in H
     hc = h[:, cols]
-    out = np.zeros((n, len(cols)), dtype=np.int64)
+    out = np.zeros((n, len(cols)), dtype=F.dtype)
     for rows in row_blocks(n):
         for i in range(len(R)):
-            out[rows] += F[h[i, rows][:, None], hc[nxt[i, rows]]]
+            out[rows] = (out[rows] + F[h[i, rows][:, None], hc[nxt[i, rows]]]) % p
     return out
 
 
@@ -514,7 +523,7 @@ def cyclic_step_cocycle(p: int, n_exp: int) -> Cocycle2:
     p = _check_prime(p)
     m = p ** (read_index(n_exp, "n_exp", MAX_ORDER.bit_length() + 1, low=1) - 1)
     i = np.arange(m)
-    return Cocycle2(cyclic(m), p, (i[:, None] + i >= m).astype(np.int64), check=False)
+    return Cocycle2(cyclic(m), p, i[:, None] + i >= m, check=False)
 
 
 def raise_lower(E: ExtensionClass, sigma1, n_exp: int, direction: str) -> ExtensionClass:
@@ -522,6 +531,8 @@ def raise_lower(E: ExtensionClass, sigma1, n_exp: int, direction: str) -> Extens
 
     `raise` sends a preimage of order p^(n-1) to one of order p^n; `lower`
     is the inverse.  All relations not involving the sigma1 power persist.
+    The new class adds a carry value, 0 or +-1, to a value in [0, p), so the
+    sum lies in -1..p, which value_type(p) holds.
     """
     if direction not in ("raise", "lower"):
         raise QuotientConditionFails(f"unknown direction {direction!r}")

@@ -32,7 +32,7 @@ from .errors import (
     is_integer,
     read_int,
 )
-from .arith import valuation
+from .arith import read_prime, valuation
 from .records import FrozenRecord, Record
 
 if TYPE_CHECKING:
@@ -630,14 +630,16 @@ def is_p_group(G: Group) -> int | None:
 
 
 def central_step(G: Group, els: np.ndarray, p: int) -> Subgroup:
-    """[P, G] P^p for the normal subgroup P with elements els.
+    """[P, G] P^p for the normal subgroup P with elements els, p a prime
+    (arith.read_prime).
 
     It is generated by the x^p and the [x, s] = x^-1 x^s, for x in P and
     each generator s (x^s read off Group.conjugations), and that subgroup N
     is already normal: for y in N, which lies in P, y^s = y [y, s] lies in
-    N.  In G/N each s then centralises PN/N, so [P, G] lies in N.
+    N.  In G/N each s then centralises PN/N, so [P, G] lies in N.  x^p is
+    x^(p mod |G|), as x^|G| = 1, so a p of any size is a small exponent.
     """
-    seeds = [G._powers(els, np.full(len(els), p)),
+    seeds = [G._powers(els, np.full(len(els), read_prime(p) % G.order)),
              G.np_table[G.inverses()[els], G.conjugations()[:, els]].ravel()]
     # each seed once, in increasing order: a plain np.unique loads numpy.ma
     # (numpy 2.4 asks np.ma.is_masked unless an index or inverse is asked for)
@@ -647,7 +649,8 @@ def central_step(G: Group, els: np.ndarray, p: int) -> Subgroup:
 
 def frattini_style_subgroup(G: Group, p: int) -> Subgroup:
     """[G,G] G^p, the kernel of the maximal exponent-p abelian quotient:
-    G/N is abelian, of exponent p, for N = [G, G] G^p (central_step)."""
+    G/N is abelian, of exponent p, for N = [G, G] G^p (central_step, which
+    reads p)."""
     return central_step(G, np.arange(G.order), p)
 
 
@@ -681,9 +684,9 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
     since p divides [N_G(H) : H] (Sylow's theorems), and then H<g> is again
     a p-group: H is normal in it, with a cyclic quotient of p-power order.
     The least such g is added each time; g normalises H when it conjugates
-    each added generator into H.
+    each added generator into H.  p must be a prime (arith.read_prime).
     """
-    n, T, inv = G.order, G.np_table, G.inverses()
+    n, T, inv, p = G.order, G.np_table, G.inverses(), read_prime(p)
     full = p ** valuation(n, p)[0]
     p_element = full % np.array(G.element_orders()) == 0
     H, hgens = trivial_subgroup(G), []
@@ -767,7 +770,8 @@ def subgroups_of_index2(G: Group) -> list[Subgroup]:
 
 
 def max_elem_abelian_quotient(G: Group, p: int) -> tuple[Group, GroupHom]:
-    if is_p_group(G) not in (p, 1):
+    """G/[G,G]G^p for a p-group G, p a prime (arith.read_prime)."""
+    if is_p_group(G) not in (read_prime(p), 1):
         raise NotPGroup(f"|G| = {G.order} is not a power of {p}")
     N = frattini_style_subgroup(G, p)
     return quotient(G, N)

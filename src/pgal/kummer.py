@@ -218,14 +218,18 @@ def minac_swallow_solution(p: int, i: int, omega: str = "omega") -> SolutionExpr
 
     For i > 2 the first layer carries the free scalar f; for i = 2 the tower
     is the single layer omega^((sigma-1)^(p-2)).  Exponents are reduced mod p
-    (p-th powers of omega do not change the extension).
+    (p-th powers of omega do not change the extension).  As j < p - 1,
+    (sigma-1)^j is sum_k (-1)^(j-k) C(j, k) sigma^k with no wrap-around, so
+    each layer costs O(p) steps mod p, each coefficient from the one before.
     """
     p = read_prime(p)
     i = read_int(i, BadI, f"need 2 <= i <= p, got i={i}", 2, p + 1)
-    s1 = sigma_minus_one(p)
     layers = []
     for j in range(p - i, p - 1):
-        layers.append(Layer((Atom(omega, s1.pow(j).mod(p)),), p))
+        coeffs, c = [0] * p, (-1) ** j % p
+        for k in range(j + 1):  # C(j, k+1) = C(j, k) (j - k) / (k + 1), and the sign turns
+            coeffs[k], c = c, -c * (j - k) * pow(k + 1, -1, p) % p
+        layers.append(Layer((Atom(omega, GroupRingElem(p, tuple(coeffs))),), p))
     if i == 2:
         return SolutionExpr((layers[0],), None, f"N({omega})=b")
     return SolutionExpr(tuple(layers), "f", f"N({omega})=b")

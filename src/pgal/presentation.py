@@ -241,6 +241,14 @@ def read_pc(G: Group) -> tuple[Group, np.ndarray]:
     return H, L
 
 
+def value_type(p: int) -> type:
+    """The least signed integer type that holds 2p - 2, the sum of two values
+    reduced mod p: the one type of cocycle values mod p, for PcTails' z-forms
+    and classes and for every Cocycle2.  int64 holds it while p <= 2^62, the
+    bound on the primes the cohomology layer reads."""
+    return np.int8 if p <= 64 else np.int16 if p <= 16384 else np.int32 if p <= 2 ** 30 else np.int64
+
+
 class PcTails:
     """H^2(G, mu_p) from the tails of the presentation of a pc group G, one
     whose table pc_table built from G.pc, so that nothing is checked again.
@@ -275,14 +283,13 @@ class PcTails:
         pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
         self.m = m = k + len(pairs)
         col = {pair: k + c for c, pair in enumerate(pairs)}
-        self.p, self.eq = p, GFMatrix(m, p)  # TooLarge unless (p-1)^2 m < 2^63
-        self.dtype = dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                                  if np.iinfo(t).max >= 2 * p - 2)  # the least that holds 2p - 2
+        # GFMatrix is TooLarge unless (p-1)^2 m < 2^63
+        self.p, self.eq, self.dtype = p, GFMatrix(m, p), value_type(p)
         gen, unit = generator_indices(rel), np.eye(m, dtype=np.int64)
         delta = np.zeros((k, m), dtype=np.int64)  # z takes each word's letters off
         delta[range(k), range(k)] = rel
         delta[[j for _, j in pairs], range(k, m)] = 1
-        L = np.zeros((1, 1, m), dtype=dtype)  # the z-forms on G_k = 1
+        L = np.zeros((1, 1, m), dtype=self.dtype)  # the z-forms on G_k = 1
         self.levels = []
         for i in reversed(range(k)):
             nH = L.shape[0]

@@ -246,6 +246,13 @@ def test_human_output_default(capsys):
     (["h2", "--group", "D:8", "--p", "0"], {}, "BadParams", "p=0"),
     (["h2", "--group", "D:8", "--p", "1"], {}, "BadParams", "p=1"),
     (["h2", "--group", "D:8", "--p", "4"], {}, "BadParams", "p=4"),
+    # int64 cannot hold 2p - 2 at a prime of 2^62 or more: h2 answered dimension 0
+    # there, and cor PrimeMismatch for a cocycle file with such a p
+    (["h2", "--group", "D:8", "--p", str(2 ** 63 - 25)], {}, "BadParams",
+     f"p must be a prime below 2^62, got p={2 ** 63 - 25}"),
+    (["cor", "--group", "D:8", "--subgroup", "0,2,4,6", "--cocycle", "{dir}/c.json"],
+     {"c.json": f'{{"p": {2 ** 63 - 25}, "group": "C:4", "values": {[[0] * 4] * 4}}}'},
+     "BadParams", f"p must be a prime below 2^62, got p={2 ** 63 - 25}"),
     (["obstruct", "c4", "--a", "1/0"], {}, "ZeroEntry", "'1/0'"),
     (["cor", "--group", "D:8", "--subgroup", "0,2,4,6", "--cocycle", "{dir}/c.json"],
      {"c.json": '{"p": 2, "group": "C:4"}'}, "BadParams", "'values'"),

@@ -14,6 +14,7 @@ from pgal.cohomology import (
     class_equal,
     cocycle_of_extension,
     cor_image_search,
+    corestrict,
     corestrict_tate,
     cyclic_step_cocycle,
     extension_of_cocycle,
@@ -28,7 +29,7 @@ from pgal.cohomology import (
     restrict,
     verify,
 )
-from pgal.errors import PreimageOrderMismatch, RelationInconsistent
+from pgal.errors import BadParams, PreimageOrderMismatch, RelationInconsistent
 from pgal.groups import (
     Group,
     GroupHom,
@@ -38,6 +39,7 @@ from pgal.groups import (
     subgroup_generated,
     subgroups_of_index2,
 )
+from pgal.presentation import value_type
 
 from oracles import family_specs
 
@@ -794,3 +796,102 @@ def test_transport_along_a_relabelling_gives_a_cocycle_and_moves_back():
             assert is_cocycle_table(target, 2, image.values), spec
             assert np.array_equal(image.values[np.ix_(perm, perm)], f.values), spec
             assert np.array_equal(image.transport(np.argsort(perm), G).values, f.values), spec
+
+
+# -- one type for values mod p, and exact sums below 2^62 ------------------------------
+
+P62 = 2 ** 62 - 57  # the largest prime below 2^62
+C3_TABLE = [[0, 0, 0], [0, P62 - 1, 0], [0, 0, 51]]  # no cocycle mod P62
+
+
+def test_value_type_is_the_least_signed_type_that_holds_2p_minus_2():
+    types = [np.int8, np.int16, np.int32, np.int64]
+    for p in (2, 3, 64, 65, 16384, 16385, 2 ** 30, 2 ** 30 + 1, 10 ** 12 + 39, P62, 2 ** 62):
+        want = next(t for t in types if np.iinfo(t).max >= 2 * p - 2)
+        assert value_type(p) is want, p
+
+
+def test_classes_keep_their_value_type_and_a_class_of_that_type_is_not_copied():
+    D8 = build_group("D:8")
+    res = h2_enumerate(D8, 2)
+    assert {f.values.dtype for f in res.representatives} == {np.dtype(np.int8)}
+    assert h2_enumerate(D8, 3).representatives[0].values.dtype == np.int8  # p prime to |G|
+    assert h2_enumerate(D8, 65537).representatives[0].values.dtype == np.int32
+    f = _central_quotient_cocycle("D:16", ("sigma", 4))[-1]  # cocycle_of_extension's
+    assert f.values.dtype == np.int8 and cyclic_step_cocycle(3, 2).values.dtype == np.int8
+    H = subgroups_of_index2(D8)[0]
+    assert corestrict(h2_enumerate(H.as_group(), 2).representatives[1], H).values.dtype == np.int8
+    for p in (2, 40009, P62):
+        values = np.zeros((8, 8), dtype=value_type(p))
+        g = Cocycle2(D8, p, values, check=False)
+        assert np.shares_memory(g.values, values) and not g.values.flags.writeable
+        assert Cocycle2(D8, p, np.zeros((8, 8), dtype=np.int64)).values.dtype == value_type(p)
+
+
+def _oracle_is_cocycle(G, F, p):
+    """Normalization and the cocycle identity in Python ints."""
+    n, T = G.order, G.table
+    return all(F[0][x] % p == F[x][0] % p == 0 for x in range(n)) and all(
+        (F[x][y] + F[T[x][y]][z] - F[y][z] - F[x][T[y][z]]) % p == 0
+        for x, y, z in itertools.product(range(n), repeat=3))
+
+
+def _oracle_cor(F, H, p):
+    """corestrict's transfer with the least element of each coset Hx, in Python ints."""
+    G = H.parent
+    n, mul, inv = G.order, G.mul, G.inv
+    R = sorted({min(mul(int(h), x) for h in H.elements) for x in range(n)})
+
+    def bar(x):
+        return next(r for r in R if mul(x, inv(r)) in H)
+
+    def h(t, g):
+        tg = mul(t, g)
+        return H.local(mul(tg, inv(bar(tg))))
+    return [[sum(F[h(t, g1)][h(bar(mul(t, g1)), g2)] for t in R) % p for g2 in range(n)]
+            for g1 in range(n)]
+
+
+def _large_coboundary(G, p, seed):
+    """g(x) + g(y) - g(xy) mod p, a cocycle, for g with values near p."""
+    rng = np.random.default_rng(seed)
+    g = [0] + [p - 1 - int(v) for v in rng.integers(0, 1000, G.order - 1)]
+    return [[(g[x] + g[y] - g[G.mul(x, y)]) % p for y in range(G.order)] for x in range(G.order)]
+
+
+def test_a_table_is_read_exactly_below_2_to_62_and_refused_above():
+    """At 2^63 - 25, int64 wrapped in the identity and answered True for
+    C3_TABLE, which is no cocycle; at P62 every term stays below 2^63."""
+    C3 = build_group("C:3")
+    assert is_cocycle_table(C3, P62, C3_TABLE) is _oracle_is_cocycle(C3, C3_TABLE, P62) is False
+    big = _large_coboundary(C3, P62, 1)
+    assert is_cocycle_table(C3, P62, big) and _oracle_is_cocycle(C3, big, P62)
+    p = 2 ** 63 - 25
+    table = [[0, 0, 0], [0, p - 1, 0], [0, 0, 51]]
+    with pytest.raises(BadParams, match=r"p must be an integer in 2\.\.2\^62"):
+        is_cocycle_table(C3, p, table)
+    with pytest.raises(BadParams, match=r"p must be a prime below 2\^62"):
+        Cocycle2(C3, p, table)
+
+
+def test_add_and_neg_are_exact_at_the_largest_prime_below_2_to_62():
+    """At 2^63 - 25 add returned ...731 where (2p - 2) mod p is ...781."""
+    G = build_group("D:8")
+    a, b = _large_coboundary(G, P62, 2), _large_coboundary(G, P62, 3)
+    f, g = Cocycle2(G, P62, a), Cocycle2(G, P62, b)
+    assert f.values.dtype == np.int64 and max(map(max, a)) > 2 ** 61
+    assert f.add(g).values.tolist() == [[(x + y) % P62 for x, y in zip(r, s)]
+                                        for r, s in zip(a, b)]
+    assert f.neg().values.tolist() == [[-x % P62 for x in r] for r in a]
+
+
+@pytest.mark.parametrize("power", [4, 2], ids=["index-4", "index-2"])
+def test_corestriction_is_exact_at_the_largest_prime_below_2_to_62(power):
+    """From <sigma^4> = C2 (index 4) and <sigma^2> = C4 (index 2) in C:8: the
+    sum over the transversal got 7 of 64 entries wrong at 2^62 - 57 when it
+    was reduced once, after all cosets."""
+    G = build_group("C:8")
+    H = subgroup_generated(G, [G.power(G.gen("sigma"), power)])
+    F = _large_coboundary(H.as_group(), P62, power)
+    got = corestrict(Cocycle2(H.as_group(), P62, F), H).values
+    assert got.dtype == np.int64 and got.tolist() == _oracle_cor(F, H, P62)

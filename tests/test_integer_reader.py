@@ -43,10 +43,14 @@ from pgal.groups import (
     Group,
     GroupHom,
     Subgroup,
+    central_step,
     dual_action_predicate,
+    frattini_style_subgroup,
+    max_elem_abelian_quotient,
     quotient,
     subgroup_generated,
     subgroups_of_index2,
+    sylow_subgroup,
 )
 from pgal.kummer import (
     GroupRingElem,
@@ -157,12 +161,18 @@ ROWS = {
 ROWS["corestrict_tate g"].bad.remove((None, "g must be an integer in 0..7"))  # the default g
 
 
+# p = 2^62 + 135, the least prime above 2^62, and 2^63 - 25, the largest
+# below 2^63: int64 cannot hold 2p - 2 at either, the sum of two values mod p
+PAST_62 = (2 ** 62 + 135, 2 ** 63 - 25)
+
+
 def _prime_row(call):
-    """p must be a prime integer below 2^63."""
+    """p must be a prime integer below 2^62."""
     row = Row(call, _scalar, 2, "BadParams", "")
     row.bad = [(v, f"p must be prime, got p={v}")
                for v in [*NOT_INTEGERS, 2.0, 3.0, "2", -1, 0, 1, 4]]
-    row.bad += [(v, f"p must be a prime below 2^63, got p={v}") for v in (2 ** 89 - 1, BIG, -BIG)]
+    row.bad += [(v, f"p must be a prime below 2^62, got p={v}")
+                for v in (*PAST_62, 2 ** 89 - 1, BIG, -BIG)]
     return row
 
 
@@ -177,8 +187,19 @@ ROWS.update({
 # the cocycle identity is sound mod any p, so a composite one is no refusal
 ROWS["is_cocycle_table p"] = Row(lambda p: is_cocycle_table(D8, p, ZERO8), _scalar, 4,
                                  "BadParams", "")
-ROWS["is_cocycle_table p"].bad = [(v, f"p must be an integer in 2..2^63-1, got p={v}")
-                                  for v in [*NOT_INTEGERS, 2.0, "2", -1, 0, 1, BIG, -BIG]]
+ROWS["is_cocycle_table p"].bad = [(v, f"p must be an integer in 2..2^62, got p={v}")
+                                  for v in [*NOT_INTEGERS, 2.0, "2", -1, 0, 1, 2 ** 62 + 1,
+                                            *PAST_62, BIG, -BIG]]
+# the group layer reads each p once at entry, with no size bound: 1 used to
+# loop forever in sylow_subgroup's valuation, -2 in frattini_style_subgroup's
+# powers, 0 to divide by zero, 4 and 2.0 to answer, 2.5 to fail in numpy
+for name, call in (("central_step p", lambda p: central_step(D8, np.arange(8), p)),
+                   ("frattini_style_subgroup p", lambda p: frattini_style_subgroup(D8, p)),
+                   ("sylow_subgroup p", lambda p: sylow_subgroup(D8, p)),
+                   ("max_elem_abelian_quotient p", lambda p: max_elem_abelian_quotient(D8, p))):
+    ROWS[name] = Row(call, _scalar, 2, "BadParams", "")
+    ROWS[name].bad = [(v, f"p must be prime, got p={v}")
+                      for v in (1, 0, -2, 4, 2.0, 2.5, "2", True, None)]
 # cocycle values are exponents of zeta, read mod p: -1, 2 and 2^70 are values
 ROWS["CoboundarySpace.witness values"] = Row(CoboundarySpace(C2, 2).witness,
                                              lambda v: [[0, 0], [0, v]], 2, "NotACocycle",
@@ -499,6 +520,8 @@ def test_valid_answers_are_pinned():
                                                                     "lifted_order": 4}
     assert h2_enumerate(D8, np.int64(2)).dimension == 3
     assert is_cocycle_table(D8, 4, ZERO8)
+    big = 2 ** 61 - 1  # a prime past int32, read by the group layer with no size bound
+    assert sylow_subgroup(D8, big).order == 1 and frattini_style_subgroup(D8, big).order == 8
     assert CoboundarySpace(D8, np.int16(3)).p == 3 and type(CoboundarySpace(D8, 3).p) is int
     assert D16.power(1, -1) == D16.inv(1) == 7 and D16.power(1, 2 ** 70 + 3) == D16.power(1, 3)
     assert type(D16.mul(np.int64(5), 3)) is int and type(PROJ16(np.int16(5))) is int

@@ -124,6 +124,26 @@ def test_minac_last_layer_exponent_is_norm_like_mod_p():
     assert sigma_minus_one(p).pow(p - 1).mod(p) == norm_element(p).mod(p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_minac_layers_are_the_powers_of_sigma_minus_one_mod_p(p):
+    """Each layer's exponent, built coefficient by coefficient mod p, is
+    (sigma-1)^j formed by j products and then reduced, for every i."""
+    s1 = sigma_minus_one(p)
+    for i in range(2, p + 1):
+        got = [layer.radicand[0].ring_exp for layer in minac_swallow_solution(p, i).layers]
+        assert got == [s1.pow(j).mod(p) for j in range(p - i, p - 1)], (p, i)
+
+
+def test_minac_tower_at_a_five_digit_prime_is_quick():
+    """The CLI's 4.12 tower at p = 10007: each layer is O(p) steps mod p, where
+    j products of unreduced binomials had not finished in 120 s."""
+    from fresh import run_request
+
+    req = run_request(["solve", "--theorem", "4.12", "--p", "10007", "--i", "3"], timeout=60)
+    assert req.code == 0 and req.seconds < 5, req.stderr
+    assert req.stdout.count("root[10007]") == 2
+
+
 def test_verify_witness_t410():
     assert not verify_witness_t410(True, one(), 3)
     assert verify_witness_t410(True, zeta(3), 3)

@@ -191,6 +191,18 @@ def test_h2_at_ea_2_12_and_one_class_stay_under_500_mb():
     assert req.peak_rss_kb < 500 * 1024, req.peak_rss_kb
 
 
+def test_a_class_of_c4096_and_its_sum_stay_under_200_mb():
+    """A class keeps PcTails' int8 values, and add and neg stay in int8: with
+    every class copied into int64 the peak (VmHWM) was 590 MB."""
+    setup = ("from pgal.catalog import build_group\n"
+             "from pgal.cohomology import h2_enumerate\n"
+             "res = h2_enumerate(build_group('C:4096'), 2)")
+    req = run_call(setup, "f = res.representatives[1]\n"
+                          "assert not f.add(f.neg()).values.any()")
+    assert req.code == 0, req.stderr
+    assert req.peak_rss_kb < 200 * 1024, req.peak_rss_kb
+
+
 @pytest.mark.parametrize("spec", ["D:4096", "EA:p=2,r=12"])
 def test_reading_a_bare_order_4096_table_stays_under_150_mb(spec):
     """read_pc proves its reading by the map law on H's pc generators, in
@@ -434,14 +446,15 @@ def test_phi_powers_agree_with_the_loop_on_every_level(monkeypatch):
 
 def _digests(specs):
     """sha256 of the tables of specs, and of the first 16 classes of
-    h2_enumerate at each prime dividing each order."""
+    h2_enumerate at each prime dividing each order, each value as
+    little-endian int64 whatever type the class keeps it in."""
     tables, classes = hashlib.sha256(), hashlib.sha256()
     for spec in specs:
         G = build_group(spec)
         tables.update(G.np_table.tobytes())
         for p in _prime_divisors(G.order):
             for f in h2_enumerate(G, p).representatives[:16]:
-                classes.update(f.values.tobytes())
+                classes.update(f.values.astype("<i8").tobytes())
     return tables.hexdigest(), classes.hexdigest()
 
 
