@@ -37,9 +37,10 @@ from .groups import (
     Subgroup,
     is_p_group,
     path_counts,
-    quotient,
+    quotient,  # not called here; perfbench's tracer test reads pgal.cohomology.quotient
     read_index,
     read_integers,
+    right_cosets,
     row_blocks,
     subgroup_generated,
     subgroups_of_index2,
@@ -468,16 +469,16 @@ def _transfer(F: np.ndarray, H: Subgroup, cols: np.ndarray, p: int, transversal=
     G = H.parent
     n, T, inv = G.order, G.np_table, G.inverses()
     if transversal is None:
-        R = np.flatnonzero(T[H.elements].min(axis=0) == np.arange(n))  # x = min Hx
+        R, bar = right_cosets(G, H.elements)
     else:
         R = read_integers(transversal, BadIndexSubgroup,
                           f"transversal elements must be integers in 0..{n - 1}", n, ndim=1,
                           out_of_range=f"transversal elements must lie in 0..{n - 1}")
-    cosets = T[np.ix_(H.elements, R)]  # column i is H R[i]
-    if len(R) * H.order != n or (np.bincount(cosets.ravel(), minlength=n) != 1).any():
-        raise BadIndexSubgroup("not a right transversal of the subgroup")
-    bar = np.empty(n, dtype=np.int64)
-    bar[cosets] = np.arange(len(R))
+        cosets = T[np.ix_(H.elements, R)]  # column i is H R[i]
+        if len(R) * H.order != n or (np.bincount(cosets.ravel(), minlength=n) != 1).any():
+            raise BadIndexSubgroup("not a right transversal of the subgroup")
+        bar = np.empty(n, dtype=np.int64)
+        bar[cosets] = np.arange(len(R))
     tg = T[R]
     nxt = bar[tg]  # bar(t g), by its place in R
     h = H.pos[T[tg, inv[R[nxt]]]]  # h(t, g) = t g bar(t g)^-1, numbered in H
@@ -556,11 +557,11 @@ def raise_lower(E: ExtensionClass, sigma1, n_exp: int, direction: str) -> Extens
     if pre_order != want:
         raise PreimageOrderMismatch(
             f"preimage of sigma1 has order {pre_order}, need {want} to {direction}")
-    Q, projH = quotient(G, H)
-    # dlog[(s1 H)^i] = i, the exponent that indexes the carry cocycle on C_m
+    coset_of = right_cosets(G, H.elements)[1]
+    # dlog[s1^i H] = i, the exponent that indexes the carry cocycle on C_m
     dlog = np.empty(m, dtype=np.int64)
-    dlog[Q._powers(np.full(m, projH(s1)), np.arange(m))] = np.arange(m)
-    expo = dlog[projH.images]
+    dlog[coset_of[G._powers(np.full(m, s1), np.arange(m))]] = np.arange(m)
+    expo = dlog[coset_of]
     inf_vals = cyclic_step_cocycle(p, n_exp).values[expo[:, None], expo[None, :]]
     sign = 1 if direction == "raise" else -1
     new_vals = (E.cocycle.values + sign * inf_vals) % p

@@ -531,13 +531,24 @@ def trivial_subgroup(G: Group) -> Subgroup:
 # -- quotients, products, pullbacks ---------------------------------------
 
 
-def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
-    """Quotient G/N with the projection; cosets are ordered by least element.
+def right_cosets(G: Group, els) -> tuple[np.ndarray, np.ndarray]:
+    """The right cosets Hx of the subgroup H with elements els, each named
+    by its least element: (reps, coset_of).
 
-    The least element of a coset is its own least, so the representatives
-    are the x with least(x) = x, and a coset's number is the rank of its
-    representative among them, one cumsum: the numbering that
-    np.unique(least, return_inverse=True) gives, without the sort.
+    Hx is column x of H's rows of the table, so one row gather gives every
+    least element.  reps are those least elements in increasing order, a
+    right transversal: the x with least(x) = x, since the least element of
+    a coset is its own least.  coset_of[x] is the rank of x's least element
+    among them, int16, so that H itself is coset 0: the numbering that
+    np.unique(least, return_inverse=True) gives.  For a normal H, Hx = xH.
+    """
+    least = G.np_table[els].min(axis=0)
+    reps = (least == np.arange(G.order)).nonzero()[0]
+    return reps, reps.searchsorted(least).astype(np.int16)
+
+
+def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
+    """Quotient G/N with the projection, the cosets numbered by right_cosets.
     A group by construction, since N was checked normal.
     """
     if N.parent is not G:
@@ -545,10 +556,7 @@ def quotient(G: Group, N: Subgroup) -> tuple[Group, GroupHom]:
     if not N.is_normal():
         raise NotNormal("subgroup is not normal")
     T = G.np_table
-    least = T[:, N.elements].min(axis=1)  # of each coset xN
-    is_rep = least == np.arange(G.order)
-    reps = np.flatnonzero(is_rep)
-    coset_of = (np.cumsum(is_rep, dtype=np.int16) - 1)[least]
+    reps, coset_of = right_cosets(G, N.elements)
     m = len(reps)
     # gathered by row blocks, so no m x m int16 index table is held beside it;
     # the indices are table entries, so in range, and mode="clip" lets take
@@ -789,9 +797,11 @@ def normal_subgroups(G: Group) -> list[Subgroup] | None:
     generate the group), and x's unit powers and their conjugates have the
     same atom, so one class of cyclic subgroups needs one closure walk.
     Joining each new subgroup with each atom then finds every normal
-    subgroup; the join of normal A and B is the product set AB, one gather.
+    subgroup.  For normal A and B the join AB is the union of the cosets of A
+    that B meets, so each subgroup A needs one right_cosets row gather, and
+    each join one gather of its coset numbers.
     """
-    T, conjs = G.np_table, G.conjugations()
+    conjs = G.conjugations()
 
     def mask(els) -> np.ndarray:
         inside = np.zeros(G.order, dtype=bool)
@@ -824,10 +834,12 @@ def normal_subgroups(G: Group) -> list[Subgroup] | None:
     while frontier:
         fresh = []
         for a in frontier:
-            rows = T[a]
-            # b is the normal closure of its rep, so b lies in a iff rep does
-            for i in np.flatnonzero(~mask(a)[reps]):
-                j = mask(rows[:, cols[i]])
+            # as intp, since numpy casts an int16 index array at every gather
+            coset_of = right_cosets(G, a)[1].astype(np.intp)
+            # b is the normal closure of its rep, so b lies in a iff rep does,
+            # iff rep lies in coset 0
+            for i in np.flatnonzero(coset_of[reps] != 0):
+                j = mask(coset_of[cols[i]])[coset_of]
                 key = j.tobytes()
                 if key not in normals:
                     normals[key] = np.flatnonzero(j)

@@ -41,6 +41,25 @@ def read_exponent(e, name: str = "e") -> int:
     return read_int(e, BadParams, f"{name} must be an integer, got {name}={e}")
 
 
+def read_rational(q, name: str = "q") -> Fraction:
+    """A rational a caller gives: an integer (errors.is_integer), a Fraction,
+    or a string that Fraction parses exactly, such as "3/4".  A float is
+    refused, since its binary fraction is not the decimal the caller wrote,
+    and so is a bool; BadParams naming it, ZeroEntry for a zero denominator."""
+    if isinstance(q, Fraction):
+        return q
+    if is_integer(q):
+        return Fraction(int(q))
+    if isinstance(q, str):
+        try:
+            return Fraction(q)
+        except ZeroDivisionError:
+            raise ZeroEntry(f"{name}={q!r} has a zero denominator") from None
+        except ValueError:
+            pass
+    raise BadParams(f"{name} must be an integer, a Fraction or a string, got {name}={q!r}")
+
+
 # -- field elements ------------------------------------------------------------
 
 
@@ -108,7 +127,7 @@ class FieldElem(FrozenRecord):
     @classmethod
     def from_json(cls, doc) -> "FieldElem":
         if "rat" in doc:
-            return rat(Fraction(doc["rat"]))
+            return rat(doc["rat"])
         if "ind" in doc:
             return ind(doc["ind"])
         if "zeta" in doc:
@@ -122,10 +141,8 @@ class FieldElem(FrozenRecord):
 
 
 def rat(q) -> FieldElem:
-    """The rational q: an integer, a Fraction or a string such as "3/4", never a bool or a float."""
-    if not (is_integer(q) or isinstance(q, (Fraction, str))):
-        raise BadParams(f"q must be an integer, a Fraction or a string, got q={q!r}")
-    return FieldElem("rat", Fraction(q))
+    """The rational q, as read_rational reads it."""
+    return FieldElem("rat", read_rational(q))
 
 
 def ind(name: str) -> FieldElem:
@@ -423,8 +440,9 @@ def _split_off(q: Fraction, l: int) -> tuple[int, int]:
 
 def hilbert_local(a, b, place) -> int:
     """Local Hilbert symbol (a, b)_place over Q; place is a prime, or 'inf',
-    'infinity' or the integer 0 for the real place."""
-    a, b = Fraction(a), Fraction(b)
+    'infinity' or the integer 0 for the real place; a and b as read_rational
+    reads them."""
+    a, b = read_rational(a, "a"), read_rational(b, "b")
     if a == 0 or b == 0:
         raise ZeroEntry("Hilbert symbol entries must be nonzero")
     if place in ("inf", "infinity") or is_integer(place) and place == 0:
@@ -455,10 +473,11 @@ def relevant_places(entries) -> list:
     It factors the raw entries it is given.  splits_over_Q reads the atoms
     a product stores instead: their odd primes are among those of the raw
     entries it was built from, and at any other odd prime both entries of
-    each stored symbol are units, so that symbol is 1 there."""
+    each stored symbol are units, so that symbol is 1 there.  The entries
+    are read by read_rational."""
     places = {2}
     for q in entries:
-        q = Fraction(q)
+        q = read_rational(q, "entry")
         facs = factor(q.numerator * q.denominator)
         places.update(pr for pr in facs if pr != 2)
     return ["inf"] + sorted(places)
@@ -508,9 +527,9 @@ def quad_corestriction(a, a0, b0, a1, b1) -> SymbolProduct:
     """Corestriction of (a0+b0*sqrt(a), a1+b1*sqrt(a)) from k(sqrt a) down to k.
 
     Case order: a vanishing b entry first, then proportional entries, then
-    the generic two-factor formula.
+    the generic two-factor formula.  The entries are read by read_rational.
     """
-    a, a0, b0, a1, b1 = (Fraction(x) for x in (a, a0, b0, a1, b1))
+    a, a0, b0, a1, b1 = map(read_rational, (a, a0, b0, a1, b1), ("a", "a0", "b0", "a1", "b1"))
     if is_square(a):
         raise SquareA(f"{a} is a square; the quadratic extension is split")
     if (a0, b0) == (0, 0) or (a1, b1) == (0, 0):

@@ -49,6 +49,11 @@
   groups._prime_divisors, the 2-adic split in arith.is_prime and
   symbols._split_off as they were, each dividing a prime out one step at a
   time, before arith.valuation did it for all of them;
+- `cosets_by_columns`: quotient's coset numbering as it was, the least
+  element of each xN by an n x |N| column gather;
+- `normal_subgroups_by_product_sets`: groups.normal_subgroups as it was,
+  joining a normal subgroup A with an atom B by the product set AB, one
+  gather of |A| |B| entries;
 - `family_specs`, `PRIMES` and `permutation_group`: the catalog specs,
   primes and tables that are not p-groups the comparisons run over.
 """
@@ -73,6 +78,7 @@ from pgal.arith import factor, legendre
 from pgal.errors import FactorizationFailed, NotSolvable, PrimeMismatch, TooLarge
 from pgal.fpmodules import INFINITE, delta, p_binomial, solvable
 from pgal.groups import (
+    MAX_NORMALS,
     MAX_ORDER,
     Group,
     Subgroup,
@@ -262,6 +268,64 @@ def index2_per_phi(G):
     bits = np.arange(len(tree[0]))
     return [Subgroup(G, np.flatnonzero((counts @ (phi >> bits & 1) % 2 == 0)[images]).tolist(),
                      check=False) for phi in range(1, 2 ** len(bits))]
+
+
+def cosets_by_columns(G, N):
+    """(reps, coset_of) of a normal N as quotient numbered its cosets: the
+    least element of each xN by a gather of N's columns, the representatives
+    the x that are their own least, and a coset's number its
+    representative's rank, one cumsum."""
+    least = G.np_table[:, N.elements].min(axis=1)
+    is_rep = least == np.arange(G.order)
+    return np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[least]
+
+
+def normal_subgroups_by_product_sets(G):
+    """The normal subgroups as a list of element lists, or None past
+    MAX_NORMALS: the atoms (normal closures of the classes of cyclic
+    subgroups), then each new subgroup A joined with each atom B outside it
+    as the product set AB."""
+    T, conjs = G.np_table, G.conjugations()
+
+    def mask(els):
+        inside = np.zeros(G.order, dtype=bool)
+        inside[els] = True
+        return inside
+
+    orders = G.element_orders()
+    covered = np.zeros(G.order, dtype=bool)
+    atoms = {}
+    for x in range(G.order):
+        if covered[x]:
+            continue
+        units = np.arange(orders[x])
+        units = units[np.gcd(units, orders[x]) == 1]
+        orbit = mask(G._powers(np.full(len(units), x), units))
+        new = np.flatnonzero(orbit)
+        while new.size:
+            moved = conjs[:, new].ravel()
+            new = moved[~orbit[moved]]
+            orbit[new] = True
+        covered |= orbit
+        atoms.setdefault(tuple(G.closure(np.flatnonzero(orbit))), x)
+    reps = np.array(list(atoms.values()), dtype=np.int64)
+    cols = [np.array(b, dtype=np.int64) for b in atoms]
+    normals = {mask(list(els)).tobytes(): np.array(els, dtype=np.int64) for els in [(0,), *atoms]}
+    frontier = list(normals.values())
+    while frontier:
+        fresh = []
+        for a in frontier:
+            rows = T[a]
+            for i in np.flatnonzero(~mask(a)[reps]):
+                j = mask(rows[:, cols[i]])
+                key = j.tobytes()
+                if key not in normals:
+                    normals[key] = np.flatnonzero(j)
+                    fresh.append(normals[key])
+                    if len(normals) > MAX_NORMALS:
+                        return None
+        frontier = fresh
+    return sorted((els.tolist() for els in normals.values()), key=lambda els: (len(els), els))
 
 
 def layer_picks_by_span_masks(G, P, N, q):

@@ -399,10 +399,12 @@ def test_normal_subgroups_of_group_files_agree_with_one_closure_per_element():
                     == _loop_normal_subgroups(G)), name
 
 
-@pytest.mark.parametrize("spec,count", [("C:4096", 13), ("D:4096", 15)])
+@pytest.mark.parametrize("spec,count", [("C:4096", 13), ("D:4096", 15), ("D:64*C:64", 123),
+                                        ("Q:64*C:64", 123)])
 def test_normal_subgroups_at_order_4096(spec, count):
     # C_4096: one subgroup per divisor; D_4096: the 12 rotation subgroups, the
-    # two dihedral subgroups of index 2 and the whole group
+    # two dihedral subgroups of index 2 and the whole group; the products'
+    # counts are those of the product-set joins (test_group_passes.py)
     normals = normal_subgroups(build_group(spec))
     assert len(normals) == count
     assert normals[-1].order == 4096 and normals[0].elements == (0,)

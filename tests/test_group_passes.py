@@ -1,9 +1,11 @@
-"""Element orders, index-2 kernels and pc tables in whole-group passes,
-against the loops they replaced (oracles.py): element orders from two power
-maps per prime, each elementary abelian layer's greedy basis and codes
-from one table, every index-2 kernel from one parity gather per block,
-each small pc level in one block, and isomorphism tests from the
-invariants and Cayley walk each group holds."""
+"""Element orders, index-2 kernels, cosets, normal subgroups and pc tables
+in whole-group passes, against the loops they replaced (oracles.py):
+element orders from two power maps per prime, each elementary abelian
+layer's greedy basis and codes from one table, every index-2 kernel from
+one parity gather per block, every coset's least element from one row
+gather, each join of normal subgroups from the cosets of one of them, each
+small pc level in one block, and isomorphism tests from the invariants and
+Cayley walk each group holds."""
 
 import itertools
 import os
@@ -17,11 +19,13 @@ import pytest
 
 from fresh import run_call
 from oracles import (
+    cosets_by_columns,
     element_orders_active_set,
     family_specs,
     find_isomorphism_every_element,
     index2_per_phi,
     layer_picks_by_span_masks,
+    normal_subgroups_by_product_sets,
     pc_table_sixteen_blocks,
     permutation_group,
 )
@@ -29,12 +33,16 @@ from pgal.autoreal import RealizationGraph
 from pgal.catalog import build_group, canonical_spec, spec_order
 from pgal.groups import (
     Group,
+    _prime_divisors,
     central_step,
     find_isomorphism,
     frattini_style_subgroup,
     is_isomorphic,
     is_p_group,
     layer_basis,
+    normal_subgroups,
+    right_cosets,
+    subgroup_generated,
     subgroups_of_index2,
 )
 from pgal.presentation import pc_table
@@ -107,6 +115,61 @@ def test_index2_kernels_agree_with_the_per_phi_loop():
     for name, G in tables + _several_primes():
         assert ([tuple(H.elements.tolist()) for H in subgroups_of_index2(G)]
                 == [tuple(H.elements.tolist()) for H in index2_per_phi(G)]), name
+
+
+def _normal_subgroups_to_check(G):
+    """The center, each central subgroup of prime order and, for each prime
+    dividing |G|, the subgroup [G,G] G^p (Phi(G) for a p-group)."""
+    Z, orders, primes = G.center(), G.element_orders(), _prime_divisors(G.order)
+    yield "Z", Z
+    for z in Z.elements.tolist():
+        if orders[z] in primes:
+            yield f"<{z}>", subgroup_generated(G, [z])
+    for p in primes:
+        yield f"Phi_{p}", frattini_style_subgroup(G, p)
+
+
+def test_right_cosets_of_a_normal_subgroup_are_the_column_gather_numbering():
+    for spec in family_specs(256) + ["D:4096"] + _LARGE[:4]:
+        G = build_group(spec)
+        for what, N in _normal_subgroups_to_check(G):
+            reps, coset_of = right_cosets(G, N.elements)
+            old_reps, old_coset_of = cosets_by_columns(G, N)
+            assert coset_of.dtype == np.int16, (spec, what)
+            assert reps.tolist() == old_reps.tolist(), (spec, what)
+            assert coset_of.tolist() == old_coset_of.tolist(), (spec, what)
+
+
+def _subgroups(G):
+    """Every subgroup generated by one or two elements."""
+    seen = {}
+    for x, y in itertools.combinations_with_replacement(range(G.order), 2):
+        H = subgroup_generated(G, [x, y])
+        seen.setdefault(H.elements.tobytes(), H)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_right_cosets_of_a_subgroup_that_is_not_normal_form_a_right_transversal(degree):
+    G = permutation_group(degree, False)
+    T, n = G.np_table, G.order
+    others = [H for H in _subgroups(G) if not H.is_normal()]
+    assert len(others) == {3: 3, 4: 26}[degree]  # of 6 and 30 subgroups, 3 and 4 normal
+    for H in others:
+        reps, coset_of = right_cosets(G, H.elements)
+        cosets = T[np.ix_(H.elements, reps)]  # column i is H reps[i]
+        assert len(reps) * H.order == n
+        assert np.array_equal(np.bincount(cosets.ravel(), minlength=n), np.ones(n))
+        assert np.array_equal(cosets.min(axis=0), reps) and coset_of[0] == 0
+        # x lies in H reps[coset_of[x]]
+        assert (T[np.ix_(H.elements, reps[coset_of])] == np.arange(n)).any(axis=0).all()
+
+
+def test_normal_subgroups_agree_with_the_product_set_joins():
+    for spec in family_specs(64) + ["D:1024", "D:64*C:64", "Q:64*C:64"]:
+        G = build_group(spec)
+        found = normal_subgroups(G)
+        assert [H.elements.tolist() for H in found] == normal_subgroups_by_product_sets(G), spec
 
 
 def test_the_4095_kernels_of_ea_2_12_agree_with_the_per_phi_loop():

@@ -3,7 +3,8 @@ array through groups.read_integers, a single integer through
 errors.read_int (the same rule, for one value and without numpy), and
 every p through arith.read_prime, in the group and cohomology API and in
 the numpy-free symbols, obstructions, kummer, fpmodules and
-autoreal.multiplicity_bound alike.
+autoreal.multiplicity_bound alike; a rational through
+symbols.read_rational, which reads an integer by the same rule.
 
 One row per entry point: the call, a valid value, the error code, the
 detail for a value that is not an integer (a float, a bool, a string, None,
@@ -14,6 +15,7 @@ same given as a Python int, a numpy int, or an int16 or int64 array.
 """
 
 from collections.abc import Sequence
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,11 +74,15 @@ from pgal.obstructions import (
     obstruction_cp2,
 )
 from pgal.symbols import (
+    FieldElem,
     SymbolProduct,
     elem_pow,
     hilbert_local,
     opaque_class,
+    quad_corestriction,
     rat,
+    read_rational,
+    relevant_places,
     symbol,
     trivial,
     zeta,
@@ -405,10 +411,18 @@ ROWS["hilbert_local place"] = Row(lambda l: hilbert_local(3, 5, l), _scalar, 3, 
 ROWS["hilbert_local place"].bad = [
     (v, f"place must be a prime, 0 or 'inf', got place={v}")
     for v in [*NOT_INTEGERS, 3.0, "3", "Inf", -1, -3, 1, 4, 9, BIG, -BIG, False, 0.0]]
-# rat reads any integer, a Fraction or a string, but never a bool or a float
-ROWS["rat q"] = Row(rat, _scalar, 5, "BadParams", "")
-ROWS["rat q"].bad = [(v, f"q must be an integer, a Fraction or a string, got q={v!r}")
-                     for v in (1.5, 5.0, True, False, None, [1], np.float64(2), np.bool_(True))]
+# a caller's rational is read by symbols.read_rational: any integer, a
+# Fraction or a string that Fraction parses exactly, but never a bool or a
+# float, whose binary fraction is not the decimal written
+for name, call, arg in (("rat q", rat, "q"),
+                        ("hilbert_local a", lambda v: hilbert_local(v, 3, 5), "a"),
+                        ("hilbert_local b", lambda v: hilbert_local(3, v, 5), "b"),
+                        ("relevant_places entry", lambda v: relevant_places([v, 6]), "entry"),
+                        ("quad_corestriction a0", lambda v: quad_corestriction(2, v, 1, 1, 0), "a0")):
+    ROWS[name] = Row(call, _scalar, 5, "BadParams", "")
+    ROWS[name].bad = [(v, f"{arg} must be an integer, a Fraction or a string, got {arg}={v!r}")
+                      for v in (1.5, 5.0, 0.1, True, False, None, [1], "abc", np.float64(2),
+                                np.float64(0.5), np.bool_(True))]
 
 CASES = [(name, v, detail) for name, row in ROWS.items() for v, detail in row.bad]
 
@@ -525,6 +539,21 @@ def test_valid_answers_are_pinned():
     assert CoboundarySpace(D8, np.int16(3)).p == 3 and type(CoboundarySpace(D8, 3).p) is int
     assert D16.power(1, -1) == D16.inv(1) == 7 and D16.power(1, 2 ** 70 + 3) == D16.power(1, 3)
     assert type(D16.mul(np.int64(5), 3)) is int and type(PROJ16(np.int16(5))) is int
+
+
+def test_a_rational_is_read_exactly_and_a_zero_denominator_is_a_zero_entry():
+    assert [read_rational(v) for v in (3, np.int64(3), Fraction(1, 10), "1/10", "-2")] == [
+        3, 3, Fraction(1, 10), Fraction(1, 10), -2]
+    # (1/10, 3)_5 = (3/5) = -1, as 5 divides 1/10 once; the float 0.1 is
+    # 3602879701896397/2^55, a 5-adic unit, where the symbol is 1
+    assert hilbert_local("1/10", 3, 5) == hilbert_local(Fraction(1, 10), 3, 5) == -1
+    for call, detail in ((lambda: read_rational("3/0"), "q='3/0' has a zero denominator"),
+                         (lambda: rat("3/0"), "q='3/0' has a zero denominator"),
+                         (lambda: FieldElem.from_json({"rat": "1/0"}), "q='1/0' has a zero denominator"),
+                         (lambda: hilbert_local(3, "1/0", 5), "b='1/0' has a zero denominator")):
+        with pytest.raises(PgalError) as exc:
+            call()
+        assert (exc.value.code, exc.value.detail) == ("ZeroEntry", detail)
 
 
 def test_membership_and_local_read_only_integers():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgal import cohomology, presentation
+from pgal import cohomology, groups, presentation
 from pgal.catalog import build_group
 from pgal.cohomology import h2_enumerate, is_cocycle_table, verify
 from pgal.errors import BadParams, OrderTooLarge, PgalError, RelationInconsistent, TooLarge
@@ -305,7 +305,7 @@ def test_h2_cli_at_ea_2_11_is_quick_and_small():
 def test_tables_the_catalog_did_not_build_carry_no_presentation():
     G = build_group("D:16")
     tables = [cohomology.subgroups_of_index2(G)[0].as_group(),
-              cohomology.quotient(G, G.center())[0],
+              groups.quotient(G, G.center())[0],
               Group.from_json(G.to_json()),
               cohomology.extension_of_cocycle(h2_enumerate(G, 2).representatives[1]).extension]
     assert all(T.pc is None for T in tables)

@@ -18,7 +18,9 @@ calls read_integers with ndim=0 (one integer goes through errors.read_int).
 A group's table is searched for the identity only where inverses are
 found: Group._validate, Group.inverses, Group.conjugations (conjugation by
 the generators, which the center, normality and the normal closures read)
-and cocycle_of_extension.
+and cocycle_of_extension.  A coset's least element is found only by
+groups.right_cosets, which quotient, the transfer, raise_lower and the
+normal-subgroup joins read.
 """
 
 import ast
@@ -343,6 +345,25 @@ def test_no_integer_is_read_as_a_zero_dimensional_array(tmp_path):
         "def f(x):\n    return groups.read_integers(x, ValueError, '', ndim=0)\n"
         "def g(x):\n    return read_integers(x, ValueError, '', ndim=1)\n")
     assert _owners(tmp_path, _scalar_read) == [("m.py", "f")]
+
+
+def _least_along_an_axis(node) -> bool:
+    """A call of a .min attribute with an axis, by keyword or position: a
+    search for the least element of each coset."""
+    func = getattr(node, "func", None)
+    return (isinstance(node, ast.Call) and isinstance(func, ast.Attribute) and func.attr == "min"
+            and (bool(node.args) or any(k.arg == "axis" for k in node.keywords)))
+
+
+def test_only_right_cosets_finds_a_cosets_least_element(tmp_path):
+    assert _owners(PKG, _least_along_an_axis) == [("groups.py", "right_cosets")]
+    # the guard sees a keyword or a positional axis and a nested function,
+    # not a whole-array min or the builtin
+    (tmp_path / "m.py").write_text(
+        "class A:\n    def f(self, T, N):\n        def g():\n            return T[:, N].min(axis=1)\n"
+        "        return T[N].min(0), np.min(T[N], axis=0), T.min(), min(N, key=abs)\n")
+    assert _owners(tmp_path, _least_along_an_axis) == [
+        ("m.py", "A.f.g"), ("m.py", "A.f"), ("m.py", "A.f")]
 
 
 def _is_table(node) -> bool:
