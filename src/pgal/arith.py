@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from .errors import BadParams, FactorizationFailed, read_int
+from .errors import BadParams, FactorizationFailed, is_integer, read_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -241,9 +241,13 @@ def legendre(a: int, p: int) -> int:
 
 
 def is_square(q: Fraction | int) -> bool:
+    """q is the square of a rational, for q an integer (errors.is_integer)
+    or a Fraction; anything else, a float or a bool too, is BadParams."""
     from fractions import Fraction
 
-    q = Fraction(q)
+    if not (is_integer(q) or isinstance(q, Fraction)):
+        raise BadParams(f"q must be an integer or a Fraction, got q={q!r}")
+    q = Fraction(int(q)) if is_integer(q) else q
     if q <= 0:
         return q == 0
     rn = math.isqrt(q.numerator)

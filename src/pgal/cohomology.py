@@ -2,7 +2,8 @@
 
 Conventions fixed throughout: cocycles are normalized (f(1,.) = f(.,1) = 0),
 values are exponents of a fixed primitive p-th root, and factor sets are
-extracted with the section that picks the least-index preimage.
+extracted with the section that picks the least-index preimage
+(GroupHom.section).
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ class Cocycle2:
         phi = GroupHom(self.group, target, images)
         if target.order != self.group.order or not phi.is_surjective():
             raise RelationInconsistent("map is not a bijection")
-        back = np.argsort(phi.images)  # the inverse bijection
+        back = phi.section()  # the inverse bijection
         return Cocycle2(target, self.p, self.values[np.ix_(back, back)], check=False)
 
     def to_json(self, group_ref: str | None = None) -> dict:
@@ -155,14 +156,6 @@ class ExtensionClass(Record):
 # -- factor sets <-> extensions ----------------------------------------------
 
 
-def _section(proj: GroupHom) -> np.ndarray:
-    """The least preimage of each element of proj's target."""
-    images, sec = np.unique(proj.images, return_index=True)
-    if len(images) != proj.target.order:
-        raise TargetMismatch("projection is not surjective")
-    return sec
-
-
 def cocycle_of_extension(E: Group, proj: GroupHom, kernel_gen: int) -> Cocycle2:
     """Factor set of a central extension via the least-index-preimage section."""
     if proj.source is not E:
@@ -180,7 +173,7 @@ def cocycle_of_extension(E: Group, proj: GroupHom, kernel_gen: int) -> Cocycle2:
         raise KernelNotCentral(f"kernel generator fails to commute with element {moved[0]}")
     kpow = np.zeros(E.order, dtype=value_type(p))
     kpow[powers[:p]] = np.arange(p)
-    sec = _section(proj)
+    sec = proj.section()
     sec_inv = np.nonzero(T[sec] == 0)[1]
     # f(a, b) = s(a) s(b) s(ab)^-1, a power of the kernel generator; the
     # factor set of a central extension, so a cocycle by construction
@@ -189,24 +182,31 @@ def cocycle_of_extension(E: Group, proj: GroupHom, kernel_gen: int) -> Cocycle2:
 
 
 def extension_of_cocycle(f: Cocycle2) -> ExtensionClass:
-    """Group on pairs (zeta-exponent, base element) with twisted multiplication."""
+    """The extension E of G by mu_p = <z> with factor set f: x z^c times
+    y z^d is xy z^(c + d + f(x, y)), and x z^c is numbered p x + c, the
+    numbering of G's pc presentation extended by a last generator z, so
+    that z is element 1 and G's generator g is g p in E.
+
+    The table is built row-wise in int16, each row of E from one row of f
+    and of G, so numpy's inner loops run along whole rows: before the
+    reduction mod p an entry is below 3p, after it below p n <= MAX_ORDER.
+    """
     G, p = f.group, f.p
     n = G.order
     check_order(p * n)
     if not is_cocycle_table(G, p, f.values):
         raise NotACocycle("input fails the cocycle identity")
-    # (i, x)(j, y) = (i + j + f(x, y), xy), numbered i n + x; built in int16
     I = np.arange(p, dtype=np.int16)
-    T = I[:, None, None, None] + I[None, None, :, None] + f.values.astype(np.int16)[None, :, None, :]
+    F = np.repeat(f.values.astype(np.int16), p, axis=1)  # F[x, p y + d] = f(x, y)
+    T = F[:, None, :] + np.add.outer(I, np.tile(I, n))  # T[x, c, p y + d] = f(x, y) + c + d
     T %= p
-    T *= n
-    T += G.np_table[None, :, None, :]
+    T += np.repeat(G.np_table * np.int16(p), p, axis=1)[:, None, :]
     T = T.reshape(p * n, p * n)
-    gens = [("zeta", n)] + [(nm if nm != "zeta" else "zeta'", idx) for nm, idx in G.generators]
+    gens = [("zeta", 1)] + [(nm if nm != "zeta" else "zeta'", idx * p) for nm, idx in G.generators]
     # a group by construction, since f passed the exact cocycle check
     E = Group(T, gens, name=f"ext{p}x{G.name or n}", check=False)
-    proj = GroupHom(E, G, np.arange(p * n) % n)
-    return ExtensionClass(f, E, proj, n)
+    proj = GroupHom(E, G, np.arange(p * n) // p)
+    return ExtensionClass(f, E, proj, 1)
 
 
 # -- coboundaries on a spanning tree ---------------------------------------------
@@ -551,8 +551,7 @@ def raise_lower(E: ExtensionClass, sigma1, n_exp: int, direction: str) -> Extens
         raise QuotientConditionFails("the subgroup of the other generators is not normal")
     # no power s1^i with 0 < i < m lies in H: H is normal and holds every
     # named generator but s1, so G = <s1> H and |<s1> n H| = m |H| / |G| = 1
-    pre = int(_section(E.proj)[s1])
-    pre_order = E.extension.element_order(pre)
+    pre_order = E.extension.element_order(E.proj.section()[s1])
     want = m if direction == "raise" else p * m
     if pre_order != want:
         raise PreimageOrderMismatch(
@@ -597,10 +596,9 @@ def prop54_report(G: Group, H: Subgroup, g: int | None, fbar: Cocycle2) -> dict:
     g = _tate_g(fbar, H, g)
     f = corestrict(fbar, H, [0, g])
     exp_h2 = extension_of_cocycle(fbar).extension.exponent()
-    E1 = extension_of_cocycle(f).extension
-    n = G.order
-    orders = E1.element_orders()
-    exp_h1 = lcm(*(orders[i * n + x] for i in range(2) for x in H.elements))
+    E1 = extension_of_cocycle(f)
+    orders = np.array(E1.extension.element_orders())
+    exp_h1 = lcm(*orders[H.pos[E1.proj.images] >= 0].tolist())
     exp_h = H.as_group().exponent()
     applicable = exp_h % 2 == 0 and all(G.conj(g, x) in G.closure([x]) for x in H.elements
                                         if G.element_order(x) == exp_h)
@@ -646,7 +644,7 @@ def power_commutator_data(E: ExtensionClass, gens: list) -> tuple[list, dict]:
     """
     ext, proj, p = E.extension, E.proj, E.cocycle.p
     kp = {int(z): j for j, z in enumerate(ext._powers(np.full(p, E.kernel_gen), np.arange(p)))}
-    sec = _section(proj)
+    sec = proj.section()
     pre = [int(sec[read_index(g, "gens", proj.target.order, names=proj.target.generators)])
            for g in gens]
     diag = [kp.get(ext.power(s, p)) for s in pre]

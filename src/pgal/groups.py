@@ -438,6 +438,15 @@ class GroupHom(FrozenRecord):
     def kernel(self) -> "Subgroup":
         return Subgroup(self.source, np.flatnonzero(self.images == 0), check=False)
 
+    def section(self) -> np.ndarray:
+        """The least preimage of each element of the target: the least
+        elements of the kernel's right cosets (right_cosets), in the order
+        of their images; TargetMismatch unless the map is onto."""
+        reps = right_cosets(self.source, self.kernel().elements)[0]
+        if len(reps) != self.target.order:
+            raise TargetMismatch("projection is not surjective")
+        return reps[np.argsort(self.images[reps])]
+
 
 class Subgroup:
     """Subset of a parent group, validated closed and containing identity.

@@ -4,6 +4,8 @@ against its relative bound, whether a gain is met on it, and the line on
 each side's failed jobs and runs."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -111,3 +113,50 @@ def test_failures_are_summed_per_side_and_a_higher_share_is_worse():
     assert ab_pairs.failure_line(parent, [_run(0, 100)] * 3).endswith("failure share ok")
     assert ab_pairs.failure_line([None, None], [None, None]).endswith("failure share ok")
     assert ab_pairs.failure_line([None, None], [_run(0, 10), None]).endswith("failure share ok")
+
+
+# the tail of a run.py result, as it prints it: the scaled times are 1.2
+# times the unscaled ones
+_METRICS = {"setup_s": (0.12, "s"), "wall_s": (2.4, "s"), "job_p50_s": (0.06, "s"),
+            "job_tail_s": (0.3, "s"), "peak_rss_mb": (80.5, "MB")}
+RUN_STDOUT = "\n".join([
+    "# workload h2-cocycles seed 7 blocks 3 of 3 jobs 30 trace 0",
+    "failed_frac 0.0000 ratio (0 of 30)",
+    "times are scaled by 1.2000 to reference host speed",
+    "measured, unscaled: setup_s 0.1 s, wall_s 2 s, job_p50_s 0.05 s, job_tail_s 0.25 s",
+    *(f"{name} {value:.6g} {unit}" for name, (value, unit) in _METRICS.items()),
+    json.dumps({"correct": True, "attempted": 30, "failed": 0,
+                "metrics": {name: {"value": v, "unit": u} for name, (v, u) in _METRICS.items()}}),
+])
+BENCH = {"end_to_end": [{"name": name, "unit": unit, "better": "lower", "bound": 0.25}
+                        for name, (_, unit) in _METRICS.items()]}
+
+
+def test_a_run_reads_the_unscaled_times_beside_the_scaled_ones(monkeypatch):
+    monkeypatch.setattr(ab_pairs.subprocess, "run",
+                        lambda args, **kw: subprocess.CompletedProcess(args, 0, RUN_STDOUT, ""))
+    run = ab_pairs.run_once(Path("."), "h2-cocycles", 7, 40.0)
+    assert run["metrics"] == {
+        "setup_s": 0.12, "wall_s": 2.4, "job_p50_s": 0.06, "job_tail_s": 0.3, "peak_rss_mb": 80.5,
+        "setup_s unscaled": 0.1, "wall_s unscaled": 2.0, "job_p50_s unscaled": 0.05,
+        "job_tail_s unscaled": 0.25}
+    assert (run["failed"], run["attempted"]) == (0, 30)
+    # a run without the line (a traced one) has no unscaled rows
+    assert ab_pairs.unscaled(RUN_STDOUT.replace("measured, unscaled:", "measured:")) == {}
+
+
+def test_each_time_metric_gets_an_unscaled_row_with_its_bound_and_verdicts():
+    better, bounds = ab_pairs.metric_specs(BENCH)
+    assert list(better) == ["setup_s", "setup_s unscaled", "wall_s", "wall_s unscaled",
+                            "job_p50_s", "job_p50_s unscaled", "job_tail_s",
+                            "job_tail_s unscaled", "peak_rss_mb"]
+    assert set(better.values()) == {"lower"} and bounds == dict.fromkeys(better, 0.25)
+    # the change's scaled wall_s is 30% worse, its unscaled one no worse:
+    # the gap comes from the calibration scale
+    parent = ab_pairs.unscaled(RUN_STDOUT) | {"wall_s": 2.4}
+    change = ab_pairs.unscaled(RUN_STDOUT) | {"wall_s": 3.12}
+    rows = {r["metric"]: r for r in ab_pairs.summary([(parent, change)] * 3, better, bounds)}
+    assert rows["wall_s"]["verdict"] == "regressed"
+    assert rows["wall_s unscaled"]["verdict"] == "ok"
+    assert rows["wall_s unscaled"]["gain"] == "not met"
+    assert "wall_s unscaled" in ab_pairs.format_rows(list(rows.values()))

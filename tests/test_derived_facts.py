@@ -20,7 +20,6 @@ from pgal.arith import factor, legendre
 from pgal.catalog import build_group, cyclic
 from pgal.cohomology import (
     Cocycle2,
-    _section,
     cocycle_of_extension,
     cyclic_step_cocycle,
     extension_of_cocycle,
@@ -229,21 +228,40 @@ def test_pullback_agrees_with_the_pair_loop():
         assert list(p1.images) == xs and list(p2.images) == ys, name
 
 
+def _relabelling(G, rng):
+    """An isomorphism from G onto its table relabelled by a random
+    permutation fixing 0, the kind of map Cocycle2.transport reads."""
+    n = G.order
+    perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    table = np.empty((n, n), dtype=np.int64)
+    table[np.ix_(perm, perm)] = perm[G.np_table]
+    target = Group(table, [(name, int(perm[g])) for name, g in G.generators])
+    return GroupHom(G, target, perm)
+
+
 def test_least_preimage_section_agrees_with_the_scan():
     for name, G in GROUPS:
         for N in (G.center(), frattini_style_subgroup(G, _prime_divisors(G.order)[0])
                   if G.order > 1 else G.center()):
             _, proj = quotient(G, N)
-            assert _section(proj).tolist() == _scan_section(proj), name
+            assert proj.section().tolist() == _scan_section(proj), name
     for name, G in SMALL:
-        ext = extension_of_cocycle(Cocycle2(G, 2, np.zeros((G.order, G.order), dtype=np.int64)))
-        assert _section(ext.proj).tolist() == _scan_section(ext.proj), name
+        for p in (2, 3):
+            ext = extension_of_cocycle(Cocycle2(G, p, np.zeros((G.order, G.order), dtype=np.int64)))
+            assert ext.proj.section().tolist() == _scan_section(ext.proj), name
+    # the bijections transport moves a cocycle along: the section is the inverse
+    rng = np.random.default_rng(45)
+    for name, G in SMALL:
+        phi = _relabelling(G, rng)
+        assert phi.section().tolist() == _scan_section(phi) == np.argsort(phi.images).tolist(), name
 
 
 def test_a_map_that_is_not_onto_has_no_section():
-    C2, C4 = build_group("C:2"), build_group("C:4")
-    with pytest.raises(TargetMismatch, match="not surjective"):
-        _section(GroupHom(C2, C4, (0, 2)))
+    C2, C4, D8 = build_group("C:2"), build_group("C:4"), build_group("D:8")
+    for phi in (GroupHom(C2, C4, (0, 2)), GroupHom(C4, C4, (0, 2, 0, 2)),
+                GroupHom(C2, D8, (0, D8.gen("tau"))), GroupHom(C2, C2, (0, 0))):
+        with pytest.raises(TargetMismatch, match="not surjective"):
+            phi.section()
 
 
 def _loop_commutator_data(E, gens):

@@ -239,19 +239,10 @@ def test_pullback_reconstruction_from_trivially_intersecting_normals():
     Q2, pr2 = quotient(G, N2)
     N12 = subgroup_generated(G, list(N1.elements) + list(N2.elements))
     F, prF = quotient(G, N12)
-    h1 = GroupHom(Q1, F, tuple(prF(x) for x in _section(pr1, Q1)))
-    h2 = GroupHom(Q2, F, tuple(prF(x) for x in _section(pr2, Q2)))
+    h1 = GroupHom(Q1, F, prF.images[pr1.section()])
+    h2 = GroupHom(Q2, F, prF.images[pr2.section()])
     P, _, _ = pullback(Q1, Q2, h1, h2)
     assert is_isomorphic(P, G)
-
-
-def _section(proj, Q):
-    sec = [None] * Q.order
-    for x in range(proj.source.order):
-        z = proj(x)
-        if sec[z] is None:
-            sec[z] = x
-    return sec
 
 
 def test_pullback_target_mismatch():
@@ -989,7 +980,7 @@ def test_the_split_extension_of_d2048_is_the_direct_product():
     D = build_group("D:2048")
     E = extension_of_cocycle(Cocycle2(D, 2, np.zeros((D.order, D.order), dtype=np.int64))).extension
     _assert_built(E, "extension")
-    P = direct_product(build_group("C:2"), D)
+    P = direct_product(D, build_group("C:2"))  # x z^c is 2 x + c in both
     assert np.array_equal(E.np_table, P.np_table)
     assert E.np_table[4095, 0] == 4095 and E.np_table.max() == 4095
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pgal.arith import is_square
 from pgal.catalog import build_group
 from pgal.cohomology import (
     CoboundarySpace,
@@ -141,7 +142,7 @@ ROWS = {
                              int(np.argmin(H.pos >= 0)), "BadIndexSubgroup",
                              "g must be an integer in 0..7", past_end=8),
     "cocycle_of_extension kernel_gen": Row(
-        lambda k: cocycle_of_extension(E4.extension, E4.proj, k), _scalar, 4, "BadParams",
+        lambda k: cocycle_of_extension(E4.extension, E4.proj, k), _scalar, 1, "BadParams",
         "kernel_gen must be an integer in 0..7", past_end=8),
     "raise_lower sigma1": Row(lambda s: raise_lower(E4, s, 3, "raise"), _scalar, 1, "BadParams",
                               "sigma1 must be a generator name or an integer in 0..3",
@@ -423,6 +424,11 @@ for name, call, arg in (("rat q", rat, "q"),
     ROWS[name].bad = [(v, f"{arg} must be an integer, a Fraction or a string, got {arg}={v!r}")
                       for v in (1.5, 5.0, 0.1, True, False, None, [1], "abc", np.float64(2),
                                 np.float64(0.5), np.bool_(True))]
+# is_square reads an integer or a Fraction and nothing else: a float's binary
+# fraction is not the decimal written, and a string was once read by Fraction
+ROWS["is_square q"] = Row(is_square, _scalar, 4, "BadParams", "")
+ROWS["is_square q"].bad = [(v, f"q must be an integer or a Fraction, got q={v!r}")
+                           for v in (0.25, 0.1, True, np.float64(0.5), "1/4", None)]
 
 CASES = [(name, v, detail) for name, row in ROWS.items() for v, detail in row.bad]
 
@@ -539,6 +545,10 @@ def test_valid_answers_are_pinned():
     assert CoboundarySpace(D8, np.int16(3)).p == 3 and type(CoboundarySpace(D8, 3).p) is int
     assert D16.power(1, -1) == D16.inv(1) == 7 and D16.power(1, 2 ** 70 + 3) == D16.power(1, 3)
     assert type(D16.mul(np.int64(5), 3)) is int and type(PROJ16(np.int16(5))) is int
+    # E numbers x z^c as p x + c: z is element 1 and each generator g of C4 is 2 g
+    assert E4.extension.generators == [("zeta", 1), ("sigma", 2)] and E4.kernel_gen == 1
+    assert [is_square(v) for v in (4, np.int64(9), Fraction(9, 4), Fraction(1, 2), -4)] == [
+        True, True, True, False, False]
 
 
 def test_a_rational_is_read_exactly_and_a_zero_denominator_is_a_zero_entry():

@@ -396,3 +396,32 @@ def test_inverses_are_found_only_by_their_owners(tmp_path):
         "                self.pos[T[1]] == 0, T[1] < 1)\n")
     assert _owners(tmp_path, _compares_table_with_zero) == [
         ("m.py", "A.f.g"), ("m.py", "A.f"), ("m.py", "A.f")]
+
+
+# numpy's set routines, each of which loads numpy.ma on first use (13-15 ms);
+# np.unique asked for an index or an inverse, and np.isin, do not, but the
+# library uses none of them: right_cosets, masks and np.bincount do the work
+SET_ROUTINES = {"unique", "setdiff1d", "intersect1d", "union1d", "setxor1d", "unique_values"}
+
+
+def _names_a_set_routine(node) -> bool:
+    """An attribute np.<routine> or numpy.<routine>, or a routine imported by name."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in SET_ROUTINES and ast.unparse(node.value) in ("np", "numpy")
+    return isinstance(node, ast.ImportFrom) and node.module == "numpy" and any(
+        a.name in SET_ROUTINES for a in node.names)
+
+
+def test_no_module_names_a_numpy_set_routine(tmp_path):
+    assert _owners(PKG, _names_a_set_routine) == []
+    # the guard sees a call with or without keywords, an attribute that is
+    # not called, numpy by its full name and an imported routine, in a
+    # nested function too, and not np.isin, a method or a comment
+    (tmp_path / "m.py").write_text(
+        "import numpy\nimport numpy as np\nfrom numpy import setdiff1d, isin\n"
+        "class A:\n    def f(self, x):\n        def g():\n"
+        "            return np.unique(x, return_index=True)\n"
+        "        return numpy.intersect1d(x, x), np.union1d, np.isin(x, x), x.unique()\n"
+        "def h(x):  # np.setxor1d\n    return np.unique_values(x)\n")
+    assert _owners(tmp_path, _names_a_set_routine) == [
+        ("m.py", None), ("m.py", "A.f.g"), ("m.py", "A.f"), ("m.py", "A.f"), ("m.py", "h")]

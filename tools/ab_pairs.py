@@ -26,6 +26,12 @@ parent's IQR, else "gain not met"; a change that claims a gain reads its
 metric's row.  A run that exits nonzero or prints no JSON result is
 reported and left out of its pair.
 
+Each time metric (unit "s") also gets a row "<name> unscaled", read off
+the `measured, unscaled:` line that run.py prints: the same time before
+run.py multiplies it by its calibration scale, with the same bound and the
+same gain verdict.  A gap that shows in the scaled row but not in the
+unscaled one comes from the calibration, not from the jobs.
+
 A last line sums each side's failed and attempted jobs over its completed
 runs and counts its runs that failed outright.  It reads "failure share
 worse" when the change's share of failed jobs is higher than the
@@ -41,6 +47,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+UNSCALED = "measured, unscaled: "
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict | None:
@@ -63,8 +71,33 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict | Non
     if result.get("failed"):
         print(f"{result['failed']} of {result['attempted']} jobs failed in {root} (seed {seed})",
               file=sys.stderr)
-    return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return {"metrics": {**metrics, **unscaled(proc.stdout)},
             "failed": result["failed"], "attempted": result["attempted"]}
+
+
+def unscaled(stdout: str) -> dict:
+    """The times of run.py's `measured, unscaled:` line, "name value s"
+    joined by ", ", as {"<name> unscaled": value}; empty when the line is
+    missing (a traced run prints none)."""
+    for line in stdout.splitlines():
+        if line.startswith(UNSCALED):
+            parts = (part.split() for part in line[len(UNSCALED):].split(", "))
+            return {f"{name} unscaled": float(value) for name, value, _ in parts}
+    return {}
+
+
+def metric_specs(bench: dict) -> tuple[dict, dict]:
+    """({name: better}, {name: bound}) for the end-to-end metrics of a
+    BENCHMARK.json document, each time metric followed by its unscaled row
+    with the same direction and bound."""
+    better, bounds = {}, {}
+    for m in bench["end_to_end"]:
+        for name in [m["name"]] + [f"{m['name']} unscaled"] * (m["unit"] == "s"):
+            better[name] = m["better"]
+            if "bound" in m:
+                bounds[name] = m["bound"]
+    return better, bounds
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -127,12 +160,12 @@ def gain_verdict(row: dict) -> str:
 
 
 def format_rows(rows: list[dict]) -> str:
-    out = [f"{'metric':<14} {'parent q1 / median / q3':>32} {'change q1 / median / q3':>32}  wins"]
+    out = [f"{'metric':<20} {'parent q1 / median / q3':>32} {'change q1 / median / q3':>32}  wins"]
     for r in rows:
         cols = [" / ".join(f"{v:.4g}" for v in r[side]) for side in ("parent", "change")]
         notes = f"  {r['verdict']}" if "verdict" in r else ""
         notes += f"  gain {r['gain']}"
-        out.append(f"{r['metric']:<14} {cols[0]:>32} {cols[1]:>32}  "
+        out.append(f"{r['metric']:<20} {cols[0]:>32} {cols[1]:>32}  "
                    f"{r['wins']} of {r['pairs']} ({r['better']} is better){notes}")
     return "\n".join(out)
 
@@ -162,9 +195,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", default="101", help="comma-separated, used in turn")
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
+    better, bounds = metric_specs(json.loads((args.change / "BENCHMARK.json").read_text()))
     pairs, sides = [], ([], [])
     for i in range(args.pairs):
         seed = seeds[i % len(seeds)]
