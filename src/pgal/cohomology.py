@@ -36,6 +36,7 @@ from .groups import (
     Group,
     GroupHom,
     Subgroup,
+    along_paths,
     is_p_group,
     path_counts,
     quotient,  # not called here; perfbench's tracer test reads pgal.cohomology.quotient
@@ -230,8 +231,7 @@ class CoboundarySpace:
 
     def __init__(self, group: Group, p: int):
         self.group, self.p = group, _check_prime(p)  # GF(p) elimination needs a prime
-        self.tree = group.tree()
-        gens, _, self.levels, self.parent, self.slot = self.tree
+        gens, _, self.parent, self.slot = self.tree = group.tree()
         self.gens = np.array(gens, dtype=np.int64)
         on_tree = np.zeros((group.order, len(gens)), dtype=bool)
         on_tree[self.parent[1:], self.slot[1:]] = True
@@ -250,15 +250,18 @@ class CoboundarySpace:
 
     def normalise(self, Fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(w, v) for a normalized cochain F with values in [0, p), read only
-        at its n x k columns Fs = F[:, gens]: the int64 1-cochain w built
-        along the tree so that F - delta(w) vanishes on the tree edges, and
-        the values v of F - delta(w) on the non-tree edges, mod p."""
-        w = np.zeros(self.group.order, dtype=np.int64)
-        for lv in self.levels[1:]:
-            u, i = self.parent[lv], self.slot[lv]
-            w[lv] = w[u] + w[self.gens[i]] - Fs[u, i]
+        at its n x k columns Fs = F[:, gens]: the 1-cochain w in [0, p), int64,
+        built along the tree so that F - delta(w) vanishes on the tree edges,
+        and the values v of F - delta(w) on the non-tree edges, mod p.  On
+        the tree edge (u, s_i) to y, w(y) = w(u) + w(s_i) - F(u, s_i) with
+        w(s_i) = -F(1, s_i), so -w sums the steps F(u, s_i) + F(1, s_i)
+        (u != 1) along the tree paths (along_paths), mod p in every round;
+        a zero column pads Fs for the identity's slot -1."""
+        p, Z = self.p, np.hstack([Fs, np.zeros((len(Fs), 1), Fs.dtype)]).astype(np.int64)
+        step = (Z[self.parent, self.slot] + Z[0, self.slot] * (self.parent > 0)) % p
+        w = -along_paths(self.tree, step, lambda a, b: (a + b) % p) % p
         y, i = self.edge_y, self.edge_slot
-        return w, (Fs[y, i] - w[y] - w[self.gens[i]] + w[self.edge_z]) % self.p
+        return w, (Fs[y, i] - w[y] - w[self.gens[i]] + w[self.edge_z]) % p
 
     def solve(self, v: np.ndarray, extra=()) -> np.ndarray | None:
         """Coefficients c with v = c [delta(phi); extra] mod p, or None, for
@@ -289,8 +292,7 @@ class CoboundarySpace:
         if v.any():
             if (c := self.solve(v)) is None:
                 return None
-            w = w + self.phi @ c
-        w %= p
+            w = (w + self.phi @ c) % p
         for rows in row_blocks(n):
             if ((w[rows, None] + w[None, :] - w[T[rows]] - F[rows]) % p).any():
                 return None

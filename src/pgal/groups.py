@@ -124,22 +124,19 @@ def cayley_tree(T: np.ndarray, named) -> tuple:
     a breadth-first search with the kept generators then restarts from every
     reached element, the identity first, so a kept s hangs off the edge
     (1, s).  Returns the kept generators, the reached elements in the order
-    they were found, the levels (elements by depth), and each element's
-    parent u and generator slot i, with y = u * gens[i].
+    they were found (parents first), and each element's parent u and
+    generator slot i, with y = u * gens[i]; the identity is its own parent,
+    in slot -1, and an element not reached has parent -1.
     """
-    gens, reached, parent, slot, depth = _cayley_walk(T, named)
-    levels: list = [[] for _ in range(max(depth) + 1)]
-    for y in reached:
-        levels[depth[y]].append(y)
-    return (gens, reached, [np.array(lv, dtype=np.int64) for lv in levels],
-            np.array(parent, dtype=np.int64), np.array(slot, dtype=np.int64))
+    gens, reached, parent, slot = _cayley_walk(T, named)
+    return gens, reached, np.array(parent, dtype=np.int64), np.array(slot, dtype=np.int64)
 
 
 def _cayley_walk(T: np.ndarray, named) -> tuple:
     """cayley_tree's walk, as lists: the kept generators, the reached
-    elements, and each element's parent, slot and depth."""
+    elements, and each element's parent and slot."""
     n = T.shape[0]
-    parent, slot, depth = [-1] * n, [-1] * n, [0] * n
+    parent, slot = [-1] * n, [-1] * n
     parent[0] = 0
     reached, gens, cols = [0], [], []
     for g in named:
@@ -151,20 +148,35 @@ def _cayley_walk(T: np.ndarray, named) -> tuple:
             for i, col in enumerate(cols):
                 y = col[u]
                 if parent[y] < 0:
-                    parent[y], slot[y], depth[y] = u, i, depth[u] + 1
+                    parent[y], slot[y] = u, i
                     reached.append(y)
-    return gens, reached, parent, slot, depth
+    return gens, reached, parent, slot
+
+
+def along_paths(tree, c, combine=np.add) -> np.ndarray:
+    """c[y_1] * c[y_2] * ... * c[y] for every y, the combine-product of c
+    over the tree path 1, y_1, ..., y of a cayley_tree, earliest on the
+    left; c[0] must be combine's identity.  Pointer doubling: c[y] holds the
+    product from up[y] (exclusive) to y, and each round joins c[up[y]] on
+    its left and doubles the jump, so a tree of depth d takes
+    ceil(log2 d) rounds and never more than n.bit_length().  A tree that
+    misses an element is RelationInconsistent."""
+    up = tree[2]
+    if (up < 0).any():
+        raise RelationInconsistent("generators do not generate the group")
+    for _ in range(len(up).bit_length()):
+        if not up.any():
+            break
+        c, up = combine(c[up], c), up[up]
+    return c
 
 
 def path_counts(tree) -> np.ndarray:
     """counts[y, i]: how often the kept generator gens[i] of a cayley_tree
-    result is used on the tree path from the identity to y."""
-    gens, _, levels, parent, slot = tree
-    counts = np.zeros((len(parent), len(gens)), dtype=np.int64)
-    for lv in levels[1:]:
-        counts[lv] = counts[parent[lv]]
-        counts[lv, slot[lv]] += 1
-    return counts
+    result is used on the tree path from the identity to y: the sum along
+    the paths of the slots' one-hot rows, the identity's slot -1 reading
+    the last row of a (k + 1) x (k + 1) identity, whose first k entries are 0."""
+    return along_paths(tree, np.eye(len(tree[0]) + 1, dtype=np.int64)[tree[3], :-1])
 
 
 def is_multiplicative(phi: np.ndarray, S: np.ndarray, T: np.ndarray, gens) -> bool:
@@ -439,13 +451,13 @@ class GroupHom(FrozenRecord):
         return Subgroup(self.source, np.flatnonzero(self.images == 0), check=False)
 
     def section(self) -> np.ndarray:
-        """The least preimage of each element of the target: the least
-        elements of the kernel's right cosets (right_cosets), in the order
-        of their images; TargetMismatch unless the map is onto."""
-        reps = right_cosets(self.source, self.kernel().elements)[0]
-        if len(reps) != self.target.order:
+        """The least preimage of each element of the target, by one scatter
+        of the images; TargetMismatch unless the map is onto."""
+        least = np.full(self.target.order, self.source.order)
+        np.minimum.at(least, self.images, np.arange(self.source.order))
+        if least.max() == self.source.order:
             raise TargetMismatch("projection is not surjective")
-        return reps[np.argsort(self.images[reps])]
+        return least
 
 
 class Subgroup:
@@ -880,7 +892,7 @@ def find_isomorphism(G: Group, H: Group) -> list[int] | None:
     g_orders, h_orders = G.element_orders(), H.element_orders()
     if sorted(g_orders) != sorted(h_orders) or G.center().order != H.center().order:
         return None
-    gens, reached, _, parent, slot = G.tree()
+    gens, reached, parent, slot = G.tree()
     if not gens:
         return [0]
     candidates = [[x for x, o in enumerate(h_orders) if o == g_orders[g]] for g in gens]

@@ -51,6 +51,11 @@
   time, before arith.valuation did it for all of them;
 - `cosets_by_columns`: quotient's coset numbering as it was, the least
   element of each xN by an n x |N| column gather;
+- `path_counts_by_walk` and `normalise_by_walk`: groups.path_counts and
+  CoboundarySpace.normalise as they were before groups.along_paths, one
+  step per tree edge with the parents first, the cochain w unreduced;
+- `section_by_cosets`: GroupHom.section as it was, the least elements of
+  the kernel's right cosets sorted by their images;
 - `normal_subgroups_by_product_sets`: groups.normal_subgroups as it was,
   joining a normal subgroup A with an atom B by the product set AB, one
   gather of |A| |B| entries;
@@ -75,7 +80,7 @@ from pgal.cohomology import (
     h2_enumerate,
 )
 from pgal.arith import factor, legendre
-from pgal.errors import FactorizationFailed, NotSolvable, PrimeMismatch, TooLarge
+from pgal.errors import FactorizationFailed, NotSolvable, PrimeMismatch, TargetMismatch, TooLarge
 from pgal.fpmodules import INFINITE, delta, p_binomial, solvable
 from pgal.groups import (
     MAX_NORMALS,
@@ -91,6 +96,7 @@ from pgal.groups import (
     normal_subgroups,
     path_counts,
     quotient,
+    right_cosets,
     subgroups_of_index2,
 )
 from pgal.linalg import GFMatrix
@@ -151,9 +157,9 @@ def tree_h2_dim(G, p):
     # f(x, 1) = 0 and, on the tree edge (u, s) to y = us, f(x, y) = f(x, u) + f(xu, s)
     V = np.vstack([np.eye(N, dtype=np.int64), np.zeros(N, dtype=np.int64)])[edge]
     L = np.zeros((len(xs), n, N), dtype=np.int64)
-    for lv in cob.levels[1:]:
-        u = cob.parent[lv]
-        L[:, lv] = L[:, u] + V[T[np.ix_(xs, u)], cob.slot[lv]]
+    for y in cob.tree[1][1:]:  # parents come first
+        u = cob.parent[y]
+        L[:, y] = L[:, u] + V[T[xs, u], cob.slot[y]]
     e = np.eye(N + 1, N, dtype=np.int64)[edge[T[np.ix_(xs, Y)], cob.edge_slot]]
     eq = GFMatrix(N, p)
     eq.add_rows((L[:, Y] + e - L[:, cob.edge_z] - np.eye(N, dtype=np.int64)).reshape(-1, N) % p)
@@ -278,6 +284,38 @@ def cosets_by_columns(G, N):
     least = G.np_table[:, N.elements].min(axis=1)
     is_rep = least == np.arange(G.order)
     return np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[least]
+
+
+def path_counts_by_walk(tree):
+    """counts[y, i], the uses of gens[i] on the tree path to y, one row per
+    reached element from its parent's row."""
+    gens, reached, parent, slot = tree
+    counts = np.zeros((len(parent), len(gens)), dtype=np.int64)
+    for y in reached[1:]:
+        counts[y] = counts[parent[y]]
+        counts[y, slot[y]] += 1
+    return counts
+
+
+def normalise_by_walk(cob, Fs):
+    """(w, v) of CoboundarySpace.normalise by w(u s_i) = w(u) + w(s_i) -
+    F(u, s_i) on each tree edge, the kept generators first (they hang off
+    the identity); w unreduced, exact while its sums stay below 2^63."""
+    w = np.zeros(cob.group.order, dtype=np.int64)
+    for y in cob.tree[1][1:]:
+        u, i = cob.parent[y], cob.slot[y]
+        w[y] = w[u] + w[cob.gens[i]] - Fs[u, i]
+    y, i = cob.edge_y, cob.edge_slot
+    return w, (Fs[y, i] - w[y] - w[cob.gens[i]] + w[cob.edge_z]) % cob.p
+
+
+def section_by_cosets(phi):
+    """The least preimages, the least elements of the kernel's right cosets
+    in the order of their images; TargetMismatch unless phi is onto."""
+    reps = right_cosets(phi.source, phi.kernel().elements)[0]
+    if len(reps) != phi.target.order:
+        raise TargetMismatch("projection is not surjective")
+    return reps[np.argsort(phi.images[reps])]
 
 
 def normal_subgroups_by_product_sets(G):
@@ -595,7 +633,7 @@ def find_isomorphism_every_element(G, H):
 
     if invariants(G) != invariants(H):
         return None
-    gens, reached, _, parent, slot = cayley_tree(G.np_table, range(1, G.order))
+    gens, reached, parent, slot = cayley_tree(G.np_table, range(1, G.order))
     if not gens:
         return [0]
     by_order = {}

@@ -551,10 +551,10 @@ def test_the_cayley_walk_agrees_with_the_breadth_first_searches():
         G = build_group(spec)
         for T in _tables_from(G):
             n = T.shape[0]
-            gens, reached, levels, parent, slot = cayley_tree(T, range(1, n))
+            gens, reached, parent, slot = cayley_tree(T, range(1, n))
             assert gens == _bfs_generating_set(T), spec
             assert sorted(reached) == list(range(n)), spec
-            order = [int(y) for lv in levels[1:] for y in lv]
+            order = reached[1:]
             assert sorted(order) == list(range(1, n)), spec
             assert np.array_equal(_along(parent, slot, order, T, gens), np.arange(n)), spec
             H = Group(T, [(f"g{g}", g) for g in gens])
@@ -563,11 +563,11 @@ def test_the_cayley_walk_agrees_with_the_breadth_first_searches():
                 assert H.closure(seed) == _bfs_closure(T, seed), (spec, seed)
         # both word trees give the projection onto G/Z(G) from the images of the generators
         Q, proj = quotient(G, G.center())
-        gens, _, levels, parent, slot = cayley_tree(G.np_table, range(1, G.order))
+        gens, reached, parent, slot = cayley_tree(G.np_table, range(1, G.order))
         images = [proj(g) for g in gens]
         old_parent, old_letter, old_order = _bfs_word_tree(G.np_table, gens)
         old = _along(old_parent, old_letter, old_order, Q.np_table, images)
-        new = _along(parent, slot, [int(y) for lv in levels[1:] for y in lv], Q.np_table, images)
+        new = _along(parent, slot, reached[1:], Q.np_table, images)
         assert old.tolist() == new.tolist() == list(proj.images), spec
 
 
