@@ -269,9 +269,10 @@ def test_the_section_scatter_agrees_with_the_coset_section():
     """GroupHom.section, one scatter of the images, against the least
     elements of the kernel's right cosets sorted by their images: on the
     extensions of the first 8 and the last listed class of every spec up to
-    order 64 at each prime of its order (the classes test_pc_tails builds;
-    building all 4,311 takes 16 s, nearly all of it extension_of_cocycle),
-    and on the bijections transport reads."""
+    order 64 at each prime of its order (the classes test_pc_tails builds:
+    every class's extension has the one projection arange(p n) // p, so
+    building all 4,311 would repeat them), and on the bijections transport
+    reads."""
     checked = 0
     for spec in family_specs(64):
         G = build_group(spec)
